@@ -13,7 +13,7 @@
 //! cells; a directory maps cells to *buckets* whose entries live as
 //! physical records in a [`RecordFile`] (so bucket access is page I/O,
 //! visible to the experiments). One simplification versus Nievergelt's
-//! original is documented in DESIGN.md: instead of incremental directory
+//! original: instead of incremental directory
 //! splitting, the structure reorganises wholesale (equi-depth scales
 //! recomputed from the data) when a bucket overflows — the query-side
 //! behaviour (only overlapping buckets are read; per-key ranges and

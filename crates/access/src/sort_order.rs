@@ -12,9 +12,9 @@
 //! stale copy is bypassed in favour of the primary record (the caller
 //! resolves via the address table's staleness bit).
 //!
-//! The sorted directory is memory-resident and rebuilt on load — the
-//! whole reproduction runs on a simulated device without restart
-//! durability (DESIGN.md, non-goals), so the directory never needs
+//! The sorted directory is memory-resident and rebuilt on load — tuning
+//! structures live in unlogged segments and are regenerated after a
+//! restart rather than recovered, so the directory never needs
 //! persisting.
 
 use crate::addressing::StructureId;

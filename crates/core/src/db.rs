@@ -51,9 +51,7 @@ use prima_access::{AccessSystem, Atom, UpdatePolicy};
 use prima_mad::ddl;
 use prima_mad::value::{AtomId, Value};
 use prima_mad::Schema;
-use prima_storage::{
-    BlockDevice, CostModel, FileDisk, GroupCommitConfig, SimDisk, StorageSystem, Wal, WalRecord,
-};
+use prima_storage::{BlockDevice, CostModel, FileDisk, SimDisk, StorageSystem, Wal, WalRecord};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,7 +63,6 @@ pub struct PrimaBuilder {
     device: Option<Arc<dyn BlockDevice>>,
     durable: bool,
     lock_config: LockConfig,
-    group_commit: GroupCommitConfig,
     slow_statement_threshold: Option<Duration>,
     slow_log_capacity: usize,
 }
@@ -78,7 +75,6 @@ impl Default for PrimaBuilder {
             device: None,
             durable: false,
             lock_config: LockConfig::default(),
-            group_commit: GroupCommitConfig::default(),
             slow_statement_threshold: None,
             slow_log_capacity: DEFAULT_SLOW_LOG_CAPACITY,
         }
@@ -103,17 +99,6 @@ impl PrimaBuilder {
     /// single-threaded interleaving tests rely on).
     pub fn lock_config(mut self, config: LockConfig) -> Self {
         self.lock_config = config;
-        self
-    }
-
-    /// Cross-session group-commit tuning for the durable commit path
-    /// (default: grouping on — up to 64 commits per log force, 500 µs
-    /// leader linger). [`GroupCommitConfig::force_each`] restores
-    /// force-per-commit. Ignored on volatile kernels, and by
-    /// [`Prima::open`] / [`Prima::open_device`], which reopen with the
-    /// default config.
-    pub fn group_commit(mut self, config: GroupCommitConfig) -> Self {
-        self.group_commit = config;
         self
     }
 
@@ -195,7 +180,7 @@ impl PrimaBuilder {
             None => Arc::new(SimDisk::with_cost(self.cost_model)),
         };
         let storage = if self.durable {
-            let wal = Wal::with_config(Arc::clone(&device), 1, self.group_commit);
+            let wal = Wal::new(Arc::clone(&device));
             Arc::new(StorageSystem::with_wal(device, self.buffer_bytes, wal))
         } else {
             Arc::new(StorageSystem::new(device, self.buffer_bytes))

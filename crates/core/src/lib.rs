@@ -123,8 +123,8 @@
 //!   feature, which the contention and crash-fuzz CI jobs enable in
 //!   release) and panic on rank inversion, so every randomized fault
 //!   schedule doubles as a lock-order model check. Release builds
-//!   without the feature compile the tracking out to nothing — verified
-//!   by the `scripts/perf_trajectory.sh --sanity` leg.
+//!   without the feature compile the tracking out to nothing; that is
+//!   the build `prima-bench` measures.
 //!
 //! # Durability
 //!
@@ -133,16 +133,14 @@
 //! `Prima::open_device` replay the log after a crash (redo → rescan →
 //! loser rollback). `Session::commit` is acknowledged only once a
 //! device append covering the transaction's `TxnCommit` record has
-//! completed. Under **cross-session group commit** (on by default, see
-//! [`GroupCommitConfig`]) concurrently committing sessions share that
-//! device force: one committer leads and forces a batch covering every
-//! waiter's records, the rest park until the flushed LSN reaches their
-//! commit — N committers, one fsync. [`PrimaBuilder::group_commit`]
-//! tunes the leader's linger (`max_wait`, default 500 µs) and batch cap
-//! (`max_batch`, default 64), or disables grouping entirely with
-//! [`GroupCommitConfig::force_each`] for minimum single-commit latency.
-//! A lone committer never waits either way, so grouping costs nothing
-//! when there is no concurrency to amortize.
+//! completed. Under **cross-session group commit**
+//! ([`prima_storage::Wal::commit`]) concurrently committing sessions
+//! share that device force: one committer leads and forces a batch
+//! covering every waiter's records (lingering at most 500 µs for
+//! commits already en route), the rest park until the flushed LSN
+//! reaches their commit — N committers, one fsync. A lone committer
+//! never waits, so grouping costs nothing when there is no concurrency
+//! to amortize.
 
 pub mod db;
 pub mod datasys;
@@ -169,5 +167,4 @@ pub use session::{
 };
 pub use txn::{LockConfig, LockStatsSnapshot, VersionStatsSnapshot};
 pub use prima_access::{AccessSystem, Atom, UpdatePolicy};
-pub use prima_storage::GroupCommitConfig;
 pub use prima_mad::{AtomId, AtomTypeId, Schema, Value};

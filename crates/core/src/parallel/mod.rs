@@ -21,10 +21,9 @@
 //!   DU is compatible — the maximally parallel case the paper targets
 //!   for vertical access).
 //!
-//! The multi-processor PRIMA of the paper maps onto threads here (see the
-//! substitution table in DESIGN.md): the claim under test is about
-//! decomposability and speed-up shape, not about a particular
-//! interconnect.
+//! The multi-processor PRIMA of the paper maps onto threads here: the
+//! claim under test is about decomposability and speed-up shape, not
+//! about a particular interconnect.
 //!
 //! DU workers are isolation-agnostic: the [`ReadGuard`] they share is
 //! `Copy`, so each worker carries the caller's guard across its thread —

@@ -6,7 +6,7 @@
 //! tailored access paths, and special tuning mechanisms." The paper lists
 //! the four mechanisms (access methods, partitions, sort orders,
 //! physical clusters) but gives no concrete syntax; the statement forms
-//! below are a documented reconstruction (DESIGN.md):
+//! below are our reconstruction:
 //!
 //! ```text
 //! CREATE ACCESS PATH ap_no ON solid (solid_no)

@@ -4,8 +4,8 @@
 //! 2.2). The constructs covered are exactly those exercised by Table 2.1
 //! plus the manipulation statements the paper describes prose-wise
 //! (molecule insertion, deletion, modification; component connection and
-//! disconnection — their concrete syntax is a documented reconstruction,
-//! see DESIGN.md).
+//! disconnection — the paper gives no concrete syntax for these, so
+//! theirs is our reconstruction).
 
 use crate::schema::MoleculeGraph;
 use crate::value::Value;

@@ -2,22 +2,13 @@
 //!
 //! Section 3.3 of the paper: existing replacement algorithms (LRU etc.
 //! \[EH82\]) are tailored to **one** page size; PRIMA must manage five sizes
-//! in one buffer. The paper names the two candidate designs:
-//!
-//! 1. *"division of the buffer into several independent parts, each of
-//!    which managed by a dedicated replacement algorithm. Such a static
-//!    partitioning is not very flexible when reference patterns change."*
-//!    — implemented here as [`PartitionedBuffer`], the baseline.
-//! 2. *"modify a replacement algorithm in such a way that it can handle
-//!    different page sizes. This idea has been pursued in the storage
-//!    system, i.e., the well-known LRU algorithm was altered in an
-//!    appropriate way."* — implemented as [`BufferManager`]: one byte-
-//!    budgeted pool whose victim selection walks the global LRU order and
-//!    evicts as many least-recently-used unfixed pages as needed to free
-//!    room for the incoming page, whatever the size mix.
-//!
-//! Experiment `E-BUF` (see DESIGN.md) contrasts the two under shifting
-//! reference patterns.
+//! in one buffer. The paper rejects a static partition into one pool per
+//! size (*"not very flexible when reference patterns change"*) and instead
+//! *"the well-known LRU algorithm was altered in an appropriate way"*.
+//! [`BufferManager`] is that modified LRU: one byte-budgeted pool whose
+//! victim selection walks the global LRU order and evicts as many
+//! least-recently-used unfixed pages as needed to free room for the
+//! incoming page, whatever the size mix.
 //!
 //! Pages are accessed under a **fix/unfix** protocol: [`BufferManager::fix`]
 //! and [`BufferManager::fix_mut`] return RAII guards; a fixed page is
@@ -68,15 +59,6 @@ pub trait PageStore: Send + Sync {
     }
 }
 
-/// Replacement policy identifier, reported in benchmark output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Single pool, size-aware ("modified") LRU — the paper's choice.
-    ModifiedLru,
-    /// Five static pools, one per page size — the paper's strawman.
-    StaticPartition,
-}
-
 /// Buffer statistics (logical vs physical accesses).
 #[derive(Debug, Default)]
 pub struct BufferStats {
@@ -122,19 +104,8 @@ impl BufferStats {
         }
     }
 
-    /// `(hits, misses, evictions, writebacks)`. See [`BufferStats::detail`]
-    /// for the full counter set including fix-call accounting.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-            self.writebacks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// All counters, including `fix_calls` vs `pages_loaded` — the pair the
-    /// batched-assembly bench uses to prove guard-churn reduction.
+    /// All counters, including `fix_calls` vs `pages_loaded` — the pair
+    /// that shows batched reads cutting guard churn.
     pub fn detail(&self) -> BufferStatsSnapshot {
         BufferStatsSnapshot {
             hits: self.hits.load(Ordering::Relaxed),
@@ -163,16 +134,6 @@ impl BufferStats {
         self.writebacks.store(0, Ordering::Relaxed);
         self.fix_calls.store(0, Ordering::Relaxed);
         self.pages_loaded.store(0, Ordering::Relaxed);
-    }
-
-    fn add_from(&self, other: &BufferStats) {
-        self.hits.fetch_add(other.hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.misses.fetch_add(other.misses.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.evictions.fetch_add(other.evictions.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.writebacks.fetch_add(other.writebacks.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.fix_calls.fetch_add(other.fix_calls.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.pages_loaded
-            .fetch_add(other.pages_loaded.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -851,83 +812,6 @@ impl Drop for PageGuardMut {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PartitionedBuffer: the strawman baseline
-// ---------------------------------------------------------------------------
-
-/// Statically partitioned buffer: one independent plain-LRU pool per page
-/// size. The byte budget is split across the five sizes by fixed fractions
-/// chosen at construction. The paper: "not very flexible when reference
-/// patterns change" — experiment E-BUF quantifies that.
-pub struct PartitionedBuffer {
-    store: Arc<dyn PageStore>,
-    pools: Vec<(PageSize, BufferManager)>,
-    stats: Arc<BufferStats>,
-}
-
-impl PartitionedBuffer {
-    /// Splits `capacity_bytes` into five pools using `fractions` (one entry
-    /// per [`PageSize::ALL`] position; should sum to ~1.0).
-    pub fn new(store: Arc<dyn PageStore>, capacity_bytes: usize, fractions: [f64; 5]) -> Self {
-        let pools = PageSize::ALL
-            .iter()
-            .zip(fractions.iter())
-            .map(|(&size, &frac)| {
-                let bytes = ((capacity_bytes as f64) * frac) as usize;
-                // Every pool must hold at least one page of its size to be
-                // usable at all.
-                let bytes = bytes.max(size.bytes());
-                (size, BufferManager::new(Arc::clone(&store), bytes))
-            })
-            .collect();
-        PartitionedBuffer { store, pools, stats: Arc::new(BufferStats::default()) }
-    }
-
-    /// Equal fifths for each size class.
-    pub fn new_equal(store: Arc<dyn PageStore>, capacity_bytes: usize) -> Self {
-        Self::new(store, capacity_bytes, [0.2; 5])
-    }
-
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
-    fn pool_of(&self, id: PageId) -> StorageResult<&BufferManager> {
-        let size = self.store.page_size_of(id.segment)?;
-        // lint: allow(error-hygiene, all five page sizes are constructed in new and the set never changes)
-        Ok(&self.pools.iter().find(|(s, _)| *s == size).expect("all sizes present").1)
-    }
-
-    pub fn fix(&self, id: PageId) -> StorageResult<PageGuard> {
-        self.pool_of(id)?.fix(id)
-    }
-
-    pub fn fix_mut(&self, id: PageId) -> StorageResult<PageGuardMut> {
-        self.pool_of(id)?.fix_mut(id)
-    }
-
-    pub fn fix_new(&self, id: PageId, ptype: PageType) -> StorageResult<PageGuardMut> {
-        self.pool_of(id)?.fix_new(id, ptype)
-    }
-
-    pub fn discard(&self, id: PageId) -> StorageResult<()> {
-        self.pool_of(id)?.discard(id)
-    }
-
-    pub fn flush_all(&self) -> StorageResult<()> {
-        for (_, p) in &self.pools {
-            p.flush_all()?;
-        }
-        Ok(())
-    }
-
-    /// Aggregated statistics across the five pools, recomputed on call.
-    pub fn stats(&self) -> Arc<BufferStats> {
-        self.stats.reset();
-        for (_, p) in &self.pools {
-            self.stats.add_from(&p.stats());
-        }
-        Arc::clone(&self.stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1006,8 +890,8 @@ mod tests {
         }
         let _ = buf.fix(id(0, 0)).unwrap(); // hit
         let _ = buf.fix(id(0, 5)).unwrap(); // miss (zero page)
-        let (h, m, _, _) = buf.stats().snapshot();
-        assert_eq!((h, m), (1, 1));
+        let d = buf.stats().detail();
+        assert_eq!((d.hits, d.misses), (1, 1));
     }
 
     #[test]
@@ -1040,7 +924,7 @@ mod tests {
         // not enough, so modified LRU keeps evicting until room: both go.
         let _big2 = buf.fix_new(id(1, 1), PageType::Data).unwrap();
         assert!(buf.used_bytes() <= 8192 + 512);
-        let (_, _, ev, _) = buf.stats().snapshot();
+        let ev = buf.stats().detail().evictions;
         assert!(ev >= 1, "eviction expected, got {ev}");
     }
 
@@ -1056,8 +940,7 @@ mod tests {
         assert_eq!(buf.resident(), 16);
         let _ = buf.fix_new(id(1, 0), PageType::Data).unwrap();
         assert_eq!(buf.resident(), 1);
-        let (_, _, ev, _) = buf.stats().snapshot();
-        assert_eq!(ev, 16);
+        assert_eq!(buf.stats().detail().evictions, 16);
     }
 
     #[test]
@@ -1117,25 +1000,6 @@ mod tests {
         drop(g);
         assert!(buf.discard(id(0, 0)).is_ok());
         assert!(!buf.is_resident(id(0, 0)));
-    }
-
-    #[test]
-    fn partitioned_buffer_isolates_size_classes() {
-        let store = TestStore::new(&[PageSize::Half, PageSize::K8]);
-        // 20% of 10*8192 = 16384 per class minimum logic: Half pool gets
-        // 16384 bytes = 32 pages; K8 pool gets 16384 = 2 pages.
-        let buf = PartitionedBuffer::new_equal(Arc::clone(&store) as Arc<dyn PageStore>, 81920);
-        // Fill the K8 pool.
-        let _ = buf.fix_new(id(1, 0), PageType::Data).unwrap();
-        let _ = buf.fix_new(id(1, 1), PageType::Data).unwrap();
-        let _ = buf.fix_new(id(1, 2), PageType::Data).unwrap();
-        // Half-size pages are unaffected by K8 pressure.
-        let _ = buf.fix_new(id(0, 0), PageType::Data).unwrap();
-        let _ = buf.fix(id(0, 0)).unwrap();
-        let s = buf.stats();
-        let (h, _, ev, _) = s.snapshot();
-        assert!(h >= 1);
-        assert!(ev >= 1, "K8 pool must have evicted");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   mapping is trivial.
 //! * A single database **buffer** holds pages of *different* sizes. The
 //!   well-known LRU algorithm is altered so that one pool can handle mixed
-//!   page sizes ([`buffer::BufferManager`]); a statically partitioned pool
-//!   ([`buffer::PartitionedBuffer`]) is provided as the baseline the paper
-//!   argues against.
+//!   page sizes ([`buffer::BufferManager`]); the paper rejects a static
+//!   partition into one pool per size as too inflexible when reference
+//!   patterns change.
 //! * **Page sequences** treat an arbitrary number of pages as a whole: one
 //!   header page plus component pages, supported by a cluster mechanism of
 //!   the file manager enabling optimal (chained) I/O ([`page_seq`]).
@@ -25,7 +25,7 @@
 //! ([`file_disk::FileDisk`]): the paper ran on 1987 hardware via the INCAS
 //! file manager \[Ne87\]; what its performance claims depend on are *I/O
 //! counts, block sizes and contiguity*, all of which both backends measure
-//! faithfully (see `DESIGN.md`, substitution table).
+//! faithfully.
 //!
 //! ## Durability: where WAL and checkpoint sit in Fig. 3.1
 //!
@@ -117,10 +117,7 @@ pub mod segment;
 pub mod stats;
 pub mod wal;
 
-pub use buffer::{
-    BufferManager, BufferStats, BufferStatsSnapshot, PageGuard, PartitionedBuffer,
-    ReplacementPolicy,
-};
+pub use buffer::{BufferManager, BufferStats, BufferStatsSnapshot, PageGuard};
 pub use disk::{BlockAddr, BlockDevice, CostModel, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use fault_disk::{CrashPoint, FaultDisk, FaultSchedule};

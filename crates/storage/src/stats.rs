@@ -4,7 +4,7 @@
 //! chained I/O, clustering) are all arguments about *how many* and *which*
 //! block transfers a given operation causes. [`IoStats`] is the measuring
 //! instrument: a cheap, thread-safe set of counters threaded through the
-//! simulated device, and surfaced per experiment in `EXPERIMENTS.md`.
+//! block devices and surfaced in the kernel's metrics registry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -69,8 +69,7 @@ const KIND_CHECKPOINT: u8 = 6;
 /// forcing: it writes as soon as every transaction currently inside
 /// `commit` has its record in the batch, `max_batch` commits are
 /// buffered, or `max_wait` elapses — whichever comes first. A lone
-/// committer never lingers at all, so single-session commit latency is
-/// unchanged from force-per-commit.
+/// committer never lingers at all, so it pays exactly one force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitConfig {
     /// Longest a leader waits for further committers' records before
@@ -78,30 +77,15 @@ pub struct GroupCommitConfig {
     /// `flushed_lsn` and the leader flag on every wakeup, so a missed
     /// notify costs at most one `max_wait`).
     pub max_wait: Duration,
-    /// Most commit records one device force may cover. `<= 1` disables
-    /// grouping entirely: every commit forces for itself, the pre-group
-    /// behaviour.
+    /// Buffered commit records at which a lingering leader stops
+    /// waiting and forces.
     pub max_batch: usize,
 }
 
 impl Default for GroupCommitConfig {
-    /// Grouping on: up to 64 commits per force, 500 µs leader linger.
+    /// Up to 64 commits per force, 500 µs leader linger.
     fn default() -> Self {
         GroupCommitConfig { max_wait: Duration::from_micros(500), max_batch: 64 }
-    }
-}
-
-impl GroupCommitConfig {
-    /// Classic force-per-commit: every committer pays its own device
-    /// append. The baseline the group-commit bench compares against, and
-    /// the escape hatch for workloads that want minimum commit latency
-    /// over throughput.
-    pub fn force_each() -> Self {
-        GroupCommitConfig { max_wait: Duration::ZERO, max_batch: 1 }
-    }
-
-    fn grouping(&self) -> bool {
-        self.max_batch > 1
     }
 }
 
@@ -232,12 +216,13 @@ impl Wal {
 
     /// A log resuming after replay: `first_lsn` must exceed every LSN
     /// already on the device so recovery-time appends stay monotone.
-    /// Uses the default [`GroupCommitConfig`] (grouping on).
+    /// Uses the default [`GroupCommitConfig`].
     pub fn starting_at(device: Arc<dyn BlockDevice>, first_lsn: Lsn) -> Arc<Wal> {
         Self::with_config(device, first_lsn, GroupCommitConfig::default())
     }
 
-    /// A log with explicit group-commit tuning.
+    /// A log with explicit group-commit tuning (the unit tests use it
+    /// for a deterministic linger).
     pub fn with_config(
         device: Arc<dyn BlockDevice>,
         first_lsn: Lsn,
@@ -258,11 +243,6 @@ impl Wal {
             flushed: AtomicU64::new(first_lsn - 1),
             poisoned: AtomicBool::new(false),
         })
-    }
-
-    /// The group-commit tuning this log runs with.
-    pub fn group_commit_config(&self) -> GroupCommitConfig {
-        self.config
     }
 
     fn check_poison(&self) -> StorageResult<()> {
@@ -333,7 +313,7 @@ impl Wal {
         }
         drop(inner);
         crate::probe::emit_elapsed(probe_t, crate::probe::ProbeEvent::WalAppend, (body.len() + 8) as u64);
-        if is_commit && self.config.grouping() {
+        if is_commit {
             // A leader may be lingering for exactly this record.
             self.group_cv.notify_all();
         }
@@ -385,11 +365,9 @@ impl Wal {
         match self.append_batch(&batch, commits) {
             Ok(()) => {
                 self.flushed.store(upto, Ordering::Relaxed);
-                if self.config.grouping() {
-                    // Any force can cover parked committers' records —
-                    // flush-path forces included.
-                    self.group_cv.notify_all();
-                }
+                // Any force can cover parked committers' records —
+                // flush-path forces included.
+                self.group_cv.notify_all();
                 Ok(upto)
             }
             Err(e) => {
@@ -402,10 +380,8 @@ impl Wal {
                 inner.pending = restored;
                 inner.pending_commits += commits;
                 drop(inner);
-                if self.config.grouping() {
-                    // Wake parked committers so they observe the poison.
-                    self.group_cv.notify_all();
-                }
+                // Wake parked committers so they observe the poison.
+                self.group_cv.notify_all();
                 Err(e)
             }
         }
@@ -415,19 +391,15 @@ impl Wal {
     /// and returns once a device force covers it — `Ok` implies the
     /// record (and every record before it) is durable.
     ///
-    /// With grouping enabled (`max_batch > 1`) this is the
-    /// cross-session group commit: the first committer to find no force
-    /// in flight becomes *leader*, lingers briefly for other in-flight
-    /// committers (bounded by [`GroupCommitConfig`]), and performs one
-    /// [`force`](Self::force) covering every batched record; the rest
-    /// park on a condvar until `flushed_lsn` passes their commit LSN. A
-    /// lone committer leads immediately without lingering, so a
-    /// single-session writing commit still costs exactly one force.
+    /// This is the cross-session group commit: the first committer to
+    /// find no force in flight becomes *leader*, lingers briefly for
+    /// other in-flight committers (bounded by [`GroupCommitConfig`]),
+    /// and performs one [`force`](Self::force) covering every batched
+    /// record; the rest park on a condvar until `flushed_lsn` passes
+    /// their commit LSN. A lone committer leads immediately without
+    /// lingering, so a single-session writing commit costs exactly one
+    /// force.
     pub fn commit(&self, txn: u64) -> StorageResult<Lsn> {
-        if !self.config.grouping() {
-            self.append(WalPayload::TxnCommit { txn })?;
-            return self.force();
-        }
         self.committing.fetch_add(1, Ordering::SeqCst);
         let result = self.commit_grouped(txn);
         self.committing.fetch_sub(1, Ordering::SeqCst);
@@ -841,26 +813,6 @@ mod tests {
             s.wal_forces
         );
         assert!(wal.flushed_lsn() >= COMMITTERS * 2, "all brackets durable");
-    }
-
-    /// With grouping disabled every commit pays its own force — the
-    /// pre-group behaviour the bench uses as baseline.
-    #[test]
-    fn force_each_config_forces_per_commit() {
-        let dev = Arc::new(SimDisk::new());
-        let wal = Wal::with_config(
-            Arc::clone(&dev) as Arc<dyn BlockDevice>,
-            1,
-            GroupCommitConfig::force_each(),
-        );
-        for t in 0..4 {
-            wal.append(WalPayload::TxnBegin { txn: t }).unwrap();
-            wal.commit(t).unwrap();
-        }
-        let s = dev.stats().snapshot();
-        assert_eq!(s.wal_forces, 4);
-        assert_eq!(s.group_commit_batches, 4);
-        assert_eq!(s.group_commit_commits, 4);
     }
 
     static RESET_FORCE_EVENTS: AtomicUsize = AtomicUsize::new(0);

@@ -12,7 +12,8 @@
 
 use prima::txn::TxnError;
 use prima::{LockConfig, Prima, PrimaError, QueryOptions, RetryPolicy, Value};
-use std::sync::Barrier;
+use prima_storage::{BlockDevice, FaultDisk, FaultSchedule, SimDisk};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const DDL: &str = "
@@ -466,4 +467,73 @@ fn conflict_heavy_sessions_see_zero_conflict_errors_under_default_retry() {
     let final_names = names(&db);
     assert_eq!(final_names.len(), 1);
     assert!(final_names[0].1.starts_with('t'), "unexpected final value: {final_names:?}");
+}
+
+// ---------------------------------------------------------------------
+// Group commit through the session API
+// ---------------------------------------------------------------------
+
+/// Polls `cond` for up to ~5 s; returns whether it ever held.
+fn eventually(cond: impl Fn() -> bool) -> bool {
+    for _ in 0..20_000 {
+        if cond() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_micros(250));
+    }
+    false
+}
+
+/// Concurrent `Session::commit`s share WAL forces. The first commit
+/// force is held inside the device until every other session's
+/// `TxnCommit` record is buffered behind it, so the commits complete in
+/// at most two forces: the stalled leader's, and one covering everybody
+/// who queued meanwhile. A commit path that serialises sessions before
+/// their records reach the log never lets the others queue, and fails.
+#[test]
+fn concurrent_session_commits_share_wal_forces() {
+    const SESSIONS: u64 = 4;
+    let fault = FaultDisk::new(Arc::new(SimDisk::new()), FaultSchedule::manual(21));
+    let db = Prima::builder()
+        .device(Arc::clone(&fault) as Arc<dyn BlockDevice>)
+        .durable()
+        .build_with_ddl(DDL)
+        .unwrap();
+    let wal = Arc::clone(db.storage().wal().expect("durable kernel has a WAL"));
+    let step = Barrier::new(SESSIONS as usize + 1);
+
+    let (before, queued) = std::thread::scope(|s| {
+        for t in 0..SESSIONS {
+            let (db, step) = (&db, &step);
+            s.spawn(move || {
+                let session = db.session();
+                session.execute(&format!("INSERT part (part_no: {t}, name: 's{t}')")).unwrap();
+                step.wait(); // inserted
+                step.wait(); // device held
+                session.commit().unwrap();
+            });
+        }
+        step.wait();
+        // Every record but the commits is buffered; nothing is forced yet.
+        let inserted_lsn = wal.buffered_lsn();
+        let before = fault.stats().snapshot();
+        fault.hold_wal_appends();
+        step.wait();
+        let queued = eventually(|| {
+            fault.stalled_wal_appends() == 1 && wal.buffered_lsn() == inserted_lsn + SESSIONS
+        });
+        // Release before asserting, so a failure cannot hang the scope.
+        fault.release_wal_appends();
+        (before, queued)
+    });
+    assert!(queued, "the other commit records never queued behind the stalled leader");
+
+    let d = fault.stats().snapshot().since(&before);
+    assert_eq!(d.group_commit_commits, SESSIONS, "every commit record forced exactly once");
+    assert!(
+        d.wal_forces < SESSIONS,
+        "sessions shared forces: {} forces for {SESSIONS} commits",
+        d.wal_forces
+    );
+    assert_eq!(names(&db).len(), SESSIONS as usize);
 }

@@ -32,14 +32,14 @@ fn one_query_touches_every_layer() {
 
     // Layer 3 — storage system: buffer served page fixes, some missed to
     // the device.
-    let (hits, misses, _, _) = db.storage().buffer_stats().snapshot();
-    assert!(hits + misses > 0, "pages were fixed");
-    assert!(misses > 0, "cold start must read the device");
+    let buf = db.storage().buffer_stats().detail();
+    assert!(buf.hits + buf.misses > 0, "pages were fixed");
+    assert!(buf.misses > 0, "cold start must read the device");
 
     // Layer 4 — device: block reads of 4K data pages.
     let io = db.storage().io_stats().snapshot();
     assert!(io.block_reads > 0);
-    assert_eq!(io.block_reads, misses, "every miss is exactly one block read");
+    assert_eq!(io.block_reads, buf.misses, "every miss is exactly one block read");
     assert!(io.bytes_read >= io.block_reads * 512);
 }
 
