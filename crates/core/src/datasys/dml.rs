@@ -12,19 +12,23 @@
 //! maintenance; this module translates statement semantics into atom
 //! operations.
 //!
-//! DML runs on the *locking* read path even now that auto-commit queries
-//! snapshot ([`crate::txn::mvcc`]): qualification sub-reads here must see
-//! the transaction's own uncommitted writes and must lock what they will
-//! mutate, so every guard below comes from `Transaction::read_guard`
-//! (locking mode) — never from [`ReadGuard::snapshot`].
+//! Every statement runs on a [`Transaction`] — undo-logged,
+//! lock-protected, rolled back by [`crate::session::Session::rollback`];
+//! there is deliberately no direct-to-access-system writer (the recovery
+//! subsystem assumes every manipulation is bracketed by the transaction
+//! layer). Its reads run on the *locking* read path even though
+//! auto-commit queries snapshot ([`crate::txn::mvcc`]): qualification
+//! sub-reads must see the transaction's own uncommitted writes and must
+//! lock what they will mutate, so the only guard here is the
+//! transaction's own `read_guard()`.
 
 use super::exec::execute;
 use super::validate::{resolve_ref, validate};
 use crate::error::{PrimaError, PrimaResult};
-use crate::txn::{ReadGuard, Transaction};
+use crate::txn::Transaction;
 use prima_access::AccessSystem;
 use prima_mad::mql::{Delete, Insert, Modify, Query, SelectList, SetExpr, Statement, ValueExpr};
-use prima_mad::value::{AtomId, AtomTypeId, Value};
+use prima_mad::value::{AtomId, Value};
 use prima_mad::AttrType;
 
 /// Result of a manipulation statement.
@@ -38,50 +42,23 @@ pub enum DmlResult {
     Modified(usize),
 }
 
-/// Write-side of the DML path: statement semantics (qualification,
-/// connect/disconnect, ONLY-component selection) are translated into atom
-/// operations on a [`Transaction`] — undo-logged, lock-protected, rolled
-/// back by [`crate::session::Session::rollback`]. There is deliberately
-/// no direct-to-access-system writer any more: every manipulation path,
-/// including the facade's atom-level convenience calls, is bracketed by
-/// the transaction layer (the recovery subsystem assumes exactly that).
-pub trait AtomWriter {
-    fn write_insert(&self, t: AtomTypeId, values: Vec<Value>) -> PrimaResult<AtomId>;
-    fn write_modify(&self, id: AtomId, updates: &[(usize, Value)]) -> PrimaResult<()>;
-    fn write_delete(&self, id: AtomId) -> PrimaResult<()>;
-}
-
-impl AtomWriter for Transaction {
-    fn write_insert(&self, t: AtomTypeId, values: Vec<Value>) -> PrimaResult<AtomId> {
-        Ok(self.insert_atom(t, values)?)
-    }
-
-    fn write_modify(&self, id: AtomId, updates: &[(usize, Value)]) -> PrimaResult<()> {
-        Ok(self.modify_atom(id, updates)?)
-    }
-
-    fn write_delete(&self, id: AtomId) -> PrimaResult<()> {
-        Ok(self.delete_atom(id)?)
-    }
-}
-
-/// Executes a non-SELECT statement, routing all writes through `w`.
-/// `locks` covers the statement's *reads* (qualification sub-queries,
-/// current-value reads for CONNECT/DISCONNECT) with `Shared` locks under
-/// the same transaction, completing the two-phase bracket.
-pub fn execute_statement_with(
+/// Executes a non-SELECT statement in `txn`: writes are the
+/// transaction's atom operations, and the statement's *reads*
+/// (qualification sub-queries, current-value reads for
+/// CONNECT/DISCONNECT) take `Shared` locks under the same transaction,
+/// completing the two-phase bracket.
+pub fn execute_statement(
     sys: &AccessSystem,
-    w: &dyn AtomWriter,
+    txn: &Transaction,
     stmt: &Statement,
-    locks: Option<ReadGuard<'_>>,
 ) -> PrimaResult<DmlResult> {
     match stmt {
         Statement::Select(_) => Err(PrimaError::BadStatement(
             "SELECT must go through the query interface".into(),
         )),
-        Statement::Insert(i) => insert(sys, w, i),
-        Statement::Delete(d) => delete(sys, w, d, locks),
-        Statement::Modify(m) => modify(sys, w, m, locks),
+        Statement::Insert(i) => insert(sys, txn, i),
+        Statement::Delete(d) => delete(sys, txn, d),
+        Statement::Modify(m) => modify(sys, txn, m),
     }
 }
 
@@ -97,23 +74,18 @@ fn lit(ve: &ValueExpr) -> PrimaResult<&Value> {
     }
 }
 
-fn insert(sys: &AccessSystem, w: &dyn AtomWriter, stmt: &Insert) -> PrimaResult<DmlResult> {
+fn insert(sys: &AccessSystem, txn: &Transaction, stmt: &Insert) -> PrimaResult<DmlResult> {
     let pairs: Vec<(&str, Value)> = stmt
         .assignments
         .iter()
         .map(|(n, ve)| Ok((n.as_str(), lit(ve)?.clone())))
         .collect::<PrimaResult<_>>()?;
     let (t, values) = sys.resolve_named_values(&stmt.atom_type, &pairs)?;
-    let id = w.write_insert(t, values)?;
+    let id = txn.insert_atom(t, values)?;
     Ok(DmlResult::Inserted(id))
 }
 
-fn delete(
-    sys: &AccessSystem,
-    w: &dyn AtomWriter,
-    stmt: &Delete,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<DmlResult> {
+fn delete(sys: &AccessSystem, txn: &Transaction, stmt: &Delete) -> PrimaResult<DmlResult> {
     // Find the qualifying molecules with a SELECT ALL over the same FROM.
     let query = Query {
         select: SelectList::All,
@@ -121,7 +93,7 @@ fn delete(
         predicate: stmt.predicate.clone(),
     };
     let resolved = validate(sys.schema(), &query)?;
-    let (set, _) = execute(sys, &resolved, locks)?;
+    let (set, _) = execute(sys, &resolved, 1, txn.read_guard())?;
     // Which structure nodes are deleted?
     let victim_nodes: Vec<usize> = match &stmt.only_components {
         None => (0..resolved.nodes.len()).collect(),
@@ -145,7 +117,7 @@ fn delete(
                 // Molecules may overlap (non-disjoint); an atom can
                 // already be gone.
                 if sys.exists(atom.id) {
-                    w.write_delete(atom.id)?;
+                    txn.delete_atom(atom.id)?;
                     deleted += 1;
                 }
             }
@@ -155,19 +127,14 @@ fn delete(
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-fn modify(
-    sys: &AccessSystem,
-    w: &dyn AtomWriter,
-    stmt: &Modify,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<DmlResult> {
+fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<DmlResult> {
     let query = Query {
         select: SelectList::All,
         from: stmt.from.clone(),
         predicate: stmt.predicate.clone(),
     };
     let resolved = validate(sys.schema(), &query)?;
-    let (set, _) = execute(sys, &resolved, locks)?;
+    let (set, _) = execute(sys, &resolved, 1, txn.read_guard())?;
     let mut modified = 0usize;
     for m in &set.molecules {
         for (target, expr) in &stmt.assignments {
@@ -184,11 +151,11 @@ fn modify(
                 }
                 match expr {
                     SetExpr::Value(v) => {
-                        w.write_modify(id, &[(attr, lit(v)?.clone())])?;
+                        txn.modify_atom(id, &[(attr, lit(v)?.clone())])?;
                         modified += 1;
                     }
                     SetExpr::Connect(sub) => {
-                        let targets = root_ids(sys, sub, locks)?;
+                        let targets = root_ids(sys, sub, txn)?;
                         let current = sys.read_atom(id, None)?;
                         let new_value = if is_set {
                             let mut ids = current.values[attr].referenced_ids();
@@ -202,11 +169,11 @@ fn modify(
                                 at.attributes[attr].name
                             )));
                         };
-                        w.write_modify(id, &[(attr, new_value)])?;
+                        txn.modify_atom(id, &[(attr, new_value)])?;
                         modified += 1;
                     }
                     SetExpr::Disconnect(sub) => {
-                        let targets = root_ids(sys, sub, locks)?;
+                        let targets = root_ids(sys, sub, txn)?;
                         let current = sys.read_atom(id, None)?;
                         let new_value = if is_set {
                             let ids: Vec<AtomId> = current.values[attr]
@@ -226,7 +193,7 @@ fn modify(
                                 at.attributes[attr].name
                             )));
                         };
-                        w.write_modify(id, &[(attr, new_value)])?;
+                        txn.modify_atom(id, &[(attr, new_value)])?;
                         modified += 1;
                     }
                 }
@@ -238,12 +205,8 @@ fn modify(
 
 /// Runs a sub-query and returns its molecules' root atom ids (the atoms a
 /// CONNECT/DISCONNECT refers to).
-fn root_ids(
-    sys: &AccessSystem,
-    q: &Query,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<Vec<AtomId>> {
+fn root_ids(sys: &AccessSystem, q: &Query, txn: &Transaction) -> PrimaResult<Vec<AtomId>> {
     let resolved = validate(sys.schema(), q)?;
-    let (set, _) = execute(sys, &resolved, locks)?;
+    let (set, _) = execute(sys, &resolved, 1, txn.read_guard())?;
     Ok(set.molecules.iter().map(|m| m.root.atom.id).collect())
 }

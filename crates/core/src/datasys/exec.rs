@@ -27,25 +27,21 @@
 //!
 //! Step 2 is the kernel's hottest loop: the paper's molecule management
 //! "deals with searching the qualified parts of the desired molecule and
-//! combining these parts", and every component fetch used to cost one
-//! buffer fix (shard lock + LRU touch) through `read_atom`. Assembly now
-//! proceeds **level by level**: each round collects every dependent
-//! `AtomId` the current frontier references and issues a single
-//! [`AccessSystem::read_atoms_batch_opt`] call, which groups the requests
-//! by owning page and fixes each page once. Fan-out-`k` levels thus cost
-//! ~pages-per-level fix calls instead of `k`. Duplicate ids within a level
-//! are *not* deduplicated — each request is decoded individually, so
-//! per-layer accounting (`AccessStats::primary_reads`,
-//! `ExecutionTrace::atoms_fetched`) matches the per-atom path exactly.
+//! combining these parts". Assembly proceeds **level by level**: each
+//! round collects every dependent `AtomId` the current frontier
+//! references and issues a single [`AccessSystem::read_atoms_batch_into`]
+//! call, which groups the requests by owning page and fixes each page
+//! once. Fan-out-`k` levels thus cost ~pages-per-level fix calls instead
+//! of `k`. Duplicate ids within a level are *not* deduplicated — each
+//! request is decoded individually, so a shared atom is fetched (and
+//! locked) once per position in the molecule.
 //!
 //! Cycle safety for recursive edges uses per-path ancestor chains
 //! (immutable linked lists shared across siblings), which reproduce the
 //! depth-first ancestor-set semantics under breadth-first expansion.
 //!
-//! The original one-atom-at-a-time walk is kept as
-//! [`AssemblyMode::PerAtom`] — the baseline the `batched_assembly` bench
-//! measures against; [`execute`] and the parallel DU path both use
-//! [`AssemblyMode::Batched`].
+//! Every read goes through the statement's [`ReadGuard`]: this module
+//! never asks which visibility mode it runs under.
 
 use super::molecule::{MolAtom, Molecule, MoleculeSet, NodeInfo};
 use super::plan::{
@@ -53,77 +49,70 @@ use super::plan::{
 };
 use super::validate::{convert_op, predicate_to_atom_ssa, resolve_ref};
 use crate::error::{PrimaError, PrimaResult};
+use crate::parallel::run_parallel;
 use crate::txn::ReadGuard;
+use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
 use prima_access::scan::{AccessPathScan, AtomTypeScan, Scan};
 use prima_access::ssa::Ssa;
 use prima_access::{AccessSystem, Atom, CmpOp};
 use prima_mad::mql::{Operand, Predicate};
 use prima_mad::value::{AtomId, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// How vertical assembly fetches dependent component atoms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AssemblyMode {
-    /// One `read_atom` per component — the historical baseline (one
-    /// buffer fix per atom). Kept for the `batched_assembly` bench and
-    /// equivalence tests.
-    PerAtom,
-    /// Level-by-level frontier expansion with one page-grouped
-    /// `read_atoms_batch_opt` call per level.
-    #[default]
-    Batched,
-}
-
-/// Executes a resolved query, returning the molecule set and a trace of
-/// the physical decisions taken. `locks` is the transaction's read-lock
-/// hook (`None` only for contexts outside the transaction layer, e.g.
-/// recovery-time scans): with a guard, root access takes a `Shared` lock
-/// on the root type's extension and every atom that flows into a result
-/// is `Shared`-locked before delivery, so an uncommitted concurrent write
-/// conflicts instead of being (in)visible.
+/// Executes a resolved query under `guard`, returning the molecule set
+/// and a trace of the physical decisions taken. Root access takes the
+/// guard's view of the root type's extension; with `threads > 1` each
+/// qualifying root becomes one read-only DU ([`crate::parallel`]) and
+/// the workers share the guard — a locking guard charges every worker's
+/// `Shared` locks to the same transaction (the lock table is
+/// thread-safe and `Shared` self-compatible), a snapshot guard stays
+/// wait-free — so either way the result, the trace and the lock
+/// coverage equal serial execution.
 pub fn execute(
     sys: &AccessSystem,
     q: &ResolvedQuery,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
-    execute_with_mode(sys, q, AssemblyMode::Batched, locks)
-}
-
-/// [`execute`] with an explicit assembly strategy.
-pub fn execute_with_mode(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    mode: AssemblyMode,
-    locks: Option<ReadGuard<'_>>,
+    threads: usize,
+    guard: ReadGuard<'_>,
 ) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
     let mut trace = ExecutionTrace::default();
-    let roots = find_roots(sys, q, &mut trace, locks)?;
+    let roots = find_roots(sys, q, &mut trace, guard)?;
     trace.roots_inspected = roots.len();
     let clusters = sys.cluster_types_of(q.nodes[0].atom_type);
-    // The per-atom baseline never touches the ctx; skip the edge-table
-    // build for it.
-    let mut ctx = match mode {
-        AssemblyMode::Batched => AssemblyCtx::new(q),
-        AssemblyMode::PerAtom => AssemblyCtx::unused(),
-    };
     let mut molecules = Vec::new();
-    for root in roots {
-        let mut fetched = 0usize;
-        let molecule = assemble_molecule(
-            sys, q, root, &clusters, mode, &mut ctx, &mut trace, &mut fetched, locks,
-        )?;
-        trace.atoms_fetched += fetched;
-        if let Some(res) = &q.residual {
-            if !eval_residual(sys, q, &molecule, res)? {
-                continue;
+    if threads <= 1 {
+        let mut ctx = AssemblyCtx::new(q);
+        for root in roots {
+            if let Some(m) = process_root(sys, q, root, &clusters, &mut ctx, &mut trace, guard)? {
+                molecules.push(m);
             }
         }
-        if let Some(projected) = apply_projection(sys, q, molecule) {
-            molecules.push(projected);
+    } else {
+        // Assembly scratch and per-worker trace accumulators are recycled
+        // across DUs through a small pool, so the parallel path amortises
+        // per-molecule allocations like the serial one.
+        // lockrank: obs.3 — assembly-scratch recycling pool; popped/pushed
+        // transiently around each DU, never held while one runs.
+        let pool: Mutex<Vec<(AssemblyCtx, ExecutionTrace)>> =
+            Mutex::new_ranked(Vec::new(), rank::OBS + 3);
+        let results = run_parallel(roots, threads, |root| {
+            let (mut ctx, mut du_trace) = pool
+                .lock()
+                .pop()
+                .unwrap_or_else(|| (AssemblyCtx::new(q), ExecutionTrace::default()));
+            let r = process_root(sys, q, root, &clusters, &mut ctx, &mut du_trace, guard);
+            pool.lock().push((ctx, du_trace));
+            r
+        })?;
+        for (_, du_trace) in pool.into_inner() {
+            trace.atoms_fetched += du_trace.atoms_fetched;
+            if du_trace.cluster_used.is_some() {
+                trace.cluster_used = du_trace.cluster_used;
+            }
         }
+        molecules.extend(results.into_iter().flatten());
     }
     trace.molecules = molecules.len();
     Ok((MoleculeSet { nodes: node_infos(q), molecules }, trace))
@@ -144,49 +133,33 @@ pub(crate) fn node_infos(q: &ResolvedQuery) -> Vec<NodeInfo> {
 }
 
 /// Assembles, qualifies and projects a single root's molecule — the unit
-/// of work of semantic parallelism (one DU per molecule; see
-/// [`crate::parallel`]). Returns `None` when the molecule does not
-/// qualify.
+/// of work of serial execution, of semantic parallelism (one DU per
+/// molecule) and of the streaming [`crate::session::MoleculeCursor`].
+/// Cluster use and fetched atoms accumulate into `trace`. Returns `None`
+/// when the molecule does not qualify.
+///
+/// Every component atom materialised into the molecule is `Shared`-locked
+/// through a locking `guard` first (prefetched cluster members at request
+/// time, exactly like individually fetched ones).
 pub(crate) fn process_root(
     sys: &AccessSystem,
     q: &ResolvedQuery,
     root: Atom,
     clusters: &[Arc<AtomClusterType>],
     ctx: &mut AssemblyCtx,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<Option<Molecule>> {
-    let mut trace = ExecutionTrace::default();
-    let mut fetched = 0usize;
-    process_root_traced(
-        sys,
-        q,
-        root,
-        clusters,
-        AssemblyMode::Batched,
-        ctx,
-        &mut trace,
-        &mut fetched,
-        locks,
-    )
-}
-
-/// [`process_root`] variant with an explicit assembly mode that
-/// accumulates into a caller-held trace — the unit of work of the
-/// streaming [`crate::db::MoleculeCursor`], which assembles lazily and
-/// needs per-chunk accounting.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_root_traced(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    root: Atom,
-    clusters: &[Arc<AtomClusterType>],
-    mode: AssemblyMode,
-    ctx: &mut AssemblyCtx,
     trace: &mut ExecutionTrace,
-    fetched: &mut usize,
-    locks: Option<ReadGuard<'_>>,
+    guard: ReadGuard<'_>,
 ) -> PrimaResult<Option<Molecule>> {
-    let molecule = assemble_molecule(sys, q, root, clusters, mode, ctx, trace, fetched, locks)?;
+    // Cluster management: prefetch the whole cluster in one chained read
+    // if one materialises this root's molecule.
+    let mut prefetch = HashMap::new();
+    if let Some(ct) = clusters.iter().find(|ct| ct.contains(root.id)) {
+        prefetch = guard.prefetch_cluster(ct, root.id)?;
+        trace.atoms_fetched += prefetch.len();
+        trace.cluster_used = Some(ct.name.clone());
+    }
+    let molecule =
+        assemble_frontier(sys, root, &prefetch, ctx, &mut trace.atoms_fetched, guard)?;
     if let Some(res) = &q.residual {
         if !eval_residual(sys, q, &molecule, res)? {
             return Ok(None);
@@ -195,105 +168,47 @@ pub(crate) fn process_root_traced(
     Ok(apply_projection(sys, q, molecule))
 }
 
-/// `Shared`-locks every atom about to flow out of root access.
-fn lock_roots(locks: Option<ReadGuard<'_>>, roots: &[Atom]) -> PrimaResult<()> {
-    if let Some(g) = locks {
-        for a in roots {
-            g.lock_atom(a.id)?;
-        }
-    }
-    Ok(())
-}
-
-/// Hands root candidates produced by a base access path to the caller.
-/// Locking (or guard-less) mode `Shared`-locks each one and returns them
-/// as-is. Snapshot mode instead resolves every candidate through the
-/// version store, re-qualifies the visible image against the root SSA
-/// (the base value the scan filtered on may be a dirty one), and appends
-/// the *extras*: chained atoms of the root type the base scan could not
-/// deliver — deleted from base, or pushed-down-filtered on an
-/// uncommitted value — whose visible version qualifies.
-fn deliver_roots(
-    q: &ResolvedQuery,
-    locks: Option<ReadGuard<'_>>,
-    roots: Vec<Atom>,
-) -> PrimaResult<Vec<Atom>> {
-    let Some(snap) = locks.and_then(|g| g.as_snapshot()) else {
-        lock_roots(locks, &roots)?;
-        return Ok(roots);
-    };
-    let root_type = q.nodes[0].atom_type;
-    let mut seen = HashSet::with_capacity(roots.len());
-    let mut out = Vec::with_capacity(roots.len());
-    for atom in roots {
-        let id = atom.id;
-        seen.insert(id);
-        if let Some(vis) = snap.visible(id, Some(atom)) {
-            if q.root_ssa.eval(&vis) {
-                out.push(vis);
-            }
-        }
-    }
-    for extra in snap.extras(root_type, &seen) {
-        if q.root_ssa.eval(&extra) {
-            out.push(extra);
-        }
-    }
-    Ok(out)
-}
-
 /// Root access selection ("molecule-type-specific optimization").
 ///
-/// With a locking [`ReadGuard`], the root type's extension is
-/// `Shared`-locked *before* any atom is inspected: a scan's outcome
-/// depends on the whole extension (membership and attribute values), so
-/// a concurrent transaction with uncommitted DML on the type — which
-/// holds the extension `IntentExclusive` — conflicts here instead of
-/// leaking dirty state into (or out of) the result. Each returned root
-/// additionally gets a `Shared` atom lock.
-///
-/// With a snapshot guard no lock is taken anywhere: the base access
-/// paths run unguarded to produce *candidates*, and [`deliver_roots`]
-/// corrects them to the snapshot's visible versions.
+/// The root type's extension goes through [`ReadGuard::lock_extension`]
+/// *before* any atom is inspected: a scan's outcome depends on the whole
+/// extension (membership and attribute values), so under a locking
+/// guard a concurrent transaction with uncommitted DML on the type —
+/// which holds the extension `IntentExclusive` — conflicts here instead
+/// of leaking dirty state into (or out of) the result. The base access
+/// paths then produce *candidates* qualified on base values, and
+/// [`ReadGuard::deliver_roots`] turns them into the roots this guard
+/// sees (locked, or resolved to the snapshot's versions).
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 pub(crate) fn find_roots(
     sys: &AccessSystem,
     q: &ResolvedQuery,
     trace: &mut ExecutionTrace,
-    locks: Option<ReadGuard<'_>>,
+    guard: ReadGuard<'_>,
 ) -> PrimaResult<Vec<Atom>> {
     let _span = crate::obs::span_guard(crate::obs::SpanKind::RootAccess);
     let root_type = q.nodes[0].atom_type;
-    let snapshot = locks.and_then(|g| g.as_snapshot()).is_some();
-    if let Some(g) = locks {
-        g.lock_extension(root_type)?;
-    }
+    guard.lock_extension(root_type)?;
+    let deliver = |candidates| guard.deliver_roots(root_type, &q.root_ssa, candidates);
     // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
     let at = sys.schema().atom_type(root_type).expect("resolved").clone();
     let bounds = root_bounds(&q.root_ssa);
-    // 1. KEYS_ARE equality -> direct lookup.
+    // 1. KEYS_ARE equality -> direct lookup: a one-candidate access path.
     for b in &bounds {
         if b.op == CmpOp::Eq && at.is_key(&at.attributes[b.attr].name) {
             trace.root_access = RootAccess::KeyLookup { attr: b.attr };
-            let Some(id) = sys.lookup_by_key(root_type, b.attr, &b.value)? else {
-                return deliver_roots(q, locks, Vec::new());
-            };
-            if snapshot {
-                // No lock covers the gap between lookup and read: the
-                // atom may concurrently vanish from base (its visible
-                // version, if any, comes back through the extras).
-                let cand = match sys.read_atom(id, None) {
+            let candidate = match sys.lookup_by_key(root_type, b.attr, &b.value)? {
+                // Without a lock (snapshot) the atom may vanish from base
+                // between lookup and read; its visible version, if any,
+                // comes back through the extras.
+                Some(id) => match sys.read_atom(id, None) {
                     Ok(atom) => vec![atom],
                     Err(prima_access::AccessError::NoSuchAtom(_)) => Vec::new(),
                     Err(e) => return Err(e.into()),
-                };
-                return deliver_roots(q, locks, cand);
-            }
-            if let Some(g) = locks {
-                g.lock_atom(id)?;
-            }
-            let atom = sys.read_atom(id, None)?;
-            return Ok(if q.root_ssa.eval(&atom) { vec![atom] } else { Vec::new() });
+                },
+                None => Vec::new(),
+            };
+            return deliver(candidate);
         }
     }
     // 2. A B*-tree over a bounded attribute.
@@ -318,7 +233,7 @@ pub(crate) fn find_roots(
             let mut scan =
                 AccessPathScan::open(sys, &ix, q.root_ssa.clone(), start, stop, false)?;
             let roots = scan.collect_remaining()?;
-            return deliver_roots(q, locks, roots);
+            return deliver(roots);
         }
     }
     // 3. Single-component queries whose SSA and projection are covered by
@@ -353,9 +268,9 @@ pub(crate) fn find_roots(
                                 out.push(fresh);
                             }
                         }
-                        // Unlocked snapshot scan: the atom may vanish
+                        // Without a lock (snapshot) the atom may vanish
                         // between the partition row and the primary read.
-                        Err(prima_access::AccessError::NoSuchAtom(_)) if snapshot => {}
+                        Err(prima_access::AccessError::NoSuchAtom(_)) => {}
                         Err(e) => return Err(e),
                     }
                 } else if q.root_ssa.eval(&atom) {
@@ -363,14 +278,14 @@ pub(crate) fn find_roots(
                 }
                 Ok(())
             })?;
-            return deliver_roots(q, locks, out);
+            return deliver(out);
         }
     }
     // 4. Atom-type scan with SSA pushdown.
     trace.root_access = RootAccess::TypeScan;
     let mut scan = AtomTypeScan::open(sys, root_type, q.root_ssa.clone(), None)?;
     let roots = scan.collect_remaining()?;
-    deliver_roots(q, locks, roots)
+    deliver(roots)
 }
 
 /// Per-query assembly state: the expansion-edge table plus scratch
@@ -402,90 +317,6 @@ impl AssemblyCtx {
             need: Vec::new(),
             need_idx: Vec::new(),
             resolved: Vec::new(),
-        }
-    }
-
-    /// Placeholder for code paths that dispatch to the per-atom baseline
-    /// and never read the ctx (no edge tables are built).
-    fn unused() -> Self {
-        AssemblyCtx {
-            edge_table: Vec::new(),
-            recursive_query: false,
-            arena: Vec::new(),
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
-            requests: Vec::new(),
-            need: Vec::new(),
-            need_idx: Vec::new(),
-            resolved: Vec::new(),
-        }
-    }
-}
-
-/// Assembles one molecule occurrence from its root atom. Every component
-/// atom materialised into the molecule is `Shared`-locked through `locks`
-/// first (prefetched cluster members at request time, exactly like
-/// individually fetched ones).
-#[allow(clippy::too_many_arguments)]
-fn assemble_molecule(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    root: Atom,
-    clusters: &[Arc<AtomClusterType>],
-    mode: AssemblyMode,
-    ctx: &mut AssemblyCtx,
-    trace: &mut ExecutionTrace,
-    fetched: &mut usize,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<Molecule> {
-    // Cluster management: prefetch the whole cluster in one chained read
-    // if one materialises this root's molecule.
-    let mut prefetch: HashMap<AtomId, Atom> = HashMap::new();
-    if let Some(ct) = clusters.iter().find(|ct| ct.contains(root.id)) {
-        if let Some(snap) = locks.and_then(|g| g.as_snapshot()) {
-            // Lock-free prefetch: resolve every member to its visible
-            // version on the way into the map (members invisible at the
-            // snapshot drop out). The chained read races concurrent
-            // writers without protection, so treat failure as a missed
-            // optimisation — assembly falls back to per-component
-            // fetches, which resolve each atom individually.
-            let members = ct.read_all(root.id).unwrap_or_default();
-            for a in members {
-                let id = a.id;
-                if let Some(vis) = snap.visible(id, Some(a)) {
-                    prefetch.insert(id, vis);
-                }
-            }
-        } else {
-            let mut members = ct.read_all(root.id)?;
-            if let Some(g) = locks {
-                // The first read discovered the membership but may have
-                // seen a concurrent writer's in-flight values. Lock every
-                // member, then re-read: an *active* writer conflicts
-                // here, and one that finished between the two reads has
-                // settled the values the second (buffer-hot) read now
-                // picks up — the prefetch map never serves a state our
-                // locks don't cover.
-                for a in &members {
-                    g.lock_atom(a.id)?;
-                }
-                members = ct.read_all(root.id)?;
-            }
-            for a in members {
-                prefetch.insert(a.id, a);
-            }
-        }
-        *fetched += prefetch.len();
-        trace.cluster_used = Some(ct.name.clone());
-    }
-    match mode {
-        AssemblyMode::Batched => assemble_frontier(sys, root, &prefetch, ctx, fetched, locks),
-        AssemblyMode::PerAtom => {
-            let mut ancestors = HashSet::new();
-            ancestors.insert(root.id);
-            let root_mol =
-                expand(sys, q, 0, root, 0, &prefetch, &mut ancestors, fetched, locks)?;
-            Ok(Molecule::new(root_mol))
         }
     }
 }
@@ -562,7 +393,7 @@ fn assemble_frontier(
     prefetch: &HashMap<AtomId, Atom>,
     ctx: &mut AssemblyCtx,
     fetched: &mut usize,
-    locks: Option<ReadGuard<'_>>,
+    guard: ReadGuard<'_>,
 ) -> PrimaResult<Molecule> {
     // Ancestor chains are only needed when the structure recurses.
     let root_chain = ctx
@@ -623,14 +454,9 @@ fn assemble_frontier(
         // an uncommitted writer conflicts here, before any dirty value
         // can enter the molecule. (No-op under a snapshot guard — the
         // per-request resolution below corrects dirty reads instead.)
-        if let Some(g) = locks {
-            for r in &ctx.requests {
-                g.lock_atom(r.id)?;
-            }
-        }
+        guard.lock_atoms(ctx.requests.iter().map(|r| r.id))?;
         // One batched read per level. Duplicate ids are *not* merged: each
-        // request decodes its own record (keeping per-layer accounting
-        // identical to the per-atom path) — the page group still costs a
+        // request decodes its own record — the page group still costs a
         // single fix. With no cluster prefetch the request list *is* the
         // batch, so the position map is skipped.
         ctx.need.clear();
@@ -650,28 +476,21 @@ fn assemble_frontier(
         }
         let mut resolved = std::mem::take(&mut ctx.resolved);
         sys.read_atoms_batch_into(&ctx.need, None, &mut resolved)?;
-        let snap = locks.and_then(|g| g.as_snapshot());
         ctx.next_frontier.clear();
         for (k, r) in ctx.requests.drain(..).enumerate() {
             let slot = if mapped { ctx.need_idx[k] } else { Some(k) };
             let atom = match slot {
-                // Prefetched cluster members are already snapshot-
-                // resolved at map build time.
+                // Prefetched cluster members were resolved by the guard
+                // at map build time.
                 // lint: allow(error-hygiene, the prefetch map was populated from exactly these record ids in the batch read above)
                 None => prefetch.get(&r.id).expect("prefetch hit").clone(),
                 Some(j) => {
                     *fetched += 1;
                     // Requests map 1:1 onto batch entries, so the atom can
-                    // be moved out instead of cloned. Under a snapshot
-                    // guard the base outcome (including a base miss: the
-                    // component may be concurrently deleted) is resolved
-                    // to the visible version.
-                    let base = resolved[j].take();
-                    let vis = match snap {
-                        None => base,
-                        Some(s) => s.visible(r.id, base),
-                    };
-                    match vis {
+                    // be moved out instead of cloned. The guard resolves
+                    // the base outcome (including a base miss: under a
+                    // snapshot the component may be concurrently deleted).
+                    match guard.resolve(r.id, resolved[j].take()) {
                         Some(a) => a,
                         // Dangling ids cannot occur through the access
                         // system's integrity maintenance (and invisible
@@ -725,70 +544,6 @@ fn fold_arena(arena: &mut [PendingAtom], i: usize) -> MolAtom {
     );
     out.children = (start..start + count).map(|c| fold_arena(arena, c)).collect();
     out
-}
-
-/// The per-atom baseline: depth-first expansion, one `read_atom` per
-/// component ([`AssemblyMode::PerAtom`]).
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    node_idx: usize,
-    atom: Atom,
-    level: u32,
-    prefetch: &HashMap<AtomId, Atom>,
-    ancestors: &mut HashSet<AtomId>,
-    fetched: &mut usize,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<MolAtom> {
-    let mut out = MolAtom::new(node_idx, level, atom);
-    for (child_idx, assoc, recursive) in edges_of(q, node_idx) {
-        let ids = out
-            .atom
-            .values
-            .get(assoc.from.attr)
-            .map(prima_mad::Value::referenced_ids)
-            .unwrap_or_default();
-        for id in ids {
-            if recursive && ancestors.contains(&id) {
-                continue;
-            }
-            if let Some(g) = locks {
-                g.lock_atom(id)?;
-            }
-            let child_atom = match prefetch.get(&id) {
-                Some(a) => a.clone(),
-                None => {
-                    *fetched += 1;
-                    let base = match sys.read_atom(id, None) {
-                        Ok(a) => Some(a),
-                        Err(prima_access::AccessError::NoSuchAtom(_)) => None,
-                        Err(e) => return Err(e.into()),
-                    };
-                    let vis = match locks.and_then(|g| g.as_snapshot()) {
-                        None => base,
-                        Some(s) => s.visible(id, base),
-                    };
-                    match vis {
-                        Some(a) => a,
-                        None => continue,
-                    }
-                }
-            };
-            if recursive {
-                ancestors.insert(id);
-            }
-            let child_level = if recursive { level + 1 } else { level };
-            let child = expand(
-                sys, q, child_idx, child_atom, child_level, prefetch, ancestors, fetched, locks,
-            )?;
-            if recursive {
-                ancestors.remove(&id);
-            }
-            out.children.push(child);
-        }
-    }
-    Ok(out)
 }
 
 /// Residual predicate evaluation on one molecule. Non-root component

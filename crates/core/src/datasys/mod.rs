@@ -27,7 +27,7 @@ pub mod plan;
 pub mod validate;
 
 pub use dml::DmlResult;
-pub use exec::{execute, execute_with_mode, AssemblyMode};
+pub use exec::execute;
 pub use molecule::{MolAtom, Molecule, MoleculeSet, NodeInfo};
 pub use plan::{ExecutionTrace, NodeProjection, ResolvedQuery, RootAccess};
 pub use validate::validate;

@@ -29,15 +29,12 @@
 //! * [`MoleculeCursor`] streams result molecules piecewise instead of
 //!   materialising the whole set, assembling each chunk lazily through
 //!   the level-batched read path.
-//! * [`QueryOptions`] selects assembly strategy, semantic parallelism
-//!   (`threads ≥ 1`; `0` is rejected, not clamped) and tracing for any
-//!   of these entry points.
+//! * [`QueryOptions`] selects semantic parallelism (`threads ≥ 1`; `0`
+//!   is rejected, not clamped) and tracing for any of these entry points.
 //!
-//! The pre-session one-shot facade (`Prima::query`, `query_traced`,
-//! `query_with_assembly`, `query_parallel`, `execute`) went through a
-//! deprecation cycle and has been **removed**: [`Prima::session`] is the
-//! single query/manipulation path. Auto-commit one-shot convenience for
-//! tests and examples lives in `prima_workloads::exec`.
+//! [`Prima::session`] is the single query/manipulation path. Auto-commit
+//! one-shot convenience for tests and examples lives in
+//! `prima_workloads::exec`.
 
 use crate::error::{PrimaError, PrimaResult};
 use crate::ldl_exec;

@@ -159,7 +159,6 @@ pub use obs::{
 };
 pub use recovery::KernelMeta;
 pub use datasys::molecule::{MolAtom, Molecule, MoleculeSet};
-pub use datasys::AssemblyMode;
 pub use error::{PrimaError, PrimaResult};
 pub use session::{
     ApiStats, ApiStatsSnapshot, MoleculeCursor, ParamSlot, Prepared, QueryOptions, QueryResult,

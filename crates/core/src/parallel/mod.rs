@@ -10,34 +10,20 @@
 //! decomposition. Such decomposed units of work (DU's) may be scheduled
 //! and executed concurrently by the DBMS." (Section 4.)
 //!
-//! Two pieces live here:
-//!
-//! * a generic decomposition/scheduling facility: [`DecomposedUnit`]s
-//!   declare read/write sets; [`conflict_free_batches`] partitions them
-//!   into batches whose members can run concurrently, and
-//!   [`run_batches`] executes the batches with a thread pool;
-//! * the query-path specialisation [`execute_parallel`]: one DU per
-//!   qualifying root atom (molecule construction is read-only, so every
-//!   DU is compatible — the maximally parallel case the paper targets
-//!   for vertical access).
+//! This module is the generic decomposition/scheduling facility:
+//! [`DecomposedUnit`]s declare read/write sets; [`conflict_free_batches`]
+//! partitions them into batches whose members can run concurrently, and
+//! [`run_batches`] / [`run_parallel`] execute them on a thread pool. The
+//! query path ([`crate::datasys::execute`] with `threads > 1`) uses it
+//! with one read-only DU per qualifying root atom — molecule construction
+//! is read-only, so every DU is compatible: the maximally parallel case
+//! the paper targets for vertical access.
 //!
 //! The multi-processor PRIMA of the paper maps onto threads here: the
 //! claim under test is about decomposability and speed-up shape, not
 //! about a particular interconnect.
-//!
-//! DU workers are isolation-agnostic: the [`ReadGuard`] they share is
-//! `Copy`, so each worker carries the caller's guard across its thread —
-//! a locking guard re-enters the lock table under the owning
-//! transaction, a snapshot guard ([`ReadGuard::snapshot`]) resolves
-//! version visibility with no locking at all, which keeps the maximally
-//! parallel case genuinely wait-free.
 
-use crate::datasys::exec::{find_roots, node_infos, process_root, AssemblyCtx};
-use crate::datasys::molecule::MoleculeSet;
-use crate::datasys::plan::{ExecutionTrace, ResolvedQuery};
 use crate::error::PrimaResult;
-use crate::txn::ReadGuard;
-use prima_access::AccessSystem;
 use prima_mad::value::AtomId;
 use parking_lot::rank;
 use std::collections::HashSet;
@@ -154,38 +140,6 @@ where
     let mut collected = results.into_inner();
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Parallel molecule-set construction: one read-only DU per qualifying
-/// root atom, scheduled over `threads` workers. All DUs share the
-/// caller's transaction: the [`ReadGuard`] charges every worker's shared
-/// locks to the same owner, so lock coverage is identical to serial
-/// execution (the lock table is thread-safe and `Shared` self-compatible).
-pub fn execute_parallel(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    threads: usize,
-    locks: Option<ReadGuard<'_>>,
-) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
-    let mut trace = ExecutionTrace::default();
-    let roots = find_roots(sys, q, &mut trace, locks)?;
-    trace.roots_inspected = roots.len();
-    let clusters = sys.cluster_types_of(q.nodes[0].atom_type);
-    // Assembly scratch is recycled across DUs through a small pool, so the
-    // parallel path amortises per-molecule allocations like the serial one.
-    // lockrank: obs.3 — assembly-scratch recycling pool; popped/pushed
-    // transiently around each DU.
-    let ctx_pool: parking_lot::Mutex<Vec<AssemblyCtx>> =
-        parking_lot::Mutex::new_ranked(Vec::new(), rank::OBS + 3);
-    let results = run_parallel(roots, threads, |root| {
-        let mut ctx = ctx_pool.lock().pop().unwrap_or_else(|| AssemblyCtx::new(q));
-        let r = process_root(sys, q, root, &clusters, &mut ctx, locks);
-        ctx_pool.lock().push(ctx);
-        r
-    })?;
-    let molecules: Vec<_> = results.into_iter().flatten().collect();
-    trace.molecules = molecules.len();
-    Ok((MoleculeSet { nodes: node_infos(q), molecules }, trace))
 }
 
 /// Convenience used by update-style operations: run DUs transactionally —

@@ -20,15 +20,16 @@
 //!   assembly runs lazily per fetched chunk through the level-batched
 //!   read path, so a large result never materialises in full.
 //!
-//! [`QueryOptions`] collapses the historical `query` / `query_traced` /
-//! `query_with_assembly` / `query_parallel` facade variants into one
-//! execution descriptor accepted by both [`Session::query`] and
+//! [`QueryOptions`] is the one execution descriptor (degree of semantic
+//! parallelism, trace on/off) accepted by both [`Session::query`] and
 //! [`Prepared`].
 //!
 //! ## Isolation
 //!
-//! Reads take one of two paths, selected by whether the session has a
-//! transaction open:
+//! Reads take one of two paths, selected once per statement (once per
+//! cursor) by whether the session has a transaction open; the choice is
+//! a [`crate::txn::ReadGuard`], and the whole read path below the session
+//! reads through it:
 //!
 //! * **Snapshot reads (no transaction open).** A read statement issued
 //!   outside any transaction — the auto-commit case, and the hot path of
@@ -68,21 +69,19 @@
 //! explicit multi-statement transaction propagates the error instead:
 //! the kernel cannot know whether earlier statements' results still
 //! justify the retry, so that decision belongs to the application.
-//! Snapshot reads never consult the policy at all — the lock-free path
-//! has no retryable failure mode, so the hot read path pays no retry
+//! Reads never consult the policy at all: the lock-free snapshot path has
+//! no retryable failure mode, and the locking path runs only inside an
+//! already-open transaction — so the hot read path pays no retry
 //! bookkeeping (not even the jitter PRNG draw). Cursor opens and fetches
 //! never retry either (a stream's already-delivered prefix cannot be
 //! rolled back transparently).
 
-use crate::datasys::exec::{find_roots, node_infos, process_root_traced, AssemblyCtx};
-use crate::datasys::{
-    self, AssemblyMode, DmlResult, ExecutionTrace, Molecule, MoleculeSet, NodeInfo,
-};
+use crate::datasys::exec::{find_roots, node_infos, process_root, AssemblyCtx};
+use crate::datasys::{self, DmlResult, ExecutionTrace, Molecule, MoleculeSet, NodeInfo};
 use crate::datasys::plan::ResolvedQuery;
 use crate::datasys::validate::resolve_ref;
 use crate::error::{PrimaError, PrimaResult};
 use crate::obs::{self, Obs, Probe, StatementKind, StatementProfile};
-use crate::parallel;
 use crate::txn::{ReadGuard, Snapshot, Transaction, TxnId, TxnManager};
 use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
@@ -102,16 +101,10 @@ use std::time::Instant;
 // Options & outcomes
 // ---------------------------------------------------------------------
 
-/// Execution descriptor shared by every query entry point.
-///
-/// Replaces the former facade variants: `query` ⇒ defaults,
-/// `query_traced` ⇒ `trace: true`, `query_with_assembly` ⇒ `assembly`,
-/// `query_parallel` ⇒ `threads: n`.
+/// Execution descriptor shared by every query entry point
+/// ([`Session::query`], [`Session::query_cursor`], [`Prepared`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Vertical-assembly strategy ([`AssemblyMode::Batched`] by default;
-    /// the per-atom baseline exists for benchmarks and equivalence tests).
-    pub assembly: AssemblyMode,
     /// Worker threads for semantic parallelism (one DU per molecule).
     /// **Must be ≥ 1**: `1` means serial execution, `n > 1` decomposes
     /// molecule construction onto `n` workers. `0` is rejected by
@@ -121,33 +114,18 @@ pub struct QueryOptions {
     /// Return the [`ExecutionTrace`] (root access choice, cluster use,
     /// counts) alongside the molecule set.
     pub trace: bool,
-    /// Per-statement retry override; `None` uses the session's policy
-    /// ([`Session::retry_policy`]). Only consulted on auto-commit paths —
-    /// see the module docs.
-    pub retry: Option<RetryPolicy>,
 }
 
 impl Default for QueryOptions {
     fn default() -> Self {
-        QueryOptions {
-            assembly: AssemblyMode::Batched,
-            threads: 1,
-            trace: false,
-            retry: None,
-        }
+        QueryOptions { threads: 1, trace: false }
     }
 }
 
 impl QueryOptions {
-    /// Serial, batched, untraced — what `Prima::query` always did.
+    /// Serial, untraced.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the vertical-assembly strategy.
-    pub fn assembly(mut self, mode: AssemblyMode) -> Self {
-        self.assembly = mode;
-        self
     }
 
     /// Sets the degree of semantic parallelism (`n ≥ 1`).
@@ -162,34 +140,13 @@ impl QueryOptions {
         self
     }
 
-    /// Overrides the session's [`RetryPolicy`] for this statement.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Disables transparent retry for this statement (first retryable
-    /// error propagates).
-    pub fn no_retry(mut self) -> Self {
-        self.retry = Some(RetryPolicy::off());
-        self
-    }
-
     /// Boundary validation: `threads == 0` is an error, not a silent
     /// clamp (historically `query_parallel(mql, 0)` degraded to serial
-    /// deep inside the worker pool). Likewise, the per-atom assembly
-    /// baseline exists only on the serial path — combining it with
-    /// `threads > 1` is rejected rather than silently running batched.
+    /// deep inside the worker pool).
     pub fn validate(&self) -> PrimaResult<()> {
         if self.threads == 0 {
             return Err(PrimaError::BadStatement(
                 "QueryOptions.threads must be >= 1 (1 = serial; 0 is not 'auto')".into(),
-            ));
-        }
-        if self.threads > 1 && self.assembly == AssemblyMode::PerAtom {
-            return Err(PrimaError::BadStatement(
-                "AssemblyMode::PerAtom is a serial baseline; parallel DUs always batch"
-                    .into(),
             ));
         }
         Ok(())
@@ -576,37 +533,45 @@ impl Session {
         f(guard.as_ref().expect("txn just ensured"))
     }
 
-    /// Runs `f` on the lock-free snapshot path when no transaction is
-    /// open (the auto-commit read case), or returns `None` when one is
-    /// underway — the caller then falls back to the locking read path,
-    /// which sees the session's own uncommitted writes. The snapshot is
-    /// pinned for exactly the duration of `f`, so version GC resumes the
-    /// moment the statement completes.
-    fn try_snapshot<R>(
-        &self,
-        f: impl FnOnce(ReadGuard<'_>) -> PrimaResult<R>,
-    ) -> Option<PrimaResult<R>> {
+    /// The one place a read chooses its visibility: with no transaction
+    /// open (the auto-commit case) it pins a snapshot of the committed
+    /// state; `None` means the read runs on the open transaction's
+    /// locking guard, which sees the session's own uncommitted writes.
+    /// Statements hold the snapshot for exactly their own duration (so
+    /// version GC resumes the moment they complete), cursors for their
+    /// lifetime.
+    fn pin_read_snapshot(&self) -> Option<Snapshot> {
         if self.txn.lock().is_some() {
             return None;
         }
-        let snap =
-            obs::span(obs::SpanKind::SnapshotPin, || self.txn_mgr.versions().begin_snapshot());
-        Some(f(ReadGuard::snapshot(&snap)))
+        Some(obs::span(obs::SpanKind::SnapshotPin, || self.txn_mgr.versions().begin_snapshot()))
     }
 
-    /// [`Session::with_txn`] plus transparent retry: when the statement
-    /// itself opened the transaction (auto-commit — nothing else is in
-    /// it) and `f` fails with a retryable contention error, the
-    /// transaction is rolled back through the undo machinery and `f`
-    /// re-runs after `policy`'s backoff. Inside an explicit transaction
-    /// the error propagates untouched; on the final attempt the failed
-    /// transaction is left open for the caller to roll back, exactly as
-    /// `with_txn` would.
-    fn with_txn_retry<R>(
+    /// Runs `f` with the read guard [`Session::pin_read_snapshot`] chose:
+    /// lock-free against `snapshot`, or charging `Shared` locks to the
+    /// session's transaction (begun if none is open — a cursor fetching
+    /// after a mid-stream commit continues under a fresh one).
+    fn with_read_guard<R>(
         &self,
-        policy: &RetryPolicy,
-        f: impl Fn(&Transaction) -> PrimaResult<R>,
+        snapshot: Option<&Snapshot>,
+        f: impl FnOnce(ReadGuard<'_>) -> PrimaResult<R>,
     ) -> PrimaResult<R> {
+        match snapshot {
+            Some(snap) => f(ReadGuard::snapshot(snap)),
+            None => self.with_txn(|t| f(t.read_guard())),
+        }
+    }
+
+    /// [`Session::with_txn`] plus transparent retry under the session's
+    /// [`RetryPolicy`]: when the statement itself opened the transaction
+    /// (auto-commit — nothing else is in it) and `f` fails with a
+    /// retryable contention error, the transaction is rolled back through
+    /// the undo machinery and `f` re-runs after the policy's backoff.
+    /// Inside an explicit transaction the error propagates untouched; on
+    /// the final attempt the failed transaction is left open for the
+    /// caller to roll back, exactly as `with_txn` would.
+    fn with_txn_retry<R>(&self, f: impl Fn(&Transaction) -> PrimaResult<R>) -> PrimaResult<R> {
+        let policy = self.retry;
         let mut attempt = 0u32;
         loop {
             let auto_commit = self.txn.lock().is_none();
@@ -657,12 +622,7 @@ impl Session {
     pub fn query(&self, mql: &str, opts: &QueryOptions) -> PrimaResult<QueryResult> {
         opts.validate()?;
         self.statement_scope(StatementKind::Select, mql, || {
-            let resolved = self.plan_select(mql)?;
-            if let Some(r) = self.try_snapshot(|g| self.run_plan(&resolved, opts, g)) {
-                return r;
-            }
-            let policy = opts.retry.unwrap_or(self.retry);
-            self.with_txn_retry(&policy, |t| self.run_plan(&resolved, opts, t.read_guard()))
+            self.run_select(&self.plan_select(mql)?, opts)
         })
     }
 
@@ -717,7 +677,7 @@ impl Session {
         // The kind is only known after the parse, so the parse itself
         // stays outside the scope on this one-shot path.
         let kind = dml_kind(&stmt);
-        self.statement_scope(kind, mql, || self.run_dml(&stmt, &self.retry))
+        self.statement_scope(kind, mql, || self.run_dml(&stmt))
     }
 
     /// Prepares a statement: parse + validate + plan now, bind and
@@ -747,25 +707,20 @@ impl Session {
         obs::span(obs::SpanKind::Plan, || datasys::validate(self.access.schema(), &q))
     }
 
-    fn run_plan(
-        &self,
-        resolved: &ResolvedQuery,
-        opts: &QueryOptions,
-        guard: ReadGuard<'_>,
-    ) -> PrimaResult<QueryResult> {
-        let locks = Some(guard);
-        let (set, trace) = if opts.threads > 1 {
-            parallel::execute_parallel(&self.access, resolved, opts.threads, locks)?
-        } else {
-            datasys::execute_with_mode(&self.access, resolved, opts.assembly, locks)?
-        };
+    /// Runs a planned SELECT under the read guard the session's state
+    /// selects (module docs, *Isolation*).
+    fn run_select(&self, plan: &ResolvedQuery, opts: &QueryOptions) -> PrimaResult<QueryResult> {
+        let snapshot = self.pin_read_snapshot();
+        let (set, trace) = self.with_read_guard(snapshot.as_ref(), |g| {
+            datasys::execute(&self.access, plan, opts.threads, g)
+        })?;
         Ok(QueryResult { set, trace: opts.trace.then_some(trace) })
     }
 
-    fn run_dml(&self, stmt: &Statement, policy: &RetryPolicy) -> PrimaResult<DmlResult> {
-        self.with_txn_retry(policy, |t| {
+    fn run_dml(&self, stmt: &Statement) -> PrimaResult<DmlResult> {
+        self.with_txn_retry(|t| {
             obs::span(obs::SpanKind::DmlApply, || {
-                datasys::dml::execute_statement_with(&self.access, t, stmt, Some(t.read_guard()))
+                datasys::dml::execute_statement(&self.access, t, stmt)
             })
         })
     }
@@ -784,30 +739,17 @@ impl Session {
         attrs: &[(&str, Value)],
     ) -> PrimaResult<AtomId> {
         let (t, values) = self.access.resolve_named_values(type_name, attrs)?;
-        self.with_txn_retry(&self.retry, |txn| Ok(txn.insert_atom(t, values.clone())?))
+        self.with_txn_retry(|txn| Ok(txn.insert_atom(t, values.clone())?))
     }
 
     /// Reads one atom: lock-free against a snapshot outside a
     /// transaction, under a `Shared` lock of the session's transaction
     /// inside one.
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
     pub fn read_atom(&self, id: AtomId) -> PrimaResult<Atom> {
-        if let Some(r) = self.try_snapshot(|g| {
-            // lint: allow(error-hygiene, the guard was constructed in snapshot mode in this same function)
-            let snap = g.as_snapshot().expect("guard built in snapshot mode");
-            let base = match self.access.read_atom(id, None) {
-                Ok(a) => Some(a),
-                Err(prima_access::AccessError::NoSuchAtom(_)) => None,
-                Err(e) => return Err(e.into()),
-            };
-            snap.visible(id, base)
+        let snapshot = self.pin_read_snapshot();
+        self.with_read_guard(snapshot.as_ref(), |g| {
+            g.read_atom(&self.access, id)?
                 .ok_or_else(|| prima_access::AccessError::NoSuchAtom(id).into())
-        }) {
-            return r;
-        }
-        self.with_txn_retry(&self.retry, |txn| {
-            txn.read_guard().lock_atom(id)?;
-            Ok(self.access.read_atom(id, None)?)
         })
     }
 
@@ -815,13 +757,13 @@ impl Session {
     /// transaction.
     pub fn modify_atom_named(&self, id: AtomId, attrs: &[(&str, Value)]) -> PrimaResult<()> {
         let by_idx = self.access.resolve_named_updates(id, attrs)?;
-        self.with_txn_retry(&self.retry, |txn| Ok(txn.modify_atom(id, &by_idx)?))
+        self.with_txn_retry(|txn| Ok(txn.modify_atom(id, &by_idx)?))
     }
 
     /// Deletes an atom (disconnecting it everywhere) under the session's
     /// transaction.
     pub fn delete_atom(&self, id: AtomId) -> PrimaResult<()> {
-        self.with_txn_retry(&self.retry, |txn| Ok(txn.delete_atom(id)?))
+        self.with_txn_retry(|txn| Ok(txn.delete_atom(id)?))
     }
 }
 
@@ -993,16 +935,7 @@ impl<'s> Prepared<'s> {
                     bound = plan.bind_params(params);
                     &bound
                 };
-                if let Some(r) =
-                    self.session.try_snapshot(|g| self.session.run_plan(plan, opts, g))
-                {
-                    return Ok(StatementOutcome::Molecules(r?));
-                }
-                let policy = opts.retry.unwrap_or(self.session.retry);
-                let result = self.session.with_txn_retry(&policy, |t| {
-                    self.session.run_plan(plan, opts, t.read_guard())
-                })?;
-                Ok(StatementOutcome::Molecules(result))
+                Ok(StatementOutcome::Molecules(self.session.run_select(plan, opts)?))
             }),
             None => {
                 // Not counted as a plan reuse: DML re-runs its
@@ -1016,9 +949,8 @@ impl<'s> Prepared<'s> {
                     bound = self.stmt.bind_params(params);
                     &bound
                 };
-                let policy = opts.retry.unwrap_or(self.session.retry);
                 self.session.statement_scope(dml_kind(stmt), &self.text, || {
-                    Ok(StatementOutcome::Dml(self.session.run_dml(stmt, &policy)?))
+                    Ok(StatementOutcome::Dml(self.session.run_dml(stmt)?))
                 })
             }
         }
@@ -1210,7 +1142,6 @@ pub struct MoleculeCursor<'s> {
     plan: ResolvedQuery,
     clusters: Vec<Arc<AtomClusterType>>,
     roots: VecDeque<Atom>,
-    mode: AssemblyMode,
     ctx: AssemblyCtx,
     nodes: Vec<NodeInfo>,
     trace: ExecutionTrace,
@@ -1238,23 +1169,16 @@ impl<'s> MoleculeCursor<'s> {
                 detail: "bind all parameters before opening a cursor".into(),
             });
         }
-        let access = Arc::clone(&session.get().access);
-        let mut trace = ExecutionTrace::default();
         let s = session.get();
-        // No transaction open → pin a snapshot for the cursor's lifetime
-        // and locate roots lock-free against it; otherwise open under the
+        let access = Arc::clone(&s.access);
+        let mut trace = ExecutionTrace::default();
+        // No transaction open → the snapshot stays pinned for the
+        // cursor's lifetime; otherwise open (and later fetch) under the
         // session's transaction, Shared-locking as usual.
-        let snapshot = if s.txn.lock().is_none() {
-            Some(s.txn_mgr.versions().begin_snapshot())
-        } else {
-            None
-        };
-        let roots = match &snapshot {
-            Some(snap) => {
-                find_roots(&access, plan, &mut trace, Some(ReadGuard::snapshot(snap)))?
-            }
-            None => s.with_txn(|t| find_roots(&access, plan, &mut trace, Some(t.read_guard())))?,
-        };
+        let snapshot = s.pin_read_snapshot();
+        let roots = s.with_read_guard(snapshot.as_ref(), |g| {
+            find_roots(&access, plan, &mut trace, g)
+        })?;
         trace.roots_inspected = roots.len();
         let clusters = access.cluster_types_of(plan.nodes[0].atom_type);
         Ok(MoleculeCursor {
@@ -1264,7 +1188,6 @@ impl<'s> MoleculeCursor<'s> {
             plan: plan.clone(),
             clusters,
             roots: roots.into(),
-            mode: opts.assembly,
             access,
             trace,
             snapshot,
@@ -1325,85 +1248,28 @@ impl<'s> MoleculeCursor<'s> {
     }
 
     fn next_molecule(&mut self) -> PrimaResult<Option<Molecule>> {
-        let Self { session, access, plan, clusters, roots, mode, ctx, trace, snapshot, .. } =
-            self;
-        if let Some(snap) = snapshot {
-            // Snapshot stream: roots were resolved to their visible
-            // versions (and qualified) at open against this very
-            // snapshot, and the snapshot never moves — no lock, no
-            // re-read, no re-qualification. Component assembly resolves
-            // against the same snapshot, so a long-lived cursor keeps a
-            // stable view across any number of concurrent commits.
-            let guard = ReadGuard::snapshot(snap);
-            while let Some(root) = roots.pop_front() {
-                let mut fetched = 0usize;
-                let produced = process_root_traced(
-                    access,
-                    plan,
-                    root,
-                    clusters,
-                    *mode,
-                    ctx,
-                    trace,
-                    &mut fetched,
-                    Some(guard),
-                )?;
-                trace.atoms_fetched += fetched;
-                if let Some(m) = produced {
-                    trace.molecules += 1;
-                    return Ok(Some(m));
-                }
-            }
-            return Ok(None);
-        }
-        session.get().with_txn(|txn| {
-            let guard = txn.read_guard();
+        let Self { session, access, plan, clusters, roots, ctx, trace, snapshot, .. } = self;
+        session.get().with_read_guard(snapshot.as_ref(), |guard| {
             // Idempotent within one transaction; after a mid-stream
             // commit/rollback this pins the extension under the fresh
             // transaction before any root is revalidated.
             guard.lock_extension(plan.nodes[0].atom_type)?;
             // The root stays at the front of the queue until it has been
-            // fully processed: a `LockConflict` mid-lock or mid-assembly
-            // leaves it queued, so the documented rollback-and-retry path
-            // resumes with the same root instead of silently dropping it
-            // from the stream.
+            // fully processed: an error mid-lock or mid-assembly leaves it
+            // queued, so the documented rollback-and-retry path resumes
+            // with the same root instead of silently dropping it from the
+            // stream.
             while let Some(front) = roots.front() {
-                let id = front.id;
-                // Roots were located at open time; the atom may have been
-                // deleted (e.g. the owning transaction rolled back) or
-                // modified since. Lock and re-read it so the stream never
-                // delivers a stale molecule: vanished roots are skipped,
-                // surviving ones are re-checked against the root
-                // qualification.
-                guard.lock_atom(id)?;
-                let root = match access.read_atom(id, None) {
-                    Ok(current) => {
-                        if !plan.root_ssa.eval(&current) {
-                            roots.pop_front();
-                            continue;
-                        }
-                        current
-                    }
-                    Err(prima_access::AccessError::NoSuchAtom(_)) => {
-                        roots.pop_front();
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
+                // Roots were located at open time. A locking guard
+                // re-reads and re-qualifies each one (it may have been
+                // modified, or deleted by a rolled-back transaction,
+                // since); a snapshot never moves and passes it through.
+                let Some(root) = guard.recheck_root(access, &plan.root_ssa, front)? else {
+                    roots.pop_front();
+                    continue;
                 };
-                let mut fetched = 0usize;
-                let produced = process_root_traced(
-                    access,
-                    plan,
-                    root,
-                    clusters,
-                    *mode,
-                    ctx,
-                    trace,
-                    &mut fetched,
-                    Some(guard),
-                )?;
+                let produced = process_root(access, plan, root, clusters, ctx, trace, guard)?;
                 roots.pop_front();
-                trace.atoms_fetched += fetched;
                 if let Some(m) = produced {
                     trace.molecules += 1;
                     return Ok(Some(m));

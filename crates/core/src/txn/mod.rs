@@ -57,12 +57,14 @@
 //! Combined with PR 5's lazy WAL bracket (read-only transactions never
 //! touch the log), a snapshot read is zero-log *and* zero-lock.
 //!
-//! The plumbing choice: [`ReadGuard`] — the hook the query path already
-//! threads through root access, assembly, cursors and DML qualification
-//! sub-reads — became a two-mode guard. In `Locking` mode it acquires
-//! `Shared` locks as before (explicit transactions keep it: their reads
-//! must see their own writes and stay serialisable); in `Snapshot` mode
-//! the lock calls are no-ops and reads resolve through the store.
+//! [`ReadGuard`] carries that choice through the query path: a session
+//! picks the mode once per statement (or once per cursor), and every read
+//! — root access, assembly, cluster prefetch, cursor revalidation, DML
+//! qualification sub-reads — goes through the guard's operations. In
+//! `Locking` mode they acquire `Shared` locks (explicit transactions keep
+//! it: their reads must see their own writes and stay serialisable); in
+//! `Snapshot` mode the lock operations are no-ops and reads resolve
+//! through the store.
 
 mod lock;
 pub mod mvcc;
@@ -74,10 +76,12 @@ pub use undo::UndoOp;
 
 use crate::error::PrimaResult;
 use parking_lot::{rank, Mutex, RwLock};
-use prima_access::{AccessSystem, Atom};
+use prima_access::cluster::AtomClusterType;
+use prima_access::ssa::Ssa;
+use prima_access::{AccessError, AccessSystem, Atom};
 use prima_mad::value::{AtomId, AtomTypeId, Value};
 use prima_storage::{Wal, WalPayload};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -559,23 +563,25 @@ impl TxnManager {
     }
 }
 
-/// Read-path visibility hook, in one of two modes:
+/// Read-path visibility, in one of two modes. Every read the query path
+/// makes (root access, vertical assembly, cluster prefetch, streaming
+/// cursors, DML qualification sub-queries) goes through the operations
+/// below, so the choice of mode is made once per statement and no read
+/// site branches on it.
 ///
 /// * **Locking** (explicit transactions, DML qualification): acquires
-///   `Shared` locks on behalf of one transaction. The query path (root
-///   access, vertical assembly, streaming cursors, DML qualification
-///   sub-queries) calls this for every atom that can flow into a result
-///   and for every type extension it scans, so retrieval is bracketed
-///   by the same Moss lock table as manipulation — strict two-phase:
-///   everything acquired here is released at the top-level
-///   commit/rollback, never earlier. Conflicts wait (bounded) in the
-///   lock table's queue and surface as [`TxnError::LockConflict`] /
-///   [`TxnError::LockTimeout`] / [`TxnError::Deadlock`] per its
-///   [`LockConfig`]; the holder set is checked against the
-///   transaction's ancestor chain, so nested readers tolerate parent
-///   writers (Moss's rule).
+///   `Shared` locks on behalf of one transaction for every atom that can
+///   flow into a result and for every type extension it scans, so
+///   retrieval is bracketed by the same Moss lock table as manipulation —
+///   strict two-phase: everything acquired here is released at the
+///   top-level commit/rollback, never earlier. Conflicts wait (bounded)
+///   in the lock table's queue and surface as [`TxnError::LockConflict`]
+///   / [`TxnError::LockTimeout`] / [`TxnError::Deadlock`] per its
+///   [`LockConfig`]; the holder set is checked against the transaction's
+///   ancestor chain, so nested readers tolerate parent writers (Moss's
+///   rule).
 ///
-/// * **Snapshot** (auto-commit reads): the lock calls are no-ops —
+/// * **Snapshot** (auto-commit reads): the lock operations are no-ops —
 ///   never reaching the lock table at all — and every base read is
 ///   resolved through the [`VersionStore`] to the version visible at
 ///   the guard's [`Snapshot`].
@@ -607,6 +613,17 @@ impl<'a> ReadGuard<'a> {
         }
     }
 
+    /// `Shared` locks on a whole assembly level, before any of it is read
+    /// (no-op on the snapshot path).
+    pub(crate) fn lock_atoms(&self, ids: impl IntoIterator<Item = AtomId>) -> PrimaResult<()> {
+        if let GuardInner::Locking { .. } = self.inner {
+            for id in ids {
+                self.lock_atom(id)?;
+            }
+        }
+        Ok(())
+    }
+
     /// `Shared` lock on a type extension, before scanning it (no-op on
     /// the snapshot path).
     pub fn lock_extension(&self, ty: AtomTypeId) -> PrimaResult<()> {
@@ -619,13 +636,121 @@ impl<'a> ReadGuard<'a> {
         }
     }
 
-    /// The snapshot this guard resolves through, if it is in snapshot
-    /// mode — the query path uses this to route every base read through
-    /// version resolution.
-    pub fn as_snapshot(&self) -> Option<&'a Snapshot> {
+    /// One base read outcome (`None` = not in base) as this guard sees
+    /// it: unchanged under a lock, resolved to the snapshot's version
+    /// otherwise. `None` means the atom is not visible.
+    pub(crate) fn resolve(&self, id: AtomId, base: Option<Atom>) -> Option<Atom> {
         match self.inner {
-            GuardInner::Locking { .. } => None,
-            GuardInner::Snapshot(s) => Some(s),
+            GuardInner::Locking { .. } => base,
+            GuardInner::Snapshot(s) => s.visible(id, base),
+        }
+    }
+
+    /// Reads one atom as this guard sees it: locked, then read from
+    /// base — or read from base, then resolved (the version store's race
+    /// discipline: base first). `None` when it does not exist or is not
+    /// visible.
+    pub(crate) fn read_atom(&self, sys: &AccessSystem, id: AtomId) -> PrimaResult<Option<Atom>> {
+        self.lock_atom(id)?;
+        let base = match sys.read_atom(id, None) {
+            Ok(atom) => Some(atom),
+            Err(AccessError::NoSuchAtom(_)) => None,
+            Err(e) => return Err(e.into()),
+        };
+        Ok(self.resolve(id, base))
+    }
+
+    /// Hands the root candidates a base access path produced for type
+    /// `ty` to the query, qualified against the root predicate `ssa`.
+    /// A locking guard `Shared`-locks each candidate (the extension lock
+    /// already keeps writers of `ty` out, so the base values stand).
+    /// A snapshot guard resolves each candidate to its visible version,
+    /// re-qualifies that (the base value a scan filtered on may be a
+    /// dirty one), and appends the *extras*: chained atoms of `ty` the
+    /// base path could not deliver — deleted from base, or filtered out
+    /// on an uncommitted value — whose visible version qualifies.
+    pub(crate) fn deliver_roots(
+        &self,
+        ty: AtomTypeId,
+        ssa: &Ssa,
+        mut roots: Vec<Atom>,
+    ) -> PrimaResult<Vec<Atom>> {
+        let snap = match self.inner {
+            GuardInner::Locking { .. } => {
+                self.lock_atoms(roots.iter().map(|a| a.id))?;
+                roots.retain(|a| ssa.eval(a));
+                return Ok(roots);
+            }
+            GuardInner::Snapshot(s) => s,
+        };
+        let mut seen = HashSet::with_capacity(roots.len());
+        let mut out = Vec::with_capacity(roots.len());
+        for atom in roots {
+            let id = atom.id;
+            seen.insert(id);
+            if let Some(vis) = snap.visible(id, Some(atom)) {
+                if ssa.eval(&vis) {
+                    out.push(vis);
+                }
+            }
+        }
+        out.extend(snap.extras(ty, &seen).into_iter().filter(|a| ssa.eval(a)));
+        Ok(out)
+    }
+
+    /// Prefetches the atom cluster `ct` materialising `root`'s molecule
+    /// in one chained read, keyed by member id.
+    ///
+    /// Locking: the first read discovers the membership but may see a
+    /// concurrent writer's in-flight values. Every member is locked,
+    /// then re-read: an *active* writer conflicts here, and one that
+    /// finished between the two reads has settled the values the second
+    /// (buffer-hot) read picks up — the map never serves a state the
+    /// locks don't cover.
+    ///
+    /// Snapshot: each member resolves to its visible version on the way
+    /// into the map (invisible members drop out). The chained read races
+    /// concurrent writers without protection, so a failed read is a
+    /// missed optimisation, not an error: assembly then fetches and
+    /// resolves every component individually.
+    pub(crate) fn prefetch_cluster(
+        &self,
+        ct: &AtomClusterType,
+        root: AtomId,
+    ) -> PrimaResult<HashMap<AtomId, Atom>> {
+        let members = match self.inner {
+            GuardInner::Locking { .. } => {
+                self.lock_atoms(ct.read_all(root)?.iter().map(|a| a.id))?;
+                ct.read_all(root)?
+            }
+            GuardInner::Snapshot(_) => ct.read_all(root).unwrap_or_default(),
+        };
+        Ok(members
+            .into_iter()
+            .filter_map(|a| {
+                let id = a.id;
+                self.resolve(id, Some(a)).map(|vis| (id, vis))
+            })
+            .collect())
+    }
+
+    /// Re-checks a root delivered earlier (a cursor's queued root) before
+    /// it is assembled. A locking guard — possibly of a later transaction
+    /// than the one that delivered it — locks, re-reads and re-qualifies
+    /// it against `ssa`: it may have been modified or deleted since, and
+    /// a vanished or no-longer-qualifying root yields `None`. A snapshot
+    /// never moves, so it passes the root through.
+    pub(crate) fn recheck_root(
+        &self,
+        sys: &AccessSystem,
+        ssa: &Ssa,
+        root: &Atom,
+    ) -> PrimaResult<Option<Atom>> {
+        match self.inner {
+            GuardInner::Locking { .. } => {
+                Ok(self.read_atom(sys, root.id)?.filter(|a| ssa.eval(a)))
+            }
+            GuardInner::Snapshot(_) => Ok(Some(root.clone())),
         }
     }
 }

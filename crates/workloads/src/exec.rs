@@ -1,15 +1,13 @@
 //! One-shot MQL helpers over the session API.
 //!
-//! The kernel's pre-session one-shot facade (`Prima::query`,
-//! `query_traced`, `query_with_assembly`, `query_parallel`, `execute`)
-//! has been removed in favour of [`prima::Session`] + [`QueryOptions`].
-//! Tests, benches and examples that genuinely want auto-commit one-shots
-//! use these free functions instead: the convenience stays, but it lives
-//! in the application layer and routes through the blessed surface, so
-//! the kernel keeps a single query path.
+//! The kernel's query surface is [`prima::Session`] + [`QueryOptions`].
+//! Tests and examples that genuinely want auto-commit one-shots use
+//! these free functions instead: the convenience lives in the
+//! application layer and routes through that surface, so the kernel
+//! keeps a single query path.
 
 use prima::datasys::{DmlResult, ExecutionTrace};
-use prima::{AssemblyMode, MoleculeSet, Prima, PrimaResult, QueryOptions};
+use prima::{MoleculeSet, Prima, PrimaResult, QueryOptions};
 
 /// One-shot `SELECT` with default options, materialised.
 pub fn query(db: &Prima, mql: &str) -> PrimaResult<MoleculeSet> {
@@ -19,16 +17,6 @@ pub fn query(db: &Prima, mql: &str) -> PrimaResult<MoleculeSet> {
 /// One-shot `SELECT` returning the execution trace as well.
 pub fn query_traced(db: &Prima, mql: &str) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
     let r = db.session().query(mql, &QueryOptions::new().traced())?;
-    Ok((r.set, r.trace.expect("trace requested")))
-}
-
-/// One-shot `SELECT` under an explicit vertical-assembly strategy.
-pub fn query_with_assembly(
-    db: &Prima,
-    mql: &str,
-    mode: AssemblyMode,
-) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
-    let r = db.session().query(mql, &QueryOptions::new().assembly(mode).traced())?;
     Ok((r.set, r.trace.expect("trace requested")))
 }
 

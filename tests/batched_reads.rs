@@ -4,13 +4,17 @@
 //!   projections, same error behaviour — as N calls to `read_atom`,
 //!   including mixed-page and mixed-type batches and partition-covered
 //!   projections;
-//! * molecule assembly produces identical molecule sets under
-//!   `AssemblyMode::PerAtom` and `AssemblyMode::Batched` (flat, deep and
-//!   recursive structures);
+//! * the kernel's level-batched molecule assembly returns exactly the
+//!   molecules of the naive per-atom reference in `common/reference.rs`
+//!   (flat, deep, recursive and cluster-prefetched structures);
 //! * the batched path issues measurably fewer buffer fix calls at
-//!   fan-out >= 10 (counter-verified via `BufferStats::detail`).
+//!   fan-out >= 10 than the reference (counter-verified via
+//!   `BufferStats::detail`).
 
-use prima::{AssemblyMode, Prima, QueryOptions, Value};
+#[path = "common/reference.rs"]
+mod reference;
+
+use prima::{Molecule, Prima, QueryOptions, Value};
 use prima_workloads::exec;
 use prima_access::AccessError;
 use prima_mad::value::AtomId;
@@ -132,8 +136,22 @@ fn batch_handles_mixed_types_and_empty_input() {
     assert!(db.access().read_atoms_batch(&[], None).unwrap().is_empty());
 }
 
+/// The kernel's molecules for `q` (ordered by root atom id, like the
+/// reference's) and its `atoms_fetched` count.
+fn kernel_molecules(db: &Prima, q: &str) -> (Vec<Molecule>, usize) {
+    let r = db.session().query(q, &QueryOptions::new().traced()).unwrap();
+    let mut molecules = r.set.molecules;
+    molecules.sort_by_key(|m| m.root.atom.id);
+    (molecules, r.trace.unwrap().atoms_fetched)
+}
+
+/// Without a cluster every component position is fetched exactly once.
+fn component_positions(molecules: &[Molecule]) -> usize {
+    molecules.iter().map(|m| m.atom_count() - 1).sum()
+}
+
 #[test]
-fn assembly_modes_agree_on_flat_and_deep_molecules() {
+fn kernel_matches_reference_on_flat_and_deep_molecules() {
     let db = brep::open_db(16 << 20).unwrap();
     brep::populate(&db, &BrepConfig::with_assembly(6, 2, 2)).unwrap();
     for q in [
@@ -141,38 +159,40 @@ fn assembly_modes_agree_on_flat_and_deep_molecules() {
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0",
         "SELECT ALL FROM solid-brep",
     ] {
-        let session = db.session();
-        let per_atom = session
-            .query(q, &QueryOptions::new().assembly(AssemblyMode::PerAtom).traced())
-            .unwrap();
-        let batched = session
-            .query(q, &QueryOptions::new().assembly(AssemblyMode::Batched).traced())
-            .unwrap();
-        assert_eq!(per_atom.set, batched.set, "molecule sets diverge for {q}");
-        assert_eq!(
-            per_atom.trace.unwrap().atoms_fetched,
-            batched.trace.unwrap().atoms_fetched,
-            "fetch accounting diverges for {q}"
-        );
+        let (kernel, fetched) = kernel_molecules(&db, q);
+        assert!(!kernel.is_empty(), "{q}");
+        assert_eq!(kernel, reference::molecules(&db, q), "molecule sets diverge for {q}");
+        assert_eq!(fetched, component_positions(&kernel), "fetch accounting for {q}");
     }
 }
 
 #[test]
-fn assembly_modes_agree_on_recursive_molecules() {
+fn kernel_matches_reference_on_recursive_molecules() {
     let db = brep::open_db(16 << 20).unwrap();
     let stats = brep::populate(&db, &BrepConfig::with_assembly(8, 3, 2)).unwrap();
     let root = stats.root_solid_nos[0];
     let q = format!("SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = {root}");
-    let session = db.session();
-    let per_atom = session
-        .query(&q, &QueryOptions::new().assembly(AssemblyMode::PerAtom).traced())
-        .unwrap();
-    let batched = session
-        .query(&q, &QueryOptions::new().assembly(AssemblyMode::Batched).traced())
-        .unwrap();
-    assert_eq!(per_atom.set, batched.set);
-    assert_eq!(per_atom.trace.unwrap().atoms_fetched, batched.trace.unwrap().atoms_fetched);
-    assert!(batched.set.molecules[0].depth() >= 2, "recursion actually expanded");
+    let (kernel, fetched) = kernel_molecules(&db, &q);
+    assert_eq!(kernel, reference::molecules(&db, &q));
+    assert_eq!(fetched, component_positions(&kernel));
+    assert!(kernel[0].depth() >= 2, "recursion actually expanded");
+}
+
+#[test]
+fn kernel_matches_reference_on_clustered_molecules() {
+    let db = brep::open_db(16 << 20).unwrap();
+    brep::populate(&db, &BrepConfig::with_solids(5)).unwrap();
+    db.ldl("CREATE ATOM_CLUSTER cl_brep ON brep (faces, edges, points) PAGESIZE 1K").unwrap();
+    for q in [
+        "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3",
+        "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0",
+    ] {
+        let r = db.session().query(q, &QueryOptions::new().traced()).unwrap();
+        assert_eq!(r.trace.unwrap().cluster_used.as_deref(), Some("cl_brep"), "{q}");
+        let mut kernel = r.set.molecules;
+        kernel.sort_by_key(|m| m.root.atom.id);
+        assert_eq!(kernel, reference::molecules(&db, q), "molecule sets diverge for {q}");
+    }
 }
 
 #[test]
@@ -192,15 +212,14 @@ fn batched_assembly_issues_fewer_fix_calls_at_fanout_10() {
             .unwrap();
     }
     let q = "SELECT ALL FROM assembly-part";
-    let fix_calls_of = |mode: AssemblyMode| {
-        let _ = exec::query_with_assembly(&db, q, mode).unwrap(); // warm the buffer
+    let fix_calls_of = |assemble: &dyn Fn() -> usize| {
+        assemble(); // warm the buffer
         db.storage().buffer_stats().reset();
-        let (set, _) = exec::query_with_assembly(&db, q, mode).unwrap();
-        assert_eq!(set.len(), 20);
+        assert_eq!(assemble(), 20);
         db.storage().buffer_stats().detail().fix_calls
     };
-    let per_atom = fix_calls_of(AssemblyMode::PerAtom);
-    let batched = fix_calls_of(AssemblyMode::Batched);
+    let per_atom = fix_calls_of(&|| reference::molecules(&db, q).len());
+    let batched = fix_calls_of(&|| exec::query(&db, q).unwrap().len());
     assert!(
         batched * 2 <= per_atom,
         "batched path must at least halve fix calls at fan-out 10: {batched} vs {per_atom}"

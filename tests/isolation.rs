@@ -464,3 +464,50 @@ fn read_only_commits_skip_the_wal_force() {
     let d = device.stats().snapshot().since(&before);
     assert_eq!(d.wal_forces, 1, "a writing commit is the group-commit force point");
 }
+
+// ---------------------------------------------------------------------
+// Exact lock traffic of the locking read path
+// ---------------------------------------------------------------------
+
+/// A checkout-shaped query inside a transaction takes one `Shared` lock
+/// per atom *position* of the molecule (the Fig. 2.3 box has 79: shared
+/// edges and points are locked once per position) plus one on the root
+/// extension — the 80 of `prima-bench`'s 96 acquisitions per
+/// `txn.checkin`. A cursor charges 3 more: each pull re-pins the
+/// extension (`fetch_all` pulls twice: the molecule, then end of stream)
+/// and revalidates its root under a fresh lock. The same statements
+/// outside a transaction charge nothing.
+#[test]
+fn locking_read_path_takes_one_lock_per_atom_position() {
+    use prima_workloads::brep::{self, BrepConfig};
+    const CHECKOUT: &str = "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2";
+    let db = brep::open_db(4 << 20).unwrap();
+    brep::populate(&db, &BrepConfig::with_solids(3)).unwrap();
+    let session = db.session();
+    let mut prepared =
+        session.prepare("SELECT ALL FROM brep-face-edge-point WHERE brep_no = ?").unwrap();
+    prepared.bind(&[Value::Int(2)]).unwrap();
+    for in_txn in [true, false] {
+        for (entry, locks) in
+            [("Session::query", 80), ("Prepared::query", 80), ("threads(4)", 80), ("cursor", 83)]
+        {
+            if in_txn {
+                session.begin().unwrap();
+            }
+            let before = db.lock_stats();
+            let serial = QueryOptions::default();
+            let set = match entry {
+                "Session::query" => session.query(CHECKOUT, &serial).unwrap().set,
+                "Prepared::query" => prepared.query(&serial).unwrap().set,
+                "threads(4)" => session.query(CHECKOUT, &serial.threads(4)).unwrap().set,
+                _ => session.query_cursor(CHECKOUT, &serial).unwrap().fetch_all().unwrap(),
+            };
+            let acquired = db.lock_stats().since(&before).acquisitions;
+            session.rollback().unwrap();
+            assert_eq!(set.molecules.len(), 1, "{entry}");
+            assert_eq!(set.molecules[0].atom_count(), 79, "{entry}");
+            let expected = if in_txn { locks } else { 0 };
+            assert_eq!(acquired, expected, "{entry}, inside a transaction: {in_txn}");
+        }
+    }
+}

@@ -70,3 +70,28 @@ fn concurrent_du_reads_do_not_interfere() {
         assert_eq!(expected.molecules, got.molecules);
     }
 }
+
+#[test]
+fn parallel_trace_matches_serial_on_clustered_query() {
+    // The clustered brep query of `tests/cluster_mapping.rs`, plus a
+    // multi-root variant so the DUs really spread over workers: the
+    // trace must account for what the workers fetched.
+    let db = brep::open_db(32 << 20).unwrap();
+    brep::populate(&db, &BrepConfig::with_solids(5)).unwrap();
+    db.ldl("CREATE ATOM_CLUSTER cl_brep ON brep (faces, edges, points) PAGESIZE 1K").unwrap();
+    let session = db.session();
+    for q in [
+        "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3",
+        "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0",
+    ] {
+        let serial = session.query(q, &QueryOptions::new().traced()).unwrap().trace.unwrap();
+        let parallel =
+            session.query(q, &QueryOptions::new().threads(4).traced()).unwrap().trace.unwrap();
+        assert_eq!(serial.cluster_used.as_deref(), Some("cl_brep"), "{q}");
+        assert!(serial.atoms_fetched > 0, "{q}");
+        assert_eq!(parallel.atoms_fetched, serial.atoms_fetched, "{q}");
+        assert_eq!(parallel.cluster_used, serial.cluster_used, "{q}");
+        assert_eq!(parallel.roots_inspected, serial.roots_inspected, "{q}");
+        assert_eq!(parallel.molecules, serial.molecules, "{q}");
+    }
+}

@@ -4,7 +4,7 @@
 
 use prima::datasys::RootAccess;
 use prima_workloads::exec;
-use prima::{AssemblyMode, Prima, PrimaError, QueryOptions, Value};
+use prima::{Prima, PrimaError, QueryOptions, Value};
 use prima_workloads::brep::{self, BrepConfig};
 
 fn brep_db(n: usize) -> Prima {
@@ -179,22 +179,14 @@ fn prepared_options_collapse_the_query_variants() {
         session.prepare("SELECT ALL FROM brep-face-edge WHERE brep_no >= ?").unwrap();
     stmt.bind(&[Value::Int(1)]).unwrap();
     let serial = stmt.query(&QueryOptions::default()).unwrap();
-    let per_atom = stmt
-        .query(&QueryOptions::new().assembly(AssemblyMode::PerAtom).traced())
-        .unwrap();
+    let traced = stmt.query(&QueryOptions::new().traced()).unwrap();
     let parallel = stmt.query(&QueryOptions::new().threads(4)).unwrap();
-    assert_eq!(serial.set.molecules, per_atom.set.molecules);
+    assert_eq!(serial.set.molecules, traced.set.molecules);
     assert_eq!(serial.set.molecules, parallel.set.molecules);
-    assert!(per_atom.trace.is_some() && serial.trace.is_none());
-    // threads: 0 is invalid everywhere, prepared included — and the
-    // per-atom baseline cannot be combined with parallel DUs (which
-    // always batch): rejected rather than silently running batched.
+    assert!(traced.trace.is_some() && serial.trace.is_none());
+    // threads: 0 is invalid everywhere, prepared included.
     assert!(matches!(
         stmt.query(&QueryOptions::new().threads(0)),
-        Err(PrimaError::BadStatement(_))
-    ));
-    assert!(matches!(
-        stmt.query(&QueryOptions::new().assembly(AssemblyMode::PerAtom).threads(4)),
         Err(PrimaError::BadStatement(_))
     ));
 }
