@@ -40,97 +40,25 @@ pub enum UpdatePolicy {
     Deferred,
 }
 
-/// Counters exposed for the experiments.
-#[derive(Debug, Default)]
-pub struct AccessStats {
-    /// Physical records written synchronously by user operations.
-    pub records_written: AtomicU64,
-    /// Implicit back-reference updates performed (system-enforced
-    /// integrity).
-    pub backref_updates: AtomicU64,
-    /// Reads satisfied from a partition instead of the primary record.
-    pub partition_reads: AtomicU64,
-    /// Reads satisfied from the primary record.
-    pub primary_reads: AtomicU64,
-    /// Page-grouped batched reads executed (the non-degenerate
-    /// `read_atoms_batch` path).
-    pub batch_reads: AtomicU64,
-    /// Distinct data pages fixed across all batched reads.
-    pub batch_pages: AtomicU64,
-    /// Atoms requested across all batched reads.
-    pub batch_atoms: AtomicU64,
-}
-
-impl AccessStats {
-    pub fn reset(&self) {
-        self.records_written.store(0, Ordering::Relaxed);
-        self.backref_updates.store(0, Ordering::Relaxed);
-        self.partition_reads.store(0, Ordering::Relaxed);
-        self.primary_reads.store(0, Ordering::Relaxed);
-        self.batch_reads.store(0, Ordering::Relaxed);
-        self.batch_pages.store(0, Ordering::Relaxed);
-        self.batch_atoms.store(0, Ordering::Relaxed);
-    }
-
-    /// An owned point-in-time copy, convenient for diffing around an
-    /// operation under measurement.
-    pub fn snapshot(&self) -> AccessStatsSnapshot {
-        AccessStatsSnapshot {
-            records_written: self.records_written.load(Ordering::Relaxed),
-            backref_updates: self.backref_updates.load(Ordering::Relaxed),
-            partition_reads: self.partition_reads.load(Ordering::Relaxed),
-            primary_reads: self.primary_reads.load(Ordering::Relaxed),
-            batch_reads: self.batch_reads.load(Ordering::Relaxed),
-            batch_pages: self.batch_pages.load(Ordering::Relaxed),
-            batch_atoms: self.batch_atoms.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// An immutable copy of [`AccessStats`] at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessStatsSnapshot {
-    pub records_written: u64,
-    pub backref_updates: u64,
-    pub partition_reads: u64,
-    pub primary_reads: u64,
-    pub batch_reads: u64,
-    pub batch_pages: u64,
-    pub batch_atoms: u64,
-}
-
-impl AccessStatsSnapshot {
-    /// Component-wise difference `self - earlier`; saturates at zero.
-    pub fn since(&self, earlier: &AccessStatsSnapshot) -> AccessStatsSnapshot {
-        AccessStatsSnapshot {
-            records_written: self.records_written.saturating_sub(earlier.records_written),
-            backref_updates: self.backref_updates.saturating_sub(earlier.backref_updates),
-            partition_reads: self.partition_reads.saturating_sub(earlier.partition_reads),
-            primary_reads: self.primary_reads.saturating_sub(earlier.primary_reads),
-            batch_reads: self.batch_reads.saturating_sub(earlier.batch_reads),
-            batch_pages: self.batch_pages.saturating_sub(earlier.batch_pages),
-            batch_atoms: self.batch_atoms.saturating_sub(earlier.batch_atoms),
-        }
-    }
-}
-
-impl prima_storage::StatsSnapshot for AccessStatsSnapshot {
-    const FAMILY: &'static str = "access";
-
-    fn delta(&self, earlier: &Self) -> Self {
-        self.since(earlier)
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("records_written", self.records_written),
-            ("backref_updates", self.backref_updates),
-            ("partition_reads", self.partition_reads),
-            ("primary_reads", self.primary_reads),
-            ("batch_reads", self.batch_reads),
-            ("batch_pages", self.batch_pages),
-            ("batch_atoms", self.batch_atoms),
-        ]
+prima_storage::counter_family! {
+    /// Counters exposed for the experiments.
+    pub struct AccessStats => AccessStatsSnapshot as "access" {
+        /// Physical records written synchronously by user operations.
+        counter records_written,
+        /// Implicit back-reference updates performed (system-enforced
+        /// integrity).
+        counter backref_updates,
+        /// Reads satisfied from a partition instead of the primary record.
+        counter partition_reads,
+        /// Reads satisfied from the primary record.
+        counter primary_reads,
+        /// Page-grouped batched reads executed (the non-degenerate
+        /// `read_atoms_batch` path).
+        counter batch_reads,
+        /// Distinct data pages fixed across all batched reads.
+        counter batch_pages,
+        /// Atoms requested across all batched reads.
+        counter batch_atoms,
     }
 }
 

@@ -269,9 +269,9 @@ mod tests {
         let members: Vec<Atom> = (0..100).map(|i| member(1, i, 100)).collect();
         ct.materialize(ch, &members).unwrap();
         storage.flush().unwrap();
-        storage.io_stats().reset();
+        let before = storage.io_stats().snapshot();
         let _ = ct.read_all(ch).unwrap();
-        let io = storage.io_stats().snapshot();
+        let io = storage.io_stats().snapshot().since(&before);
         assert_eq!(io.chained_runs, 1, "cluster read must use chained I/O");
     }
 
@@ -283,10 +283,10 @@ mod tests {
         let members: Vec<Atom> = (0..200).map(|i| member(1, i, 100)).collect();
         ct.materialize(ch, &members).unwrap();
         storage.flush().unwrap();
-        storage.io_stats().reset();
+        let before = storage.io_stats().snapshot();
         let got = ct.read_one(ch, AtomId::new(1, 150)).unwrap().unwrap();
         assert_eq!(got.id.seq, 150);
-        let io = storage.io_stats().snapshot();
+        let io = storage.io_stats().snapshot().since(&before);
         let total_pages = 200 * 120 / PageSize::K1.payload() + 1;
         assert!(
             (io.block_reads as usize) < total_pages / 2,
@@ -362,10 +362,10 @@ mod tests {
         let members: Vec<Atom> = (0..100).map(|i| member(1, i, 200)).collect();
         ct.materialize(ch, &members).unwrap();
         storage.flush().unwrap();
-        storage.io_stats().reset();
+        let before = storage.io_stats().snapshot();
         let ids = ct.members(ch).unwrap();
         assert_eq!(ids.len(), 100);
-        let io = storage.io_stats().snapshot();
+        let io = storage.io_stats().snapshot().since(&before);
         assert!(io.block_reads < 10, "directory read touched {} blocks", io.block_reads);
     }
 

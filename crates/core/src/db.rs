@@ -41,9 +41,7 @@ use crate::ldl_exec;
 use crate::obs::{MetricsSnapshot, Obs, StatementProfile, DEFAULT_SLOW_LOG_CAPACITY};
 use crate::recovery::{self, KernelMeta};
 use crate::session::{ApiStats, MoleculeCursor, QueryOptions, Session};
-use crate::txn::{
-    LockConfig, LockStatsSnapshot, Transaction, TxnManager, VersionStatsSnapshot,
-};
+use crate::txn::{LockConfig, Transaction, TxnManager};
 use prima_access::{AccessSystem, Atom, UpdatePolicy};
 use prima_mad::ddl;
 use prima_mad::value::{AtomId, Value};
@@ -375,37 +373,19 @@ impl Prima {
         self.access.schema()
     }
 
-    /// Parse / plan / plan-reuse counters — the instrument proving that
-    /// prepared statements skip re-parse and re-plan on re-execution.
-    pub fn api_stats(&self) -> &Arc<ApiStats> {
-        &self.stats
-    }
-
-    /// Contention counters of the lock manager: waits, wait time,
-    /// timeouts, deadlocks detected, victims chosen, queue overflow
-    /// fast-fails (see [`LockStatsSnapshot::detail`]).
-    pub fn lock_stats(&self) -> LockStatsSnapshot {
-        self.txn.lock_table().stats().snapshot()
-    }
-
-    /// Version-store counters of the MVCC read path: versions
-    /// installed/reclaimed, live chains, snapshot reads, oldest-snapshot
-    /// lag (see [`VersionStatsSnapshot::detail`]). The version store is
-    /// volatile — rebuilt empty at [`Prima::open`] — so these counters
-    /// always describe the current incarnation.
-    pub fn version_stats(&self) -> VersionStatsSnapshot {
-        self.txn.versions().stats()
-    }
-
     // -----------------------------------------------------------------
     // Observability
     // -----------------------------------------------------------------
 
-    /// One coherent snapshot of every kernel counter family (buffer,
-    /// I/O, access, lock, version, API) plus the per-statement-kind
-    /// latency histograms. See [`MetricsSnapshot::render_text`] for the
-    /// exposition format and [`MetricsSnapshot::check_coherence`] for
-    /// the cross-family invariants.
+    /// The way to read the kernel's counters: one snapshot of every
+    /// counter family (buffer, io, access, lock, version, api) plus the
+    /// per-statement-kind latency histograms. Counters only grow;
+    /// measure an operation as `metrics().delta(&before)` (see
+    /// [`MetricsSnapshot::delta`]). The version family's live-shape
+    /// gauges describe the current incarnation: the version store is
+    /// volatile, rebuilt empty at [`Prima::open`].
+    /// [`MetricsSnapshot::render_text`] gives the exposition format and
+    /// [`MetricsSnapshot::check_coherence`] the cross-family invariants.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.metrics_snapshot()
     }

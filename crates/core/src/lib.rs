@@ -61,15 +61,17 @@
 //!   [`StatementProfile`] ([`Session::last_profile`]): a tree of timed
 //!   spans (parse → plan → lock acquisition → snapshot pin → per-level
 //!   molecule assembly → buffer fixes / page loads / WAL appends &
-//!   forces) plus the per-layer counter deltas the statement caused.
+//!   forces) plus the counter deltas the statement caused.
 //!   `StatementProfile::render` prints it EXPLAIN-ANALYZE style. When
 //!   profiling is off every probe is a single thread-local flag check —
 //!   no clock reads, no allocation.
 //! * **Metrics registry** — [`Prima::metrics`] returns a
-//!   [`MetricsSnapshot`] unifying the five kernel stats families
-//!   (buffer, I/O, access, lock, version) with the API counters and
-//!   log-bucketed latency histograms per statement kind
-//!   (select/insert/modify/delete/commit, p50/p95/p99/max).
+//!   [`MetricsSnapshot`]: the six counter families (buffer, io, access,
+//!   lock, version, api), each declared once with
+//!   [`prima_storage::counter_family!`], and log-bucketed latency
+//!   histograms per statement kind (select/insert/modify/delete/commit,
+//!   p50/p95/p99/max). Counters only grow; measure with two snapshots
+//!   and [`MetricsSnapshot::delta`].
 //!   [`MetricsSnapshot::render_text`] emits a Prometheus-style text
 //!   exposition; [`MetricsSnapshot::check_coherence`] asserts the
 //!   cross-family invariants on a quiesced kernel.
@@ -154,8 +156,7 @@ pub mod txn;
 
 pub use db::{Prima, PrimaBuilder};
 pub use obs::{
-    HistogramSnapshot, LayerCounters, MetricsSnapshot, Span, SpanKind, StatementKind,
-    StatementProfile, StatsSnapshot,
+    HistogramSnapshot, MetricsSnapshot, Span, SpanKind, StatementKind, StatementProfile,
 };
 pub use recovery::KernelMeta;
 pub use datasys::molecule::{MolAtom, Molecule, MoleculeSet};

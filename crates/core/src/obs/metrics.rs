@@ -7,13 +7,13 @@ use crate::session::ApiStatsSnapshot;
 use crate::txn::{LockStatsSnapshot, VersionStatsSnapshot};
 use prima_access::AccessStatsSnapshot;
 use prima_storage::buffer::BufferStatsSnapshot;
-use prima_storage::stats::{IoSnapshot, StatsSnapshot};
+use prima_storage::stats::IoSnapshot;
 use std::fmt::Write as _;
 
 /// One coherent point-in-time view across every layer of the Fig. 3.1
-/// stack — the five pre-existing stats structs unified behind
-/// [`StatsSnapshot`], the API counters, and the per-kind statement
-/// latency histograms. Obtained from `Prima::metrics()`.
+/// stack: the six counter families and the per-kind statement latency
+/// histograms. Obtained from `Prima::metrics()`; a
+/// [`StatementProfile`](super::StatementProfile) carries a delta of it.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Storage layer: buffer manager.
@@ -48,12 +48,12 @@ impl MetricsSnapshot {
                 self.statements[k.index()].delta(&earlier.statements[k.index()]);
         }
         MetricsSnapshot {
-            buffer: self.buffer.delta(&earlier.buffer),
-            io: self.io.delta(&earlier.io),
-            access: self.access.delta(&earlier.access),
-            lock: self.lock.delta(&earlier.lock),
-            version: self.version.delta(&earlier.version),
-            api: self.api.delta(&earlier.api),
+            buffer: self.buffer.since(&earlier.buffer),
+            io: self.io.since(&earlier.io),
+            access: self.access.since(&earlier.access),
+            lock: self.lock.since(&earlier.lock),
+            version: self.version.since(&earlier.version),
+            api: self.api.since(&earlier.api),
             statements,
         }
     }
@@ -63,12 +63,7 @@ impl MetricsSnapshot {
     /// per-kind latency histograms (count, sum, quantiles, max).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        self.buffer.render_into(&mut out);
-        self.io.render_into(&mut out);
-        self.access.render_into(&mut out);
-        self.lock.render_into(&mut out);
-        self.version.render_into(&mut out);
-        self.api.render_into(&mut out);
+        self.render_counters(&mut out);
         for kind in StatementKind::ALL {
             let h = self.statement_latency(kind);
             let k = kind.label();
@@ -84,6 +79,16 @@ impl MetricsSnapshot {
             }
         }
         out
+    }
+
+    /// Appends every family's `prima_<family>_<field> <value>` lines.
+    pub(crate) fn render_counters(&self, out: &mut String) {
+        self.buffer.render_into(out);
+        self.io.render_into(out);
+        self.access.render_into(out);
+        self.lock.render_into(out);
+        self.version.render_into(out);
+        self.api.render_into(out);
     }
 
     /// Cross-layer coherence invariants over a **quiesced** kernel (no

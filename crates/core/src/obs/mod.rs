@@ -4,8 +4,8 @@
 //! PRIMA's layered architecture (Fig. 3.1) makes performance opaque by
 //! construction: one MQL statement crosses parse/plan, lock or snapshot
 //! resolution, vertical assembly, buffer fixes, device I/O and WAL
-//! forces — and each layer historically reported through its own
-//! disconnected counter struct. This module is the seam that joins
+//! forces, and each layer counts its own work in one counter family
+//! (declared with `prima_storage::counter_family!`). This module joins
 //! them:
 //!
 //! * **Statement profiler** ([`profile`]): hierarchical timed spans
@@ -17,10 +17,11 @@
 //!   thread-local flag read when off (allocation-free — pinned by
 //!   test).
 //! * **Metrics registry** ([`metrics`]): `Prima::metrics()` returns a
-//!   [`MetricsSnapshot`] unifying every layer's counters (via the
-//!   [`StatsSnapshot`] trait) plus log-bucketed latency histograms per
+//!   [`MetricsSnapshot`]: the six counter families (buffer, io, access,
+//!   lock, version, api) plus log-bucketed latency histograms per
 //!   statement kind, rendered Prometheus-style by
-//!   [`MetricsSnapshot::render_text`].
+//!   [`MetricsSnapshot::render_text`]. A profile's counter deltas are a
+//!   `MetricsSnapshot` delta too.
 //! * **Slow-statement log** ([`slowlog`]): statements exceeding
 //!   `PrimaBuilder::slow_statement_threshold` leave their full profile
 //!   in a bounded ring, queryable via `Prima::slow_statements()`. A
@@ -38,53 +39,14 @@ pub use profile::{
     event, observed, span, span_guard, Probe, Span, SpanGuard, SpanKind, StatementKind,
     StatementProfile,
 };
-pub use prima_storage::stats::StatsSnapshot;
 pub use slowlog::{SlowLog, DEFAULT_SLOW_LOG_CAPACITY};
 
 use crate::session::ApiStats;
-use crate::txn::{LockStatsSnapshot, TxnManager, VersionStatsSnapshot};
-use prima_access::{AccessStatsSnapshot, AccessSystem};
-use prima_storage::buffer::BufferStatsSnapshot;
-use prima_storage::stats::IoSnapshot;
+use crate::txn::TxnManager;
+use prima_access::AccessSystem;
 use prima_storage::StorageSystem;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A simultaneous snapshot of every layer's counter struct — the delta
-/// form of this is what a [`StatementProfile`] attributes to its
-/// statement.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LayerCounters {
-    pub buffer: BufferStatsSnapshot,
-    pub io: IoSnapshot,
-    pub access: AccessStatsSnapshot,
-    pub lock: LockStatsSnapshot,
-    pub version: VersionStatsSnapshot,
-}
-
-impl LayerCounters {
-    /// Component-wise delta `self - earlier` across every family.
-    pub fn delta_since(&self, earlier: &LayerCounters) -> LayerCounters {
-        LayerCounters {
-            buffer: StatsSnapshot::delta(&self.buffer, &earlier.buffer),
-            io: StatsSnapshot::delta(&self.io, &earlier.io),
-            access: StatsSnapshot::delta(&self.access, &earlier.access),
-            lock: StatsSnapshot::delta(&self.lock, &earlier.lock),
-            version: StatsSnapshot::delta(&self.version, &earlier.version),
-        }
-    }
-
-    /// One `prima_<family>_<field> <value>` line per counter.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.buffer.render_into(&mut out);
-        self.io.render_into(&mut out);
-        self.access.render_into(&mut out);
-        self.lock.render_into(&mut out);
-        self.version.render_into(&mut out);
-        out
-    }
-}
 
 /// The kernel's observability hub: owned by `Prima`, shared with every
 /// session. Holds the per-kind latency histograms (always on), the
@@ -132,17 +94,6 @@ impl Obs {
         self.slow_threshold
     }
 
-    /// One simultaneous snapshot of every layer's counters.
-    pub fn layer_counters(&self) -> LayerCounters {
-        LayerCounters {
-            buffer: self.storage.buffer().stats().detail(),
-            io: self.storage.io_stats().snapshot(),
-            access: self.access.stats().snapshot(),
-            lock: self.txn.lock_table().stats().snapshot(),
-            version: self.txn.versions().stats(),
-        }
-    }
-
     /// Records one completed statement into its kind's histogram.
     /// Allocation-free; runs for every statement, profiled or not.
     pub fn record_statement(&self, kind: StatementKind, total: Duration) {
@@ -164,19 +115,19 @@ impl Obs {
         self.slow.entries()
     }
 
-    /// The unified kernel-wide metrics snapshot.
+    /// One snapshot of every layer's counters and the statement
+    /// histograms.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let counters = self.layer_counters();
         let mut statements = [HistogramSnapshot::default(); 5];
         for kind in StatementKind::ALL {
             statements[kind.index()] = self.statements[kind.index()].snapshot();
         }
         MetricsSnapshot {
-            buffer: counters.buffer,
-            io: counters.io,
-            access: counters.access,
-            lock: counters.lock,
-            version: counters.version,
+            buffer: self.storage.buffer().stats().snapshot(),
+            io: self.storage.io_stats().snapshot(),
+            access: self.access.stats().snapshot(),
+            lock: self.txn.lock_table().stats().snapshot(),
+            version: self.txn.versions().stats(),
             api: self.api.snapshot(),
             statements,
         }

@@ -14,7 +14,7 @@
 //! single thread-local flag read: no clock read, no allocation — pinned
 //! by the counting-allocator test in `tests/observability.rs`.
 
-use super::LayerCounters;
+use super::MetricsSnapshot;
 use prima_storage::probe::{self, ProbeEvent};
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
@@ -420,8 +420,8 @@ pub struct StatementProfile {
     pub total: Duration,
     /// Root of the span tree ([`SpanKind::Statement`]).
     pub root: Span,
-    /// What each layer's counters moved by while the statement ran.
-    pub counters: LayerCounters,
+    /// What every counter family moved by while the statement ran.
+    pub counters: MetricsSnapshot,
 }
 
 impl StatementProfile {
@@ -467,7 +467,7 @@ impl StatementProfile {
             self.total.as_nanos()
         );
         self.root.render_into(&mut out, 0);
-        out.push_str(&self.counters.render());
+        self.counters.render_counters(&mut out);
         out
     }
 }

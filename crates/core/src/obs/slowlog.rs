@@ -52,7 +52,7 @@ impl SlowLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{LayerCounters, Span, SpanKind, StatementKind};
+    use crate::obs::{MetricsSnapshot, Span, SpanKind, StatementKind};
     use std::time::Duration;
 
     fn profile(n: u64) -> StatementProfile {
@@ -61,7 +61,7 @@ mod tests {
             statement: format!("q{n}"),
             total: Duration::from_nanos(n),
             root: Span { kind: SpanKind::Statement, nanos: n, count: 1, bytes: 0, children: vec![] },
-            counters: LayerCounters::default(),
+            counters: MetricsSnapshot::default(),
         }
     }
 

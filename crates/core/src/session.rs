@@ -81,7 +81,7 @@ use crate::datasys::{self, DmlResult, ExecutionTrace, Molecule, MoleculeSet, Nod
 use crate::datasys::plan::ResolvedQuery;
 use crate::datasys::validate::resolve_ref;
 use crate::error::{PrimaError, PrimaResult};
-use crate::obs::{self, Obs, Probe, StatementKind, StatementProfile};
+use crate::obs::{self, MetricsSnapshot, Obs, Probe, StatementKind, StatementProfile};
 use crate::txn::{ReadGuard, Snapshot, Transaction, TxnId, TxnManager};
 use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
@@ -242,53 +242,34 @@ impl StatementOutcome {
 // API statistics (plan-cache accounting)
 // ---------------------------------------------------------------------
 
-/// Counters proving the prepare-once/execute-many contract: a prepared
-/// statement increments `statements_parsed` and `plans_built` once at
-/// [`Session::prepare`] time and `plan_reuses` on every subsequent
-/// SELECT execution. (Prepared DML skips re-parsing but re-validates
-/// its qualification sub-query per execution, so it counts towards
-/// neither; internal sub-query validations inside DELETE/MODIFY and
-/// `CONNECT`/`DISCONNECT` are likewise not facade-level plans and are
-/// not counted.)
-#[derive(Debug, Default)]
-pub struct ApiStats {
-    /// MQL texts run through the lexer+parser at the facade.
-    pub statements_parsed: AtomicU64,
-    /// Facade-level query validations / plan constructions
-    /// ([`datasys::validate`]).
-    pub plans_built: AtomicU64,
-    /// SELECT executions that reused an already-built plan (prepared
-    /// re-runs, including cursors).
-    pub plan_reuses: AtomicU64,
-    /// Statements actually executed through a session — SELECT (one-shot
-    /// and prepared, snapshot or locking path) and DML alike. Commits
-    /// and cursor fetches are not statements and count elsewhere.
-    pub statements_executed: AtomicU64,
-    /// `MoleculeCursor::fetch` / `fetch_all` / iterator-step calls.
-    pub cursor_fetches: AtomicU64,
-}
-
-/// Point-in-time copy of [`ApiStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ApiStatsSnapshot {
-    pub statements_parsed: u64,
-    pub plans_built: u64,
-    pub plan_reuses: u64,
-    pub statements_executed: u64,
-    pub cursor_fetches: u64,
+prima_storage::counter_family! {
+    /// Counters proving the prepare-once/execute-many contract: a prepared
+    /// statement increments `statements_parsed` and `plans_built` once at
+    /// [`Session::prepare`] time and `plan_reuses` on every subsequent
+    /// SELECT execution. (Prepared DML skips re-parsing but re-validates
+    /// its qualification sub-query per execution, so it counts towards
+    /// neither; internal sub-query validations inside DELETE/MODIFY and
+    /// `CONNECT`/`DISCONNECT` are likewise not facade-level plans and are
+    /// not counted.)
+    pub struct ApiStats => ApiStatsSnapshot as "api" {
+        /// MQL texts run through the lexer+parser at the facade.
+        counter statements_parsed,
+        /// Facade-level query validations / plan constructions
+        /// ([`datasys::validate()`]).
+        counter plans_built,
+        /// SELECT executions that reused an already-built plan (prepared
+        /// re-runs, including cursors).
+        counter plan_reuses,
+        /// Statements actually executed through a session — SELECT (one-shot
+        /// and prepared, snapshot or locking path) and DML alike. Commits
+        /// and cursor fetches are not statements and count elsewhere.
+        counter statements_executed,
+        /// `MoleculeCursor::fetch` / `fetch_all` / iterator-step calls.
+        counter cursor_fetches,
+    }
 }
 
 impl ApiStats {
-    pub fn snapshot(&self) -> ApiStatsSnapshot {
-        ApiStatsSnapshot {
-            statements_parsed: self.statements_parsed.load(Ordering::Relaxed),
-            plans_built: self.plans_built.load(Ordering::Relaxed),
-            plan_reuses: self.plan_reuses.load(Ordering::Relaxed),
-            statements_executed: self.statements_executed.load(Ordering::Relaxed),
-            cursor_fetches: self.cursor_fetches.load(Ordering::Relaxed),
-        }
-    }
-
     fn parsed(&self) {
         self.statements_parsed.fetch_add(1, Ordering::Relaxed);
     }
@@ -307,39 +288,6 @@ impl ApiStats {
 
     fn cursor_fetched(&self) {
         self.cursor_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl ApiStatsSnapshot {
-    /// Counter deltas since `earlier`; saturates at zero.
-    pub fn since(&self, earlier: &ApiStatsSnapshot) -> ApiStatsSnapshot {
-        ApiStatsSnapshot {
-            statements_parsed: self.statements_parsed.saturating_sub(earlier.statements_parsed),
-            plans_built: self.plans_built.saturating_sub(earlier.plans_built),
-            plan_reuses: self.plan_reuses.saturating_sub(earlier.plan_reuses),
-            statements_executed: self
-                .statements_executed
-                .saturating_sub(earlier.statements_executed),
-            cursor_fetches: self.cursor_fetches.saturating_sub(earlier.cursor_fetches),
-        }
-    }
-}
-
-impl prima_storage::StatsSnapshot for ApiStatsSnapshot {
-    const FAMILY: &'static str = "api";
-
-    fn delta(&self, earlier: &Self) -> Self {
-        self.since(earlier)
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("statements_parsed", self.statements_parsed),
-            ("plans_built", self.plans_built),
-            ("plan_reuses", self.plan_reuses),
-            ("statements_executed", self.statements_executed),
-            ("cursor_fetches", self.cursor_fetches),
-        ]
     }
 }
 
@@ -413,9 +361,8 @@ impl Session {
 
     /// Brackets one statement: always records the latency histogram
     /// (and, for real statements, `statements_executed`); when
-    /// profiling is on, additionally installs the span recorder and
-    /// captures the per-layer counter deltas into a
-    /// [`StatementProfile`].
+    /// profiling is on, additionally runs it as a profiled scope
+    /// ([`Session::start_profile`]).
     fn statement_scope<R>(
         &self,
         kind: StatementKind,
@@ -432,20 +379,13 @@ impl Session {
             }
             return out;
         }
-        let before = self.obs.layer_counters();
-        let probe = Probe::start();
-        let started = Instant::now();
+        let scope = self.start_profile();
         let out = f();
-        let total = started.elapsed();
-        let root = probe.finish(total);
-        let counters = self.obs.layer_counters().delta_since(&before);
+        let total = self.finish_profile(scope, kind, text.to_string());
         self.obs.record_statement(kind, total);
         if count_executed {
             self.stats.executed();
         }
-        let profile = StatementProfile { kind, statement: text.to_string(), total, root, counters };
-        self.obs.note_profile(&profile);
-        *self.last_profile.lock() = Some(profile);
         out
     }
 
@@ -455,32 +395,43 @@ impl Session {
     /// `cursor_fetches` instead of the histograms (a fetch is a slice
     /// of a statement, not a statement), but still produces a profile
     /// when profiling is on.
-    fn begin_cursor_scope(&self) -> CursorScope {
+    fn begin_cursor_scope(&self) -> Option<ProfileScope> {
         self.stats.cursor_fetched();
-        if !self.profiling_enabled() {
-            return CursorScope(None);
-        }
-        let before = self.obs.layer_counters();
-        let probe = Probe::start();
-        CursorScope(Some((before, probe, Instant::now())))
+        self.profiling_enabled().then(|| self.start_profile())
     }
 
-    fn end_cursor_scope(&self, scope: CursorScope) {
-        let Some((before, probe, started)) = scope.0 else {
-            return;
-        };
-        let total = started.elapsed();
-        let root = probe.finish(total);
-        let counters = self.obs.layer_counters().delta_since(&before);
-        let profile = StatementProfile {
-            kind: StatementKind::Select,
-            statement: "<cursor fetch>".into(),
-            total,
-            root,
-            counters,
-        };
+    fn end_cursor_scope(&self, scope: Option<ProfileScope>) {
+        if let Some(scope) = scope {
+            self.finish_profile(scope, StatementKind::Select, "<cursor fetch>".into());
+        }
+    }
+
+    /// Opens a profiled scope: the kernel counters at its start, the span
+    /// recorder, the start time.
+    fn start_profile(&self) -> ProfileScope {
+        ProfileScope {
+            before: self.obs.metrics_snapshot(),
+            probe: Probe::start(),
+            started: Instant::now(),
+        }
+    }
+
+    /// Closes a profiled scope into a [`StatementProfile`] — span tree
+    /// plus counter deltas — offered to the slow log and kept as
+    /// [`Session::last_profile`]. Returns the scope's wall time.
+    fn finish_profile(
+        &self,
+        scope: ProfileScope,
+        kind: StatementKind,
+        statement: String,
+    ) -> std::time::Duration {
+        let total = scope.started.elapsed();
+        let root = scope.probe.finish(total);
+        let counters = self.obs.metrics_snapshot().delta(&scope.before);
+        let profile = StatementProfile { kind, statement, total, root, counters };
         self.obs.note_profile(&profile);
         *self.last_profile.lock() = Some(profile);
+        total
     }
 
     /// The session's transparent-retry policy (default: on, 5 attempts,
@@ -1048,8 +999,12 @@ fn infer_param_types(
     Ok(())
 }
 
-/// In-flight cursor-fetch recording state ([`Session::begin_cursor_scope`]).
-struct CursorScope(Option<(crate::obs::LayerCounters, Probe, Instant)>);
+/// A profiled scope in flight ([`Session::start_profile`]).
+struct ProfileScope {
+    before: MetricsSnapshot,
+    probe: Probe,
+    started: Instant,
+}
 
 fn dml_kind(stmt: &Statement) -> StatementKind {
     match stmt {

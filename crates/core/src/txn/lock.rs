@@ -64,15 +64,15 @@
 //! with no holders and no waiters are removed from the table, so the map
 //! does not grow with every atom ever locked. [`LockTable::maintenance_visits`]
 //! counts the entries those walks touch; a regression test pins the
-//! O(own locks) behavior with it. [`LockStats`] counts waits, wait time,
-//! timeouts, deadlocks and victims.
+//! O(own locks) behavior with it. [`LockStats`] counts acquisitions,
+//! waits, wait time, timeouts and deadlocks.
 
 use super::{TxnError, TxnId};
 use parking_lot::{rank, Condvar, Mutex};
 use prima_mad::value::{AtomId, AtomTypeId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 /// Lock modes. `IntentExclusive` exists only on type extensions (writers
@@ -179,52 +179,36 @@ impl LockConfig {
 // Statistics
 // ---------------------------------------------------------------------------
 
-/// Contention counters, updated with relaxed atomics on the lock path
-/// (mirrors `BufferStats` / `ApiStats`).
-#[derive(Debug, Default)]
-pub struct LockStats {
-    /// Every [`LockTable::acquire`] call, granted or not — the total
-    /// lock-table traffic. A pure snapshot reader must leave this at
-    /// zero: the counter is what lets tests *prove* the lock-free claim
-    /// rather than merely observe the absence of conflicts.
-    pub acquisitions: AtomicU64,
-    /// Requests that parked at least once.
-    pub waits: AtomicU64,
-    /// Total microseconds spent parked by requests that were eventually
-    /// granted, timed out, or died as victims.
-    pub wait_us_total: AtomicU64,
-    /// Longest single park, microseconds.
-    pub wait_us_max: AtomicU64,
-    /// Waits that expired into [`TxnError::LockTimeout`].
-    pub timeouts: AtomicU64,
-    /// Cycles found by the enqueue-time wait-for-graph check.
-    pub deadlocks_detected: AtomicU64,
-    /// Victims chosen to break those cycles (one per cycle).
-    pub victims: AtomicU64,
-    /// Conflicting requests bounced by the per-target queue cap.
-    pub overflow_fastfails: AtomicU64,
-    /// Requests currently parked (gauge).
-    pub waiting_now: AtomicU64,
-    /// Deepest per-target queue ever observed.
-    pub max_queue_depth: AtomicU64,
+prima_storage::counter_family! {
+    /// Contention counters, updated with relaxed atomics on the lock path.
+    pub struct LockStats => LockStatsSnapshot as "lock" {
+        /// Every [`LockTable::acquire`] call, granted or not — the total
+        /// lock-table traffic. A pure snapshot reader must leave this at
+        /// zero: the counter is what lets tests *prove* the lock-free claim
+        /// rather than merely observe the absence of conflicts.
+        counter acquisitions,
+        /// Requests that parked at least once.
+        counter waits,
+        /// Total microseconds spent parked by requests that were eventually
+        /// granted, timed out, or died as deadlock victims.
+        counter wait_us_total,
+        /// Longest single park, microseconds.
+        gauge wait_us_max,
+        /// Waits that expired into [`TxnError::LockTimeout`].
+        counter timeouts,
+        /// Cycles found by the enqueue-time wait-for-graph check; each
+        /// dooms exactly one victim.
+        counter deadlocks_detected,
+        /// Conflicting requests bounced by the per-target queue cap.
+        counter overflow_fastfails,
+        /// Requests currently parked.
+        gauge waiting_now,
+        /// Deepest per-target queue ever observed.
+        gauge max_queue_depth,
+    }
 }
 
 impl LockStats {
-    pub fn snapshot(&self) -> LockStatsSnapshot {
-        LockStatsSnapshot {
-            acquisitions: self.acquisitions.load(Relaxed),
-            waits: self.waits.load(Relaxed),
-            wait_us_total: self.wait_us_total.load(Relaxed),
-            wait_us_max: self.wait_us_max.load(Relaxed),
-            timeouts: self.timeouts.load(Relaxed),
-            deadlocks_detected: self.deadlocks_detected.load(Relaxed),
-            victims: self.victims.load(Relaxed),
-            overflow_fastfails: self.overflow_fastfails.load(Relaxed),
-            waiting_now: self.waiting_now.load(Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Relaxed),
-        }
-    }
-
     fn record_parked(&self, waited: Duration) {
         let us = waited.as_micros() as u64;
         self.wait_us_total.fetch_add(us, Relaxed);
@@ -233,84 +217,6 @@ impl LockStats {
         // The waiter parks on the statement's own thread, so the time
         // shows up in that statement's profile (no-op unprofiled).
         crate::obs::event(crate::obs::SpanKind::LockWait, waited.as_nanos() as u64, 0);
-    }
-}
-
-/// Point-in-time copy of every [`LockStats`] counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStatsSnapshot {
-    pub acquisitions: u64,
-    pub waits: u64,
-    pub wait_us_total: u64,
-    pub wait_us_max: u64,
-    pub timeouts: u64,
-    pub deadlocks_detected: u64,
-    pub victims: u64,
-    pub overflow_fastfails: u64,
-    pub waiting_now: u64,
-    pub max_queue_depth: u64,
-}
-
-impl LockStatsSnapshot {
-    /// Counter deltas since `earlier`.
-    pub fn since(&self, earlier: &LockStatsSnapshot) -> LockStatsSnapshot {
-        LockStatsSnapshot {
-            acquisitions: self.acquisitions - earlier.acquisitions,
-            waits: self.waits - earlier.waits,
-            wait_us_total: self.wait_us_total - earlier.wait_us_total,
-            wait_us_max: self.wait_us_max.max(earlier.wait_us_max),
-            timeouts: self.timeouts - earlier.timeouts,
-            deadlocks_detected: self.deadlocks_detected - earlier.deadlocks_detected,
-            victims: self.victims - earlier.victims,
-            overflow_fastfails: self.overflow_fastfails - earlier.overflow_fastfails,
-            waiting_now: self.waiting_now,
-            max_queue_depth: self.max_queue_depth.max(earlier.max_queue_depth),
-        }
-    }
-
-    /// Multi-line human-readable dump (same idiom as `BufferStats`).
-    pub fn detail(&self) -> String {
-        format!(
-            "lock acquisitions:  {}\n\
-             lock waits:         {} (total {} µs, max {} µs)\n\
-             lock timeouts:      {}\n\
-             deadlocks detected: {} ({} victims)\n\
-             queue overflows:    {}\n\
-             waiting now:        {} (deepest queue seen: {})",
-            self.acquisitions,
-            self.waits,
-            self.wait_us_total,
-            self.wait_us_max,
-            self.timeouts,
-            self.deadlocks_detected,
-            self.victims,
-            self.overflow_fastfails,
-            self.waiting_now,
-            self.max_queue_depth,
-        )
-    }
-}
-
-impl prima_storage::StatsSnapshot for LockStatsSnapshot {
-    const FAMILY: &'static str = "lock";
-
-    fn delta(&self, earlier: &Self) -> Self {
-        self.since(earlier)
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("acquisitions", self.acquisitions),
-            ("waits", self.waits),
-            ("wait_us_total", self.wait_us_total),
-            ("wait_us_max", self.wait_us_max),
-            ("timeouts", self.timeouts),
-            ("deadlocks_detected", self.deadlocks_detected),
-            ("victims", self.victims),
-            ("overflow_fastfails", self.overflow_fastfails),
-            ("waiting_now", self.waiting_now),
-            ("max_queue_depth", self.max_queue_depth),
-        ]
     }
 }
 
@@ -649,7 +555,6 @@ impl LockTable {
         let mut doomed_any = false;
         while let Some(cycle) = inner.find_cycle(t) {
             self.stats.deadlocks_detected.fetch_add(1, Relaxed);
-            self.stats.victims.fetch_add(1, Relaxed);
             let victim = inner.pick_victim(&cycle);
             if victim == t {
                 let w = inner.dequeue(target, t);
@@ -1022,7 +927,6 @@ mod tests {
         h.join().unwrap().expect("survivor granted after victim released");
         let s = lt.stats().snapshot();
         assert_eq!(s.deadlocks_detected, 1);
-        assert_eq!(s.victims, 1);
     }
 
     #[test]
@@ -1141,7 +1045,7 @@ mod tests {
             .filter(|r| matches!(r, Err(TxnError::Deadlock { .. })))
             .count();
         assert_eq!(deadlocks, 1, "exactly one upgrader dies: r1={r1:?} r2={r2:?}");
-        assert_eq!(lt.stats().snapshot().victims, 1);
+        assert_eq!(lt.stats().snapshot().deadlocks_detected, 1);
     }
 
     #[test]
@@ -1158,13 +1062,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_detail_mentions_every_counter() {
+    fn stats_rendering_reports_a_timed_out_wait() {
         let lt = waiting(10);
         lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
         let _ = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared);
-        let d = lt.stats().snapshot().detail();
-        for key in ["lock waits", "lock timeouts", "deadlocks detected", "queue overflows", "waiting now"] {
-            assert!(d.contains(key), "detail() missing {key:?}:\n{d}");
+        let mut text = String::new();
+        lt.stats().snapshot().render_into(&mut text);
+        for line in [
+            "prima_lock_acquisitions 2",
+            "prima_lock_waits 1",
+            "prima_lock_timeouts 1",
+            "prima_lock_deadlocks_detected 0",
+            "prima_lock_overflow_fastfails 0",
+            "prima_lock_waiting_now 0",
+            "prima_lock_max_queue_depth 1",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing {line:?}:\n{text}");
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   transaction. Writers keep strict 2PL against each other; nothing
 //!   about write-write conflicts changes.
 //! * **Readers** register a [`Snapshot`] at statement start: a single
-//!   `u64` position in commit order ([`Inner::commit_seq`]). Every base
+//!   `u64` position in the store's commit order (`commit_seq`). Every base
 //!   read is then *resolved* through the store — if a chain says the
 //!   atom changed after the snapshot (or is dirty right now), the
 //!   reader gets the before-image instead of the base value; if the
@@ -59,7 +59,7 @@
 //! snapshot and is dropped — with no readers open, versions die at the
 //! commit that obsoleted them. [`VersionStats`] counts installs,
 //! reclaims, snapshot reads and chain shape for observability
-//! (`Prima::version_stats`).
+//! (`Prima::metrics().version`).
 //!
 //! The store is volatile by design: restart recovery rebuilds the
 //! kernel with an empty store (`Prima::open`), because the WAL undo
@@ -71,7 +71,7 @@ use parking_lot::{rank, Mutex};
 use prima_access::Atom;
 use prima_mad::value::{AtomId, AtomTypeId};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One link in an atom's version chain (see module docs for the
@@ -106,91 +106,29 @@ struct Inner {
     reclaim: VecDeque<(u64, Vec<AtomId>)>,
 }
 
-/// Monotone counters for the version store (lock-free increments; the
-/// shape gauges live in [`VersionStatsSnapshot`], sampled under the
-/// store mutex).
-#[derive(Default)]
-pub struct VersionStats {
-    versions_installed: AtomicU64,
-    versions_reclaimed: AtomicU64,
-    snapshots_opened: AtomicU64,
-    snapshot_reads: AtomicU64,
-    max_chain_len: AtomicU64,
-}
-
-/// Point-in-time view of [`VersionStats`] plus store-shape gauges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VersionStatsSnapshot {
-    /// Version entries installed by writers (before-images chained).
-    pub versions_installed: u64,
-    /// Entries dropped by GC (including intermediate images deduped at
-    /// commit stamping).
-    pub versions_reclaimed: u64,
-    /// Snapshots registered by readers.
-    pub snapshots_opened: u64,
-    /// Base reads resolved through the store on the snapshot path.
-    pub snapshot_reads: u64,
-    /// Longest chain ever observed at install time.
-    pub max_chain_len: u64,
-    /// Entries currently live across all chains.
-    pub live_versions: u64,
-    /// Atoms currently carrying a chain.
-    pub live_chains: u64,
-    /// Commit positions between the oldest active snapshot and now
-    /// (0 when no snapshot is open) — how much history GC must retain.
-    pub oldest_snapshot_lag: u64,
-}
-
-impl VersionStatsSnapshot {
-    /// Counter deltas since `before`; gauges keep their current values.
-    pub fn since(&self, before: &VersionStatsSnapshot) -> VersionStatsSnapshot {
-        VersionStatsSnapshot {
-            versions_installed: self.versions_installed - before.versions_installed,
-            versions_reclaimed: self.versions_reclaimed - before.versions_reclaimed,
-            snapshots_opened: self.snapshots_opened - before.snapshots_opened,
-            snapshot_reads: self.snapshot_reads - before.snapshot_reads,
-            max_chain_len: self.max_chain_len,
-            live_versions: self.live_versions,
-            live_chains: self.live_chains,
-            oldest_snapshot_lag: self.oldest_snapshot_lag,
-        }
-    }
-
-    /// One-line human-readable summary.
-    pub fn detail(&self) -> String {
-        format!(
-            "versions: {} installed, {} reclaimed, {} live in {} chains (max len {}); \
-             snapshots: {} opened, {} reads resolved, lag {}",
-            self.versions_installed,
-            self.versions_reclaimed,
-            self.live_versions,
-            self.live_chains,
-            self.max_chain_len,
-            self.snapshots_opened,
-            self.snapshot_reads,
-            self.oldest_snapshot_lag,
-        )
-    }
-}
-
-impl prima_storage::StatsSnapshot for VersionStatsSnapshot {
-    const FAMILY: &'static str = "version";
-
-    fn delta(&self, earlier: &Self) -> Self {
-        self.since(earlier)
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("versions_installed", self.versions_installed),
-            ("versions_reclaimed", self.versions_reclaimed),
-            ("snapshots_opened", self.snapshots_opened),
-            ("snapshot_reads", self.snapshot_reads),
-            ("max_chain_len", self.max_chain_len),
-            ("live_versions", self.live_versions),
-            ("live_chains", self.live_chains),
-            ("oldest_snapshot_lag", self.oldest_snapshot_lag),
-        ]
+prima_storage::counter_family! {
+    /// Counters for the version store (lock-free increments); the store
+    /// shape is sampled under the store mutex by [`VersionStore::stats`].
+    pub struct VersionStats => VersionStatsSnapshot as "version" {
+        /// Version entries installed by writers (before-images chained).
+        counter versions_installed,
+        /// Entries dropped by GC (including intermediate images deduped at
+        /// commit stamping).
+        counter versions_reclaimed,
+        /// Snapshots registered by readers.
+        counter snapshots_opened,
+        /// Base reads resolved through the store on the snapshot path.
+        counter snapshot_reads,
+        /// Longest chain ever observed at install time.
+        gauge max_chain_len,
+    } sampled {
+        /// Entries currently live across all chains.
+        live_versions,
+        /// Atoms currently carrying a chain.
+        live_chains,
+        /// Commit positions between the oldest active snapshot and now
+        /// (0 when no snapshot is open) — how much history GC must retain.
+        oldest_snapshot_lag,
     }
 }
 
@@ -454,16 +392,7 @@ impl VersionStore {
             .keys()
             .next()
             .map_or(0, |oldest| inner.commit_seq - oldest);
-        VersionStatsSnapshot {
-            versions_installed: self.stats.versions_installed.load(Ordering::Relaxed),
-            versions_reclaimed: self.stats.versions_reclaimed.load(Ordering::Relaxed),
-            snapshots_opened: self.stats.snapshots_opened.load(Ordering::Relaxed),
-            snapshot_reads: self.stats.snapshot_reads.load(Ordering::Relaxed),
-            max_chain_len: self.stats.max_chain_len.load(Ordering::Relaxed),
-            live_versions,
-            live_chains: inner.chains.len() as u64,
-            oldest_snapshot_lag,
-        }
+        self.stats.snapshot(live_versions, inner.chains.len() as u64, oldest_snapshot_lag)
     }
 }
 

@@ -40,7 +40,7 @@ use crate::wal::{Lsn, Wal, WalPayload};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{rank, Mutex, RawRwLock, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Where the buffer loads and stores pages. Implemented by the storage
@@ -59,116 +59,27 @@ pub trait PageStore: Send + Sync {
     }
 }
 
-/// Buffer statistics (logical vs physical accesses).
-#[derive(Debug, Default)]
-pub struct BufferStats {
-    /// Fix requests satisfied from the pool.
-    pub hits: AtomicU64,
-    /// Fix requests that caused a device read.
-    pub misses: AtomicU64,
-    /// Pages pushed out by replacement.
-    pub evictions: AtomicU64,
-    /// Dirty pages written back (eviction or flush).
-    pub writebacks: AtomicU64,
-    /// Guard acquisitions (`fix`/`fix_mut`/`fix_new`): each one is a
-    /// shard-lock round trip plus an LRU touch. Batched reads amortise
-    /// several logical record accesses into one fix call.
-    pub fix_calls: AtomicU64,
-    /// Pages actually read from the device. Every miss that completes its
-    /// load counts here — including a racer whose freshly loaded image is
-    /// discarded because another thread installed the page first — so
-    /// `pages_loaded == misses` minus loads that failed with an error.
-    pub pages_loaded: AtomicU64,
-}
-
-/// Point-in-time copy of every [`BufferStats`] counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferStatsSnapshot {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub writebacks: u64,
-    pub fix_calls: u64,
-    pub pages_loaded: u64,
-}
-
-impl BufferStats {
-    /// Fraction of fixes served without device I/O.
-    pub fn hit_ratio(&self) -> f64 {
-        let h = self.hits.load(Ordering::Relaxed) as f64;
-        let m = self.misses.load(Ordering::Relaxed) as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// All counters, including `fix_calls` vs `pages_loaded` — the pair
-    /// that shows batched reads cutting guard churn.
-    pub fn detail(&self) -> BufferStatsSnapshot {
-        BufferStatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-            fix_calls: self.fix_calls.load(Ordering::Relaxed),
-            pages_loaded: self.pages_loaded.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Guard acquisitions so far.
-    pub fn fix_calls(&self) -> u64 {
-        self.fix_calls.load(Ordering::Relaxed)
-    }
-
-    /// Device page reads so far.
-    pub fn pages_loaded(&self) -> u64 {
-        self.pages_loaded.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.writebacks.store(0, Ordering::Relaxed);
-        self.fix_calls.store(0, Ordering::Relaxed);
-        self.pages_loaded.store(0, Ordering::Relaxed);
-    }
-}
-
-impl BufferStatsSnapshot {
-    /// Component-wise difference `self - earlier`; saturates at zero so a
-    /// reset between snapshots cannot produce nonsense (same contract as
-    /// `IoSnapshot::since`).
-    pub fn since(&self, earlier: &BufferStatsSnapshot) -> BufferStatsSnapshot {
-        BufferStatsSnapshot {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            writebacks: self.writebacks.saturating_sub(earlier.writebacks),
-            fix_calls: self.fix_calls.saturating_sub(earlier.fix_calls),
-            pages_loaded: self.pages_loaded.saturating_sub(earlier.pages_loaded),
-        }
-    }
-}
-
-impl crate::stats::StatsSnapshot for BufferStatsSnapshot {
-    const FAMILY: &'static str = "buffer";
-
-    fn delta(&self, earlier: &Self) -> Self {
-        self.since(earlier)
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("evictions", self.evictions),
-            ("writebacks", self.writebacks),
-            ("fix_calls", self.fix_calls),
-            ("pages_loaded", self.pages_loaded),
-        ]
+crate::counter_family! {
+    /// Buffer statistics (logical vs physical accesses).
+    pub struct BufferStats => BufferStatsSnapshot as "buffer" {
+        /// Fix requests satisfied from the pool.
+        counter hits,
+        /// Fix requests that caused a device read.
+        counter misses,
+        /// Pages pushed out by replacement.
+        counter evictions,
+        /// Dirty pages written back (eviction or flush).
+        counter writebacks,
+        /// Guard acquisitions (`fix`/`fix_mut`/`fix_new`): each one is a
+        /// shard-lock round trip plus an LRU touch. Batched reads amortise
+        /// several logical record accesses into one fix call.
+        counter fix_calls,
+        /// Pages actually read from the device. Every miss that completes
+        /// its load counts here — including a racer whose freshly loaded
+        /// image is discarded because another thread installed the page
+        /// first — so `pages_loaded == misses` minus loads that failed
+        /// with an error.
+        counter pages_loaded,
     }
 }
 
@@ -890,7 +801,7 @@ mod tests {
         }
         let _ = buf.fix(id(0, 0)).unwrap(); // hit
         let _ = buf.fix(id(0, 5)).unwrap(); // miss (zero page)
-        let d = buf.stats().detail();
+        let d = buf.stats().snapshot();
         assert_eq!((d.hits, d.misses), (1, 1));
     }
 
@@ -924,7 +835,7 @@ mod tests {
         // not enough, so modified LRU keeps evicting until room: both go.
         let _big2 = buf.fix_new(id(1, 1), PageType::Data).unwrap();
         assert!(buf.used_bytes() <= 8192 + 512);
-        let ev = buf.stats().detail().evictions;
+        let ev = buf.stats().snapshot().evictions;
         assert!(ev >= 1, "eviction expected, got {ev}");
     }
 
@@ -940,7 +851,7 @@ mod tests {
         assert_eq!(buf.resident(), 16);
         let _ = buf.fix_new(id(1, 0), PageType::Data).unwrap();
         assert_eq!(buf.resident(), 1);
-        assert_eq!(buf.stats().detail().evictions, 16);
+        assert_eq!(buf.stats().snapshot().evictions, 16);
     }
 
     #[test]
@@ -1043,7 +954,7 @@ mod tests {
         }
         let _ = buf.fix(id(0, 0)).unwrap(); // hit: no load
         let _ = buf.fix(id(0, 5)).unwrap(); // miss: one load
-        let d = buf.stats().detail();
+        let d = buf.stats().snapshot();
         assert_eq!(d.fix_calls, 3, "fix_new + 2 fixes");
         assert_eq!(d.pages_loaded, 1, "only the miss touches the device");
         assert_eq!((d.hits, d.misses), (1, 1));

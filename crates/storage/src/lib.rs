@@ -125,5 +125,5 @@ pub use file_disk::FileDisk;
 pub use page::{Page, PageId, PageSize, PageType, PAGE_HEADER_LEN};
 pub use page_seq::{PageSeqHandle, PageSequence};
 pub use segment::{Segment, SegmentId, SegmentMeta, StorageSystem};
-pub use stats::{IoSnapshot, IoStats, StatsSnapshot};
+pub use stats::{IoSnapshot, IoStats};
 pub use wal::{GroupCommitConfig, Lsn, Wal, WalPayload, WalRecord};

@@ -290,9 +290,9 @@ mod tests {
         let d = data(10_000);
         let h = PageSequence::create(&s, seg, &d).unwrap();
         s.flush().unwrap();
-        s.io_stats().reset();
+        let before = s.io_stats().snapshot();
         let _ = PageSequence::read_all(&s, h).unwrap();
-        let io = s.io_stats().snapshot();
+        let io = s.io_stats().snapshot().since(&before);
         assert_eq!(io.chained_runs, 1, "whole-sequence read must be chained");
         assert!(io.seeks <= 2);
     }
@@ -304,10 +304,10 @@ mod tests {
         let d = data(20_000);
         let h = PageSequence::create(&s, seg, &d).unwrap();
         s.flush().unwrap();
-        s.io_stats().reset();
+        let before = s.io_stats().snapshot();
         let slice = PageSequence::read_relative(&s, h, 10_000, 100).unwrap();
         assert_eq!(slice, &d[10_000..10_100]);
-        let io = s.io_stats().snapshot();
+        let io = s.io_stats().snapshot().since(&before);
         // header + at most 2 component pages
         assert!(io.block_reads <= 3, "read {} blocks", io.block_reads);
     }

@@ -1,83 +1,148 @@
-//! I/O accounting.
+//! Counter families, and I/O accounting.
+//!
+//! Every layer of the Fig. 3.1 stack reports through one *counter
+//! family*: a set of relaxed `AtomicU64`s bumped on its own hot paths
+//! (buffer and I/O here, access in `prima-access`, lock, version and API
+//! in `prima`). [`crate::counter_family!`] declares a family once and
+//! generates the rest from that declaration; the kernel-wide metrics
+//! registry (`prima::MetricsSnapshot`) composes the six families.
+//! Counters only grow: a measurement is a `snapshot()` before, a
+//! `snapshot()` after and `since()` between them.
 //!
 //! The PRIMA paper's storage-system arguments (page sizes, page sequences,
 //! chained I/O, clustering) are all arguments about *how many* and *which*
 //! block transfers a given operation causes. [`IoStats`] is the measuring
-//! instrument: a cheap, thread-safe set of counters threaded through the
-//! block devices and surfaced in the kernel's metrics registry.
+//! instrument: threaded through the block devices.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The one shape every layer's counter snapshot shares, so a kernel-wide
-/// metrics view can compose them uniformly instead of knowing each
-/// struct's ad-hoc `since()` / `detail()` methods.
+/// Declares one counter family: the atomic struct, its `Copy` snapshot
+/// struct, and from the one field list
 ///
-/// Implementors are plain point-in-time copies of an atomic counter
-/// struct ([`IoSnapshot`], the buffer / lock / version / access / API
-/// snapshots in their home crates). [`StatsSnapshot::delta`] is the
-/// component-wise difference for monotone counters; gauges and
-/// running maxima keep their current value, exactly as the pre-existing
-/// `since()` methods did. [`StatsSnapshot::fields`] names every counter
-/// in declaration order — the single source the Prometheus-style text
-/// rendering walks.
-pub trait StatsSnapshot: Sized + Clone {
-    /// Metric family name; rendered as the `prima_<family>_<field>`
-    /// prefix.
-    const FAMILY: &'static str;
-
-    /// Component-wise counter delta `self - earlier` (gauges keep their
-    /// current value).
-    fn delta(&self, earlier: &Self) -> Self;
-
-    /// `(counter name, value)` pairs in declaration order.
-    fn fields(&self) -> Vec<(&'static str, u64)>;
-
-    /// Appends this family's counters to a Prometheus-style text body.
-    fn render_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        for (name, value) in self.fields() {
-            let _ = writeln!(out, "prima_{}_{} {}", Self::FAMILY, name, value);
+/// * `snapshot()` — relaxed loads into the snapshot struct;
+/// * `since(&earlier)` — the delta: a `counter` field subtracts
+///   (saturating at zero), a `gauge` field (a current level or a running
+///   maximum) keeps its current value;
+/// * `fields()` — `(name, value)` pairs in declaration order;
+/// * `render_into(&mut String)` — one `prima_<family>_<field> <value>`
+///   line per field, in the same order.
+///
+/// ```text
+/// counter_family! {
+///     /// Doc of the atomic struct.
+///     pub struct FooStats => FooStatsSnapshot as "foo" {
+///         /// Doc of the field (on both structs).
+///         counter things_done,
+///         gauge busy_now,
+///     }
+/// }
+/// ```
+///
+/// An optional trailing `sampled { field, … }` list adds gauges that have
+/// no atomic: the owner computes them when it takes the snapshot and
+/// passes them to `snapshot(..)` as arguments, in order.
+#[macro_export]
+macro_rules! counter_family {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $stats:ident => $snap:ident as $family:literal {
+            $( $(#[$fmeta:meta])* $kind:ident $field:ident ),* $(,)?
         }
-    }
+        $( sampled { $( $(#[$smeta:meta])* $sfield:ident ),* $(,)? } )?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $stats {
+            $( $(#[$fmeta])* pub $field: ::std::sync::atomic::AtomicU64, )*
+        }
+
+        #[doc = concat!("Point-in-time copy of [`", stringify!($stats), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $snap {
+            $( $(#[$fmeta])* pub $field: u64, )*
+            $($( $(#[$smeta])* pub $sfield: u64, )*)?
+        }
+
+        impl $stats {
+            /// An owned point-in-time copy, for diffing around an
+            /// operation under measurement.
+            pub fn snapshot(&self $($(, $sfield: u64)*)?) -> $snap {
+                $snap {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
+                    $($( $sfield, )*)?
+                }
+            }
+        }
+
+        impl $snap {
+            /// The delta `self - earlier`: counters subtract (saturating
+            /// at zero), gauges keep their current value.
+            pub fn since(&self, earlier: &$snap) -> $snap {
+                $snap {
+                    $( $field: $crate::counter_family!(@since $kind self.$field, earlier.$field), )*
+                    $($( $sfield: self.$sfield, )*)?
+                }
+            }
+
+            /// `(field name, value)` pairs in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [
+                    $( (stringify!($field), self.$field), )*
+                    $($( (stringify!($sfield), self.$sfield), )*)?
+                ]
+                .into_iter()
+            }
+
+            /// Appends one `prima_<family>_<field> <value>` line per field.
+            pub fn render_into(&self, out: &mut String) {
+                use ::std::fmt::Write as _;
+                for (name, value) in self.fields() {
+                    let _ = writeln!(out, "prima_{}_{name} {value}", $family);
+                }
+            }
+        }
+    };
+    (@since counter $now:expr, $then:expr) => { $now.saturating_sub($then) };
+    (@since gauge $now:expr, $then:expr) => { $now };
 }
 
-/// Thread-safe I/O counters, shared between the device and its observers.
-///
-/// All counters use relaxed ordering: they are statistics, not
-/// synchronization points.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    /// Number of single-block read transfers.
-    pub block_reads: AtomicU64,
-    /// Number of single-block write transfers.
-    pub block_writes: AtomicU64,
-    /// Total bytes read from the device.
-    pub bytes_read: AtomicU64,
-    /// Total bytes written to the device.
-    pub bytes_written: AtomicU64,
-    /// Number of *seeks*: transfers whose block address was not contiguous
-    /// with the previous transfer on the same device arm.
-    pub seeks: AtomicU64,
-    /// Number of chained-I/O runs (a page-sequence read satisfied by one
-    /// multi-block transfer).
-    pub chained_runs: AtomicU64,
-    /// Blocks moved inside chained runs (also counted in `block_reads`).
-    pub chained_blocks: AtomicU64,
-    /// Write-ahead-log forces: each is one sequential append transfer to
-    /// the log area (the device-level unit of group commit).
-    pub wal_forces: AtomicU64,
-    /// Bytes appended to the write-ahead log.
-    pub wal_bytes: AtomicU64,
-    /// WAL forces whose batch carried at least one `TxnCommit` record —
-    /// the device-level unit of cross-session group commit.
-    pub group_commit_batches: AtomicU64,
-    /// `TxnCommit` records made durable across all group-commit batches;
-    /// `group_commit_commits / group_commit_batches` is the commits-per-
-    /// force amortisation the group coordinator buys.
-    pub group_commit_commits: AtomicU64,
-    /// Accumulated simulated service time in nanoseconds (cost model).
-    pub sim_time_ns: AtomicU64,
+counter_family! {
+    /// Thread-safe I/O counters, shared between the device and its
+    /// observers.
+    pub struct IoStats => IoSnapshot as "io" {
+        /// Number of single-block read transfers.
+        counter block_reads,
+        /// Number of single-block write transfers.
+        counter block_writes,
+        /// Total bytes read from the device.
+        counter bytes_read,
+        /// Total bytes written to the device.
+        counter bytes_written,
+        /// Number of *seeks*: transfers whose block address was not
+        /// contiguous with the previous transfer on the same device arm.
+        counter seeks,
+        /// Number of chained-I/O runs (a page-sequence read satisfied by
+        /// one multi-block transfer).
+        counter chained_runs,
+        /// Blocks moved inside chained runs (also counted in
+        /// `block_reads`).
+        counter chained_blocks,
+        /// Write-ahead-log forces: each is one sequential append transfer
+        /// to the log area (the device-level unit of group commit).
+        counter wal_forces,
+        /// Bytes appended to the write-ahead log.
+        counter wal_bytes,
+        /// WAL forces whose batch carried at least one `TxnCommit` record
+        /// — the device-level unit of cross-session group commit.
+        counter group_commit_batches,
+        /// `TxnCommit` records made durable across all group-commit
+        /// batches; `group_commit_commits / group_commit_batches` is the
+        /// commits-per-force amortisation the group coordinator buys.
+        counter group_commit_commits,
+        /// Accumulated simulated service time in nanoseconds (cost
+        /// model).
+        counter sim_time_ns,
+    }
 }
 
 impl IoStats {
@@ -86,121 +151,26 @@ impl IoStats {
         Arc::new(Self::default())
     }
 
-    /// Zeroes every counter. Used between benchmark phases.
-    pub fn reset(&self) {
-        self.block_reads.store(0, Ordering::Relaxed);
-        self.block_writes.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-        self.chained_runs.store(0, Ordering::Relaxed);
-        self.chained_blocks.store(0, Ordering::Relaxed);
-        self.wal_forces.store(0, Ordering::Relaxed);
-        self.wal_bytes.store(0, Ordering::Relaxed);
-        self.group_commit_batches.store(0, Ordering::Relaxed);
-        self.group_commit_commits.store(0, Ordering::Relaxed);
-        self.sim_time_ns.store(0, Ordering::Relaxed);
-    }
-
-    /// An owned point-in-time copy, convenient for diffing around an
-    /// operation under measurement.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            block_reads: self.block_reads.load(Ordering::Relaxed),
-            block_writes: self.block_writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
-            chained_runs: self.chained_runs.load(Ordering::Relaxed),
-            chained_blocks: self.chained_blocks.load(Ordering::Relaxed),
-            wal_forces: self.wal_forces.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            group_commit_batches: self.group_commit_batches.load(Ordering::Relaxed),
-            group_commit_commits: self.group_commit_commits.load(Ordering::Relaxed),
-            sim_time_ns: self.sim_time_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn add(&self, field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// An immutable copy of [`IoStats`] at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
-    pub block_reads: u64,
-    pub block_writes: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-    pub seeks: u64,
-    pub chained_runs: u64,
-    pub chained_blocks: u64,
-    pub wal_forces: u64,
-    pub wal_bytes: u64,
-    pub group_commit_batches: u64,
-    pub group_commit_commits: u64,
-    pub sim_time_ns: u64,
-}
-
-impl IoSnapshot {
-    /// Component-wise difference `self - earlier`; saturates at zero so a
-    /// reset between snapshots cannot produce nonsense.
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            block_reads: self.block_reads.saturating_sub(earlier.block_reads),
-            block_writes: self.block_writes.saturating_sub(earlier.block_writes),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            seeks: self.seeks.saturating_sub(earlier.seeks),
-            chained_runs: self.chained_runs.saturating_sub(earlier.chained_runs),
-            chained_blocks: self.chained_blocks.saturating_sub(earlier.chained_blocks),
-            wal_forces: self.wal_forces.saturating_sub(earlier.wal_forces),
-            wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
-            group_commit_batches: self
-                .group_commit_batches
-                .saturating_sub(earlier.group_commit_batches),
-            group_commit_commits: self
-                .group_commit_commits
-                .saturating_sub(earlier.group_commit_commits),
-            sim_time_ns: self.sim_time_ns.saturating_sub(earlier.sim_time_ns),
-        }
-    }
-
-    /// Total transfers (reads + writes).
-    pub fn transfers(&self) -> u64 {
-        self.block_reads + self.block_writes
-    }
-}
-
-impl StatsSnapshot for IoSnapshot {
-    const FAMILY: &'static str = "io";
-
-    fn delta(&self, earlier: &Self) -> Self {
-        self.since(earlier)
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("block_reads", self.block_reads),
-            ("block_writes", self.block_writes),
-            ("bytes_read", self.bytes_read),
-            ("bytes_written", self.bytes_written),
-            ("seeks", self.seeks),
-            ("chained_runs", self.chained_runs),
-            ("chained_blocks", self.chained_blocks),
-            ("wal_forces", self.wal_forces),
-            ("wal_bytes", self.wal_bytes),
-            ("group_commit_batches", self.group_commit_batches),
-            ("group_commit_commits", self.group_commit_commits),
-            ("sim_time_ns", self.sim_time_ns),
-        ]
+    pub(crate) fn add(&self, field: &std::sync::atomic::AtomicU64, n: u64) {
+        field.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    counter_family! {
+        /// A two-kind family for the generated code's contract.
+        struct TestStats => TestSnapshot as "test" {
+            counter done,
+            /// A level, not a count.
+            gauge level,
+            counter bytes,
+        } sampled {
+            computed,
+        }
+    }
 
     #[test]
     fn snapshot_diff() {
@@ -215,16 +185,6 @@ mod tests {
         assert_eq!(d.block_reads, 3);
         assert_eq!(d.seeks, 1);
         assert_eq!(d.bytes_read, 0);
-        assert_eq!(b.transfers(), 8);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = IoStats::default();
-        s.add(&s.block_writes, 7);
-        s.add(&s.chained_runs, 2);
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     #[test]
@@ -232,5 +192,28 @@ mod tests {
         let a = IoSnapshot { block_reads: 10, ..Default::default() };
         let b = IoSnapshot { block_reads: 4, ..Default::default() };
         assert_eq!(b.since(&a).block_reads, 0);
+    }
+
+    #[test]
+    fn counters_subtract_and_gauges_keep_current_value() {
+        let earlier = TestSnapshot { done: 3, level: 9, bytes: 100, computed: 7 };
+        let now = TestSnapshot { done: 5, level: 2, bytes: 40, computed: 1 };
+        let d = now.since(&earlier);
+        assert_eq!(d.done, 2, "counter subtracts");
+        assert_eq!(d.bytes, 0, "counter saturates at zero");
+        assert_eq!(d.level, 2, "gauge keeps the current value");
+        assert_eq!(d.computed, 1, "sampled gauge keeps the current value");
+    }
+
+    #[test]
+    fn field_list_and_rendering_follow_declaration_order() {
+        let s = TestStats::default();
+        s.done.fetch_add(4, std::sync::atomic::Ordering::Relaxed);
+        let snap = s.snapshot(6);
+        let fields: Vec<_> = snap.fields().collect();
+        assert_eq!(fields, [("done", 4), ("level", 0), ("bytes", 0), ("computed", 6)]);
+        let mut text = String::new();
+        snap.render_into(&mut text);
+        assert_eq!(text, "prima_test_done 4\nprima_test_level 0\nprima_test_bytes 0\nprima_test_computed 6\n");
     }
 }

@@ -466,7 +466,7 @@ pub fn run_multi_session_schedule_waits(
 ///   the snapshot hides uncommitted manipulation instead of conflicting
 ///   with it;
 /// * a reader must never touch the lock table at all: any lock-conflict
-///   error, and any [`prima::LockStatsSnapshot::acquisitions`] delta
+///   error, and any `lock.acquisitions` delta of [`prima::Prima::metrics`]
 ///   across a reader query, is a violation (the workload is interleaved
 ///   on one thread, so the delta is attributable);
 /// * the committed-prefix oracle after crash + recovery is unchanged —
@@ -675,7 +675,7 @@ fn run_multi_session(
                     }
                 }
             }
-            let locks_before = snapshot_readers.then(|| db.lock_stats());
+            let locks_before = snapshot_readers.then(|| db.metrics().lock);
             let use_cursor = rng.gen_range(0u32..4) == 0;
             let committed = snapshots.last().expect("initial snapshot");
             let point = rng.gen_range(0u32..2) == 0;
@@ -735,7 +735,7 @@ fn run_multi_session(
                         );
                     }
                     if let Some(before) = &locks_before {
-                        let d = db.lock_stats().since(before);
+                        let d = db.metrics().lock.since(before);
                         if d.acquisitions != 0 {
                             panic!(
                                 "{}",

@@ -55,7 +55,7 @@ fn main() -> PrimaResult<()> {
             r.set.atoms_of("point").len()
         );
     }
-    let stats_now = db.api_stats().snapshot();
+    let stats_now = db.metrics().api;
     println!(
         "  (api stats: {} parse(s), {} plan(s), {} plan reuse(s))",
         stats_now.statements_parsed, stats_now.plans_built, stats_now.plan_reuses

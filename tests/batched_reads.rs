@@ -85,11 +85,10 @@ fn batch_uses_fresh_partitions_like_read_atom() {
     let (db, ids) = parts_db(80);
     let t = db.schema().type_id("part").unwrap();
     db.access().create_partition("p_n", t, vec![0, 1]).unwrap();
-    db.access().stats().reset();
+    let before = db.metrics();
     let proj = [1usize];
     let batched = db.access().read_atoms_batch(&ids, Some(&proj)).unwrap();
-    let part_reads =
-        db.access().stats().partition_reads.load(std::sync::atomic::Ordering::Relaxed);
+    let part_reads = db.metrics().delta(&before).access.partition_reads;
     assert_eq!(part_reads as usize, ids.len(), "covered projection reads the partition");
     let sequential: Vec<_> =
         ids.iter().map(|id| db.access().read_atom(*id, Some(&proj)).unwrap()).collect();
@@ -214,9 +213,9 @@ fn batched_assembly_issues_fewer_fix_calls_at_fanout_10() {
     let q = "SELECT ALL FROM assembly-part";
     let fix_calls_of = |assemble: &dyn Fn() -> usize| {
         assemble(); // warm the buffer
-        db.storage().buffer_stats().reset();
+        let before = db.metrics();
         assert_eq!(assemble(), 20);
-        db.storage().buffer_stats().detail().fix_calls
+        db.metrics().delta(&before).buffer.fix_calls
     };
     let per_atom = fix_calls_of(&|| reference::molecules(&db, q).len());
     let batched = fix_calls_of(&|| exec::query(&db, q).unwrap().len());

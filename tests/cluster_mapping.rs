@@ -26,12 +26,12 @@ fn cluster_materialises_molecule_atoms() {
 fn molecule_query_reads_cluster_chained() {
     let db = tuned_db(5);
     db.storage().flush().unwrap();
-    db.storage().io_stats().reset();
+    let before = db.metrics();
     let (set, trace) =
         exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3").unwrap();
     assert_eq!(set.len(), 1);
     assert_eq!(trace.cluster_used.as_deref(), Some("cl_brep"));
-    let io = db.storage().io_stats().snapshot();
+    let io = db.metrics().delta(&before).io;
     assert!(io.chained_runs >= 1, "cluster read must be chained: {io:?}");
 }
 
@@ -48,17 +48,17 @@ fn cluster_beats_scattered_assembly_in_io() {
         // Cold start: drop the buffer cache so assembly I/O hits the
         // device.
         db.storage().drop_cache().unwrap();
-        db.storage().io_stats().reset();
-        db
+        let before = db.metrics();
+        (db, before)
     };
-    let with = build(true);
-    let without = build(false);
+    let (with, with_before) = build(true);
+    let (without, without_before) = build(false);
     let q = "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 17";
     let s1 = exec::query(&with, q).unwrap();
     let s2 = exec::query(&without, q).unwrap();
     assert_eq!(s1.atoms_of("point").len(), s2.atoms_of("point").len(), "same answer");
-    let io_with = with.storage().io_stats().snapshot();
-    let io_without = without.storage().io_stats().snapshot();
+    let io_with = with.metrics().delta(&with_before).io;
+    let io_without = without.metrics().delta(&without_before).io;
     assert!(
         io_with.seeks <= io_without.seeks,
         "clustered assembly must not seek more: {} vs {}",
@@ -108,13 +108,13 @@ fn single_member_access_uses_relative_addressing() {
     let ch = ct.characteristic_atoms()[0];
     let members = ct.members(ch).unwrap();
     db.storage().drop_cache().unwrap();
-    db.storage().io_stats().reset();
+    let before = db.metrics();
     let one = ct.read_one(ch, members[20]).unwrap().unwrap();
     assert_eq!(one.id, members[20]);
-    let io = db.storage().io_stats().snapshot();
-    db.storage().io_stats().reset();
+    let io = db.metrics().delta(&before).io;
+    let before = db.metrics();
     let _ = ct.read_all(ch).unwrap();
-    let io_all = db.storage().io_stats().snapshot();
+    let io_all = db.metrics().delta(&before).io;
     assert!(
         io.bytes_read < io_all.bytes_read,
         "single-atom access must read less than the whole sequence ({} vs {})",

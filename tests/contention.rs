@@ -126,10 +126,9 @@ fn two_txn_ab_ba_deadlock_aborts_exactly_one_victim() {
     let winner = if results[0].is_ok() { "t1" } else { "t2" };
     assert_eq!(names(&db), vec![(1, winner.to_string()), (2, winner.to_string())]);
 
-    let stats = db.lock_stats();
-    assert!(stats.deadlocks_detected >= 1, "detector never fired: {}", stats.detail());
-    assert_eq!(stats.victims, 1, "one cycle, one victim: {}", stats.detail());
-    assert_eq!(stats.timeouts, 0, "deadlock must be detected, not timed out: {}", stats.detail());
+    let stats = db.metrics().lock;
+    assert_eq!(stats.deadlocks_detected, 1, "one cycle, one victim: {stats:?}");
+    assert_eq!(stats.timeouts, 0, "deadlock must be detected, not timed out: {stats:?}");
 }
 
 #[test]
@@ -229,9 +228,9 @@ fn three_txn_cycle_is_broken_by_a_single_victim() {
     assert_eq!(errors.len(), 1, "a 3-cycle needs exactly one victim: {results:?}");
     assert!(is_deadlock(errors[0]), "got: {}", errors[0]);
 
-    let stats = db.lock_stats();
-    assert_eq!(stats.victims, 1, "{}", stats.detail());
-    assert_eq!(stats.timeouts, 0, "{}", stats.detail());
+    let stats = db.metrics().lock;
+    assert_eq!(stats.deadlocks_detected, 1, "{stats:?}");
+    assert_eq!(stats.timeouts, 0, "{stats:?}");
     assert_eq!(db.txn_manager().lock_table().locked_targets(), 0, "all locks drained");
 }
 
@@ -299,9 +298,9 @@ fn session_upgrade_deadlock_victimizes_one_and_the_other_inserts() {
     let winner = if results[0].is_ok() { 100 } else { 101 };
     assert_eq!(inserted, vec![winner]);
 
-    let stats = db.lock_stats();
-    assert!(stats.deadlocks_detected >= 1, "{}", stats.detail());
-    assert_eq!(stats.timeouts, 0, "{}", stats.detail());
+    let stats = db.metrics().lock;
+    assert!(stats.deadlocks_detected >= 1, "{stats:?}");
+    assert_eq!(stats.timeouts, 0, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -322,7 +321,7 @@ fn bounded_wait_times_out_against_a_stubborn_holder_then_parks_through_a_commit(
     let mut reader = db.session();
     reader.set_retry_policy(RetryPolicy::off());
     reader.begin().unwrap();
-    let before = db.lock_stats();
+    let before = db.metrics().lock;
     let err = reader
         .query("SELECT ALL FROM part WHERE part_no = 1", &QueryOptions::default())
         .unwrap_err();
@@ -333,9 +332,9 @@ fn bounded_wait_times_out_against_a_stubborn_holder_then_parks_through_a_commit(
     assert!(err.is_lock_conflict() && err.is_retryable());
     reader.rollback().unwrap();
 
-    let waited = db.lock_stats().since(&before);
-    assert!(waited.timeouts >= 1, "timeout not counted: {}", waited.detail());
-    assert!(waited.waits >= 1 && waited.wait_us_total > 0, "{}", waited.detail());
+    let waited = db.metrics().lock.since(&before);
+    assert!(waited.timeouts >= 1, "timeout not counted: {waited:?}");
+    assert!(waited.waits >= 1 && waited.wait_us_total > 0, "{waited:?}");
 
     // Same blocked shape, but now the writer commits while the reader is
     // parked: the reader is granted within its wait budget and sees
@@ -398,9 +397,9 @@ fn queued_writer_is_not_overtaken_by_a_later_reader() {
     });
     assert_eq!(read_value, Value::Str("w".into()), "reader overtook the queued writer");
 
-    let stats = db.lock_stats();
-    assert!(stats.max_queue_depth >= 2, "{}", stats.detail());
-    assert_eq!(stats.deadlocks_detected, 0, "{}", stats.detail());
+    let stats = db.metrics().lock;
+    assert!(stats.max_queue_depth >= 2, "{stats:?}");
+    assert_eq!(stats.deadlocks_detected, 0, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -453,13 +452,9 @@ fn conflict_heavy_sessions_see_zero_conflict_errors_under_default_retry() {
     });
     assert!(errors.is_empty(), "caller-visible errors under default retry: {errors:#?}");
 
-    // The workload really contended — and the stats dump says so.
-    let stats = db.lock_stats();
-    assert!(stats.waits > 0, "no lock ever waited; workload was not contended: {}", stats.detail());
-    let detail = stats.detail();
-    for key in ["lock waits:", "lock timeouts:", "deadlocks detected:", "queue overflows:"] {
-        assert!(detail.contains(key), "stats detail lost its '{key}' line:\n{detail}");
-    }
+    // The workload really contended.
+    let stats = db.metrics().lock;
+    assert!(stats.waits > 0, "no lock ever waited; workload was not contended: {stats:?}");
     assert_eq!(stats.waiting_now, 0, "workload done, nobody should still be parked");
     assert_eq!(db.txn_manager().lock_table().locked_targets(), 0, "table fully drained");
 

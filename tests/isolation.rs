@@ -494,7 +494,7 @@ fn locking_read_path_takes_one_lock_per_atom_position() {
             if in_txn {
                 session.begin().unwrap();
             }
-            let before = db.lock_stats();
+            let before = db.metrics().lock;
             let serial = QueryOptions::default();
             let set = match entry {
                 "Session::query" => session.query(CHECKOUT, &serial).unwrap().set,
@@ -502,7 +502,7 @@ fn locking_read_path_takes_one_lock_per_atom_position() {
                 "threads(4)" => session.query(CHECKOUT, &serial.threads(4)).unwrap().set,
                 _ => session.query_cursor(CHECKOUT, &serial).unwrap().fetch_all().unwrap(),
             };
-            let acquired = db.lock_stats().since(&before).acquisitions;
+            let acquired = db.metrics().lock.since(&before).acquisitions;
             session.rollback().unwrap();
             assert_eq!(set.molecules.len(), 1, "{entry}");
             assert_eq!(set.molecules[0].atom_count(), 79, "{entry}");

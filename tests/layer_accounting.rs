@@ -4,20 +4,18 @@
 
 use prima_workloads::brep::{self, BrepConfig};
 use prima_workloads::exec;
-use std::sync::atomic::Ordering;
 
 #[test]
 fn one_query_touches_every_layer() {
     let db = brep::open_db(1 << 20).unwrap();
     brep::populate(&db, &BrepConfig::with_solids(10)).unwrap();
     db.storage().drop_cache().unwrap();
-    db.storage().io_stats().reset();
-    db.storage().buffer_stats().reset();
-    db.access().stats().reset();
+    let before = db.metrics();
 
     // Data system: molecule-set in, atoms out.
     let (set, trace) =
         exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 5").unwrap();
+    let d = db.metrics().delta(&before);
 
     // Layer 1 — data system: one molecule of 79 atoms.
     assert_eq!(set.len(), 1);
@@ -27,17 +25,17 @@ fn one_query_touches_every_layer() {
     assert!(trace.atoms_fetched >= atoms_in_molecule - 1, "assembly fetched the components");
 
     // Layer 2 — access system: primary-record reads happened.
-    let primary_reads = db.access().stats().primary_reads.load(Ordering::Relaxed);
+    let primary_reads = d.access.primary_reads;
     assert!(primary_reads as usize >= atoms_in_molecule - 1, "got {primary_reads}");
 
     // Layer 3 — storage system: buffer served page fixes, some missed to
     // the device.
-    let buf = db.storage().buffer_stats().detail();
+    let buf = d.buffer;
     assert!(buf.hits + buf.misses > 0, "pages were fixed");
     assert!(buf.misses > 0, "cold start must read the device");
 
     // Layer 4 — device: block reads of 4K data pages.
-    let io = db.storage().io_stats().snapshot();
+    let io = d.io;
     assert!(io.block_reads > 0);
     assert_eq!(io.block_reads, buf.misses, "every miss is exactly one block read");
     assert!(io.bytes_read >= io.block_reads * 512);
@@ -49,17 +47,16 @@ fn warm_repeat_stays_in_upper_layers() {
     brep::populate(&db, &BrepConfig::with_solids(5)).unwrap();
     let q = "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2";
     let _ = exec::query(&db, q).unwrap();
-    db.storage().io_stats().reset();
+    let before = db.metrics();
     let _ = exec::query(&db, q).unwrap();
-    let io = db.storage().io_stats().snapshot();
+    let io = db.metrics().delta(&before).io;
     assert_eq!(io.block_reads, 0, "warm repeat must not touch the device");
 }
 
 #[test]
-fn per_layer_counters_scale_with_molecule_count() {
+fn atoms_fetched_scale_with_molecule_count() {
     let db = brep::open_db(16 << 20).unwrap();
     brep::populate(&db, &BrepConfig::with_solids(12)).unwrap();
-    db.access().stats().reset();
     let (_, trace1) =
         exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1").unwrap();
     let one = trace1.atoms_fetched;

@@ -221,6 +221,69 @@ fn render_text_exposes_all_five_statement_kinds() {
     }
 }
 
+/// The exposition is an interface: scrapers key on these names. Every
+/// family line, in order, before the latency histograms.
+#[test]
+fn render_text_family_lines_are_pinned() {
+    const NAMES: &[&str] = &[
+        "prima_buffer_hits",
+        "prima_buffer_misses",
+        "prima_buffer_evictions",
+        "prima_buffer_writebacks",
+        "prima_buffer_fix_calls",
+        "prima_buffer_pages_loaded",
+        "prima_io_block_reads",
+        "prima_io_block_writes",
+        "prima_io_bytes_read",
+        "prima_io_bytes_written",
+        "prima_io_seeks",
+        "prima_io_chained_runs",
+        "prima_io_chained_blocks",
+        "prima_io_wal_forces",
+        "prima_io_wal_bytes",
+        "prima_io_group_commit_batches",
+        "prima_io_group_commit_commits",
+        "prima_io_sim_time_ns",
+        "prima_access_records_written",
+        "prima_access_backref_updates",
+        "prima_access_partition_reads",
+        "prima_access_primary_reads",
+        "prima_access_batch_reads",
+        "prima_access_batch_pages",
+        "prima_access_batch_atoms",
+        "prima_lock_acquisitions",
+        "prima_lock_waits",
+        "prima_lock_wait_us_total",
+        "prima_lock_wait_us_max",
+        "prima_lock_timeouts",
+        "prima_lock_deadlocks_detected",
+        "prima_lock_overflow_fastfails",
+        "prima_lock_waiting_now",
+        "prima_lock_max_queue_depth",
+        "prima_version_versions_installed",
+        "prima_version_versions_reclaimed",
+        "prima_version_snapshots_opened",
+        "prima_version_snapshot_reads",
+        "prima_version_max_chain_len",
+        "prima_version_live_versions",
+        "prima_version_live_chains",
+        "prima_version_oldest_snapshot_lag",
+        "prima_api_statements_parsed",
+        "prima_api_plans_built",
+        "prima_api_plan_reuses",
+        "prima_api_statements_executed",
+        "prima_api_cursor_fetches",
+    ];
+    let db = Prima::builder().build_with_ddl(DDL).expect("build");
+    let text = db.metrics().render_text();
+    let names: Vec<&str> = text
+        .lines()
+        .take_while(|l| !l.starts_with("prima_statement_latency"))
+        .map(|l| l.split_once(' ').map_or(l, |(name, _)| name))
+        .collect();
+    assert_eq!(names, NAMES);
+}
+
 #[test]
 fn coherence_invariants_hold_after_mixed_workload() {
     let db = brep_db();
@@ -236,7 +299,7 @@ fn coherence_invariants_hold_after_mixed_workload() {
 #[test]
 fn api_counters_track_statements_and_cursor_fetches() {
     let db = brep_db();
-    let before = db.api_stats().snapshot();
+    let before = db.metrics().api;
 
     let s = db.session();
     s.execute("INSERT solid (solid_no: 901)").expect("insert");
@@ -250,7 +313,7 @@ fn api_counters_track_statements_and_cursor_fetches() {
     cursor.fetch_all().expect("fetch_all");
     drop(cursor);
 
-    let d = db.api_stats().snapshot().since(&before);
+    let d = db.metrics().api.since(&before);
     // INSERT + SELECT; the commit and the fetches are not statements.
     assert_eq!(d.statements_executed, 2);
     assert_eq!(d.cursor_fetches, 2);

@@ -47,11 +47,11 @@ fn prepared_reexecution_matches_one_shot_query() {
 fn prepared_skips_parse_and_plan_on_reexecution() {
     let db = brep_db(3);
     let session = db.session();
-    let before = db.api_stats().snapshot();
+    let before = db.metrics().api;
     let mut stmt = session
         .prepare("SELECT ALL FROM brep-face WHERE brep_no = ?")
         .unwrap();
-    let after_prepare = db.api_stats().snapshot();
+    let after_prepare = db.metrics().api;
     assert_eq!(after_prepare.statements_parsed, before.statements_parsed + 1);
     assert_eq!(after_prepare.plans_built, before.plans_built + 1);
 
@@ -60,7 +60,7 @@ fn prepared_skips_parse_and_plan_on_reexecution() {
         stmt.bind(&[Value::Int(n % 3 + 1)]).unwrap();
         stmt.execute().unwrap();
     }
-    let after_runs = db.api_stats().snapshot();
+    let after_runs = db.metrics().api;
     assert_eq!(
         after_runs.statements_parsed,
         after_prepare.statements_parsed,
@@ -327,21 +327,21 @@ fn cursor_streams_piecewise_and_matches_materialized_query() {
 #[test]
 fn cursor_assembles_lazily_and_drop_releases_the_tail() {
     let db = stream_db(1000);
-    let stats = db.storage().buffer_stats();
+    let fix_calls = || db.metrics().buffer.fix_calls;
 
     // Cost of full materialisation (warm buffer).
     let _ = exec::query(&db, STREAM_Q).unwrap();
-    stats.reset();
+    let before = fix_calls();
     let _ = exec::query(&db, STREAM_Q).unwrap();
-    let full_fixes = stats.detail().fix_calls;
+    let full_fixes = fix_calls() - before;
 
     // One chunk of 64 out of 1000 roots: component assembly for the
     // unread tail must not have happened.
-    stats.reset();
+    let before = fix_calls();
     let mut cursor = db.query_cursor(STREAM_Q).unwrap();
     let chunk = cursor.fetch(64).unwrap();
     assert_eq!(chunk.len(), 64);
-    let chunk_fixes = stats.detail().fix_calls;
+    let chunk_fixes = fix_calls() - before;
     assert!(
         chunk_fixes * 2 < full_fixes,
         "one chunk must fix far fewer pages than materialising all \
@@ -351,7 +351,7 @@ fn cursor_assembles_lazily_and_drop_releases_the_tail() {
     // Dropping mid-stream abandons the remaining roots without touching
     // the buffer again...
     drop(cursor);
-    assert_eq!(stats.detail().fix_calls, chunk_fixes, "drop fixes nothing further");
+    assert_eq!(fix_calls() - before, chunk_fixes, "drop fixes nothing further");
     // ...and leaves no page fixed: a full query over the same data still
     // succeeds against the small buffer.
     let again = exec::query(&db, STREAM_Q).unwrap();

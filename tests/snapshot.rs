@@ -80,8 +80,8 @@ fn snapshot_reader_ignores_dirty_writer_with_zero_lock_traffic() {
     writer.execute("DELETE FROM part WHERE part_no = 2").unwrap();
 
     let committed = vec!["clean".to_string(); 4];
-    let locks_before = db.lock_stats();
-    let versions_before = db.version_stats();
+    let locks_before = db.metrics().lock;
+    let versions_before = db.metrics().version;
 
     // One-shot.
     let reader = db.session();
@@ -109,16 +109,16 @@ fn snapshot_reader_ignores_dirty_writer_with_zero_lock_traffic() {
     // Zero lock-table interaction for all of the above: not one
     // acquisition, wait, timeout or conflict — the read path never
     // touched the lock manager at all.
-    let d = db.lock_stats().since(&locks_before);
-    assert_eq!(d.acquisitions, 0, "snapshot reads must not acquire locks:\n{}", d.detail());
-    assert_eq!(d.waits, 0, "{}", d.detail());
-    assert_eq!(d.timeouts, 0, "{}", d.detail());
+    let d = db.metrics().lock.since(&locks_before);
+    assert_eq!(d.acquisitions, 0, "snapshot reads must not acquire locks:\n{d:?}");
+    assert_eq!(d.waits, 0, "{d:?}");
+    assert_eq!(d.timeouts, 0, "{d:?}");
 
     // ... and the version store did the work instead.
-    let v = db.version_stats().since(&versions_before);
-    assert!(v.snapshots_opened >= 4, "each statement pins a snapshot: {}", v.detail());
-    assert!(v.snapshot_reads > 0, "reads resolved through the store: {}", v.detail());
-    assert!(v.live_versions > 0, "the dirty writer's before-images are chained: {}", v.detail());
+    let v = db.metrics().version.since(&versions_before);
+    assert!(v.snapshots_opened >= 4, "each statement pins a snapshot: {v:?}");
+    assert!(v.snapshot_reads > 0, "reads resolved through the store: {v:?}");
+    assert!(v.live_versions > 0, "the dirty writer's before-images are chained: {v:?}");
 
     // The writer was never disturbed: its transaction commits, and only
     // then does a fresh read see the new state.
@@ -142,7 +142,7 @@ fn snapshot_reader_ignores_dirty_component_writer_during_assembly() {
     let writer = db.session();
     writer.modify_atom_named(c1, &[("label", Value::Str("c-dirty".into()))]).unwrap();
 
-    let before = db.lock_stats();
+    let before = db.metrics().lock;
     let got = db
         .session()
         .query("SELECT ALL FROM part-pt WHERE part_no = 1", &QueryOptions::default())
@@ -153,7 +153,7 @@ fn snapshot_reader_ignores_dirty_component_writer_during_assembly() {
         Value::Str("c-old".into()),
         "assembly resolves the component's committed version"
     );
-    assert_eq!(db.lock_stats().since(&before).acquisitions, 0);
+    assert_eq!(db.metrics().lock.since(&before).acquisitions, 0);
     writer.rollback().unwrap();
 }
 
@@ -242,12 +242,8 @@ fn gc_spares_versions_visible_to_an_open_snapshot() {
         writer.execute(&format!("MODIFY part SET name = 'gen{g}' WHERE part_no = 1")).unwrap();
         writer.commit().unwrap();
     }
-    let v = db.version_stats();
-    assert!(
-        v.live_versions >= 1,
-        "versions the snapshot can still see must survive GC: {}",
-        v.detail()
-    );
+    let v = db.metrics().version;
+    assert!(v.live_versions >= 1, "versions the snapshot can still see must survive GC: {v:?}");
     assert!(v.oldest_snapshot_lag >= 5, "the pinned snapshot is {} commits behind", v.oldest_snapshot_lag);
 
     // The pinned snapshot still resolves the original value.
@@ -259,12 +255,8 @@ fn gc_spares_versions_visible_to_an_open_snapshot() {
     drop(cursor);
     writer.execute("MODIFY part SET name = 'gen6' WHERE part_no = 1").unwrap();
     writer.commit().unwrap();
-    let v = db.version_stats();
-    assert_eq!(
-        v.live_versions, 0,
-        "no snapshot open — versions die at commit: {}",
-        v.detail()
-    );
+    let v = db.metrics().version;
+    assert_eq!(v.live_versions, 0, "no snapshot open — versions die at commit: {v:?}");
     assert_eq!(v.oldest_snapshot_lag, 0);
 }
 
