@@ -32,9 +32,15 @@
 //! references and issues a single [`AccessSystem::read_atoms_batch_into`]
 //! call, which groups the requests by owning page and fixes each page
 //! once. Fan-out-`k` levels thus cost ~pages-per-level fix calls instead
-//! of `k`. Duplicate ids within a level are *not* deduplicated — each
-//! request is decoded individually, so a shared atom is fetched (and
-//! locked) once per position in the molecule.
+//! of `k`.
+//!
+//! Molecules share sub-objects (Fig. 2.3: a point lies on three edges,
+//! an edge on two faces), so each molecule keeps a table of its decoded
+//! atoms by id. A level fetches only the ids not yet in the table — each
+//! distinct atom is locked, read, snapshot-resolved and decoded once per
+//! molecule — and every position referencing it holds the same
+//! `Arc<Atom>`. Positions keep their own structure node, recursion level
+//! and ancestor chain.
 //!
 //! Cycle safety for recursive edges uses per-path ancestor chains
 //! (immutable linked lists shared across siblings), which reproduce the
@@ -58,6 +64,7 @@ use prima_access::ssa::Ssa;
 use prima_access::{AccessSystem, Atom, CmpOp};
 use prima_mad::mql::{Operand, Predicate};
 use prima_mad::value::{AtomId, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -139,8 +146,8 @@ pub(crate) fn node_infos(q: &ResolvedQuery) -> Vec<NodeInfo> {
 /// when the molecule does not qualify.
 ///
 /// Every component atom materialised into the molecule is `Shared`-locked
-/// through a locking `guard` first (prefetched cluster members at request
-/// time, exactly like individually fetched ones).
+/// through a locking `guard` before it is read (prefetched cluster
+/// members by the prefetch itself).
 pub(crate) fn process_root(
     sys: &AccessSystem,
     q: &ResolvedQuery,
@@ -150,16 +157,20 @@ pub(crate) fn process_root(
     trace: &mut ExecutionTrace,
     guard: ReadGuard<'_>,
 ) -> PrimaResult<Option<Molecule>> {
+    let root = Arc::new(root);
+    ctx.table.clear();
+    ctx.table.insert(root.id, Some(Arc::clone(&root)));
     // Cluster management: prefetch the whole cluster in one chained read
     // if one materialises this root's molecule.
-    let mut prefetch = HashMap::new();
     if let Some(ct) = clusters.iter().find(|ct| ct.contains(root.id)) {
-        prefetch = guard.prefetch_cluster(ct, root.id)?;
-        trace.atoms_fetched += prefetch.len();
+        let members = guard.prefetch_cluster(ct, root.id)?;
+        trace.atoms_fetched += members.len();
         trace.cluster_used = Some(ct.name.clone());
+        for a in members {
+            ctx.table.entry(a.id).or_insert(Some(a));
+        }
     }
-    let molecule =
-        assemble_frontier(sys, root, &prefetch, ctx, &mut trace.atoms_fetched, guard)?;
+    let molecule = assemble_frontier(sys, root, ctx, &mut trace.atoms_fetched, guard)?;
     if let Some(res) = &q.residual {
         if !eval_residual(sys, q, &molecule, res)? {
             return Ok(None);
@@ -300,8 +311,10 @@ pub(crate) struct AssemblyCtx {
     frontier: Vec<usize>,
     next_frontier: Vec<usize>,
     requests: Vec<FetchRequest>,
+    /// The current molecule's decoded atoms by id (`None`: invisible or
+    /// dangling), shared by every position that references them.
+    table: HashMap<AtomId, Option<Arc<Atom>>>,
     need: Vec<AtomId>,
-    need_idx: Vec<Option<usize>>,
     resolved: Vec<Option<Atom>>,
 }
 
@@ -314,8 +327,8 @@ impl AssemblyCtx {
             frontier: Vec::new(),
             next_frontier: Vec::new(),
             requests: Vec::new(),
+            table: HashMap::new(),
             need: Vec::new(),
-            need_idx: Vec::new(),
             resolved: Vec::new(),
         }
     }
@@ -368,7 +381,7 @@ fn chain_contains(chain: &Option<Arc<AncestorChain>>, id: AtomId) -> bool {
 struct PendingAtom {
     node_idx: usize,
     level: u32,
-    atom: Option<Atom>,
+    atom: Arc<Atom>,
     child_start: usize,
     child_count: usize,
     ancestors: Option<Arc<AncestorChain>>,
@@ -384,13 +397,12 @@ struct FetchRequest {
 }
 
 /// Level-by-level vertical assembly: each round gathers every dependent
-/// `AtomId` referenced by the current frontier and resolves them with one
-/// page-grouped batch read, then materialises the children and advances.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+/// `AtomId` referenced by the current frontier, resolves the ones not yet
+/// in `ctx.table` with one page-grouped batch read, then materialises the
+/// children and advances.
 fn assemble_frontier(
     sys: &AccessSystem,
-    root: Atom,
-    prefetch: &HashMap<AtomId, Atom>,
+    root: Arc<Atom>,
     ctx: &mut AssemblyCtx,
     fetched: &mut usize,
     guard: ReadGuard<'_>,
@@ -403,7 +415,7 @@ fn assemble_frontier(
     ctx.arena.push(PendingAtom {
         node_idx: 0,
         level: 0,
-        atom: Some(root),
+        atom: root,
         child_start: 0,
         child_count: 0,
         ancestors: root_chain,
@@ -422,9 +434,8 @@ fn assemble_frontier(
             let node_idx = ctx.arena[pi].node_idx;
             let level = ctx.arena[pi].level;
             for &(child_idx, assoc, recursive) in &ctx.edge_table[node_idx] {
-                // lint: allow(error-hygiene, arena entries are created with their atom present and taken only at emit)
-                let atom = ctx.arena[pi].atom.as_ref().expect("arena atom set");
-                let ids = atom
+                let ids = ctx.arena[pi]
+                    .atom
                     .values
                     .get(assoc.from.attr)
                     .map(prima_mad::Value::referenced_ids)
@@ -450,55 +461,38 @@ fn assemble_frontier(
         if ctx.requests.is_empty() {
             break;
         }
-        // Shared-lock the whole level before reading it: a component with
-        // an uncommitted writer conflicts here, before any dirty value
-        // can enter the molecule. (No-op under a snapshot guard — the
-        // per-request resolution below corrects dirty reads instead.)
-        guard.lock_atoms(ctx.requests.iter().map(|r| r.id))?;
-        // One batched read per level. Duplicate ids are *not* merged: each
-        // request decodes its own record — the page group still costs a
-        // single fix. With no cluster prefetch the request list *is* the
-        // batch, so the position map is skipped.
+        // The level's ids not yet decoded for this molecule, in order of
+        // first occurrence (a placeholder marks an id as requested).
         ctx.need.clear();
-        ctx.need_idx.clear();
-        let mapped = !prefetch.is_empty();
-        if mapped {
-            for r in &ctx.requests {
-                if prefetch.contains_key(&r.id) {
-                    ctx.need_idx.push(None);
-                } else {
-                    ctx.need_idx.push(Some(ctx.need.len()));
-                    ctx.need.push(r.id);
-                }
+        for r in &ctx.requests {
+            if let Entry::Vacant(e) = ctx.table.entry(r.id) {
+                e.insert(None);
+                ctx.need.push(r.id);
             }
-        } else {
-            ctx.need.extend(ctx.requests.iter().map(|r| r.id));
         }
-        let mut resolved = std::mem::take(&mut ctx.resolved);
-        sys.read_atoms_batch_into(&ctx.need, None, &mut resolved)?;
+        // Shared-lock them before reading: a component with an uncommitted
+        // writer conflicts here, before any dirty value can enter the
+        // molecule. Ids already in the table stay locked (strict 2PL).
+        // (No-op under a snapshot guard — the resolution below corrects
+        // dirty reads instead.)
+        guard.lock_atoms(ctx.need.iter().copied())?;
+        // One batched read per level, one decode per distinct id — the
+        // page group still costs a single fix. The guard resolves each
+        // base outcome (including a base miss: under a snapshot the
+        // component may be concurrently deleted).
+        sys.read_atoms_batch_into(&ctx.need, None, &mut ctx.resolved)?;
+        *fetched += ctx.need.len();
+        for (&id, base) in ctx.need.iter().zip(ctx.resolved.iter_mut()) {
+            ctx.table.insert(id, guard.resolve(id, base.take()).map(Arc::new));
+        }
         ctx.next_frontier.clear();
-        for (k, r) in ctx.requests.drain(..).enumerate() {
-            let slot = if mapped { ctx.need_idx[k] } else { Some(k) };
-            let atom = match slot {
-                // Prefetched cluster members were resolved by the guard
-                // at map build time.
-                // lint: allow(error-hygiene, the prefetch map was populated from exactly these record ids in the batch read above)
-                None => prefetch.get(&r.id).expect("prefetch hit").clone(),
-                Some(j) => {
-                    *fetched += 1;
-                    // Requests map 1:1 onto batch entries, so the atom can
-                    // be moved out instead of cloned. The guard resolves
-                    // the base outcome (including a base miss: under a
-                    // snapshot the component may be concurrently deleted).
-                    match guard.resolve(r.id, resolved[j].take()) {
-                        Some(a) => a,
-                        // Dangling ids cannot occur through the access
-                        // system's integrity maintenance (and invisible
-                        // components are simply not part of the snapshot's
-                        // molecule); skip.
-                        None => continue,
-                    }
-                }
+        for r in ctx.requests.drain(..) {
+            let atom = match ctx.table.get(&r.id) {
+                Some(Some(a)) => Arc::clone(a),
+                // Dangling ids cannot occur through the access system's
+                // integrity maintenance (and invisible components are
+                // simply not part of the snapshot's molecule); skip.
+                _ => continue,
             };
             let ancestors = if r.recursive {
                 Some(Arc::new(AncestorChain {
@@ -512,7 +506,7 @@ fn assemble_frontier(
             ctx.arena.push(PendingAtom {
                 node_idx: r.child_node,
                 level: r.level,
-                atom: Some(atom),
+                atom,
                 child_start: 0,
                 child_count: 0,
                 ancestors,
@@ -525,23 +519,17 @@ fn assemble_frontier(
             parent.child_count += 1;
             ctx.next_frontier.push(child);
         }
-        ctx.resolved = resolved;
         std::mem::swap(&mut ctx.frontier, &mut ctx.next_frontier);
     }
-    Ok(Molecule::new(fold_arena(&mut ctx.arena, 0)))
+    Ok(Molecule::new(fold_arena(&ctx.arena, 0)))
 }
 
 /// Folds the assembly arena into the molecule tree (each parent's children
 /// occupy a contiguous arena range in depth-first child order).
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-fn fold_arena(arena: &mut [PendingAtom], i: usize) -> MolAtom {
-    let (start, count) = (arena[i].child_start, arena[i].child_count);
-    let mut out = MolAtom::new(
-        arena[i].node_idx,
-        arena[i].level,
-        // lint: allow(error-hygiene, arena entries are created with their atom present and taken only at emit)
-        arena[i].atom.take().expect("arena atom set"),
-    );
+fn fold_arena(arena: &[PendingAtom], i: usize) -> MolAtom {
+    let a = &arena[i];
+    let mut out = MolAtom::new(a.node_idx, a.level, Arc::clone(&a.atom));
+    let (start, count) = (a.child_start, a.child_count);
     out.children = (start..start + count).map(|c| fold_arena(arena, c)).collect();
     out
 }
@@ -711,7 +699,7 @@ fn apply_projection(sys: &AccessSystem, q: &ResolvedQuery, m: Molecule) -> Optio
                 let at = sys.schema().atom_type(q.nodes[ma.node].atom_type).expect("resolved");
                 let mut keep = attrs.clone();
                 keep.push(at.identifier_index());
-                ma.atom = ma.atom.project(&keep);
+                ma.atom = Arc::new(ma.atom.project(&keep));
             }
             NodeProjection::Qualified { attrs, ssa } => {
                 if !ssa.eval(&ma.atom) {
@@ -723,13 +711,13 @@ fn apply_projection(sys: &AccessSystem, q: &ResolvedQuery, m: Molecule) -> Optio
                         sys.schema().atom_type(q.nodes[ma.node].atom_type).expect("resolved");
                     let mut keep = attrs.clone();
                     keep.push(at.identifier_index());
-                    ma.atom = ma.atom.project(&keep);
+                    ma.atom = Arc::new(ma.atom.project(&keep));
                 }
             }
             NodeProjection::Exclude => {
                 // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
                 let at = sys.schema().atom_type(q.nodes[ma.node].atom_type).expect("resolved");
-                ma.atom = ma.atom.project(&[at.identifier_index()]);
+                ma.atom = Arc::new(ma.atom.project(&[at.identifier_index()]));
             }
         }
         ma.children = ma

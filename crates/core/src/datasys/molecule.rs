@@ -3,32 +3,41 @@
 //! "The objects the user has to deal with are called molecule
 //! occurrences, shortly molecules. Each molecule consists of more
 //! primitive molecules and belongs to its molecule type" (Section 2.2).
-//! A molecule occurrence here is a tree of atoms mirroring the (resolved,
-//! hierarchical) molecule structure of the query's FROM clause; recursive
-//! structures carry the recursion *level* on every atom (level 0 = root,
-//! as used by the seed qualification `piece_list (0).…`).
+//! A molecule occurrence here is a tree of *positions* mirroring the
+//! (resolved, hierarchical) molecule structure of the query's FROM
+//! clause; recursive structures carry the recursion *level* on every
+//! position (level 0 = root, as used by the seed qualification
+//! `piece_list (0).…`). Molecules share sub-objects (Fig. 2.3: a point
+//! lies on three edges), so one atom may occupy several positions: every
+//! position holds an [`Arc`], and assembly hands all positions of an id
+//! the same decoded instance (`Arc::ptr_eq`; a projection gives each
+//! projected position its own copy).
 
 use prima_access::Atom;
 use prima_mad::value::AtomId;
 use std::fmt;
+use std::sync::Arc;
 
-/// One atom inside a molecule occurrence, with its structural position.
+/// One position inside a molecule occurrence: a structural place and the
+/// (possibly shared) atom that occupies it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MolAtom {
     /// Index into the resolved structure's node list.
     pub node: usize,
     /// Recursion level (0 for non-recursive structures).
     pub level: u32,
-    pub atom: Atom,
+    /// The atom at this position, shared with every other position of
+    /// the molecule that references the same id.
+    pub atom: Arc<Atom>,
     pub children: Vec<MolAtom>,
 }
 
 impl MolAtom {
-    pub fn new(node: usize, level: u32, atom: Atom) -> Self {
-        MolAtom { node, level, atom, children: Vec::new() }
+    pub fn new(node: usize, level: u32, atom: impl Into<Arc<Atom>>) -> Self {
+        MolAtom { node, level, atom: atom.into(), children: Vec::new() }
     }
 
-    /// Number of atoms in this subtree.
+    /// Number of positions in this subtree.
     pub fn atom_count(&self) -> usize {
         1 + self.children.iter().map(MolAtom::atom_count).sum::<usize>()
     }
@@ -52,7 +61,7 @@ impl Molecule {
         Molecule { root }
     }
 
-    /// Total number of atoms.
+    /// Total number of positions (a shared atom counts once per position).
     pub fn atom_count(&self) -> usize {
         self.root.atom_count()
     }
@@ -62,7 +71,7 @@ impl Molecule {
         let mut out = Vec::new();
         self.root.visit(&mut |m| {
             if m.node == node {
-                out.push(&m.atom);
+                out.push(&*m.atom);
             }
         });
         out
@@ -73,14 +82,14 @@ impl Molecule {
         let mut out = Vec::new();
         self.root.visit(&mut |m| {
             if m.node == node && m.level == level {
-                out.push(&m.atom);
+                out.push(&*m.atom);
             }
         });
         out
     }
 
-    /// All member atom ids (duplicates possible when molecules overlap —
-    /// non-disjoint molecules share atoms).
+    /// The atom id of every position, in pre-order: an atom shared by
+    /// several positions appears once per position.
     pub fn atom_ids(&self) -> Vec<AtomId> {
         let mut out = Vec::new();
         self.root.visit(&mut |m| out.push(m.atom.id));
@@ -230,5 +239,17 @@ mod tests {
         assert!(text.contains("molecule #0"));
         assert!(text.contains("solid @0:1"));
         assert!(text.contains("(level 2)"));
+    }
+
+    #[test]
+    fn positions_accept_owned_or_shared_atoms() {
+        let shared = Arc::new(atom(1, 10));
+        let mut root = MolAtom::new(0, 0, atom(0, 1));
+        root.children.push(MolAtom::new(1, 1, Arc::clone(&shared)));
+        root.children.push(MolAtom::new(1, 2, shared));
+        let m = Molecule::new(root);
+        assert_eq!(m.atom_count(), 3);
+        assert!(Arc::ptr_eq(&m.root.children[0].atom, &m.root.children[1].atom));
+        assert_eq!(m.atom_ids()[1], m.atom_ids()[2]);
     }
 }

@@ -699,25 +699,26 @@ impl<'a> ReadGuard<'a> {
     }
 
     /// Prefetches the atom cluster `ct` materialising `root`'s molecule
-    /// in one chained read, keyed by member id.
+    /// in one chained read: the visible members, each decoded once and
+    /// shared, ready to seed the molecule's decoded-atom table.
     ///
     /// Locking: the first read discovers the membership but may see a
     /// concurrent writer's in-flight values. Every member is locked,
     /// then re-read: an *active* writer conflicts here, and one that
     /// finished between the two reads has settled the values the second
-    /// (buffer-hot) read picks up — the map never serves a state the
+    /// (buffer-hot) read picks up — assembly never serves a state the
     /// locks don't cover.
     ///
-    /// Snapshot: each member resolves to its visible version on the way
-    /// into the map (invisible members drop out). The chained read races
-    /// concurrent writers without protection, so a failed read is a
-    /// missed optimisation, not an error: assembly then fetches and
-    /// resolves every component individually.
+    /// Snapshot: each member resolves to its visible version (invisible
+    /// members drop out). The chained read races concurrent writers
+    /// without protection, so a failed read is a missed optimisation,
+    /// not an error: assembly then fetches and resolves every component
+    /// itself.
     pub(crate) fn prefetch_cluster(
         &self,
         ct: &AtomClusterType,
         root: AtomId,
-    ) -> PrimaResult<HashMap<AtomId, Atom>> {
+    ) -> PrimaResult<Vec<Arc<Atom>>> {
         let members = match self.inner {
             GuardInner::Locking { .. } => {
                 self.lock_atoms(ct.read_all(root)?.iter().map(|a| a.id))?;
@@ -725,13 +726,7 @@ impl<'a> ReadGuard<'a> {
             }
             GuardInner::Snapshot(_) => ct.read_all(root).unwrap_or_default(),
         };
-        Ok(members
-            .into_iter()
-            .filter_map(|a| {
-                let id = a.id;
-                self.resolve(id, Some(a)).map(|vis| (id, vis))
-            })
-            .collect())
+        Ok(members.into_iter().filter_map(|a| self.resolve(a.id, Some(a)).map(Arc::new)).collect())
     }
 
     /// Re-checks a root delivered earlier (a cursor's queued root) before

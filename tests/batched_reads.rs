@@ -7,18 +7,22 @@
 //! * the kernel's level-batched molecule assembly returns exactly the
 //!   molecules of the naive per-atom reference in `common/reference.rs`
 //!   (flat, deep, recursive and cluster-prefetched structures);
+//! * each distinct atom of a molecule is fetched and decoded once, and
+//!   every position referencing it shares that one `Arc<Atom>`;
 //! * the batched path issues measurably fewer buffer fix calls at
 //!   fan-out >= 10 than the reference (counter-verified via
-//!   `BufferStats::detail`).
+//!   `Prima::metrics` deltas).
 
 #[path = "common/reference.rs"]
 mod reference;
 
 use prima::{Molecule, Prima, QueryOptions, Value};
-use prima_workloads::exec;
-use prima_access::AccessError;
+use prima_access::{AccessError, Atom};
 use prima_mad::value::AtomId;
 use prima_workloads::brep::{self, BrepConfig};
+use prima_workloads::exec;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 const DDL: &str = "
 CREATE ATOM_TYPE part
@@ -144,9 +148,27 @@ fn kernel_molecules(db: &Prima, q: &str) -> (Vec<Molecule>, usize) {
     (molecules, r.trace.unwrap().atoms_fetched)
 }
 
-/// Without a cluster every component position is fetched exactly once.
-fn component_positions(molecules: &[Molecule]) -> usize {
-    molecules.iter().map(|m| m.atom_count() - 1).sum()
+/// Without a cluster every distinct component atom of a molecule is
+/// fetched exactly once, however many positions it occupies.
+fn distinct_components(molecules: &[Molecule]) -> usize {
+    molecules
+        .iter()
+        .map(|m| {
+            let ids: HashSet<AtomId> = m.atom_ids().into_iter().collect();
+            ids.len() - 1
+        })
+        .sum()
+}
+
+/// Asserts that every two positions of `m` holding the same atom id share
+/// one decoded atom; returns the number of distinct decoded atoms.
+fn assert_shared(m: &Molecule) -> usize {
+    let mut by_id: HashMap<AtomId, Arc<Atom>> = HashMap::new();
+    m.for_each(|ma| {
+        let first = by_id.entry(ma.atom.id).or_insert_with(|| Arc::clone(&ma.atom));
+        assert!(Arc::ptr_eq(first, &ma.atom), "{} decoded twice", ma.atom.id);
+    });
+    by_id.len()
 }
 
 #[test]
@@ -161,7 +183,7 @@ fn kernel_matches_reference_on_flat_and_deep_molecules() {
         let (kernel, fetched) = kernel_molecules(&db, q);
         assert!(!kernel.is_empty(), "{q}");
         assert_eq!(kernel, reference::molecules(&db, q), "molecule sets diverge for {q}");
-        assert_eq!(fetched, component_positions(&kernel), "fetch accounting for {q}");
+        assert_eq!(fetched, distinct_components(&kernel), "fetch accounting for {q}");
     }
 }
 
@@ -173,7 +195,7 @@ fn kernel_matches_reference_on_recursive_molecules() {
     let q = format!("SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = {root}");
     let (kernel, fetched) = kernel_molecules(&db, &q);
     assert_eq!(kernel, reference::molecules(&db, &q));
-    assert_eq!(fetched, component_positions(&kernel));
+    assert_eq!(fetched, distinct_components(&kernel));
     assert!(kernel[0].depth() >= 2, "recursion actually expanded");
 }
 
@@ -192,6 +214,63 @@ fn kernel_matches_reference_on_clustered_molecules() {
         kernel.sort_by_key(|m| m.root.atom.id);
         assert_eq!(kernel, reference::molecules(&db, q), "molecule sets diverge for {q}");
     }
+}
+
+#[test]
+fn shared_atoms_are_decoded_once() {
+    let db = brep::open_db(16 << 20).unwrap();
+    let stats = brep::populate(&db, &BrepConfig::with_assembly(4, 2, 2)).unwrap();
+    let q = "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2";
+    let session = db.session();
+
+    // Fig. 2.3 box: 79 positions over 27 atoms (1 brep, 6 faces, 12
+    // edges, 8 points); the 26 components are one batch read's atoms.
+    let before = db.metrics();
+    let set = session.query(q, &QueryOptions::default()).unwrap().set;
+    let d = db.metrics().delta(&before);
+    assert_eq!(set.molecules.len(), 1);
+    let m = &set.molecules[0];
+    assert_eq!(m.atom_count(), 79);
+    assert_eq!(assert_shared(m), 27);
+    assert_eq!(d.access.batch_atoms, 26);
+
+    // Under a transaction: one extension lock plus one per distinct atom.
+    session.begin().unwrap();
+    let before = db.metrics().lock;
+    let locked = session.query(q, &QueryOptions::default()).unwrap().set;
+    let acquired = db.metrics().lock.since(&before).acquisitions;
+    session.rollback().unwrap();
+    assert_eq!(acquired, 28);
+    assert_eq!(locked, set);
+    assert_eq!(assert_shared(&locked.molecules[0]), 27);
+
+    // Recursion: a composite over {composite 5, base solid 1}, where 5
+    // itself contains 1 — solid 1 is reached at levels 1 and 2, shares
+    // one decoded atom and keeps both levels.
+    let (base_1, composite_5) = (stats.solid_ids[0], stats.solid_ids[4]);
+    db.insert(
+        "solid",
+        &[
+            ("solid_no", Value::Int(100)),
+            ("description", Value::Str("overlapping assembly".into())),
+            ("sub", Value::ref_set(vec![composite_5, base_1])),
+        ],
+    )
+    .unwrap();
+    let q = "SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = 100";
+    let (kernel, fetched) = kernel_molecules(&db, q);
+    assert_eq!(kernel, reference::molecules(&db, q));
+    assert_eq!(fetched, distinct_components(&kernel));
+    let m = &kernel[0];
+    assert_shared(m);
+    let mut levels = Vec::new();
+    m.for_each(|ma| {
+        if ma.atom.id == base_1 {
+            levels.push(ma.level);
+        }
+    });
+    levels.sort_unstable();
+    assert_eq!(levels, [1, 2], "one atom, two recursion levels");
 }
 
 #[test]

@@ -17,16 +17,17 @@ fn one_query_touches_every_layer() {
         exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 5").unwrap();
     let d = db.metrics().delta(&before);
 
-    // Layer 1 — data system: one molecule of 79 atoms.
+    // Layer 1 — data system: one molecule of 79 positions over 27 atoms.
     assert_eq!(set.len(), 1);
     assert_eq!(trace.molecules, 1);
     let atoms_in_molecule = set.molecules[0].atom_count();
     assert_eq!(atoms_in_molecule, 79);
-    assert!(trace.atoms_fetched >= atoms_in_molecule - 1, "assembly fetched the components");
+    assert_eq!(trace.atoms_fetched, 26, "assembly fetched each distinct component once");
 
-    // Layer 2 — access system: primary-record reads happened.
+    // Layer 2 — access system: one primary-record read for the root and
+    // one per distinct component.
     let primary_reads = d.access.primary_reads;
-    assert!(primary_reads as usize >= atoms_in_molecule - 1, "got {primary_reads}");
+    assert_eq!(primary_reads, 27);
 
     // Layer 3 — storage system: buffer served page fixes, some missed to
     // the device.
