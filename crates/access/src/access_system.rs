@@ -277,8 +277,17 @@ impl AccessSystem {
         for (i, store) in sys.stores.iter().enumerate() {
             let mut max_seq = 0u64;
             let mut live = 0u64;
+            let mut duplicates = Vec::new();
             store.file.for_each(|ptr, bytes| {
                 let atom = Atom::decode(bytes)?;
+                // A record move cut short by the crash left the record
+                // twice (see `RecordFile::update`); its transaction is a
+                // loser whose undo restores the values, so either copy
+                // will do: keep the first.
+                if sys.addresses.primary(atom.id).is_some() {
+                    duplicates.push(ptr);
+                    return Ok(());
+                }
                 sys.addresses.set_primary(atom.id, ptr);
                 max_seq = max_seq.max(atom.id.seq);
                 live += 1;
@@ -291,6 +300,9 @@ impl AccessSystem {
                 }
                 Ok(())
             })?;
+            for ptr in duplicates {
+                store.file.delete(ptr)?;
+            }
             let snapshot_seq = type_next_seq.get(i).copied().unwrap_or(1);
             store.next_seq.store((max_seq + 1).max(snapshot_seq), Ordering::Relaxed);
             store.count.store(live, Ordering::Relaxed);

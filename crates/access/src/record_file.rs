@@ -210,7 +210,10 @@ impl RecordFile {
     }
 
     /// Updates a record in place; if the new data does not fit in the
-    /// page, the record is moved and the *new* pointer returned.
+    /// page, the record is moved and the *new* pointer returned. A move
+    /// writes the new copy before it deletes the old one, so a crash
+    /// between the two page changes leaves the record twice — which
+    /// restart drops to one copy — and never loses it.
     pub fn update(&self, ptr: RecordPtr, data: &[u8]) -> AccessResult<RecordPtr> {
         if data.len() > self.max_record_len() {
             return Err(AccessError::RecordTooLarge {
@@ -218,22 +221,17 @@ impl RecordFile {
                 max: self.max_record_len(),
             });
         }
-        let pid = PageId::new(self.segment, ptr.page);
-        let moved = {
-            let mut g = self.storage.fix_mut(pid)?;
-            let area = g.payload_area_mut();
-            if page_update(area, ptr.slot, data) {
-                None
-            } else {
-                page_delete(area, ptr.slot);
-                Some(())
-            }
+        let in_place = {
+            let mut g = self.storage.fix_mut(PageId::new(self.segment, ptr.page))?;
+            page_update(g.payload_area_mut(), ptr.slot, data)
         };
         self.refresh_free_space(ptr.page)?;
-        match moved {
-            None => Ok(ptr),
-            Some(()) => self.insert(data),
+        if in_place {
+            return Ok(ptr);
         }
+        let moved = self.insert(data)?;
+        self.delete(ptr)?;
+        Ok(moved)
     }
 
     /// Deletes a record; its slot may be reused.

@@ -244,7 +244,7 @@ impl Prima {
         let meta = KernelMeta::decode(&meta_bytes)?;
 
         // Pass 1: analysis + redo. The resumed log allocates LSNs past
-        // everything replayed, so recovery's own page images stay ordered.
+        // everything replayed, so recovery's own page records stay ordered.
         let records = Wal::replay(&device)?;
         let analysis = recovery::analyze(&records);
         let wal = Wal::starting_at(Arc::clone(&device), analysis.max_lsn + 1);
@@ -254,11 +254,7 @@ impl Prima {
             wal,
         ));
         storage.restore_segments(meta.next_segment, &meta.segments);
-        for rec in &records {
-            if let WalRecord::PageImage { page, bytes, .. } = rec {
-                storage.apply_page_image(*page, bytes)?;
-            }
-        }
+        storage.redo(&records)?;
         device.sync()?;
 
         // Pass 2: rebuild the access layer by scanning the base segments.

@@ -133,7 +133,12 @@
 //! A kernel built with `PrimaBuilder::durable()` (plus a device) runs
 //! write-ahead logging with steal/no-force buffering; `Prima::open` /
 //! `Prima::open_device` replay the log after a crash (redo → rescan →
-//! loser rollback). `Session::commit` is acknowledged only once a
+//! loser rollback). Redo is physical and logs what changed, not the
+//! page: a page's first change after a checkpoint is logged as a full
+//! image, every later one as the changed byte ranges on the page's
+//! header LSN, and restart rebuilds each page from its image plus
+//! deltas. The image per page per checkpoint is also the torn-page
+//! protection — no double-write buffer. `Session::commit` is acknowledged only once a
 //! device append covering the transaction's `TxnCommit` record has
 //! completed. Under **cross-session group commit**
 //! ([`prima_storage::Wal::commit`]) concurrently committing sessions

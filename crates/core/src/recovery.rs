@@ -11,10 +11,15 @@
 //! Restart recovery ([`crate::db::Prima::open`]) then proceeds in four
 //! passes over the WAL tail:
 //!
-//! 1. **analysis + redo**: page after-images are installed in log order
-//!    (repeating history, idempotent) while transaction brackets sort
-//!    top-level transactions into winners (commit record present),
-//!    in-process-aborted (abort record present) and **losers**;
+//! 1. **analysis + redo**: history is repeated page by page
+//!    ([`prima_storage::StorageSystem::redo`]): each page the log
+//!    describes starts from its full image (its first change since the
+//!    checkpoint) and applies its byte-range deltas in log order, each
+//!    iff the page's LSN equals the delta's base — a delta whose base is
+//!    missing is a typed error, not a skipped record — and is written
+//!    once. Transaction brackets sort top-level transactions into
+//!    winners (commit record present), in-process-aborted (abort record
+//!    present) and **losers**;
 //! 2. **rebuild**: the access system re-attaches to the base segments
 //!    and scans them, restoring the address table, key maps and
 //!    surrogate counters;
@@ -173,9 +178,9 @@ pub struct WalAnalysis {
     pub losers: HashSet<u64>,
 }
 
-/// Sorts top-level transactions into winners and losers. Page images and
-/// undo payloads are *not* collected here — the caller walks the records
-/// once itself, applying images and decoding undo payloads as it goes.
+/// Sorts top-level transactions into winners and losers. Page records and
+/// undo payloads are *not* collected here — the caller hands the records
+/// to redo and decodes the undo payloads itself.
 pub fn analyze(records: &[WalRecord]) -> WalAnalysis {
     let mut finished: HashSet<u64> = HashSet::new();
     for rec in records {

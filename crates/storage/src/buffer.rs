@@ -32,14 +32,26 @@
 //! shard-lock traffic) versus `pages_loaded` (device reads): the batched
 //! atom-read path in `prima-access` exists to drive the first number down
 //! toward the second.
+//!
+//! ## Redo logging: an image first, then deltas
+//!
+//! On a WAL-attached pool an update guard logs its change when it is
+//! dropped. A page whose header LSN is older than the log's last
+//! truncation ([`Wal::reset_lsn`]) — or that [`BufferManager::fix_new`]
+//! just created — logs a full `PageImage`. Any other update guard copies
+//! the page once when it is fixed, diffs it against that copy when it is
+//! dropped, and logs only the changed byte ranges as a `PageDelta` on the
+//! page's current LSN. Either way the record's LSN becomes the page's
+//! LSN. A volatile pool copies and logs nothing.
 
+use crate::bytes::le_u64;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PageSize, PageType};
 use crate::probe::{self, ProbeEvent};
-use crate::wal::{Lsn, Wal, WalPayload};
+use crate::wal::{DeltaRange, Lsn, Wal, WalPayload, DELTA_RANGE_HEADER};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{rank, Mutex, RawRwLock, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -103,13 +115,16 @@ fn new_frame(page: Page) -> FrameRef {
 /// Sentinel for "no link" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
 
+/// Removals a shard remembers for [`PoolInner::removed_since`].
+const RECENT_REMOVALS: usize = 64;
+
 struct FrameMeta {
     id: PageId,
     frame: FrameRef,
     fix_count: u32,
     dirty: bool,
     size: PageSize,
-    /// LSN of the newest WAL page image of this frame. The write-ahead
+    /// LSN of the newest WAL page record of this frame. The write-ahead
     /// invariant: the frame must not be stored while
     /// `recovery_lsn > wal.flushed_lsn()`.
     recovery_lsn: Lsn,
@@ -135,6 +150,10 @@ struct PoolInner {
     /// Number of dirty frames — lets flush_all be a cheap no-op on
     /// read-only paths (page-sequence chained reads call it per read).
     dirty_count: usize,
+    /// Frames removed so far, and the pages of the latest
+    /// [`RECENT_REMOVALS`] of those removals, oldest first.
+    removals: u64,
+    recent_removals: VecDeque<PageId>,
 }
 
 impl PoolInner {
@@ -147,7 +166,17 @@ impl PoolInner {
             lru_tail: NIL,
             used_bytes: 0,
             dirty_count: 0,
+            removals: 0,
+            recent_removals: VecDeque::with_capacity(RECENT_REMOVALS),
         }
+    }
+
+    /// Whether `id` may have left the pool since `removals` read `since`:
+    /// it did, or too many frames left since to tell.
+    fn removed_since(&self, id: PageId, since: u64) -> bool {
+        let n = (self.removals - since) as usize;
+        n > self.recent_removals.len()
+            || self.recent_removals.iter().rev().take(n).any(|&p| p == id)
     }
 
     fn get(&self, id: PageId) -> Option<&FrameMeta> {
@@ -257,6 +286,11 @@ impl PoolInner {
         if meta.dirty {
             self.dirty_count -= 1;
         }
+        self.removals += 1;
+        if self.recent_removals.len() == RECENT_REMOVALS {
+            self.recent_removals.pop_front();
+        }
+        self.recent_removals.push_back(id);
         Some(meta)
     }
 
@@ -325,7 +359,7 @@ pub struct BufferManager {
     shard_capacity: usize,
     stats: Arc<BufferStats>,
     /// When present, updates are WAL-logged: every unfix of an update
-    /// guard appends a page image, and flush/eviction enforce
+    /// guard appends a page image or delta, and flush/eviction enforce
     /// write-ahead (force before store).
     wal: Option<Arc<Wal>>,
 }
@@ -361,7 +395,8 @@ impl BufferManager {
     }
 
     /// Attaches a write-ahead log: from now on the pool logs page images
-    /// on update-unfix and enforces WAL-before-data on flush/eviction.
+    /// and deltas on update-unfix and enforces WAL-before-data on
+    /// flush/eviction.
     pub fn attach_wal(mut self, wal: Arc<Wal>) -> Self {
         self.wal = Some(wal);
         self
@@ -427,12 +462,13 @@ impl BufferManager {
             self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
             let frame = self.fix_frame(id, true)?;
             let lock = frame.write_arc();
-            Ok(PageGuardMut {
-                lock: Some(lock),
-                pool: Arc::clone(self.shard(id)),
-                id,
-                wal: self.guard_wal(id),
-            })
+            // A page with a record in the log changes by delta: keep its
+            // pre-image to diff against at unfix.
+            let log = self.guard_wal(id).map(|wal| {
+                let before = (lock.lsn() >= wal.reset_lsn()).then(|| lock.as_bytes().into());
+                RedoLog { wal, before }
+            });
+            Ok(PageGuardMut { lock: Some(lock), pool: Arc::clone(self.shard(id)), id, log })
         })
     }
 
@@ -468,12 +504,9 @@ impl BufferManager {
         };
         let lock = frame.write_arc();
         probe::emit_elapsed(probe_t, ProbeEvent::BufferFix, 0);
-        Ok(PageGuardMut {
-            lock: Some(lock),
-            pool: Arc::clone(self.shard(id)),
-            id,
-            wal: self.guard_wal(id),
-        })
+        // A new page is always a first change: it logs a full image.
+        let log = self.guard_wal(id).map(|wal| RedoLog { wal, before: None });
+        Ok(PageGuardMut { lock: Some(lock), pool: Arc::clone(self.shard(id)), id, log })
     }
 
     /// Drops a page from the buffer without write-back (used when the page
@@ -543,7 +576,7 @@ impl BufferManager {
     }
 
     fn fix_frame(&self, id: PageId, for_update: bool) -> StorageResult<FrameRef> {
-        {
+        let mut since = {
             let mut inner = self.shard(id).lock();
             if let Some(m) = inner.get_mut(id) {
                 m.fix_count += 1;
@@ -555,27 +588,36 @@ impl BufferManager {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(f);
             }
-        }
-        // Miss: load from device outside the pool lock, then install.
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let page = probe::observed(ProbeEvent::PageLoad, || self.store.load(id))?;
-        self.stats.pages_loaded.fetch_add(1, Ordering::Relaxed);
-        let size = page.size();
-        let mut inner = self.shard(id).lock();
-        if let Some(m) = inner.get_mut(id) {
-            // Someone installed it while we were loading.
-            m.fix_count += 1;
-            let f = Arc::clone(&m.frame);
-            if for_update {
-                inner.mark_dirty(id);
+            inner.removals
+        };
+        loop {
+            // Miss: load from device outside the pool lock, then install.
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            let page = probe::observed(ProbeEvent::PageLoad, || self.store.load(id))?;
+            self.stats.pages_loaded.fetch_add(1, Ordering::Relaxed);
+            let size = page.size();
+            let mut inner = self.shard(id).lock();
+            if let Some(m) = inner.get_mut(id) {
+                // Someone installed it while we were loading.
+                m.fix_count += 1;
+                let f = Arc::clone(&m.frame);
+                if for_update {
+                    inner.mark_dirty(id);
+                }
+                inner.touch(id);
+                return Ok(f);
             }
-            inner.touch(id);
+            if inner.removed_since(id, since) {
+                // Another thread installed, changed and wrote back the
+                // page while we read it: our copy may be stale. Read again.
+                since = inner.removals;
+                continue;
+            }
+            self.make_room(&mut inner, size.bytes())?;
+            let f: FrameRef = new_frame(page);
+            inner.insert_frame(id, Arc::clone(&f), for_update, size);
             return Ok(f);
         }
-        self.make_room(&mut inner, size.bytes())?;
-        let f: FrameRef = new_frame(page);
-        inner.insert_frame(id, Arc::clone(&f), for_update, size);
-        Ok(f)
     }
 
     /// The modified-LRU core: evict least-recently-used *unfixed* pages
@@ -624,14 +666,97 @@ pub struct PageGuard {
 }
 
 /// Exclusive write access to a fixed page. Dropping the guard unfixes it;
-/// on a WAL-attached pool the drop also logs the page's after-image and
-/// stamps the frame's `recovery_lsn`.
+/// on a WAL-attached pool the drop also logs the change (see the module
+/// docs) and stamps the frame's `recovery_lsn`.
 pub struct PageGuardMut {
     lock: Option<ArcRwLockWriteGuard<RawRwLock, Page>>,
     // lockrank: buffer.0 — handle to the owning shard (`shards`), relocked on drop.
     pool: Arc<Mutex<PoolInner>>,
     id: PageId,
-    wal: Option<Arc<Wal>>,
+    /// `None` on a volatile pool or an unlogged segment.
+    log: Option<RedoLog>,
+}
+
+/// How an update guard logs its change.
+struct RedoLog {
+    wal: Arc<Wal>,
+    /// The page as fixed, when the change can be logged as a delta;
+    /// `None` logs a full image.
+    before: Option<Box<[u8]>>,
+}
+
+impl RedoLog {
+    /// Logs the change `page` carries and stamps its LSN; returns the
+    /// record's LSN (`0`: nothing changed, nothing logged). If a poisoned
+    /// log refuses the append, returns `Lsn::MAX`, which pins the frame:
+    /// the dirty page can then never pass the write-ahead check, so it is
+    /// never stolen — the flush that eventually needs it fails loudly
+    /// instead of persisting a page whose redo was lost. The page LSN is
+    /// cleared, so its next change is logged as a full image.
+    fn append(&self, id: PageId, page: &mut Page) -> Lsn {
+        let appended = match &self.before {
+            // A truncation since the fix dropped the delta's base from
+            // the log: fall back to an image.
+            Some(before) if page.lsn() >= self.wal.reset_lsn() => {
+                let ranges = changed_ranges(before, page.as_bytes());
+                if ranges.is_empty() {
+                    return 0;
+                }
+                self.wal.append(WalPayload::PageDelta {
+                    page: id,
+                    base_lsn: page.lsn(),
+                    bytes: page.as_bytes(),
+                    ranges: &ranges,
+                })
+            }
+            _ => self.wal.append(WalPayload::PageImage { page: id, bytes: page.as_bytes() }),
+        };
+        match appended {
+            Ok(lsn) => {
+                page.set_lsn(lsn);
+                lsn
+            }
+            Err(_) => {
+                page.set_lsn(0);
+                Lsn::MAX
+            }
+        }
+    }
+}
+
+/// The byte ranges in which `after` differs from `before`; ranges at most
+/// [`DELTA_RANGE_HEADER`] bytes apart are merged, since a separate range
+/// would cost more than the unchanged bytes between them. Pages are at
+/// most 8 KiB, so offsets and lengths fit a `u16`.
+fn changed_ranges(before: &[u8], after: &[u8]) -> Vec<DeltaRange> {
+    let n = before.len().min(after.len());
+    let mut out: Vec<DeltaRange> = Vec::new();
+    let mut i = 0;
+    while i < n {
+        // Skip equal words, then equal bytes.
+        i += 8 * before[i..n]
+            .chunks_exact(8)
+            .zip(after[i..n].chunks_exact(8))
+            .take_while(|(a, b)| le_u64(a) == le_u64(b))
+            .count();
+        while i < n && before[i] == after[i] {
+            i += 1;
+        }
+        if i == n {
+            break;
+        }
+        let start = i;
+        while i < n && before[i] != after[i] {
+            i += 1;
+        }
+        match out.last_mut() {
+            Some((off, len)) if start - (*off as usize + *len as usize) <= DELTA_RANGE_HEADER => {
+                *len = (i - *off as usize) as u16;
+            }
+            _ => out.push((start as u16, (i - start) as u16)),
+        }
+    }
+    out
 }
 
 impl std::fmt::Debug for PageGuard {
@@ -704,19 +829,13 @@ impl Drop for PageGuard {
 
 impl Drop for PageGuardMut {
     fn drop(&mut self) {
-        // Physical redo: log the page's after-image while we still hold
-        // the frame exclusively, then record the LSN on the frame so
-        // flush/eviction can enforce write-ahead. If a poisoned log
-        // refuses the append, pin the frame at `Lsn::MAX`: the dirty
-        // page can then never pass the write-ahead check, so it is
-        // never stolen — the flush that eventually needs it fails
-        // loudly instead of persisting a page whose redo was lost.
+        // Physical redo: log the change while we still hold the frame
+        // exclusively, then record the LSN on the frame so flush/eviction
+        // can enforce write-ahead. The checksum is left stale: write-back
+        // and redo recompute it.
         let mut lsn: Lsn = 0;
-        if let (Some(wal), Some(page)) = (&self.wal, self.lock.as_deref_mut()) {
-            page.update_checksum();
-            lsn = wal
-                .append(WalPayload::PageImage { page: self.id, bytes: page.as_bytes() })
-                .unwrap_or(Lsn::MAX);
+        if let (Some(log), Some(page)) = (&self.log, self.lock.as_deref_mut()) {
+            lsn = log.append(self.id, page);
         }
         self.lock.take();
         unfix(&self.pool, self.id, lsn);
@@ -727,6 +846,8 @@ impl Drop for PageGuardMut {
 mod tests {
     use super::*;
     use crate::disk::{BlockAddr, BlockDevice, SimDisk};
+    use crate::page::PAGE_HEADER_LEN;
+    use crate::wal::WalRecord;
 
     /// Minimal PageStore over a SimDisk for buffer tests: segment n is file
     /// n; page sizes fixed per segment at construction.
@@ -1026,6 +1147,164 @@ mod tests {
                 buf.shards[0].lock().lru_order().iter().map(|p| p.page).collect();
             assert_eq!(got, model.order(), "divergence at step {step}");
         }
+    }
+
+    /// A WAL-attached pool of half-K pages with its log device.
+    fn logged_pool() -> (BufferManager, Arc<Wal>, Arc<dyn BlockDevice>) {
+        let log: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
+        let wal = Wal::new(Arc::clone(&log));
+        let buf = BufferManager::new(TestStore::new(&[PageSize::Half]), 8 * 512)
+            .attach_wal(Arc::clone(&wal));
+        (buf, wal, log)
+    }
+
+    #[test]
+    fn first_fix_after_reset_logs_an_image_then_deltas_of_the_changed_bytes() {
+        let (buf, wal, log) = logged_pool();
+        {
+            let mut g = buf.fix_new(id(0, 0), PageType::Data).unwrap();
+            assert!(g.log.as_ref().unwrap().before.is_none(), "a new page logs an image");
+            g.write_payload(b"hello").unwrap();
+        }
+        wal.force().unwrap();
+        wal.reset().unwrap();
+        {
+            let mut g = buf.fix_mut(id(0, 0)).unwrap();
+            assert!(
+                g.log.as_ref().unwrap().before.is_none(),
+                "the page's record was truncated: no pre-image, an image"
+            );
+            g.payload_area_mut()[4] = b'O';
+        }
+        let image_lsn = buf.fix(id(0, 0)).unwrap().lsn();
+        let before = buf.fix(id(0, 0)).unwrap().as_bytes().to_vec();
+        {
+            let mut g = buf.fix_mut(id(0, 0)).unwrap();
+            assert!(g.log.as_ref().unwrap().before.is_some(), "later fixes diff a pre-image");
+            let area = g.payload_area_mut();
+            area[1] = b'E'; // bytes 1 and 3, one unchanged byte apart: one range
+            area[3] = b'L';
+            area[100] = 9; // far away: a range of its own
+        }
+        {
+            let _unchanged = buf.fix_mut(id(0, 0)).unwrap();
+        }
+        wal.force().unwrap();
+        let recs = Wal::replay(&log).unwrap();
+        assert_eq!(recs.len(), 2, "image, delta; the unchanged fix logged nothing: {recs:?}");
+        assert!(matches!(
+            &recs[0],
+            WalRecord::PageImage { lsn, page, bytes }
+                if *lsn == image_lsn && *page == id(0, 0) && bytes.len() == 512
+        ));
+        let h = PAGE_HEADER_LEN as u16;
+        assert_eq!(
+            recs[1],
+            WalRecord::PageDelta {
+                lsn: image_lsn + 1,
+                page: id(0, 0),
+                base_lsn: image_lsn,
+                ranges: vec![(h + 1, b"ElL".to_vec()), (h + 100, vec![9])],
+            }
+        );
+        let after = buf.fix(id(0, 0)).unwrap();
+        assert_eq!(after.lsn(), image_lsn + 1, "the delta's LSN is the page's");
+        let changed: Vec<usize> = (0..512)
+            .filter(|&i| !(24..32).contains(&i) && before[i] != after.as_bytes()[i])
+            .collect();
+        let h = PAGE_HEADER_LEN;
+        assert_eq!(changed, vec![h + 1, h + 3, h + 100], "the ranges cover the changed bytes");
+    }
+
+    #[test]
+    fn changed_ranges_merge_across_gaps_no_wider_than_a_range_header() {
+        let before = [0u8; 64];
+        let mut after = before;
+        after[3] = 1;
+        after[8] = 1; // gap of 4 unchanged bytes: merged
+        after[14] = 1; // gap of 5: a new range
+        after[63] = 1; // the last byte
+        assert_eq!(changed_ranges(&before, &after), vec![(3, 6), (14, 1), (63, 1)]);
+        assert!(changed_ranges(&before, &before).is_empty());
+    }
+
+    #[test]
+    fn volatile_pool_copies_no_pre_image_and_logs_nothing() {
+        let buf = BufferManager::new(TestStore::new(&[PageSize::Half]), 4 * 512);
+        {
+            let mut g = buf.fix_new(id(0, 0), PageType::Data).unwrap();
+            assert!(g.log.is_none());
+            g.write_payload(b"x").unwrap();
+        }
+        {
+            let mut g = buf.fix_mut(id(0, 0)).unwrap();
+            assert!(g.log.is_none(), "no WAL: no pre-image copy");
+            g.write_payload(b"y").unwrap();
+        }
+        assert_eq!(buf.fix(id(0, 0)).unwrap().lsn(), 0, "nothing was logged");
+    }
+
+    /// A store whose next load of `held` parks after reading the device,
+    /// until the test releases it.
+    struct SlowStore {
+        inner: Arc<TestStore>,
+        held: PageId,
+        hold: std::sync::Mutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
+    }
+
+    impl PageStore for SlowStore {
+        fn load(&self, id: PageId) -> StorageResult<Page> {
+            let page = self.inner.load(id)?;
+            if id == self.held {
+                let hold = self.hold.lock().unwrap().take();
+                if let Some((loaded, release)) = hold {
+                    loaded.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+            }
+            Ok(page)
+        }
+
+        fn store(&self, page: &mut Page) -> StorageResult<()> {
+            self.inner.store(page)
+        }
+
+        fn page_size_of(&self, segment: u32) -> StorageResult<PageSize> {
+            self.inner.page_size_of(segment)
+        }
+    }
+
+    /// A miss that read the device while another thread installed,
+    /// changed and wrote back the same page must not install its stale
+    /// copy over that change: it reads the page again.
+    #[test]
+    fn miss_racing_an_install_and_write_back_reads_again() {
+        let (loaded_tx, loaded_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let store = Arc::new(SlowStore {
+            inner: TestStore::new(&[PageSize::Half]),
+            held: id(0, 0),
+            hold: std::sync::Mutex::new(Some((loaded_tx, release_rx))),
+        });
+        let buf = BufferManager::new(Arc::clone(&store) as Arc<dyn PageStore>, 4 * 512);
+        {
+            let mut g = buf.fix_new(id(0, 0), PageType::Data).unwrap();
+            g.write_payload(b"old").unwrap();
+        }
+        buf.evict_all().unwrap();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| buf.fix(id(0, 0)).unwrap().payload().to_vec());
+            loaded_rx.recv().unwrap(); // the reader holds the device's "old"
+            {
+                let mut g = buf.fix_mut(id(0, 0)).unwrap();
+                g.write_payload(b"new").unwrap();
+            }
+            buf.evict_all().unwrap(); // "new" is on the device, the frame gone
+            release_tx.send(()).unwrap();
+            assert_eq!(reader.join().unwrap(), b"new");
+        });
+        let d = buf.stats().snapshot();
+        assert!(d.pages_loaded <= d.misses, "a re-read counts as a miss");
     }
 
     #[test]

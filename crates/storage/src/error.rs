@@ -39,6 +39,11 @@ pub enum StorageError {
     /// Block-device level failure (simulated device is infallible in normal
     /// operation; this fires on address arithmetic bugs or fault injection).
     DeviceError(String),
+    /// Redo met a page delta that neither applies to the rebuilt page
+    /// (its LSN is not the delta's base) nor is already contained in it
+    /// (its LSN is below the delta's): a record the page depends on is
+    /// missing from the log.
+    RedoBaseMismatch { page: PageRefDesc, lsn: u64, base_lsn: u64, page_lsn: u64 },
 }
 
 /// A plain (segment, page) pair for error reporting, avoiding a dependency
@@ -84,6 +89,11 @@ impl fmt::Display for StorageError {
                 write!(f, "payload of {len} bytes exceeds page capacity {max}")
             }
             StorageError::DeviceError(msg) => write!(f, "device error: {msg}"),
+            StorageError::RedoBaseMismatch { page, lsn, base_lsn, page_lsn } => write!(
+                f,
+                "redo: delta {lsn} on page {page} is based on LSN {base_lsn}, \
+                 but the page is at LSN {page_lsn}"
+            ),
         }
     }
 }

@@ -152,6 +152,8 @@ struct FaultState {
     /// The drive cache: acknowledged block writes that no completed
     /// barrier has persisted yet. BTreeMap for deterministic drain order.
     cache: BTreeMap<BlockAddr, Vec<u8>>,
+    /// The WAL batch whose append the crash interrupted, if it did.
+    torn_wal: Option<Vec<u8>>,
 }
 
 /// Controls for parking callers *inside* [`BlockDevice::wal_append`] —
@@ -213,6 +215,7 @@ impl FaultDisk {
                 armed: None,
                 fail_appends: 0,
                 cache: BTreeMap::new(),
+                torn_wal: None,
             }, rank::DEVICE),
             gate: Mutex::new_ranked(StallGate { hold: false, stalled: 0 }, rank::DEVICE + 1),
             gate_cv: Condvar::new(),
@@ -273,6 +276,13 @@ impl FaultDisk {
     /// the one carrying this commit").
     pub fn arm(&self, crash: CrashPoint) {
         self.state.lock().armed = Some(crash);
+    }
+
+    /// The WAL batch whose append the crash interrupted (whatever prefix
+    /// of it persisted), if the crash hit a WAL append — crash tests
+    /// decode it to see which records a schedule tore.
+    pub fn torn_wal_batch(&self) -> Option<Vec<u8>> {
+        self.state.lock().torn_wal.clone()
     }
 
     /// The persisted image: the inner device, which after the crash holds
@@ -530,6 +540,7 @@ impl BlockDevice for FaultDisk {
             // area, optionally with bit rot inside the fragment. Replay
             // must stop at the damage — everything in this batch belongs
             // to work that was never acknowledged.
+            st.torn_wal = Some(bytes.to_vec());
             if self.schedule.torn_in_flight && !bytes.is_empty() {
                 let cut = (st.roll() as usize) % (bytes.len() + 1);
                 let mut frag = bytes[..cut].to_vec();
@@ -637,6 +648,7 @@ mod tests {
         assert!(log.len() >= 64, "first append fully persisted");
         assert!(log.len() < 128, "second append at most a torn prefix");
         assert!(log[..64].iter().all(|&b| b == 1));
+        assert_eq!(fault.torn_wal_batch(), Some(vec![2u8; 64]), "the interrupted batch");
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!   access system            physical records          (prima-access)
 //!   ─────────────────────── pages / page sequences ───────────────────
 //!   storage system           segments · buffer · WAL   (this crate)
-//!       │  fix/unfix          │ update-unfix appends a page image
+//!       │  fix/unfix          │ update-unfix appends a page image or delta
 //!       │  flush/evict        │ force-before-store (WAL-before-data)
 //!       │  checkpoint()       │ flush + catalog snapshot + log truncate
 //!   ─────────────────────── blocks · log area · meta blob ────────────
@@ -46,9 +46,11 @@
 //! ```
 //!
 //! * The **log** ([`wal::Wal`]) is an append-only companion to the block
-//!   files: LSN-stamped records (page after-images for physical redo,
-//!   transaction brackets and logical-undo payloads from the layer
-//!   above), group-appended and forced on commit. [`Wal::commit`] is the
+//!   files: LSN-stamped records (physical redo — a page's first change
+//!   since the last checkpoint as a full image, every later one as a
+//!   byte-range delta on the page's header LSN — plus transaction
+//!   brackets and logical-undo payloads from the layer above),
+//!   group-appended and forced on commit. [`Wal::commit`] is the
 //!   commit durability point and implements **cross-session group
 //!   commit**: a committer appends its `TxnCommit` record and either
 //!   *leads* — performs one device force covering every in-flight
@@ -74,9 +76,13 @@
 //!   catalog into the device's metadata blob, and truncates the log —
 //!   bounding restart work to the log tail.
 //! * **Restart** is orchestrated one layer up (`Prima::open`): restore
-//!   the directory from the snapshot, redo the log tail's page images,
-//!   rebuild access-layer state by scanning, then roll back losers with
-//!   the logged undo payloads.
+//!   the directory from the snapshot, redo the log tail
+//!   ([`segment::StorageSystem::redo`]: each page rebuilt from its image
+//!   plus deltas and written once), rebuild access-layer state by
+//!   scanning, then roll back losers with the logged undo payloads.
+//!   Every page changed since the checkpoint has a full image in the
+//!   log, so a data page torn on the device is rebuilt without a
+//!   double-write buffer.
 //!
 //! ## Fault model: acknowledged vs persisted image
 //!

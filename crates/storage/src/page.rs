@@ -7,11 +7,14 @@
 //!
 //! Every page carries a fixed header "used for identification, description,
 //! and fault tolerance": a type tag, its own id (so a misdirected read is
-//! detectable), a payload length, page-sequence linkage fields, and a
-//! checksum over the payload.
+//! detectable), a payload length, page-sequence linkage fields, a
+//! checksum over the payload, and the **page LSN** — the LSN of the
+//! newest log record that describes the page, which makes redo of a
+//! byte-range delta idempotent (see [`crate::wal`]).
 
-use crate::bytes::le_u32;
+use crate::bytes::{le_u16, le_u32, le_u64};
 use crate::error::{PageRefDesc, StorageError, StorageResult};
+use crate::wal::Lsn;
 
 /// The five page sizes supported by the storage system (in bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -145,11 +148,12 @@ impl PageType {
 /// 3      flags (bit 0: dirty-on-disk marker used by fault-tolerance tests)
 /// 4..8   segment id
 /// 8..12  page number
-/// 12..16 payload length actually used
+/// 12..14 payload length actually used (pages are at most 8 KiB)
+/// 14..16 page-sequence position (index of this component; 0 for header;
+///        a sequence indexes at most 2 038 components)
 /// 16..20 page-sequence link: header page number (or u32::MAX)
-/// 20..24 page-sequence position (index of this component; 0 for header)
-/// 24..28 checksum over used payload
-/// 28..32 reserved
+/// 20..24 checksum over the rest of the header and the used payload
+/// 24..32 page LSN: newest log record describing this page (0 = none)
 /// ```
 pub const PAGE_HEADER_LEN: usize = 32;
 
@@ -224,7 +228,7 @@ impl Page {
 
     /// Number of payload bytes in use.
     pub fn payload_len(&self) -> usize {
-        le_u32(&self.buf[12..16]) as usize
+        le_u16(&self.buf[12..14]) as usize
     }
 
     /// Read-only view of the used payload.
@@ -249,7 +253,7 @@ impl Page {
         if len > self.size.payload() {
             return Err(StorageError::PayloadTooLarge { len, max: self.size.payload() });
         }
-        self.buf[12..16].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[12..14].copy_from_slice(&(len as u16).to_le_bytes());
         Ok(())
     }
 
@@ -264,17 +268,32 @@ impl Page {
     /// (None if not in a sequence) and position within the sequence.
     pub fn seq_link(&self) -> (Option<u32>, u32) {
         let hdr = le_u32(&self.buf[16..20]);
-        let pos = le_u32(&self.buf[20..24]);
+        let pos = le_u16(&self.buf[14..16]) as u32;
         (if hdr == NO_LINK { None } else { Some(hdr) }, pos)
     }
 
+    /// Sets the page-sequence linkage; `pos` is below
+    /// [`crate::PageSequence::max_components`], which fits 16 bits.
     pub fn set_seq_link(&mut self, header: Option<u32>, pos: u32) {
+        debug_assert!(pos <= u16::MAX as u32, "sequence position {pos} exceeds 16 bits");
+        self.buf[14..16].copy_from_slice(&(pos as u16).to_le_bytes());
         self.buf[16..20].copy_from_slice(&header.unwrap_or(NO_LINK).to_le_bytes());
-        self.buf[20..24].copy_from_slice(&pos.to_le_bytes());
+    }
+
+    /// LSN of the newest log record describing this page (`0`: none
+    /// since the page was created).
+    pub fn lsn(&self) -> Lsn {
+        le_u64(&self.buf[24..32])
+    }
+
+    /// Stamps the page LSN; the buffer calls this after logging a change,
+    /// redo after applying one.
+    pub fn set_lsn(&mut self, lsn: Lsn) {
+        self.buf[24..32].copy_from_slice(&lsn.to_le_bytes());
     }
 
     fn stored_checksum(&self) -> u32 {
-        le_u32(&self.buf[24..28])
+        le_u32(&self.buf[20..24])
     }
 
     fn compute_checksum(&self) -> u32 {
@@ -287,22 +306,36 @@ impl Page {
                 h = h.wrapping_mul(0x0100_0193);
             }
         };
-        feed(&self.buf[0..16]);
-        feed(&self.buf[16..24]);
+        feed(&self.buf[0..20]);
+        feed(&self.buf[24..PAGE_HEADER_LEN]);
         feed(self.payload());
         h
     }
 
-    /// Recomputes and stores the checksum; called by the buffer manager
-    /// before write-back.
+    /// Recomputes and stores the checksum; called on write-back and by
+    /// redo for every page it rebuilds (a buffered page's checksum is
+    /// stale while it is being updated).
     pub fn update_checksum(&mut self) {
         let c = self.compute_checksum();
-        self.buf[24..28].copy_from_slice(&c.to_le_bytes());
+        self.buf[20..24].copy_from_slice(&c.to_le_bytes());
     }
 
     /// Raw bytes for transfer to the device.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// Raw bytes, writable — redo applies logged byte ranges here.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
+    /// A page over raw logged bytes, without the checksum and identity
+    /// checks of [`Page::from_bytes`]: a logged image carries the stale
+    /// checksum of a page that was still being updated. Redo recomputes
+    /// the checksum before the page reaches the device.
+    pub(crate) fn from_log_image(size: PageSize, bytes: &[u8]) -> Page {
+        Page { size, buf: bytes.into() }
     }
 }
 
@@ -331,9 +364,11 @@ mod tests {
         let mut p = Page::new(id, PageSize::K1, PageType::Data);
         p.write_payload(b"engineering objects").unwrap();
         p.set_seq_link(Some(5), 3);
+        p.set_lsn(0x1_0000_0007);
         p.update_checksum();
         let q = Page::from_bytes(id, PageSize::K1, p.as_bytes()).unwrap();
         assert_eq!(q.id(), id);
+        assert_eq!(q.lsn(), 0x1_0000_0007);
         assert_eq!(q.page_type(), PageType::Data);
         assert_eq!(q.payload(), b"engineering objects");
         assert_eq!(q.seq_link(), (Some(5), 3));
@@ -356,6 +391,21 @@ mod tests {
         p.update_checksum();
         let mut bytes = p.as_bytes().to_vec();
         bytes[PAGE_HEADER_LEN] ^= 0xff;
+        assert!(matches!(
+            Page::from_bytes(id, PageSize::Half, &bytes),
+            Err(StorageError::ChecksumMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn page_lsn_is_checksummed() {
+        let id = PageId::new(1, 1);
+        let mut p = Page::new(id, PageSize::Half, PageType::Data);
+        assert_eq!(p.lsn(), 0, "a fresh page has no log record");
+        p.set_lsn(42);
+        p.update_checksum();
+        let mut bytes = p.as_bytes().to_vec();
+        bytes[24] ^= 0x01;
         assert!(matches!(
             Page::from_bytes(id, PageSize::Half, &bytes),
             Err(StorageError::ChecksumMismatch(_))

@@ -17,9 +17,10 @@ use crate::disk::{BlockAddr, BlockDevice};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PageSize, PageType};
 use crate::stats::IoStats;
-use crate::wal::Wal;
+use crate::wal::{Wal, WalRecord};
 use parking_lot::{rank, RwLock};
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Identifier of a segment (also the file number on the device).
@@ -333,28 +334,87 @@ impl StorageSystem {
         }
     }
 
-    /// Redo: installs a logged page after-image directly on the device
-    /// (bypassing the buffer — recovery runs before any page is fixed)
-    /// and extends the owning segment's extent to cover pages allocated
-    /// after the snapshot was taken. Idempotent.
-    pub fn apply_page_image(&self, id: PageId, bytes: &[u8]) -> StorageResult<()> {
-        {
-            let mut segs = self.store.segments.write();
-            let seg =
-                segs.get_mut(&id.segment).ok_or(StorageError::UnknownSegment(id.segment))?;
-            if bytes.len() != seg.page_size.bytes() {
-                return Err(StorageError::DeviceError(format!(
-                    "redo image for {id} has {} bytes, segment page size is {}",
-                    bytes.len(),
-                    seg.page_size.bytes()
-                )));
-            }
-            if id.page >= seg.next_page {
-                seg.allocated += (id.page + 1 - seg.next_page) as u64;
-                seg.next_page = id.page + 1;
+    /// Redo: rebuilds every page the log describes in memory, then
+    /// writes each one once, checksummed, directly to the device
+    /// (bypassing the buffer — recovery runs before any page is fixed).
+    /// Returns the number of pages written.
+    ///
+    /// A page starts from its image in the log; a page whose first
+    /// record is a delta (re-appended across a checkpoint's log reset)
+    /// starts from the device. A delta applies iff the page's LSN equals
+    /// its base, and is skipped when the page's LSN is already at or past
+    /// the delta's own; anything else is a
+    /// [`StorageError::RedoBaseMismatch`]. Replaying a log twice writes
+    /// the same pages. Owning segments' extents grow to cover pages
+    /// allocated after the snapshot was taken.
+    pub fn redo(&self, records: &[WalRecord]) -> StorageResult<usize> {
+        let mut pages: BTreeMap<PageId, Page> = BTreeMap::new();
+        for rec in records {
+            match rec {
+                WalRecord::PageImage { lsn, page: id, bytes } => {
+                    let size = self.redo_extent(*id)?;
+                    if bytes.len() != size.bytes() {
+                        return Err(StorageError::DeviceError(format!(
+                            "redo image for {id} has {} bytes, segment page size is {}",
+                            bytes.len(),
+                            size.bytes()
+                        )));
+                    }
+                    let mut page = Page::from_log_image(size, bytes);
+                    page.set_lsn(*lsn);
+                    pages.insert(*id, page);
+                }
+                WalRecord::PageDelta { lsn, page: id, base_lsn, ranges } => {
+                    let page = match pages.entry(*id) {
+                        Entry::Occupied(e) => e.into_mut(),
+                        Entry::Vacant(e) => {
+                            self.redo_extent(*id)?;
+                            e.insert(self.store.load(*id)?)
+                        }
+                    };
+                    if page.lsn() != *base_lsn {
+                        if page.lsn() >= *lsn {
+                            continue;
+                        }
+                        return Err(StorageError::RedoBaseMismatch {
+                            page: id.desc(),
+                            lsn: *lsn,
+                            base_lsn: *base_lsn,
+                            page_lsn: page.lsn(),
+                        });
+                    }
+                    let buf = page.bytes_mut();
+                    for (off, bytes) in ranges {
+                        let start = *off as usize;
+                        buf.get_mut(start..start + bytes.len())
+                            .ok_or_else(|| {
+                                StorageError::DeviceError(format!(
+                                    "redo delta {lsn} writes past the end of page {id}"
+                                ))
+                            })?
+                            .copy_from_slice(bytes);
+                    }
+                    page.set_lsn(*lsn);
+                }
+                _ => {}
             }
         }
-        self.store.device.write_block(BlockAddr::new(id.segment, id.page), bytes)
+        for page in pages.values_mut() {
+            self.store.store(page)?;
+        }
+        Ok(pages.len())
+    }
+
+    /// Extends `id`'s segment to cover it (pages allocated after the
+    /// checkpoint snapshot) and returns the segment's page size.
+    fn redo_extent(&self, id: PageId) -> StorageResult<PageSize> {
+        let mut segs = self.store.segments.write();
+        let seg = segs.get_mut(&id.segment).ok_or(StorageError::UnknownSegment(id.segment))?;
+        if id.page >= seg.next_page {
+            seg.allocated += (id.page + 1 - seg.next_page) as u64;
+            seg.next_page = id.page + 1;
+        }
+        Ok(seg.page_size)
     }
 
     /// Reads `count` contiguous pages starting at `first` in one chained

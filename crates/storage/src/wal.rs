@@ -5,9 +5,16 @@
 //! has carried between Fig. 3.1's storage system and the devices: an
 //! append-only, LSN-stamped log with
 //!
-//! * **physical redo** — full page images captured when an updater unfixes
-//!   a dirty page ([`crate::buffer::BufferManager`] stamps the frame's
-//!   `recovery_lsn`);
+//! * **physical redo** — written when an updater unfixes a page
+//!   ([`crate::buffer::BufferManager`] stamps the frame's `recovery_lsn`
+//!   and the page's header LSN with the record's LSN). The first logged
+//!   change of a page since the last truncation ([`Wal::reset`]) is a
+//!   full `PageImage`; every later one is a `PageDelta`: only the byte
+//!   ranges that changed, plus `base_lsn`, the page LSN the change was
+//!   made on. Redo applies a delta iff the rebuilt page's LSN equals its
+//!   base, so replay is idempotent. Because every page changed since a
+//!   checkpoint has a full image in the log, a torn data page is rebuilt
+//!   from its image without a double-write buffer;
 //! * **logical undo** — opaque payloads the transaction layer serialises
 //!   (inverse atom operations), tagged with their top-level transaction;
 //! * **transaction brackets** — begin / commit / abort records; commit
@@ -37,14 +44,18 @@
 //! reaches the device while its `recovery_lsn` exceeds
 //! [`Wal::flushed_lsn`]. The transaction layer keeps the companion
 //! invariant that a statement's undo record is appended *before* any of
-//! its page images, so a forced prefix never contains a redo without the
+//! its page records, so a forced prefix never contains a redo without the
 //! matching undo.
 //!
 //! On-device format: a sequence of `[u32 body_len][u32 crc][body]`
-//! records; `body = [u8 kind][u64 lsn][fields]`. Replay stops at the
-//! first truncated or corrupt record — the torn tail of a crash.
+//! records; `body = [u8 kind][u64 lsn][fields]`, where a page image's
+//! fields are `[u32 segment][u32 page][u32 len][bytes]` and a page
+//! delta's are `[u32 segment][u32 page][u64 base_lsn][u16 ranges]`
+//! followed by `ranges × [u16 offset][u16 len][bytes]`. The CRC is the
+//! IEEE CRC-32 of `body`. Replay stops at the first truncated or corrupt
+//! record — the torn tail of a crash.
 
-use crate::bytes::{le_u32, le_u64};
+use crate::bytes::{le_u16, le_u32, le_u64};
 use crate::disk::BlockDevice;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
@@ -62,6 +73,16 @@ const KIND_TXN_COMMIT: u8 = 3;
 const KIND_TXN_ABORT: u8 = 4;
 const KIND_UNDO: u8 = 5;
 const KIND_CHECKPOINT: u8 = 6;
+const KIND_PAGE_DELTA: u8 = 7;
+
+/// Bytes of one range header in a page delta (`[u16 offset][u16 len]`).
+/// Two changed ranges separated by at most this many unchanged bytes are
+/// logged as one: the merged range is never longer than the two apart.
+pub const DELTA_RANGE_HEADER: usize = 4;
+
+/// One changed range of a page delta as appended: `(offset, len)` into
+/// the page's bytes.
+pub type DeltaRange = (u16, u16);
 
 /// Tuning knobs for cross-session group commit (see [`Wal::commit`]).
 ///
@@ -93,8 +114,12 @@ impl Default for GroupCommitConfig {
 /// [`Wal::append`]).
 #[derive(Debug)]
 pub enum WalPayload<'a> {
-    /// Full after-image of one page (physical redo).
+    /// Full after-image of one page (physical redo): the page's first
+    /// logged change since the last truncation.
     PageImage { page: PageId, bytes: &'a [u8] },
+    /// The byte ranges of `bytes` (the page's after-image) that changed
+    /// since the record with LSN `base_lsn`; only the ranges are logged.
+    PageDelta { page: PageId, base_lsn: Lsn, bytes: &'a [u8], ranges: &'a [DeltaRange] },
     /// Top-level transaction started.
     TxnBegin { txn: u64 },
     /// Top-level transaction committed (the append is followed by a
@@ -114,6 +139,8 @@ pub enum WalPayload<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     PageImage { lsn: Lsn, page: PageId, bytes: Vec<u8> },
+    /// `ranges` are `(offset, new bytes)` pairs.
+    PageDelta { lsn: Lsn, page: PageId, base_lsn: Lsn, ranges: Vec<(u16, Vec<u8>)> },
     TxnBegin { lsn: Lsn, txn: u64 },
     TxnCommit { lsn: Lsn, txn: u64 },
     TxnAbort { lsn: Lsn, txn: u64 },
@@ -126,6 +153,7 @@ impl WalRecord {
     pub fn lsn(&self) -> Lsn {
         match self {
             WalRecord::PageImage { lsn, .. }
+            | WalRecord::PageDelta { lsn, .. }
             | WalRecord::TxnBegin { lsn, .. }
             | WalRecord::TxnCommit { lsn, .. }
             | WalRecord::TxnAbort { lsn, .. }
@@ -174,6 +202,10 @@ pub struct Wal {
     config: GroupCommitConfig,
     next_lsn: AtomicU64,
     flushed: AtomicU64,
+    /// First LSN assigned after the last truncation: a page whose LSN is
+    /// below it has no record in the log, so its next change is logged
+    /// as a full image.
+    reset_lsn: AtomicU64,
     /// Set when a device append failed mid-batch: the log may carry a
     /// durable torn fragment, and appending *past* it would put records
     /// where replay (which stops at the first corrupt record) can never
@@ -194,18 +226,42 @@ impl std::fmt::Debug for Wal {
     }
 }
 
+/// Byte-at-a-time lookup table of the reflected IEEE polynomial.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 == 1 { (c >> 1) ^ 0xedb8_8320 } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected) — a real CRC, not a hash:
 /// torn tails are exactly the burst errors CRCs guarantee to detect.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = CRC_TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// Writes a record body's `[u8 kind][u64 lsn]` head.
+fn put_head(buf: &mut Vec<u8>, kind: u8, lsn: Lsn) {
+    buf.push(kind);
+    buf.extend_from_slice(&lsn.to_le_bytes());
+}
+
+fn put_page(buf: &mut Vec<u8>, page: PageId) {
+    buf.extend_from_slice(&page.segment.to_le_bytes());
+    buf.extend_from_slice(&page.page.to_le_bytes());
 }
 
 impl Wal {
@@ -241,6 +297,7 @@ impl Wal {
             config,
             next_lsn: AtomicU64::new(first_lsn),
             flushed: AtomicU64::new(first_lsn - 1),
+            reset_lsn: AtomicU64::new(first_lsn),
             poisoned: AtomicBool::new(false),
         })
     }
@@ -260,6 +317,10 @@ impl Wal {
     /// LSN. Not durable until a force covers it. Fails fast on a
     /// poisoned log — buffering records that can never become durable
     /// would only defer the error to commit time.
+    ///
+    /// The record is encoded straight into the buffer: the `[len][crc]`
+    /// slot is reserved, the body written after it, and the slot filled
+    /// in once the body's length and CRC are known.
     pub fn append(&self, payload: WalPayload<'_>) -> StorageResult<Lsn> {
         let probe_t = crate::probe::timer();
         let is_commit = matches!(payload, WalPayload::TxnCommit { .. });
@@ -267,52 +328,57 @@ impl Wal {
         self.check_poison()?;
         // LSN assignment under the buffer lock: file order == LSN order.
         let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-        let mut body = Vec::with_capacity(16);
+        let buf = &mut inner.pending;
+        let start = buf.len();
+        buf.extend_from_slice(&[0u8; 8]);
         match payload {
             WalPayload::PageImage { page, bytes } => {
-                body.push(KIND_PAGE_IMAGE);
-                body.extend_from_slice(&lsn.to_le_bytes());
-                body.extend_from_slice(&page.segment.to_le_bytes());
-                body.extend_from_slice(&page.page.to_le_bytes());
-                body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                body.extend_from_slice(bytes);
+                put_head(buf, KIND_PAGE_IMAGE, lsn);
+                put_page(buf, page);
+                buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                buf.extend_from_slice(bytes);
+            }
+            WalPayload::PageDelta { page, base_lsn, bytes, ranges } => {
+                put_head(buf, KIND_PAGE_DELTA, lsn);
+                put_page(buf, page);
+                buf.extend_from_slice(&base_lsn.to_le_bytes());
+                buf.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
+                for &(off, len) in ranges {
+                    buf.extend_from_slice(&off.to_le_bytes());
+                    buf.extend_from_slice(&len.to_le_bytes());
+                    buf.extend_from_slice(&bytes[off as usize..off as usize + len as usize]);
+                }
             }
             WalPayload::TxnBegin { txn } => {
-                body.push(KIND_TXN_BEGIN);
-                body.extend_from_slice(&lsn.to_le_bytes());
-                body.extend_from_slice(&txn.to_le_bytes());
+                put_head(buf, KIND_TXN_BEGIN, lsn);
+                buf.extend_from_slice(&txn.to_le_bytes());
             }
             WalPayload::TxnCommit { txn } => {
-                body.push(KIND_TXN_COMMIT);
-                body.extend_from_slice(&lsn.to_le_bytes());
-                body.extend_from_slice(&txn.to_le_bytes());
+                put_head(buf, KIND_TXN_COMMIT, lsn);
+                buf.extend_from_slice(&txn.to_le_bytes());
             }
             WalPayload::TxnAbort { txn } => {
-                body.push(KIND_TXN_ABORT);
-                body.extend_from_slice(&lsn.to_le_bytes());
-                body.extend_from_slice(&txn.to_le_bytes());
+                put_head(buf, KIND_TXN_ABORT, lsn);
+                buf.extend_from_slice(&txn.to_le_bytes());
             }
             WalPayload::Undo { txn, payload } => {
-                body.push(KIND_UNDO);
-                body.extend_from_slice(&lsn.to_le_bytes());
-                body.extend_from_slice(&txn.to_le_bytes());
-                body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                body.extend_from_slice(payload);
+                put_head(buf, KIND_UNDO, lsn);
+                buf.extend_from_slice(&txn.to_le_bytes());
+                buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                buf.extend_from_slice(payload);
             }
-            WalPayload::Checkpoint => {
-                body.push(KIND_CHECKPOINT);
-                body.extend_from_slice(&lsn.to_le_bytes());
-            }
+            WalPayload::Checkpoint => put_head(buf, KIND_CHECKPOINT, lsn),
         }
-        inner.pending.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        inner.pending.extend_from_slice(&crc32(&body).to_le_bytes());
-        inner.pending.extend_from_slice(&body);
+        let record_len = buf.len() - start;
+        let crc = crc32(&buf[start + 8..]);
+        buf[start..start + 4].copy_from_slice(&((record_len - 8) as u32).to_le_bytes());
+        buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         inner.buffered = lsn;
         if is_commit {
             inner.pending_commits += 1;
         }
         drop(inner);
-        crate::probe::emit_elapsed(probe_t, crate::probe::ProbeEvent::WalAppend, (body.len() + 8) as u64);
+        crate::probe::emit_elapsed(probe_t, crate::probe::ProbeEvent::WalAppend, record_len as u64);
         if is_commit {
             // A leader may be lingering for exactly this record.
             self.group_cv.notify_all();
@@ -470,6 +536,21 @@ impl Wal {
         self.inner.lock().buffered
     }
 
+    /// First LSN assigned after the last truncation ([`Wal::reset`]; for
+    /// a new log, its first LSN). A page whose header LSN is below it has
+    /// no record in the log, so its next logged change must be a full
+    /// image.
+    pub fn reset_lsn(&self) -> Lsn {
+        self.reset_lsn.load(Ordering::Relaxed)
+    }
+
+    /// Records appended but not durable: the group buffer, which after a
+    /// failed force also holds that force's batch. Crash tests compare it
+    /// with what replay finds on the device.
+    pub fn unforced(&self) -> StorageResult<Vec<WalRecord>> {
+        Self::decode(&self.inner.lock().pending)
+    }
+
     /// Truncates the device's log area (checkpoint: everything
     /// redo-relevant up to the force that preceded the flush is now in
     /// the flushed pages and metadata snapshot). Records still *pending*
@@ -496,6 +577,7 @@ impl Wal {
         }
         inner.pending_commits = 0;
         self.flushed.store(inner.buffered, Ordering::Relaxed);
+        self.reset_lsn.store(inner.buffered + 1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -503,7 +585,12 @@ impl Wal {
     /// first truncated or checksum-failing record (a crash's torn tail);
     /// corruption *before* valid records is reported as an error.
     pub fn replay(device: &Arc<dyn BlockDevice>) -> StorageResult<Vec<WalRecord>> {
-        let bytes = device.wal_contents()?;
+        Self::decode(&device.wal_contents()?)
+    }
+
+    /// Decodes a byte stream in the on-device format, with
+    /// [`replay`](Self::replay)'s torn-tail rule.
+    pub fn decode(bytes: &[u8]) -> StorageResult<Vec<WalRecord>> {
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos + 8 <= bytes.len() {
@@ -538,6 +625,24 @@ impl Wal {
         let lsn = le_u64(&body[1..9]);
         let rest = &body[9..];
         Some(match kind {
+            KIND_PAGE_DELTA => {
+                if rest.len() < 18 {
+                    return None;
+                }
+                let page = PageId::new(le_u32(&rest[0..4]), le_u32(&rest[4..8]));
+                let base_lsn = le_u64(&rest[8..16]);
+                let n = le_u16(&rest[16..18]) as usize;
+                let mut ranges = Vec::with_capacity(n);
+                let mut pos = 18;
+                for _ in 0..n {
+                    let head = rest.get(pos..pos + DELTA_RANGE_HEADER)?;
+                    let (off, len) = (le_u16(&head[0..2]), le_u16(&head[2..4]) as usize);
+                    pos += DELTA_RANGE_HEADER;
+                    ranges.push((off, rest.get(pos..pos + len)?.to_vec()));
+                    pos += len;
+                }
+                WalRecord::PageDelta { lsn, page, base_lsn, ranges }
+            }
             KIND_PAGE_IMAGE => {
                 if rest.len() < 12 {
                     return None;
@@ -623,6 +728,88 @@ mod tests {
             WalRecord::PageImage { lsn: 3, page: PageId::new(2, 9), bytes: vec![1, 2, 3, 4] }
         );
         assert_eq!(recs[3], WalRecord::TxnCommit { lsn: 4, txn: 7 });
+    }
+
+    /// The table-driven CRC keeps the bitwise definition's values: the
+    /// IEEE check value pins the on-disk format.
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// A record is framed as `[len][crc][body]` with the CRC over exactly
+    /// the body, although `append` encodes it in place.
+    #[test]
+    fn record_frame_covers_the_body() {
+        let dev = device();
+        let wal = Wal::new(Arc::clone(&dev));
+        wal.append(WalPayload::Undo { txn: 3, payload: b"abc" }).unwrap();
+        wal.force().unwrap();
+        let log = dev.wal_contents().unwrap();
+        let len = le_u32(&log[0..4]) as usize;
+        assert_eq!(log.len(), 8 + len);
+        assert_eq!(le_u32(&log[4..8]), crc32(&log[8..]));
+    }
+
+    fn delta<'a>(base_lsn: Lsn, bytes: &'a [u8], ranges: &'a [DeltaRange]) -> WalPayload<'a> {
+        WalPayload::PageDelta { page: PageId::new(1, 4), base_lsn, bytes, ranges }
+    }
+
+    #[test]
+    fn page_delta_round_trips() {
+        let dev = device();
+        let wal = Wal::new(Arc::clone(&dev));
+        let page: Vec<u8> = (0..64u8).collect();
+        let lsn = wal.append(delta(9, &page, &[(2, 3), (40, 1)])).unwrap();
+        wal.force().unwrap();
+        assert_eq!(
+            Wal::replay(&dev).unwrap(),
+            vec![WalRecord::PageDelta {
+                lsn,
+                page: PageId::new(1, 4),
+                base_lsn: 9,
+                ranges: vec![(2, vec![2, 3, 4]), (40, vec![40])],
+            }]
+        );
+    }
+
+    /// A delta cut at any byte, or with a flipped bit, ends replay right
+    /// before it; the complete delta in front survives.
+    #[test]
+    fn torn_page_delta_stops_replay() {
+        let dev = device();
+        let wal = Wal::new(Arc::clone(&dev));
+        let page = vec![7u8; 64];
+        wal.append(delta(1, &page, &[(0, 8)])).unwrap();
+        wal.force().unwrap();
+        let first = dev.wal_contents().unwrap().len();
+        wal.append(delta(2, &page, &[(8, 16), (30, 2)])).unwrap();
+        wal.force().unwrap();
+        let log = dev.wal_contents().unwrap();
+        for cut in first..log.len() {
+            let recs = Wal::decode(&log[..cut]).unwrap();
+            assert_eq!(recs.len(), 1, "cut at byte {cut}");
+        }
+        for pos in first..log.len() {
+            let mut rotted = log.clone();
+            rotted[pos] ^= 0x40;
+            assert_eq!(Wal::decode(&rotted).unwrap().len(), 1, "bit flip at byte {pos}");
+        }
+        assert_eq!(Wal::decode(&log).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn reset_lsn_marks_the_truncation() {
+        let dev = device();
+        let wal = Wal::starting_at(Arc::clone(&dev), 5);
+        assert_eq!(wal.reset_lsn(), 5, "a new log starts at its first LSN");
+        wal.append(WalPayload::TxnBegin { txn: 1 }).unwrap();
+        wal.force().unwrap();
+        wal.append(WalPayload::TxnBegin { txn: 2 }).unwrap();
+        wal.reset().unwrap();
+        assert_eq!(wal.reset_lsn(), 7, "the first LSN after the reset");
+        assert!(wal.unforced().unwrap().is_empty(), "reset re-appended the pending record");
     }
 
     #[test]

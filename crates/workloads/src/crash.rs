@@ -9,9 +9,11 @@
 //! step by step in an in-memory model.
 //!
 //! When the crash fires (or [`run_crash_schedule`] pulls the plug at the
-//! end of the script), the kernel is discarded, the database is reopened
-//! from the **persisted image** with `Prima::open`-style restart
-//! recovery, and the recovered state is checked against the oracle:
+//! end of the script — during the force of whatever the log still
+//! buffers, so that batch is torn too), the kernel is discarded, the
+//! database is reopened from the **persisted image** with
+//! `Prima::open`-style restart recovery, and the recovered state is
+//! checked against the oracle:
 //!
 //! * **committed prefix** — the recovered database equals the model at
 //!   the last *acknowledged* commit. The only admissible alternative is
@@ -25,6 +27,10 @@
 //!   model recorded for them, and a post-recovery insert allocates an id
 //!   above everything the durable state ever contained.
 //!
+//! Each [`CrashReport`] also says where the crash cut the log relative
+//! to the page records: whether it tore a batch carrying page deltas,
+//! and whether it fell between a page's image and a delta of that page.
+//!
 //! Any violation panics with a one-line reproducer (`seed`, step count
 //! and the command to replay it); the whole run is deterministic from
 //! the seed.
@@ -32,9 +38,9 @@
 use prima::datasys::DmlResult;
 use prima::txn::TxnError;
 use prima::{LockConfig, Prima, PrimaError, QueryOptions, RetryPolicy, Value};
-use prima_storage::{BlockDevice, FaultDisk, FaultSchedule};
+use prima_storage::{BlockDevice, CrashPoint, FaultDisk, FaultSchedule, PageId, Wal, WalRecord};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -66,6 +72,67 @@ pub struct CrashReport {
     /// Whether the matched state was the in-flight commit rather than
     /// the last acknowledged one.
     pub in_flight_won: bool,
+    /// Whether the crash tore a WAL batch that carried page deltas.
+    pub tore_delta_batch: bool,
+    /// Whether the crash fell between a page's image and a delta of that
+    /// page: the image is durable, the delta lost.
+    pub image_then_lost_delta: bool,
+}
+
+impl CrashReport {
+    /// A crash during `build_with_ddl`: no workload ran.
+    fn bootstrap(seed: u64) -> CrashReport {
+        CrashReport {
+            seed,
+            steps_run: 0,
+            acked_commits: 0,
+            bootstrap_crash: true,
+            in_flight_won: false,
+            tore_delta_batch: false,
+            image_then_lost_delta: false,
+        }
+    }
+}
+
+/// Pulls the plug if the schedule never did. When the log still buffers
+/// records — the open transaction's undo and page records — the plug is
+/// pulled during the force that would carry them, so the schedule's
+/// torn-write options cut that batch instead of dropping it whole.
+fn pull_the_plug(fault: &FaultDisk, db: &Prima) {
+    if !fault.has_crashed() {
+        if let Some(wal) = db.storage().wal() {
+            if wal.buffered_lsn() > wal.flushed_lsn() {
+                fault.arm(CrashPoint::OnWalForce(fault.wal_forces() + 1));
+                assert!(wal.force().is_err(), "the armed force crashes the device");
+            }
+        }
+    }
+    fault.crash_now();
+}
+
+/// Where the crash cut the log, seen from the page records:
+/// `(tore_delta_batch, image_then_lost_delta)` of [`CrashReport`]. Call
+/// after the crash and before the crashed kernel is dropped: its group
+/// buffer holds the records that never became durable.
+fn log_cut(fault: &FaultDisk, db: &Prima) -> (bool, bool) {
+    let is_delta = |r: &WalRecord| matches!(r, WalRecord::PageDelta { .. });
+    let torn = fault.torn_wal_batch().map(|b| Wal::decode(&b).unwrap_or_default());
+    let tore_delta_batch = torn.is_some_and(|recs| recs.iter().any(is_delta));
+    let durable = Wal::replay(&fault.persisted_device()).unwrap_or_default();
+    let durable_lsn = durable.iter().map(WalRecord::lsn).max().unwrap_or(0);
+    let imaged: HashSet<PageId> = durable
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::PageImage { page, .. } => Some(*page),
+            _ => None,
+        })
+        .collect();
+    let lost = db.storage().wal().and_then(|w| w.unforced().ok()).unwrap_or_default();
+    let image_then_lost_delta = lost.iter().any(|r| {
+        matches!(r, WalRecord::PageDelta { lsn, page, .. }
+            if *lsn > durable_lsn && imaged.contains(page))
+    });
+    (tore_delta_batch, image_then_lost_delta)
 }
 
 fn repro(seed: u64, steps: usize, what: &str, detail: String) -> String {
@@ -158,13 +225,7 @@ pub fn run_crash_schedule(inner: Arc<dyn BlockDevice>, seed: u64, steps: usize) 
                     );
                 }
             }
-            return CrashReport {
-                seed,
-                steps_run: 0,
-                acked_commits: 0,
-                bootstrap_crash: true,
-                in_flight_won: false,
-            };
+            return CrashReport::bootstrap(seed);
         }
     };
 
@@ -324,7 +385,8 @@ pub fn run_crash_schedule(inner: Arc<dyn BlockDevice>, seed: u64, steps: usize) 
 
     // Pull the plug if the schedule never did: whatever is acknowledged
     // but unpersisted drains partially, exactly like a real power cut.
-    fault.crash_now();
+    pull_the_plug(&fault, &db);
+    let (tore_delta_batch, image_then_lost_delta) = log_cut(&fault, &db);
 
     // The device refuses everything now, so running the destructors is
     // equivalent to a process kill as far as the persisted image goes —
@@ -395,7 +457,15 @@ pub fn run_crash_schedule(inner: Arc<dyn BlockDevice>, seed: u64, steps: usize) 
     drop(s);
     check_metrics_coherence(&db, seed, steps, "after recovery + post-recovery insert");
 
-    CrashReport { seed, steps_run, acked_commits: acked, bootstrap_crash: false, in_flight_won }
+    CrashReport {
+        seed,
+        steps_run,
+        acked_commits: acked,
+        bootstrap_crash: false,
+        in_flight_won,
+        tore_delta_batch,
+        image_then_lost_delta,
+    }
 }
 
 /// Runs one seed-determined fault schedule with **multiple sessions** on
@@ -521,13 +591,7 @@ fn run_multi_session(
                     );
                 }
             }
-            return CrashReport {
-                seed,
-                steps_run: 0,
-                acked_commits: 0,
-                bootstrap_crash: true,
-                in_flight_won: false,
-            };
+            return CrashReport::bootstrap(seed);
         }
     };
 
@@ -846,7 +910,8 @@ fn run_multi_session(
         }
     }
 
-    fault.crash_now();
+    pull_the_plug(&fault, &db);
+    let (tore_delta_batch, image_then_lost_delta) = log_cut(&fault, &db);
     drop(readers);
     drop(writer);
     drop(db);
@@ -878,7 +943,15 @@ fn run_multi_session(
         ),
     };
     check_metrics_coherence(&db, seed, steps, "after multi-session recovery");
-    CrashReport { seed, steps_run, acked_commits: acked, bootstrap_crash: false, in_flight_won }
+    CrashReport {
+        seed,
+        steps_run,
+        acked_commits: acked,
+        bootstrap_crash: false,
+        in_flight_won,
+        tore_delta_batch,
+        image_then_lost_delta,
+    }
 }
 
 /// Per-committer outcome of the group-commit schedule (one per worker
@@ -956,13 +1029,7 @@ pub fn run_group_commit_schedule(
                     );
                 }
             }
-            return CrashReport {
-                seed,
-                steps_run: 0,
-                acked_commits: 0,
-                bootstrap_crash: true,
-                in_flight_won: false,
-            };
+            return CrashReport::bootstrap(seed);
         }
     };
 
@@ -1134,7 +1201,8 @@ pub fn run_group_commit_schedule(
         handles.into_iter().map(|h| h.join().expect("committer thread panicked")).collect()
     });
 
-    fault.crash_now();
+    pull_the_plug(&fault, &db);
+    let (tore_delta_batch, image_then_lost_delta) = log_cut(&fault, &db);
     drop(db);
 
     let db = match Prima::open_device(fault.persisted_device()) {
@@ -1185,6 +1253,8 @@ pub fn run_group_commit_schedule(
         acked_commits: outcomes.iter().map(|o| o.acked).sum(),
         bootstrap_crash: false,
         in_flight_won,
+        tore_delta_batch,
+        image_then_lost_delta,
     }
 }
 

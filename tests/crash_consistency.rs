@@ -33,6 +33,11 @@
 //! that deterministically reproduces it in one command; the fuzz loops
 //! below additionally collect and print all failing seeds before
 //! failing the test.
+//!
+//! Each leg also counts the schedules that tore a log batch carrying page
+//! deltas and those that crashed between a page's image and its delta,
+//! and fails if either count is zero: the fuzz must keep exercising the
+//! delta record.
 
 use prima::{Prima, QueryOptions, Value};
 use prima_storage::{BlockDevice, FileDisk, SimDisk, Wal};
@@ -79,6 +84,8 @@ fn fuzz_leg(
     let mut bootstrap = 0usize;
     let mut in_flight = 0usize;
     let mut commits = 0usize;
+    let mut tore_deltas = 0usize;
+    let mut image_then_lost = 0usize;
     for i in 0..count {
         let seed = base.wrapping_add(i);
         let inner = make_inner(seed);
@@ -86,10 +93,12 @@ fn fuzz_leg(
             runner(inner, seed, ops)
         }));
         match outcome {
-            Ok(CrashReport { bootstrap_crash, in_flight_won, acked_commits, .. }) => {
-                bootstrap += bootstrap_crash as usize;
-                in_flight += in_flight_won as usize;
-                commits += acked_commits;
+            Ok(r) => {
+                bootstrap += r.bootstrap_crash as usize;
+                in_flight += r.in_flight_won as usize;
+                commits += r.acked_commits;
+                tore_deltas += r.tore_delta_batch as usize;
+                image_then_lost += r.image_then_lost_delta as usize;
             }
             Err(_) => {
                 // The panic payload (with the PRIMA_FUZZ_REPRO line) has
@@ -101,7 +110,9 @@ fn fuzz_leg(
     }
     println!(
         "crash-fuzz [{leg}]: {count} schedules, {commits} acked commits, \
-         {bootstrap} bootstrap crashes, {in_flight} in-flight commits survived"
+         {bootstrap} bootstrap crashes, {in_flight} in-flight commits survived, \
+         {tore_deltas} tore a batch with page deltas, \
+         {image_then_lost} crashed between a page image and its delta"
     );
     assert!(
         failures.is_empty(),
@@ -111,6 +122,10 @@ fn fuzz_leg(
          PRIMA_FUZZ_OPS={ops} cargo test --test crash_consistency)",
         failures.len()
     );
+    // The fuzz must keep exercising the delta record: tearing it, and
+    // separating it from the image it is based on.
+    assert!(tore_deltas > 0, "[{leg}] no schedule tore a batch carrying page deltas");
+    assert!(image_then_lost > 0, "[{leg}] no schedule crashed between a page image and its delta");
 }
 
 #[test]

@@ -14,10 +14,17 @@
 //!   * after in-process rollback (no resurrection),
 //!   * after checkpoint + more commits (bounded redo),
 //!   * a proptest-style randomized interleaving of INSERT / MODIFY /
-//!     DELETE with commits at random positions.
+//!     DELETE with commits at random positions;
+//!   * page deltas: a torn data page rebuilt from its first-touch image
+//!     plus deltas, a crash between a forced image and its delta, a
+//!     delta whose base is missing, and a delta re-appended across a
+//!     log reset.
 
-use prima::{Prima, QueryOptions, Value};
-use prima_storage::{BlockDevice, SimDisk};
+use prima::{Prima, PrimaError, QueryOptions, Value};
+use prima_storage::{
+    BlockAddr, BlockDevice, Page, PageId, PageSize, PageType, SimDisk, StorageError,
+    StorageSystem, Wal, WalRecord,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -463,4 +470,211 @@ fn direct_modify_that_returned_survives_an_immediate_crash() {
     s.execute("INSERT part (part_no: 2, name: 'post')").unwrap();
     s.commit().unwrap();
     assert_eq!(part_nos(&db), vec![1, 2]);
+}
+
+// ---------------------------------------------------------------------
+// Page deltas: a page's first change after a checkpoint logs its full
+// image, every later change only the bytes it changed
+// ---------------------------------------------------------------------
+
+fn part_pages(db: &Prima) -> Vec<PageId> {
+    let t = db.schema().type_id("part").unwrap();
+    let seg = db.access().type_segments()[t as usize];
+    let extent = db.storage().with_segment(seg, |s| s.extent()).unwrap();
+    (0..extent).map(|p| PageId::new(seg, p)).collect()
+}
+
+fn modify_parts(db: &Prima, nos: std::ops::Range<i64>, name: &str) {
+    let s = db.session();
+    for n in nos {
+        s.execute(&format!("MODIFY part SET name = '{name}{n}' WHERE part_no = {n}")).unwrap();
+    }
+    s.commit().unwrap();
+}
+
+#[test]
+fn torn_data_page_is_rebuilt_from_its_first_touch_image_plus_deltas() {
+    let device: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
+    let db = build_on(Arc::clone(&device));
+    insert_parts(&db, 0..10);
+    db.checkpoint().unwrap();
+    modify_parts(&db, 0..10, "after-checkpoint");
+    insert_parts(&db, 10..15);
+    db.storage().flush().unwrap();
+
+    let log = Wal::replay(&device).unwrap();
+    let pages = part_pages(&db);
+    let size = db.storage().page_size(pages[0].segment).unwrap();
+    for &id in &pages {
+        let images = log
+            .iter()
+            .filter(|r| matches!(r, WalRecord::PageImage { page, .. } if *page == id))
+            .count();
+        assert_eq!(images, 1, "{id}: one image since the checkpoint");
+        // Tear the flushed page: its back half never reached the medium.
+        let addr = BlockAddr::new(id.segment, id.page);
+        let mut block = vec![0u8; size.bytes()];
+        device.read_block(addr, &mut block).unwrap();
+        block[size.bytes() / 2..].fill(0xA5);
+        device.write_block(addr, &block).unwrap();
+        assert!(Page::from_bytes(id, size, &block).is_err(), "{id} is torn");
+    }
+    assert!(
+        log.iter().any(|r| matches!(r, WalRecord::PageDelta { page, .. } if pages.contains(page))),
+        "later changes were logged as deltas"
+    );
+    let expect = names_by_no(&db);
+    crash(db);
+    let db = Prima::open_device(device).unwrap();
+    assert_eq!(names_by_no(&db), expect);
+}
+
+#[test]
+fn crash_after_a_forced_image_before_its_delta_keeps_the_imaged_commit() {
+    use prima_storage::{CrashPoint, FaultDisk, FaultSchedule};
+    let mut sched = FaultSchedule::manual(3);
+    sched.persist_pct = 0;
+    sched.torn_in_flight = false;
+    let fault = FaultDisk::new(Arc::new(SimDisk::new()), sched);
+    let db = build_on(Arc::clone(&fault) as Arc<dyn BlockDevice>);
+    insert_parts(&db, 0..5);
+    db.checkpoint().unwrap();
+    // The page's first change since the checkpoint: its commit forces
+    // the page's image.
+    modify_parts(&db, 1..2, "imaged");
+    // Its next change is a delta, and the force that carries it dies.
+    let s = db.session();
+    s.execute("MODIFY part SET name = 'lost' WHERE part_no = 2").unwrap();
+    fault.arm(CrashPoint::OnWalForce(fault.wal_forces() + 1));
+    assert!(s.commit().is_err());
+
+    let durable = Wal::replay(&fault.persisted_device()).unwrap();
+    let lost = db.storage().wal().unwrap().unforced().unwrap();
+    let lost_delta = lost
+        .iter()
+        .find_map(|r| match r {
+            WalRecord::PageDelta { page, base_lsn, .. } => Some((*page, *base_lsn)),
+            _ => None,
+        })
+        .expect("the lost batch carried a delta");
+    assert!(
+        durable.iter().any(|r| matches!(r,
+            WalRecord::PageImage { lsn, page, .. } if (*page, *lsn) == lost_delta)),
+        "the delta's base is the forced image"
+    );
+    std::mem::forget(s);
+    drop(db);
+    let db = Prima::open_device(fault.persisted_device()).unwrap();
+    let names = names_by_no(&db);
+    assert_eq!(names[&1], "imaged1");
+    assert_eq!(names[&2], "p2");
+}
+
+#[test]
+fn delta_whose_base_is_missing_is_a_typed_recovery_error() {
+    let device: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
+    let db = build_on(Arc::clone(&device));
+    insert_parts(&db, 0..5);
+    db.checkpoint().unwrap();
+    modify_parts(&db, 1..2, "first");
+    modify_parts(&db, 2..3, "second");
+    crash(db);
+    // Cut every page image out of the log: the deltas lose their base.
+    let log = device.wal_contents().unwrap();
+    let mut kept = Vec::new();
+    let mut pos = 0;
+    while pos < log.len() {
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+        let record = &log[pos..pos + 8 + len];
+        if !matches!(Wal::decode(record).unwrap().as_slice(), [WalRecord::PageImage { .. }]) {
+            kept.extend_from_slice(record);
+        }
+        pos += 8 + len;
+    }
+    assert!(Wal::decode(&kept).unwrap().iter().any(|r| matches!(r, WalRecord::PageDelta { .. })));
+    device.wal_reset().unwrap();
+    device.wal_append(&kept).unwrap();
+    match Prima::open_device(device) {
+        Err(PrimaError::Storage(StorageError::RedoBaseMismatch { .. })) => {}
+        other => panic!("expected a redo base mismatch, got {:?}", other.err()),
+    }
+}
+
+#[test]
+fn delta_reappended_by_a_log_reset_applies_onto_the_flushed_page() {
+    let device: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
+    let wal = Wal::new(Arc::clone(&device));
+    let storage = StorageSystem::with_wal(Arc::clone(&device), 1 << 16, Arc::clone(&wal));
+    let seg = storage.create_segment(PageSize::Half).unwrap();
+    let id = storage.allocate_page(seg).unwrap();
+    storage.fix_new(id, PageType::Data).unwrap().write_payload(b"base").unwrap();
+    // The image is forced and the page flushed, then a delta is appended
+    // and the log reset before anything forces it: reset re-appends it.
+    storage.flush().unwrap();
+    storage.fix_mut(id).unwrap().write_payload(b"last").unwrap();
+    wal.reset().unwrap();
+    let records = Wal::replay(&device).unwrap();
+    assert!(
+        matches!(records.as_slice(), [WalRecord::PageDelta { page, .. }] if *page == id),
+        "{records:?}"
+    );
+    let (next, segments) = storage.segments_snapshot();
+    drop(storage); // crash: the frame holding "last" never reaches the device
+
+    let restarted = StorageSystem::new(Arc::clone(&device), 1 << 16);
+    restarted.restore_segments(next, &segments);
+    assert_eq!(restarted.redo(&records).unwrap(), 1);
+    assert_eq!(restarted.fix(id).unwrap().payload(), b"last");
+    // Replaying the log again finds the delta already in the page.
+    restarted.redo(&records).unwrap();
+    restarted.drop_cache().unwrap();
+    assert_eq!(restarted.fix(id).unwrap().payload(), b"last");
+}
+
+/// A modify that grows a record past its page's free space moves the
+/// record. The new copy is written before the old one is deleted, so a
+/// log that ends between the two page changes holds the record twice;
+/// restart keeps one copy and the loser's undo restores its value.
+#[test]
+fn record_move_cut_between_its_two_pages_loses_nothing() {
+    let device: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
+    let db = build_on(Arc::clone(&device));
+    let s = db.session();
+    for n in 0..10 {
+        s.execute(&format!("INSERT part (part_no: {n}, name: 'p{n}-{:0>350}')", n)).unwrap();
+    }
+    s.commit().unwrap();
+    let before = names_by_no(&db);
+    db.checkpoint().unwrap();
+    let s = db.session();
+    s.execute(&format!("MODIFY part SET name = 'grown-{:0>1500}' WHERE part_no = 0", 0))
+        .unwrap();
+    db.storage().wal().unwrap().force().unwrap();
+    std::mem::forget(s);
+    crash(db);
+
+    // Cut the log before its last page record: the old copy's delete.
+    let log = device.wal_contents().unwrap();
+    let mut starts = Vec::new();
+    let mut pos = 0;
+    while pos < log.len() {
+        starts.push(pos);
+        pos += 8 + u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    let page_of = |at: usize| match Wal::decode(&log[at..]).unwrap().first() {
+        Some(WalRecord::PageImage { page, .. } | WalRecord::PageDelta { page, .. }) => Some(*page),
+        _ => None,
+    };
+    let pages: Vec<(usize, PageId)> =
+        starts.iter().filter_map(|&at| page_of(at).map(|p| (at, p))).collect();
+    let [.., (_, moved_to), (cut, moved_from)] = pages.as_slice() else {
+        panic!("the move logged fewer than two page records")
+    };
+    assert_ne!(moved_to, moved_from, "the last two page records are on two pages");
+    device.wal_reset().unwrap();
+    device.wal_append(&log[..*cut]).unwrap();
+
+    let db = Prima::open_device(device).unwrap();
+    assert_eq!(names_by_no(&db), before);
+    assert_eq!(part_nos(&db), (0..10).collect::<Vec<_>>(), "one copy per part");
 }
