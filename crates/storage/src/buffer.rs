@@ -869,9 +869,9 @@ mod tests {
     impl PageStore for TestStore {
         fn load(&self, id: PageId) -> StorageResult<Page> {
             let size = self.page_size_of(id.segment)?;
-            let mut buf = vec![0u8; size.bytes()];
+            let mut buf = vec![0u8; size.bytes()].into_boxed_slice();
             self.disk.read_block(BlockAddr::new(id.segment, id.page), &mut buf)?;
-            Page::from_bytes(id, size, &buf)
+            Page::from_bytes(id, size, buf)
         }
 
         fn store(&self, page: &mut Page) -> StorageResult<()> {

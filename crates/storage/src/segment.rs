@@ -86,9 +86,10 @@ pub(crate) struct DiskStore {
 impl PageStore for DiskStore {
     fn load(&self, id: PageId) -> StorageResult<Page> {
         let size = self.page_size_of(id.segment)?;
-        let mut buf = vec![0u8; size.bytes()];
+        // One allocation, read into directly and owned by the page.
+        let mut buf = vec![0u8; size.bytes()].into_boxed_slice();
         self.device.read_block(BlockAddr::new(id.segment, id.page), &mut buf)?;
-        Page::from_bytes(id, size, &buf)
+        Page::from_bytes(id, size, buf)
     }
 
     fn store(&self, page: &mut Page) -> StorageResult<()> {
@@ -427,13 +428,14 @@ impl StorageSystem {
         self.buffer.flush_all()?;
         let mut buf = vec![0u8; count as usize * size.bytes()];
         self.store.device.read_chained(BlockAddr::new(first.segment, first.page), count, &mut buf)?;
-        let mut pages = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let id = PageId::new(first.segment, first.page + i);
-            let bytes = &buf[i as usize * size.bytes()..(i as usize + 1) * size.bytes()];
-            pages.push(Page::from_bytes(id, size, bytes)?);
-        }
-        Ok(pages)
+        // The chained read needs one contiguous buffer, so each page
+        // copies its block out of it.
+        (first.page..)
+            .zip(buf.chunks_exact(size.bytes()))
+            .map(|(no, block)| {
+                Page::from_bytes(PageId::new(first.segment, no), size, block.into())
+            })
+            .collect()
     }
 
     /// Drops the buffer cache (flushing dirty pages first): subsequent

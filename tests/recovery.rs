@@ -517,7 +517,7 @@ fn torn_data_page_is_rebuilt_from_its_first_touch_image_plus_deltas() {
         device.read_block(addr, &mut block).unwrap();
         block[size.bytes() / 2..].fill(0xA5);
         device.write_block(addr, &block).unwrap();
-        assert!(Page::from_bytes(id, size, &block).is_err(), "{id} is torn");
+        assert!(Page::from_bytes(id, size, block.into()).is_err(), "{id} is torn");
     }
     assert!(
         log.iter().any(|r| matches!(r, WalRecord::PageDelta { page, .. } if pages.contains(page))),
