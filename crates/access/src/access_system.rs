@@ -53,7 +53,7 @@ prima_storage::counter_family! {
         /// Reads satisfied from the primary record.
         counter primary_reads,
         /// Page-grouped batched reads executed (the non-degenerate
-        /// `read_atoms_batch` path).
+        /// `read_atoms_batch_into` path).
         counter batch_reads,
         /// Distinct data pages fixed across all batched reads.
         counter batch_pages,
@@ -587,67 +587,26 @@ impl AccessSystem {
         })
     }
 
-    /// Batched read: semantically identical to `ids.iter().map(|id|
-    /// read_atom(id, projection))`, including result order, projection
-    /// choice and error behaviour (the error of the lowest-position
-    /// failing id wins, as it would sequentially) — but primary-record
-    /// fetches are **grouped by owning page**, so each data page is fixed
-    /// once per batch instead of once per atom. This amortises shard-lock
-    /// traffic and LRU touches across all atoms resident on the page (the
-    /// vertical molecule-assembly fast path; see Section 3.3 on fix/unfix
-    /// cost).
+    /// Batched read into a caller-owned buffer (cleared first, so
+    /// per-level callers can recycle it): semantically identical to
+    /// `ids.iter().map(|id| read_atom(id, projection))`, including result
+    /// order and projection choice, except that an unknown atom yields
+    /// `None` instead of failing the whole batch (molecule assembly skips
+    /// dangling ids defensively). Of the other failures, the error of the
+    /// lowest-position failing id wins, as it would sequentially. Primary
+    /// record fetches are **grouped by owning page**, so each data page is
+    /// fixed once per batch instead of once per atom. This amortises
+    /// shard-lock traffic and LRU touches across all atoms resident on the
+    /// page (the vertical molecule-assembly fast path; see Section 3.3 on
+    /// fix/unfix cost).
     ///
     /// Atoms whose projection is served by a fresh covering partition fall
     /// back to the per-atom partition read, exactly as `read_atom` would.
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
-    pub fn read_atoms_batch(
-        &self,
-        ids: &[AtomId],
-        projection: Option<&[usize]>,
-    ) -> AccessResult<Vec<Atom>> {
-        let mut opt = Vec::new();
-        self.batch_read_inner(ids, projection, &mut opt, true)?;
-        // `strict` turned unknown atoms into position-ordered errors, so
-        // every remaining entry is present.
-        // lint: allow(error-hygiene, strict batch mode errored on any miss two lines up; remaining entries are all Some)
-        Ok(opt.into_iter().map(|a| a.expect("strict batch entry")).collect())
-    }
-
-    /// Missing-tolerant batched read: like [`AccessSystem::read_atoms_batch`]
-    /// but unknown atoms yield `None` instead of failing the whole batch
-    /// (molecule assembly skips dangling ids defensively). Storage-level
-    /// failures still propagate.
-    pub fn read_atoms_batch_opt(
-        &self,
-        ids: &[AtomId],
-        projection: Option<&[usize]>,
-    ) -> AccessResult<Vec<Option<Atom>>> {
-        let mut out = Vec::new();
-        self.read_atoms_batch_into(ids, projection, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`AccessSystem::read_atoms_batch_opt`] writing into a caller-owned
-    /// buffer (cleared first), so per-level callers can recycle it.
     pub fn read_atoms_batch_into(
         &self,
         ids: &[AtomId],
         projection: Option<&[usize]>,
         out: &mut Vec<Option<Atom>>,
-    ) -> AccessResult<()> {
-        self.batch_read_inner(ids, projection, out, false)
-    }
-
-    /// Shared batch-read core. `strict` makes an unknown atom an error
-    /// (`NoSuchAtom`) competing position-wise with every other failure, so
-    /// the returned error is the one a sequential `read_atom` loop would
-    /// hit first; tolerant mode leaves unknown atoms as `None`.
-    fn batch_read_inner(
-        &self,
-        ids: &[AtomId],
-        projection: Option<&[usize]>,
-        out: &mut Vec<Option<Atom>>,
-        strict: bool,
     ) -> AccessResult<()> {
         out.clear();
         // Degenerate batches skip the page-grouping machinery: one atom
@@ -657,7 +616,7 @@ impl AccessSystem {
             for &id in ids {
                 out.push(match self.read_atom(id, projection) {
                     Ok(a) => Some(a),
-                    Err(AccessError::NoSuchAtom(_)) if !strict => None,
+                    Err(AccessError::NoSuchAtom(_)) => None,
                     Err(e) => return Err(e),
                 });
             }
@@ -708,13 +667,8 @@ impl AccessSystem {
                         }
                     }
                 }
-                let Some(ptr) = self.addresses.primary(id) else {
-                    // Unknown atom: an error in strict mode, a hole otherwise.
-                    if strict {
-                        record_err(&mut first_err, i, AccessError::NoSuchAtom(id));
-                    }
-                    continue;
-                };
+                // Unknown atom: a hole.
+                let Some(ptr) = self.addresses.primary(id) else { continue };
                 let key = (id.atom_type, ptr.page);
                 let slot = match &mut group_index {
                     Some(index) => index.get(&key).copied(),

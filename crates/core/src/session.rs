@@ -21,8 +21,7 @@
 //!   read path, so a large result never materialises in full.
 //!
 //! [`QueryOptions`] is the one execution descriptor (degree of semantic
-//! parallelism, trace on/off) accepted by both [`Session::query`] and
-//! [`Prepared`].
+//! parallelism) accepted by both [`Session::query`] and [`Prepared`].
 //!
 //! ## Isolation
 //!
@@ -111,19 +110,16 @@ pub struct QueryOptions {
     /// [`QueryOptions::validate`] — it is not "auto" and is never clamped
     /// silently.
     pub threads: usize,
-    /// Return the [`ExecutionTrace`] (root access choice, cluster use,
-    /// counts) alongside the molecule set.
-    pub trace: bool,
 }
 
 impl Default for QueryOptions {
     fn default() -> Self {
-        QueryOptions { threads: 1, trace: false }
+        QueryOptions { threads: 1 }
     }
 }
 
 impl QueryOptions {
-    /// Serial, untraced.
+    /// Serial.
     pub fn new() -> Self {
         Self::default()
     }
@@ -131,12 +127,6 @@ impl QueryOptions {
     /// Sets the degree of semantic parallelism (`n ≥ 1`).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Requests the execution trace.
-    pub fn traced(mut self) -> Self {
-        self.trace = true;
         self
     }
 
@@ -201,12 +191,12 @@ impl RetryPolicy {
     }
 }
 
-/// Result of a query execution: the molecule set plus, when requested via
-/// [`QueryOptions::trace`], the execution trace.
+/// Result of a query execution: the molecule set and the execution
+/// trace (root access choice, cluster use, counts).
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     pub set: MoleculeSet,
-    pub trace: Option<ExecutionTrace>,
+    pub trace: ExecutionTrace,
 }
 
 /// Result of executing a prepared statement (SELECT or DML).
@@ -665,7 +655,7 @@ impl Session {
         let (set, trace) = self.with_read_guard(snapshot.as_ref(), |g| {
             datasys::execute(&self.access, plan, opts.threads, g)
         })?;
-        Ok(QueryResult { set, trace: opts.trace.then_some(trace) })
+        Ok(QueryResult { set, trace })
     }
 
     fn run_dml(&self, stmt: &Statement) -> PrimaResult<DmlResult> {

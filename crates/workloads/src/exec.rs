@@ -16,8 +16,8 @@ pub fn query(db: &Prima, mql: &str) -> PrimaResult<MoleculeSet> {
 
 /// One-shot `SELECT` returning the execution trace as well.
 pub fn query_traced(db: &Prima, mql: &str) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
-    let r = db.session().query(mql, &QueryOptions::new().traced())?;
-    Ok((r.set, r.trace.expect("trace requested")))
+    let r = db.session().query(mql, &QueryOptions::new())?;
+    Ok((r.set, r.trace))
 }
 
 /// One-shot `SELECT` with molecule construction on `threads` workers.

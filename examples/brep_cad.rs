@@ -84,11 +84,9 @@ fn main() -> PrimaResult<()> {
 
     // Checkout brep 7 into the workstation's object buffer.
     let session = db.session();
-    let r = session.query(
-        "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 7",
-        &QueryOptions::new().traced(),
-    )?;
-    let trace = r.trace.expect("traced");
+    let r = session
+        .query("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 7", &QueryOptions::new())?;
+    let trace = &r.trace;
     println!(
         "checkout: {} atoms via {:?}, cluster used: {:?}",
         r.set.molecules[0].atom_count(),

@@ -72,12 +72,12 @@ fn main() -> PrimaResult<()> {
     )?;
     for n in 1..=2i64 {
         by_brep.bind(&[Value::Int(n)])?;
-        let r = by_brep.query(&QueryOptions::new().traced())?;
+        let r = by_brep.query(&QueryOptions::new())?;
         println!(
             "Table 2.1a (brep {n}) after restart: {} molecule(s), {} faces via {:?}",
             r.set.len(),
             r.set.atoms_of("face").len(),
-            r.trace.expect("traced").root_access
+            r.trace.root_access
         );
         assert_eq!(r.set.len(), 1, "committed breps must be readable after recovery");
     }

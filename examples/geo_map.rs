@@ -24,17 +24,12 @@ fn main() -> PrimaResult<()> {
     // query is prepared once; the land-use classification is a named
     // parameter re-bound per run.
     let session = db.session();
-    let traced = QueryOptions::new().traced();
     let mut by_use =
         session.prepare("SELECT region_no, area FROM region WHERE land_use = :use")?;
     by_use.bind_named(&[("use", Value::Str("water".into()))])?;
-    let r = by_use.query(&traced)?;
+    let r = by_use.query(&QueryOptions::new())?;
     let set = r.set;
-    println!(
-        "water regions: {} (root access {:?})",
-        set.len(),
-        r.trace.expect("traced").root_access
-    );
+    println!("water regions: {} (root access {:?})", set.len(), r.trace.root_access);
 
     // LDL tuning: partition the frequently projected attributes; sort
     // order by area for range reporting.
@@ -48,9 +43,9 @@ fn main() -> PrimaResult<()> {
     // Same prepared statement, same answer — but now the (denser)
     // partition is scanned instead of the base file. (Root access is
     // chosen per execution, so tuning applies without re-preparing.)
-    let r = by_use.query(&traced)?;
+    let r = by_use.query(&QueryOptions::new())?;
     assert_eq!(set.len(), r.set.len());
-    println!("re-run root access: {:?}", r.trace.expect("traced").root_access);
+    println!("re-run root access: {:?}", r.trace.root_access);
 
     // Vertical access: one sheet's full map molecule.
     let set = exec::query(&db, "SELECT ALL FROM sheet_map WHERE sheet_no = 2")?;

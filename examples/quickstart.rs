@@ -42,11 +42,11 @@ fn main() -> PrimaResult<()> {
     )?;
     for n in 1..=2i64 {
         by_brep.bind(&[Value::Int(n)])?;
-        let r = by_brep.query(&QueryOptions::new().traced())?;
+        let r = by_brep.query(&QueryOptions::new())?;
         println!(
             "\nTable 2.1a (brep {n}): {} molecule(s) via {:?}",
             r.set.len(),
-            r.trace.expect("traced").root_access
+            r.trace.root_access
         );
         println!(
             "  faces: {}, edge occurrences: {}, point occurrences: {}",

@@ -1,9 +1,9 @@
 //! Equivalence and guard-churn guarantees of the batched atom-read path:
 //!
-//! * `read_atoms_batch` returns byte-identical atoms — same order, same
-//!   projections, same error behaviour — as N calls to `read_atom`,
-//!   including mixed-page and mixed-type batches and partition-covered
-//!   projections;
+//! * `read_atoms_batch_into` returns byte-identical atoms — same order,
+//!   same projections — as N calls to `read_atom`, and a hole exactly
+//!   where `read_atom` finds no atom, including mixed-page and mixed-type
+//!   batches and partition-covered projections;
 //! * the kernel's level-batched molecule assembly returns exactly the
 //!   molecules of the naive per-atom reference in `common/reference.rs`
 //!   (flat, deep, recursive and cluster-prefetched structures);
@@ -32,6 +32,18 @@ CREATE ATOM_TYPE assembly
   ( id : IDENTIFIER, n : INTEGER,
     comps : SET_OF (REF_TO (part.parent)) );
 ";
+
+/// `ids` read through one batched read.
+fn read_batch(db: &Prima, ids: &[AtomId], projection: Option<&[usize]>) -> Vec<Option<Atom>> {
+    let mut out = Vec::new();
+    db.access().read_atoms_batch_into(ids, projection, &mut out).unwrap();
+    out
+}
+
+/// `ids` read one `read_atom` call at a time.
+fn read_each(db: &Prima, ids: &[AtomId], projection: Option<&[usize]>) -> Vec<Option<Atom>> {
+    ids.iter().map(|id| Some(db.access().read_atom(*id, projection).unwrap())).collect()
+}
 
 /// Kernel with `parts` part atoms, each padded so records span many pages.
 fn parts_db(parts: usize) -> (Prima, Vec<AtomId>) {
@@ -62,12 +74,11 @@ fn batch_matches_sequential_reads_unprojected() {
             order.push(ids[i]); // duplicates must be preserved positionally
         }
     }
-    let batched = db.access().read_atoms_batch(&order, None).unwrap();
-    let sequential: Vec<_> =
-        order.iter().map(|id| db.access().read_atom(*id, None).unwrap()).collect();
+    let batched = read_batch(&db, &order, None);
+    let sequential = read_each(&db, &order, None);
     assert_eq!(batched, sequential);
     // Byte-identical, not merely structurally equal.
-    for (b, s) in batched.iter().zip(&sequential) {
+    for (b, s) in batched.iter().flatten().zip(sequential.iter().flatten()) {
         assert_eq!(b.encode(), s.encode());
     }
 }
@@ -76,12 +87,10 @@ fn batch_matches_sequential_reads_unprojected() {
 fn batch_matches_sequential_reads_projected() {
     let (db, ids) = parts_db(120);
     let proj = [1usize];
-    let batched = db.access().read_atoms_batch(&ids, Some(&proj)).unwrap();
-    let sequential: Vec<_> =
-        ids.iter().map(|id| db.access().read_atom(*id, Some(&proj)).unwrap()).collect();
-    assert_eq!(batched, sequential);
+    let batched = read_batch(&db, &ids, Some(&proj));
+    assert_eq!(batched, read_each(&db, &ids, Some(&proj)));
     // Projection nulls the unselected attributes in both paths.
-    assert!(batched.iter().all(|a| matches!(a.values[2], Value::Null)));
+    assert!(batched.iter().flatten().all(|a| matches!(a.values[2], Value::Null)));
 }
 
 #[test]
@@ -91,12 +100,10 @@ fn batch_uses_fresh_partitions_like_read_atom() {
     db.access().create_partition("p_n", t, vec![0, 1]).unwrap();
     let before = db.metrics();
     let proj = [1usize];
-    let batched = db.access().read_atoms_batch(&ids, Some(&proj)).unwrap();
+    let batched = read_batch(&db, &ids, Some(&proj));
     let part_reads = db.metrics().delta(&before).access.partition_reads;
     assert_eq!(part_reads as usize, ids.len(), "covered projection reads the partition");
-    let sequential: Vec<_> =
-        ids.iter().map(|id| db.access().read_atom(*id, Some(&proj)).unwrap()).collect();
-    assert_eq!(batched, sequential);
+    assert_eq!(batched, read_each(&db, &ids, Some(&proj)));
 }
 
 #[test]
@@ -104,13 +111,10 @@ fn batch_missing_id_matches_sequential_error() {
     let (db, ids) = parts_db(40);
     let victim = ids[17];
     db.delete(victim).unwrap();
-    let err = db.access().read_atoms_batch(&ids, None).unwrap_err();
-    assert!(
-        matches!(err, AccessError::NoSuchAtom(id) if id == victim),
-        "batch error must name the first missing atom, got {err}"
-    );
-    // The tolerant variant reports the hole positionally.
-    let opt = db.access().read_atoms_batch_opt(&ids, None).unwrap();
+    let err = db.access().read_atom(victim, None).unwrap_err();
+    assert!(matches!(err, AccessError::NoSuchAtom(id) if id == victim), "got {err}");
+    // The batch reports the hole positionally.
+    let opt = read_batch(&db, &ids, None);
     assert!(opt[17].is_none());
     assert_eq!(opt.iter().filter(|a| a.is_none()).count(), 1);
     for (i, a) in opt.iter().enumerate() {
@@ -132,20 +136,17 @@ fn batch_handles_mixed_types_and_empty_input() {
         mixed.push(*id);
         mixed.push(asm);
     }
-    let batched = db.access().read_atoms_batch(&mixed, None).unwrap();
-    let sequential: Vec<_> =
-        mixed.iter().map(|id| db.access().read_atom(*id, None).unwrap()).collect();
-    assert_eq!(batched, sequential);
-    assert!(db.access().read_atoms_batch(&[], None).unwrap().is_empty());
+    assert_eq!(read_batch(&db, &mixed, None), read_each(&db, &mixed, None));
+    assert!(read_batch(&db, &[], None).is_empty());
 }
 
 /// The kernel's molecules for `q` (ordered by root atom id, like the
 /// reference's) and its `atoms_fetched` count.
 fn kernel_molecules(db: &Prima, q: &str) -> (Vec<Molecule>, usize) {
-    let r = db.session().query(q, &QueryOptions::new().traced()).unwrap();
+    let r = db.session().query(q, &QueryOptions::new()).unwrap();
     let mut molecules = r.set.molecules;
     molecules.sort_by_key(|m| m.root.atom.id);
-    (molecules, r.trace.unwrap().atoms_fetched)
+    (molecules, r.trace.atoms_fetched)
 }
 
 /// Without a cluster every distinct component atom of a molecule is
@@ -208,8 +209,8 @@ fn kernel_matches_reference_on_clustered_molecules() {
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3",
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0",
     ] {
-        let r = db.session().query(q, &QueryOptions::new().traced()).unwrap();
-        assert_eq!(r.trace.unwrap().cluster_used.as_deref(), Some("cl_brep"), "{q}");
+        let r = db.session().query(q, &QueryOptions::new()).unwrap();
+        assert_eq!(r.trace.cluster_used.as_deref(), Some("cl_brep"), "{q}");
         let mut kernel = r.set.molecules;
         kernel.sort_by_key(|m| m.root.atom.id);
         assert_eq!(kernel, reference::molecules(&db, q), "molecule sets diverge for {q}");

@@ -4,52 +4,55 @@
 //! Each schedule is one seed: it derives a `FaultSchedule` (crash point,
 //! cache-survival odds, torn-write and log-bit-rot options — see
 //! `prima_storage::fault_disk`) *and* the randomized Session workload
-//! that runs against the faulty device. After the crash the database is
-//! reopened from the persisted image and checked against the
-//! committed-prefix oracle (`prima_workloads::crash`): every
-//! acknowledged commit durable (or, exactly at the crash point, the one
-//! in-flight commit), every loser gone, surrogate ids never reused.
+//! that runs against the faulty device. One runner,
+//! `prima_workloads::crash::run_schedule`, builds the kernel, runs a
+//! [`Leg`]'s workload, crashes, reopens the database from the persisted
+//! image and checks the committed-prefix oracle: every acknowledged
+//! commit durable (or, exactly at the crash point, the one in-flight
+//! commit), every loser gone, surrogate ids never reused, metrics
+//! coherent. The legs' own isolation oracles are in its module docs.
 //!
-//! Knobs (also used by the CI `fuzz` job):
+//! | test | [`Leg`] | device | seed offset | schedules |
+//! |---|---|---|---|---|
+//! | `fuzz_sim_disk_…` | `Single` | SimDisk | 0 | `PRIMA_FUZZ_SEEDS` (24) |
+//! | `fuzz_file_disk_…` | `Single` | FileDisk | 1 000 000 | a quarter of `PRIMA_FUZZ_SEEDS` |
+//! | `fuzz_multi_session_sim_disk_…` | `Readers` | SimDisk | 5 000 000 | `PRIMA_FUZZ_MULTI_SEEDS` (half of `PRIMA_FUZZ_SEEDS`) |
+//! | `fuzz_multi_session_file_disk_…` | `Readers` | FileDisk | 6 000 000 | a quarter of `PRIMA_FUZZ_MULTI_SEEDS` |
+//! | `fuzz_multi_session_waits_…` | `ReadersWithWaits` | SimDisk | 7 000 000 | `PRIMA_FUZZ_WAITS` (6) |
+//! | `fuzz_multi_session_mvcc_…` | `SnapshotReaders` | SimDisk | 8 000 000 | `PRIMA_FUZZ_MVCC` (6) |
+//! | `fuzz_group_commit_…` | `GroupCommit` | SimDisk | 9 000 000 | `PRIMA_FUZZ_GROUP` (6) |
 //!
-//! * `PRIMA_FUZZ_SEEDS` — schedules per backend leg (default: 24 on
-//!   SimDisk, a quarter of that on FileDisk);
-//! * `PRIMA_FUZZ_OPS` — workload statements per schedule (default 60);
-//! * `PRIMA_FUZZ_SEED_BASE` — first seed (default 0x9_1987);
-//! * `PRIMA_FUZZ_WAITS` — schedules for the bounded-wait multi-session
-//!   leg (blocking lock waits, timeouts and deadlock-victim episodes
-//!   under the same crash schedules; default 6, `0` skips the leg);
-//! * `PRIMA_FUZZ_MVCC` — schedules for the snapshot-reader leg (readers
-//!   outside any transaction take the lock-free MVCC read path and must
-//!   see exactly the last acknowledged commit without ever conflicting;
-//!   default 6, `0` skips the leg);
-//! * `PRIMA_FUZZ_GROUP` — schedules for the cross-session group-commit
-//!   leg (2–4 sessions committing concurrently so one leader force
-//!   covers several commits, and the schedule tears that shared batch;
-//!   the committed-prefix oracle must hold per session; default 6, `0`
-//!   skips the leg).
+//! Knobs (also used by the CI `fuzz` job): the schedule counts above;
+//! `PRIMA_FUZZ_OPS` — workload statements per schedule (default 60);
+//! `PRIMA_FUZZ_SEED_BASE` — first seed (default 0x9_1987), to which
+//! each test adds its seed offset, so no two tests replay each other's
+//! schedules.
 //!
-//! Every failure panics with a `PRIMA_FUZZ_REPRO:` line naming the seed
-//! that deterministically reproduces it in one command; the fuzz loops
-//! below additionally collect and print all failing seeds before
-//! failing the test.
+//! Every failing schedule prints a `FAILING SEED` line and a
+//! `PRIMA_FUZZ_REPRO:` line — the command that replays exactly that
+//! schedule: the failing test alone (`--exact`), its schedule count at
+//! one and the seed base that maps back to the failing seed, e.g.
 //!
-//! Each leg also counts the schedules that tore a log batch carrying page
-//! deltas and those that crashed between a page's image and its delta,
-//! and fails if either count is zero: the fuzz must keep exercising the
-//! delta record.
+//! ```text
+//! PRIMA_FUZZ_REPRO: PRIMA_FUZZ_SEED_BASE=596362 PRIMA_FUZZ_WAITS=1 PRIMA_FUZZ_OPS=60 cargo test --test crash_consistency fuzz_multi_session_waits_resolves_deadlocks_and_recovers -- --exact --nocapture
+//! ```
+//!
+//! The test fails after the whole leg ran, listing every such line.
+//!
+//! Each test also counts the schedules that tore a log batch carrying
+//! page deltas and those that crashed between a page's image and its
+//! delta, and fails if either count is zero: the fuzz must keep
+//! exercising the delta record. A replay of one schedule checks only its
+//! oracle.
 
 use prima::{Prima, QueryOptions, Value};
 use prima_storage::{BlockDevice, FileDisk, SimDisk, Wal};
-use prima_workloads::crash::{
-    run_crash_schedule, run_group_commit_schedule, run_multi_session_schedule,
-    run_multi_session_schedule_mvcc, run_multi_session_schedule_waits, CrashReport, CRASH_DDL,
-};
-use std::collections::BTreeMap;
+use prima_workloads::crash::{run_schedule, Leg, CRASH_DDL};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+fn env(name: &str) -> Option<u64> {
+    std::env::var(name).ok()?.parse().ok()
 }
 
 struct TmpDir(std::path::PathBuf);
@@ -69,28 +72,115 @@ impl Drop for TmpDir {
     }
 }
 
-/// Runs `count` schedules starting at `base`, each over a device from
-/// `make_inner` through `runner` (the single- or multi-session workload),
-/// collecting failures instead of stopping at the first.
-fn fuzz_leg(
-    leg: &str,
-    base: u64,
-    count: u64,
-    ops: usize,
-    runner: fn(Arc<dyn BlockDevice>, u64, usize) -> CrashReport,
-    make_inner: impl Fn(u64) -> Arc<dyn BlockDevice>,
-) {
-    let mut failures: Vec<u64> = Vec::new();
+/// One fuzz test: a leg over `SimDisk` or `FileDisk`, and the name of
+/// the `#[test]` that runs it.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    leg: Leg,
+    file: bool,
+    test: &'static str,
+}
+
+const SINGLE_SIM: Target = Target {
+    leg: Leg::Single,
+    file: false,
+    test: "fuzz_sim_disk_schedules_recover_to_committed_prefix",
+};
+const SINGLE_FILE: Target = Target {
+    leg: Leg::Single,
+    file: true,
+    test: "fuzz_file_disk_schedules_recover_to_committed_prefix",
+};
+const READERS_SIM: Target = Target {
+    leg: Leg::Readers,
+    file: false,
+    test: "fuzz_multi_session_sim_disk_isolates_readers_and_recovers",
+};
+const READERS_FILE: Target = Target {
+    leg: Leg::Readers,
+    file: true,
+    test: "fuzz_multi_session_file_disk_isolates_readers_and_recovers",
+};
+const WAITS: Target = Target {
+    leg: Leg::ReadersWithWaits,
+    file: false,
+    test: "fuzz_multi_session_waits_resolves_deadlocks_and_recovers",
+};
+const SNAPSHOT: Target = Target {
+    leg: Leg::SnapshotReaders,
+    file: false,
+    test: "fuzz_multi_session_mvcc_snapshot_readers_never_conflict_and_recover",
+};
+const GROUP: Target = Target {
+    leg: Leg::GroupCommit,
+    file: false,
+    test: "fuzz_group_commit_concurrent_committers_recover_to_committed_prefix",
+};
+const TARGETS: [Target; 7] =
+    [SINGLE_SIM, SINGLE_FILE, READERS_SIM, READERS_FILE, WAITS, SNAPSHOT, GROUP];
+
+impl Target {
+    /// What this test adds to `PRIMA_FUZZ_SEED_BASE`.
+    fn seed_offset(self) -> u64 {
+        self.leg.seed_offset() + if self.file { 1_000_000 } else { 0 }
+    }
+
+    /// `(first seed, schedule count)`, with the knobs read through `var`
+    /// (the process environment when fuzzing).
+    fn seeds(self, var: impl Fn(&str) -> Option<u64>) -> (u64, u64) {
+        let get = |name: &str, default: u64| var(name).unwrap_or(default);
+        let default = match self.leg {
+            Leg::Single => 24,
+            Leg::Readers => get("PRIMA_FUZZ_SEEDS", 24).div_ceil(2),
+            Leg::ReadersWithWaits | Leg::SnapshotReaders | Leg::GroupCommit => 6,
+        };
+        let count = get(self.leg.seeds_var(), default);
+        let base = get("PRIMA_FUZZ_SEED_BASE", 0x9_1987).wrapping_add(self.seed_offset());
+        // A FileDisk schedule is slower: a quarter of the count.
+        (base, if self.file { count.div_ceil(4) } else { count })
+    }
+
+    /// The command that replays exactly `seed` (module docs).
+    fn repro(self, seed: u64, ops: usize) -> String {
+        format!(
+            "PRIMA_FUZZ_REPRO: PRIMA_FUZZ_SEED_BASE={} {}=1 PRIMA_FUZZ_OPS={ops} \
+             cargo test --test crash_consistency {} -- --exact --nocapture",
+            seed.wrapping_sub(self.seed_offset()),
+            self.leg.seeds_var(),
+            self.test
+        )
+    }
+}
+
+/// Runs `target`'s schedules, collecting failures instead of stopping at
+/// the first.
+fn fuzz(target: Target) {
+    // libtest runs each test on a thread named after it.
+    if let Some(name) = std::thread::current().name().filter(|n| *n != "main") {
+        assert_eq!(name, target.test, "the target table names another test");
+    }
+    let label =
+        format!("{:?} over {}", target.leg, if target.file { "FileDisk" } else { "SimDisk" });
+    let (base, count) = target.seeds(env);
+    let ops = env("PRIMA_FUZZ_OPS").unwrap_or(60) as usize;
+    let tmp = target.file.then(|| TmpDir::new(target.test));
+    let mut failures: Vec<String> = Vec::new();
     let mut bootstrap = 0usize;
     let mut in_flight = 0usize;
     let mut commits = 0usize;
     let mut tore_deltas = 0usize;
     let mut image_then_lost = 0usize;
-    for i in 0..count {
-        let seed = base.wrapping_add(i);
-        let inner = make_inner(seed);
+    for seed in (0..count).map(|i| base.wrapping_add(i)) {
+        let inner: Arc<dyn BlockDevice> = match &tmp {
+            Some(tmp) => {
+                let dir = tmp.0.join(format!("s{seed}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                Arc::new(FileDisk::create(&dir).expect("tmpdir FileDisk"))
+            }
+            None => Arc::new(SimDisk::new()),
+        };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            runner(inner, seed, ops)
+            run_schedule(target.leg, inner, seed, ops)
         }));
         match outcome {
             Ok(r) => {
@@ -101,168 +191,91 @@ fn fuzz_leg(
                 image_then_lost += r.image_then_lost_delta as usize;
             }
             Err(_) => {
-                // The panic payload (with the PRIMA_FUZZ_REPRO line) has
-                // already been printed by the default hook.
-                eprintln!("FAILING SEED ({leg}): {seed}");
-                failures.push(seed);
+                // The default hook has already printed the violation.
+                let repro = target.repro(seed, ops);
+                eprintln!("FAILING SEED ({label}): {seed}\n{repro}");
+                failures.push(repro);
             }
         }
     }
     println!(
-        "crash-fuzz [{leg}]: {count} schedules, {commits} acked commits, \
+        "crash-fuzz [{label}]: {count} schedules, {commits} acked commits, \
          {bootstrap} bootstrap crashes, {in_flight} in-flight commits survived, \
          {tore_deltas} tore a batch with page deltas, \
          {image_then_lost} crashed between a page image and its delta"
     );
     assert!(
         failures.is_empty(),
-        "[{leg}] {} of {count} schedules violated the committed-prefix oracle; \
-         failing seeds: {failures:?} \
-         (replay one with PRIMA_FUZZ_SEED_BASE=<seed> PRIMA_FUZZ_SEEDS=1 \
-         PRIMA_FUZZ_OPS={ops} cargo test --test crash_consistency)",
-        failures.len()
+        "[{label}] {} of {count} schedules violated the oracle; replay each with\n{}",
+        failures.len(),
+        failures.join("\n")
     );
     // The fuzz must keep exercising the delta record: tearing it, and
     // separating it from the image it is based on.
-    assert!(tore_deltas > 0, "[{leg}] no schedule tore a batch carrying page deltas");
-    assert!(image_then_lost > 0, "[{leg}] no schedule crashed between a page image and its delta");
+    if count > 1 {
+        assert!(tore_deltas > 0, "[{label}] no schedule tore a batch carrying page deltas");
+        assert!(
+            image_then_lost > 0,
+            "[{label}] no schedule crashed between a page image and its delta"
+        );
+    }
 }
 
 #[test]
 fn fuzz_sim_disk_schedules_recover_to_committed_prefix() {
-    let seeds = env_u64("PRIMA_FUZZ_SEEDS", 24);
-    let ops = env_u64("PRIMA_FUZZ_OPS", 60) as usize;
-    let base = env_u64("PRIMA_FUZZ_SEED_BASE", 0x9_1987);
-    fuzz_leg("sim", base, seeds, ops, run_crash_schedule, |_| {
-        Arc::new(SimDisk::new()) as Arc<dyn BlockDevice>
-    });
+    fuzz(SINGLE_SIM);
 }
 
 #[test]
 fn fuzz_file_disk_schedules_recover_to_committed_prefix() {
-    let seeds = env_u64("PRIMA_FUZZ_SEEDS", 24).div_ceil(4);
-    let ops = env_u64("PRIMA_FUZZ_OPS", 60) as usize;
-    // Offset from the sim leg's base: the schedule and workload both
-    // derive purely from the seed, so sharing seeds would replay the
-    // sim leg's exact schedules instead of adding distinct ones.
-    let base = env_u64("PRIMA_FUZZ_SEED_BASE", 0x9_1987).wrapping_add(1_000_000);
-    let tmp = TmpDir::new("fileleg");
-    let root = tmp.0.clone();
-    fuzz_leg("file", base, seeds, ops, run_crash_schedule, move |seed| {
-        let dir = root.join(format!("s{seed}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        Arc::new(FileDisk::create(&dir).expect("tmpdir FileDisk")) as Arc<dyn BlockDevice>
-    });
+    fuzz(SINGLE_FILE);
 }
-
-// ---------------------------------------------------------------------
-// Multi-session legs: isolation under fault injection (ISSUE 5)
-// ---------------------------------------------------------------------
-//
-// One writer session interleaved with 1–2 reader sessions under the same
-// randomized crash schedules. The readers assert they never observe
-// uncommitted or rolled-back state (they must see exactly the last
-// acknowledged commit, or fail fast with a lock conflict while the
-// writer is dirty); recovery is then checked against the same
-// committed-prefix oracle as the single-session legs. Seed count knob:
-// `PRIMA_FUZZ_MULTI_SEEDS` (defaults to half the single-session count).
 
 #[test]
 fn fuzz_multi_session_sim_disk_isolates_readers_and_recovers() {
-    let seeds = env_u64("PRIMA_FUZZ_MULTI_SEEDS", env_u64("PRIMA_FUZZ_SEEDS", 24).div_ceil(2));
-    let ops = env_u64("PRIMA_FUZZ_OPS", 60) as usize;
-    let base = env_u64("PRIMA_FUZZ_SEED_BASE", 0x9_1987).wrapping_add(5_000_000);
-    fuzz_leg("multi-sim", base, seeds, ops, run_multi_session_schedule, |_| {
-        Arc::new(SimDisk::new()) as Arc<dyn BlockDevice>
-    });
+    fuzz(READERS_SIM);
 }
 
 #[test]
 fn fuzz_multi_session_file_disk_isolates_readers_and_recovers() {
-    let seeds = env_u64(
-        "PRIMA_FUZZ_MULTI_SEEDS",
-        env_u64("PRIMA_FUZZ_SEEDS", 24).div_ceil(2),
-    )
-    .div_ceil(4);
-    let ops = env_u64("PRIMA_FUZZ_OPS", 60) as usize;
-    let base = env_u64("PRIMA_FUZZ_SEED_BASE", 0x9_1987).wrapping_add(6_000_000);
-    let tmp = TmpDir::new("multifileleg");
-    let root = tmp.0.clone();
-    fuzz_leg("multi-file", base, seeds, ops, run_multi_session_schedule, move |seed| {
-        let dir = root.join(format!("s{seed}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        Arc::new(FileDisk::create(&dir).expect("tmpdir FileDisk")) as Arc<dyn BlockDevice>
-    });
+    fuzz(READERS_FILE);
 }
-
-// ---------------------------------------------------------------------
-// Bounded-wait leg: blocking waits and deadlock victims under crashes
-// ---------------------------------------------------------------------
-//
-// Same schedules and oracles as the multi-session legs, but the lock
-// table runs in bounded-wait mode, so every conflict parks and times out
-// instead of failing fast, and a slice of each schedule races two
-// contender threads through the S→IX upgrade-deadlock shape: the table
-// must victimize at most one of them, every contender error must be
-// retryable, and the recovered state must still match the committed
-// prefix. `PRIMA_FUZZ_WAITS` sets the seed count (0 skips the leg).
 
 #[test]
 fn fuzz_multi_session_waits_resolves_deadlocks_and_recovers() {
-    let seeds = env_u64("PRIMA_FUZZ_WAITS", 6);
-    let ops = env_u64("PRIMA_FUZZ_OPS", 60) as usize;
-    let base = env_u64("PRIMA_FUZZ_SEED_BASE", 0x9_1987).wrapping_add(7_000_000);
-    fuzz_leg("multi-sim-waits", base, seeds, ops, run_multi_session_schedule_waits, |_| {
-        Arc::new(SimDisk::new()) as Arc<dyn BlockDevice>
-    });
+    fuzz(WAITS);
 }
-
-// ---------------------------------------------------------------------
-// Snapshot-reader leg: the MVCC read path under fault injection
-// ---------------------------------------------------------------------
-//
-// Same writer workload and crash schedules, but the readers stay outside
-// any transaction so every query runs lock-free against a version-store
-// snapshot. The isolation oracle inverts: reader queries must *succeed*
-// even while the writer is dirty, must equal the last acknowledged
-// commit exactly, and must generate zero lock-table traffic (checked via
-// the `acquisitions` counter). The committed-prefix oracle after
-// recovery is unchanged — the version store is volatile and must leave
-// no trace in durable state. `PRIMA_FUZZ_MVCC` sets the seed count (0
-// skips the leg).
 
 #[test]
 fn fuzz_multi_session_mvcc_snapshot_readers_never_conflict_and_recover() {
-    let seeds = env_u64("PRIMA_FUZZ_MVCC", 6);
-    let ops = env_u64("PRIMA_FUZZ_OPS", 60) as usize;
-    let base = env_u64("PRIMA_FUZZ_SEED_BASE", 0x9_1987).wrapping_add(8_000_000);
-    fuzz_leg("multi-sim-mvcc", base, seeds, ops, run_multi_session_schedule_mvcc, |_| {
-        Arc::new(SimDisk::new()) as Arc<dyn BlockDevice>
-    });
+    fuzz(SNAPSHOT);
 }
-
-// ---------------------------------------------------------------------
-// Group-commit leg: concurrent committers sharing forces under crashes
-// ---------------------------------------------------------------------
-//
-// The write-side group-commit coordinator lets one leader's force carry
-// several sessions' commit records, so a torn force now tears a *shared*
-// batch. This leg runs 2–4 committer threads over disjoint key ranges,
-// each committing every 1–2 statements (maximal commit overlap), under
-// the same randomized crash schedules. Oracle, per committer: the
-// recovered rows in its range equal its last acknowledged commit or its
-// single in-flight one — an ack must imply the covering force completed
-// for every session it covered. `PRIMA_FUZZ_GROUP` sets the seed count
-// (0 skips the leg).
 
 #[test]
 fn fuzz_group_commit_concurrent_committers_recover_to_committed_prefix() {
-    let seeds = env_u64("PRIMA_FUZZ_GROUP", 6);
-    let ops = env_u64("PRIMA_FUZZ_OPS", 60) as usize;
-    let base = env_u64("PRIMA_FUZZ_SEED_BASE", 0x9_1987).wrapping_add(9_000_000);
-    fuzz_leg("group-sim", base, seeds, ops, run_group_commit_schedule, |_| {
-        Arc::new(SimDisk::new()) as Arc<dyn BlockDevice>
-    });
+    fuzz(GROUP);
+}
+
+#[test]
+fn repro_line_replays_exactly_the_failing_schedule() {
+    for leg in Leg::ALL {
+        assert!(TARGETS.iter().any(|t| t.leg == leg), "{leg:?} has no fuzz test");
+    }
+    for target in TARGETS {
+        let seed = target.seeds(|_| None).0 + 3;
+        let line = target.repro(seed, 60);
+        // The environment the line sets, as the shell passes it.
+        let vars: HashMap<&str, u64> = line
+            .split_whitespace()
+            .filter_map(|w| w.split_once('='))
+            .map(|(k, v)| (k, v.parse().expect("numeric knob")))
+            .collect();
+        assert_eq!(target.seeds(|name| vars.get(name).copied()), (seed, 1), "{line}");
+        let (command, args) = line.split_once(" -- ").expect("test arguments");
+        assert_eq!(command.rsplit(' ').next(), Some(target.test), "{line}");
+        assert_eq!(args, "--exact --nocapture");
+        assert_eq!(TARGETS.iter().filter(|t| t.test == target.test).count(), 1);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -84,9 +84,8 @@ fn parallel_trace_matches_serial_on_clustered_query() {
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3",
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0",
     ] {
-        let serial = session.query(q, &QueryOptions::new().traced()).unwrap().trace.unwrap();
-        let parallel =
-            session.query(q, &QueryOptions::new().threads(4).traced()).unwrap().trace.unwrap();
+        let serial = session.query(q, &QueryOptions::new()).unwrap().trace;
+        let parallel = session.query(q, &QueryOptions::new().threads(4)).unwrap().trace;
         assert_eq!(serial.cluster_used.as_deref(), Some("cl_brep"), "{q}");
         assert!(serial.atoms_fetched > 0, "{q}");
         assert_eq!(parallel.atoms_fetched, serial.atoms_fetched, "{q}");

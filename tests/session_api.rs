@@ -26,19 +26,16 @@ fn prepared_reexecution_matches_one_shot_query() {
         .unwrap();
     for n in 1..=4i64 {
         stmt.bind(&[Value::Int(n)]).unwrap();
-        let prepared = stmt.query(&QueryOptions::new().traced()).unwrap();
+        let prepared = stmt.query(&QueryOptions::new()).unwrap();
         let one_shot = exec::query(&db, &format!("SELECT ALL FROM brep-face-edge-point WHERE brep_no = {n}"))
             .unwrap();
         assert_eq!(prepared.set.molecules, one_shot.molecules, "brep_no = {n}");
         // Binding must not demote the plan: brep_no is KEYS_ARE, so the
         // bound comparison still routes to the direct key lookup.
         assert!(
-            matches!(
-                prepared.trace.as_ref().unwrap().root_access,
-                RootAccess::KeyLookup { .. }
-            ),
+            matches!(prepared.trace.root_access, RootAccess::KeyLookup { .. }),
             "expected key lookup, got {:?}",
-            prepared.trace.unwrap().root_access
+            prepared.trace.root_access
         );
     }
 }
@@ -179,11 +176,9 @@ fn prepared_options_collapse_the_query_variants() {
         session.prepare("SELECT ALL FROM brep-face-edge WHERE brep_no >= ?").unwrap();
     stmt.bind(&[Value::Int(1)]).unwrap();
     let serial = stmt.query(&QueryOptions::default()).unwrap();
-    let traced = stmt.query(&QueryOptions::new().traced()).unwrap();
     let parallel = stmt.query(&QueryOptions::new().threads(4)).unwrap();
-    assert_eq!(serial.set.molecules, traced.set.molecules);
     assert_eq!(serial.set.molecules, parallel.set.molecules);
-    assert!(traced.trace.is_some() && serial.trace.is_none());
+    assert_eq!(serial.trace, parallel.trace);
     // threads: 0 is invalid everywhere, prepared included.
     assert!(matches!(
         stmt.query(&QueryOptions::new().threads(0)),
