@@ -65,6 +65,32 @@ prima_storage::counter_family! {
 /// Uniqueness map of one `KEYS_ARE` attribute: encoded key -> atom.
 type KeyMap = RwLock<HashMap<Vec<u8>, AtomId>>;
 
+/// A primary record a write is about to change, as shown to the write's
+/// pre-write callback: after validation, **before** any page or key map
+/// changes. The transaction layer turns it into a before-image: a WAL
+/// undo record plus a version entry for the written atom, a
+/// visibility-only version entry for a back-reference partner.
+pub enum PreWrite<'a> {
+    /// An insert, once its surrogate exists.
+    Insert(AtomId),
+    /// A modify: the atom's current value and the updates about to apply.
+    Modify(&'a Atom, &'a [(usize, Value)]),
+    /// A delete: the atom's current value.
+    Delete(&'a Atom),
+    /// A back-reference partner the write rewrites: its current value.
+    Partner(&'a Atom),
+}
+
+/// A write's pre-write callback, if anyone needs to see its
+/// [`PreWrite`]s. It runs with no latch held; an error stops the write
+/// before the record it announces changes.
+pub type OnPreWrite<'a> = Option<&'a dyn Fn(PreWrite<'_>) -> AccessResult<()>>;
+
+/// Runs `pre` on `w`, if there is a callback.
+fn before(pre: OnPreWrite<'_>, w: PreWrite<'_>) -> AccessResult<()> {
+    pre.map_or(Ok(()), |f| f(w))
+}
+
 /// Primary-read requests of one batch that share a data page:
 /// `((atom type, page), [(position in the batch, slot)])`.
 type PageGroup = ((AtomTypeId, u32), Vec<(usize, u16)>);
@@ -357,53 +383,52 @@ impl AccessSystem {
     /// `Null`; the generated surrogate is placed there. Values may be
     /// shorter than the declared arity — missing attributes are unset
     /// ("values are assigned to all or only selected attributes").
-    pub fn insert_atom(&self, t: AtomTypeId, values: Vec<Value>) -> AccessResult<AtomId> {
-        self.insert_atom_with_hook(t, values, |_| Ok(()))
-    }
-
-    /// [`AccessSystem::insert_atom`] with a *pre-write hook*: `hook` runs
-    /// after the surrogate is generated and the values validated, but
-    /// **before any page is modified**. The transaction layer uses it to
-    /// append the insert's undo record to the WAL ahead of the page
-    /// images it causes — the forced log prefix then never contains a
-    /// redo without its matching undo.
-    pub fn insert_atom_with_hook(
+    pub fn insert_atom(
         &self,
         t: AtomTypeId,
+        values: Vec<Value>,
+        pre: OnPreWrite<'_>,
+    ) -> AccessResult<AtomId> {
+        self.insert_body(t, None, values, pre)
+    }
+
+    /// Re-creates an atom under its *original* logical address (used by
+    /// rollback to undo a delete — Section 4's selective in-transaction
+    /// recovery). Behaves like insert (integrity, keys, structures) but
+    /// does not generate a fresh surrogate.
+    pub fn restore_atom(&self, atom: Atom) -> AccessResult<()> {
+        self.insert_body(atom.id.atom_type, Some(atom.id), atom.values, None).map(drop)
+    }
+
+    /// The one insert body: under a fresh surrogate (`given` is `None`)
+    /// or a given one that must not exist.
+    fn insert_body(
+        &self,
+        t: AtomTypeId,
+        given: Option<AtomId>,
         mut values: Vec<Value>,
-        hook: impl FnOnce(AtomId) -> AccessResult<()>,
+        pre: OnPreWrite<'_>,
     ) -> AccessResult<AtomId> {
         let at = self.schema.atom_type(t).ok_or(AccessError::NoSuchAtomType(t))?.clone();
         // Pad with type-appropriate null values.
         while values.len() < at.attributes.len() {
             values.push(at.attributes[values.len()].ty.null_value());
         }
-        // Generate the surrogate.
         let store = self.store_of(t)?;
-        let seq = store.next_seq.fetch_add(1, Ordering::Relaxed);
-        let id = AtomId::new(t, seq);
-        let id_idx = at.identifier_index();
-        values[id_idx] = Value::Id(id);
+        let id = match given {
+            Some(id) if self.addresses.exists(id) => return Err(AccessError::AtomAlreadyExists(id)),
+            Some(id) => {
+                // Surrogates are never reused: keep the counter beyond this id.
+                store.next_seq.fetch_max(id.seq + 1, Ordering::Relaxed);
+                id
+            }
+            None => AtomId::new(t, store.next_seq.fetch_add(1, Ordering::Relaxed)),
+        };
+        values[at.identifier_index()] = Value::Id(id);
         self.schema.check_atom_values(t, &values)?;
         self.check_references(&at, id, &values)?;
-        hook(id)?;
-        // Key uniqueness.
-        for (attr, map) in &store.key_maps {
-            let v = &values[*attr];
-            if matches!(v, Value::Null) {
-                continue;
-            }
-            let key = encode_composite_key(std::slice::from_ref(v));
-            let mut m = map.write();
-            if m.contains_key(&key) {
-                return Err(AccessError::DuplicateKey {
-                    atom_type: at.name.clone(),
-                    attr: at.attributes[*attr].name.clone(),
-                    value: v.to_string(),
-                });
-            }
-            m.insert(key, id);
-        }
+        before(pre, PreWrite::Insert(id))?;
+        self.rekey(store, &at, id, None, Some(&values))?;
         let atom = Atom::new(id, values);
         // Primary record.
         let ptr = store.file.insert(&atom.encode())?;
@@ -423,78 +448,64 @@ impl AccessSystem {
                 ));
             }
         }
-        self.apply_backref_ops(&ops)?;
+        self.apply_backref_ops(&ops, pre)?;
         // Tuning structures.
         self.structures_on_insert(&atom)?;
         Ok(id)
     }
 
-    /// Re-creates an atom under its *original* logical address (used by
-    /// transaction rollback to undo a delete — Section 4's selective
-    /// in-transaction recovery). Behaves like insert (integrity, keys,
-    /// structures) but does not generate a fresh surrogate.
-    pub fn restore_atom(&self, atom: Atom) -> AccessResult<()> {
-        let id = atom.id;
-        if self.addresses.exists(id) {
-            return Err(AccessError::AtomAlreadyExists(id));
+    /// Moves `id`'s `KEYS_ARE` entries from its `old` values to its
+    /// `new` ones (`None`: no values — an insert or a delete). Every
+    /// changed key is checked before any map changes, all under the
+    /// maps' write latches, so a `DuplicateKey` leaves every map as it
+    /// was.
+    fn rekey(
+        &self,
+        store: &TypeStore,
+        at: &prima_mad::AtomType,
+        id: AtomId,
+        old: Option<&[Value]>,
+        new: Option<&[Value]>,
+    ) -> AccessResult<()> {
+        fn value(vals: Option<&[Value]>, attr: usize) -> Option<&Value> {
+            vals.and_then(|v| v.get(attr)).filter(|v| !matches!(v, Value::Null))
         }
-        let at = self
-            .schema
-            .atom_type(id.atom_type)
-            .ok_or(AccessError::NoSuchAtomType(id.atom_type))?
-            .clone();
-        let mut values = atom.values;
-        while values.len() < at.attributes.len() {
-            values.push(at.attributes[values.len()].ty.null_value());
-        }
-        values[at.identifier_index()] = Value::Id(id);
-        self.schema.check_atom_values(id.atom_type, &values)?;
-        self.check_references(&at, id, &values)?;
-        let store = self.store_of(id.atom_type)?;
-        // Surrogates are never reused: keep the counter beyond this id.
-        store.next_seq.fetch_max(id.seq + 1, Ordering::Relaxed);
+        let key = |v: &Value| encode_composite_key(std::slice::from_ref(v));
+        let mut changes = Vec::new();
         for (attr, map) in &store.key_maps {
-            let v = &values[*attr];
-            if matches!(v, Value::Null) {
+            let (old_v, new_v) = (value(old, *attr), value(new, *attr));
+            if old_v == new_v {
                 continue;
             }
-            let key = encode_composite_key(std::slice::from_ref(v));
-            let mut m = map.write();
-            if m.contains_key(&key) {
-                return Err(AccessError::DuplicateKey {
-                    atom_type: at.name.clone(),
-                    attr: at.attributes[*attr].name.clone(),
-                    value: v.to_string(),
-                });
+            let m = map.write();
+            if let Some(v) = new_v {
+                if m.get(&key(v)).is_some_and(|owner| *owner != id) {
+                    return Err(AccessError::DuplicateKey {
+                        atom_type: at.name.clone(),
+                        attr: at.attributes[*attr].name.clone(),
+                        value: v.to_string(),
+                    });
+                }
             }
-            m.insert(key, id);
+            changes.push((m, old_v, new_v));
         }
-        let restored = Atom::new(id, values);
-        let ptr = store.file.insert(&restored.encode())?;
-        self.stats.records_written.fetch_add(1, Ordering::Relaxed);
-        self.addresses.set_primary(id, ptr);
-        store.count.fetch_add(1, Ordering::Relaxed);
-        let mut ops = Vec::new();
-        for (i, attr) in at.attributes.iter().enumerate() {
-            if attr.ty.is_reference() {
-                ops.extend(backref_ops(
-                    &self.schema,
-                    id,
-                    i,
-                    &attr.ty.null_value(),
-                    &restored.values[i],
-                ));
+        for (mut m, old_v, new_v) in changes {
+            if let Some(k) = old_v.map(key) {
+                if m.get(&k) == Some(&id) {
+                    m.remove(&k);
+                }
+            }
+            if let Some(v) = new_v {
+                m.insert(key(v), id);
             }
         }
-        self.apply_backref_ops(&ops)?;
-        self.structures_on_insert(&restored)?;
         Ok(())
     }
 
     /// Resolves named attribute assignments against a type name into the
     /// positional value vector `insert_atom` expects (missing attributes
-    /// pre-filled with their type-appropriate null). Shared by the
-    /// named-insert path here and the MQL `INSERT` statement upstairs.
+    /// pre-filled with their type-appropriate null), as the MQL `INSERT`
+    /// statement and the session's atom-level interface need it.
     pub fn resolve_named_values(
         &self,
         type_name: &str,
@@ -519,16 +530,6 @@ impl AccessSystem {
         Ok((at.id, values))
     }
 
-    /// Insert with named attributes (missing ones unset).
-    pub fn insert_atom_named(
-        &self,
-        type_name: &str,
-        attrs: &[(&str, Value)],
-    ) -> AccessResult<AtomId> {
-        let (t, values) = self.resolve_named_values(type_name, attrs)?;
-        self.insert_atom(t, values)
-    }
-
     fn check_references(
         &self,
         at: &prima_mad::AtomType,
@@ -545,7 +546,9 @@ impl AccessSystem {
                             got: target,
                         });
                     }
-                    if !self.addresses.exists(target) {
+                    // A self-reference is no dangling one, even while a
+                    // restore re-creates the atom.
+                    if target != from && !self.addresses.exists(target) {
                         return Err(AccessError::DanglingReference { from, to: target });
                     }
                 }
@@ -764,7 +767,12 @@ impl AccessSystem {
     /// Modifies selected attributes of an atom. Reference-attribute
     /// changes trigger implicit back-reference updates; redundant copies
     /// follow the update policy.
-    pub fn modify_atom(&self, id: AtomId, updates: &[(usize, Value)]) -> AccessResult<()> {
+    pub fn modify_atom(
+        &self,
+        id: AtomId,
+        updates: &[(usize, Value)],
+        pre: OnPreWrite<'_>,
+    ) -> AccessResult<()> {
         let at = self
             .schema
             .atom_type(id.atom_type)
@@ -784,35 +792,8 @@ impl AccessSystem {
         }
         self.schema.check_atom_values(id.atom_type, &new_values)?;
         self.check_references(&at, id, &new_values)?;
-        // Key maintenance.
-        let store = self.store_of(id.atom_type)?;
-        for (attr, map) in &store.key_maps {
-            let old_v = &old.values[*attr];
-            let new_v = &new_values[*attr];
-            if old_v == new_v {
-                continue;
-            }
-            let mut m = map.write();
-            if !matches!(new_v, Value::Null) {
-                let new_key = encode_composite_key(std::slice::from_ref(new_v));
-                if let Some(existing) = m.get(&new_key) {
-                    if *existing != id {
-                        return Err(AccessError::DuplicateKey {
-                            atom_type: at.name.clone(),
-                            attr: at.attributes[*attr].name.clone(),
-                            value: new_v.to_string(),
-                        });
-                    }
-                }
-                m.insert(new_key, id);
-            }
-            if !matches!(old_v, Value::Null) {
-                let old_key = encode_composite_key(std::slice::from_ref(old_v));
-                if m.get(&old_key) == Some(&id) && old_v != new_v {
-                    m.remove(&old_key);
-                }
-            }
-        }
+        before(pre, PreWrite::Modify(&old, updates))?;
+        self.rekey(self.store_of(id.atom_type)?, &at, id, Some(&old.values), Some(&new_values))?;
         // Back-reference deltas.
         let mut ops = Vec::new();
         for (i, _) in updates {
@@ -822,15 +803,15 @@ impl AccessSystem {
         // now" of deferred update.
         let new_atom = Atom::new(id, new_values);
         self.write_primary(&new_atom)?;
-        self.apply_backref_ops(&ops)?;
+        self.apply_backref_ops(&ops, pre)?;
         // Redundant copies.
         self.structures_on_modify(&old, &new_atom)?;
         Ok(())
     }
 
     /// Resolves named attribute updates against the atom's type into the
-    /// positional list [`AccessSystem::modify_atom`] expects. Shared by
-    /// the named-modify path here and the session's atom-level interface.
+    /// positional list [`AccessSystem::modify_atom`] expects (the
+    /// session's atom-level interface).
     pub fn resolve_named_updates(
         &self,
         id: AtomId,
@@ -853,12 +834,6 @@ impl AccessSystem {
         Ok(by_idx)
     }
 
-    /// Named-attribute modify.
-    pub fn modify_atom_named(&self, id: AtomId, updates: &[(&str, Value)]) -> AccessResult<()> {
-        let by_idx = self.resolve_named_updates(id, updates)?;
-        self.modify_atom(id, &by_idx)
-    }
-
     fn write_primary(&self, atom: &Atom) -> AccessResult<()> {
         let store = self.store_of(atom.id.atom_type)?;
         let ptr = self.addresses.primary(atom.id).ok_or(AccessError::NoSuchAtom(atom.id))?;
@@ -871,10 +846,12 @@ impl AccessSystem {
     }
 
     /// Applies implicit updates to referenced atoms' primary records and
-    /// (per policy) their redundant copies.
-    fn apply_backref_ops(&self, ops: &[BackRefOp]) -> AccessResult<()> {
+    /// (per policy) their redundant copies, showing each partner's
+    /// current value to the write's pre-write callback first.
+    fn apply_backref_ops(&self, ops: &[BackRefOp], pre: OnPreWrite<'_>) -> AccessResult<()> {
         for op in ops {
             let old = self.read_primary(op.target)?;
+            before(pre, PreWrite::Partner(&old))?;
             let mut values = old.values.clone();
             apply_backref(&mut values, op);
             let new_atom = Atom::new(op.target, values);
@@ -892,13 +869,14 @@ impl AccessSystem {
     /// Deletes an atom; all references to it are disconnected
     /// (back-references adjusted on both sides), its redundant copies
     /// removed and its surrogate released.
-    pub fn delete_atom(&self, id: AtomId) -> AccessResult<()> {
+    pub fn delete_atom(&self, id: AtomId, pre: OnPreWrite<'_>) -> AccessResult<()> {
         let at = self
             .schema
             .atom_type(id.atom_type)
             .ok_or(AccessError::NoSuchAtomType(id.atom_type))?
             .clone();
         let old = self.read_primary(id)?;
+        before(pre, PreWrite::Delete(&old))?;
         // Disconnect: for each reference this atom holds, remove the
         // back-reference in the target. (Symmetry means every atom that
         // references `id` is itself referenced from `id`, so this covers
@@ -915,15 +893,9 @@ impl AccessSystem {
                 ));
             }
         }
-        self.apply_backref_ops(&ops)?;
-        // Keys.
+        self.apply_backref_ops(&ops, pre)?;
         let store = self.store_of(id.atom_type)?;
-        for (attr, map) in &store.key_maps {
-            let v = &old.values[*attr];
-            if !matches!(v, Value::Null) {
-                map.write().remove(&encode_composite_key(std::slice::from_ref(v)));
-            }
-        }
+        self.rekey(store, &at, id, Some(&old.values), None)?;
         // Structures.
         self.structures_on_delete(&old)?;
         // Primary record and address entry.

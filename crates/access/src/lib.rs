@@ -45,7 +45,9 @@ pub mod scan;
 pub mod sort_order;
 pub mod ssa;
 
-pub use access_system::{AccessStats, AccessStatsSnapshot, AccessSystem, StructureId, UpdatePolicy};
+pub use access_system::{
+    AccessStats, AccessStatsSnapshot, AccessSystem, OnPreWrite, PreWrite, StructureId, UpdatePolicy,
+};
 pub use atom::Atom;
 pub use error::{AccessError, AccessResult};
 pub use ssa::{CmpOp, Ssa};

@@ -190,7 +190,7 @@ mod tests {
         let storage = StdArc::new(StorageSystem::in_memory(16 << 20));
         let sys = AccessSystem::new(storage, schema).unwrap();
         for i in 0..n {
-            sys.insert_atom(0, vec![Value::Null, Value::Int(i % 10), Value::Int(i / 10)])
+            sys.insert_atom(0, vec![Value::Null, Value::Int(i % 10), Value::Int(i / 10)], None)
                 .unwrap();
         }
         sys

@@ -166,7 +166,7 @@ mod tests {
         let storage = Arc::new(StorageSystem::in_memory(8 << 20));
         let sys = AccessSystem::new(storage, schema).unwrap();
         for i in 0..n {
-            sys.insert_atom(0, vec![Value::Null, Value::Int(i), Value::Str(format!("i{i}"))])
+            sys.insert_atom(0, vec![Value::Null, Value::Int(i), Value::Str(format!("i{i}"))], None)
                 .unwrap();
         }
         sys

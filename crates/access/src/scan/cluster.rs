@@ -204,12 +204,13 @@ mod tests {
 
     fn build_brep(sys: &AccessSystem, brep_no: i64, n_faces: usize, n_points: usize) -> AtomId {
         let brep = sys
-            .insert_atom(0, vec![Value::Null, Value::Int(brep_no)])
+            .insert_atom(0, vec![Value::Null, Value::Int(brep_no)], None)
             .unwrap();
         for i in 0..n_faces {
             sys.insert_atom(
                 1,
                 vec![Value::Null, Value::Real(i as f64), Value::Ref(Some(brep))],
+                None,
             )
             .unwrap();
         }
@@ -217,6 +218,7 @@ mod tests {
             sys.insert_atom(
                 2,
                 vec![Value::Null, Value::Real(i as f64 / 2.0), Value::Ref(Some(brep))],
+                None,
             )
             .unwrap();
         }

@@ -279,7 +279,7 @@ mod tests {
         let sys = AccessSystem::new(storage, schema).unwrap();
         // Insert in reverse order so physical order != key order.
         for i in (0..n).rev() {
-            sys.insert_atom(0, vec![Value::Null, Value::Int(i), Value::Str(format!("i{i}"))])
+            sys.insert_atom(0, vec![Value::Null, Value::Int(i), Value::Str(format!("i{i}"))], None)
                 .unwrap();
         }
         sys
@@ -377,7 +377,7 @@ mod tests {
         // Modify a non-key attribute: the copy goes stale but stays in
         // place.
         let victim = sys.all_ids(0).unwrap()[0];
-        sys.modify_atom_named(victim, &[("name", Value::Str("fresh".into()))]).unwrap();
+        sys.modify_atom(victim, &[(2, Value::Str("fresh".into()))], None).unwrap();
         let mut scan =
             SortScan::open(&sys, 0, &[1], Ssa::True, Bound::Unbounded, Bound::Unbounded).unwrap();
         let all = scan.collect_remaining().unwrap();

@@ -10,11 +10,19 @@
 //!
 //! * a subtransaction may acquire a lock if every conflicting holder is
 //!   an *ancestor*;
-//! * on **commit**, a subtransaction's locks and undo log are inherited
-//!   by its parent (they only become permanent when the top-level
-//!   transaction commits);
-//! * on **abort**, its undo log is applied in reverse — *selective
-//!   in-transaction recovery*: sibling work is untouched.
+//! * on **commit**, a subtransaction's locks and version entries are
+//!   inherited by its parent (they only become permanent when the
+//!   top-level transaction commits);
+//! * on **abort**, its writes are reversed newest-first from their
+//!   before-images — *selective in-transaction recovery*: sibling work
+//!   is untouched.
+//!
+//! There is no separate undo list: the [`mvcc`] version chain is the one
+//! in-memory before-image. The access system shows every write's
+//! before-image to one pre-write callback ([`PreWrite`]) before it
+//! changes the record; the manager turns the written atom's into its WAL
+//! undo record and a version entry, and each back-reference partner's
+//! into a visibility-only version entry.
 //!
 //! # Waiting, deadlocks, victims
 //!
@@ -35,7 +43,7 @@
 //! because merging a child's modes into the parent can make a parked
 //! stranger grantable. Deadlock victims surface to whoever issued the
 //! statement: `Session` retries auto-commit statements transparently
-//! (rollback via the undo log, exponential backoff), explicit
+//! (rollback, exponential backoff), explicit
 //! transactions see the retryable error and decide.
 //!
 //! # Who locks, who doesn't: the version store
@@ -78,7 +86,7 @@ use crate::error::PrimaResult;
 use parking_lot::{rank, Mutex, RwLock};
 use prima_access::cluster::AtomClusterType;
 use prima_access::ssa::Ssa;
-use prima_access::{AccessError, AccessSystem, Atom};
+use prima_access::{AccessError, AccessSystem, Atom, PreWrite};
 use prima_mad::value::{AtomId, AtomTypeId, Value};
 use prima_storage::{Wal, WalPayload};
 use std::collections::{HashMap, HashSet};
@@ -137,10 +145,15 @@ impl fmt::Display for TxnError {
 
 impl std::error::Error for TxnError {}
 
+impl From<AccessError> for TxnError {
+    fn from(e: AccessError) -> Self {
+        TxnError::Access(e.to_string())
+    }
+}
+
 struct TxnState {
     parent: Option<TxnId>,
     children: Vec<TxnId>,
-    undo: Vec<UndoOp>,
     /// Whether this (top-level) transaction's WAL bracket is open, i.e.
     /// its `TxnBegin` has been appended. Written lazily with the first
     /// undo record: read-only transactions (every query-path txn) leave
@@ -157,7 +170,9 @@ struct TxnState {
 /// log (that is the durability point of `Session::commit`), and every
 /// manipulation appends its serialised [`UndoOp`] **before** the
 /// operation touches a page — so a forced log prefix never contains a
-/// page image without the undo that can reverse it.
+/// page image without the undo that can reverse it. In memory, a
+/// transaction's before-images live only in the version store: abort
+/// replays them from there.
 pub struct TxnManager {
     sys: Arc<AccessSystem>,
     locks: LockTable,
@@ -209,7 +224,7 @@ impl TxnManager {
         }
         active.insert(
             id,
-            TxnState { parent, children: Vec::new(), undo: Vec::new(), wal_open: false },
+            TxnState { parent, children: Vec::new(), wal_open: false },
         );
         drop(active);
         // No WAL bracket yet: `TxnBegin` is appended lazily with the
@@ -233,13 +248,6 @@ impl TxnManager {
             }
         }
         out
-    }
-
-    fn push_undo(&self, t: TxnId, op: UndoOp) -> Result<(), TxnError> {
-        let mut active = self.active.lock();
-        let state = active.get_mut(&t).ok_or(TxnError::NotActive(t))?;
-        state.undo.push(op);
-        Ok(())
     }
 
     /// Appends `op` to the WAL, tagged with `t`'s *top-level* ancestor
@@ -324,7 +332,7 @@ impl TxnManager {
 
     fn read_atom(&self, t: TxnId, id: AtomId) -> Result<Atom, TxnError> {
         self.lock_atom_shared(t, id)?;
-        self.sys.read_atom(id, None).map_err(|e| TxnError::Access(e.to_string()))
+        Ok(self.sys.read_atom(id, None)?)
     }
 
     fn insert_atom(
@@ -352,21 +360,8 @@ impl TxnManager {
                 self.lock_atom_exclusive(t, target)?;
             }
         }
-        // The pre-write hook appends the undo record — and installs the
-        // "did not exist yet" version entry — once the surrogate exists
-        // but before the first page image of this insert, so a snapshot
-        // scan that catches the new atom in base resolves it invisible.
-        let id = self
-            .sys
-            .insert_atom_with_hook(atom_type, values, |id| {
-                self.log_undo(t, &UndoOp::UndoInsert { id })
-                    .map_err(prima_access::AccessError::Storage)?;
-                self.versions.install(t, id, None);
-                Ok(())
-            })
-            .map_err(|e| TxnError::Access(e.to_string()))?;
+        let id = self.sys.insert_atom(atom_type, values, Some(&|w| self.before_write(t, w)))?;
         self.lock_atom_exclusive(t, id)?;
-        self.push_undo(t, UndoOp::UndoInsert { id })?;
         Ok(id)
     }
 
@@ -377,7 +372,7 @@ impl TxnManager {
         updates: &[(usize, Value)],
     ) -> Result<(), TxnError> {
         self.lock_atom_exclusive(t, id)?;
-        let before = self.sys.read_atom(id, None).map_err(|e| TxnError::Access(e.to_string()))?;
+        let before = self.sys.read_atom(id, None)?;
         // Lock atoms whose back-references will change.
         for (i, v) in updates {
             for target in before.values.get(*i).map(prima_mad::Value::referenced_ids).unwrap_or_default()
@@ -388,37 +383,72 @@ impl TxnManager {
                 self.lock_atom_exclusive(t, target)?;
             }
         }
-        let old: Vec<(usize, Value)> = updates
-            .iter()
-            .map(|(i, _)| (*i, before.values.get(*i).cloned().unwrap_or(Value::Null)))
-            .collect();
-        // Undo before do: the WAL record precedes every page image. The
-        // version entry follows the same discipline — installed before
-        // the base mutation, so a snapshot reader that catches the new
-        // base value always finds the before-image that corrects it.
-        let undo = UndoOp::UndoModify { id, old };
-        self.log_undo(t, &undo).map_err(|e| TxnError::Access(e.to_string()))?;
-        self.versions.install(t, id, Some(before));
-        self.sys.modify_atom(id, updates).map_err(|e| TxnError::Access(e.to_string()))?;
-        self.push_undo(t, undo)?;
-        Ok(())
+        Ok(self.sys.modify_atom(id, updates, Some(&|w| self.before_write(t, w)))?)
     }
 
     fn delete_atom(&self, t: TxnId, id: AtomId) -> Result<(), TxnError> {
         self.lock_atom_exclusive(t, id)?;
-        let before = self.sys.read_atom(id, None).map_err(|e| TxnError::Access(e.to_string()))?;
+        let before = self.sys.read_atom(id, None)?;
         for v in &before.values {
             for target in v.referenced_ids() {
                 self.lock_atom_exclusive(t, target)?;
             }
         }
-        // Undo before do, as for modify — version entry included.
-        let undo = UndoOp::UndoDelete { atom: before.clone() };
-        self.log_undo(t, &undo).map_err(|e| TxnError::Access(e.to_string()))?;
-        self.versions.install(t, id, Some(before));
-        self.sys.delete_atom(id).map_err(|e| TxnError::Access(e.to_string()))?;
-        self.push_undo(t, undo)?;
+        Ok(self.sys.delete_atom(id, Some(&|w| self.before_write(t, w)))?)
+    }
+
+    /// The pre-write callback of every transactional write: undo before
+    /// do. The written atom's before-image is appended to the WAL as its
+    /// undo record and chained as a version entry — both before the
+    /// first page image, so a snapshot reader that catches the new base
+    /// value always finds the image that corrects it. A back-reference
+    /// partner's before-image becomes a visibility-only entry.
+    fn before_write(&self, t: TxnId, w: PreWrite<'_>) -> Result<(), AccessError> {
+        let (id, image, undo) = match w {
+            PreWrite::Partner(atom) => {
+                self.versions.install(t, atom.id, Some(atom), false);
+                return Ok(());
+            }
+            PreWrite::Insert(id) => (id, None, UndoOp::UndoInsert { id }),
+            PreWrite::Modify(atom, updates) => {
+                let old = updates
+                    .iter()
+                    .map(|(i, _)| (*i, atom.values.get(*i).cloned().unwrap_or(Value::Null)))
+                    .collect();
+                (atom.id, Some(atom), UndoOp::UndoModify { id: atom.id, old })
+            }
+            PreWrite::Delete(atom) => {
+                (atom.id, Some(atom), UndoOp::UndoDelete { atom: atom.clone() })
+            }
+        };
+        self.log_undo(t, &undo).map_err(AccessError::Storage)?;
+        self.versions.install(t, id, image, true);
         Ok(())
+    }
+
+    /// Reverses one write from its before-image and the current base:
+    /// a write that inserted the atom (no image) by deleting it, one that
+    /// deleted it by restoring the image, any other by modifying back the
+    /// attributes that differ. Back-reference partners follow through
+    /// the access system's integrity maintenance.
+    fn undo_write(&self, id: AtomId, image: Option<Atom>) -> Result<(), AccessError> {
+        let Some(image) = image else {
+            return if self.sys.exists(id) { self.sys.delete_atom(id, None) } else { Ok(()) };
+        };
+        if !self.sys.exists(id) {
+            return self.sys.restore_atom(image);
+        }
+        let base = self.sys.read_atom(id, None)?;
+        let changed: Vec<(usize, Value)> = image
+            .values
+            .into_iter()
+            .enumerate()
+            .filter(|(i, v)| base.values.get(*i) != Some(v))
+            .collect();
+        if changed.is_empty() {
+            return Ok(());
+        }
+        self.sys.modify_atom(id, &changed, None)
     }
 
     // -----------------------------------------------------------------
@@ -451,7 +481,7 @@ impl TxnManager {
                 wal.commit(t.0).map_err(|e| TxnError::Access(e.to_string()))?;
             }
         }
-        let undo = {
+        {
             let mut active = self.active.lock();
             // Validated under this same lock at function entry; if it
             // vanished since (it cannot — only the owner removes it),
@@ -462,18 +492,13 @@ impl TxnManager {
                     ps.children.retain(|c| *c != t);
                 }
             }
-            state.undo
-        };
+        }
         match parent {
             Some(p) => {
-                // Moss: locks, undo and version entries are inherited by
-                // the parent.
+                // Moss: locks and version entries — the before-images —
+                // are inherited by the parent.
                 self.locks.transfer(t, p);
                 self.versions.transfer(t, p);
-                let mut active = self.active.lock();
-                if let Some(ps) = active.get_mut(&p) {
-                    ps.undo.extend(undo);
-                }
             }
             None => {
                 // Stamp the version entries with this commit's position
@@ -499,18 +524,18 @@ impl TxnManager {
         for c in children {
             self.abort(c)?;
         }
-        // Selective in-transaction recovery: apply undo in reverse,
-        // *before* the transaction leaves the active set — a quiescing
-        // checkpoint must never observe a half-rolled-back kernel as
-        // idle (it would flush the partial state and truncate the undo
-        // records that could finish the job after a crash).
-        let (parent, undo, wal_open) = {
+        // Selective in-transaction recovery: reverse this transaction's
+        // writes newest-first, *before* it leaves the active set — a
+        // quiescing checkpoint must never observe a half-rolled-back
+        // kernel as idle (it would flush the partial state and truncate
+        // the undo records that could finish the job after a crash).
+        let (parent, wal_open) = {
             let active = self.active.lock();
             let state = active.get(&t).ok_or(TxnError::NotActive(t))?;
-            (state.parent, state.undo.clone(), state.wal_open)
+            (state.parent, state.wal_open)
         };
-        for op in undo.iter().rev() {
-            op.apply(&self.sys).map_err(|e| TxnError::Access(e.to_string()))?;
+        for (id, image) in self.versions.undo_images(t) {
+            self.undo_write(id, image)?;
         }
         // Retire this transaction's version entries now that base storage
         // is restored. The store stamps rather than deletes them: a

@@ -6,10 +6,14 @@
 //! version store removes readers from the lock table entirely:
 //!
 //! * **Writers** install a *version entry* — the before-image of every
-//!   atom they touch (the same image the logical undo log carries) —
-//!   **before** the base storage is mutated, chained under the writer's
-//!   transaction. Writers keep strict 2PL against each other; nothing
-//!   about write-write conflicts changes.
+//!   atom they touch, back-reference partners included — **before** the
+//!   base storage is mutated, chained under the writer's transaction.
+//!   A written atom gets an entry per write: the same image its WAL undo
+//!   record carries, and the only in-memory one — abort replays these
+//!   *undo entries* ([`VersionStore::undo_images`]). A partner rewritten
+//!   by the integrity maintenance gets one *visibility-only* entry, on
+//!   the transaction's first touch. Writers keep strict 2PL against each
+//!   other; nothing about write-write conflicts changes.
 //! * **Readers** register a [`Snapshot`] at statement start: a single
 //!   `u64` position in the store's commit order (`commit_seq`). Every base
 //!   read is then *resolved* through the store — if a chain says the
@@ -85,6 +89,9 @@ struct VersionEntry {
     /// The atom's value before the overwrite; `None` if it did not
     /// exist (the owner inserted it).
     image: Option<Atom>,
+    /// Whether abort replays this entry (a write's before-image) or only
+    /// readers see it (a back-reference partner's).
+    undo: bool,
 }
 
 struct Inner {
@@ -188,12 +195,18 @@ impl VersionStore {
 
     /// Chains `image` (the atom's value before `txn`'s overwrite;
     /// `None` for an insert) under `txn`. Must run **before** the base
-    /// mutation it shadows.
-    pub fn install(&self, txn: TxnId, id: AtomId, image: Option<Atom>) {
+    /// mutation it shadows. A visibility-only entry (`undo` false) is
+    /// skipped when the chain already holds an unstamped entry — one of
+    /// `txn` or an ancestor, as the exclusive lock on `id` guarantees:
+    /// readers resolve to the oldest entry, so a later one is never read.
+    pub fn install(&self, txn: TxnId, id: AtomId, image: Option<&Atom>, undo: bool) {
         let mut inner = self.inner.lock();
         let chain = inner.chains.entry(id).or_default();
+        if !undo && chain.iter().any(|e| e.end.is_none()) {
+            return;
+        }
         let fresh = chain.is_empty();
-        chain.push(VersionEntry { owner: txn, end: None, image });
+        chain.push(VersionEntry { owner: txn, end: None, image: image.cloned(), undo });
         let len = chain.len() as u64;
         if fresh {
             inner.by_type.entry(id.atom_type).or_default().insert(id);
@@ -218,6 +231,27 @@ impl VersionStore {
             }
         }
         inner.by_txn.entry(to).or_default().extend(ids);
+    }
+
+    /// `txn`'s undo entries, newest first: for each of its writes, the
+    /// written atom's value before it (`None`: the write inserted it).
+    /// `by_txn` lists the atom once per entry in install order, so the
+    /// `n`-th last listing of an atom is its `n`-th last entry of `txn`.
+    pub fn undo_images(&self, txn: TxnId) -> Vec<(AtomId, Option<Atom>)> {
+        let inner = self.inner.lock();
+        let Some(ids) = inner.by_txn.get(&txn) else { return Vec::new() };
+        let mut seen: HashMap<AtomId, usize> = HashMap::new();
+        let mut out = Vec::new();
+        for &id in ids.iter().rev() {
+            let n = seen.entry(id).or_default();
+            let chain = inner.chains.get(&id).into_iter().flatten();
+            let entry = chain.rev().filter(|e| e.owner == txn).nth(*n);
+            *n += 1;
+            if let Some(e) = entry.filter(|e| e.undo) {
+                out.push((id, e.image.clone()));
+            }
+        }
+        out
     }
 
     /// Stamps `txn`'s entries at the next commit position. Only the
@@ -444,7 +478,7 @@ mod tests {
         let store = VersionStore::new();
         let id = AtomId::new(1, 1);
         let snap = store.begin_snapshot();
-        store.install(TxnId(7), id, Some(atom(id, 1)));
+        store.install(TxnId(7), id, Some(&atom(id, 1)), true);
         // Base now (conceptually) holds the dirty value 2.
         let seen = snap.visible(id, Some(atom(id, 2))).unwrap();
         assert_eq!(seen.values[1], Value::Int(1));
@@ -455,7 +489,7 @@ mod tests {
         let store = VersionStore::new();
         let id = AtomId::new(1, 1);
         let before = store.begin_snapshot();
-        store.install(TxnId(7), id, Some(atom(id, 1)));
+        store.install(TxnId(7), id, Some(&atom(id, 1)), true);
         store.commit_stamp(TxnId(7));
         let after = store.begin_snapshot();
         assert_eq!(before.visible(id, Some(atom(id, 2))).unwrap().values[1], Value::Int(1));
@@ -468,8 +502,8 @@ mod tests {
         let inserted = AtomId::new(1, 1);
         let deleted = AtomId::new(1, 2);
         let snap = store.begin_snapshot();
-        store.install(TxnId(7), inserted, None);
-        store.install(TxnId(7), deleted, Some(atom(deleted, 5)));
+        store.install(TxnId(7), inserted, None, true);
+        store.install(TxnId(7), deleted, Some(&atom(deleted, 5)), true);
         // Inserted atom present in base but invisible to the snapshot.
         assert!(snap.visible(inserted, Some(atom(inserted, 9))).is_none());
         // Deleted atom gone from base but visible via its image.
@@ -485,8 +519,8 @@ mod tests {
         let store = VersionStore::new();
         let id = AtomId::new(1, 1);
         let snap = store.begin_snapshot();
-        store.install(TxnId(7), id, Some(atom(id, 1)));
-        store.install(TxnId(7), id, Some(atom(id, 2)));
+        store.install(TxnId(7), id, Some(&atom(id, 1)), true);
+        store.install(TxnId(7), id, Some(&atom(id, 2)), true);
         store.commit_stamp(TxnId(7));
         // The pre-transaction value, not the intermediate one.
         assert_eq!(snap.visible(id, Some(atom(id, 3))).unwrap().values[1], Value::Int(1));
@@ -498,7 +532,7 @@ mod tests {
         let store = VersionStore::new();
         let id = AtomId::new(1, 1);
         let snap = store.begin_snapshot();
-        store.install(TxnId(7), id, Some(atom(id, 1)));
+        store.install(TxnId(7), id, Some(&atom(id, 1)), true);
         store.rollback(TxnId(7));
         // Even if this reader's base read caught the dirty value, the
         // stamped entry corrects it.
@@ -512,7 +546,7 @@ mod tests {
         let store = VersionStore::new();
         let id = AtomId::new(1, 1);
         let old = store.begin_snapshot();
-        store.install(TxnId(7), id, Some(atom(id, 1)));
+        store.install(TxnId(7), id, Some(&atom(id, 1)), true);
         store.commit_stamp(TxnId(7));
         // A later commit on another atom advances the watermark only as
         // far as the open snapshot allows.
@@ -529,8 +563,8 @@ mod tests {
         let store = VersionStore::new();
         let id = AtomId::new(1, 1);
         let snap = store.begin_snapshot();
-        store.install(TxnId(1), id, Some(atom(id, 1)));
-        store.install(TxnId(2), id, Some(atom(id, 5))); // child's image: dirty
+        store.install(TxnId(1), id, Some(&atom(id, 1)), true);
+        store.install(TxnId(2), id, Some(&atom(id, 5)), true); // child's image: dirty
         store.transfer(TxnId(2), TxnId(1));
         store.commit_stamp(TxnId(1));
         // Deepest entry wins: the pre-transaction value.
@@ -538,10 +572,31 @@ mod tests {
     }
 
     #[test]
+    fn partner_entries_are_first_touch_only_and_never_replayed() {
+        let store = VersionStore::new();
+        let (written, partner) = (AtomId::new(1, 1), AtomId::new(1, 2));
+        let snap = store.begin_snapshot();
+        store.install(TxnId(7), written, Some(&atom(written, 1)), true);
+        store.install(TxnId(7), partner, Some(&atom(partner, 10)), false);
+        store.install(TxnId(7), partner, Some(&atom(partner, 11)), false); // not the first touch
+        store.install(TxnId(7), written, Some(&atom(written, 2)), true);
+        assert_eq!(store.stats().live_versions, 3);
+        let seen = snap.visible(partner, Some(atom(partner, 12))).unwrap();
+        assert_eq!(seen.values[1], Value::Int(10), "the first touch's image");
+        // Abort replays the written atom's images only, newest first.
+        let undo: Vec<(AtomId, Value)> = store
+            .undo_images(TxnId(7))
+            .into_iter()
+            .map(|(id, image)| (id, image.unwrap().values[1].clone()))
+            .collect();
+        assert_eq!(undo, vec![(written, Value::Int(2)), (written, Value::Int(1))]);
+    }
+
+    #[test]
     fn no_open_snapshot_means_versions_die_at_commit() {
         let store = VersionStore::new();
         let id = AtomId::new(1, 1);
-        store.install(TxnId(7), id, Some(atom(id, 1)));
+        store.install(TxnId(7), id, Some(&atom(id, 1)), true);
         store.commit_stamp(TxnId(7));
         let s = store.stats();
         assert_eq!(s.live_versions, 0);

@@ -1,27 +1,29 @@
-//! Undo log entries for selective in-transaction recovery — and, since
-//! the durability subsystem, for *restart* recovery.
+//! The WAL undo record: its format, and how restart recovery replays it.
 //!
 //! "…a flexible transaction concept … which should also focus on fine
 //! grained intra-transaction parallelism and selective in-transaction
 //! recovery in various failure events" (Section 4). Undo is *logical*:
-//! each entry stores the inverse operation; back-references regenerate
+//! each record stores the inverse operation; back-references regenerate
 //! through the access system's own integrity maintenance when the inverse
-//! is applied, so sibling subtransactions' work is untouched.
+//! is applied.
 //!
-//! Each entry also has a byte encoding ([`UndoOp::encode`] /
-//! [`UndoOp::decode`]) so the transaction manager can append it to the
-//! write-ahead log *before* the operation touches any page: after a
-//! crash, `Prima::open` replays the undo records of loser transactions in
-//! reverse log order through [`UndoOp::apply_recovery`], which tolerates
-//! the partial states redo can leave behind (an op whose page images
-//! never reached the forced log prefix has nothing to undo).
+//! [`UndoOp`] is only the log format and restart's replay. The transaction
+//! manager builds one from a write's before-image just to append its
+//! encoding ([`UndoOp::encode`]) to the write-ahead log *before* the
+//! operation touches any page; in-process rollback replays the same
+//! images from the version store instead. After a crash, `Prima::open`
+//! decodes ([`UndoOp::decode`]) the undo records of loser transactions
+//! and replays them in reverse log order through
+//! [`UndoOp::apply_recovery`], which tolerates the partial states redo can
+//! leave behind (an op whose page images never reached the forced log
+//! prefix has nothing to undo).
 
 use prima_access::{AccessError, AccessSystem, Atom};
 use prima_mad::codec::{self, CodecError};
 use prima_storage::bytes::{le_u32, le_u64};
 use prima_mad::value::{AtomId, Value};
 
-/// One logical undo entry.
+/// One logical undo record.
 #[derive(Debug, Clone)]
 pub enum UndoOp {
     /// Inverse of insert: delete the atom.
@@ -47,62 +49,33 @@ impl UndoOp {
         }
     }
 
-    /// Applies the inverse operation.
-    pub fn apply(&self, sys: &AccessSystem) -> Result<(), AccessError> {
-        match self {
-            UndoOp::UndoInsert { id } => {
-                if sys.exists(*id) {
-                    sys.delete_atom(*id)?;
-                }
-                Ok(())
+    /// Applies the inverse operation at restart. Dangling references in
+    /// restored values are dropped (the atoms they named may never have
+    /// reached the forced log, or may be restored later in the reverse
+    /// replay, which re-adds the back-reference symmetrically), and
+    /// "already in the target state" outcomes are successes — replaying
+    /// the undo of a half-redone or half-aborted transaction must be
+    /// idempotent.
+    pub fn apply_recovery(&self, sys: &AccessSystem) -> Result<(), AccessError> {
+        let live = |v: &Value| {
+            let mut v = v.clone();
+            match &mut v {
+                Value::Ref(Some(t)) if !sys.exists(*t) => v = Value::Ref(None),
+                Value::RefSet(ids) => ids.retain(|t| sys.exists(*t)),
+                _ => {}
             }
-            UndoOp::UndoModify { id, old } => {
-                if sys.exists(*id) {
-                    sys.modify_atom(*id, old)?;
-                }
-                Ok(())
+            v
+        };
+        let result = match self {
+            UndoOp::UndoInsert { id } if sys.exists(*id) => sys.delete_atom(*id, None),
+            UndoOp::UndoModify { id, old } if sys.exists(*id) => {
+                let old: Vec<(usize, Value)> = old.iter().map(|(i, v)| (*i, live(v))).collect();
+                sys.modify_atom(*id, &old, None)
             }
             UndoOp::UndoDelete { atom } => {
-                // Drop references to atoms that no longer exist (they may
-                // have been deleted by the same aborting transaction and
-                // restored later in the reverse replay — in that case the
-                // later restore re-adds the back-reference symmetrically).
-                let mut values = atom.values.clone();
-                for v in &mut values {
-                    match v {
-                        Value::Ref(Some(t)) if !sys.exists(*t) => *v = Value::Ref(None),
-                        Value::RefSet(ids) => ids.retain(|t| sys.exists(*t)),
-                        _ => {}
-                    }
-                }
-                sys.restore_atom(Atom::new(atom.id, values))?;
-                Ok(())
+                sys.restore_atom(Atom::new(atom.id, atom.values.iter().map(live).collect()))
             }
-        }
-    }
-
-    /// Restart-recovery variant of [`UndoOp::apply`]: dangling references
-    /// in restored values are dropped (the atoms they named may never
-    /// have reached the forced log), and "already in the target state"
-    /// outcomes are successes — replaying the undo of a half-redone or
-    /// half-aborted transaction must be idempotent.
-    pub fn apply_recovery(&self, sys: &AccessSystem) -> Result<(), AccessError> {
-        let result = match self {
-            UndoOp::UndoModify { id, old } => {
-                if !sys.exists(*id) {
-                    return Ok(());
-                }
-                let mut old = old.clone();
-                for (_, v) in &mut old {
-                    match v {
-                        Value::Ref(Some(t)) if !sys.exists(*t) => *v = Value::Ref(None),
-                        Value::RefSet(ids) => ids.retain(|t| sys.exists(*t)),
-                        _ => {}
-                    }
-                }
-                sys.modify_atom(*id, &old)
-            }
-            other => other.apply(sys),
+            UndoOp::UndoInsert { .. } | UndoOp::UndoModify { .. } => Ok(()),
         };
         match result {
             Err(AccessError::AtomAlreadyExists(_)) | Err(AccessError::NoSuchAtom(_)) => Ok(()),

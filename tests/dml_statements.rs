@@ -149,3 +149,38 @@ fn key_violation_through_mql_reported() {
     let err = exec::execute(&db, "INSERT doc (doc_no: 1, title: 'dup')").unwrap_err();
     assert!(err.to_string().contains("duplicate key"), "{err}");
 }
+
+// ---------------------------------------------------------------------
+// A write that fails on one key changes no key
+// ---------------------------------------------------------------------
+
+const TWO_KEYS: &str =
+    "CREATE ATOM_TYPE thing ( id : IDENTIFIER, k1 : INTEGER, k2 : INTEGER ) KEYS_ARE (k1, k2);";
+
+fn thing(db: &Prima, k1: i64, k2: i64) -> prima::PrimaResult<prima::AtomId> {
+    db.insert("thing", &[("k1", Value::Int(k1)), ("k2", Value::Int(k2))])
+}
+
+#[test]
+fn failed_modify_leaves_every_key_map_as_it_was() {
+    let db = Prima::builder().build_with_ddl(TWO_KEYS).unwrap();
+    let a = thing(&db, 1, 1).unwrap();
+    thing(&db, 2, 2).unwrap();
+    // k1 = 3 is free, k2 = 2 is taken: the modify fails as a whole.
+    let err = db.modify(a, &[("k1", Value::Int(3)), ("k2", Value::Int(2))]).unwrap_err();
+    assert!(err.to_string().contains("duplicate key"), "{err}");
+    assert_eq!(db.read(a).unwrap().values[1], Value::Int(1));
+    let by_k1 = exec::query(&db, "SELECT ALL FROM thing WHERE k1 = 1").unwrap();
+    assert_eq!(by_k1.len(), 1, "the key lookup still finds the record holding k1 = 1");
+    thing(&db, 3, 3).expect("the failed modify claimed no k1 = 3");
+}
+
+#[test]
+fn failed_insert_leaves_every_key_map_as_it_was() {
+    let db = Prima::builder().build_with_ddl(TWO_KEYS).unwrap();
+    thing(&db, 1, 1).unwrap();
+    let err = thing(&db, 5, 1).unwrap_err();
+    assert!(err.to_string().contains("duplicate key"), "{err}");
+    thing(&db, 5, 2).expect("the failed insert left no k1 = 5 behind");
+    assert_eq!(exec::query(&db, "SELECT ALL FROM thing WHERE k1 = 5").unwrap().len(), 1);
+}

@@ -158,6 +158,50 @@ fn snapshot_reader_ignores_dirty_component_writer_during_assembly() {
 }
 
 // ---------------------------------------------------------------------
+// Back-reference partners are versioned like the atom a write names
+// ---------------------------------------------------------------------
+
+#[test]
+fn snapshot_sees_a_dirty_writers_back_reference_partners_as_committed() {
+    let db = db();
+    let c1 = db.insert("pt", &[("n", Value::Int(1))]).unwrap();
+    let c2 = db.insert("pt", &[("n", Value::Int(2))]).unwrap();
+    let p = db
+        .insert("part", &[("part_no", Value::Int(1)), ("pts", Value::ref_set(vec![c1]))])
+        .unwrap();
+
+    // Linking c2 rewrites c2.owner too — the implicit back-reference
+    // update, which the writer's transaction leaves uncommitted as well.
+    let writer = db.session();
+    writer.modify_atom_named(p, &[("pts", Value::ref_set(vec![c1, c2]))]).unwrap();
+
+    let reader = db.session();
+    let query = |mql: &str| reader.query(mql, &QueryOptions::default()).unwrap().set;
+    let part = query("SELECT ALL FROM part WHERE part_no = 1");
+    assert_eq!(part.molecules[0].root.atom.values[5].referenced_ids(), vec![c1]);
+    let pt = query("SELECT ALL FROM pt WHERE n = 2");
+    assert!(
+        pt.molecules[0].root.atom.values[3].referenced_ids().is_empty(),
+        "the partner's back-reference is as uncommitted as the reference"
+    );
+    let mol = query("SELECT ALL FROM pt-part WHERE n = 2");
+    assert!(mol.molecules[0].root.children.is_empty(), "no uncommitted child in assembly");
+
+    // A snapshot pinned before the commit keeps the pre-commit partner
+    // after it; a fresh one sees the link from both sides.
+    let mut cursor = reader
+        .query_cursor("SELECT ALL FROM pt-part WHERE n = 2", &QueryOptions::default())
+        .unwrap();
+    writer.commit().unwrap();
+    let pinned = cursor.fetch_all().unwrap();
+    assert!(pinned.molecules[0].root.children.is_empty(), "pinned snapshot after the commit");
+    drop(cursor);
+    let now = query("SELECT ALL FROM pt-part WHERE n = 2");
+    assert_eq!(now.molecules[0].root.children.len(), 1);
+    assert_eq!(now.molecules[0].root.children[0].atom.id, p);
+}
+
+// ---------------------------------------------------------------------
 // Read-your-own-writes: the in-transaction path is untouched
 // ---------------------------------------------------------------------
 
