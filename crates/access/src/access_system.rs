@@ -1,24 +1,21 @@
 //! The access-system facade: the atom-oriented interface of PRIMA.
 //!
-//! Everything Section 3.2 assigns to the access system meets here:
-//! surrogate generation, direct access by logical address, automatic
-//! back-reference maintenance, `KEYS_ARE` uniqueness, tuning structures
-//! (partitions, sort orders, B*-trees, grid files, atom clusters) with
-//! immediate or deferred maintenance of the redundant records, and the
-//! cost-based choice among redundant copies on read.
+//! Section 3.2's atom interface meets here: surrogate generation, direct
+//! access by logical address, automatic back-reference maintenance,
+//! `KEYS_ARE` uniqueness, and the cost-based choice among redundant
+//! copies on read. This module keeps the per-type base record files and
+//! the reads and writes over them; every write hands the changed atom to
+//! the tuning structures ([`crate::structures`]: partitions, sort orders,
+//! B*-trees, grid files, atom clusters), which keep themselves up to date
+//! immediately or by deferred update.
 
 use crate::addressing::AddressTable;
 pub use crate::addressing::StructureId;
 use crate::atom::Atom;
-use crate::btree::BTree;
-use crate::cluster::AtomClusterType;
-use crate::deferred::{DeferredQueue, PendingOp};
 use crate::error::{AccessError, AccessResult};
 use crate::integrity::{apply_backref, backref_ops, BackRefOp};
-use crate::multidim::GridFile;
-use crate::partition::Partition;
 use crate::record_file::RecordFile;
-use crate::sort_order::SortOrder;
+use crate::structures::Registry;
 use parking_lot::{rank, RwLock};
 use prima_mad::codec::encode_composite_key;
 use prima_mad::schema::Schema;
@@ -29,21 +26,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// When redundant copies (partitions, sort orders, clusters) are brought
-/// up to date after a modification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdatePolicy {
-    /// All copies synchronously — the baseline the paper argues against.
-    Immediate,
-    /// "During an update operation only one physical record is modified
-    /// whereas all others are modified later" (Section 3.2).
-    Deferred,
-}
-
 prima_storage::counter_family! {
     /// Counters exposed for the experiments.
     pub struct AccessStats => AccessStatsSnapshot as "access" {
-        /// Physical records written synchronously by user operations.
+        /// Physical records written synchronously: by user operations and
+        /// by filling a tuning structure at its creation (not by
+        /// reconciliation).
         counter records_written,
         /// Implicit back-reference updates performed (system-enforced
         /// integrity).
@@ -109,84 +97,14 @@ struct TypeStore {
     count: AtomicU64,
 }
 
-/// A B*-tree access path over one attribute combination.
-pub struct BTreeIndex {
-    pub id: StructureId,
-    pub name: String,
-    pub atom_type: AtomTypeId,
-    pub key_attrs: Vec<usize>,
-    pub tree: BTree,
-}
-
-impl BTreeIndex {
-    /// Composite key of an atom under this index.
-    pub fn key_of(&self, values: &[Value]) -> Vec<u8> {
-        let vals: Vec<Value> = self
-            .key_attrs
-            .iter()
-            .map(|&i| values.get(i).cloned().unwrap_or(Value::Null))
-            .collect();
-        encode_composite_key(&vals)
-    }
-}
-
-/// A grid-file access path over several attributes.
-pub struct GridIndex {
-    pub id: StructureId,
-    pub name: String,
-    pub atom_type: AtomTypeId,
-    pub key_attrs: Vec<usize>,
-    // lockrank: access.3 — write-held across grid-page splits (which fix
-    // buffer pages: access < buffer).
-    pub grid: RwLock<GridFile>,
-}
-
-impl GridIndex {
-    /// Per-dimension keys of an atom under this index.
-    pub fn keys_of(&self, values: &[Value]) -> Vec<Vec<u8>> {
-        self.key_attrs
-            .iter()
-            .map(|&i| {
-                let mut k = Vec::new();
-                prima_mad::codec::encode_key(
-                    values.get(i).unwrap_or(&Value::Null),
-                    &mut k,
-                );
-                k
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct Structures {
-    next_id: StructureId,
-    by_name: HashMap<String, StructureId>,
-    partitions: HashMap<StructureId, Arc<Partition>>,
-    sort_orders: HashMap<StructureId, Arc<SortOrder>>,
-    btrees: HashMap<StructureId, Arc<BTreeIndex>>,
-    grids: HashMap<StructureId, Arc<GridIndex>>,
-    clusters: HashMap<StructureId, Arc<AtomClusterType>>,
-}
-
 /// The access system over one storage system and one schema.
 pub struct AccessSystem {
     storage: Arc<StorageSystem>,
     schema: Schema,
     stores: Vec<TypeStore>,
-    addresses: AddressTable,
-    // lockrank: access.0 — tuning-structure directory; read-held while
-    // descending into a tree/grid/sort order.
-    structures: RwLock<Structures>,
-    /// member atom -> clusters containing it: (cluster structure,
-    /// characteristic atom).
-    // lockrank: access.1 — registry peers (membership, policy, key maps):
-    // transient holds that never nest with one another.
-    cluster_membership: RwLock<HashMap<AtomId, Vec<(StructureId, AtomId)>>>,
-    deferred: DeferredQueue,
-    // lockrank: access.1 — registry peer; transient holds.
-    policy: RwLock<UpdatePolicy>,
-    stats: AccessStats,
+    pub(crate) addresses: AddressTable,
+    pub(crate) structures: Registry,
+    pub(crate) stats: AccessStats,
 }
 
 impl AccessSystem {
@@ -194,34 +112,45 @@ impl AccessSystem {
     /// file (4K pages) per atom type.
     pub fn new(storage: Arc<StorageSystem>, schema: Schema) -> AccessResult<AccessSystem> {
         schema.validate()?;
+        let files = schema
+            .atom_types()
+            .iter()
+            .map(|_| RecordFile::create(Arc::clone(&storage), PageSize::K4))
+            .collect::<AccessResult<Vec<_>>>()?;
+        Ok(Self::with_files(storage, schema, files))
+    }
+
+    /// The one constructor: an access system over one base record file
+    /// per atom type, in type order, with empty in-memory state.
+    fn with_files(
+        storage: Arc<StorageSystem>,
+        schema: Schema,
+        files: Vec<RecordFile>,
+    ) -> AccessSystem {
         let stores = schema
             .atom_types()
             .iter()
-            .map(|at| {
-                Ok(TypeStore {
-                    file: RecordFile::create(Arc::clone(&storage), PageSize::K4)?,
-                    next_seq: AtomicU64::new(1),
-                    key_maps: at
-                        .keys
-                        .iter()
-                        .filter_map(|k| at.attribute_index(k))
-                        .map(|i| (i, RwLock::new_ranked(HashMap::new(), rank::BUFFER + 1)))
-                        .collect(),
-                    count: AtomicU64::new(0),
-                })
+            .zip(files)
+            .map(|(at, file)| TypeStore {
+                file,
+                next_seq: AtomicU64::new(1),
+                key_maps: at
+                    .keys
+                    .iter()
+                    .filter_map(|k| at.attribute_index(k))
+                    .map(|i| (i, RwLock::new_ranked(HashMap::new(), rank::BUFFER + 1)))
+                    .collect(),
+                count: AtomicU64::new(0),
             })
-            .collect::<AccessResult<Vec<_>>>()?;
-        Ok(AccessSystem {
+            .collect();
+        AccessSystem {
             storage,
             schema,
             stores,
             addresses: AddressTable::new(),
-            structures: RwLock::new_ranked(Structures::default(), rank::ACCESS),
-            cluster_membership: RwLock::new_ranked(HashMap::new(), rank::ACCESS + 1),
-            deferred: DeferredQueue::new(),
-            policy: RwLock::new_ranked(UpdatePolicy::Deferred, rank::ACCESS + 1),
+            structures: Registry::default(),
             stats: AccessStats::default(),
-        })
+        }
     }
 
     /// The base-record-file segment of every atom type, in type order —
@@ -274,32 +203,11 @@ impl AccessSystem {
                 atom_types.len()
             )));
         }
-        let mut stores = Vec::with_capacity(atom_types.len());
-        for (at, &segment) in atom_types.iter().zip(type_segments) {
-            let file = RecordFile::attach(Arc::clone(&storage), segment)?;
-            stores.push(TypeStore {
-                file,
-                next_seq: AtomicU64::new(1),
-                key_maps: at
-                    .keys
-                    .iter()
-                    .filter_map(|k| at.attribute_index(k))
-                    .map(|i| (i, RwLock::new_ranked(HashMap::new(), rank::BUFFER + 1)))
-                    .collect(),
-                count: AtomicU64::new(0),
-            });
-        }
-        let sys = AccessSystem {
-            storage,
-            schema,
-            stores,
-            addresses: AddressTable::new(),
-            structures: RwLock::new_ranked(Structures::default(), rank::ACCESS),
-            cluster_membership: RwLock::new_ranked(HashMap::new(), rank::ACCESS + 1),
-            deferred: DeferredQueue::new(),
-            policy: RwLock::new_ranked(UpdatePolicy::Deferred, rank::ACCESS + 1),
-            stats: AccessStats::default(),
-        };
+        let files = type_segments
+            .iter()
+            .map(|&segment| RecordFile::attach(Arc::clone(&storage), segment))
+            .collect::<AccessResult<Vec<_>>>()?;
+        let sys = Self::with_files(storage, schema, files);
         for (i, store) in sys.stores.iter().enumerate() {
             let mut max_seq = 0u64;
             let mut live = 0u64;
@@ -346,19 +254,6 @@ impl AccessSystem {
 
     pub fn stats(&self) -> &AccessStats {
         &self.stats
-    }
-
-    pub fn deferred_queue(&self) -> &DeferredQueue {
-        &self.deferred
-    }
-
-    /// Sets the maintenance policy for redundant copies.
-    pub fn set_update_policy(&self, p: UpdatePolicy) {
-        *self.policy.write() = p;
-    }
-
-    pub fn update_policy(&self) -> UpdatePolicy {
-        *self.policy.read()
     }
 
     fn store_of(&self, t: AtomTypeId) -> AccessResult<&TypeStore> {
@@ -450,7 +345,7 @@ impl AccessSystem {
         }
         self.apply_backref_ops(&ops, pre)?;
         // Tuning structures.
-        self.structures_on_insert(&atom)?;
+        self.maintain(None, Some(&atom))?;
         Ok(id)
     }
 
@@ -567,20 +462,8 @@ impl AccessSystem {
     /// selected"); partitions beat the primary because their records are
     /// denser.
     pub fn read_atom(&self, id: AtomId, projection: Option<&[usize]>) -> AccessResult<Atom> {
-        if let Some(proj) = projection {
-            let structures = self.structures.read();
-            // Candidate partitions covering the projection, fresh copies only.
-            for placement in self.addresses.placements(id) {
-                if placement.stale {
-                    continue;
-                }
-                if let Some(p) = structures.partitions.get(&placement.structure) {
-                    if p.covers(proj) {
-                        self.stats.partition_reads.fetch_add(1, Ordering::Relaxed);
-                        return Ok(p.read(placement.ptr)?.project(proj));
-                    }
-                }
-            }
+        if let Some(copy) = projection.and_then(|proj| self.covering_copy(id, proj)) {
+            return copy;
         }
         let atom = self.read_primary(id)?;
         self.stats.primary_reads.fetch_add(1, Ordering::Relaxed);
@@ -642,49 +525,28 @@ impl AccessSystem {
         let mut groups: Vec<PageGroup> = Vec::new();
         let mut group_index: Option<HashMap<(AtomTypeId, u32), usize>> =
             (ids.len() > 64).then(HashMap::new);
-        {
-            // One structure-registry lock for the whole grouping pre-pass
-            // (not one per id); released before any page is fixed, like
-            // read_atom.
-            let structures = projection.map(|_| self.structures.read());
-            'ids: for (i, &id) in ids.iter().enumerate() {
-                if let (Some(proj), Some(structures)) = (projection, structures.as_ref()) {
-                    // Cheapest fresh covering copy first, as read_atom does.
-                    for placement in self.addresses.placements(id) {
-                        if placement.stale {
-                            continue;
-                        }
-                        if let Some(p) = structures.partitions.get(&placement.structure) {
-                            if p.covers(proj) {
-                                match p.read(placement.ptr) {
-                                    Ok(a) => {
-                                        self.stats
-                                            .partition_reads
-                                            .fetch_add(1, Ordering::Relaxed);
-                                        out[i] = Some(a.project(proj));
-                                    }
-                                    Err(e) => record_err(&mut first_err, i, e),
-                                }
-                                continue 'ids;
-                            }
-                        }
-                    }
+        for (i, &id) in ids.iter().enumerate() {
+            if let Some(copy) = projection.and_then(|proj| self.covering_copy(id, proj)) {
+                match copy {
+                    Ok(a) => out[i] = Some(a),
+                    Err(e) => record_err(&mut first_err, i, e),
                 }
-                // Unknown atom: a hole.
-                let Some(ptr) = self.addresses.primary(id) else { continue };
-                let key = (id.atom_type, ptr.page);
-                let slot = match &mut group_index {
-                    Some(index) => index.get(&key).copied(),
-                    None => groups.iter().position(|(k, _)| *k == key),
-                };
-                match slot {
-                    Some(g) => groups[g].1.push((i, ptr.slot)),
-                    None => {
-                        if let Some(index) = &mut group_index {
-                            index.insert(key, groups.len());
-                        }
-                        groups.push((key, vec![(i, ptr.slot)]));
+                continue;
+            }
+            // Unknown atom: a hole.
+            let Some(ptr) = self.addresses.primary(id) else { continue };
+            let key = (id.atom_type, ptr.page);
+            let slot = match &mut group_index {
+                Some(index) => index.get(&key).copied(),
+                None => groups.iter().position(|(k, _)| *k == key),
+            };
+            match slot {
+                Some(g) => groups[g].1.push((i, ptr.slot)),
+                None => {
+                    if let Some(index) = &mut group_index {
+                        index.insert(key, groups.len());
                     }
+                    groups.push((key, vec![(i, ptr.slot)]));
                 }
             }
         }
@@ -731,6 +593,14 @@ impl AccessSystem {
             Some((_, e)) => Err(e),
             None => Ok(()),
         }
+    }
+
+    /// The projected read of `id` from the cheapest fresh copy covering
+    /// `proj`, if one exists (counted as a partition read).
+    fn covering_copy(&self, id: AtomId, proj: &[usize]) -> Option<AccessResult<Atom>> {
+        let copy = self.structures.read_covering_copy(&self.addresses, id, proj)?;
+        self.stats.partition_reads.fetch_add(1, Ordering::Relaxed);
+        Some(copy)
     }
 
     /// Reads the primary record directly.
@@ -805,8 +675,7 @@ impl AccessSystem {
         self.write_primary(&new_atom)?;
         self.apply_backref_ops(&ops, pre)?;
         // Redundant copies.
-        self.structures_on_modify(&old, &new_atom)?;
-        Ok(())
+        self.maintain(Some(&old), Some(&new_atom))
     }
 
     /// Resolves named attribute updates against the atom's type into the
@@ -857,7 +726,7 @@ impl AccessSystem {
             let new_atom = Atom::new(op.target, values);
             self.write_primary(&new_atom)?;
             self.stats.backref_updates.fetch_add(1, Ordering::Relaxed);
-            self.structures_on_modify(&old, &new_atom)?;
+            self.maintain(Some(&old), Some(&new_atom))?;
         }
         Ok(())
     }
@@ -896,8 +765,8 @@ impl AccessSystem {
         self.apply_backref_ops(&ops, pre)?;
         let store = self.store_of(id.atom_type)?;
         self.rekey(store, &at, id, Some(&old.values), None)?;
-        // Structures.
-        self.structures_on_delete(&old)?;
+        // Tuning structures.
+        self.maintain(Some(&old), None)?;
         // Primary record and address entry.
         if let Some(ptr) = self.addresses.primary(id) {
             store.file.delete(ptr)?;
@@ -905,561 +774,6 @@ impl AccessSystem {
         self.addresses.remove_atom(id);
         store.count.fetch_sub(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Tuning structures: creation / drop
-    // -----------------------------------------------------------------
-
-    fn register_name(&self, name: &str) -> AccessResult<StructureId> {
-        let mut s = self.structures.write();
-        if s.by_name.contains_key(name) {
-            return Err(AccessError::DuplicateStructure(name.to_string()));
-        }
-        let id = s.next_id;
-        s.next_id += 1;
-        s.by_name.insert(name.to_string(), id);
-        Ok(id)
-    }
-
-    /// Creates a partition over `attrs` of `t` and populates it from the
-    /// existing atoms. "Such a redundant structure … may be generated and
-    /// dropped at any time."
-    pub fn create_partition(
-        &self,
-        name: &str,
-        t: AtomTypeId,
-        attrs: Vec<usize>,
-    ) -> AccessResult<StructureId> {
-        let at = self.schema.atom_type(t).ok_or(AccessError::NoSuchAtomType(t))?;
-        let id_idx = at.identifier_index();
-        let sid = self.register_name(name)?;
-        let part = Arc::new(Partition::create(
-            Arc::clone(&self.storage),
-            sid,
-            name,
-            t,
-            attrs,
-            id_idx,
-        )?);
-        // Populate.
-        let ids = self.all_ids(t)?;
-        for aid in ids {
-            let atom = self.read_primary(aid)?;
-            let ptr = part.store(&atom)?;
-            self.addresses.set_placement(aid, sid, ptr);
-        }
-        self.structures.write().partitions.insert(sid, part);
-        Ok(sid)
-    }
-
-    /// Creates a sort order over `key_attrs` of `t`, populated.
-    pub fn create_sort_order(
-        &self,
-        name: &str,
-        t: AtomTypeId,
-        key_attrs: Vec<usize>,
-    ) -> AccessResult<StructureId> {
-        let sid = self.register_name(name)?;
-        let so = Arc::new(SortOrder::create(
-            Arc::clone(&self.storage),
-            sid,
-            name,
-            t,
-            key_attrs,
-        )?);
-        for aid in self.all_ids(t)? {
-            let atom = self.read_primary(aid)?;
-            let ptr = so.insert(&atom)?;
-            self.addresses.set_placement(aid, sid, ptr);
-        }
-        self.structures.write().sort_orders.insert(sid, so);
-        Ok(sid)
-    }
-
-    /// Creates a B*-tree access path over `key_attrs` of `t`, populated.
-    pub fn create_btree_index(
-        &self,
-        name: &str,
-        t: AtomTypeId,
-        key_attrs: Vec<usize>,
-    ) -> AccessResult<StructureId> {
-        let sid = self.register_name(name)?;
-        let idx = Arc::new(BTreeIndex {
-            id: sid,
-            name: name.to_string(),
-            atom_type: t,
-            key_attrs,
-            tree: BTree::create(Arc::clone(&self.storage))?,
-        });
-        for aid in self.all_ids(t)? {
-            let atom = self.read_primary(aid)?;
-            idx.tree.insert(&idx.key_of(&atom.values), aid)?;
-        }
-        self.structures.write().btrees.insert(sid, idx);
-        Ok(sid)
-    }
-
-    /// Creates a multi-dimensional (grid file) access path, populated.
-    pub fn create_grid_index(
-        &self,
-        name: &str,
-        t: AtomTypeId,
-        key_attrs: Vec<usize>,
-    ) -> AccessResult<StructureId> {
-        let sid = self.register_name(name)?;
-        let grid = GridFile::create(Arc::clone(&self.storage), key_attrs.len())?;
-        let idx = Arc::new(GridIndex {
-            id: sid,
-            name: name.to_string(),
-            atom_type: t,
-            key_attrs,
-            grid: RwLock::new_ranked(grid, rank::ACCESS + 3),
-        });
-        for aid in self.all_ids(t)? {
-            let atom = self.read_primary(aid)?;
-            let keys = idx.keys_of(&atom.values);
-            idx.grid.write().insert(keys, aid)?;
-        }
-        self.structures.write().grids.insert(sid, idx);
-        Ok(sid)
-    }
-
-    /// Declares an atom-cluster type: `char_type`'s reference attributes
-    /// `member_attrs` define membership. Clusters for all existing
-    /// characteristic atoms are materialised.
-    pub fn create_cluster_type(
-        &self,
-        name: &str,
-        char_type: AtomTypeId,
-        member_attrs: Vec<usize>,
-        page_size: PageSize,
-    ) -> AccessResult<StructureId> {
-        let at = self
-            .schema
-            .atom_type(char_type)
-            .ok_or(AccessError::NoSuchAtomType(char_type))?;
-        for &a in &member_attrs {
-            let attr = at
-                .attributes
-                .get(a)
-                .ok_or(AccessError::BadAttribute { atom_type: char_type, attr: a })?;
-            if !attr.ty.is_reference() {
-                return Err(AccessError::StructureMismatch {
-                    name: name.to_string(),
-                    detail: format!("attribute '{}' is not a reference", attr.name),
-                });
-            }
-        }
-        let sid = self.register_name(name)?;
-        let ct = Arc::new(AtomClusterType::create(
-            Arc::clone(&self.storage),
-            sid,
-            name,
-            char_type,
-            member_attrs,
-            page_size,
-        )?);
-        self.structures.write().clusters.insert(sid, Arc::clone(&ct));
-        for ch in self.all_ids(char_type)? {
-            self.materialize_cluster(&ct, ch)?;
-        }
-        Ok(sid)
-    }
-
-    /// Drops any tuning structure by name.
-    pub fn drop_structure(&self, name: &str) -> AccessResult<()> {
-        let mut s = self.structures.write();
-        let sid = s
-            .by_name
-            .remove(name)
-            .ok_or_else(|| AccessError::NoSuchStructure(name.to_string()))?;
-        s.partitions.remove(&sid);
-        s.sort_orders.remove(&sid);
-        s.btrees.remove(&sid);
-        s.grids.remove(&sid);
-        if s.clusters.remove(&sid).is_some() {
-            let mut membership = self.cluster_membership.write();
-            for (_, v) in membership.iter_mut() {
-                v.retain(|(st, _)| *st != sid);
-            }
-        }
-        drop(s);
-        self.addresses.drop_structure(sid);
-        self.deferred.purge_structure(sid);
-        Ok(())
-    }
-
-    /// Looks up a structure id by name.
-    pub fn structure_id(&self, name: &str) -> Option<StructureId> {
-        self.structures.read().by_name.get(name).copied()
-    }
-
-    /// The partition registered under `name`, if it is one.
-    pub fn partition(&self, name: &str) -> Option<Arc<Partition>> {
-        let s = self.structures.read();
-        s.by_name.get(name).and_then(|sid| s.partitions.get(sid)).cloned()
-    }
-
-    pub fn sort_order(&self, name: &str) -> Option<Arc<SortOrder>> {
-        let s = self.structures.read();
-        s.by_name.get(name).and_then(|sid| s.sort_orders.get(sid)).cloned()
-    }
-
-    pub fn btree_index(&self, name: &str) -> Option<Arc<BTreeIndex>> {
-        let s = self.structures.read();
-        s.by_name.get(name).and_then(|sid| s.btrees.get(sid)).cloned()
-    }
-
-    pub fn grid_index(&self, name: &str) -> Option<Arc<GridIndex>> {
-        let s = self.structures.read();
-        s.by_name.get(name).and_then(|sid| s.grids.get(sid)).cloned()
-    }
-
-    pub fn cluster_type(&self, name: &str) -> Option<Arc<AtomClusterType>> {
-        let s = self.structures.read();
-        s.by_name.get(name).and_then(|sid| s.clusters.get(sid)).cloned()
-    }
-
-    /// Whether the copy of `id` in `structure` is stale (deferred update
-    /// pending) or missing — in both cases a reader must use the primary.
-    pub fn deferred_stale(&self, id: AtomId, structure: StructureId) -> bool {
-        self.addresses.placement(id, structure).is_none_or(|p| p.stale)
-    }
-
-    /// Sort order by structure id (scan internals).
-    pub fn sort_order_by_id(&self, sid: StructureId) -> Option<Arc<SortOrder>> {
-        self.structures.read().sort_orders.get(&sid).cloned()
-    }
-
-    /// Partitions available for an atom type (scan planning).
-    pub fn partitions_of(&self, t: AtomTypeId) -> Vec<Arc<Partition>> {
-        self.structures
-            .read()
-            .partitions
-            .values()
-            .filter(|p| p.atom_type == t)
-            .cloned()
-            .collect()
-    }
-
-    /// Sort orders available for an atom type (scan planning).
-    pub fn sort_orders_of(&self, t: AtomTypeId) -> Vec<Arc<SortOrder>> {
-        self.structures
-            .read()
-            .sort_orders
-            .values()
-            .filter(|so| so.atom_type == t)
-            .cloned()
-            .collect()
-    }
-
-    /// B*-tree indexes available for an atom type.
-    pub fn btrees_of(&self, t: AtomTypeId) -> Vec<Arc<BTreeIndex>> {
-        self.structures
-            .read()
-            .btrees
-            .values()
-            .filter(|ix| ix.atom_type == t)
-            .cloned()
-            .collect()
-    }
-
-    /// Cluster types whose characteristic type is `t`.
-    pub fn cluster_types_of(&self, t: AtomTypeId) -> Vec<Arc<AtomClusterType>> {
-        self.structures
-            .read()
-            .clusters
-            .values()
-            .filter(|ct| ct.char_type == t)
-            .cloned()
-            .collect()
-    }
-
-    // -----------------------------------------------------------------
-    // Structure maintenance on data changes
-    // -----------------------------------------------------------------
-
-    fn structures_on_insert(&self, atom: &Atom) -> AccessResult<()> {
-        let structures = self.structures.read();
-        let t = atom.id.atom_type;
-        for p in structures.partitions.values().filter(|p| p.atom_type == t) {
-            let ptr = p.store(atom)?;
-            self.stats.records_written.fetch_add(1, Ordering::Relaxed);
-            self.addresses.set_placement(atom.id, p.id, ptr);
-        }
-        for so in structures.sort_orders.values().filter(|s| s.atom_type == t) {
-            let ptr = so.insert(atom)?;
-            self.stats.records_written.fetch_add(1, Ordering::Relaxed);
-            self.addresses.set_placement(atom.id, so.id, ptr);
-        }
-        for ix in structures.btrees.values().filter(|ix| ix.atom_type == t) {
-            ix.tree.insert(&ix.key_of(&atom.values), atom.id)?;
-        }
-        for gx in structures.grids.values().filter(|gx| gx.atom_type == t) {
-            let keys = gx.keys_of(&atom.values);
-            gx.grid.write().insert(keys, atom.id)?;
-        }
-        // A new characteristic atom generates a new cluster.
-        let cluster_types: Vec<Arc<AtomClusterType>> = structures
-            .clusters
-            .values()
-            .filter(|ct| ct.char_type == t)
-            .cloned()
-            .collect();
-        drop(structures);
-        for ct in cluster_types {
-            self.materialize_cluster(&ct, atom.id)?;
-        }
-        // If the new atom is referenced by characteristic atoms (it can
-        // be, when inserted with back-references pre-connected), refresh
-        // those clusters.
-        self.queue_member_cluster_refresh(atom.id)?;
-        Ok(())
-    }
-
-    fn structures_on_modify(&self, old: &Atom, new: &Atom) -> AccessResult<()> {
-        let policy = self.update_policy();
-        let structures = self.structures.read();
-        let t = new.id.atom_type;
-        for p in structures.partitions.values().filter(|p| p.atom_type == t) {
-            match policy {
-                UpdatePolicy::Immediate => {
-                    if let Some(pl) = self.addresses.placement(new.id, p.id) {
-                        let ptr = p.update(pl.ptr, new)?;
-                        self.stats.records_written.fetch_add(1, Ordering::Relaxed);
-                        self.addresses.set_placement(new.id, p.id, ptr);
-                    }
-                }
-                UpdatePolicy::Deferred => {
-                    if self.addresses.mark_stale(new.id, p.id) {
-                        self.deferred
-                            .push(PendingOp::RefreshCopy { structure: p.id, atom: new.id });
-                    }
-                }
-            }
-        }
-        for so in structures.sort_orders.values().filter(|s| s.atom_type == t) {
-            match policy {
-                UpdatePolicy::Immediate => {
-                    let old_key = so.key_of(old);
-                    let ptr = so.update(&old_key, new)?;
-                    self.stats.records_written.fetch_add(1, Ordering::Relaxed);
-                    self.addresses.set_placement(new.id, so.id, ptr);
-                }
-                UpdatePolicy::Deferred => {
-                    if self.addresses.mark_stale(new.id, so.id) {
-                        self.deferred
-                            .push(PendingOp::RefreshCopy { structure: so.id, atom: new.id });
-                    }
-                }
-            }
-        }
-        // Access paths are maintained immediately (they hold no atom
-        // copies, only entries; a stale entry would lose atoms).
-        for ix in structures.btrees.values().filter(|ix| ix.atom_type == t) {
-            let ok = ix.key_of(&old.values);
-            let nk = ix.key_of(&new.values);
-            if ok != nk {
-                ix.tree.remove(&ok, new.id)?;
-                ix.tree.insert(&nk, new.id)?;
-            }
-        }
-        for gx in structures.grids.values().filter(|gx| gx.atom_type == t) {
-            let ok = gx.keys_of(&old.values);
-            let nk = gx.keys_of(&new.values);
-            if ok != nk {
-                let mut g = gx.grid.write();
-                g.remove(&ok, new.id)?;
-                g.insert(nk, new.id)?;
-            }
-        }
-        // Characteristic atom changed -> its cluster must be rebuilt.
-        let char_cluster_types: Vec<Arc<AtomClusterType>> = structures
-            .clusters
-            .values()
-            .filter(|ct| ct.char_type == t && ct.contains(new.id))
-            .cloned()
-            .collect();
-        drop(structures);
-        for ct in char_cluster_types {
-            match policy {
-                UpdatePolicy::Immediate => self.materialize_cluster(&ct, new.id)?,
-                UpdatePolicy::Deferred => self.deferred.push(PendingOp::RefreshCluster {
-                    structure: ct.id,
-                    characteristic: new.id,
-                }),
-            }
-        }
-        // Member atom changed -> clusters containing its copy are stale.
-        self.queue_member_cluster_refresh(new.id)?;
-        Ok(())
-    }
-
-    fn structures_on_delete(&self, atom: &Atom) -> AccessResult<()> {
-        let structures = self.structures.read();
-        let t = atom.id.atom_type;
-        for p in structures.partitions.values().filter(|p| p.atom_type == t) {
-            if let Some(pl) = self.addresses.remove_placement(atom.id, p.id) {
-                p.remove(pl.ptr)?;
-            }
-        }
-        for so in structures.sort_orders.values().filter(|s| s.atom_type == t) {
-            let key = so.key_of(atom);
-            so.remove(&key, atom.id)?;
-            self.addresses.remove_placement(atom.id, so.id);
-        }
-        for ix in structures.btrees.values().filter(|ix| ix.atom_type == t) {
-            ix.tree.remove(&ix.key_of(&atom.values), atom.id)?;
-        }
-        for gx in structures.grids.values().filter(|gx| gx.atom_type == t) {
-            let keys = gx.keys_of(&atom.values);
-            gx.grid.write().remove(&keys, atom.id)?;
-        }
-        // Deleting a characteristic atom deletes the whole cluster.
-        let char_cluster_types: Vec<Arc<AtomClusterType>> = structures
-            .clusters
-            .values()
-            .filter(|ct| ct.char_type == t)
-            .cloned()
-            .collect();
-        drop(structures);
-        for ct in char_cluster_types {
-            if ct.contains(atom.id) {
-                // Unregister memberships of this cluster's members.
-                let members = ct.members(atom.id)?;
-                let mut membership = self.cluster_membership.write();
-                for m in members {
-                    if let Some(v) = membership.get_mut(&m) {
-                        v.retain(|(st, ch)| !(*st == ct.id && *ch == atom.id));
-                    }
-                }
-                drop(membership);
-                ct.drop_cluster(atom.id)?;
-            }
-        }
-        // A deleted member makes containing clusters stale. (Back-ref
-        // maintenance already updated the characteristic atoms; their
-        // modify path queued the refresh. This covers direct membership
-        // without references, which cannot happen, so it is just a
-        // safety net.)
-        self.queue_member_cluster_refresh(atom.id)?;
-        self.cluster_membership.write().remove(&atom.id);
-        Ok(())
-    }
-
-    fn queue_member_cluster_refresh(&self, member: AtomId) -> AccessResult<()> {
-        let containing: Vec<(StructureId, AtomId)> = self
-            .cluster_membership
-            .read()
-            .get(&member)
-            .cloned()
-            .unwrap_or_default();
-        if containing.is_empty() {
-            return Ok(());
-        }
-        let policy = self.update_policy();
-        for (sid, ch) in containing {
-            match policy {
-                UpdatePolicy::Immediate => {
-                    let ct = self.structures.read().clusters.get(&sid).cloned();
-                    if let Some(ct) = ct {
-                        if ct.contains(ch) {
-                            self.materialize_cluster(&ct, ch)?;
-                        }
-                    }
-                }
-                UpdatePolicy::Deferred => self
-                    .deferred
-                    .push(PendingOp::RefreshCluster { structure: sid, characteristic: ch }),
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolves the member atoms of a characteristic atom and writes the
-    /// cluster.
-    fn materialize_cluster(&self, ct: &AtomClusterType, ch: AtomId) -> AccessResult<()> {
-        let char_atom = self.read_primary(ch)?;
-        let mut members = Vec::new();
-        let mut member_ids = Vec::new();
-        for &a in &ct.member_attrs {
-            for target in char_atom.values.get(a).map(prima_mad::Value::referenced_ids).unwrap_or_default()
-            {
-                if self.addresses.exists(target) {
-                    members.push(self.read_primary(target)?);
-                    member_ids.push(target);
-                }
-            }
-        }
-        // Maintain the reverse membership map: clear old entries for this
-        // (structure, characteristic) pair, then record the new members.
-        {
-            let mut membership = self.cluster_membership.write();
-            for (_, v) in membership.iter_mut() {
-                v.retain(|(st, c)| !(*st == ct.id && *c == ch));
-            }
-            for m in &member_ids {
-                membership.entry(*m).or_default().push((ct.id, ch));
-            }
-        }
-        ct.materialize(ch, &members)?;
-        self.stats.records_written.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Deferred reconciliation
-    // -----------------------------------------------------------------
-
-    /// Applies all pending deferred maintenance. Returns the number of
-    /// actions performed.
-    pub fn reconcile(&self) -> AccessResult<usize> {
-        let mut n = 0;
-        while let Some(op) = self.deferred.pop() {
-            match op {
-                PendingOp::RefreshCopy { structure, atom } => {
-                    if !self.addresses.exists(atom) {
-                        continue;
-                    }
-                    let current = self.read_primary(atom)?;
-                    let s = self.structures.read();
-                    if let Some(p) = s.partitions.get(&structure) {
-                        if let Some(pl) = self.addresses.placement(atom, structure) {
-                            let ptr = p.update(pl.ptr, &current)?;
-                            self.addresses.set_placement(atom, structure, ptr);
-                        }
-                    } else if let Some(so) = s.sort_orders.get(&structure) {
-                        if let Some(pl) = self.addresses.placement(atom, structure) {
-                            // The copy at pl.ptr still holds the OLD key;
-                            // read it to unlink, then update.
-                            let old_copy = so.read_copy(pl.ptr)?;
-                            let old_key = so.key_of(&old_copy);
-                            let ptr = so.update(&old_key, &current)?;
-                            self.addresses.set_placement(atom, structure, ptr);
-                        }
-                    }
-                }
-                PendingOp::DropCopy { structure, atom } => {
-                    let s = self.structures.read();
-                    if let Some(pl) = self.addresses.remove_placement(atom, structure) {
-                        if let Some(p) = s.partitions.get(&structure) {
-                            p.remove(pl.ptr)?;
-                        }
-                    }
-                }
-                PendingOp::RefreshCluster { structure, characteristic } => {
-                    let ct = self.structures.read().clusters.get(&structure).cloned();
-                    if let Some(ct) = ct {
-                        if self.addresses.exists(characteristic) && ct.contains(characteristic) {
-                            self.materialize_cluster(&ct, characteristic)?;
-                        }
-                    }
-                }
-            }
-            n += 1;
-        }
-        Ok(n)
     }
 
     // -----------------------------------------------------------------

@@ -16,34 +16,26 @@ use std::collections::VecDeque;
 
 use crate::addressing::StructureId;
 
-/// One queued maintenance action.
+/// One queued maintenance action: rewrite the copy of `atom` in
+/// `structure` (for a cluster, the cluster `atom` characterises) from its
+/// primary record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PendingOp {
-    /// Re-materialise the atom's copy in a sort order or partition.
-    RefreshCopy { structure: StructureId, atom: AtomId },
-    /// Remove the atom's copy from a structure (atom deleted).
-    DropCopy { structure: StructureId, atom: AtomId },
-    /// Rebuild an atom cluster after its characteristic atom (or a member)
-    /// changed.
-    RefreshCluster { structure: StructureId, characteristic: AtomId },
+pub struct Refresh {
+    pub structure: StructureId,
+    pub atom: AtomId,
 }
 
-/// FIFO queue of deferred maintenance work, with simple statistics.
+/// FIFO queue of deferred maintenance work.
 #[derive(Debug)]
 pub struct DeferredQueue {
     // lockrank: access.7 — pending maintenance FIFO; pushed/popped
     // transiently, never held while an op is applied.
-    inner: Mutex<VecDeque<PendingOp>>,
-    // lockrank: access.8
-    enqueued_total: Mutex<u64>,
+    inner: Mutex<VecDeque<Refresh>>,
 }
 
 impl Default for DeferredQueue {
     fn default() -> Self {
-        DeferredQueue {
-            inner: Mutex::new_ranked(VecDeque::new(), rank::ACCESS + 7),
-            enqueued_total: Mutex::new_ranked(0, rank::ACCESS + 8),
-        }
+        DeferredQueue { inner: Mutex::new_ranked(VecDeque::new(), rank::ACCESS + 7) }
     }
 }
 
@@ -54,22 +46,16 @@ impl DeferredQueue {
 
     /// Enqueues a maintenance action. Duplicate back-to-back entries for
     /// the same copy are collapsed (only the latest state matters).
-    pub fn push(&self, op: PendingOp) {
+    pub fn push(&self, op: Refresh) {
         let mut q = self.inner.lock();
         if q.back() != Some(&op) {
             q.push_back(op);
-            *self.enqueued_total.lock() += 1;
         }
     }
 
     /// Removes and returns the oldest pending action.
-    pub fn pop(&self) -> Option<PendingOp> {
+    pub fn pop(&self) -> Option<Refresh> {
         self.inner.lock().pop_front()
-    }
-
-    /// Drains the whole queue.
-    pub fn drain(&self) -> Vec<PendingOp> {
-        self.inner.lock().drain(..).collect()
     }
 
     /// Actions currently pending.
@@ -81,20 +67,10 @@ impl DeferredQueue {
         self.inner.lock().is_empty()
     }
 
-    /// Total actions ever enqueued (the "saved immediate work" metric of
-    /// experiment E-DEF).
-    pub fn enqueued_total(&self) -> u64 {
-        *self.enqueued_total.lock()
-    }
-
     /// Discards all pending actions that refer to `structure` (structure
     /// dropped before reconciliation).
     pub fn purge_structure(&self, structure: StructureId) {
-        self.inner.lock().retain(|op| match op {
-            PendingOp::RefreshCopy { structure: s, .. }
-            | PendingOp::DropCopy { structure: s, .. }
-            | PendingOp::RefreshCluster { structure: s, .. } => *s != structure,
-        });
+        self.inner.lock().retain(|op| op.structure != structure);
     }
 }
 
@@ -102,8 +78,12 @@ impl DeferredQueue {
 mod tests {
     use super::*;
 
-    fn op(s: StructureId, a: u64) -> PendingOp {
-        PendingOp::RefreshCopy { structure: s, atom: AtomId::new(0, a) }
+    fn op(s: StructureId, a: u64) -> Refresh {
+        Refresh { structure: s, atom: AtomId::new(0, a) }
+    }
+
+    fn pop_all(q: &DeferredQueue) -> Vec<Refresh> {
+        std::iter::from_fn(|| q.pop()).collect()
     }
 
     #[test]
@@ -114,7 +94,7 @@ mod tests {
         q.push(op(2, 1));
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some(op(1, 1)));
-        assert_eq!(q.drain(), vec![op(1, 2), op(2, 1)]);
+        assert_eq!(pop_all(&q), vec![op(1, 2), op(2, 1)]);
         assert!(q.is_empty());
     }
 
@@ -126,7 +106,7 @@ mod tests {
         q.push(op(1, 2));
         q.push(op(1, 1));
         assert_eq!(q.len(), 3, "only adjacent duplicates collapse");
-        assert_eq!(q.enqueued_total(), 3);
+        assert_eq!(pop_all(&q), vec![op(1, 1), op(1, 2), op(1, 1)]);
     }
 
     #[test]
@@ -134,8 +114,8 @@ mod tests {
         let q = DeferredQueue::new();
         q.push(op(1, 1));
         q.push(op(2, 1));
-        q.push(PendingOp::RefreshCluster { structure: 1, characteristic: AtomId::new(0, 9) });
+        q.push(op(1, 9));
         q.purge_structure(1);
-        assert_eq!(q.drain(), vec![op(2, 1)]);
+        assert_eq!(pop_all(&q), vec![op(2, 1)]);
     }
 }

@@ -20,7 +20,9 @@
 //!   [`partition`]s (vertical splits), [`sort_order`]s (redundant sorted
 //!   record lists), [`btree`] and [`multidim`] access paths, and
 //!   [`cluster`]s (atom clusters materialising molecules in page
-//!   sequences, Fig. 3.2).
+//!   sequences, Fig. 3.2). One registry holds them all as [`Structure`]s
+//!   and keeps them up to date through one maintenance path
+//!   ([`structures`]).
 //! * **Deferred update**: "during an update operation only one physical
 //!   record is modified whereas all others are modified later"
 //!   ([`deferred`]).
@@ -28,7 +30,9 @@
 //!   atom-type scan, sort scan, access-path scan, atom-cluster-type scan
 //!   and atom-cluster scan ([`scan`]).
 //!
-//! The facade tying these together is [`AccessSystem`].
+//! The facade tying these together is [`AccessSystem`]
+//! ([`access_system`]: type stores, records, reads, writes and
+//! back-references).
 
 pub mod access_system;
 pub mod addressing;
@@ -44,10 +48,10 @@ pub mod record_file;
 pub mod scan;
 pub mod sort_order;
 pub mod ssa;
+pub mod structures;
 
-pub use access_system::{
-    AccessStats, AccessStatsSnapshot, AccessSystem, OnPreWrite, PreWrite, StructureId, UpdatePolicy,
-};
+pub use access_system::{AccessStats, AccessStatsSnapshot, AccessSystem, OnPreWrite, PreWrite, StructureId};
+pub use structures::{Structure, UpdatePolicy};
 pub use atom::Atom;
 pub use error::{AccessError, AccessResult};
 pub use ssa::{CmpOp, Ssa};

@@ -7,12 +7,13 @@
 //! conditions and directions may be specified individually for every key
 //! involved in the scan." (Section 3.2.)
 //!
-//! [`AccessPathScan`] drives a [`crate::access_system::BTreeIndex`];
-//! [`MultidimScan`] drives a [`crate::access_system::GridIndex`] with one
+//! [`AccessPathScan`] drives a [`crate::structures::BTreeIndex`];
+//! [`MultidimScan`] drives a [`crate::structures::GridIndex`] with one
 //! [`DimRange`] per key.
 
 use super::Scan;
-use crate::access_system::{AccessSystem, BTreeIndex, GridIndex};
+use crate::access_system::AccessSystem;
+use crate::structures::{BTreeIndex, GridIndex};
 use crate::atom::Atom;
 use crate::error::AccessResult;
 use crate::multidim::DimRange;
@@ -170,6 +171,7 @@ impl Scan for MultidimScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::structures::Structure;
     use prima_mad::schema::{AtomType, Attribute, AttrType, Schema};
     use prima_storage::StorageSystem;
     use std::sync::Arc as StdArc;
@@ -200,7 +202,7 @@ mod tests {
     fn btree_scan_range_and_direction() {
         let sys = system(100);
         sys.create_btree_index("ix_x", 0, vec![1]).unwrap();
-        let ix = sys.btree_index("ix_x").unwrap();
+        let Some(Structure::BTree(ix)) = sys.structure("ix_x") else { panic!("no B*-tree") };
         let mut scan = AccessPathScan::open(
             &sys,
             &ix,
@@ -233,7 +235,7 @@ mod tests {
     fn btree_scan_next_prior() {
         let sys = system(30);
         sys.create_btree_index("ix_x", 0, vec![1]).unwrap();
-        let ix = sys.btree_index("ix_x").unwrap();
+        let Some(Structure::BTree(ix)) = sys.structure("ix_x") else { panic!("no B*-tree") };
         let mut scan =
             AccessPathScan::open(&sys, &ix, Ssa::True, Bound::Unbounded, Bound::Unbounded, false)
                 .unwrap();
@@ -249,7 +251,7 @@ mod tests {
     fn grid_scan_per_dimension_conditions() {
         let sys = system(100);
         sys.create_grid_index("g_xy", 0, vec![1, 2]).unwrap();
-        let gx = sys.grid_index("g_xy").unwrap();
+        let Some(Structure::Grid(gx)) = sys.structure("g_xy") else { panic!("no grid") };
         let enc = |i: i64| {
             let mut k = Vec::new();
             prima_mad::codec::encode_key(&Value::Int(i), &mut k);
@@ -277,7 +279,7 @@ mod tests {
     fn ssa_filters_candidates() {
         let sys = system(100);
         sys.create_btree_index("ix_x", 0, vec![1]).unwrap();
-        let ix = sys.btree_index("ix_x").unwrap();
+        let Some(Structure::BTree(ix)) = sys.structure("ix_x") else { panic!("no B*-tree") };
         let ssa = Ssa::eq(2, Value::Int(0)); // y == 0
         let mut scan = AccessPathScan::open(
             &sys,

@@ -149,6 +149,7 @@ impl Scan for AtomClusterScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::structures::Structure;
     use crate::ssa::CmpOp;
     use prima_mad::schema::{AtomType, Attribute, AttrType, Cardinality, Schema};
     use prima_mad::value::Value;
@@ -232,7 +233,7 @@ mod tests {
             build_brep(&sys, no, 3, 4);
         }
         sys.create_cluster_type("brep_cl", 0, vec![2, 3], PageSize::K1).unwrap();
-        let ct = sys.cluster_type("brep_cl").unwrap();
+        let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
         let mut scan = AtomClusterTypeScan::open(&sys, ct, Ssa::True).unwrap();
         let mut count = 0;
         while let Some(ch) = scan.next().unwrap() {
@@ -251,7 +252,7 @@ mod tests {
             build_brep(&sys, no, 1, 1);
         }
         sys.create_cluster_type("brep_cl", 0, vec![2, 3], PageSize::K1).unwrap();
-        let ct = sys.cluster_type("brep_cl").unwrap();
+        let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
         let ssa = Ssa::Cmp { attr: 1, op: CmpOp::Lt, value: Value::Int(3) };
         let mut scan = AtomClusterTypeScan::open(&sys, ct, ssa).unwrap();
         let hits = scan.collect_remaining().unwrap();
@@ -263,7 +264,7 @@ mod tests {
         let sys = system();
         let brep = build_brep(&sys, 1, 5, 5);
         sys.create_cluster_type("brep_cl", 0, vec![2, 3], PageSize::K1).unwrap();
-        let ct = sys.cluster_type("brep_cl").unwrap();
+        let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
         // faces with square_dim >= 2
         let ssa = Ssa::Cmp { attr: 1, op: CmpOp::Ge, value: Value::Real(2.0) };
         let mut scan = AtomClusterScan::open(&ct, brep, 1, ssa).unwrap();
@@ -277,7 +278,7 @@ mod tests {
         let sys = system();
         let brep = build_brep(&sys, 1, 4, 0);
         sys.create_cluster_type("brep_cl", 0, vec![2, 3], PageSize::K1).unwrap();
-        let ct = sys.cluster_type("brep_cl").unwrap();
+        let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
         let mut scan = AtomClusterScan::open(&ct, brep, 1, Ssa::True).unwrap();
         let a = scan.next().unwrap().unwrap();
         let b = scan.next().unwrap().unwrap();

@@ -18,10 +18,13 @@ use crate::access_system::AccessSystem;
 use crate::atom::Atom;
 use crate::error::AccessResult;
 use crate::record_file::RecordPtr;
+use crate::sort_order::SortOrder;
 use crate::ssa::Ssa;
+use crate::structures::Structure;
 use prima_mad::codec::encode_composite_key;
 use prima_mad::value::{AtomId, AtomTypeId, Value};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// How the sort scan is being served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +40,8 @@ pub enum SortSource {
 }
 
 enum Row {
-    /// Key order entry backed by a sort-order copy.
-    Copy { id: AtomId, ptr: RecordPtr, structure: u32 },
+    /// Key order entry backed by a copy in the scan's sort order.
+    Copy { id: AtomId, ptr: RecordPtr },
     /// Key order entry to be fetched via logical address.
     ById(AtomId),
     /// Atom already materialised (explicit sort).
@@ -49,6 +52,8 @@ enum Row {
 pub struct SortScan<'a> {
     sys: &'a AccessSystem,
     source: SortSource,
+    /// The sort order serving the scan, kept for its whole life.
+    order: Option<Arc<SortOrder>>,
     ssa: Ssa,
     rows: Vec<Row>,
     /// Last returned position; -1 = before first.
@@ -74,24 +79,27 @@ impl<'a> SortScan<'a> {
         let start_k = enc(&start);
         let stop_k = enc(&stop);
 
+        let structures = sys.structures_of(atom_type);
+        let scan = |source, order, rows| SortScan { sys, source, order, ssa, rows, pos: -1 };
+
         // Strategy 1: a sort order over exactly these key attributes.
-        if let Some(so) =
-            sys.sort_orders_of(atom_type).into_iter().find(|so| so.key_attrs == key_attrs)
-        {
+        if let Some(so) = structures.iter().find_map(|s| match s {
+            Structure::SortOrder(so) if so.key_attrs == key_attrs => Some(so),
+            _ => None,
+        }) {
             let mut rows = Vec::new();
             so.scan_keys(start_k.clone(), stop_k.clone(), false, |_, id, ptr| {
-                rows.push(Row::Copy { id, ptr, structure: so.id });
+                rows.push(Row::Copy { id, ptr });
                 true
             })?;
-            return Ok(SortScan { sys, source: SortSource::SortOrder, ssa, rows, pos: -1 });
+            return Ok(scan(SortSource::SortOrder, Some(Arc::clone(so)), rows));
         }
 
         // Strategy 2: a B*-tree access path whose key prefix matches.
-        if let Some(ix) = sys
-            .btrees_of(atom_type)
-            .into_iter()
-            .find(|ix| ix.key_attrs.len() >= key_attrs.len() && ix.key_attrs[..key_attrs.len()] == *key_attrs)
-        {
+        if let Some(ix) = structures.iter().find_map(|s| match s {
+            Structure::BTree(ix) if ix.key_attrs.starts_with(key_attrs) => Some(ix),
+            _ => None,
+        }) {
             let exact = ix.key_attrs.len() == key_attrs.len();
             let mut rows = Vec::new();
             // With a longer index key, bounds on the prefix still hold
@@ -140,15 +148,9 @@ impl<'a> SortScan<'a> {
                 }
                 // The index prefix order equals the key order, so rows are
                 // already sorted.
-                return Ok(SortScan {
-                    sys,
-                    source: SortSource::AccessPath,
-                    ssa,
-                    rows: filtered,
-                    pos: -1,
-                });
+                return Ok(scan(SortSource::AccessPath, None, filtered));
             }
-            return Ok(SortScan { sys, source: SortSource::AccessPath, ssa, rows, pos: -1 });
+            return Ok(scan(SortSource::AccessPath, None, rows));
         }
 
         // Strategy 3: explicit temporary sort.
@@ -167,7 +169,7 @@ impl<'a> SortScan<'a> {
         }
         atoms.sort_by(|a, b| a.0.cmp(&b.0));
         let rows = atoms.into_iter().map(|(_, a)| Row::Ready(Box::new(a))).collect();
-        Ok(SortScan { sys, source: SortSource::Explicit, ssa, rows, pos: -1 })
+        Ok(scan(SortSource::Explicit, None, rows))
     }
 
     /// Which strategy serves this scan.
@@ -175,28 +177,15 @@ impl<'a> SortScan<'a> {
         self.source
     }
 
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
     fn fetch(&self, row: &Row) -> AccessResult<Atom> {
-        match row {
-            Row::Ready(a) => Ok((**a).clone()),
-            Row::ById(id) => self.sys.read_atom(*id, None),
-            Row::Copy { id, ptr, structure } => {
-                // Deferred update: a stale copy must be bypassed in favour
-                // of the primary record.
-                let stale = self
-                    .sys
-                    .deferred_stale(*id, *structure);
-                if stale {
-                    self.sys.read_atom(*id, None)
-                } else {
-                    let so = self
-                        .sys
-                        .sort_order_by_id(*structure)
-                        // lint: allow(error-hygiene, the scan holds the structure read lock so the sort order cannot be dropped mid-scan)
-                        .expect("sort order still registered");
-                    so.read_copy(*ptr)
-                }
+        match (row, &self.order) {
+            (Row::Ready(a), _) => Ok((**a).clone()),
+            // Deferred update: a stale copy must be bypassed in favour of
+            // the primary record.
+            (Row::Copy { id, ptr }, Some(so)) if !self.sys.deferred_stale(*id, so.id) => {
+                so.read_copy(*ptr)
             }
+            (Row::ById(id) | Row::Copy { id, .. }, _) => self.sys.read_atom(*id, None),
         }
     }
 }
@@ -373,7 +362,7 @@ mod tests {
     fn stale_copies_fall_back_to_primary() {
         let sys = system(10);
         sys.create_sort_order("by_n", 0, vec![1]).unwrap();
-        sys.set_update_policy(crate::access_system::UpdatePolicy::Deferred);
+        sys.set_update_policy(crate::structures::UpdatePolicy::Deferred);
         // Modify a non-key attribute: the copy goes stale but stays in
         // place.
         let victim = sys.all_ids(0).unwrap()[0];

@@ -61,9 +61,9 @@ use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
 use prima_access::scan::{AccessPathScan, AtomTypeScan, Scan};
 use prima_access::ssa::Ssa;
-use prima_access::{AccessSystem, Atom, CmpOp};
+use prima_access::{AccessSystem, Atom, CmpOp, Structure};
 use prima_mad::mql::{Operand, Predicate};
-use prima_mad::value::{AtomId, Value};
+use prima_mad::value::{AtomId, AtomTypeId, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -87,7 +87,7 @@ pub fn execute(
     let mut trace = ExecutionTrace::default();
     let roots = find_roots(sys, q, &mut trace, guard)?;
     trace.roots_inspected = roots.len();
-    let clusters = sys.cluster_types_of(q.nodes[0].atom_type);
+    let clusters = clusters_of(sys, q.nodes[0].atom_type);
     let mut molecules = Vec::new();
     if threads <= 1 {
         let mut ctx = AssemblyCtx::new(q);
@@ -137,6 +137,16 @@ pub(crate) fn node_infos(q: &ResolvedQuery) -> Vec<NodeInfo> {
             selected: !matches!(q.select.per_node.get(i), Some(NodeProjection::Exclude)),
         })
         .collect()
+}
+
+/// The atom clusters whose characteristic type is `t`: the candidates
+/// for prefetching a root's molecule.
+pub(crate) fn clusters_of(sys: &AccessSystem, t: AtomTypeId) -> Vec<Arc<AtomClusterType>> {
+    let clusters = sys.structures_of(t).into_iter().filter_map(|s| match s {
+        Structure::Cluster(ct) => Some(ct),
+        _ => None,
+    });
+    clusters.collect()
 }
 
 /// Assembles, qualifies and projects a single root's molecule — the unit
@@ -224,11 +234,10 @@ pub(crate) fn find_roots(
     }
     // 2. A B*-tree over a bounded attribute.
     for b in &bounds {
-        if let Some(ix) = sys
-            .btrees_of(root_type)
-            .into_iter()
-            .find(|ix| ix.key_attrs.first() == Some(&b.attr) && ix.key_attrs.len() == 1)
-        {
+        if let Some(ix) = sys.structures_of(root_type).into_iter().find_map(|s| match s {
+            Structure::BTree(ix) if ix.key_attrs == [b.attr] => Some(ix),
+            _ => None,
+        }) {
             trace.root_access = RootAccess::AccessPath { index_name: ix.name.clone() };
             let (start, stop) = match b.op {
                 CmpOp::Eq => (
@@ -266,7 +275,10 @@ pub(crate) fn find_roots(
         }
         needed.sort_unstable();
         needed.dedup();
-        if let Some(part) = sys.partitions_of(root_type).into_iter().find(|p| p.covers(&needed)) {
+        if let Some(part) = sys.structures_of(root_type).into_iter().find_map(|s| match s {
+            Structure::Partition(p) if p.covers(&needed) => Some(p),
+            _ => None,
+        }) {
             trace.root_access = RootAccess::PartitionScan { name: part.name.clone() };
             let mut out = Vec::new();
             part.for_each(|_, atom| {

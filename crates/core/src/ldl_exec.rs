@@ -94,6 +94,7 @@ fn convert_page_size(p: Option<LdlPageSize>) -> PageSize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prima_access::Structure;
     use prima_mad::Schema;
     use prima_storage::{SimDisk, StorageSystem};
     use std::sync::Arc;
@@ -127,11 +128,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(n, 8);
-        assert!(s.btree_index("ap").is_none(), "dropped");
-        assert!(s.grid_index("g").is_some());
-        assert!(s.sort_order("so").is_some());
-        assert!(s.partition("p").is_some());
-        assert!(s.cluster_type("c").is_some());
+        assert!(s.structure("ap").is_none(), "dropped");
+        assert!(matches!(s.structure("g"), Some(Structure::Grid(_))));
+        assert!(matches!(s.structure("so"), Some(Structure::SortOrder(_))));
+        assert!(matches!(s.structure("p"), Some(Structure::Partition(_))));
+        assert!(matches!(s.structure("c"), Some(Structure::Cluster(_))));
         assert_eq!(s.update_policy(), UpdatePolicy::Immediate);
     }
 

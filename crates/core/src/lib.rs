@@ -171,5 +171,5 @@ pub use session::{
     RetryPolicy, Session, StatementOutcome,
 };
 pub use txn::{LockConfig, LockStatsSnapshot, VersionStatsSnapshot};
-pub use prima_access::{AccessSystem, Atom, UpdatePolicy};
+pub use prima_access::{AccessSystem, Atom, Structure, UpdatePolicy};
 pub use prima_mad::{AtomId, AtomTypeId, Schema, Value};

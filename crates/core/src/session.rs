@@ -1125,7 +1125,7 @@ impl<'s> MoleculeCursor<'s> {
             find_roots(&access, plan, &mut trace, g)
         })?;
         trace.roots_inspected = roots.len();
-        let clusters = access.cluster_types_of(plan.nodes[0].atom_type);
+        let clusters = crate::datasys::exec::clusters_of(&access, plan.nodes[0].atom_type);
         Ok(MoleculeCursor {
             session,
             ctx: AssemblyCtx::new(plan),

@@ -51,7 +51,9 @@ fn main() -> PrimaResult<()> {
 
     // LDL: a multidimensional access path over pin coordinates.
     db.ldl("CREATE MULTIDIM ACCESS PATH gf_xy ON pin (x, y)")?;
-    let gx = db.access().grid_index("gf_xy").expect("just created");
+    let Some(prima::Structure::Grid(gx)) = db.access().structure("gf_xy") else {
+        unreachable!("gf_xy was just created as a grid file")
+    };
     let enc = |v: f64| {
         let mut k = Vec::new();
         prima_mad::codec::encode_key(&Value::Real(v), &mut k);

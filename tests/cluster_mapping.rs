@@ -5,6 +5,13 @@
 use prima_workloads::brep::{self, BrepConfig};
 use prima_workloads::exec;
 
+fn cluster(db: &prima::Prima) -> std::sync::Arc<prima_access::cluster::AtomClusterType> {
+    match db.access().structure("cl_brep") {
+        Some(prima::Structure::Cluster(ct)) => ct,
+        _ => panic!("cl_brep is no cluster"),
+    }
+}
+
 fn tuned_db(n: usize) -> prima::Prima {
     let db = brep::open_db(32 << 20).unwrap();
     brep::populate(&db, &BrepConfig::with_solids(n)).unwrap();
@@ -15,7 +22,7 @@ fn tuned_db(n: usize) -> prima::Prima {
 #[test]
 fn cluster_materialises_molecule_atoms() {
     let db = tuned_db(3);
-    let ct = db.access().cluster_type("cl_brep").unwrap();
+    let ct = cluster(&db);
     assert_eq!(ct.cluster_count(), 3, "one cluster per characteristic atom");
     let chars = ct.characteristic_atoms();
     let members = ct.members(chars[0]).unwrap();
@@ -85,7 +92,7 @@ fn modifying_member_refreshes_cluster_on_reconcile() {
     assert!(!db.access().deferred_queue().is_empty(), "cluster refresh queued");
     db.reconcile().unwrap();
     // The cluster copy now shows the new value.
-    let ct = db.access().cluster_type("cl_brep").unwrap();
+    let ct = cluster(&db);
     let ch = ct.characteristic_atoms()[0];
     let copy = ct.read_one(ch, victim).unwrap().expect("member present");
     assert_eq!(copy.values[1], prima::Value::Real(123.456));
@@ -94,7 +101,7 @@ fn modifying_member_refreshes_cluster_on_reconcile() {
 #[test]
 fn deleting_characteristic_atom_drops_cluster() {
     let db = tuned_db(2);
-    let ct = db.access().cluster_type("cl_brep").unwrap();
+    let ct = cluster(&db);
     let chars = ct.characteristic_atoms();
     db.delete(chars[0]).unwrap();
     assert_eq!(ct.cluster_count(), 1);
@@ -104,7 +111,7 @@ fn deleting_characteristic_atom_drops_cluster() {
 #[test]
 fn single_member_access_uses_relative_addressing() {
     let db = tuned_db(1);
-    let ct = db.access().cluster_type("cl_brep").unwrap();
+    let ct = cluster(&db);
     let ch = ct.characteristic_atoms()[0];
     let members = ct.members(ch).unwrap();
     db.storage().drop_cache().unwrap();

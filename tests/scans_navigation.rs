@@ -3,7 +3,7 @@
 //! position keeping under NEXT/PRIOR and multi-dimensional selection
 //! paths.
 
-use prima::Value;
+use prima::{Structure, Value};
 use prima_access::multidim::DimRange;
 use prima_access::scan::{
     AccessPathScan, AtomClusterScan, AtomClusterTypeScan, AtomTypeScan, MultidimScan, Scan,
@@ -72,7 +72,7 @@ fn sort_scan_strategies_agree() {
 fn access_path_scan_start_stop_directions() {
     let db = db();
     db.ldl("CREATE ACCESS PATH ap_no ON border (border_no)").unwrap();
-    let ix = db.access().btree_index("ap_no").unwrap();
+    let Some(Structure::BTree(ix)) = db.access().structure("ap_no") else { panic!("no B*-tree") };
     let mut fwd = AccessPathScan::open(
         db.access(),
         &ix,
@@ -111,7 +111,7 @@ fn access_path_scan_start_stop_directions() {
 fn multidim_scan_selection_path() {
     let db = db();
     db.ldl("CREATE MULTIDIM ACCESS PATH g_xy ON node (x, y)").unwrap();
-    let gx = db.access().grid_index("g_xy").unwrap();
+    let Some(Structure::Grid(gx)) = db.access().structure("g_xy") else { panic!("no grid") };
     let key = |v: f64| {
         let mut k = Vec::new();
         prima_mad::codec::encode_key(&Value::Real(v), &mut k);
@@ -140,7 +140,7 @@ fn multidim_scan_selection_path() {
 fn cluster_scans_cover_vertical_access() {
     let db = db();
     db.ldl("CREATE ATOM_CLUSTER cl_sheet ON sheet (regions) PAGESIZE 1K").unwrap();
-    let ct = db.access().cluster_type("cl_sheet").unwrap();
+    let Some(Structure::Cluster(ct)) = db.access().structure("cl_sheet") else { panic!("no cluster") };
     // Atom-cluster-type scan: characteristic atoms in system order.
     let mut scan = AtomClusterTypeScan::open(db.access(), ct.clone(), Ssa::True).unwrap();
     let mut chars = 0;
