@@ -27,7 +27,10 @@ use super::validate::{resolve_ref, validate};
 use crate::error::{PrimaError, PrimaResult};
 use crate::txn::Transaction;
 use prima_access::AccessSystem;
-use prima_mad::mql::{Delete, Insert, Modify, Query, SelectList, SetExpr, Statement, ValueExpr};
+use prima_mad::mql::{
+    Delete, FromClause, Insert, Modify, Predicate, Query, SelectList, SetExpr, Statement,
+    ValueExpr,
+};
 use prima_mad::value::{AtomId, Value};
 use prima_mad::AttrType;
 
@@ -62,6 +65,12 @@ pub fn execute_statement(
     }
 }
 
+/// The qualification of a DELETE or MODIFY: `SELECT ALL` over its FROM
+/// and WHERE, whose molecules the statement changes.
+pub(crate) fn qualification(from: &FromClause, predicate: Option<&Predicate>) -> Query {
+    Query { select: SelectList::All, from: from.clone(), predicate: predicate.cloned() }
+}
+
 /// Concrete value of a DML value expression; placeholders must have been
 /// substituted by the prepared-statement layer before execution.
 fn lit(ve: &ValueExpr) -> PrimaResult<&Value> {
@@ -86,14 +95,8 @@ fn insert(sys: &AccessSystem, txn: &Transaction, stmt: &Insert) -> PrimaResult<D
 }
 
 fn delete(sys: &AccessSystem, txn: &Transaction, stmt: &Delete) -> PrimaResult<DmlResult> {
-    // Find the qualifying molecules with a SELECT ALL over the same FROM.
-    let query = Query {
-        select: SelectList::All,
-        from: stmt.from.clone(),
-        predicate: stmt.predicate.clone(),
-    };
-    let resolved = validate(sys.schema(), &query)?;
-    let (set, _) = execute(sys, &resolved, 1, txn.read_guard())?;
+    let resolved = validate(sys.schema(), &qualification(&stmt.from, stmt.predicate.as_ref()))?;
+    let set = execute(sys, &resolved, 1, txn.read_guard())?;
     // Which structure nodes are deleted?
     let victim_nodes: Vec<usize> = match &stmt.only_components {
         None => (0..resolved.nodes.len()).collect(),
@@ -128,13 +131,8 @@ fn delete(sys: &AccessSystem, txn: &Transaction, stmt: &Delete) -> PrimaResult<D
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<DmlResult> {
-    let query = Query {
-        select: SelectList::All,
-        from: stmt.from.clone(),
-        predicate: stmt.predicate.clone(),
-    };
-    let resolved = validate(sys.schema(), &query)?;
-    let (set, _) = execute(sys, &resolved, 1, txn.read_guard())?;
+    let resolved = validate(sys.schema(), &qualification(&stmt.from, stmt.predicate.as_ref()))?;
+    let set = execute(sys, &resolved, 1, txn.read_guard())?;
     let mut modified = 0usize;
     for m in &set.molecules {
         for (target, expr) in &stmt.assignments {
@@ -206,7 +204,6 @@ fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<D
 /// Runs a sub-query and returns its molecules' root atom ids (the atoms a
 /// CONNECT/DISCONNECT refers to).
 fn root_ids(sys: &AccessSystem, q: &Query, txn: &Transaction) -> PrimaResult<Vec<AtomId>> {
-    let resolved = validate(sys.schema(), q)?;
-    let (set, _) = execute(sys, &resolved, 1, txn.read_guard())?;
+    let set = execute(sys, &validate(sys.schema(), q)?, 1, txn.read_guard())?;
     Ok(set.molecules.iter().map(|m| m.root.atom.id).collect())
 }

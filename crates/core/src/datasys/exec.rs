@@ -10,8 +10,9 @@
 //! Execution pipeline:
 //!
 //! 1. **Root access** — pick the cheapest way to the qualifying root
-//!    atoms: `KEYS_ARE` lookup, B*-tree access-path scan, or atom-type
-//!    scan with the pushed-down SSA ([`RootAccess`]).
+//!    atoms: `KEYS_ARE` lookup, B*-tree access-path scan, partition scan,
+//!    or atom-type scan with the pushed-down SSA. The choice is reported
+//!    as attributes of the statement profile's root-access span.
 //! 2. **Vertical assembly** — starting from each root, follow the
 //!    resolved associations to fetch the dependent component atoms.
 //!    When an atom cluster materialises the molecule, it is prefetched
@@ -50,11 +51,10 @@
 //! never asks which visibility mode it runs under.
 
 use super::molecule::{MolAtom, Molecule, MoleculeSet, NodeInfo};
-use super::plan::{
-    root_bounds, ExecutionTrace, NodeProjection, ResolvedQuery, RootAccess,
-};
+use super::plan::{root_bounds, NodeProjection, ResolvedQuery};
 use super::validate::{convert_op, predicate_to_atom_ssa, resolve_ref};
 use crate::error::{PrimaError, PrimaResult};
+use crate::obs::{self, SpanKind};
 use crate::parallel::run_parallel;
 use crate::txn::ReadGuard;
 use parking_lot::{rank, Mutex};
@@ -63,66 +63,51 @@ use prima_access::scan::{AccessPathScan, AtomTypeScan, Scan};
 use prima_access::ssa::Ssa;
 use prima_access::{AccessSystem, Atom, CmpOp, Structure};
 use prima_mad::mql::{Operand, Predicate};
-use prima_mad::value::{AtomId, AtomTypeId, Value};
+use prima_mad::value::{AtomId, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// Executes a resolved query under `guard`, returning the molecule set
-/// and a trace of the physical decisions taken. Root access takes the
-/// guard's view of the root type's extension; with `threads > 1` each
-/// qualifying root becomes one read-only DU ([`crate::parallel`]) and
-/// the workers share the guard — a locking guard charges every worker's
-/// `Shared` locks to the same transaction (the lock table is
-/// thread-safe and `Shared` self-compatible), a snapshot guard stays
-/// wait-free — so either way the result, the trace and the lock
-/// coverage equal serial execution.
+/// Executes a resolved query under `guard`, returning the molecule set.
+/// Root access takes the guard's view of the root type's extension; with
+/// `threads > 1` each qualifying root becomes one read-only DU
+/// ([`crate::parallel`]) and the workers share the guard — a locking
+/// guard charges every worker's `Shared` locks to the same transaction
+/// (the lock table is thread-safe and `Shared` self-compatible), a
+/// snapshot guard stays wait-free — so either way the result and the
+/// lock coverage equal serial execution.
 pub fn execute(
     sys: &AccessSystem,
     q: &ResolvedQuery,
     threads: usize,
     guard: ReadGuard<'_>,
-) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
-    let mut trace = ExecutionTrace::default();
-    let roots = find_roots(sys, q, &mut trace, guard)?;
-    trace.roots_inspected = roots.len();
-    let clusters = clusters_of(sys, q.nodes[0].atom_type);
+) -> PrimaResult<MoleculeSet> {
+    let (roots, clusters) = find_roots(sys, q, guard)?;
     let mut molecules = Vec::new();
     if threads <= 1 {
         let mut ctx = AssemblyCtx::new(q);
         for root in roots {
-            if let Some(m) = process_root(sys, q, root, &clusters, &mut ctx, &mut trace, guard)? {
+            if let Some(m) = process_root(sys, q, root, &clusters, &mut ctx, guard)? {
                 molecules.push(m);
             }
         }
     } else {
-        // Assembly scratch and per-worker trace accumulators are recycled
-        // across DUs through a small pool, so the parallel path amortises
-        // per-molecule allocations like the serial one.
+        // Assembly scratch is recycled across DUs through a small pool,
+        // so the parallel path amortises per-molecule allocations like
+        // the serial one.
         // lockrank: obs.3 — assembly-scratch recycling pool; popped/pushed
         // transiently around each DU, never held while one runs.
-        let pool: Mutex<Vec<(AssemblyCtx, ExecutionTrace)>> =
-            Mutex::new_ranked(Vec::new(), rank::OBS + 3);
+        let pool: Mutex<Vec<AssemblyCtx>> = Mutex::new_ranked(Vec::new(), rank::OBS + 3);
         let results = run_parallel(roots, threads, |root| {
-            let (mut ctx, mut du_trace) = pool
-                .lock()
-                .pop()
-                .unwrap_or_else(|| (AssemblyCtx::new(q), ExecutionTrace::default()));
-            let r = process_root(sys, q, root, &clusters, &mut ctx, &mut du_trace, guard);
-            pool.lock().push((ctx, du_trace));
+            let mut ctx = pool.lock().pop().unwrap_or_else(|| AssemblyCtx::new(q));
+            let r = process_root(sys, q, root, &clusters, &mut ctx, guard);
+            pool.lock().push(ctx);
             r
         })?;
-        for (_, du_trace) in pool.into_inner() {
-            trace.atoms_fetched += du_trace.atoms_fetched;
-            if du_trace.cluster_used.is_some() {
-                trace.cluster_used = du_trace.cluster_used;
-            }
-        }
         molecules.extend(results.into_iter().flatten());
     }
-    trace.molecules = molecules.len();
-    Ok((MoleculeSet { nodes: node_infos(q), molecules }, trace))
+    Ok(MoleculeSet { nodes: node_infos(q), molecules })
 }
 
 /// Node descriptions for result sets.
@@ -139,21 +124,10 @@ pub(crate) fn node_infos(q: &ResolvedQuery) -> Vec<NodeInfo> {
         .collect()
 }
 
-/// The atom clusters whose characteristic type is `t`: the candidates
-/// for prefetching a root's molecule.
-pub(crate) fn clusters_of(sys: &AccessSystem, t: AtomTypeId) -> Vec<Arc<AtomClusterType>> {
-    let clusters = sys.structures_of(t).into_iter().filter_map(|s| match s {
-        Structure::Cluster(ct) => Some(ct),
-        _ => None,
-    });
-    clusters.collect()
-}
-
 /// Assembles, qualifies and projects a single root's molecule — the unit
 /// of work of serial execution, of semantic parallelism (one DU per
 /// molecule) and of the streaming [`crate::session::MoleculeCursor`].
-/// Cluster use and fetched atoms accumulate into `trace`. Returns `None`
-/// when the molecule does not qualify.
+/// Returns `None` when the molecule does not qualify.
 ///
 /// Every component atom materialised into the molecule is `Shared`-locked
 /// through a locking `guard` before it is read (prefetched cluster
@@ -164,7 +138,6 @@ pub(crate) fn process_root(
     root: Atom,
     clusters: &[Arc<AtomClusterType>],
     ctx: &mut AssemblyCtx,
-    trace: &mut ExecutionTrace,
     guard: ReadGuard<'_>,
 ) -> PrimaResult<Option<Molecule>> {
     let root = Arc::new(root);
@@ -173,14 +146,11 @@ pub(crate) fn process_root(
     // Cluster management: prefetch the whole cluster in one chained read
     // if one materialises this root's molecule.
     if let Some(ct) = clusters.iter().find(|ct| ct.contains(root.id)) {
-        let members = guard.prefetch_cluster(ct, root.id)?;
-        trace.atoms_fetched += members.len();
-        trace.cluster_used = Some(ct.name.clone());
-        for a in members {
+        for a in guard.prefetch_cluster(ct, root.id)? {
             ctx.table.entry(a.id).or_insert(Some(a));
         }
     }
-    let molecule = assemble_frontier(sys, root, ctx, &mut trace.atoms_fetched, guard)?;
+    let molecule = assemble_frontier(sys, root, ctx, guard)?;
     if let Some(res) = &q.residual {
         if !eval_residual(sys, q, &molecule, res)? {
             return Ok(None);
@@ -189,7 +159,9 @@ pub(crate) fn process_root(
     Ok(apply_projection(sys, q, molecule))
 }
 
-/// Root access selection ("molecule-type-specific optimization").
+/// Root access selection ("molecule-type-specific optimization"): the
+/// roots `guard` sees, plus the atom clusters that can prefetch their
+/// molecules.
 ///
 /// The root type's extension goes through [`ReadGuard::lock_extension`]
 /// *before* any atom is inspected: a scan's outcome depends on the whole
@@ -200,36 +172,63 @@ pub(crate) fn process_root(
 /// paths then produce *candidates* qualified on base values, and
 /// [`ReadGuard::deliver_roots`] turns them into the roots this guard
 /// sees (locked, or resolved to the snapshot's versions).
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+///
+/// The choice is reported on the profile's root-access span: `path`
+/// (from [`root_candidates`]), `roots` (the number delivered) and
+/// `cluster` (the one that prefetches the molecules, if any). It is
+/// recorded here, on the calling thread, because parallel DUs run on
+/// workers that have no recorder.
 pub(crate) fn find_roots(
     sys: &AccessSystem,
     q: &ResolvedQuery,
-    trace: &mut ExecutionTrace,
     guard: ReadGuard<'_>,
-) -> PrimaResult<Vec<Atom>> {
-    let _span = crate::obs::span_guard(crate::obs::SpanKind::RootAccess);
+) -> PrimaResult<(Vec<Atom>, Vec<Arc<AtomClusterType>>)> {
+    let _span = obs::span_guard(SpanKind::RootAccess);
     let root_type = q.nodes[0].atom_type;
     guard.lock_extension(root_type)?;
-    let deliver = |candidates| guard.deliver_roots(root_type, &q.root_ssa, candidates);
+    let roots = guard.deliver_roots(root_type, &q.root_ssa, root_candidates(sys, q)?)?;
+    let clusters: Vec<_> = sys
+        .structures_of(root_type)
+        .into_iter()
+        .filter_map(|s| match s {
+            Structure::Cluster(ct) => Some(ct),
+            _ => None,
+        })
+        .collect();
+    obs::attr("roots", || roots.len().to_string());
+    obs::attr("cluster", || {
+        let used = roots.iter().find_map(|r| clusters.iter().find(|ct| ct.contains(r.id)));
+        used.map(|ct| ct.name.clone())
+    });
+    Ok((roots, clusters))
+}
+
+/// The root candidates of `q`, read through the cheapest access the root
+/// type offers, which is recorded as the `path` attribute:
+/// `key_lookup(<attr>)`, `access_path(<index>)`,
+/// `partition_scan(<partition>)` or `type_scan`.
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+fn root_candidates(sys: &AccessSystem, q: &ResolvedQuery) -> PrimaResult<Vec<Atom>> {
+    let root_type = q.nodes[0].atom_type;
     // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-    let at = sys.schema().atom_type(root_type).expect("resolved").clone();
+    let at = sys.schema().atom_type(root_type).expect("resolved");
     let bounds = root_bounds(&q.root_ssa);
     // 1. KEYS_ARE equality -> direct lookup: a one-candidate access path.
     for b in &bounds {
-        if b.op == CmpOp::Eq && at.is_key(&at.attributes[b.attr].name) {
-            trace.root_access = RootAccess::KeyLookup { attr: b.attr };
-            let candidate = match sys.lookup_by_key(root_type, b.attr, &b.value)? {
-                // Without a lock (snapshot) the atom may vanish from base
-                // between lookup and read; its visible version, if any,
-                // comes back through the extras.
-                Some(id) => match sys.read_atom(id, None) {
-                    Ok(atom) => vec![atom],
-                    Err(prima_access::AccessError::NoSuchAtom(_)) => Vec::new(),
-                    Err(e) => return Err(e.into()),
-                },
-                None => Vec::new(),
+        let name = &at.attributes[b.attr].name;
+        if b.op == CmpOp::Eq && at.is_key(name) {
+            obs::attr("path", || format!("key_lookup({name})"));
+            let Some(id) = sys.lookup_by_key(root_type, b.attr, &b.value)? else {
+                return Ok(Vec::new());
             };
-            return deliver(candidate);
+            // Without a lock (snapshot) the atom may vanish from base
+            // between lookup and read; its visible version, if any, comes
+            // back through the guard's extras.
+            return match sys.read_atom(id, None) {
+                Ok(atom) => Ok(vec![atom]),
+                Err(prima_access::AccessError::NoSuchAtom(_)) => Ok(Vec::new()),
+                Err(e) => Err(e.into()),
+            };
         }
     }
     // 2. A B*-tree over a bounded attribute.
@@ -238,7 +237,7 @@ pub(crate) fn find_roots(
             Structure::BTree(ix) if ix.key_attrs == [b.attr] => Some(ix),
             _ => None,
         }) {
-            trace.root_access = RootAccess::AccessPath { index_name: ix.name.clone() };
+            obs::attr("path", || format!("access_path({})", ix.name));
             let (start, stop) = match b.op {
                 CmpOp::Eq => (
                     Bound::Included(vec![b.value.clone()]),
@@ -252,8 +251,7 @@ pub(crate) fn find_roots(
             };
             let mut scan =
                 AccessPathScan::open(sys, &ix, q.root_ssa.clone(), start, stop, false)?;
-            let roots = scan.collect_remaining()?;
-            return deliver(roots);
+            return Ok(scan.collect_remaining()?);
         }
     }
     // 3. Single-component queries whose SSA and projection are covered by
@@ -279,7 +277,7 @@ pub(crate) fn find_roots(
             Structure::Partition(p) if p.covers(&needed) => Some(p),
             _ => None,
         }) {
-            trace.root_access = RootAccess::PartitionScan { name: part.name.clone() };
+            obs::attr("path", || format!("partition_scan({})", part.name));
             let mut out = Vec::new();
             part.for_each(|_, atom| {
                 // Skip stale copies (deferred update pending): fall back to
@@ -301,14 +299,13 @@ pub(crate) fn find_roots(
                 }
                 Ok(())
             })?;
-            return deliver(out);
+            return Ok(out);
         }
     }
     // 4. Atom-type scan with SSA pushdown.
-    trace.root_access = RootAccess::TypeScan;
+    obs::attr("path", || "type_scan".to_string());
     let mut scan = AtomTypeScan::open(sys, root_type, q.root_ssa.clone(), None)?;
-    let roots = scan.collect_remaining()?;
-    deliver(roots)
+    Ok(scan.collect_remaining()?)
 }
 
 /// Per-query assembly state: the expansion-edge table plus scratch
@@ -416,7 +413,6 @@ fn assemble_frontier(
     sys: &AccessSystem,
     root: Arc<Atom>,
     ctx: &mut AssemblyCtx,
-    fetched: &mut usize,
     guard: ReadGuard<'_>,
 ) -> PrimaResult<Molecule> {
     // Ancestor chains are only needed when the structure recurses.
@@ -437,7 +433,7 @@ fn assemble_frontier(
     let mut level_no = 0u32;
     while !ctx.frontier.is_empty() {
         // RAII so the `break` below and every `?` close the level span.
-        let _level_span = crate::obs::span_guard(crate::obs::SpanKind::AssemblyLevel(level_no));
+        let _level_span = obs::span_guard(SpanKind::AssemblyLevel(level_no));
         level_no += 1;
         // Gather this level's expansion requests in depth-first child
         // order (edge order x reference order per parent).
@@ -493,7 +489,6 @@ fn assemble_frontier(
         // base outcome (including a base miss: under a snapshot the
         // component may be concurrently deleted).
         sys.read_atoms_batch_into(&ctx.need, None, &mut ctx.resolved)?;
-        *fetched += ctx.need.len();
         for (&id, base) in ctx.need.iter().zip(ctx.resolved.iter_mut()) {
             ctx.table.insert(id, guard.resolve(id, base.take()).map(Arc::new));
         }

@@ -29,5 +29,5 @@ pub mod validate;
 pub use dml::DmlResult;
 pub use exec::execute;
 pub use molecule::{MolAtom, Molecule, MoleculeSet, NodeInfo};
-pub use plan::{ExecutionTrace, NodeProjection, ResolvedQuery, RootAccess};
+pub use plan::{NodeProjection, ResolvedQuery};
 pub use validate::validate;

@@ -7,10 +7,11 @@
 //! [`ResolvedQuery`] is that internal form: the resolved hierarchical
 //! structure with per-edge associations, the pushed-down root SSA, the
 //! residual molecule predicate, and per-node projection descriptors.
-//! [`RootAccess`] records the molecule-type-specific access decision
-//! ("a molecule-type-specific optimization has to be aware of access
-//! methods, sort orders, partitions of atom types, and physical
-//! clusters").
+//! The molecule-type-specific access decision ("a molecule-type-specific
+//! optimization has to be aware of access methods, sort orders,
+//! partitions of atom types, and physical clusters") is taken per
+//! execution by `exec::find_roots`, which reports it as attributes of the
+//! statement profile's root-access span (`path`, `roots`, `cluster`).
 
 use prima_access::ssa::Ssa;
 use prima_mad::mql::Predicate;
@@ -109,46 +110,6 @@ impl ResolvedQuery {
                 .residual
                 .as_ref()
                 .is_some_and(|p| !p.param_slots().is_empty())
-    }
-}
-
-/// How qualifying root atoms are obtained.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RootAccess {
-    /// Direct key lookup (`KEYS_ARE` equality).
-    KeyLookup { attr: usize },
-    /// B*-tree access-path scan.
-    AccessPath { index_name: String },
-    /// Scan of a covering partition (denser records than the base file).
-    PartitionScan { name: String },
-    /// Full atom-type scan with pushed-down SSA.
-    TypeScan,
-}
-
-/// Descriptor of the chosen physical strategy for one query execution
-/// (reported by benches and EXPLAIN-style output).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecutionTrace {
-    pub root_access: RootAccess,
-    /// Cluster structure used to prefetch molecule atoms, if any.
-    pub cluster_used: Option<String>,
-    /// Number of root candidates inspected.
-    pub roots_inspected: usize,
-    /// Molecules delivered.
-    pub molecules: usize,
-    /// Atoms fetched during assembly (including prefetch).
-    pub atoms_fetched: usize,
-}
-
-impl Default for ExecutionTrace {
-    fn default() -> Self {
-        ExecutionTrace {
-            root_access: RootAccess::TypeScan,
-            cluster_used: None,
-            roots_inspected: 0,
-            molecules: 0,
-            atoms_fetched: 0,
-        }
     }
 }
 

@@ -46,7 +46,7 @@ use prima_access::{AccessSystem, Atom, UpdatePolicy};
 use prima_mad::ddl;
 use prima_mad::value::{AtomId, Value};
 use prima_mad::Schema;
-use prima_storage::{BlockDevice, CostModel, FileDisk, SimDisk, StorageSystem, Wal, WalRecord};
+use prima_storage::{BlockDevice, FileDisk, SimDisk, StorageSystem, Wal, WalRecord};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,7 +54,6 @@ use std::time::Duration;
 /// Configuration for a PRIMA instance.
 pub struct PrimaBuilder {
     buffer_bytes: usize,
-    cost_model: CostModel,
     device: Option<Arc<dyn BlockDevice>>,
     durable: bool,
     lock_config: LockConfig,
@@ -66,7 +65,6 @@ impl Default for PrimaBuilder {
     fn default() -> Self {
         PrimaBuilder {
             buffer_bytes: 8 << 20,
-            cost_model: CostModel::default(),
             device: None,
             durable: false,
             lock_config: LockConfig::default(),
@@ -80,12 +78,6 @@ impl PrimaBuilder {
     /// Database buffer size in bytes (default 8 MiB).
     pub fn buffer_bytes(mut self, bytes: usize) -> Self {
         self.buffer_bytes = bytes;
-        self
-    }
-
-    /// Cost model of the simulated device.
-    pub fn cost_model(mut self, m: CostModel) -> Self {
-        self.cost_model = m;
         self
     }
 
@@ -172,7 +164,7 @@ impl PrimaBuilder {
     fn assemble(self, schema: Schema, ddl_src: Option<String>) -> PrimaResult<Prima> {
         let device: Arc<dyn BlockDevice> = match self.device {
             Some(d) => d,
-            None => Arc::new(SimDisk::with_cost(self.cost_model)),
+            None => Arc::new(SimDisk::new()),
         };
         let storage = if self.durable {
             let wal = Wal::new(Arc::clone(&device));

@@ -13,7 +13,10 @@
 //!   plus the storage crate's probe hook, producing a
 //!   [`StatementProfile`] (span tree + per-layer counter deltas)
 //!   retrievable as `Session::last_profile()` and pretty-printable in
-//!   EXPLAIN-ANALYZE style. Off by default; a no-op behind one
+//!   EXPLAIN-ANALYZE style. The profile is also the one place that
+//!   reports a statement's access choice: the data system records it as
+//!   attributes of the root-access span (`path`, `roots`, `cluster`;
+//!   [`StatementProfile::access`]). Off by default; a no-op behind one
 //!   thread-local flag read when off (allocation-free — pinned by
 //!   test).
 //! * **Metrics registry** ([`metrics`]): `Prima::metrics()` returns a
@@ -36,7 +39,7 @@ pub mod slowlog;
 pub use histogram::{bucket_bounds, bucket_index, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use metrics::MetricsSnapshot;
 pub use profile::{
-    event, observed, span, span_guard, Probe, Span, SpanGuard, SpanKind, StatementKind,
+    attr, event, observed, span, span_guard, Probe, Span, SpanGuard, SpanKind, StatementKind,
     StatementProfile,
 };
 pub use slowlog::{SlowLog, DEFAULT_SLOW_LOG_CAPACITY};

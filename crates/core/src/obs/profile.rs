@@ -10,6 +10,11 @@
 //! count — the tree stays bounded by the number of distinct span kinds
 //! per level, not by data volume.
 //!
+//! A frame can also carry `key = value` attributes ([`attr`]): the data
+//! system names its root access choice on the [`SpanKind::RootAccess`]
+//! span this way, so the profile is the one place that says what a
+//! statement did.
+//!
 //! When no recorder is installed every entry point is a no-op behind a
 //! single thread-local flag read: no clock read, no allocation — pinned
 //! by the counting-allocator test in `tests/observability.rs`.
@@ -141,30 +146,47 @@ impl SpanKind {
 }
 
 /// One node of a statement's span tree: a kind, the merged duration and
-/// occurrence count, an optional byte volume, and children.
+/// occurrence count, an optional byte volume, attributes, and children.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     pub kind: SpanKind,
     pub nanos: u64,
     pub count: u64,
     pub bytes: u64,
+    /// Distinct `key = value` pairs in first-seen order ([`attr`]).
+    pub attrs: Vec<(&'static str, String)>,
     pub children: Vec<Span>,
 }
 
 impl Span {
     fn new(kind: SpanKind) -> Span {
-        Span { kind, nanos: 0, count: 1, bytes: 0, children: Vec::new() }
+        Span { kind, nanos: 0, count: 1, bytes: 0, attrs: Vec::new(), children: Vec::new() }
     }
 
     /// Merges `other` into `self` (same kind): durations, counts and
-    /// bytes add; child lists merge recursively by kind.
+    /// bytes add; attributes are kept once each; child lists merge
+    /// recursively by kind.
     fn absorb(&mut self, other: Span) {
         self.nanos += other.nanos;
         self.count += other.count;
         self.bytes += other.bytes;
+        for pair in other.attrs {
+            self.add_attr(pair);
+        }
         for child in other.children {
             merge_child(&mut self.children, child);
         }
+    }
+
+    fn add_attr(&mut self, pair: (&'static str, String)) {
+        if !self.attrs.contains(&pair) {
+            self.attrs.push(pair);
+        }
+    }
+
+    /// The first value recorded under `key` on this span.
+    pub fn attr(&self, key: &str) -> Option<&str> {
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
     }
 
     /// The first descendant (depth-first, self included) of `kind`.
@@ -191,7 +213,7 @@ impl Span {
     }
 
     fn render_into(&self, out: &mut String, depth: usize) {
-        let _ = writeln!(
+        let _ = write!(
             out,
             "{:indent$}{:<24} {:>12} ns  ×{}{}",
             "",
@@ -201,6 +223,10 @@ impl Span {
             if self.bytes > 0 { format!("  {} bytes", self.bytes) } else { String::new() },
             indent = depth * 2,
         );
+        for (k, v) in &self.attrs {
+            let _ = write!(out, "  {k}={v}");
+        }
+        out.push('\n');
         for c in &self.children {
             c.render_into(out, depth + 1);
         }
@@ -278,6 +304,22 @@ pub fn event(kind: SpanKind, nanos: u64, bytes: u64) {
                 leaf.bytes = bytes;
                 merge_child(&mut top.span.children, leaf);
             }
+        }
+    });
+}
+
+/// Attaches `key = value()` to the innermost open frame (a `None` value
+/// attaches nothing). No-op (one flag read; `value` never runs) when no
+/// recorder is installed on this thread.
+#[inline]
+pub fn attr<V: Into<Option<String>>>(key: &'static str, value: impl FnOnce() -> V) {
+    if !active() {
+        return;
+    }
+    let Some(value) = value().into() else { return };
+    RECORDER.with(|r| {
+        if let Some(top) = r.borrow_mut().as_mut().and_then(|rec| rec.stack.last_mut()) {
+            top.span.add_attr((key, value));
         }
     });
 }
@@ -414,8 +456,8 @@ impl Probe {
 #[derive(Debug, Clone)]
 pub struct StatementProfile {
     pub kind: StatementKind,
-    /// The statement text (or a placeholder for non-MQL scopes such as
-    /// commits and cursor fetches).
+    /// The statement text (`"COMMIT"` for a commit; a cursor's open and
+    /// fetches carry the text of the cursor's statement).
     pub statement: String,
     pub total: Duration,
     /// Root of the span tree ([`SpanKind::Statement`]).
@@ -425,6 +467,12 @@ pub struct StatementProfile {
 }
 
 impl StatementProfile {
+    /// The root access choice `key` (`path`, `roots`, `cluster`) recorded
+    /// on the statement's [`SpanKind::RootAccess`] span.
+    pub fn access(&self, key: &str) -> Option<&str> {
+        self.root.find(SpanKind::RootAccess)?.attr(key)
+    }
+
     /// Structural well-formedness: the root is a `Statement` span and,
     /// recursively, every node's *scoped* children (see
     /// [`SpanKind::is_scoped`]) sum to no more than the node's own
@@ -509,6 +557,40 @@ mod tests {
     }
 
     #[test]
+    fn attrs_attach_to_the_innermost_frame_and_merge_once() {
+        let probe = Probe::start();
+        // Two same-kind frames (a DML statement's qualification
+        // sub-queries): each distinct pair kept once, first-seen order.
+        for (path, roots) in [("type_scan", "3"), ("key_lookup(n)", "1"), ("type_scan", "3")] {
+            let _g = span_guard(SpanKind::RootAccess);
+            attr("path", || path.to_string());
+            attr("roots", || roots.to_string());
+            attr("cluster", || None);
+        }
+        attr("outer", || "x".to_string());
+        let root = probe.finish(Duration::from_micros(1));
+        let ra = root.find(SpanKind::RootAccess).expect("root access span");
+        assert_eq!(ra.count, 3);
+        let pairs: Vec<(&str, &str)> = ra.attrs.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        assert_eq!(
+            pairs,
+            [("path", "type_scan"), ("roots", "3"), ("path", "key_lookup(n)"), ("roots", "1")]
+        );
+        assert_eq!(ra.attr("path"), Some("type_scan"));
+        assert_eq!(ra.attr("cluster"), None);
+        assert_eq!(root.attr("outer"), Some("x"));
+        let profile = StatementProfile {
+            kind: StatementKind::Select,
+            statement: String::new(),
+            total: Duration::from_micros(1),
+            root,
+            counters: MetricsSnapshot::default(),
+        };
+        assert_eq!(profile.access("roots"), Some("3"));
+        assert!(profile.render().contains("path=type_scan  roots=3  path=key_lookup(n)"));
+    }
+
+    #[test]
     fn inert_when_nested() {
         let outer = Probe::start();
         let inner = Probe::start();
@@ -526,6 +608,7 @@ mod tests {
         event(SpanKind::BufferFix, 1, 0);
         assert_eq!(span(SpanKind::Parse, || 42), 42);
         assert_eq!(observed(SpanKind::LockAcquire, || 7), 7);
+        attr("path", || -> String { unreachable!("attr value built while off") });
         drop(span_guard(SpanKind::RootAccess));
     }
 }

@@ -60,7 +60,14 @@ mod tests {
             kind: StatementKind::Select,
             statement: format!("q{n}"),
             total: Duration::from_nanos(n),
-            root: Span { kind: SpanKind::Statement, nanos: n, count: 1, bytes: 0, children: vec![] },
+            root: Span {
+                kind: SpanKind::Statement,
+                nanos: n,
+                count: 1,
+                bytes: 0,
+                attrs: vec![],
+                children: vec![],
+            },
             counters: MetricsSnapshot::default(),
         }
     }

@@ -21,7 +21,12 @@
 //!   read path, so a large result never materialises in full.
 //!
 //! [`QueryOptions`] is the one execution descriptor (degree of semantic
-//! parallelism) accepted by both [`Session::query`] and [`Prepared`].
+//! parallelism) accepted by both [`Session::query`] and [`Prepared`]. A
+//! query returns its molecules ([`QueryResult`]); *how* they were reached
+//! is reported by the statement profile ([`Session::set_profiling`],
+//! [`Session::last_profile`]), whose root-access span carries the access
+//! choice. Statements, commits, cursor opens and cursor fetches are each
+//! one profiled scope.
 //!
 //! ## Isolation
 //!
@@ -76,7 +81,7 @@
 //! rolled back transparently).
 
 use crate::datasys::exec::{find_roots, node_infos, process_root, AssemblyCtx};
-use crate::datasys::{self, DmlResult, ExecutionTrace, Molecule, MoleculeSet, NodeInfo};
+use crate::datasys::{self, DmlResult, Molecule, MoleculeSet, NodeInfo};
 use crate::datasys::plan::ResolvedQuery;
 use crate::datasys::validate::resolve_ref;
 use crate::error::{PrimaError, PrimaResult};
@@ -86,7 +91,7 @@ use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
 use prima_access::{AccessSystem, Atom};
 use prima_mad::mql::{
-    parse_statement_params, CompRef, Operand, Predicate, Query, SelectList, SetExpr, Statement,
+    parse_statement_params, CompRef, Delete, Modify, Operand, Predicate, SetExpr, Statement,
     ValueExpr,
 };
 use prima_mad::value::{AtomId, Value};
@@ -191,12 +196,12 @@ impl RetryPolicy {
     }
 }
 
-/// Result of a query execution: the molecule set and the execution
-/// trace (root access choice, cluster use, counts).
+/// Result of a query execution: the molecule set. The access choice
+/// that produced it is on the statement profile's root-access span
+/// ([`crate::StatementProfile::access`]).
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     pub set: MoleculeSet,
-    pub trace: ExecutionTrace,
 }
 
 /// Result of executing a prepared statement (SELECT or DML).
@@ -343,85 +348,42 @@ impl Session {
         self.profiling.load(Ordering::Relaxed) || self.obs.profile_all()
     }
 
-    /// The profile of the most recent profiled statement (including
-    /// commits and cursor fetches), if any.
+    /// The profile of the most recent profiled scope (a statement, a
+    /// commit, a cursor open or a cursor fetch), if any.
     pub fn last_profile(&self) -> Option<StatementProfile> {
         self.last_profile.lock().clone()
     }
 
-    /// Brackets one statement: always records the latency histogram
-    /// (and, for real statements, `statements_executed`); when
-    /// profiling is on, additionally runs it as a profiled scope
-    /// ([`Session::start_profile`]).
-    fn statement_scope<R>(
-        &self,
-        kind: StatementKind,
-        text: &str,
-        f: impl FnOnce() -> PrimaResult<R>,
-    ) -> PrimaResult<R> {
-        let count_executed = kind != StatementKind::Commit;
-        if !self.profiling_enabled() {
-            let started = Instant::now();
-            let out = f();
-            self.obs.record_statement(kind, started.elapsed());
-            if count_executed {
+    /// Opens a scope — a statement, a commit, a cursor open or a cursor
+    /// fetch: its start time and, when profiling is on, the kernel
+    /// counters at its start plus the span recorder.
+    fn begin_scope(&self) -> Scope {
+        let profile =
+            self.profiling_enabled().then(|| (self.obs.metrics_snapshot(), Probe::start()));
+        Scope { profile, started: Instant::now() }
+    }
+
+    /// Closes a scope. A profiled scope becomes a [`StatementProfile`] —
+    /// span tree plus counter deltas — offered to the slow log and kept as
+    /// [`Session::last_profile`]. A `statement` scope (statements and
+    /// commits, not cursor opens or fetches) also records its kind's
+    /// latency histogram and, unless it is a commit, `statements_executed`.
+    fn end_scope(&self, scope: Scope, kind: StatementKind, text: &str, statement: bool) {
+        let total = scope.started.elapsed();
+        if let Some((before, probe)) = scope.profile {
+            let root = probe.finish(total);
+            let counters = self.obs.metrics_snapshot().delta(&before);
+            let profile =
+                StatementProfile { kind, statement: text.to_string(), total, root, counters };
+            self.obs.note_profile(&profile);
+            *self.last_profile.lock() = Some(profile);
+        }
+        if statement {
+            self.obs.record_statement(kind, total);
+            if kind != StatementKind::Commit {
                 self.stats.executed();
             }
-            return out;
         }
-        let scope = self.start_profile();
-        let out = f();
-        let total = self.finish_profile(scope, kind, text.to_string());
-        self.obs.record_statement(kind, total);
-        if count_executed {
-            self.stats.executed();
-        }
-        out
-    }
-
-    /// [`Session::statement_scope`] for cursor fetches, split into a
-    /// begin/end pair because a fetch mutably borrows the cursor while
-    /// the session is only reachable through it. Bumps
-    /// `cursor_fetches` instead of the histograms (a fetch is a slice
-    /// of a statement, not a statement), but still produces a profile
-    /// when profiling is on.
-    fn begin_cursor_scope(&self) -> Option<ProfileScope> {
-        self.stats.cursor_fetched();
-        self.profiling_enabled().then(|| self.start_profile())
-    }
-
-    fn end_cursor_scope(&self, scope: Option<ProfileScope>) {
-        if let Some(scope) = scope {
-            self.finish_profile(scope, StatementKind::Select, "<cursor fetch>".into());
-        }
-    }
-
-    /// Opens a profiled scope: the kernel counters at its start, the span
-    /// recorder, the start time.
-    fn start_profile(&self) -> ProfileScope {
-        ProfileScope {
-            before: self.obs.metrics_snapshot(),
-            probe: Probe::start(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Closes a profiled scope into a [`StatementProfile`] — span tree
-    /// plus counter deltas — offered to the slow log and kept as
-    /// [`Session::last_profile`]. Returns the scope's wall time.
-    fn finish_profile(
-        &self,
-        scope: ProfileScope,
-        kind: StatementKind,
-        statement: String,
-    ) -> std::time::Duration {
-        let total = scope.started.elapsed();
-        let root = scope.probe.finish(total);
-        let counters = self.obs.metrics_snapshot().delta(&scope.before);
-        let profile = StatementProfile { kind, statement, total, root, counters };
-        self.obs.note_profile(&profile);
-        *self.last_profile.lock() = Some(profile);
-        total
     }
 
     /// The session's transparent-retry policy (default: on, 5 attempts,
@@ -537,7 +499,10 @@ impl Session {
         let Some(t) = self.txn.lock().take() else {
             return Ok(());
         };
-        self.statement_scope(StatementKind::Commit, "COMMIT", || Ok(t.commit()?))
+        let scope = self.begin_scope();
+        let out = t.commit();
+        self.end_scope(scope, StatementKind::Commit, "COMMIT", true);
+        Ok(out?)
     }
 
     /// Rolls the current transaction back, undoing every manipulation
@@ -562,15 +527,18 @@ impl Session {
     /// [`Session::prepare`].
     pub fn query(&self, mql: &str, opts: &QueryOptions) -> PrimaResult<QueryResult> {
         opts.validate()?;
-        self.statement_scope(StatementKind::Select, mql, || {
-            self.run_select(&self.plan_select(mql)?, opts)
-        })
+        let scope = self.begin_scope();
+        let out = self.plan_select(mql).and_then(|plan| self.run_select(&plan, opts));
+        self.end_scope(scope, StatementKind::Select, mql, true);
+        out
     }
 
     /// Runs a `SELECT` as a streaming [`MoleculeCursor`]: roots are
-    /// located now, component assembly happens per
-    /// [`MoleculeCursor::fetch`] chunk. Opened outside a transaction the
-    /// cursor pins a snapshot for its whole lifetime — fetches are
+    /// located now (the open is profiled like a statement, so the access
+    /// choice is in [`Session::last_profile`] right away), component
+    /// assembly happens per [`MoleculeCursor::fetch`] chunk. Opened
+    /// outside a transaction the cursor pins a snapshot for its whole
+    /// lifetime — fetches are
     /// lock-free and the stream stays stable against concurrent commits.
     /// Opened inside one, roots are `Shared`-locked up front and each
     /// fetch runs under the session's transaction current *at fetch
@@ -583,7 +551,7 @@ impl Session {
     ) -> PrimaResult<MoleculeCursor<'_>> {
         opts.validate()?;
         let resolved = self.plan_select(mql)?;
-        MoleculeCursor::open(SessionRef::Borrowed(self), &resolved, opts)
+        MoleculeCursor::open(SessionRef::Borrowed(self), &resolved, mql, opts)
     }
 
     /// [`Session::query_cursor`] consuming the session: the cursor owns
@@ -597,7 +565,7 @@ impl Session {
     ) -> PrimaResult<MoleculeCursor<'static>> {
         opts.validate()?;
         let resolved = self.plan_select(mql)?;
-        MoleculeCursor::open(SessionRef::Owned(Box::new(self)), &resolved, opts)
+        MoleculeCursor::open(SessionRef::Owned(Box::new(self)), &resolved, mql, opts)
     }
 
     /// Executes one manipulation statement (`INSERT`/`DELETE`/`MODIFY`)
@@ -617,8 +585,10 @@ impl Session {
         }
         // The kind is only known after the parse, so the parse itself
         // stays outside the scope on this one-shot path.
-        let kind = dml_kind(&stmt);
-        self.statement_scope(kind, mql, || self.run_dml(&stmt))
+        let scope = self.begin_scope();
+        let out = self.run_dml(&stmt);
+        self.end_scope(scope, dml_kind(&stmt), mql, true);
+        out
     }
 
     /// Prepares a statement: parse + validate + plan now, bind and
@@ -652,10 +622,10 @@ impl Session {
     /// selects (module docs, *Isolation*).
     fn run_select(&self, plan: &ResolvedQuery, opts: &QueryOptions) -> PrimaResult<QueryResult> {
         let snapshot = self.pin_read_snapshot();
-        let (set, trace) = self.with_read_guard(snapshot.as_ref(), |g| {
+        let set = self.with_read_guard(snapshot.as_ref(), |g| {
             datasys::execute(&self.access, plan, opts.threads, g)
         })?;
-        Ok(QueryResult { set, trace })
+        Ok(QueryResult { set })
     }
 
     fn run_dml(&self, stmt: &Statement) -> PrimaResult<DmlResult> {
@@ -755,22 +725,10 @@ impl<'s> Prepared<'s> {
                 let p = datasys::validate(schema, q)?;
                 (Some(p), None)
             }
-            Statement::Delete(d) => {
+            Statement::Delete(Delete { from, predicate, .. })
+            | Statement::Modify(Modify { from, predicate, .. }) => {
                 stats.planned();
-                let q = Query {
-                    select: SelectList::All,
-                    from: d.from.clone(),
-                    predicate: d.predicate.clone(),
-                };
-                (None, Some(datasys::validate(schema, &q)?))
-            }
-            Statement::Modify(m) => {
-                stats.planned();
-                let q = Query {
-                    select: SelectList::All,
-                    from: m.from.clone(),
-                    predicate: m.predicate.clone(),
-                };
+                let q = datasys::dml::qualification(from, predicate.as_ref());
                 (None, Some(datasys::validate(schema, &q)?))
             }
             Statement::Insert(_) => (None, None),
@@ -866,9 +824,11 @@ impl<'s> Prepared<'s> {
     pub fn execute_with(&self, opts: &QueryOptions) -> PrimaResult<StatementOutcome> {
         opts.validate()?;
         let params = self.bound_values()?;
-        match &self.plan {
-            Some(plan) => self.session.statement_scope(StatementKind::Select, &self.text, || {
-                self.session.stats.reused();
+        let session = self.session;
+        let scope = session.begin_scope();
+        let out = match &self.plan {
+            Some(plan) => {
+                session.stats.reused();
                 let bound;
                 let plan = if params.is_empty() {
                     plan
@@ -876,25 +836,16 @@ impl<'s> Prepared<'s> {
                     bound = plan.bind_params(params);
                     &bound
                 };
-                Ok(StatementOutcome::Molecules(self.session.run_select(plan, opts)?))
-            }),
-            None => {
-                // Not counted as a plan reuse: DML re-runs its
-                // qualification sub-query validation per execution (it
-                // ranges over current data); only the parse and
-                // parameter typing are cached.
-                let bound;
-                let stmt = if params.is_empty() {
-                    &self.stmt
-                } else {
-                    bound = self.stmt.bind_params(params);
-                    &bound
-                };
-                self.session.statement_scope(dml_kind(stmt), &self.text, || {
-                    Ok(StatementOutcome::Dml(self.session.run_dml(stmt)?))
-                })
+                session.run_select(plan, opts).map(StatementOutcome::Molecules)
             }
-        }
+            // Not counted as a plan reuse: DML re-runs its qualification
+            // sub-query validation per execution (it ranges over current
+            // data); only the parse and parameter typing are cached.
+            None if params.is_empty() => session.run_dml(&self.stmt).map(StatementOutcome::Dml),
+            None => session.run_dml(&self.stmt.bind_params(params)).map(StatementOutcome::Dml),
+        };
+        session.end_scope(scope, dml_kind(&self.stmt), &self.text, true);
+        out
     }
 
     /// Convenience for SELECTs: execute and unwrap the molecule set.
@@ -917,7 +868,7 @@ impl<'s> Prepared<'s> {
             bound = plan.bind_params(params);
             &bound
         };
-        MoleculeCursor::open(SessionRef::Borrowed(self.session), plan, opts)
+        MoleculeCursor::open(SessionRef::Borrowed(self.session), plan, &self.text, opts)
     }
 }
 
@@ -989,10 +940,10 @@ fn infer_param_types(
     Ok(())
 }
 
-/// A profiled scope in flight ([`Session::start_profile`]).
-struct ProfileScope {
-    before: MetricsSnapshot,
-    probe: Probe,
+/// A scope in flight ([`Session::begin_scope`]); `profile` holds the
+/// counters at its start and the span recorder when profiling is on.
+struct Scope {
+    profile: Option<(MetricsSnapshot, Probe)>,
     started: Instant,
 }
 
@@ -1060,8 +1011,9 @@ impl SessionRef<'_> {
 /// "one-molecule-at-a-time interface" surfaced at the facade.
 ///
 /// Opening the cursor performs root access only (key lookup / access
-/// path / scan); the component atoms of each molecule are fetched lazily
-/// through the level-batched read path when the molecule is pulled via
+/// path / scan, reported on the open's profile); the component atoms of
+/// each molecule are fetched lazily through the level-batched read path
+/// when the molecule is pulled via
 /// [`MoleculeCursor::fetch`] or iteration. The cursor never buffers
 /// assembled molecules between calls, so at most one fetched chunk is
 /// alive at a time; dropping it mid-stream simply abandons the remaining
@@ -1081,6 +1033,9 @@ impl SessionRef<'_> {
 /// next fetch reacquires them under the session's fresh transaction —
 /// revalidating each root, so rolled-back or deleted atoms never stream
 /// out.
+///
+/// The open and every fetch are profiled scopes of the session, labelled
+/// with the cursor's statement text.
 pub struct MoleculeCursor<'s> {
     session: SessionRef<'s>,
     access: Arc<AccessSystem>,
@@ -1089,7 +1044,8 @@ pub struct MoleculeCursor<'s> {
     roots: VecDeque<Atom>,
     ctx: AssemblyCtx,
     nodes: Vec<NodeInfo>,
-    trace: ExecutionTrace,
+    /// The statement text, carried into the open and fetch profiles.
+    text: String,
     /// `Some` when the cursor was opened outside a transaction: the
     /// pinned snapshot every fetch resolves against (and the thing that
     /// holds version GC back for the stream's lifetime).
@@ -1100,6 +1056,7 @@ impl<'s> MoleculeCursor<'s> {
     fn open(
         session: SessionRef<'s>,
         plan: &ResolvedQuery,
+        text: &str,
         opts: &QueryOptions,
     ) -> PrimaResult<MoleculeCursor<'s>> {
         if opts.threads > 1 {
@@ -1116,16 +1073,14 @@ impl<'s> MoleculeCursor<'s> {
         }
         let s = session.get();
         let access = Arc::clone(&s.access);
-        let mut trace = ExecutionTrace::default();
+        let scope = s.begin_scope();
         // No transaction open → the snapshot stays pinned for the
         // cursor's lifetime; otherwise open (and later fetch) under the
         // session's transaction, Shared-locking as usual.
         let snapshot = s.pin_read_snapshot();
-        let roots = s.with_read_guard(snapshot.as_ref(), |g| {
-            find_roots(&access, plan, &mut trace, g)
-        })?;
-        trace.roots_inspected = roots.len();
-        let clusters = crate::datasys::exec::clusters_of(&access, plan.nodes[0].atom_type);
+        let found = s.with_read_guard(snapshot.as_ref(), |g| find_roots(&access, plan, g));
+        s.end_scope(scope, StatementKind::Select, text, false);
+        let (roots, clusters) = found?;
         Ok(MoleculeCursor {
             session,
             ctx: AssemblyCtx::new(plan),
@@ -1134,7 +1089,7 @@ impl<'s> MoleculeCursor<'s> {
             clusters,
             roots: roots.into(),
             access,
-            trace,
+            text: text.to_string(),
             snapshot,
         })
     }
@@ -1150,18 +1105,12 @@ impl<'s> MoleculeCursor<'s> {
         self.roots.len()
     }
 
-    /// Execution trace so far (root access decision up front; molecule /
-    /// atom counts grow as the stream is consumed).
-    pub fn trace(&self) -> &ExecutionTrace {
-        &self.trace
-    }
-
     /// Pulls and assembles up to `n` molecules — the paper's piecewise
     /// molecule-set delivery. Returns an empty vector when the stream is
     /// exhausted. (Roots whose molecule fails residual qualification are
     /// skipped and do not count towards `n`.)
     pub fn fetch(&mut self, n: usize) -> PrimaResult<Vec<Molecule>> {
-        let scope = self.session.get().begin_cursor_scope();
+        let scope = self.begin_fetch();
         let result = (|| {
             let mut out = Vec::new();
             while out.len() < n {
@@ -1172,7 +1121,7 @@ impl<'s> MoleculeCursor<'s> {
             }
             Ok(out)
         })();
-        self.session.get().end_cursor_scope(scope);
+        self.end_fetch(scope);
         result
     }
 
@@ -1180,7 +1129,7 @@ impl<'s> MoleculeCursor<'s> {
     /// (equivalent to what a materialising query would have returned for
     /// the unread tail).
     pub fn fetch_all(&mut self) -> PrimaResult<MoleculeSet> {
-        let scope = self.session.get().begin_cursor_scope();
+        let scope = self.begin_fetch();
         let result = (|| {
             let mut molecules = Vec::new();
             while let Some(m) = self.next_molecule()? {
@@ -1188,12 +1137,24 @@ impl<'s> MoleculeCursor<'s> {
             }
             Ok(MoleculeSet { nodes: self.nodes.clone(), molecules })
         })();
-        self.session.get().end_cursor_scope(scope);
+        self.end_fetch(scope);
         result
     }
 
+    /// Opens a fetch's scope: a fetch is a slice of the cursor's
+    /// statement, so it counts `cursor_fetches`, not the histograms.
+    fn begin_fetch(&self) -> Scope {
+        let session = self.session.get();
+        session.stats.cursor_fetched();
+        session.begin_scope()
+    }
+
+    fn end_fetch(&self, scope: Scope) {
+        self.session.get().end_scope(scope, StatementKind::Select, &self.text, false);
+    }
+
     fn next_molecule(&mut self) -> PrimaResult<Option<Molecule>> {
-        let Self { session, access, plan, clusters, roots, ctx, trace, snapshot, .. } = self;
+        let Self { session, access, plan, clusters, roots, ctx, snapshot, .. } = self;
         session.get().with_read_guard(snapshot.as_ref(), |guard| {
             // Idempotent within one transaction; after a mid-stream
             // commit/rollback this pins the extension under the fresh
@@ -1213,11 +1174,10 @@ impl<'s> MoleculeCursor<'s> {
                     roots.pop_front();
                     continue;
                 };
-                let produced = process_root(access, plan, root, clusters, ctx, trace, guard)?;
+                let produced = process_root(access, plan, root, clusters, ctx, guard)?;
                 roots.pop_front();
-                if let Some(m) = produced {
-                    trace.molecules += 1;
-                    return Ok(Some(m));
+                if produced.is_some() {
+                    return Ok(produced);
                 }
             }
             Ok(None)
@@ -1229,9 +1189,9 @@ impl Iterator for MoleculeCursor<'_> {
     type Item = PrimaResult<Molecule>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let scope = self.session.get().begin_cursor_scope();
+        let scope = self.begin_fetch();
         let result = self.next_molecule().transpose();
-        self.session.get().end_cursor_scope(scope);
+        self.end_fetch(scope);
         result
     }
 }

@@ -207,16 +207,10 @@ impl std::fmt::Debug for SimDisk {
 impl SimDisk {
     /// A device with the default 1987-style cost model.
     pub fn new() -> Self {
-        Self::with_cost(CostModel::default())
-    }
-
-    /// A device with a custom cost model (used by benches to sweep the
-    /// seek/transfer ratio).
-    pub fn with_cost(cost: CostModel) -> Self {
         SimDisk {
             files: RwLock::new_ranked(Vec::new(), rank::DEVICE),
             arm: Mutex::new_ranked(ArmState::default(), rank::DEVICE + 2),
-            cost,
+            cost: CostModel::default(),
             stats: IoStats::new_shared(),
             meta: Mutex::new_ranked(None, rank::DEVICE + 3),
             wal: Mutex::new_ranked(Vec::new(), rank::DEVICE + 4),

@@ -6,18 +6,23 @@
 //! application layer and routes through that surface, so the kernel
 //! keeps a single query path.
 
-use prima::datasys::{DmlResult, ExecutionTrace};
-use prima::{MoleculeSet, Prima, PrimaResult, QueryOptions};
+use prima::datasys::DmlResult;
+use prima::{MoleculeSet, Prima, PrimaError, PrimaResult, QueryOptions, StatementProfile};
 
 /// One-shot `SELECT` with default options, materialised.
 pub fn query(db: &Prima, mql: &str) -> PrimaResult<MoleculeSet> {
     Ok(db.session().query(mql, &QueryOptions::default())?.set)
 }
 
-/// One-shot `SELECT` returning the execution trace as well.
-pub fn query_traced(db: &Prima, mql: &str) -> PrimaResult<(MoleculeSet, ExecutionTrace)> {
-    let r = db.session().query(mql, &QueryOptions::new())?;
-    Ok((r.set, r.trace))
+/// One-shot `SELECT` on a profiled session, returning its profile as
+/// well: the access choice is on the root-access span
+/// ([`StatementProfile::access`]), the per-layer work in its counters.
+pub fn query_profiled(db: &Prima, mql: &str) -> PrimaResult<(MoleculeSet, StatementProfile)> {
+    let s = db.session();
+    s.set_profiling(true);
+    let set = s.query(mql, &QueryOptions::new())?.set;
+    let profile = s.last_profile().ok_or_else(|| PrimaError::BadStatement(mql.into()))?;
+    Ok((set, profile))
 }
 
 /// One-shot `SELECT` with molecule construction on `threads` workers.

@@ -84,14 +84,15 @@ fn main() -> PrimaResult<()> {
 
     // Checkout brep 7 into the workstation's object buffer.
     let session = db.session();
+    session.set_profiling(true);
     let r = session
         .query("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 7", &QueryOptions::new())?;
-    let trace = &r.trace;
+    let profile = session.last_profile().expect("profiling is on");
     println!(
-        "checkout: {} atoms via {:?}, cluster used: {:?}",
+        "checkout: {} atoms via {}, cluster used: {}",
         r.set.molecules[0].atom_count(),
-        trace.root_access,
-        trace.cluster_used
+        profile.access("path").unwrap_or("?"),
+        profile.access("cluster").unwrap_or("none")
     );
 
     // The checkout statement is prepared once per session; every

@@ -67,17 +67,19 @@ fn main() -> PrimaResult<()> {
 
     // Table 2.1a against the recovered database, prepared + bound.
     let session = db.session();
+    session.set_profiling(true);
     let mut by_brep = session.prepare(
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no = ? (* qualification *)",
     )?;
     for n in 1..=2i64 {
         by_brep.bind(&[Value::Int(n)])?;
         let r = by_brep.query(&QueryOptions::new())?;
+        let profile = session.last_profile().expect("profiling is on");
         println!(
-            "Table 2.1a (brep {n}) after restart: {} molecule(s), {} faces via {:?}",
+            "Table 2.1a (brep {n}) after restart: {} molecule(s), {} faces via {}",
             r.set.len(),
             r.set.atoms_of("face").len(),
-            r.trace.root_access
+            profile.access("path").unwrap_or("?")
         );
         assert_eq!(r.set.len(), 1, "committed breps must be readable after recovery");
     }

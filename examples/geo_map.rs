@@ -24,12 +24,16 @@ fn main() -> PrimaResult<()> {
     // query is prepared once; the land-use classification is a named
     // parameter re-bound per run.
     let session = db.session();
+    session.set_profiling(true);
+    let path = |s: &prima::Session| {
+        s.last_profile().and_then(|p| p.access("path").map(String::from)).expect("profiled")
+    };
     let mut by_use =
         session.prepare("SELECT region_no, area FROM region WHERE land_use = :use")?;
     by_use.bind_named(&[("use", Value::Str("water".into()))])?;
     let r = by_use.query(&QueryOptions::new())?;
     let set = r.set;
-    println!("water regions: {} (root access {:?})", set.len(), r.trace.root_access);
+    println!("water regions: {} (root access {})", set.len(), path(&session));
 
     // LDL tuning: partition the frequently projected attributes; sort
     // order by area for range reporting.
@@ -45,7 +49,7 @@ fn main() -> PrimaResult<()> {
     // chosen per execution, so tuning applies without re-preparing.)
     let r = by_use.query(&QueryOptions::new())?;
     assert_eq!(set.len(), r.set.len());
-    println!("re-run root access: {:?}", r.trace.root_access);
+    println!("re-run root access: {}", path(&session));
 
     // Vertical access: one sheet's full map molecule.
     let set = exec::query(&db, "SELECT ALL FROM sheet_map WHERE sheet_no = 2")?;

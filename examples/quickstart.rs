@@ -30,11 +30,14 @@ fn main() -> PrimaResult<()> {
     );
 
     // 3. A session is the application's conversation with the kernel.
+    //    With profiling on, each statement leaves a profile that names
+    //    its access choice.
     let session = db.session();
+    session.set_profiling(true);
 
     // 4. Table 2.1a — vertical access, as a *prepared* statement: the
     //    MQL is parsed and planned once; each execution only binds the
-    //    brep number. (The trace proves the key lookup survives binding.)
+    //    brep number. (The profile proves the key lookup survives binding.)
     let mut by_brep = session.prepare(
         "SELECT ALL
          FROM brep-face-edge-point
@@ -43,10 +46,11 @@ fn main() -> PrimaResult<()> {
     for n in 1..=2i64 {
         by_brep.bind(&[Value::Int(n)])?;
         let r = by_brep.query(&QueryOptions::new())?;
+        let profile = session.last_profile().expect("profiling is on");
         println!(
-            "\nTable 2.1a (brep {n}): {} molecule(s) via {:?}",
+            "\nTable 2.1a (brep {n}): {} molecule(s) via {}",
             r.set.len(),
-            r.trace.root_access
+            profile.access("path").unwrap_or("?")
         );
         println!(
             "  faces: {}, edge occurrences: {}, point occurrences: {}",

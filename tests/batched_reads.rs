@@ -141,12 +141,18 @@ fn batch_handles_mixed_types_and_empty_input() {
 }
 
 /// The kernel's molecules for `q` (ordered by root atom id, like the
-/// reference's) and its `atoms_fetched` count.
+/// reference's) and the atoms its assembly read: the profile's
+/// `primary_reads`, less the roots a key lookup or an access path read
+/// through that counter (a type scan reads none through it).
 fn kernel_molecules(db: &Prima, q: &str) -> (Vec<Molecule>, usize) {
-    let r = db.session().query(q, &QueryOptions::new()).unwrap();
-    let mut molecules = r.set.molecules;
+    let (set, profile) = exec::query_profiled(db, q).unwrap();
+    let mut molecules = set.molecules;
     molecules.sort_by_key(|m| m.root.atom.id);
-    (molecules, r.trace.atoms_fetched)
+    let root_reads = match profile.access("path") {
+        Some("type_scan") => 0,
+        _ => profile.access("roots").unwrap().parse().unwrap(),
+    };
+    (molecules, profile.counters.access.primary_reads as usize - root_reads)
 }
 
 /// Without a cluster every distinct component atom of a molecule is
@@ -209,9 +215,9 @@ fn kernel_matches_reference_on_clustered_molecules() {
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3",
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0",
     ] {
-        let r = db.session().query(q, &QueryOptions::new()).unwrap();
-        assert_eq!(r.trace.cluster_used.as_deref(), Some("cl_brep"), "{q}");
-        let mut kernel = r.set.molecules;
+        let (set, profile) = exec::query_profiled(&db, q).unwrap();
+        assert_eq!(profile.access("cluster"), Some("cl_brep"), "{q}");
+        let mut kernel = set.molecules;
         kernel.sort_by_key(|m| m.root.atom.id);
         assert_eq!(kernel, reference::molecules(&db, q), "molecule sets diverge for {q}");
     }

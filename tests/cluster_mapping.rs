@@ -34,10 +34,11 @@ fn molecule_query_reads_cluster_chained() {
     let db = tuned_db(5);
     db.storage().flush().unwrap();
     let before = db.metrics();
-    let (set, trace) =
-        exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3").unwrap();
+    let (set, profile) =
+        exec::query_profiled(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3")
+            .unwrap();
     assert_eq!(set.len(), 1);
-    assert_eq!(trace.cluster_used.as_deref(), Some("cl_brep"));
+    assert_eq!(profile.access("cluster"), Some("cl_brep"));
     let io = db.metrics().delta(&before).io;
     assert!(io.chained_runs >= 1, "cluster read must be chained: {io:?}");
 }

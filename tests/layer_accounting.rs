@@ -13,16 +13,23 @@ fn one_query_touches_every_layer() {
     let before = db.metrics();
 
     // Data system: molecule-set in, atoms out.
-    let (set, trace) =
-        exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 5").unwrap();
+    let (set, profile) =
+        exec::query_profiled(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 5")
+            .unwrap();
     let d = db.metrics().delta(&before);
 
-    // Layer 1 — data system: one molecule of 79 positions over 27 atoms.
+    // Layer 1 — data system: a key lookup delivering one root, one
+    // molecule of 79 positions over 27 atoms.
+    assert_eq!(profile.access("path"), Some("key_lookup(brep_no)"));
+    assert_eq!(profile.access("roots"), Some("1"));
     assert_eq!(set.len(), 1);
-    assert_eq!(trace.molecules, 1);
     let atoms_in_molecule = set.molecules[0].atom_count();
     assert_eq!(atoms_in_molecule, 79);
-    assert_eq!(trace.atoms_fetched, 26, "assembly fetched each distinct component once");
+    assert_eq!(
+        profile.counters.access.primary_reads - 1,
+        26,
+        "assembly fetched each distinct component once (the key lookup read the root)"
+    );
 
     // Layer 2 — access system: one primary-record read for the root and
     // one per distinct component.
@@ -58,15 +65,21 @@ fn warm_repeat_stays_in_upper_layers() {
 fn atoms_fetched_scale_with_molecule_count() {
     let db = brep::open_db(16 << 20).unwrap();
     brep::populate(&db, &BrepConfig::with_solids(12)).unwrap();
-    let (_, trace1) =
-        exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1").unwrap();
-    let one = trace1.atoms_fetched;
-    let (_, trace_all) =
-        exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0").unwrap();
-    assert_eq!(trace_all.molecules, 12);
+    // The key lookup reads its root through `primary_reads`, the type
+    // scan does not: subtract it to compare assembly reads alone.
+    let (_, p1) =
+        exec::query_profiled(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1")
+            .unwrap();
+    assert_eq!(p1.access("path"), Some("key_lookup(brep_no)"));
+    let one = p1.counters.access.primary_reads - 1;
+    let (all, p_all) =
+        exec::query_profiled(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0")
+            .unwrap();
+    assert_eq!(p_all.access("path"), Some("type_scan"));
+    assert_eq!(all.len(), 12);
+    let fetched = p_all.counters.access.primary_reads;
     assert!(
-        trace_all.atoms_fetched >= 12 * one,
-        "12 molecules fetch at least 12x the atoms of one ({} vs {one})",
-        trace_all.atoms_fetched
+        fetched >= 12 * one,
+        "12 molecules fetch at least 12x the atoms of one ({fetched} vs {one})"
     );
 }

@@ -3,7 +3,6 @@
 //! Every tuning structure changes the physical trace but never the
 //! answer; structures can be created and dropped at any time.
 
-use prima::datasys::RootAccess;
 use prima::Structure;
 use prima_access::multidim::DimRange;
 use prima_access::scan::{Scan, SortScan};
@@ -27,20 +26,16 @@ fn access_path_changes_trace_not_answer() {
     let db = map::open_db(16 << 20).unwrap();
     map::populate(&db, &MapConfig { sheets: 1, grid: 10, seed: 3 }).unwrap();
     let q = "SELECT ALL FROM region WHERE area >= 100.0";
-    let (before, t_before) = exec::query_traced(&db, q).unwrap();
-    assert_eq!(t_before.root_access, RootAccess::TypeScan);
+    let (before, p_before) = exec::query_profiled(&db, q).unwrap();
+    assert_eq!(p_before.access("path"), Some("type_scan"));
     db.ldl("CREATE ACCESS PATH ap_area ON region (area)").unwrap();
-    let (after, t_after) = exec::query_traced(&db, q).unwrap();
-    assert!(
-        matches!(t_after.root_access, RootAccess::AccessPath { .. }),
-        "got {:?}",
-        t_after.root_access
-    );
+    let (after, p_after) = exec::query_profiled(&db, q).unwrap();
+    assert_eq!(p_after.access("path"), Some("access_path(ap_area)"));
     assert_eq!(before.molecules, after.molecules);
     // Drop it again: back to the scan, same answer.
     db.ldl("DROP STRUCTURE ap_area").unwrap();
-    let (dropped, t_dropped) = exec::query_traced(&db, q).unwrap();
-    assert_eq!(t_dropped.root_access, RootAccess::TypeScan);
+    let (dropped, p_dropped) = exec::query_profiled(&db, q).unwrap();
+    assert_eq!(p_dropped.access("path"), Some("type_scan"));
     assert_eq!(before.molecules, dropped.molecules);
 }
 
@@ -51,8 +46,8 @@ fn partition_changes_trace_not_answer() {
     let q = "SELECT region_no FROM region WHERE land_use = 'forest'";
     let before = exec::query(&db, q).unwrap();
     db.ldl("CREATE PARTITION p ON region (region_no, land_use)").unwrap();
-    let (after, trace) = exec::query_traced(&db, q).unwrap();
-    assert!(matches!(trace.root_access, RootAccess::PartitionScan { .. }));
+    let (after, profile) = exec::query_profiled(&db, q).unwrap();
+    assert_eq!(profile.access("path"), Some("partition_scan(p)"));
     assert_eq!(before.molecules, after.molecules);
 }
 
@@ -63,8 +58,8 @@ fn cluster_changes_trace_not_answer() {
     let q = "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 4";
     let before = exec::query(&db, q).unwrap();
     db.ldl("CREATE ATOM_CLUSTER cl ON brep (faces, edges, points) PAGESIZE 2K").unwrap();
-    let (after, trace) = exec::query_traced(&db, q).unwrap();
-    assert_eq!(trace.cluster_used.as_deref(), Some("cl"));
+    let (after, profile) = exec::query_profiled(&db, q).unwrap();
+    assert_eq!(profile.access("cluster"), Some("cl"));
     assert_eq!(before.molecules, after.molecules);
 }
 
@@ -116,8 +111,10 @@ fn structures_maintained_across_inserts_and_deletes() {
         ],
     )
     .unwrap();
-    let (set, trace) = exec::query_traced(&db, "SELECT ALL FROM region WHERE region_no = 999").unwrap();
-    assert!(matches!(trace.root_access, RootAccess::AccessPath { .. } | RootAccess::KeyLookup { .. }));
+    let (set, profile) =
+        exec::query_profiled(&db, "SELECT ALL FROM region WHERE region_no = 999").unwrap();
+    let path = profile.access("path").unwrap();
+    assert!(path == "access_path(ap)" || path == "key_lookup(region_no)", "{path}");
     assert_eq!(set.len(), 1);
     assert_eq!(sort_order(&db, "so").len(), 17);
     // Delete removes it everywhere.

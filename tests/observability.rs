@@ -51,6 +51,7 @@ fn profiler_off_entry_points_do_not_allocate() {
         obs::event(SpanKind::BufferFix, i, 0);
         assert_eq!(obs::span(SpanKind::Parse, || i), i);
         assert_eq!(obs::observed(SpanKind::LockAcquire, || i + 1), i + 1);
+        obs::attr("path", || -> String { panic!("attr value built with the profiler off") });
         drop(obs::span_guard(SpanKind::RootAccess));
         assert!(probe::timer().is_none());
         probe::emit_elapsed(None, ProbeEvent::BufferFix, 0);
@@ -156,6 +157,11 @@ fn profiled_table21_query_covers_every_layer() {
             profile.render()
         );
     }
+
+    // The access choice is on the root-access span.
+    let root_access = profile.root.find(SpanKind::RootAccess).expect("root access span");
+    assert_eq!(root_access.attr("path"), Some("key_lookup(brep_no)"), "{}", profile.render());
+    assert_eq!(root_access.attr("roots"), Some("1"));
 
     // The profile's counter deltas equal the kernel-wide deltas — the
     // statement was the only traffic (single thread, quiet kernel).
@@ -319,9 +325,66 @@ fn api_counters_track_statements_and_cursor_fetches() {
     assert_eq!(d.cursor_fetches, 2);
 }
 
+#[test]
+fn cursor_open_profile_names_its_access_path() {
+    let db = Prima::builder().build_with_ddl(DDL).expect("build");
+    let s = db.session();
+    for n in 1..=3 {
+        s.execute(&format!("INSERT thing (n: {n}, s: 'x')")).expect("insert");
+    }
+    s.commit().expect("commit");
+    s.set_profiling(true);
+    let cursor = s
+        .query_cursor("SELECT ALL FROM thing WHERE n = 2", &QueryOptions::default())
+        .expect("cursor");
+    let open = s.last_profile().expect("cursor open is profiled");
+    assert_eq!(open.kind, StatementKind::Select);
+    assert_eq!(open.access("path"), Some("key_lookup(n)"), "{}", open.render());
+    assert_eq!(open.access("roots"), Some("1"));
+    assert_eq!(cursor.remaining_roots(), 1);
+    drop(cursor);
+
+    // A prepared statement's cursor too, with the bound key.
+    let mut stmt = s.prepare("SELECT ALL FROM thing WHERE n = ?").expect("prepare");
+    stmt.bind(&[prima::Value::Int(3)]).expect("bind");
+    let _cursor = stmt.cursor(&QueryOptions::default()).expect("cursor");
+    let open = s.last_profile().expect("cursor open is profiled");
+    assert_eq!(open.access("path"), Some("key_lookup(n)"));
+    assert_eq!(open.statement, "SELECT ALL FROM thing WHERE n = ?");
+}
+
 // ---------------------------------------------------------------------
 // Slow-statement log
 // ---------------------------------------------------------------------
+
+#[test]
+fn cursor_profiles_carry_the_cursor_statement() {
+    let db = Prima::builder()
+        .slow_statement_threshold(Duration::ZERO)
+        .build_with_ddl(DDL)
+        .expect("build");
+    let s = db.session();
+    for n in 0..4 {
+        s.execute(&format!("INSERT thing (n: {n}, s: 'x')")).expect("insert");
+    }
+    s.commit().expect("commit");
+    let skip = db.slow_statements().len();
+
+    const Q: &str = "SELECT ALL FROM thing WHERE n >= 0";
+    let mut cursor = s.query_cursor(Q, &QueryOptions::default()).expect("cursor");
+    assert_eq!(cursor.fetch(2).expect("fetch").len(), 2);
+    assert_eq!(cursor.fetch_all().expect("fetch_all").len(), 2);
+    drop(cursor);
+
+    // The open and both fetches, each labelled with the cursor's MQL.
+    let entries = &db.slow_statements()[skip..];
+    assert_eq!(entries.len(), 3, "open + 2 fetches");
+    for p in entries {
+        assert_eq!(p.statement, Q);
+        assert_eq!(p.kind, StatementKind::Select);
+        p.validate().unwrap_or_else(|e| panic!("{e}\n{}", p.render()));
+    }
+}
 
 #[test]
 fn zero_threshold_captures_every_statement() {

@@ -75,22 +75,35 @@ fn concurrent_du_reads_do_not_interfere() {
 fn parallel_trace_matches_serial_on_clustered_query() {
     // The clustered brep query of `tests/cluster_mapping.rs`, plus a
     // multi-root variant so the DUs really spread over workers: the
-    // trace must account for what the workers fetched.
+    // profile must name the same access choice, and its counters must
+    // account for what the workers read.
     let db = brep::open_db(32 << 20).unwrap();
     brep::populate(&db, &BrepConfig::with_solids(5)).unwrap();
     db.ldl("CREATE ATOM_CLUSTER cl_brep ON brep (faces, edges, points) PAGESIZE 1K").unwrap();
     let session = db.session();
+    session.set_profiling(true);
     for q in [
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 3",
         "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0",
     ] {
-        let serial = session.query(q, &QueryOptions::new()).unwrap().trace;
-        let parallel = session.query(q, &QueryOptions::new().threads(4)).unwrap().trace;
-        assert_eq!(serial.cluster_used.as_deref(), Some("cl_brep"), "{q}");
-        assert!(serial.atoms_fetched > 0, "{q}");
-        assert_eq!(parallel.atoms_fetched, serial.atoms_fetched, "{q}");
-        assert_eq!(parallel.cluster_used, serial.cluster_used, "{q}");
-        assert_eq!(parallel.roots_inspected, serial.roots_inspected, "{q}");
-        assert_eq!(parallel.molecules, serial.molecules, "{q}");
+        let run = |threads| {
+            let set = session.query(q, &QueryOptions::new().threads(threads)).unwrap().set;
+            (set, session.last_profile().unwrap())
+        };
+        let (serial_set, serial) = run(1);
+        let (parallel_set, parallel) = run(4);
+        assert_eq!(serial.access("cluster"), Some("cl_brep"), "{q}");
+        // The cluster prefetched every component: assembly batch-reads
+        // none of them again.
+        assert!(serial.counters.buffer.fix_calls > 0, "{q}");
+        assert_eq!(serial.counters.access.batch_atoms, 0, "{q}");
+        for key in ["path", "cluster", "roots"] {
+            assert_eq!(parallel.access(key), serial.access(key), "{key} of {q}");
+        }
+        assert_eq!(parallel_set.len(), serial_set.len(), "{q}");
+        let (s, p) = (&serial.counters.access, &parallel.counters.access);
+        assert_eq!(p.primary_reads, s.primary_reads, "{q}");
+        assert_eq!(p.batch_atoms, s.batch_atoms, "{q}");
+        assert_eq!(p.batch_pages, s.batch_pages, "{q}");
     }
 }

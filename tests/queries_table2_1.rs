@@ -1,7 +1,6 @@
 //! E-T2.1: the four queries of Table 2.1, executed with full semantics
 //! against a generated BREP database (Fig. 2.3 schema, verbatim).
 
-use prima::datasys::RootAccess;
 use prima_workloads::exec;
 use prima::Value;
 use prima_workloads::brep::{self, BrepConfig};
@@ -34,13 +33,10 @@ fn t2_1a_vertical_access_network_molecule() {
 #[test]
 fn t2_1a_uses_key_lookup() {
     let (db, _) = db_with(2);
-    let (_, trace) =
-        exec::query_traced(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1").unwrap();
-    assert!(
-        matches!(trace.root_access, RootAccess::KeyLookup { .. }),
-        "brep_no is KEYS_ARE; got {:?}",
-        trace.root_access
-    );
+    let (_, profile) =
+        exec::query_profiled(&db, "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1")
+            .unwrap();
+    assert_eq!(profile.access("path"), Some("key_lookup(brep_no)"), "brep_no is KEYS_ARE");
 }
 
 #[test]

@@ -2,7 +2,6 @@
 //! bind + execute many), streaming molecule cursors (piecewise delivery),
 //! and transactional sessions with explicit commit/rollback.
 
-use prima::datasys::RootAccess;
 use prima_workloads::exec;
 use prima::{Prima, PrimaError, QueryOptions, Value};
 use prima_workloads::brep::{self, BrepConfig};
@@ -21,6 +20,7 @@ fn brep_db(n: usize) -> Prima {
 fn prepared_reexecution_matches_one_shot_query() {
     let db = brep_db(4);
     let session = db.session();
+    session.set_profiling(true);
     let mut stmt = session
         .prepare("SELECT ALL FROM brep-face-edge-point WHERE brep_no = ?")
         .unwrap();
@@ -32,11 +32,8 @@ fn prepared_reexecution_matches_one_shot_query() {
         assert_eq!(prepared.set.molecules, one_shot.molecules, "brep_no = {n}");
         // Binding must not demote the plan: brep_no is KEYS_ARE, so the
         // bound comparison still routes to the direct key lookup.
-        assert!(
-            matches!(prepared.trace.root_access, RootAccess::KeyLookup { .. }),
-            "expected key lookup, got {:?}",
-            prepared.trace.root_access
-        );
+        let profile = session.last_profile().unwrap();
+        assert_eq!(profile.access("path"), Some("key_lookup(brep_no)"));
     }
 }
 
@@ -172,13 +169,20 @@ fn prepared_modify_binds_params_inside_connect_subqueries() {
 fn prepared_options_collapse_the_query_variants() {
     let db = brep_db(4);
     let session = db.session();
+    session.set_profiling(true);
     let mut stmt =
         session.prepare("SELECT ALL FROM brep-face-edge WHERE brep_no >= ?").unwrap();
     stmt.bind(&[Value::Int(1)]).unwrap();
     let serial = stmt.query(&QueryOptions::default()).unwrap();
+    let serial_profile = session.last_profile().unwrap();
     let parallel = stmt.query(&QueryOptions::new().threads(4)).unwrap();
+    let parallel_profile = session.last_profile().unwrap();
     assert_eq!(serial.set.molecules, parallel.set.molecules);
-    assert_eq!(serial.trace, parallel.trace);
+    for key in ["path", "roots", "cluster"] {
+        assert_eq!(serial_profile.access(key), parallel_profile.access(key), "{key}");
+    }
+    let (s, p) = (&serial_profile.counters.access, &parallel_profile.counters.access);
+    assert_eq!((s.primary_reads, s.batch_atoms), (p.primary_reads, p.batch_atoms));
     // threads: 0 is invalid everywhere, prepared included.
     assert!(matches!(
         stmt.query(&QueryOptions::new().threads(0)),
@@ -316,7 +320,7 @@ fn cursor_streams_piecewise_and_matches_materialized_query() {
         streamed.extend(chunk);
     }
     assert_eq!(streamed, materialized.molecules, "stream ≡ materialized set");
-    assert_eq!(cursor.trace().molecules, 1000);
+    assert_eq!(streamed.len(), 1000);
 }
 
 #[test]
