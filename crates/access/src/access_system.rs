@@ -304,7 +304,7 @@ impl AccessSystem {
         mut values: Vec<Value>,
         pre: OnPreWrite<'_>,
     ) -> AccessResult<AtomId> {
-        let at = self.schema.atom_type(t).ok_or(AccessError::NoSuchAtomType(t))?.clone();
+        let at = self.schema.atom_type(t).ok_or(AccessError::NoSuchAtomType(t))?;
         // Pad with type-appropriate null values.
         while values.len() < at.attributes.len() {
             values.push(at.attributes[values.len()].ty.null_value());
@@ -321,9 +321,9 @@ impl AccessSystem {
         };
         values[at.identifier_index()] = Value::Id(id);
         self.schema.check_atom_values(t, &values)?;
-        self.check_references(&at, id, &values)?;
+        self.check_references(at, id, &values)?;
         before(pre, PreWrite::Insert(id))?;
-        self.rekey(store, &at, id, None, Some(&values))?;
+        self.rekey(store, at, id, None, Some(&values))?;
         let atom = Atom::new(id, values);
         // Primary record.
         let ptr = store.file.insert(&atom.encode())?;
@@ -409,8 +409,7 @@ impl AccessSystem {
         let at = self
             .schema
             .type_by_name(type_name)
-            .ok_or_else(|| AccessError::Schema(prima_mad::SchemaError::UnknownAtomType(type_name.into())))?
-            .clone();
+            .ok_or_else(|| AccessError::Schema(prima_mad::SchemaError::UnknownAtomType(type_name.into())))?;
         let mut values: Vec<Value> =
             at.attributes.iter().map(|a| a.ty.null_value()).collect();
         for (name, v) in attrs {
@@ -646,8 +645,7 @@ impl AccessSystem {
         let at = self
             .schema
             .atom_type(id.atom_type)
-            .ok_or(AccessError::NoSuchAtomType(id.atom_type))?
-            .clone();
+            .ok_or(AccessError::NoSuchAtomType(id.atom_type))?;
         let id_idx = at.identifier_index();
         if updates.iter().any(|(i, _)| *i == id_idx) {
             return Err(AccessError::IdentifierImmutable(id));
@@ -661,9 +659,9 @@ impl AccessSystem {
             new_values[*i] = v.clone();
         }
         self.schema.check_atom_values(id.atom_type, &new_values)?;
-        self.check_references(&at, id, &new_values)?;
+        self.check_references(at, id, &new_values)?;
         before(pre, PreWrite::Modify(&old, updates))?;
-        self.rekey(self.store_of(id.atom_type)?, &at, id, Some(&old.values), Some(&new_values))?;
+        self.rekey(self.store_of(id.atom_type)?, at, id, Some(&old.values), Some(&new_values))?;
         // Back-reference deltas.
         let mut ops = Vec::new();
         for (i, _) in updates {
@@ -742,8 +740,7 @@ impl AccessSystem {
         let at = self
             .schema
             .atom_type(id.atom_type)
-            .ok_or(AccessError::NoSuchAtomType(id.atom_type))?
-            .clone();
+            .ok_or(AccessError::NoSuchAtomType(id.atom_type))?;
         let old = self.read_primary(id)?;
         before(pre, PreWrite::Delete(&old))?;
         // Disconnect: for each reference this atom holds, remove the
@@ -764,7 +761,7 @@ impl AccessSystem {
         }
         self.apply_backref_ops(&ops, pre)?;
         let store = self.store_of(id.atom_type)?;
-        self.rekey(store, &at, id, Some(&old.values), None)?;
+        self.rekey(store, at, id, Some(&old.values), None)?;
         // Tuning structures.
         self.maintain(Some(&old), None)?;
         // Primary record and address entry.

@@ -43,7 +43,7 @@ impl Atom {
         let mut out = Vec::with_capacity(16 + 16 * self.values.len());
         out.extend_from_slice(&self.id.atom_type.to_le_bytes());
         out.extend_from_slice(&self.id.seq.to_le_bytes());
-        out.extend_from_slice(&codec::encode_values(&self.values));
+        codec::encode_values_into(&self.values, &mut out);
         out
     }
 

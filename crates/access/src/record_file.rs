@@ -20,10 +20,17 @@
 //!        record
 //! heap grows upward from the end of the slot table
 //! ```
+//!
+//! Placement is leftmost first fit: an insert goes to the first page, in
+//! allocation order, whose contiguous free space holds the record and a
+//! slot entry. The file's free-space map answers that in O(log pages) with
+//! a max-tree over the pages' free space. Insert, update and delete note the
+//! page's new free space while they still hold its guard, so a write fixes
+//! its page once.
 
 use crate::error::{AccessError, AccessResult};
 use parking_lot::{rank, Mutex};
-use prima_storage::{PageId, PageType, SegmentId, StorageSystem};
+use prima_storage::{PageId, PageSize, PageType, SegmentId, StorageSystem};
 use std::sync::Arc;
 
 /// Stable identity of a physical record within one record file.
@@ -47,20 +54,102 @@ const HDR: usize = 4;
 pub struct RecordFile {
     storage: Arc<StorageSystem>,
     segment: SegmentId,
-    /// Pages of this file in allocation order (physical scan order).
-    // lockrank: buffer.0 — page list: buffer-level peer of the shard/frame
-    // group. `insert` refreshes the free-space map while holding a frame
-    // guard (frame → this), and `clear` frees pages while holding both
-    // maps (this → shard); the cycle cannot close because writers into
-    // one record file are serialised by the data system's extension
-    // locks, and `clear` is only reached through wholesale structure
-    // reorganisation holding the structure exclusively.
-    pages: Mutex<Vec<u32>>,
-    /// Free space per page (same indexing as `pages`), maintained
-    /// optimistically for placement decisions.
-    // lockrank: buffer.0 — free-space map; see `pages`.
-    free_space: Mutex<Vec<usize>>,
+    // lockrank: buffer.0 — page list and free-space map: a buffer-level
+    // peer of the shard/frame group. `insert`, `update` and `delete`
+    // note free space while holding a frame guard (frame → this), and
+    // `clear` frees pages while holding it (this → shard); the cycle
+    // cannot close because writers into one record file are serialised
+    // by the data system's extension locks, and `clear` is only reached
+    // through wholesale structure reorganisation holding the structure
+    // exclusively.
+    map: Mutex<FreeSpaceMap>,
     payload_cap: usize,
+}
+
+/// The pages of a record file in allocation order (physical scan order)
+/// and their free space, maintained optimistically for placement: a
+/// max-tree (tournament tree) over the free space finds the leftmost page
+/// with room in O(log pages).
+struct FreeSpaceMap {
+    /// Page numbers in allocation order.
+    pages: Vec<u32>,
+    /// Position in `pages` by page number (`NOT_IN_FILE` if absent). A
+    /// record file's segment numbers its pages densely, so a vector
+    /// indexed by page number suffices.
+    position: Vec<u32>,
+    /// Max-tree over the free space: `tree[leaves + i]` is the free space
+    /// of `pages[i]` (0 past the last page), every inner node `k` the
+    /// larger of `2k` and `2k + 1`; `tree[0]` is unused. `leaves` is a
+    /// power of two.
+    tree: Vec<usize>,
+    leaves: usize,
+}
+
+const NOT_IN_FILE: u32 = u32::MAX;
+
+impl FreeSpaceMap {
+    fn new() -> Self {
+        FreeSpaceMap { pages: Vec::new(), position: Vec::new(), tree: vec![0; 2], leaves: 1 }
+    }
+
+    /// The leftmost page whose free space is at least `need` (> 0).
+    fn first_fit(&self, need: usize) -> Option<u32> {
+        if self.tree[1] < need {
+            return None;
+        }
+        let mut k = 1;
+        while k < self.leaves {
+            k = if self.tree[2 * k] >= need { 2 * k } else { 2 * k + 1 };
+        }
+        Some(self.pages[k - self.leaves])
+    }
+
+    /// Appends a page with `free` bytes of free space.
+    fn push(&mut self, page: u32, free: usize) {
+        if self.pages.len() == self.leaves {
+            let leaves = 2 * self.leaves;
+            let mut tree = vec![0; 2 * leaves];
+            tree[leaves..leaves + self.leaves].copy_from_slice(&self.tree[self.leaves..]);
+            for k in (1..leaves).rev() {
+                tree[k] = tree[2 * k].max(tree[2 * k + 1]);
+            }
+            self.tree = tree;
+            self.leaves = leaves;
+        }
+        let page_idx = page as usize;
+        if self.position.len() <= page_idx {
+            self.position.resize(page_idx + 1, NOT_IN_FILE);
+        }
+        self.position[page_idx] = self.pages.len() as u32;
+        self.pages.push(page);
+        self.set_leaf(self.pages.len() - 1, free);
+    }
+
+    /// Notes `page`'s free space; a page not in the file is ignored.
+    fn set(&mut self, page: u32, free: usize) {
+        if let Some(pos) = self.position_of(page) {
+            self.set_leaf(pos, free);
+        }
+    }
+
+    /// The noted free space of `page`, if it belongs to the file.
+    #[cfg(test)]
+    fn get(&self, page: u32) -> Option<usize> {
+        self.position_of(page).map(|pos| self.tree[self.leaves + pos])
+    }
+
+    fn position_of(&self, page: u32) -> Option<usize> {
+        self.position.get(page as usize).filter(|&&pos| pos != NOT_IN_FILE).map(|&pos| pos as usize)
+    }
+
+    fn set_leaf(&mut self, pos: usize, free: usize) {
+        let mut k = self.leaves + pos;
+        self.tree[k] = free;
+        while k > 1 {
+            k /= 2;
+            self.tree[k] = self.tree[2 * k].max(self.tree[2 * k + 1]);
+        }
+    }
 }
 
 impl RecordFile {
@@ -86,41 +175,36 @@ impl RecordFile {
         Ok(RecordFile {
             storage,
             segment,
-            pages: Mutex::new_ranked(Vec::new(), rank::BUFFER),
-            free_space: Mutex::new_ranked(Vec::new(), rank::BUFFER),
+            map: Mutex::new_ranked(FreeSpaceMap::new(), rank::BUFFER),
             payload_cap,
         })
     }
 
     /// Re-attaches to an existing segment after restart: every allocated
     /// page of `segment` whose header marks it a data page re-enters the
-    /// file, in page-number order — which *is* allocation order, because
-    /// a record file allocates from its private segment and never frees
-    /// individual pages. Free space is recomputed from the slotted-page
-    /// headers.
+    /// file, in page-number order. That is allocation order for a logged
+    /// file — the only kind ever attached — because it allocates from its
+    /// private segment and never frees pages (only [`RecordFile::clear`]
+    /// does, and the segment hands freed pages out again last-in first-out,
+    /// but `clear` is reached only by transient structures). Free space is
+    /// recomputed from the slotted-page headers.
     pub fn attach(storage: Arc<StorageSystem>, segment: SegmentId) -> AccessResult<Self> {
         let (page_size, extent) =
             storage.with_segment(segment, |s| (s.page_size, s.extent()))?;
-        let file = RecordFile {
-            storage: Arc::clone(&storage),
-            segment,
-            pages: Mutex::new_ranked(Vec::new(), rank::BUFFER),
-            free_space: Mutex::new_ranked(Vec::new(), rank::BUFFER),
-            payload_cap: page_size.payload(),
-        };
-        let mut pages = Vec::new();
-        let mut free = Vec::new();
+        let mut map = FreeSpaceMap::new();
         for page_no in 0..extent {
             let g = storage.fix(PageId::new(segment, page_no))?;
             if g.page_type() != PageType::Data {
                 continue;
             }
-            free.push(page_free_space(g.payload_area()));
-            pages.push(page_no);
+            map.push(page_no, page_free_space(g.payload_area()));
         }
-        *file.pages.lock() = pages;
-        *file.free_space.lock() = free;
-        Ok(file)
+        Ok(RecordFile {
+            storage,
+            segment,
+            map: Mutex::new_ranked(map, rank::BUFFER),
+            payload_cap: page_size.payload(),
+        })
     }
 
     pub fn segment(&self) -> SegmentId {
@@ -134,15 +218,16 @@ impl RecordFile {
 
     /// Number of pages currently in the file.
     pub fn page_count(&self) -> usize {
-        self.pages.lock().len()
+        self.map.lock().pages.len()
     }
 
     /// Page numbers in physical order (for scans).
     pub fn page_numbers(&self) -> Vec<u32> {
-        self.pages.lock().clone()
+        self.map.lock().pages.clone()
     }
 
-    /// Inserts a record, returning its stable pointer.
+    /// Inserts a record into the leftmost page with room (a new page if
+    /// none has), returning its stable pointer.
     pub fn insert(&self, data: &[u8]) -> AccessResult<RecordPtr> {
         if data.len() > self.max_record_len() {
             return Err(AccessError::RecordTooLarge {
@@ -150,14 +235,9 @@ impl RecordFile {
                 max: self.max_record_len(),
             });
         }
-        // Find a page with room (first fit over the free-space map).
-        let need = data.len() + SLOT_SIZE;
-        let candidate = {
-            let free = self.free_space.lock();
-            free.iter().position(|&f| f >= need)
-        };
-        let (page_no, page_idx) = match candidate {
-            Some(idx) => (self.pages.lock()[idx], idx),
+        let candidate = self.map.lock().first_fit(data.len() + SLOT_SIZE);
+        let page_no = match candidate {
+            Some(page_no) => page_no,
             None => {
                 let id = self.storage.allocate_page(self.segment)?;
                 {
@@ -165,36 +245,27 @@ impl RecordFile {
                     init_page(g.payload_area_mut());
                     g.set_payload_len(self.payload_cap)?;
                 }
-                let mut pages = self.pages.lock();
-                let mut free = self.free_space.lock();
-                pages.push(id.page);
-                free.push(self.payload_cap - HDR);
-                (id.page, pages.len() - 1)
+                self.map.lock().push(id.page, self.payload_cap - HDR);
+                id.page
             }
         };
-        let pid = PageId::new(self.segment, page_no);
-        let mut g = self.storage.fix_mut(pid)?;
-        let slot = {
-            let area = g.payload_area_mut();
-            match page_insert(area, data) {
-                Some(slot) => slot,
-                None => {
-                    // Free-space map was stale (fragmentation): compact and
-                    // retry; if still no room, fall through to a new page.
-                    page_compact(area);
-                    match page_insert(area, data) {
-                        Some(slot) => slot,
-                        None => {
-                            drop(g);
-                            self.free_space.lock()[page_idx] = 0;
-                            return self.insert(data);
-                        }
-                    }
-                }
+        let mut g = self.storage.fix_mut(PageId::new(self.segment, page_no))?;
+        let area = g.payload_area_mut();
+        // A stale map (a concurrent writer) may promise room that only
+        // compaction yields, or not even that: then the page's real free
+        // space is noted and the insert looks again.
+        let slot = page_insert(area, data).or_else(|| {
+            page_compact(area);
+            page_insert(area, data)
+        });
+        self.map.lock().set(page_no, page_free_space(g.payload_area()));
+        match slot {
+            Some(slot) => Ok(RecordPtr { page: page_no, slot }),
+            None => {
+                drop(g);
+                self.insert(data)
             }
-        };
-        self.free_space.lock()[page_idx] = page_free_space(g.payload_area());
-        Ok(RecordPtr { page: page_no, slot })
+        }
     }
 
     /// Reads a record. A deleted or never-allocated slot reports as a
@@ -223,9 +294,10 @@ impl RecordFile {
         }
         let in_place = {
             let mut g = self.storage.fix_mut(PageId::new(self.segment, ptr.page))?;
-            page_update(g.payload_area_mut(), ptr.slot, data)
+            let in_place = page_update(g.payload_area_mut(), ptr.slot, data);
+            self.map.lock().set(ptr.page, page_free_space(g.payload_area()));
+            in_place
         };
-        self.refresh_free_space(ptr.page)?;
         if in_place {
             return Ok(ptr);
         }
@@ -236,19 +308,15 @@ impl RecordFile {
 
     /// Deletes a record; its slot may be reused.
     pub fn delete(&self, ptr: RecordPtr) -> AccessResult<()> {
-        let pid = PageId::new(self.segment, ptr.page);
-        {
-            let mut g = self.storage.fix_mut(pid)?;
-            page_delete(g.payload_area_mut(), ptr.slot);
-        }
-        self.refresh_free_space(ptr.page)?;
+        let mut g = self.storage.fix_mut(PageId::new(self.segment, ptr.page))?;
+        page_delete(g.payload_area_mut(), ptr.slot);
+        self.map.lock().set(ptr.page, page_free_space(g.payload_area()));
         Ok(())
     }
 
     /// Visits all records in physical order: `(ptr, bytes)`.
     pub fn for_each(&self, mut f: impl FnMut(RecordPtr, &[u8]) -> AccessResult<()>) -> AccessResult<()> {
-        let pages = self.pages.lock().clone();
-        for page_no in pages {
+        for page_no in self.page_numbers() {
             let g = self.storage.fix(PageId::new(self.segment, page_no))?;
             let area = g.payload_area();
             for slot in 0..page_slot_count(area) {
@@ -306,22 +374,11 @@ impl RecordFile {
     /// Frees every page and resets the file to empty (used by structures
     /// that reorganise wholesale, e.g. the grid file's rebuild).
     pub fn clear(&self) -> AccessResult<()> {
-        let mut pages = self.pages.lock();
-        let mut free = self.free_space.lock();
-        for &p in pages.iter() {
+        let mut map = self.map.lock();
+        for &p in &map.pages {
             self.storage.free_page(PageId::new(self.segment, p))?;
         }
-        pages.clear();
-        free.clear();
-        Ok(())
-    }
-
-    fn refresh_free_space(&self, page_no: u32) -> AccessResult<()> {
-        let idx = { self.pages.lock().iter().position(|&p| p == page_no) };
-        if let Some(idx) = idx {
-            let g = self.storage.fix(PageId::new(self.segment, page_no))?;
-            self.free_space.lock()[idx] = page_free_space(g.payload_area());
-        }
+        *map = FreeSpaceMap::new();
         Ok(())
     }
 }
@@ -444,21 +501,20 @@ fn page_delete(area: &mut [u8], slot: u16) {
     }
 }
 
-/// Rewrites all live records tightly at the end of the page, preserving
-/// slot numbers.
+/// Rewrites all live records tightly at the end of the page in slot
+/// order (slot 0 highest), preserving slot numbers. Records move from a
+/// copy of the area, so compaction allocates nothing.
 fn page_compact(area: &mut [u8]) {
-    let n = page_slot_count(area);
-    let mut records: Vec<(u16, Vec<u8>)> = Vec::new();
-    for s in 0..n {
-        if let Some(bytes) = page_read(area, s) {
-            records.push((s, bytes.to_vec()));
-        }
-    }
+    let mut buf = [0u8; PageSize::K8.bytes()];
+    let copy = &mut buf[..area.len()];
+    copy.copy_from_slice(area);
     let mut heap = area.len();
-    for (s, bytes) in &records {
-        heap -= bytes.len();
-        area[heap..heap + bytes.len()].copy_from_slice(bytes);
-        set_slot_entry(area, *s, heap as u16, bytes.len() as u16);
+    for s in 0..page_slot_count(copy) {
+        if let Some(bytes) = page_read(copy, s) {
+            heap -= bytes.len();
+            area[heap..heap + bytes.len()].copy_from_slice(bytes);
+            set_slot_entry(area, s, heap as u16, bytes.len() as u16);
+        }
     }
     area[2..4].copy_from_slice(&(heap as u16).to_le_bytes());
 }
@@ -466,7 +522,6 @@ fn page_compact(area: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prima_storage::PageSize;
 
     fn file() -> RecordFile {
         let storage = Arc::new(StorageSystem::in_memory(1 << 20));
@@ -590,6 +645,157 @@ mod tests {
         assert_eq!(f.read(p).unwrap(), big);
         for (p, data) in kept {
             assert_eq!(f.read(p).unwrap(), data);
+        }
+    }
+
+    /// Free space recomputed from `page`'s slotted-page header.
+    fn real_free(f: &RecordFile, page: u32) -> usize {
+        let g = f.storage.fix(PageId::new(f.segment, page)).unwrap();
+        page_free_space(g.payload_area())
+    }
+
+    #[test]
+    fn stale_map_entry_is_recomputed_after_failed_insert() {
+        let f = file();
+        let a = f.insert(&[1; 200]).unwrap();
+        assert_eq!(f.insert(&[1; 200]).unwrap().page, a.page);
+        let real = real_free(&f, a.page);
+        assert!(real > 0 && real < 200 + SLOT_SIZE, "page has some room, not enough for 200");
+        // A concurrent writer's stale view: the map promises room the page
+        // does not have, even after compaction.
+        f.map.lock().set(a.page, f.max_record_len() + SLOT_SIZE);
+        let b = f.insert(&[2; 200]).unwrap();
+        assert_ne!(b.page, a.page, "the record goes to a new page");
+        assert_eq!(f.map.lock().get(a.page), Some(real), "the page keeps its real free space");
+        assert_eq!(f.read(b).unwrap(), vec![2; 200]);
+    }
+
+    #[test]
+    fn page_compact_golden() {
+        // Holes (slots 1 and 5 deleted), a grown record (slot 2 moved to
+        // the heap top, slot 0 grown through a first compaction), a shrunk
+        // one (slot 3) and an empty one (slot 4). The expected table and
+        // bytes are those of the earlier per-record compaction.
+        let mut area = vec![0u8; 64];
+        init_page(&mut area);
+        for r in [&b"aaaa"[..], b"bbbbbbbb", b"cc", b"dddddd", b"", b"eee"] {
+            page_insert(&mut area, r).unwrap();
+        }
+        page_delete(&mut area, 1);
+        assert!(page_update(&mut area, 2, b"CCCCCCCCCC"));
+        assert!(page_update(&mut area, 3, b"dd"));
+        assert!(page_update(&mut area, 0, b"AAAAAAA"));
+        page_delete(&mut area, 5);
+        page_compact(&mut area);
+        let table: Vec<(u16, u16)> = (0..page_slot_count(&area)).map(|s| slot_entry(&area, s)).collect();
+        assert_eq!(
+            table,
+            [(57, 7), (FREE_SLOT, 0), (47, 10), (45, 2), (45, 0), (FREE_SLOT, 0)]
+        );
+        assert_eq!(heap_off(&area), 45);
+        let expected: [u8; 64] = [
+            6, 0, 45, 0, 57, 0, 7, 0, 255, 255, 0, 0, 47, 0, 10, 0, 45, 0, 2, 0, 45, 0, 0, 0, 255,
+            255, 0, 0, 0, 0, 0, 67, 67, 67, 67, 67, 67, 67, 65, 65, 65, 65, 65, 65, 65, 100, 100,
+            67, 67, 67, 67, 67, 67, 67, 67, 67, 67, 65, 65, 65, 65, 65, 65, 65,
+        ];
+        assert_eq!(area, expected);
+    }
+
+    /// Runs `ops` — `(kind, record, size)`: insert (half of them), grow,
+    /// shrink or delete — against a file of `page_size`, checking after every operation
+    /// that every live record reads back, that an insert (or a grow's
+    /// move) landed where a naive leftmost first fit over the pages' free
+    /// space puts it, and that every map entry equals the page's real free
+    /// space.
+    fn check_placement(page_size: PageSize, ops: &[(u8, prop::sample::Index, u16)]) {
+        let storage = Arc::new(StorageSystem::in_memory(4 << 20));
+        let f = RecordFile::create(storage, page_size).unwrap();
+        let max = f.max_record_len();
+        let mut live: Vec<(RecordPtr, Vec<u8>)> = Vec::new();
+        let mut fill = 0u8;
+        let mut bytes = |len: usize| {
+            fill = fill.wrapping_add(1);
+            vec![fill; len]
+        };
+        // Leftmost page of `pages` whose free space (`free`) holds `len`
+        // bytes and a slot entry; `None`: a new page.
+        let first_fit = |pages: &[u32], free: &[usize], len: usize| {
+            free.iter().position(|&fr| fr >= len + SLOT_SIZE).map(|i| pages[i])
+        };
+        for &(kind, idx, size) in ops {
+            let pages = f.page_numbers();
+            let shadow: Vec<usize> = pages.iter().map(|&p| real_free(&f, p)).collect();
+            let expect_at = |ptr: RecordPtr, free: &[usize], len: usize| {
+                match first_fit(&pages, free, len) {
+                    Some(page) => assert_eq!(ptr.page, page, "leftmost first fit"),
+                    None => assert!(!pages.contains(&ptr.page), "a new page"),
+                }
+            };
+            match kind % 8 {
+                0..=3 => {
+                    let data = bytes(size as usize % (max / 3));
+                    let ptr = f.insert(&data).unwrap();
+                    expect_at(ptr, &shadow, data.len());
+                    live.push((ptr, data));
+                }
+                _ if live.is_empty() => continue,
+                4 | 5 => {
+                    let i = idx.index(live.len());
+                    let (ptr, old) = &live[i];
+                    let data = bytes((old.len() + 1 + size as usize % (max / 2)).min(max));
+                    let moved = f.update(*ptr, &data).unwrap();
+                    if moved != *ptr {
+                        // The move's insert saw the old page as the failed
+                        // grow left it (compacted); the old slot's delete
+                        // does not change the page's free space.
+                        let mut free = shadow.clone();
+                        let at = pages.iter().position(|&p| p == ptr.page).unwrap();
+                        free[at] = real_free(&f, ptr.page);
+                        expect_at(moved, &free, data.len());
+                        assert!(f.read(*ptr).is_err(), "the old copy is gone");
+                    }
+                    live[i] = (moved, data);
+                }
+                6 => {
+                    let i = idx.index(live.len());
+                    let (ptr, old) = &live[i];
+                    let data = bytes(old.len() * (size as usize % 4) / 4);
+                    assert_eq!(f.update(*ptr, &data).unwrap(), *ptr, "a shrink stays in place");
+                    live[i].1 = data;
+                }
+                _ => {
+                    let (ptr, _) = live.swap_remove(idx.index(live.len()));
+                    f.delete(ptr).unwrap();
+                }
+            }
+            for (ptr, data) in &live {
+                assert_eq!(&f.read(*ptr).unwrap(), data);
+            }
+            let map = f.map.lock();
+            for &p in &map.pages {
+                assert_eq!(map.get(p), Some(real_free(&f, p)), "map entry of page {p}");
+            }
+        }
+        assert_eq!(f.record_count().unwrap(), live.len());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn placement_matches_naive_first_fit_k1(
+            ops in prop::collection::vec((any::<u8>(), any::<prop::sample::Index>(), any::<u16>()), 1..300)
+        ) {
+            check_placement(PageSize::K1, &ops);
+        }
+
+        #[test]
+        fn placement_matches_naive_first_fit_k4(
+            ops in prop::collection::vec((any::<u8>(), any::<prop::sample::Index>(), any::<u16>()), 1..300)
+        ) {
+            check_placement(PageSize::K4, &ops);
         }
     }
 }

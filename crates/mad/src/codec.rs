@@ -110,15 +110,13 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a slice of values (an atom's attribute vector) into one record
-/// image.
-pub fn encode_values(vs: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 * vs.len());
-    put_len(vs.len(), &mut out);
+/// Appends the record image of a slice of values (an atom's attribute
+/// vector) to `out`: the value count, then each value.
+pub fn encode_values_into(vs: &[Value], out: &mut Vec<u8>) {
+    put_len(vs.len(), out);
     for v in vs {
-        encode_value(v, &mut out);
+        encode_value(v, out);
     }
-    out
 }
 
 /// Decodes one value from `buf` at `*pos`, advancing `*pos`.
@@ -175,7 +173,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
     })
 }
 
-/// Decodes a record image produced by [`encode_values`].
+/// Decodes a record image produced by [`encode_values_into`].
 pub fn decode_values(buf: &[u8]) -> Result<Vec<Value>, CodecError> {
     let mut pos = 0;
     let n = get_len(buf, &mut pos)?;
@@ -390,7 +388,8 @@ mod tests {
     #[test]
     fn values_vector_round_trip() {
         let vs = vec![Value::Int(1), Value::Str("two".into()), Value::Null];
-        let buf = encode_values(&vs);
+        let mut buf = Vec::new();
+        encode_values_into(&vs, &mut buf);
         assert_eq!(decode_values(&buf).unwrap(), vs);
     }
 
