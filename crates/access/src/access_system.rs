@@ -13,7 +13,7 @@ use crate::addressing::AddressTable;
 pub use crate::addressing::StructureId;
 use crate::atom::Atom;
 use crate::error::{AccessError, AccessResult};
-use crate::integrity::{apply_backref, backref_ops, BackRefOp};
+use crate::integrity::{backref_ops, splice_backref, BackRefOp};
 use crate::record_file::RecordFile;
 use crate::structures::Registry;
 use parking_lot::{rank, RwLock};
@@ -65,13 +65,19 @@ pub enum PreWrite<'a> {
     Modify(&'a Atom, &'a [(usize, Value)]),
     /// A delete: the atom's current value.
     Delete(&'a Atom),
-    /// A back-reference partner the write rewrites: its current value.
-    Partner(&'a Atom),
+    /// A back-reference partner the write rewrites: its id, and a reader
+    /// that reads and decodes its current value. The image is lazy: the
+    /// partner rewrite itself never decodes the atom, and a callback that
+    /// has no use for the image (the transaction already chained one)
+    /// does not call the reader.
+    Partner(AtomId, &'a dyn Fn() -> AccessResult<Atom>),
 }
 
 /// A write's pre-write callback, if anyone needs to see its
-/// [`PreWrite`]s. It runs with no latch held; an error stops the write
-/// before the record it announces changes.
+/// [`PreWrite`]s. It runs with no latch held — a partner's reader fixes
+/// the partner's page from inside it, so the callback calls the reader
+/// outside any latch of its own; an error stops the write before the
+/// record it announces changes.
 pub type OnPreWrite<'a> = Option<&'a dyn Fn(PreWrite<'_>) -> AccessResult<()>>;
 
 /// Runs `pre` on `w`, if there is a callback.
@@ -713,18 +719,36 @@ impl AccessSystem {
     }
 
     /// Applies implicit updates to referenced atoms' primary records and
-    /// (per policy) their redundant copies, showing each partner's
-    /// current value to the write's pre-write callback first.
+    /// (per policy) their redundant copies, announcing each partner to the
+    /// write's pre-write callback first. The reference is added or
+    /// removed in the record's bytes under one page fix; the partner is
+    /// decoded, before and after, only when a tuning structure follows
+    /// it and so needs both values.
     fn apply_backref_ops(&self, ops: &[BackRefOp], pre: OnPreWrite<'_>) -> AccessResult<()> {
         for op in ops {
-            let old = self.read_primary(op.target)?;
-            before(pre, PreWrite::Partner(&old))?;
-            let mut values = old.values.clone();
-            apply_backref(&mut values, op);
-            let new_atom = Atom::new(op.target, values);
-            self.write_primary(&new_atom)?;
+            let id = op.target;
+            let ptr = self.addresses.primary(id).ok_or(AccessError::NoSuchAtom(id))?;
+            before(pre, PreWrite::Partner(id, &|| self.read_primary(id)))?;
+            let followed = self.is_followed(id);
+            let (mut written, mut images) = (false, None);
+            let new_ptr = self.store_of(id.atom_type)?.file.update_with(ptr, |record| {
+                let spliced = splice_backref(record, op)?;
+                if let Some(new) = &spliced {
+                    written = true;
+                    if followed {
+                        images = Some((Atom::decode(record)?, Atom::decode(new)?));
+                    }
+                }
+                Ok(spliced)
+            })?;
+            if new_ptr != ptr {
+                self.addresses.set_primary(id, new_ptr);
+            }
+            self.stats.records_written.fetch_add(u64::from(written), Ordering::Relaxed);
             self.stats.backref_updates.fetch_add(1, Ordering::Relaxed);
-            self.maintain(Some(&old), Some(&new_atom))?;
+            if let Some((old, new)) = images {
+                self.maintain(Some(&old), Some(&new))?;
+            }
         }
         Ok(())
     }

@@ -22,6 +22,9 @@ pub struct Atom {
 }
 
 impl Atom {
+    /// Bytes of a physical record before its value vector: the atom id.
+    pub(crate) const HEADER_LEN: usize = 10;
+
     pub fn new(id: AtomId, values: Vec<Value>) -> Self {
         Atom { id, values }
     }
@@ -49,12 +52,12 @@ impl Atom {
 
     /// Decodes a physical-record image.
     pub fn decode(buf: &[u8]) -> AccessResult<Atom> {
-        if buf.len() < 10 {
+        if buf.len() < Self::HEADER_LEN {
             return Err(AccessError::Codec(prima_mad::codec::CodecError::Truncated));
         }
         let atom_type = u16::from_le_bytes([buf[0], buf[1]]);
-        let seq = le_u64(&buf[2..10]);
-        let values = codec::decode_values(&buf[10..])?;
+        let seq = le_u64(&buf[2..Self::HEADER_LEN]);
+        let values = codec::decode_values(&buf[Self::HEADER_LEN..])?;
         Ok(Atom { id: AtomId::new(atom_type, seq), values })
     }
 

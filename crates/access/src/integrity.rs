@@ -9,10 +9,17 @@
 //!
 //! This module contains the *pure* half of that machinery: computing which
 //! back-reference adjustments an attribute change implies
-//! ([`backref_ops`]) and applying one adjustment to a target atom's value
-//! vector ([`apply_backref`]). The effectful half (reading and rewriting
-//! the target atoms) lives in [`crate::access_system`].
+//! ([`backref_ops`]) and applying one adjustment to a target atom's
+//! physical record ([`splice_backref`]). The adjustment edits the
+//! reference in the record's bytes — the id is inserted into or removed
+//! from the encoded reference set — so a partner is neither decoded nor
+//! encoded to gain or lose one back-reference. The effectful half
+//! (rewriting the target atoms' records under one page fix) lives in
+//! [`crate::access_system`].
 
+use crate::atom::Atom;
+use crate::error::AccessResult;
+use prima_mad::codec;
 use prima_mad::schema::Schema;
 use prima_mad::value::{AtomId, Value};
 
@@ -55,10 +62,18 @@ pub fn backref_ops(
     ops
 }
 
-/// Applies one back-reference adjustment to a target atom's value vector.
-/// Handles both single-reference and reference-set back attributes; the
-/// operation is idempotent (adding an existing reference or removing an
-/// absent one is a no-op).
+/// Applies one back-reference adjustment to a target atom's physical
+/// record: the new record image, or `None` when the adjustment changes
+/// nothing. Handles both single-reference and reference-set back
+/// attributes; the operation is idempotent (adding an existing reference
+/// or removing an absent one is a no-op). The result is byte for byte the
+/// encoding of the decoded atom with the adjustment applied.
+pub fn splice_backref(record: &[u8], op: &BackRefOp) -> AccessResult<Option<Vec<u8>>> {
+    Ok(codec::splice_backref_at(record, Atom::HEADER_LEN, op.attr, op.source, op.add)?)
+}
+
+/// [`splice_backref`] on a decoded value vector: the tests' oracle.
+#[cfg(test)]
 pub fn apply_backref(values: &mut [Value], op: &BackRefOp) {
     let Some(slot) = values.get_mut(op.attr) else { return };
     match slot {
@@ -78,10 +93,7 @@ pub fn apply_backref(values: &mut [Value], op: &BackRefOp) {
                 *r = None;
             }
         }
-        // An unset back attribute materialises on first add; its shape
-        // (single vs set) is unknown without the schema, so the access
-        // system normalises values before calling (Null never reaches
-        // here for reference attributes).
+        // An unset back attribute materialises as a set on first add.
         Value::Null if op.add => *slot = Value::RefSet(vec![op.source]),
         _ => {}
     }
@@ -204,6 +216,34 @@ mod tests {
         assert_eq!(values[0], Value::Ref(Some(me)));
         apply_backref(&mut values, &BackRefOp { target: me, attr: 0, add: false, source: me });
         assert_eq!(values[0], Value::Ref(None));
+    }
+
+    #[test]
+    fn splice_on_a_record_matches_apply_on_its_atom() {
+        let me = AtomId::new(0, 1);
+        let (a, b) = (AtomId::new(0, 2), AtomId::new(1, 7));
+        let atom = Atom::new(
+            me,
+            vec![
+                Value::Id(me),
+                Value::ref_set(vec![a, b]),
+                Value::Null,
+                Value::Ref(Some(b)),
+                Value::Ref(None),
+            ],
+        );
+        for attr in 0..6 {
+            for source in [me, a, b] {
+                for add in [true, false] {
+                    let op = BackRefOp { target: me, attr, add, source };
+                    let mut values = atom.values.clone();
+                    apply_backref(&mut values, &op);
+                    let want = Atom::new(me, values).encode();
+                    let got = splice_backref(&atom.encode(), &op).unwrap();
+                    assert_eq!(got.unwrap_or_else(|| atom.encode()), want, "{op:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -272,36 +272,54 @@ impl RecordFile {
     /// missing record of this file's segment.
     pub fn read(&self, ptr: RecordPtr) -> AccessResult<Vec<u8>> {
         let g = self.storage.fix(PageId::new(self.segment, ptr.page))?;
-        page_read(g.payload_area(), ptr.slot).map(<[u8]>::to_vec).ok_or(AccessError::Storage(
-            prima_storage::StorageError::PageNotAllocated {
-                segment: self.segment,
-                page: ptr.page,
-            },
-        ))
+        page_read(g.payload_area(), ptr.slot).map(<[u8]>::to_vec).ok_or(self.missing(ptr))
     }
 
-    /// Updates a record in place; if the new data does not fit in the
-    /// page, the record is moved and the *new* pointer returned. A move
-    /// writes the new copy before it deletes the old one, so a crash
-    /// between the two page changes leaves the record twice — which
-    /// restart drops to one copy — and never loses it.
+    fn missing(&self, ptr: RecordPtr) -> AccessError {
+        AccessError::Storage(prima_storage::StorageError::PageNotAllocated {
+            segment: self.segment,
+            page: ptr.page,
+        })
+    }
+
+    /// Updates a record to `data`: [`RecordFile::update_with`] with
+    /// bytes known in advance.
     pub fn update(&self, ptr: RecordPtr, data: &[u8]) -> AccessResult<RecordPtr> {
-        if data.len() > self.max_record_len() {
-            return Err(AccessError::RecordTooLarge {
-                len: data.len(),
-                max: self.max_record_len(),
-            });
-        }
-        let in_place = {
+        self.update_with(ptr, |_| Ok(Some(data)))
+    }
+
+    /// Edits a record under one page fix: `edit` is handed the record's
+    /// current bytes and returns its new ones, or `None` to leave it as
+    /// it is. The new bytes are written in place when the page holds
+    /// them; otherwise the record is moved and the *new* pointer
+    /// returned. A move writes the new copy before it deletes the old
+    /// one, so a crash between the two page changes leaves the record
+    /// twice — which restart drops to one copy — and never loses it. A
+    /// deleted or never-allocated slot reports as [`RecordFile::read`]
+    /// does.
+    pub fn update_with<D: AsRef<[u8]>>(
+        &self,
+        ptr: RecordPtr,
+        edit: impl FnOnce(&[u8]) -> AccessResult<Option<D>>,
+    ) -> AccessResult<RecordPtr> {
+        let data = {
             let mut g = self.storage.fix_mut(PageId::new(self.segment, ptr.page))?;
-            let in_place = page_update(g.payload_area_mut(), ptr.slot, data);
-            self.map.lock().set(ptr.page, page_free_space(g.payload_area()));
-            in_place
+            let area = g.payload_area_mut();
+            let Some(data) = edit(page_read(area, ptr.slot).ok_or(self.missing(ptr))?)? else {
+                return Ok(ptr);
+            };
+            let len = data.as_ref().len();
+            if len > self.max_record_len() {
+                return Err(AccessError::RecordTooLarge { len, max: self.max_record_len() });
+            }
+            let in_place = page_update(area, ptr.slot, data.as_ref());
+            self.map.lock().set(ptr.page, page_free_space(area));
+            if in_place {
+                return Ok(ptr);
+            }
+            data
         };
-        if in_place {
-            return Ok(ptr);
-        }
-        let moved = self.insert(data)?;
+        let moved = self.insert(data.as_ref())?;
         self.delete(ptr)?;
         Ok(moved)
     }

@@ -544,6 +544,16 @@ impl AccessSystem {
         Ok(())
     }
 
+    /// Whether [`AccessSystem::maintain`] has anything to do for a write
+    /// of `id`: a structure over its type, or a cluster holding it (none
+    /// can while there is no structure at all).
+    pub(crate) fn is_followed(&self, id: AtomId) -> bool {
+        let directory = self.structures.directory.read();
+        !directory.by_id.is_empty()
+            && (directory.by_id.values().any(|s| s.atom_type() == id.atom_type)
+                || self.structures.membership.read().contains_key(&id))
+    }
+
     /// Resolves the member atoms of a characteristic atom and writes the
     /// cluster.
     fn materialize_cluster(&self, ct: &AtomClusterType, ch: &Atom) -> AccessResult<()> {

@@ -372,11 +372,24 @@ impl TxnManager {
         updates: &[(usize, Value)],
     ) -> Result<(), TxnError> {
         self.lock_atom_exclusive(t, id)?;
-        let before = self.sys.read_atom(id, None)?;
-        // Lock atoms whose back-references will change.
+        // Lock atoms whose back-references will change: the old targets
+        // (the atom is read for them only if a reference attribute is
+        // updated) and the new ones.
+        let schema = self.sys.schema();
+        let is_reference = |i: usize| {
+            schema
+                .atom_type(id.atom_type)
+                .and_then(|at| at.attributes.get(i))
+                .is_some_and(|a| a.ty.is_reference())
+        };
+        let before = if updates.iter().any(|(i, _)| is_reference(*i)) {
+            Some(self.sys.read_atom(id, None)?)
+        } else {
+            None
+        };
         for (i, v) in updates {
-            for target in before.values.get(*i).map(prima_mad::Value::referenced_ids).unwrap_or_default()
-            {
+            let old = before.as_ref().and_then(|b| b.values.get(*i));
+            for target in old.map(Value::referenced_ids).unwrap_or_default() {
                 self.lock_atom_exclusive(t, target)?;
             }
             for target in v.referenced_ids() {
@@ -402,12 +415,14 @@ impl TxnManager {
     /// undo record and chained as a version entry — both before the
     /// first page image, so a snapshot reader that catches the new base
     /// value always finds the image that corrects it. A back-reference
-    /// partner's before-image becomes a visibility-only entry.
+    /// partner's before-image becomes a visibility-only entry, read and
+    /// decoded only if the version store chains it — on the
+    /// transaction's first touch of the partner — and outside the
+    /// store's latch.
     fn before_write(&self, t: TxnId, w: PreWrite<'_>) -> Result<(), AccessError> {
         let (id, image, undo) = match w {
-            PreWrite::Partner(atom) => {
-                self.versions.install(t, atom.id, Some(atom), false);
-                return Ok(());
+            PreWrite::Partner(id, read) => {
+                return self.versions.install_with(t, id, false, || read().map(Some));
             }
             PreWrite::Insert(id) => (id, None, UndoOp::UndoInsert { id }),
             PreWrite::Modify(atom, updates) => {

@@ -75,6 +75,7 @@ use parking_lot::{rank, Mutex};
 use prima_access::Atom;
 use prima_mad::value::{AtomId, AtomTypeId};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -200,13 +201,32 @@ impl VersionStore {
     /// `txn` or an ancestor, as the exclusive lock on `id` guarantees:
     /// readers resolve to the oldest entry, so a later one is never read.
     pub fn install(&self, txn: TxnId, id: AtomId, image: Option<&Atom>, undo: bool) {
+        let installed = self.install_with(txn, id, undo, || Ok::<_, Infallible>(image.cloned()));
+        installed.unwrap_or_else(|never| match never {});
+    }
+
+    /// [`VersionStore::install`] with the image made on demand: `image`
+    /// runs only when the entry is chained, and outside the store's
+    /// latch, so it may read the atom from the buffer. Its error is
+    /// returned and nothing is chained.
+    pub fn install_with<E>(
+        &self,
+        txn: TxnId,
+        id: AtomId,
+        undo: bool,
+        image: impl FnOnce() -> Result<Option<Atom>, E>,
+    ) -> Result<(), E> {
+        if !undo {
+            let inner = self.inner.lock();
+            if inner.chains.get(&id).is_some_and(|c| c.iter().any(|e| e.end.is_none())) {
+                return Ok(());
+            }
+        }
+        let image = image()?;
         let mut inner = self.inner.lock();
         let chain = inner.chains.entry(id).or_default();
-        if !undo && chain.iter().any(|e| e.end.is_none()) {
-            return;
-        }
         let fresh = chain.is_empty();
-        chain.push(VersionEntry { owner: txn, end: None, image: image.cloned(), undo });
+        chain.push(VersionEntry { owner: txn, end: None, image, undo });
         let len = chain.len() as u64;
         if fresh {
             inner.by_type.entry(id.atom_type).or_default().insert(id);
@@ -216,6 +236,7 @@ impl VersionStore {
         drop(inner);
         self.stats.versions_installed.fetch_add(1, Ordering::Relaxed);
         self.stats.max_chain_len.fetch_max(len, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Moss subcommit: the child's entries are inherited by the parent

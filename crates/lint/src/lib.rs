@@ -18,7 +18,10 @@
 //!
 //! Escape hatch: `// lint: allow(<rule>, <reason>)` on the offending line
 //! or the line directly above. The reason is mandatory; an empty one is
-//! its own finding (`allow-without-reason`).
+//! its own finding (`allow-without-reason`). The number of allow sites
+//! under [`KERNEL_DIRS`] may not exceed [`ALLOW_CEILING`]
+//! (`allow-ceiling`): a new allow raises the ceiling in the same change,
+//! where review sees it.
 //!
 //! The analysis is token-based (see [`lexer`]) — a deliberate lint, not a
 //! compiler: it resolves lock receivers by *name* against the per-file
@@ -36,6 +39,10 @@ use std::path::{Path, PathBuf};
 /// Kernel source roots scanned by the binary, relative to the repo root.
 pub const KERNEL_DIRS: &[&str] =
     &["crates/storage/src", "crates/core/src", "crates/access/src", "crates/mad/src"];
+
+/// Most `// lint: allow(…)` sites the kernel sources may carry.
+pub const ALLOW_CEILING: usize = 56;
+const ALLOW_CEILING_LINE: u32 = line!() - 1;
 
 /// Lock-acquisition method names on the vendored parking_lot types.
 const ACQUIRE_FNS: &[&str] = &["lock", "try_lock", "read", "write", "read_arc", "write_arc"];
@@ -64,6 +71,7 @@ pub enum Rule {
     ErrorHygiene,
     IgnoredResult,
     AllowWithoutReason,
+    AllowCeiling,
 }
 
 impl Rule {
@@ -74,6 +82,7 @@ impl Rule {
             Rule::ErrorHygiene => "error-hygiene",
             Rule::IgnoredResult => "ignored-result",
             Rule::AllowWithoutReason => "allow-without-reason",
+            Rule::AllowCeiling => "allow-ceiling",
         }
     }
 
@@ -858,6 +867,24 @@ pub fn analyze_file(file: &Path, src: &str, result_fns: &HashSet<String>) -> Vec
     out
 }
 
+/// The `// lint: allow(…)` sites in one file.
+pub fn allow_sites_in(src: &str) -> usize {
+    parse_annotations(Path::new(""), &lex(src)).allows.len()
+}
+
+/// The `allow-ceiling` finding, if `sites` allows exceed `ceiling`.
+pub fn check_allow_ceiling(sites: usize, ceiling: usize) -> Option<Finding> {
+    (sites > ceiling).then(|| Finding {
+        file: PathBuf::from(file!()),
+        line: ALLOW_CEILING_LINE,
+        rule: Rule::AllowCeiling,
+        message: format!(
+            "{sites} `lint: allow` sites in the kernel exceed the ceiling of {ceiling}: \
+             remove one, or raise ALLOW_CEILING for review"
+        ),
+    })
+}
+
 /// Collects the kernel sources under `repo_root`.
 pub fn kernel_sources(repo_root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
@@ -883,14 +910,25 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Full run over a repo checkout: every finding in every kernel file.
-pub fn run(repo_root: &Path) -> std::io::Result<Vec<Finding>> {
+/// What a full run found.
+pub struct Report {
+    /// Every finding in every kernel file, and the allow ceiling's.
+    pub findings: Vec<Finding>,
+    /// The `// lint: allow(…)` sites in the kernel files.
+    pub allow_sites: usize,
+}
+
+/// Full run over a repo checkout.
+pub fn run(repo_root: &Path) -> std::io::Result<Report> {
     let sources = kernel_sources(repo_root)?;
     let result_fns = collect_result_fns(&sources);
     let mut findings = Vec::new();
+    let mut allow_sites = 0;
     for (path, src) in &sources {
         let rel = path.strip_prefix(repo_root).unwrap_or(path);
         findings.extend(analyze_file(rel, src, &result_fns));
+        allow_sites += allow_sites_in(src);
     }
-    Ok(findings)
+    findings.extend(check_allow_ceiling(allow_sites, ALLOW_CEILING));
+    Ok(Report { findings, allow_sites })
 }

@@ -6,12 +6,17 @@
 // (clippy's allow-*-in-tests only covers `#[cfg(test)]` items).
 #![allow(clippy::expect_used)]
 
-use prima_lint::{analyze_file, collect_result_fns, Rule};
+use prima_lint::{allow_sites_in, analyze_file, check_allow_ceiling, collect_result_fns, Rule};
 use std::path::{Path, PathBuf};
 
-fn analyze_fixture(name: &str) -> Vec<prima_lint::Finding> {
+fn fixture(name: &str) -> (PathBuf, String) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     let src = std::fs::read_to_string(&path).expect("fixture readable");
+    (path, src)
+}
+
+fn analyze_fixture(name: &str) -> Vec<prima_lint::Finding> {
+    let (path, src) = fixture(name);
     let sources = vec![(path.clone(), src.clone())];
     let result_fns = collect_result_fns(&sources);
     analyze_file(&path, &src, &result_fns)
@@ -48,12 +53,25 @@ fn allow_without_reason_fires_once_and_suppresses() {
     check("allow_no_reason.rs", Rule::AllowWithoutReason);
 }
 
+#[test]
+fn allow_ceiling_fires_once_above_the_ceiling() {
+    assert!(analyze_fixture("allow_ceiling.rs").is_empty(), "the fixture's allows are valid");
+    let sites = allow_sites_in(&fixture("allow_ceiling.rs").1);
+    assert_eq!(sites, 2);
+    assert!(check_allow_ceiling(sites, 2).is_none(), "at the ceiling is fine");
+    let over = check_allow_ceiling(sites, 1).expect("one allow over the ceiling");
+    assert_eq!(over.rule, Rule::AllowCeiling);
+}
+
 /// The self-check the CI `lint` job re-runs via the binary: the real
-/// kernel tree has zero unexplained findings.
+/// kernel tree has zero unexplained findings, and no more allows than
+/// the ceiling.
 #[test]
 fn real_tree_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let findings = prima_lint::run(&root).expect("kernel sources readable");
+    let report = prima_lint::run(&root).expect("kernel sources readable");
+    assert!(report.allow_sites <= prima_lint::ALLOW_CEILING);
+    let findings = report.findings;
     assert!(
         findings.is_empty(),
         "prima-lint found {} problem(s) in the real tree:\n{}",

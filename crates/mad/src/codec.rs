@@ -6,6 +6,12 @@
 //!   used for physical records (atoms, partitions, cluster members). The
 //!   access system treats physical records as "byte strings of variable
 //!   length" (Section 3.2); this codec is how atoms become such strings.
+//!   [`skip_value`] steps over one value without building it, and
+//!   [`splice_backref`] edits one reference value of a record image in
+//!   place of a decode, change and encode: back-reference maintenance
+//!   adds or removes one id in the partner's bytes. Every length read
+//!   from a record is checked against the bytes left, so a corrupt image
+//!   is an error, never an allocation of what its bytes claim.
 //! * [`encode_key`] — a *memcomparable* encoding: byte-wise lexicographic
 //!   comparison of encoded keys equals [`Value::total_cmp`] on the values.
 //!   B*-tree access paths and sort orders store these.
@@ -139,7 +145,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
         tag::REF_SOME => Value::Ref(Some(get_atom_id(buf, pos)?)),
         tag::REF_SET => {
             let n = get_len(buf, pos)?;
-            let mut ids = Vec::with_capacity(n);
+            let mut ids = Vec::with_capacity(n.min(left(buf, *pos) / ID_LEN));
             for _ in 0..n {
                 ids.push(get_atom_id(buf, pos)?);
             }
@@ -147,7 +153,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
         }
         tag::RECORD => {
             let n = get_len(buf, pos)?;
-            let mut fields = Vec::with_capacity(n);
+            let mut fields = Vec::with_capacity(n.min(left(buf, *pos)));
             for _ in 0..n {
                 let ln = get_len(buf, pos)?;
                 let name = String::from_utf8(take_slice(buf, pos, ln)?.to_vec())
@@ -159,7 +165,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
         }
         tag::ARRAY | tag::SET | tag::LIST => {
             let n = get_len(buf, pos)?;
-            let mut vs = Vec::with_capacity(n);
+            let mut vs = Vec::with_capacity(n.min(left(buf, *pos)));
             for _ in 0..n {
                 vs.push(decode_value(buf, pos)?);
             }
@@ -177,11 +183,137 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
 pub fn decode_values(buf: &[u8]) -> Result<Vec<Value>, CodecError> {
     let mut pos = 0;
     let n = get_len(buf, &mut pos)?;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(left(buf, pos)));
     for _ in 0..n {
         out.push(decode_value(buf, &mut pos)?);
     }
     Ok(out)
+}
+
+/// Advances `*pos` past one encoded value without building it: exactly
+/// the bytes [`decode_value`] would consume.
+pub fn skip_value(buf: &[u8], pos: &mut usize) -> Result<(), CodecError> {
+    let t = *buf.get(*pos).ok_or(CodecError::Truncated)?;
+    *pos += 1;
+    match t {
+        tag::NULL | tag::BOOL_FALSE | tag::BOOL_TRUE | tag::REF_NONE => Ok(()),
+        tag::ID | tag::REF_SOME => advance(buf, pos, ID_LEN),
+        tag::INT | tag::REAL => advance(buf, pos, 8),
+        tag::STR => {
+            let n = get_len(buf, pos)?;
+            advance(buf, pos, n)
+        }
+        tag::REF_SET => {
+            let n = get_len(buf, pos)?;
+            advance(buf, pos, n.checked_mul(ID_LEN).ok_or(CodecError::Truncated)?)
+        }
+        tag::RECORD => {
+            for _ in 0..get_len(buf, pos)? {
+                let ln = get_len(buf, pos)?;
+                advance(buf, pos, ln)?;
+                skip_value(buf, pos)?;
+            }
+            Ok(())
+        }
+        tag::ARRAY | tag::SET | tag::LIST => {
+            for _ in 0..get_len(buf, pos)? {
+                skip_value(buf, pos)?;
+            }
+            Ok(())
+        }
+        other => Err(CodecError::BadTag(other, *pos - 1)),
+    }
+}
+
+/// The record image `record` (an [`encode_values_into`] image) with
+/// `source` added to (`add`) or removed from its value `attr` — the
+/// back-reference adjustment of system-enforced integrity, made on the
+/// bytes. A reference set keeps its ids sorted: the id is found by binary
+/// search and inserted or removed, and the count rewritten. A single
+/// reference is set to `source`, or cleared if it holds `source`; an
+/// unset (`Null`) value becomes `{source}` on add. `Ok(None)` means the
+/// adjustment changes nothing (the id is already there or already gone,
+/// `attr` is out of range or not a reference), so the record need not be
+/// rewritten. Otherwise the result is byte for byte the encoding of the
+/// decoded, adjusted values.
+pub fn splice_backref(
+    record: &[u8],
+    attr: usize,
+    source: AtomId,
+    add: bool,
+) -> Result<Option<Vec<u8>>, CodecError> {
+    splice_backref_at(record, 0, attr, source, add)
+}
+
+/// [`splice_backref`] on the value-vector image that starts at
+/// `record[start..]`; the bytes before it (a record header) are kept.
+pub fn splice_backref_at(
+    record: &[u8],
+    start: usize,
+    attr: usize,
+    source: AtomId,
+    add: bool,
+) -> Result<Option<Vec<u8>>, CodecError> {
+    let mut pos = start;
+    if attr >= get_len(record, &mut pos)? {
+        return Ok(None);
+    }
+    for _ in 0..attr {
+        skip_value(record, &mut pos)?;
+    }
+    let at = pos;
+    let t = *record.get(at).ok_or(CodecError::Truncated)?;
+    let id = atom_id_bytes(&source);
+    let spliced = match (t, add) {
+        (tag::REF_SET, _) => {
+            pos += 1;
+            let n = get_len(record, &mut pos)?;
+            let ids_at = pos;
+            let len = n.checked_mul(ID_LEN).ok_or(CodecError::Truncated)?;
+            let (ids, _) = take_slice(record, &mut pos, len)?.as_chunks::<ID_LEN>();
+            let found = ids.binary_search_by(|c| atom_id_of(c).cmp(&source));
+            let count = |n: usize| u32::try_from(n).map_err(|_| CodecError::Truncated);
+            match (found, add) {
+                (Err(i), true) => {
+                    let p = ids_at + i * ID_LEN;
+                    let n = count(n + 1)?.to_le_bytes();
+                    rebuilt(record, at + 1..p, &[&n, &record[ids_at..p], &id])
+                }
+                (Ok(i), false) => {
+                    let p = ids_at + i * ID_LEN;
+                    let n = count(n - 1)?.to_le_bytes();
+                    rebuilt(record, at + 1..p + ID_LEN, &[&n, &record[ids_at..p]])
+                }
+                _ => return Ok(None),
+            }
+        }
+        (tag::REF_SOME, _) => {
+            let held = record.get(at + 1..at + 1 + ID_LEN).ok_or(CodecError::Truncated)?;
+            match (held == id, add) {
+                (false, true) => rebuilt(record, at + 1..at + 1 + ID_LEN, &[&id]),
+                (true, false) => rebuilt(record, at..at + 1 + ID_LEN, &[&[tag::REF_NONE]]),
+                _ => return Ok(None),
+            }
+        }
+        (tag::REF_NONE, true) => rebuilt(record, at..at + 1, &[&[tag::REF_SOME], &id]),
+        (tag::NULL, true) => {
+            rebuilt(record, at..at + 1, &[&[tag::REF_SET], &1u32.to_le_bytes(), &id])
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(spliced))
+}
+
+/// `record` with the bytes in `cut` replaced by `with`, concatenated.
+fn rebuilt(record: &[u8], cut: std::ops::Range<usize>, with: &[&[u8]]) -> Vec<u8> {
+    let added: usize = with.iter().map(|w| w.len()).sum();
+    let mut out = Vec::with_capacity(record.len() - cut.len() + added);
+    out.extend_from_slice(&record[..cut.start]);
+    for w in with {
+        out.extend_from_slice(w);
+    }
+    out.extend_from_slice(&record[cut.end..]);
+    out
 }
 
 fn put_len(n: usize, out: &mut Vec<u8>) {
@@ -192,29 +324,56 @@ fn get_len(buf: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
     Ok(u32::from_le_bytes(take::<4>(buf, pos)?) as usize)
 }
 
+/// Encoded length of an [`AtomId`]: type, then sequence number.
+const ID_LEN: usize = 10;
+
 fn put_atom_id(id: &AtomId, out: &mut Vec<u8>) {
-    out.extend_from_slice(&id.atom_type.to_le_bytes());
-    out.extend_from_slice(&id.seq.to_le_bytes());
+    out.extend_from_slice(&atom_id_bytes(id));
+}
+
+fn atom_id_bytes(id: &AtomId) -> [u8; ID_LEN] {
+    let mut b = [0u8; ID_LEN];
+    b[..2].copy_from_slice(&id.atom_type.to_le_bytes());
+    b[2..].copy_from_slice(&id.seq.to_le_bytes());
+    b
+}
+
+fn atom_id_of(b: &[u8; ID_LEN]) -> AtomId {
+    let [t0, t1, seq @ ..] = *b;
+    AtomId { atom_type: u16::from_le_bytes([t0, t1]), seq: u64::from_le_bytes(seq) }
 }
 
 fn get_atom_id(buf: &[u8], pos: &mut usize) -> Result<AtomId, CodecError> {
-    let atom_type = u16::from_le_bytes(take::<2>(buf, pos)?);
-    let seq = u64::from_le_bytes(take::<8>(buf, pos)?);
-    Ok(AtomId { atom_type, seq })
+    Ok(atom_id_of(&take::<ID_LEN>(buf, pos)?))
 }
 
 fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], CodecError> {
-    let s = buf.get(*pos..*pos + N).ok_or(CodecError::Truncated)?;
-    *pos += N;
     let mut a = [0u8; N];
-    a.copy_from_slice(s);
+    a.copy_from_slice(take_slice(buf, pos, N)?);
     Ok(a)
 }
 
 fn take_slice<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CodecError> {
-    let s = buf.get(*pos..*pos + n).ok_or(CodecError::Truncated)?;
-    *pos += n;
-    Ok(s)
+    let start = *pos;
+    advance(buf, pos, n)?;
+    Ok(&buf[start..*pos])
+}
+
+/// Moves `*pos` `n` bytes on, if `buf` has them.
+fn advance(buf: &[u8], pos: &mut usize, n: usize) -> Result<(), CodecError> {
+    match pos.checked_add(n) {
+        Some(end) if end <= buf.len() => {
+            *pos = end;
+            Ok(())
+        }
+        _ => Err(CodecError::Truncated),
+    }
+}
+
+/// Bytes of `buf` after `pos`: a bound on how many values a length read
+/// at `pos` can really announce (every value takes at least one byte).
+fn left(buf: &[u8], pos: usize) -> usize {
+    buf.len().saturating_sub(pos)
 }
 
 // ---------------------------------------------------------------------------
@@ -409,6 +568,22 @@ mod tests {
         assert!(matches!(decode_value(&buf, &mut pos), Err(CodecError::BadTag(200, 0))));
     }
 
+    /// Length fields claiming far more than the image holds: a reference
+    /// set, an array and the value count. No allocation may be sized by
+    /// such a claim: one that large aborts the process.
+    #[test]
+    fn corrupt_lengths_are_errors_not_allocations() {
+        let ref_set = [1, 0, 0, 0, tag::REF_SET, 0xff, 0xff, 0xff, 0xff];
+        let mut array = ref_set;
+        array[4] = tag::ARRAY;
+        for image in [&ref_set[..], &array[..], &[0xff; 4][..]] {
+            assert_eq!(decode_values(image), Err(CodecError::Truncated), "{image:?}");
+        }
+        assert_eq!(skip_value(&array, &mut 4), Err(CodecError::Truncated));
+        let splice = splice_backref(&ref_set, 0, AtomId::new(0, 1), true);
+        assert_eq!(splice, Err(CodecError::Truncated));
+    }
+
     fn key(v: &Value) -> Vec<u8> {
         let mut out = Vec::new();
         encode_key(v, &mut out);
@@ -477,5 +652,168 @@ mod tests {
         let k1 = encode_composite_key(&[Value::Int(1), Value::Str("z".into())]);
         let k2 = encode_composite_key(&[Value::Int(2), Value::Str("a".into())]);
         assert!(k1 < k2);
+    }
+
+    fn image(vs: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_values_into(vs, &mut out);
+        out
+    }
+
+    #[test]
+    fn splice_covers_every_reference_shape() {
+        let (a, b, c) = (AtomId::new(1, 2), AtomId::new(1, 5), AtomId::new(2, 1));
+        let cases = [
+            // (before, source, add, after; None: no change)
+            (Value::ref_set(vec![a, c]), b, true, Some(Value::ref_set(vec![a, b, c]))),
+            (Value::ref_set(vec![a, b, c]), b, false, Some(Value::ref_set(vec![a, c]))),
+            (Value::ref_set(vec![a, b]), b, true, None),
+            (Value::ref_set(vec![a]), b, false, None),
+            (Value::RefSet(vec![]), a, true, Some(Value::ref_set(vec![a]))),
+            (Value::Ref(None), a, true, Some(Value::Ref(Some(a)))),
+            (Value::Ref(Some(b)), a, true, Some(Value::Ref(Some(a)))),
+            (Value::Ref(Some(a)), a, true, None),
+            (Value::Ref(Some(a)), a, false, Some(Value::Ref(None))),
+            (Value::Ref(Some(b)), a, false, None),
+            (Value::Null, a, true, Some(Value::ref_set(vec![a]))),
+            (Value::Null, a, false, None),
+            (Value::Int(3), a, true, None),
+        ];
+        for (before, source, add, after) in cases {
+            let vs = [Value::Str("head".into()), before.clone(), Value::Int(9)];
+            let want = after.map(|v| image(&[vs[0].clone(), v, vs[2].clone()]));
+            assert_eq!(splice_backref(&image(&vs), 1, source, add), Ok(want), "{before:?}");
+        }
+        assert_eq!(splice_backref(&image(&[Value::Null]), 1, a, true), Ok(None), "out of range");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Ids from a small domain, so a generated source is often
+        /// already in a generated reference set.
+        fn arb_id() -> impl Strategy<Value = AtomId> {
+            (0u16..2, 0u64..4).prop_map(|(t, s)| AtomId::new(t, s))
+        }
+
+        /// The values a reference attribute can hold.
+        fn arb_reference() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                1 => Just(Value::Null),
+                1 => Just(Value::Ref(None)),
+                1 => arb_id().prop_map(|id| Value::Ref(Some(id))),
+                2 => prop::collection::vec(arb_id(), 0..6).prop_map(Value::ref_set),
+            ]
+        }
+
+        fn arb_value() -> impl Strategy<Value = Value> {
+            let leaf = prop_oneof![
+                arb_reference(),
+                arb_id().prop_map(Value::Id),
+                any::<i64>().prop_map(Value::Int),
+                any::<f64>().prop_map(Value::Real),
+                any::<bool>().prop_map(Value::Bool),
+                "[a-z]{0,6}".prop_map(Value::Str),
+            ];
+            leaf.prop_recursive(3, 24, 4, |inner| {
+                prop_oneof![
+                    prop::collection::vec(("[a-z]{1,4}", inner.clone()), 0..3)
+                        .prop_map(Value::Record),
+                    prop::collection::vec(inner.clone(), 0..3).prop_map(Value::Array),
+                    prop::collection::vec(inner.clone(), 0..3).prop_map(Value::Set),
+                    prop::collection::vec(inner, 0..3).prop_map(Value::List),
+                ]
+            })
+        }
+
+        /// An atom's attribute values, half of them reference values.
+        fn arb_values(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Value>> {
+            prop::collection::vec(prop_oneof![arb_reference(), arb_value()], len)
+        }
+
+        /// The decoded-value semantics the splice must reproduce: add or
+        /// remove `source` in value `attr` (a reference set stays sorted;
+        /// an unset value becomes `{source}` on add).
+        fn apply_backref(values: &mut [Value], attr: usize, source: AtomId, add: bool) {
+            let Some(slot) = values.get_mut(attr) else { return };
+            match slot {
+                Value::RefSet(ids) => match (ids.binary_search(&source), add) {
+                    (Err(pos), true) => ids.insert(pos, source),
+                    (Ok(pos), false) => {
+                        ids.remove(pos);
+                    }
+                    _ => {}
+                },
+                Value::Ref(r) if add => *r = Some(source),
+                Value::Ref(r) if *r == Some(source) => *r = None,
+                Value::Null if add => *slot = Value::RefSet(vec![source]),
+                _ => {}
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn splice_equals_decode_apply_encode(
+                vs in arb_values(1..6),
+                at in any::<prop::sample::Index>(),
+                source in arb_id(),
+                add in any::<bool>(),
+            ) {
+                // One past the end is in the draw: out of range is a no-op.
+                let attr = at.index(vs.len() + 1);
+                let before = image(&vs);
+                let mut applied = vs.clone();
+                apply_backref(&mut applied, attr, source, add);
+                let after = image(&applied);
+                let want = (after != before).then_some(after);
+                prop_assert_eq!(splice_backref(&before, attr, source, add), Ok(want));
+            }
+
+            #[test]
+            fn skip_consumes_exactly_the_encoding(v in arb_value(), tail in any::<u8>()) {
+                let mut buf = Vec::new();
+                encode_value(&v, &mut buf);
+                let len = buf.len();
+                buf.push(tail);
+                let mut pos = 0;
+                prop_assert_eq!(skip_value(&buf, &mut pos), Ok(()));
+                prop_assert_eq!(pos, len);
+            }
+
+            #[test]
+            fn arbitrary_bytes_never_panic(
+                bytes in prop::collection::vec(any::<u8>(), 0..48),
+                attr in 0usize..4,
+                source in arb_id(),
+                add in any::<bool>(),
+            ) {
+                let _ = decode_values(&bytes);
+                let _ = skip_value(&bytes, &mut 0);
+                let _ = splice_backref(&bytes, attr, source, add);
+            }
+
+            #[test]
+            fn damaged_images_never_panic(
+                vs in arb_values(1..4),
+                at in any::<prop::sample::Index>(),
+                byte in any::<u8>(),
+                attr in 0usize..4,
+                source in arb_id(),
+            ) {
+                // One byte overwritten, then the image cut after it.
+                let mut bytes = image(&vs);
+                let i = at.index(bytes.len());
+                bytes[i] = byte;
+                for damaged in [&bytes[..], &bytes[..=i]] {
+                    let _ = decode_values(damaged);
+                    let _ = skip_value(damaged, &mut 4);
+                    let _ = splice_backref(damaged, attr, source, true);
+                    let _ = splice_backref(damaged, attr, source, false);
+                }
+            }
+        }
     }
 }

@@ -175,3 +175,17 @@ fn nested_rollback_with_modify_chain() {
     t.abort().unwrap();
     assert_eq!(db.read(id).unwrap().values[2], Value::Str("v0".into()), "all undone");
 }
+
+/// A modify that changes no reference attribute has no old reference
+/// targets to lock, so the atom's page is fixed twice: once to read the
+/// atom, once to write its record.
+#[test]
+fn non_reference_modify_reads_the_atom_once() {
+    let db = db();
+    let id = db.insert("part", &[("part_no", Value::Int(1))]).unwrap();
+    let t = db.begin().unwrap();
+    let before = db.metrics();
+    t.modify_atom(id, &[(2, Value::Str("axle".into()))]).unwrap();
+    assert_eq!(db.metrics().delta(&before).buffer.fix_calls, 2);
+    t.commit().unwrap();
+}
