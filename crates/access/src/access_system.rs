@@ -558,6 +558,9 @@ impl AccessSystem {
         self.stats.batch_reads.fetch_add(1, Ordering::Relaxed);
         self.stats.batch_atoms.fetch_add(ids.len() as u64, Ordering::Relaxed);
         self.stats.batch_pages.fetch_add(groups.len() as u64, Ordering::Relaxed);
+        // Positions whose slot was freed or reused since the address
+        // table was read: re-read one by one, as `read_primary` decides.
+        let mut reread = Vec::new();
         for ((atom_type, page), entries) in groups {
             let store = self.store_of(atom_type)?;
             let slots: Vec<u16> = entries.iter().map(|(_, s)| *s).collect();
@@ -566,27 +569,29 @@ impl AccessSystem {
             // group, so the first failure here is the group's lowest.
             let mut fail_pos = entries[0].0;
             let read = store.file.read_batch_on_page_with(page, &slots, |k, bytes| {
-                fail_pos = entries[k].0;
-                let Some(bytes) = bytes else {
-                    // The address table points at a freed slot: surface the
-                    // same storage error a direct read would produce.
-                    return Err(AccessError::Storage(
-                        prima_storage::StorageError::PageNotAllocated {
-                            segment: store.file.segment(),
-                            page,
-                        },
-                    ));
-                };
-                let atom = Atom::decode(bytes)?;
-                self.stats.primary_reads.fetch_add(1, Ordering::Relaxed);
-                out[entries[k].0] = Some(match projection {
-                    Some(proj) => atom.project(proj),
-                    None => atom,
-                });
+                let i = entries[k].0;
+                fail_pos = i;
+                match bytes.map(Atom::decode).transpose()? {
+                    Some(atom) if atom.id == ids[i] => {
+                        self.stats.primary_reads.fetch_add(1, Ordering::Relaxed);
+                        out[i] = Some(match projection {
+                            Some(proj) => atom.project(proj),
+                            None => atom,
+                        });
+                    }
+                    _ => reread.push(i),
+                }
                 Ok(())
             });
             if let Err(e) = read {
                 record_err(&mut first_err, fail_pos, e);
+            }
+        }
+        for i in reread {
+            match self.read_atom(ids[i], projection) {
+                Ok(atom) => out[i] = Some(atom),
+                Err(AccessError::NoSuchAtom(_)) => {}
+                Err(e) => record_err(&mut first_err, i, e),
             }
         }
         prima_storage::probe::emit_elapsed(
@@ -609,10 +614,27 @@ impl AccessSystem {
     }
 
     /// Reads the primary record directly.
+    ///
+    /// A reader without locks (a snapshot) races writers: the slot its
+    /// pointer names may have been freed, or reused by another atom,
+    /// since the pointer was read. Then the address entry decides: gone
+    /// means the atom was deleted, a new pointer means it moved (a
+    /// rollback restores a deleted atom elsewhere) and is read there. An
+    /// unchanged entry keeps the read's outcome, so damage is not hidden.
     pub(crate) fn read_primary(&self, id: AtomId) -> AccessResult<Atom> {
-        let ptr = self.addresses.primary(id).ok_or(AccessError::NoSuchAtom(id))?;
+        let mut ptr = self.addresses.primary(id).ok_or(AccessError::NoSuchAtom(id))?;
         let store = self.store_of(id.atom_type)?;
-        Atom::decode(&store.file.read(ptr)?)
+        loop {
+            let read = store.file.read(ptr).and_then(|bytes| Atom::decode(&bytes));
+            if read.as_ref().is_ok_and(|atom| atom.id == id) {
+                return read;
+            }
+            match self.addresses.primary(id) {
+                None => return Err(AccessError::NoSuchAtom(id)),
+                Some(moved) if moved != ptr => ptr = moved,
+                Some(_) => return read,
+            }
+        }
     }
 
     /// True if the atom exists.
@@ -788,11 +810,11 @@ impl AccessSystem {
         self.rekey(store, at, id, Some(&old.values), None)?;
         // Tuning structures.
         self.maintain(Some(&old), None)?;
-        // Primary record and address entry.
-        if let Some(ptr) = self.addresses.primary(id) {
+        // Address entry, then primary record: a reader holding the old
+        // pointer finds the slot freed and the entry gone.
+        if let Some(ptr) = self.addresses.remove_atom(id).and_then(|entry| entry.primary) {
             store.file.delete(ptr)?;
         }
-        self.addresses.remove_atom(id);
         store.count.fetch_sub(1, Ordering::Relaxed);
         Ok(())
     }

@@ -46,8 +46,6 @@ pub enum AccessError {
     /// Attempt to modify the IDENTIFIER attribute (Section 3.2 forbids
     /// it: "excluding the logical address").
     IdentifierImmutable(AtomId),
-    /// Scan has been exhausted or was used after close.
-    ScanClosed,
     /// The characteristic atom type of a cluster operation is wrong.
     NotACharacteristicAtom(AtomId),
     /// Restart recovery found persistent state inconsistent with the
@@ -89,7 +87,6 @@ impl fmt::Display for AccessError {
             AccessError::IdentifierImmutable(id) => {
                 write!(f, "the IDENTIFIER of {id} cannot be modified")
             }
-            AccessError::ScanClosed => write!(f, "scan is closed or exhausted"),
             AccessError::NotACharacteristicAtom(id) => {
                 write!(f, "{id} is not a characteristic atom of a cluster type")
             }

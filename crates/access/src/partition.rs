@@ -83,6 +83,11 @@ impl Partition {
         Atom::decode(&self.file.read(ptr)?)
     }
 
+    /// The partition's record file (read by the partition scan).
+    pub(crate) fn file(&self) -> &RecordFile {
+        &self.file
+    }
+
     /// Sequential scan over the partition (physical order).
     pub fn for_each(&self, mut f: impl FnMut(RecordPtr, Atom) -> AccessResult<()>) -> AccessResult<()> {
         self.file.for_each(|ptr, bytes| f(ptr, Atom::decode(bytes)?))

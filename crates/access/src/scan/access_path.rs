@@ -7,165 +7,63 @@
 //! conditions and directions may be specified individually for every key
 //! involved in the scan." (Section 3.2.)
 //!
-//! [`AccessPathScan`] drives a [`crate::structures::BTreeIndex`];
-//! [`MultidimScan`] drives a [`crate::structures::GridIndex`] with one
-//! [`DimRange`] per key.
+//! [`Scan::access_path`] drives a [`crate::structures::BTreeIndex`];
+//! [`Scan::multidim`] drives a [`crate::structures::GridIndex`] with one
+//! [`DimRange`] per key. Either delivers atom ids, read from the primary
+//! records as the cursor steps.
 
-use super::Scan;
+use super::{encode_bound, Row, Scan};
 use crate::access_system::AccessSystem;
-use crate::structures::{BTreeIndex, GridIndex};
-use crate::atom::Atom;
 use crate::error::AccessResult;
 use crate::multidim::DimRange;
 use crate::ssa::Ssa;
-use prima_mad::codec::encode_composite_key;
+use crate::structures::{BTreeIndex, GridIndex};
 use prima_mad::value::{AtomId, Value};
 use std::ops::Bound;
-use std::sync::Arc;
 
-/// Cursor over a B*-tree access path with start/stop conditions and a
-/// direction.
-pub struct AccessPathScan<'a> {
-    sys: &'a AccessSystem,
-    ssa: Ssa,
-    ids: Vec<AtomId>,
-    pos: isize,
-}
-
-impl<'a> AccessPathScan<'a> {
-    /// Opens the scan. `start`/`stop` are bounds over the index's key
-    /// attribute values; `descending` reverses delivery order.
-    pub fn open(
+impl<'a> Scan<'a> {
+    /// Opens a B*-tree scan. `start`/`stop` are bounds over the index's
+    /// key attribute values; `descending` reverses delivery order.
+    pub fn access_path(
         sys: &'a AccessSystem,
-        index: &Arc<BTreeIndex>,
+        index: &BTreeIndex,
         ssa: Ssa,
         start: Bound<Vec<Value>>,
         stop: Bound<Vec<Value>>,
         descending: bool,
     ) -> AccessResult<Self> {
-        let enc = |b: &Bound<Vec<Value>>| match b {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(vs) => Bound::Included(encode_composite_key(vs)),
-            Bound::Excluded(vs) => Bound::Excluded(encode_composite_key(vs)),
-        };
-        let lo = enc(&start);
-        let hi = enc(&stop);
-        fn as_ref(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
-            match b {
-                Bound::Unbounded => Bound::Unbounded,
-                Bound::Included(k) => Bound::Included(k.as_slice()),
-                Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-            }
-        }
-        let mut ids = Vec::new();
-        index.tree.scan_range(as_ref(&lo), as_ref(&hi), descending, |_, entry_ids| {
-            ids.extend_from_slice(entry_ids);
-            true
-        })?;
-        Ok(AccessPathScan { sys, ssa, ids, pos: -1 })
+        let ids = index_ids(index, &encode_bound(start), &encode_bound(stop), descending)?;
+        Ok(Scan::over(sys, ssa, ids.into_iter().map(Row::Id).collect()))
     }
 
-    /// Number of index entries in range (before SSA filtering).
-    pub fn candidate_count(&self) -> usize {
-        self.ids.len()
-    }
-}
-
-impl Scan for AccessPathScan<'_> {
-    fn next(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            let next = (self.pos + 1) as usize;
-            if next >= self.ids.len() {
-                return Ok(None);
-            }
-            self.pos += 1;
-            let atom = self.sys.read_atom(self.ids[next], None)?;
-            if self.ssa.eval(&atom) {
-                return Ok(Some(atom));
-            }
-        }
-    }
-
-    fn prior(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            if self.pos <= 0 {
-                self.pos = -1;
-                return Ok(None);
-            }
-            let cur = if self.pos as usize >= self.ids.len() {
-                self.ids.len() - 1
-            } else {
-                (self.pos - 1) as usize
-            };
-            self.pos = cur as isize;
-            let atom = self.sys.read_atom(self.ids[cur], None)?;
-            if self.ssa.eval(&atom) {
-                return Ok(Some(atom));
-            }
-        }
-    }
-}
-
-/// Cursor over a grid-file access path: one range + direction per key.
-pub struct MultidimScan<'a> {
-    sys: &'a AccessSystem,
-    ssa: Ssa,
-    ids: Vec<AtomId>,
-    pos: isize,
-}
-
-impl<'a> MultidimScan<'a> {
-    /// Opens the scan with per-dimension conditions (the n-dimensional
-    /// "selection path").
-    pub fn open(
+    /// Opens a grid-file scan with per-dimension conditions (the
+    /// n-dimensional "selection path").
+    pub fn multidim(
         sys: &'a AccessSystem,
-        index: &Arc<GridIndex>,
+        index: &GridIndex,
         ssa: Ssa,
         ranges: &[DimRange],
     ) -> AccessResult<Self> {
         let entries = index.grid.read().search(ranges)?;
-        let ids = entries.into_iter().map(|e| e.id).collect();
-        Ok(MultidimScan { sys, ssa, ids, pos: -1 })
-    }
-
-    pub fn candidate_count(&self) -> usize {
-        self.ids.len()
+        Ok(Scan::over(sys, ssa, entries.into_iter().map(|e| Row::Id(e.id)).collect()))
     }
 }
 
-impl Scan for MultidimScan<'_> {
-    fn next(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            let next = (self.pos + 1) as usize;
-            if next >= self.ids.len() {
-                return Ok(None);
-            }
-            self.pos += 1;
-            let atom = self.sys.read_atom(self.ids[next], None)?;
-            if self.ssa.eval(&atom) {
-                return Ok(Some(atom));
-            }
-        }
-    }
-
-    fn prior(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            if self.pos <= 0 {
-                self.pos = -1;
-                return Ok(None);
-            }
-            let cur = if self.pos as usize >= self.ids.len() {
-                self.ids.len() - 1
-            } else {
-                (self.pos - 1) as usize
-            };
-            self.pos = cur as isize;
-            let atom = self.sys.read_atom(self.ids[cur], None)?;
-            if self.ssa.eval(&atom) {
-                return Ok(Some(atom));
-            }
-        }
-    }
+/// The ids `index` holds between the encoded keys `start` and `stop`, in
+/// key order.
+pub(super) fn index_ids(
+    index: &BTreeIndex,
+    start: &Bound<Vec<u8>>,
+    stop: &Bound<Vec<u8>>,
+    descending: bool,
+) -> AccessResult<Vec<AtomId>> {
+    let mut ids = Vec::new();
+    let (lo, hi) = (start.as_ref().map(Vec::as_slice), stop.as_ref().map(Vec::as_slice));
+    index.tree.scan_range(lo, hi, descending, |_, entry_ids| {
+        ids.extend_from_slice(entry_ids);
+        true
+    })?;
+    Ok(ids)
 }
 
 #[cfg(test)]
@@ -203,7 +101,7 @@ mod tests {
         let sys = system(100);
         sys.create_btree_index("ix_x", 0, vec![1]).unwrap();
         let Some(Structure::BTree(ix)) = sys.structure("ix_x") else { panic!("no B*-tree") };
-        let mut scan = AccessPathScan::open(
+        let mut scan = Scan::access_path(
             &sys,
             &ix,
             Ssa::True,
@@ -217,7 +115,7 @@ mod tests {
         let xs: Vec<i64> = atoms.iter().map(|a| a.values[1].as_int().unwrap()).collect();
         assert!(xs.windows(2).all(|w| w[0] <= w[1]), "ascending order");
 
-        let mut rev = AccessPathScan::open(
+        let mut rev = Scan::access_path(
             &sys,
             &ix,
             Ssa::True,
@@ -237,7 +135,7 @@ mod tests {
         sys.create_btree_index("ix_x", 0, vec![1]).unwrap();
         let Some(Structure::BTree(ix)) = sys.structure("ix_x") else { panic!("no B*-tree") };
         let mut scan =
-            AccessPathScan::open(&sys, &ix, Ssa::True, Bound::Unbounded, Bound::Unbounded, false)
+            Scan::access_path(&sys, &ix, Ssa::True, Bound::Unbounded, Bound::Unbounded, false)
                 .unwrap();
         let a = scan.next().unwrap().unwrap();
         let b = scan.next().unwrap().unwrap();
@@ -265,7 +163,7 @@ mod tests {
             },
             DimRange::exact(enc(5)),
         ];
-        let mut scan = MultidimScan::open(&sys, &gx, Ssa::True, &ranges).unwrap();
+        let mut scan = Scan::multidim(&sys, &gx, Ssa::True, &ranges).unwrap();
         let atoms = scan.collect_remaining().unwrap();
         assert_eq!(atoms.len(), 3, "x in 2..=4, y = 5");
         for a in &atoms {
@@ -281,7 +179,7 @@ mod tests {
         sys.create_btree_index("ix_x", 0, vec![1]).unwrap();
         let Some(Structure::BTree(ix)) = sys.structure("ix_x") else { panic!("no B*-tree") };
         let ssa = Ssa::eq(2, Value::Int(0)); // y == 0
-        let mut scan = AccessPathScan::open(
+        let mut scan = Scan::access_path(
             &sys,
             &ix,
             ssa,

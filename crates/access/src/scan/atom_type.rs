@@ -1,4 +1,4 @@
-//! The atom-type scan.
+//! The atom-type scan, and the partition scan that reads like it.
 //!
 //! "The simplest of these scans is the atom-type scan. It successively
 //! reads all atoms of one atom type in a system-defined order — either as
@@ -11,133 +11,71 @@
 //! file in allocation order, slots in slot order. The cursor loads one
 //! page worth of records at a time, so NEXT costs buffer-level page I/O
 //! exactly once per page in either direction.
+//!
+//! A partition scan walks a partition's file the same way ("partitions
+//! collect the results of projections"): its records are copies, which
+//! fall back to the primary record while deferred update has left them
+//! stale.
 
-use super::Scan;
+use super::{Row, Scan};
 use crate::access_system::AccessSystem;
 use crate::atom::Atom;
 use crate::error::AccessResult;
+use crate::partition::Partition;
 use crate::ssa::Ssa;
 use prima_mad::value::AtomTypeId;
+use std::sync::Arc;
 
-/// Cursor over all atoms of one type in physical order.
-pub struct AtomTypeScan<'a> {
-    sys: &'a AccessSystem,
-    atom_type: AtomTypeId,
-    ssa: Ssa,
-    projection: Option<Vec<usize>>,
-    /// Page numbers snapshot at open.
-    pages: Vec<u32>,
-    /// Index into `pages` of the page loaded in `records`; `pages.len()`
-    /// means past-the-end.
-    page_idx: usize,
-    records: Vec<Atom>,
-    /// Position within `records`: the *last returned* record; -1 = before
-    /// first.
-    rec_idx: isize,
-    opened: bool,
+/// The record file a paged scan reads, one page at a time.
+pub(super) enum Paged {
+    /// An atom type's base file: its records are the atoms.
+    Base(AtomTypeId),
+    /// A partition's file: its records are copies.
+    Partition(Arc<Partition>),
 }
 
-impl<'a> AtomTypeScan<'a> {
-    /// Opens the scan positioned before the first atom.
-    pub fn open(
-        sys: &'a AccessSystem,
-        atom_type: AtomTypeId,
-        ssa: Ssa,
-        projection: Option<Vec<usize>>,
-    ) -> AccessResult<Self> {
+impl Paged {
+    /// The rows of page `page_no`, in slot order.
+    pub(super) fn rows(&self, sys: &AccessSystem, page_no: u32) -> AccessResult<Vec<Row>> {
+        let (file, copies) = match self {
+            Paged::Base(t) => (sys.base_file(*t)?, None),
+            Paged::Partition(p) => (p.file(), Some(p.id)),
+        };
+        let records = file.read_page_records(page_no)?.into_iter();
+        records
+            .map(|(_, bytes)| {
+                let atom = Atom::decode(&bytes)?;
+                Ok(match copies {
+                    Some(s) => Row::Copy(s, atom),
+                    None => Row::Atom(atom),
+                })
+            })
+            .collect()
+    }
+}
+
+impl<'a> Scan<'a> {
+    /// Opens an atom-type scan over all atoms of `atom_type`, positioned
+    /// before the first.
+    pub fn atom_type(sys: &'a AccessSystem, atom_type: AtomTypeId, ssa: Ssa) -> AccessResult<Self> {
         let pages = sys.base_file(atom_type)?.page_numbers();
-        Ok(AtomTypeScan {
-            sys,
-            atom_type,
-            ssa,
-            projection,
-            pages,
-            page_idx: 0,
-            records: Vec::new(),
-            rec_idx: -1,
-            opened: false,
-        })
+        Ok(Scan::over_pages(sys, ssa, Paged::Base(atom_type), pages))
     }
 
-    fn load_page(&mut self, idx: usize) -> AccessResult<()> {
-        self.records.clear();
-        if let Some(&page_no) = self.pages.get(idx) {
-            let raw = self.sys.base_file(self.atom_type)?.read_page_records(page_no)?;
-            for (_, bytes) in raw {
-                self.records.push(Atom::decode(&bytes)?);
-            }
-        }
-        self.page_idx = idx;
-        Ok(())
+    /// Opens a partition scan: the partition's copies of its atom type's
+    /// atoms, holding only the partition's attributes.
+    pub fn partition(
+        sys: &'a AccessSystem,
+        partition: Arc<Partition>,
+        ssa: Ssa,
+    ) -> AccessResult<Self> {
+        let pages = partition.file().page_numbers();
+        Ok(Scan::over_pages(sys, ssa, Paged::Partition(partition), pages))
     }
 
-    fn emit(&self, atom: &Atom) -> Atom {
-        match &self.projection {
-            Some(p) => atom.project(p),
-            None => atom.clone(),
-        }
-    }
-}
-
-impl Scan for AtomTypeScan<'_> {
-    fn next(&mut self) -> AccessResult<Option<Atom>> {
-        if !self.opened {
-            self.load_page(0)?;
-            self.opened = true;
-            self.rec_idx = -1;
-        }
-        loop {
-            let next_idx = (self.rec_idx + 1) as usize;
-            if next_idx < self.records.len() {
-                self.rec_idx += 1;
-                let atom = &self.records[next_idx];
-                if self.ssa.eval(atom) {
-                    return Ok(Some(self.emit(atom)));
-                }
-                continue;
-            }
-            // Advance to the next page.
-            if self.page_idx + 1 >= self.pages.len().max(1) && self.pages.len() <= self.page_idx + 1
-            {
-                return Ok(None);
-            }
-            let idx = self.page_idx + 1;
-            if idx >= self.pages.len() {
-                return Ok(None);
-            }
-            self.load_page(idx)?;
-            self.rec_idx = -1;
-        }
-    }
-
-    fn prior(&mut self) -> AccessResult<Option<Atom>> {
-        if !self.opened {
-            // PRIOR from the initial position starts at the end.
-            if self.pages.is_empty() {
-                return Ok(None);
-            }
-            let last = self.pages.len() - 1;
-            self.load_page(last)?;
-            self.opened = true;
-            self.rec_idx = self.records.len() as isize;
-        }
-        loop {
-            if self.rec_idx > 0 {
-                self.rec_idx -= 1;
-                let atom = &self.records[self.rec_idx as usize];
-                if self.ssa.eval(atom) {
-                    return Ok(Some(self.emit(atom)));
-                }
-                continue;
-            }
-            if self.page_idx == 0 {
-                self.rec_idx = -1;
-                return Ok(None);
-            }
-            let idx = self.page_idx - 1;
-            self.load_page(idx)?;
-            self.rec_idx = self.records.len() as isize;
-        }
+    /// A scan that loads the rows of `pages` of `paged` one page at a time.
+    fn over_pages(sys: &'a AccessSystem, ssa: Ssa, paged: Paged, pages: Vec<u32>) -> Self {
+        Scan { paged: Some(paged), pages, ..Scan::over(sys, ssa, Vec::new()) }
     }
 }
 
@@ -175,7 +113,7 @@ mod tests {
     #[test]
     fn full_scan_visits_all() {
         let sys = simple_system(300);
-        let mut scan = AtomTypeScan::open(&sys, 0, Ssa::True, None).unwrap();
+        let mut scan = Scan::atom_type(&sys, 0, Ssa::True).unwrap();
         let all = scan.collect_remaining().unwrap();
         assert_eq!(all.len(), 300);
     }
@@ -184,7 +122,7 @@ mod tests {
     fn ssa_restricts() {
         let sys = simple_system(100);
         let ssa = Ssa::Cmp { attr: 1, op: CmpOp::Lt, value: Value::Int(10) };
-        let mut scan = AtomTypeScan::open(&sys, 0, ssa, None).unwrap();
+        let mut scan = Scan::atom_type(&sys, 0, ssa).unwrap();
         let hits = scan.collect_remaining().unwrap();
         assert_eq!(hits.len(), 10);
         assert!(hits.iter().all(|a| a.values[1].as_int().unwrap() < 10));
@@ -193,7 +131,7 @@ mod tests {
     #[test]
     fn projection_selects_attributes() {
         let sys = simple_system(5);
-        let mut scan = AtomTypeScan::open(&sys, 0, Ssa::True, Some(vec![0, 1])).unwrap();
+        let mut scan = Scan::atom_type(&sys, 0, Ssa::True).map(|s| s.project(vec![0, 1])).unwrap();
         let a = scan.next().unwrap().unwrap();
         assert_ne!(a.values[1], Value::Null);
         assert_eq!(a.values[2], Value::Null, "name projected away");
@@ -202,7 +140,7 @@ mod tests {
     #[test]
     fn next_prior_ping_pong() {
         let sys = simple_system(50);
-        let mut scan = AtomTypeScan::open(&sys, 0, Ssa::True, None).unwrap();
+        let mut scan = Scan::atom_type(&sys, 0, Ssa::True).unwrap();
         let a1 = scan.next().unwrap().unwrap();
         let a2 = scan.next().unwrap().unwrap();
         assert_ne!(a1.id, a2.id);
@@ -215,9 +153,9 @@ mod tests {
     #[test]
     fn prior_from_start_walks_backward_from_end() {
         let sys = simple_system(25);
-        let mut fwd = AtomTypeScan::open(&sys, 0, Ssa::True, None).unwrap();
+        let mut fwd = Scan::atom_type(&sys, 0, Ssa::True).unwrap();
         let all = fwd.collect_remaining().unwrap();
-        let mut bwd = AtomTypeScan::open(&sys, 0, Ssa::True, None).unwrap();
+        let mut bwd = Scan::atom_type(&sys, 0, Ssa::True).unwrap();
         let mut rev = Vec::new();
         while let Some(a) = bwd.prior().unwrap() {
             rev.push(a);
@@ -232,7 +170,7 @@ mod tests {
     #[test]
     fn empty_type_scans_empty() {
         let sys = simple_system(0);
-        let mut scan = AtomTypeScan::open(&sys, 0, Ssa::True, None).unwrap();
+        let mut scan = Scan::atom_type(&sys, 0, Ssa::True).unwrap();
         assert!(scan.next().unwrap().is_none());
         assert!(scan.prior().unwrap().is_none());
     }
@@ -240,7 +178,7 @@ mod tests {
     #[test]
     fn exhausted_scan_stays_exhausted_forward() {
         let sys = simple_system(3);
-        let mut scan = AtomTypeScan::open(&sys, 0, Ssa::True, None).unwrap();
+        let mut scan = Scan::atom_type(&sys, 0, Ssa::True).unwrap();
         while scan.next().unwrap().is_some() {}
         assert!(scan.next().unwrap().is_none());
         // But PRIOR can step back from the end.

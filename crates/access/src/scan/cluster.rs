@@ -10,7 +10,7 @@
 //! single atom cluster in a system-defined order, again with the possible
 //! restriction by a simple search argument." (Section 3.2.)
 
-use super::Scan;
+use super::{Row, Scan};
 use crate::access_system::AccessSystem;
 use crate::atom::Atom;
 use crate::cluster::AtomClusterType;
@@ -19,129 +19,42 @@ use crate::ssa::Ssa;
 use prima_mad::value::{AtomId, AtomTypeId};
 use std::sync::Arc;
 
-/// Cursor over the characteristic atoms of one atom-cluster type.
-///
-/// The SSA is evaluated against the *characteristic atom*; thanks to the
-/// cluster directory this is decidable in one pass through the cluster.
-pub struct AtomClusterTypeScan<'a> {
-    sys: &'a AccessSystem,
-    cluster_type: Arc<AtomClusterType>,
-    ssa: Ssa,
-    chars: Vec<AtomId>,
-    pos: isize,
-}
-
-impl<'a> AtomClusterTypeScan<'a> {
-    pub fn open(
+impl<'a> Scan<'a> {
+    /// Opens an atom-cluster-type scan over the characteristic atoms of
+    /// `cluster_type`. The SSA is evaluated against the characteristic
+    /// atom; thanks to the cluster directory this is decidable in one
+    /// pass through the cluster.
+    pub fn cluster_type(
         sys: &'a AccessSystem,
         cluster_type: Arc<AtomClusterType>,
         ssa: Ssa,
     ) -> AccessResult<Self> {
-        let chars = cluster_type.characteristic_atoms();
-        Ok(AtomClusterTypeScan { sys, cluster_type, ssa, chars, pos: -1 })
+        let rows = cluster_type.characteristic_atoms().into_iter().map(Row::Id).collect();
+        Ok(Scan { cluster: Some(cluster_type), ..Scan::over(sys, ssa, rows) })
     }
 
-    /// The cluster type being scanned.
-    pub fn cluster_type(&self) -> &Arc<AtomClusterType> {
-        &self.cluster_type
-    }
-
-    /// Direct access to all member atoms of the current characteristic
-    /// atom's cluster (one chained read).
-    pub fn current_cluster_atoms(&self) -> AccessResult<Vec<Atom>> {
-        let idx = self.pos;
-        if idx < 0 || idx as usize >= self.chars.len() {
-            return Ok(Vec::new());
-        }
-        self.cluster_type.read_all(self.chars[idx as usize])
-    }
-}
-
-impl Scan for AtomClusterTypeScan<'_> {
-    fn next(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            let next = (self.pos + 1) as usize;
-            if next >= self.chars.len() {
-                return Ok(None);
-            }
-            self.pos += 1;
-            let ch = self.sys.read_atom(self.chars[next], None)?;
-            if self.ssa.eval(&ch) {
-                return Ok(Some(ch));
-            }
-        }
-    }
-
-    fn prior(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            if self.pos <= 0 {
-                self.pos = -1;
-                return Ok(None);
-            }
-            let cur = if self.pos as usize >= self.chars.len() {
-                self.chars.len() - 1
-            } else {
-                (self.pos - 1) as usize
-            };
-            self.pos = cur as isize;
-            let ch = self.sys.read_atom(self.chars[cur], None)?;
-            if self.ssa.eval(&ch) {
-                return Ok(Some(ch));
-            }
-        }
-    }
-}
-
-/// Cursor over all atoms of one atom type within one single atom cluster.
-pub struct AtomClusterScan {
-    atoms: Vec<Atom>,
-    ssa: Ssa,
-    pos: isize,
-}
-
-impl AtomClusterScan {
-    /// Opens the scan by reading the typed members out of the cluster
-    /// (relative addressing: only covering pages are touched).
-    pub fn open(
+    /// Opens an atom-cluster scan over the atoms of `member_type` within
+    /// the cluster of `characteristic` (relative addressing: only
+    /// covering pages are touched).
+    pub fn cluster(
+        sys: &'a AccessSystem,
         cluster_type: &AtomClusterType,
         characteristic: AtomId,
         member_type: AtomTypeId,
         ssa: Ssa,
     ) -> AccessResult<Self> {
         let atoms = cluster_type.read_type(characteristic, member_type)?;
-        Ok(AtomClusterScan { atoms, ssa, pos: -1 })
-    }
-}
-
-impl Scan for AtomClusterScan {
-    fn next(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            let next = (self.pos + 1) as usize;
-            if next >= self.atoms.len() {
-                return Ok(None);
-            }
-            self.pos += 1;
-            if self.ssa.eval(&self.atoms[next]) {
-                return Ok(Some(self.atoms[next].clone()));
-            }
-        }
+        Ok(Scan::over(sys, ssa, atoms.into_iter().map(Row::Atom).collect()))
     }
 
-    fn prior(&mut self) -> AccessResult<Option<Atom>> {
-        loop {
-            if self.pos <= 0 {
-                self.pos = -1;
-                return Ok(None);
-            }
-            let cur = if self.pos as usize >= self.atoms.len() {
-                self.atoms.len() - 1
-            } else {
-                (self.pos - 1) as usize
-            };
-            self.pos = cur as isize;
-            if self.ssa.eval(&self.atoms[cur]) {
-                return Ok(Some(self.atoms[cur].clone()));
-            }
+    /// Direct access to all member atoms of the cluster of the
+    /// characteristic atom an atom-cluster-type scan stands on (one
+    /// chained read); empty off a row or on another scan.
+    pub fn current_cluster_atoms(&self) -> AccessResult<Vec<Atom>> {
+        let row = usize::try_from(self.pos).ok().and_then(|i| self.rows.get(i));
+        match (&self.cluster, row) {
+            (Some(ct), Some(Row::Id(id))) => ct.read_all(*id),
+            _ => Ok(Vec::new()),
         }
     }
 }
@@ -234,7 +147,7 @@ mod tests {
         }
         sys.create_cluster_type("brep_cl", 0, vec![2, 3], PageSize::K1).unwrap();
         let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
-        let mut scan = AtomClusterTypeScan::open(&sys, ct, Ssa::True).unwrap();
+        let mut scan = Scan::cluster_type(&sys, ct, Ssa::True).unwrap();
         let mut count = 0;
         while let Some(ch) = scan.next().unwrap() {
             assert_eq!(ch.id.atom_type, 0);
@@ -254,7 +167,7 @@ mod tests {
         sys.create_cluster_type("brep_cl", 0, vec![2, 3], PageSize::K1).unwrap();
         let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
         let ssa = Ssa::Cmp { attr: 1, op: CmpOp::Lt, value: Value::Int(3) };
-        let mut scan = AtomClusterTypeScan::open(&sys, ct, ssa).unwrap();
+        let mut scan = Scan::cluster_type(&sys, ct, ssa).unwrap();
         let hits = scan.collect_remaining().unwrap();
         assert_eq!(hits.len(), 3);
     }
@@ -267,7 +180,7 @@ mod tests {
         let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
         // faces with square_dim >= 2
         let ssa = Ssa::Cmp { attr: 1, op: CmpOp::Ge, value: Value::Real(2.0) };
-        let mut scan = AtomClusterScan::open(&ct, brep, 1, ssa).unwrap();
+        let mut scan = Scan::cluster(&sys, &ct, brep, 1, ssa).unwrap();
         let faces = scan.collect_remaining().unwrap();
         assert_eq!(faces.len(), 3, "faces 2,3,4");
         assert!(faces.iter().all(|a| a.id.atom_type == 1));
@@ -279,7 +192,7 @@ mod tests {
         let brep = build_brep(&sys, 1, 4, 0);
         sys.create_cluster_type("brep_cl", 0, vec![2, 3], PageSize::K1).unwrap();
         let Some(Structure::Cluster(ct)) = sys.structure("brep_cl") else { panic!("no cluster") };
-        let mut scan = AtomClusterScan::open(&ct, brep, 1, Ssa::True).unwrap();
+        let mut scan = Scan::cluster(&sys, &ct, brep, 1, Ssa::True).unwrap();
         let a = scan.next().unwrap().unwrap();
         let b = scan.next().unwrap().unwrap();
         assert_ne!(a.id, b.id);

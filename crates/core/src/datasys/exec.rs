@@ -10,9 +10,10 @@
 //! Execution pipeline:
 //!
 //! 1. **Root access** — pick the cheapest way to the qualifying root
-//!    atoms: `KEYS_ARE` lookup, B*-tree access-path scan, partition scan,
-//!    or atom-type scan with the pushed-down SSA. The choice is reported
-//!    as attributes of the statement profile's root-access span.
+//!    atoms: a `KEYS_ARE` lookup, or one [`Scan`] cursor, opened over a
+//!    B*-tree access path, a covering partition or the atom type with
+//!    the pushed-down SSA, and drained. The choice is reported as
+//!    attributes of the statement profile's root-access span.
 //! 2. **Vertical assembly** — starting from each root, follow the
 //!    resolved associations to fetch the dependent component atoms.
 //!    When an atom cluster materialises the molecule, it is prefetched
@@ -59,7 +60,8 @@ use crate::parallel::run_parallel;
 use crate::txn::ReadGuard;
 use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
-use prima_access::scan::{AccessPathScan, AtomTypeScan, Scan};
+use prima_access::partition::Partition;
+use prima_access::scan::Scan;
 use prima_access::ssa::Ssa;
 use prima_access::{AccessSystem, Atom, CmpOp, Structure};
 use prima_mad::mql::{Operand, Predicate};
@@ -232,80 +234,68 @@ fn root_candidates(sys: &AccessSystem, q: &ResolvedQuery) -> PrimaResult<Vec<Ato
         }
     }
     // 2. A B*-tree over a bounded attribute.
-    for b in &bounds {
-        if let Some(ix) = sys.structures_of(root_type).into_iter().find_map(|s| match s {
-            Structure::BTree(ix) if ix.key_attrs == [b.attr] => Some(ix),
+    let structures = sys.structures_of(root_type);
+    let index = bounds.iter().find_map(|b| {
+        structures.iter().find_map(|s| match s {
+            Structure::BTree(ix) if ix.key_attrs == [b.attr] => Some((b, ix)),
             _ => None,
-        }) {
-            obs::attr("path", || format!("access_path({})", ix.name));
-            let (start, stop) = match b.op {
-                CmpOp::Eq => (
-                    Bound::Included(vec![b.value.clone()]),
-                    Bound::Included(vec![b.value.clone()]),
-                ),
-                CmpOp::Gt => (Bound::Excluded(vec![b.value.clone()]), Bound::Unbounded),
-                CmpOp::Ge => (Bound::Included(vec![b.value.clone()]), Bound::Unbounded),
-                CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(vec![b.value.clone()])),
-                CmpOp::Le => (Bound::Unbounded, Bound::Included(vec![b.value.clone()])),
-                CmpOp::Ne => (Bound::Unbounded, Bound::Unbounded),
-            };
-            let mut scan =
-                AccessPathScan::open(sys, &ix, q.root_ssa.clone(), start, stop, false)?;
-            return Ok(scan.collect_remaining()?);
-        }
-    }
-    // 3. Single-component queries whose SSA and projection are covered by
-    // a partition scan the (denser) partition file instead — "partitions
-    // collect the results of projections".
-    if q.nodes.len() == 1 {
-        let mut needed = q.root_ssa.attrs();
-        match q.select.per_node.first() {
-            Some(NodeProjection::Attrs(attrs)) => needed.extend(attrs.iter().copied()),
-            Some(NodeProjection::All) | None => needed.push(usize::MAX), // not coverable
-            Some(NodeProjection::Qualified { attrs, ssa }) => {
-                needed.extend(ssa.attrs());
-                match attrs {
-                    Some(a) => needed.extend(a.iter().copied()),
-                    None => needed.push(usize::MAX),
-                }
-            }
-            Some(NodeProjection::Exclude) => {}
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        if let Some(part) = sys.structures_of(root_type).into_iter().find_map(|s| match s {
-            Structure::Partition(p) if p.covers(&needed) => Some(p),
-            _ => None,
-        }) {
-            obs::attr("path", || format!("partition_scan({})", part.name));
-            let mut out = Vec::new();
-            part.for_each(|_, atom| {
-                // Skip stale copies (deferred update pending): fall back to
-                // the primary record for those atoms.
-                if sys.deferred_stale(atom.id, part.id) {
-                    match sys.read_atom(atom.id, None) {
-                        Ok(fresh) => {
-                            if q.root_ssa.eval(&fresh) {
-                                out.push(fresh);
-                            }
-                        }
-                        // Without a lock (snapshot) the atom may vanish
-                        // between the partition row and the primary read.
-                        Err(prima_access::AccessError::NoSuchAtom(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                } else if q.root_ssa.eval(&atom) {
-                    out.push(atom);
-                }
-                Ok(())
-            })?;
-            return Ok(out);
-        }
-    }
-    // 4. Atom-type scan with SSA pushdown.
-    obs::attr("path", || "type_scan".to_string());
-    let mut scan = AtomTypeScan::open(sys, root_type, q.root_ssa.clone(), None)?;
+        })
+    });
+    let ssa = q.root_ssa.clone();
+    let mut scan = if let Some((b, ix)) = index {
+        obs::attr("path", || format!("access_path({})", ix.name));
+        let key = || vec![b.value.clone()];
+        let (start, stop) = match b.op {
+            CmpOp::Eq => (Bound::Included(key()), Bound::Included(key())),
+            CmpOp::Gt => (Bound::Excluded(key()), Bound::Unbounded),
+            CmpOp::Ge => (Bound::Included(key()), Bound::Unbounded),
+            CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(key())),
+            CmpOp::Le => (Bound::Unbounded, Bound::Included(key())),
+            CmpOp::Ne => (Bound::Unbounded, Bound::Unbounded),
+        };
+        Scan::access_path(sys, ix, ssa, start, stop, false)?
+    } else if let Some(part) = covering_partition(q, &structures) {
+        // 3. A partition covering a single-component query's SSA and
+        // projection is scanned instead of the (wider) base file —
+        // "partitions collect the results of projections".
+        obs::attr("path", || format!("partition_scan({})", part.name));
+        Scan::partition(sys, Arc::clone(part), ssa)?
+    } else {
+        // 4. Atom-type scan with SSA pushdown.
+        obs::attr("path", || "type_scan".to_string());
+        Scan::atom_type(sys, root_type, ssa)?
+    };
     Ok(scan.collect_remaining()?)
+}
+
+/// The partition of the root type that covers every attribute a
+/// single-component query reads, if any.
+fn covering_partition<'s>(
+    q: &ResolvedQuery,
+    structures: &'s [Structure],
+) -> Option<&'s Arc<Partition>> {
+    if q.nodes.len() != 1 {
+        return None;
+    }
+    let mut needed = q.root_ssa.attrs();
+    match q.select.per_node.first() {
+        Some(NodeProjection::Attrs(attrs)) => needed.extend(attrs.iter().copied()),
+        Some(NodeProjection::All) | None => needed.push(usize::MAX), // not coverable
+        Some(NodeProjection::Qualified { attrs, ssa }) => {
+            needed.extend(ssa.attrs());
+            match attrs {
+                Some(a) => needed.extend(a.iter().copied()),
+                None => needed.push(usize::MAX),
+            }
+        }
+        Some(NodeProjection::Exclude) => {}
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    structures.iter().find_map(|s| match s {
+        Structure::Partition(p) if p.covers(&needed) => Some(p),
+        _ => None,
+    })
 }
 
 /// Per-query assembly state: the expansion-edge table plus scratch

@@ -727,7 +727,11 @@ impl<'a> ReadGuard<'a> {
         let mut out = Vec::with_capacity(roots.len());
         for atom in roots {
             let id = atom.id;
-            seen.insert(id);
+            // A scan meets an atom twice when a concurrent writer moved
+            // its record to a page the scan had not read yet.
+            if !seen.insert(id) {
+                continue;
+            }
             if let Some(vis) = snap.visible(id, Some(atom)) {
                 if ssa.eval(&vis) {
                     out.push(vis);

@@ -147,84 +147,43 @@ pub trait BlockDevice: Send + Sync {
     }
 }
 
-/// Accounts one WAL group append as a single sequential transfer to the
-/// log area: one positioning operation, then streaming bytes. Shared by
-/// every backend so the benchmark axes stay comparable — N records per
-/// force pay one seek, not N, which is what makes group commit visible
-/// on the device-time axis.
-pub(crate) fn account_wal_append(stats: &IoStats, cost: &CostModel, len: usize) {
-    stats.add(&stats.seeks, 1);
-    stats.add(&stats.wal_forces, 1);
-    stats.add(&stats.wal_bytes, len as u64);
-    stats.add(&stats.bytes_written, len as u64);
-    stats.add(&stats.sim_time_ns, cost.transfer_ns(true, 1, len as u64));
+/// The I/O accounting every block device shares, so the benchmark axes
+/// stay comparable across backends: one arm — the classical
+/// single-spindle assumption of the era — whose position decides whether
+/// a transfer seeks, the cost model that prices the transfer, and the
+/// statistics it lands in.
+pub(crate) struct Accounting {
+    /// Position after the last transfer; `None` after a log append.
+    // lockrank: device.2 — arm position; leaf.
+    arm: Mutex<Option<BlockAddr>>,
+    pub(crate) cost: CostModel,
+    pub(crate) stats: Arc<IoStats>,
 }
 
-/// File state inside the simulator.
-#[derive(Debug)]
-struct SimFile {
-    block_len: usize,
-    /// Sparse block store; `None` entries read as zeroes.
-    blocks: Vec<Option<Box<[u8]>>>,
-}
-
-#[derive(Debug, Default)]
-struct ArmState {
-    /// Position after the last transfer, used to decide whether a new
-    /// transfer needs a seek. One "arm" for the whole device is the
-    /// classical single-spindle assumption of the era.
-    last: Option<BlockAddr>,
-}
-
-/// In-memory simulated disk. See module docs.
-///
-/// Files are individually locked so concurrent readers (parallel DUs) do
-/// not serialise on one global mutex — the real device property being
-/// modelled is arm movement (cost model), not a software lock.
-pub struct SimDisk {
-    // lockrank: device.0 — file directory (outer); per-file locks nest
-    // inside it.
-    files: RwLock<Vec<Option<Arc<RwLock<SimFile>>>>>,
-    // lockrank: device.2 — arm-position cost model; leaf.
-    arm: Mutex<ArmState>,
-    cost: CostModel,
-    stats: Arc<IoStats>,
-    /// Durable metadata blob (checkpoint snapshot) — in-memory stand-in.
-    // lockrank: device.3
-    meta: Mutex<Option<Vec<u8>>>,
-    /// Log area: only what was explicitly appended (i.e. *forced*) lives
-    /// here, so dropping a kernel without forcing models a crash exactly.
-    // lockrank: device.4
-    wal: Mutex<Vec<u8>>,
-}
-
-impl std::fmt::Debug for SimDisk {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimDisk").field("cost", &self.cost).finish_non_exhaustive()
-    }
-}
-
-impl SimDisk {
-    /// A device with the default 1987-style cost model.
-    pub fn new() -> Self {
-        SimDisk {
-            files: RwLock::new_ranked(Vec::new(), rank::DEVICE),
-            arm: Mutex::new_ranked(ArmState::default(), rank::DEVICE + 2),
+impl Accounting {
+    pub(crate) fn new() -> Self {
+        Accounting {
+            arm: Mutex::new_ranked(None, rank::DEVICE + 2),
             cost: CostModel::default(),
             stats: IoStats::new_shared(),
-            meta: Mutex::new_ranked(None, rank::DEVICE + 3),
-            wal: Mutex::new_ranked(Vec::new(), rank::DEVICE + 4),
         }
     }
 
-    fn account(&self, addr: BlockAddr, blocks: u64, block_len: usize, write: bool, chained: bool) {
+    /// Accounts a transfer of `blocks` contiguous blocks from `addr` on:
+    /// it seeks unless it starts right after the previous one.
+    pub(crate) fn transfer(
+        &self,
+        addr: BlockAddr,
+        blocks: u64,
+        block_len: usize,
+        write: bool,
+        chained: bool,
+    ) {
         let seek = {
             let mut arm = self.arm.lock();
-            let seek = match arm.last {
-                Some(prev) => !(prev.file == addr.file && prev.block + 1 == addr.block),
-                None => true,
-            };
-            arm.last = Some(BlockAddr::new(addr.file, addr.block + blocks as u32 - 1));
+            let seek =
+                arm.is_none_or(|prev| prev.file != addr.file || prev.block + 1 != addr.block);
+            *arm = Some(BlockAddr::new(addr.file, addr.block + blocks as u32 - 1));
             seek
         };
         let s = &self.stats;
@@ -244,6 +203,66 @@ impl SimDisk {
             s.add(&s.chained_blocks, blocks);
         }
         s.add(&s.sim_time_ns, self.cost.transfer_ns(seek, blocks, block_len as u64));
+    }
+
+    /// Accounts one WAL group append as a single sequential transfer to
+    /// the log area: one positioning operation, then streaming bytes — N
+    /// records per force pay one seek, not N, which is what makes group
+    /// commit visible on the device-time axis. The arm moves to the log
+    /// area, so the next data transfer seeks.
+    pub(crate) fn log_append(&self, len: usize) {
+        let s = &self.stats;
+        s.add(&s.seeks, 1);
+        s.add(&s.wal_forces, 1);
+        s.add(&s.wal_bytes, len as u64);
+        s.add(&s.bytes_written, len as u64);
+        s.add(&s.sim_time_ns, self.cost.transfer_ns(true, 1, len as u64));
+        *self.arm.lock() = None;
+    }
+}
+
+/// File state inside the simulator.
+#[derive(Debug)]
+struct SimFile {
+    block_len: usize,
+    /// Sparse block store; `None` entries read as zeroes.
+    blocks: Vec<Option<Box<[u8]>>>,
+}
+
+/// In-memory simulated disk. See module docs.
+///
+/// Files are individually locked so concurrent readers (parallel DUs) do
+/// not serialise on one global mutex — the real device property being
+/// modelled is arm movement (cost model), not a software lock.
+pub struct SimDisk {
+    // lockrank: device.0 — file directory (outer); per-file locks nest
+    // inside it.
+    files: RwLock<Vec<Option<Arc<RwLock<SimFile>>>>>,
+    io: Accounting,
+    /// Durable metadata blob (checkpoint snapshot) — in-memory stand-in.
+    // lockrank: device.3
+    meta: Mutex<Option<Vec<u8>>>,
+    /// Log area: only what was explicitly appended (i.e. *forced*) lives
+    /// here, so dropping a kernel without forcing models a crash exactly.
+    // lockrank: device.4
+    wal: Mutex<Vec<u8>>,
+}
+
+impl std::fmt::Debug for SimDisk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimDisk").field("cost", &self.io.cost).finish_non_exhaustive()
+    }
+}
+
+impl SimDisk {
+    /// A device with the default 1987-style cost model.
+    pub fn new() -> Self {
+        SimDisk {
+            files: RwLock::new_ranked(Vec::new(), rank::DEVICE),
+            io: Accounting::new(),
+            meta: Mutex::new_ranked(None, rank::DEVICE + 3),
+            wal: Mutex::new_ranked(Vec::new(), rank::DEVICE + 4),
+        }
     }
 
     fn file(&self, file: u32) -> StorageResult<Arc<RwLock<SimFile>>> {
@@ -306,7 +325,7 @@ impl BlockDevice for SimDisk {
             }
             Ok(())
         })?;
-        self.account(addr, 1, buf.len(), false, false);
+        self.io.transfer(addr, 1, buf.len(), false, false);
         Ok(())
     }
 
@@ -320,7 +339,7 @@ impl BlockDevice for SimDisk {
             f.blocks[idx] = Some(buf.to_vec().into_boxed_slice());
             Ok(())
         })?;
-        self.account(addr, 1, buf.len(), true, false);
+        self.io.transfer(addr, 1, buf.len(), true, false);
         Ok(())
     }
 
@@ -337,7 +356,7 @@ impl BlockDevice for SimDisk {
             }
             Ok(f.block_len)
         })?;
-        self.account(addr, count as u64, block_len, false, true);
+        self.io.transfer(addr, count as u64, block_len, false, true);
         Ok(())
     }
 
@@ -354,12 +373,12 @@ impl BlockDevice for SimDisk {
             }
             Ok(f.block_len)
         })?;
-        self.account(addr, count as u64, block_len, true, true);
+        self.io.transfer(addr, count as u64, block_len, true, true);
         Ok(())
     }
 
     fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.io.stats)
     }
 
     fn sync(&self) -> StorageResult<()> {
@@ -377,9 +396,7 @@ impl BlockDevice for SimDisk {
 
     fn wal_append(&self, bytes: &[u8]) -> StorageResult<()> {
         self.wal.lock().extend_from_slice(bytes);
-        account_wal_append(&self.stats, &self.cost, bytes.len());
-        // The arm moved to the log area: the next data transfer seeks.
-        self.arm.lock().last = None;
+        self.io.log_append(bytes.len());
         Ok(())
     }
 

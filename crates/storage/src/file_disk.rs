@@ -16,13 +16,13 @@
 //!   appends and fsyncs in one call, so one group-commit force is exactly
 //!   one synchronous log write.
 //!
-//! I/O statistics mirror [`crate::disk::SimDisk`]'s accounting (seeks are
-//! modelled positionally over block addresses; real devices reorder, but
-//! the *relative* contiguity signal is what benchmarks compare), so a
-//! workload can be replayed against either backend and report the same
-//! axes.
+//! I/O statistics come from the accounting [`crate::disk::SimDisk`] uses
+//! (seeks are modelled positionally over block addresses; real devices
+//! reorder, but the *relative* contiguity signal is what benchmarks
+//! compare), so a workload can be replayed against either backend and
+//! report the same axes.
 
-use crate::disk::{BlockAddr, BlockDevice, CostModel};
+use crate::disk::{Accounting, BlockAddr, BlockDevice};
 use crate::error::{StorageError, StorageResult};
 use crate::stats::IoStats;
 use parking_lot::{rank, Mutex, RwLock};
@@ -39,11 +39,6 @@ struct DiskFile {
     path: PathBuf,
 }
 
-#[derive(Default)]
-struct ArmState {
-    last: Option<BlockAddr>,
-}
-
 /// File-backed block device rooted at one directory. See module docs.
 pub struct FileDisk {
     dir: PathBuf,
@@ -53,10 +48,7 @@ pub struct FileDisk {
     // lockrank: device.1 — log-file handle; held across the OS write by
     // design (this lock *is* the device-side append serialisation).
     wal: Mutex<File>,
-    // lockrank: device.2 — arm-position cost model; leaf.
-    arm: Mutex<ArmState>,
-    cost: CostModel,
-    stats: Arc<IoStats>,
+    io: Accounting,
 }
 
 impl std::fmt::Debug for FileDisk {
@@ -219,9 +211,7 @@ impl FileDisk {
             dir,
             files: RwLock::new_ranked(HashMap::new(), rank::DEVICE),
             wal: Mutex::new_ranked(wal, rank::DEVICE + 1),
-            arm: Mutex::new_ranked(ArmState::default(), rank::DEVICE + 2),
-            cost: CostModel::default(),
-            stats: IoStats::new_shared(),
+            io: Accounting::new(),
         })
     }
 
@@ -232,37 +222,6 @@ impl FileDisk {
 
     fn file(&self, file: u32) -> StorageResult<Arc<DiskFile>> {
         self.files.read().get(&file).cloned().ok_or(StorageError::UnknownSegment(file))
-    }
-
-    /// Same positional accounting as `SimDisk`: one arm, seeks on
-    /// non-contiguous transfers, service time from the cost model.
-    fn account(&self, addr: BlockAddr, blocks: u64, block_len: usize, write: bool, chained: bool) {
-        let seek = {
-            let mut arm = self.arm.lock();
-            let seek = match arm.last {
-                Some(prev) => !(prev.file == addr.file && prev.block + 1 == addr.block),
-                None => true,
-            };
-            arm.last = Some(BlockAddr::new(addr.file, addr.block + blocks as u32 - 1));
-            seek
-        };
-        let s = &self.stats;
-        if seek {
-            s.add(&s.seeks, 1);
-        }
-        let bytes = blocks * block_len as u64;
-        if write {
-            s.add(&s.block_writes, blocks);
-            s.add(&s.bytes_written, bytes);
-        } else {
-            s.add(&s.block_reads, blocks);
-            s.add(&s.bytes_read, bytes);
-        }
-        if chained {
-            s.add(&s.chained_runs, 1);
-            s.add(&s.chained_blocks, blocks);
-        }
-        s.add(&s.sim_time_ns, self.cost.transfer_ns(seek, blocks, block_len as u64));
     }
 
     fn read_at(&self, f: &DiskFile, addr: BlockAddr, count: u32, buf: &mut [u8]) -> StorageResult<()> {
@@ -316,7 +275,7 @@ impl BlockDevice for FileDisk {
     fn read_block(&self, addr: BlockAddr, buf: &mut [u8]) -> StorageResult<()> {
         let f = self.file(addr.file)?;
         self.read_at(&f, addr, 1, buf)?;
-        self.account(addr, 1, f.block_len, false, false);
+        self.io.transfer(addr, 1, f.block_len, false, false);
         Ok(())
     }
 
@@ -326,14 +285,14 @@ impl BlockDevice for FileDisk {
         f.file
             .write_all_at(buf, addr.block as u64 * f.block_len as u64)
             .map_err(|e| io_err("pwrite", e))?;
-        self.account(addr, 1, f.block_len, true, false);
+        self.io.transfer(addr, 1, f.block_len, true, false);
         Ok(())
     }
 
     fn read_chained(&self, addr: BlockAddr, count: u32, buf: &mut [u8]) -> StorageResult<()> {
         let f = self.file(addr.file)?;
         self.read_at(&f, addr, count, buf)?;
-        self.account(addr, count as u64, f.block_len, false, true);
+        self.io.transfer(addr, count as u64, f.block_len, false, true);
         Ok(())
     }
 
@@ -343,12 +302,12 @@ impl BlockDevice for FileDisk {
         f.file
             .write_all_at(buf, addr.block as u64 * f.block_len as u64)
             .map_err(|e| io_err("pwrite chained", e))?;
-        self.account(addr, count as u64, f.block_len, true, true);
+        self.io.transfer(addr, count as u64, f.block_len, true, true);
         Ok(())
     }
 
     fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.io.stats)
     }
 
     fn sync(&self) -> StorageResult<()> {
@@ -382,8 +341,7 @@ impl BlockDevice for FileDisk {
         let mut wal = self.wal.lock();
         wal.write_all(bytes).map_err(|e| io_err("wal append", e))?;
         wal.sync_data().map_err(|e| io_err("wal fsync", e))?;
-        crate::disk::account_wal_append(&self.stats, &self.cost, bytes.len());
-        self.arm.lock().last = None;
+        self.io.log_append(bytes.len());
         Ok(())
     }
 

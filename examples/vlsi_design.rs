@@ -8,7 +8,7 @@
 use prima::{PrimaResult, QueryOptions, Value as PValue};
 use prima_workloads::exec;
 use prima_access::multidim::DimRange;
-use prima_access::scan::{MultidimScan, Scan};
+use prima_access::scan::Scan;
 use prima_access::Ssa;
 use prima_mad::Value;
 use prima_workloads::vlsi::{self, VlsiConfig};
@@ -65,7 +65,7 @@ fn main() -> PrimaResult<()> {
         DimRange { start: Bound::Included(enc(100.0)), stop: Bound::Excluded(enc(300.0)), descending: false },
         DimRange { start: Bound::Included(enc(0.0)), stop: Bound::Excluded(enc(500.0)), descending: true },
     ];
-    let mut scan = MultidimScan::open(db.access(), &gx, Ssa::True, &ranges)?;
+    let mut scan = Scan::multidim(db.access(), &gx, Ssa::True, &ranges)?;
     let hits = scan.collect_remaining()?;
     println!("window query via grid file: {} pins", hits.len());
 

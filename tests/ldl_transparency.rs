@@ -5,7 +5,7 @@
 
 use prima::Structure;
 use prima_access::multidim::DimRange;
-use prima_access::scan::{Scan, SortScan};
+use prima_access::scan::Scan;
 use prima_access::sort_order::SortOrder;
 use prima_access::Ssa;
 use std::ops::Bound;
@@ -164,7 +164,7 @@ fn deleting_an_atom_with_a_stale_sort_key_unlinks_its_copy() {
     db.delete(victim).unwrap();
     assert_eq!(sort_order(&db, "so").len(), 8, "the copy filed under the old key is gone");
     let t = db.schema().type_id("region").unwrap();
-    let scan = SortScan::open(db.access(), t, &[3], Ssa::True, Bound::Unbounded, Bound::Unbounded);
+    let scan = Scan::sort(db.access(), t, &[3], Ssa::True, Bound::Unbounded, Bound::Unbounded);
     assert_eq!(scan.unwrap().collect_remaining().unwrap().len(), 8);
 }
 

@@ -197,13 +197,13 @@ proptest! {
             db.insert("item", &[("v", Value::Int(*v))]).unwrap();
         }
         db.ldl("CREATE SORT ORDER so ON item (v)").unwrap();
-        use prima_access::scan::{Scan, SortScan, SortSource};
+        use prima_access::scan::{Scan, SortSource};
         use std::ops::Bound;
-        let mut scan = SortScan::open(
+        let mut scan = Scan::sort(
             db.access(), 0, &[1], prima_access::Ssa::True,
             Bound::Unbounded, Bound::Unbounded,
         ).unwrap();
-        prop_assert_eq!(scan.source(), SortSource::SortOrder);
+        prop_assert_eq!(scan.sort_source(), Some(SortSource::SortOrder));
         let got: Vec<i64> = scan.collect_remaining().unwrap()
             .iter().map(|a| a.values[1].as_int().unwrap()).collect();
         let mut expected = values.clone();

@@ -327,3 +327,88 @@ fn snapshot_reads_succeed_with_retry_disabled_against_a_dirty_writer() {
     }
     writer.rollback().unwrap();
 }
+
+// ---------------------------------------------------------------------
+// Root access racing a delete-and-rollback writer
+// ---------------------------------------------------------------------
+
+/// A writer deletes committed atoms and rolls each delete back, over and
+/// over: the delete frees the atom's address entry and record, and the
+/// rollback restores both, the record wherever there is room. Snapshot
+/// `SELECT`s race it over every root access path; each must succeed and
+/// return exactly the committed molecules. This races the address-table
+/// latch against page latches: a reader may hold a pointer whose slot
+/// was freed or reused, meet a B*-tree candidate that is gone, or meet a
+/// moved record a second time further on in a scan.
+#[test]
+fn snapshot_root_access_races_a_delete_rollback_writer() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+    const N: i64 = 200;
+    let db = Prima::builder()
+        .buffer_bytes(1 << 20)
+        .build_with_ddl(
+            "CREATE ATOM_TYPE item
+               ( id : IDENTIFIER, no : INTEGER, n : INTEGER, m : INTEGER, label : CHAR_VAR )
+             KEYS_ARE (no);",
+        )
+        .unwrap();
+    let ids: Vec<_> = (0..N)
+        .map(|i| {
+            let (v, label) = (Value::Int(i), Value::Str(format!("item {i}")));
+            let attrs = [("no", v.clone()), ("n", v.clone()), ("m", v), ("label", label)];
+            db.insert("item", &attrs).unwrap()
+        })
+        .collect();
+    db.ldl("CREATE ACCESS PATH item_n ON item (n); CREATE PARTITION item_p ON item (no, m)")
+        .unwrap();
+    let paths = [
+        ("key_lookup(no)", "SELECT ALL FROM item WHERE no = ", 1),
+        ("access_path(item_n)", "SELECT ALL FROM item WHERE n >= 0", N as usize),
+        ("type_scan", "SELECT ALL FROM item WHERE m >= 0", N as usize),
+        ("partition_scan(item_p)", "SELECT no FROM item WHERE m >= 0", N as usize),
+    ];
+    /// Stops the writer when the reader is done, by success or panic.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let w = db.session();
+            let mut rounds = 0;
+            while !stop.load(Ordering::Relaxed) {
+                w.begin().unwrap();
+                w.delete_atom(ids[rounds % ids.len()]).unwrap();
+                w.rollback().unwrap();
+                rounds += 1;
+            }
+            rounds
+        });
+        let reader_done = Stop(&stop);
+        let reader = db.session();
+        reader.set_profiling(true);
+        for (path, mql, expected) in paths {
+            let (start, mut runs) = (Instant::now(), 0);
+            while start.elapsed() < Duration::from_secs(1) {
+                // The key lookup probes the atom the writer is on, more
+                // or less.
+                let mql = match expected {
+                    1 => format!("{mql}{}", runs % N),
+                    _ => mql.to_string(),
+                };
+                let got = reader.query(&mql, &QueryOptions::default());
+                let got = got.unwrap_or_else(|e| panic!("{path}, run {runs}: {e}"));
+                assert_eq!(got.set.len(), expected, "{path}, run {runs}: committed molecules");
+                assert_eq!(reader.last_profile().unwrap().access("path"), Some(path));
+                runs += 1;
+            }
+            assert!(runs > 0, "{path}");
+        }
+        drop(reader_done);
+        assert!(writer.join().unwrap() > 0, "the writer ran");
+    });
+}
