@@ -20,7 +20,6 @@ use parking_lot::{rank, RwLock};
 use prima_mad::codec::encode_composite_key;
 use prima_mad::schema::Schema;
 use prima_mad::value::{AtomId, AtomTypeId, Value};
-use prima_mad::AttrType;
 use prima_storage::{PageSize, StorageSystem};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,11 +223,10 @@ impl AccessSystem {
                 // twice (see `RecordFile::update`); its transaction is a
                 // loser whose undo restores the values, so either copy
                 // will do: keep the first.
-                if sys.addresses.primary(atom.id).is_some() {
+                if !sys.addresses.attach(atom.id, ptr) {
                     duplicates.push(ptr);
                     return Ok(());
                 }
-                sys.addresses.set_primary(atom.id, ptr);
                 max_seq = max_seq.max(atom.id.seq);
                 live += 1;
                 for (attr, map) in &store.key_maps {
@@ -438,7 +436,7 @@ impl AccessSystem {
     ) -> AccessResult<()> {
         for (i, attr) in at.attributes.iter().enumerate() {
             if let Some(assoc) = self.schema.association_of(at.id, i) {
-                for target in values[i].referenced_ids() {
+                for &target in values[i].ref_ids() {
                     if target.atom_type != assoc.to.atom_type {
                         return Err(AccessError::ReferenceTypeMismatch {
                             attr: attr.name.clone(),
@@ -523,6 +521,21 @@ impl AccessSystem {
                 *err_slot = Some((i, e));
             }
         };
+        // Covering copies first: reading one fixes a page, which must not
+        // happen under the address-table latch the grouping loop holds.
+        let mut covered = Vec::new();
+        if let Some(proj) = projection {
+            covered.resize(ids.len(), false);
+            for (i, &id) in ids.iter().enumerate() {
+                if let Some(copy) = self.covering_copy(id, proj) {
+                    covered[i] = true;
+                    match copy {
+                        Ok(a) => out[i] = Some(a),
+                        Err(e) => record_err(&mut first_err, i, e),
+                    }
+                }
+            }
+        }
         // (atom type, page) -> positions in `ids` + their slots, built in
         // input order so per-page decode order is deterministic. Typical
         // batches touch few distinct pages (linear probe); large scattered
@@ -530,16 +543,13 @@ impl AccessSystem {
         let mut groups: Vec<PageGroup> = Vec::new();
         let mut group_index: Option<HashMap<(AtomTypeId, u32), usize>> =
             (ids.len() > 64).then(HashMap::new);
+        let primaries = self.addresses.primaries();
         for (i, &id) in ids.iter().enumerate() {
-            if let Some(copy) = projection.and_then(|proj| self.covering_copy(id, proj)) {
-                match copy {
-                    Ok(a) => out[i] = Some(a),
-                    Err(e) => record_err(&mut first_err, i, e),
-                }
+            if covered.get(i) == Some(&true) {
                 continue;
             }
             // Unknown atom: a hole.
-            let Some(ptr) = self.addresses.primary(id) else { continue };
+            let Some(ptr) = primaries.get(id) else { continue };
             let key = (id.atom_type, ptr.page);
             let slot = match &mut group_index {
                 Some(index) => index.get(&key).copied(),
@@ -555,6 +565,7 @@ impl AccessSystem {
                 }
             }
         }
+        drop(primaries);
         self.stats.batch_reads.fetch_add(1, Ordering::Relaxed);
         self.stats.batch_atoms.fetch_add(ids.len() as u64, Ordering::Relaxed);
         self.stats.batch_pages.fetch_add(groups.len() as u64, Ordering::Relaxed);
@@ -812,7 +823,7 @@ impl AccessSystem {
         self.maintain(Some(&old), None)?;
         // Address entry, then primary record: a reader holding the old
         // pointer finds the slot freed and the entry gone.
-        if let Some(ptr) = self.addresses.remove_atom(id).and_then(|entry| entry.primary) {
+        if let Some(ptr) = self.addresses.remove_atom(id) {
             store.file.delete(ptr)?;
         }
         store.count.fetch_sub(1, Ordering::Relaxed);
@@ -832,14 +843,5 @@ impl AccessSystem {
             Ok(())
         })?;
         Ok(out)
-    }
-
-    /// Is this attribute a reference whose declared element type is a
-    /// set? Used by callers that need the value shape.
-    pub fn is_ref_set_attr(&self, t: AtomTypeId, attr: usize) -> bool {
-        self.schema
-            .atom_type(t)
-            .and_then(|at| at.attributes.get(attr))
-            .is_some_and(|a| matches!(a.ty, AttrType::RefSet(..)))
     }
 }

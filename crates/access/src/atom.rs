@@ -9,7 +9,6 @@
 use prima_mad::codec;
 use prima_storage::bytes::le_u64;
 use prima_mad::value::{AtomId, Value};
-use prima_mad::AtomType;
 
 use crate::error::{AccessError, AccessResult};
 
@@ -32,11 +31,6 @@ impl Atom {
     /// Value of attribute `idx`.
     pub fn get(&self, idx: usize) -> Option<&Value> {
         self.values.get(idx)
-    }
-
-    /// Value of the named attribute, resolved through the atom type.
-    pub fn get_named<'a>(&'a self, at: &AtomType, name: &str) -> Option<&'a Value> {
-        at.attribute_index(name).and_then(|i| self.values.get(i))
     }
 
     /// Encodes into a physical-record image: the atom id followed by the

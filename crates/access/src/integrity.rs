@@ -46,15 +46,14 @@ pub fn backref_ops(
     let Some(assoc) = schema.association_of(source.atom_type, attr_idx) else {
         return Vec::new();
     };
-    let old_ids = old.referenced_ids();
-    let new_ids = new.referenced_ids();
+    let (old_ids, new_ids) = (old.ref_ids(), new.ref_ids());
     let mut ops = Vec::new();
-    for id in &old_ids {
+    for id in old_ids {
         if !new_ids.contains(id) {
             ops.push(BackRefOp { target: *id, attr: assoc.to.attr, add: false, source });
         }
     }
-    for id in &new_ids {
+    for id in new_ids {
         if !old_ids.contains(id) {
             ops.push(BackRefOp { target: *id, attr: assoc.to.attr, add: true, source });
         }

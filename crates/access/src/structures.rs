@@ -559,7 +559,7 @@ impl AccessSystem {
     fn materialize_cluster(&self, ct: &AtomClusterType, ch: &Atom) -> AccessResult<()> {
         let mut members = Vec::new();
         for &a in &ct.member_attrs {
-            for target in ch.values.get(a).map(Value::referenced_ids).unwrap_or_default() {
+            for &target in ch.values.get(a).map_or(&[][..], Value::ref_ids) {
                 if self.exists(target) {
                     members.push(self.read_primary(target)?);
                 }

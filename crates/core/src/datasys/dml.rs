@@ -156,7 +156,7 @@ fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<D
                         let targets = root_ids(sys, sub, txn)?;
                         let current = sys.read_atom(id, None)?;
                         let new_value = if is_set {
-                            let mut ids = current.values[attr].referenced_ids();
+                            let mut ids = current.values[attr].ref_ids().to_vec();
                             ids.extend(targets.iter().copied());
                             Value::ref_set(ids)
                         } else if is_single_ref {
@@ -175,9 +175,10 @@ fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<D
                         let current = sys.read_atom(id, None)?;
                         let new_value = if is_set {
                             let ids: Vec<AtomId> = current.values[attr]
-                                .referenced_ids()
-                                .into_iter()
+                                .ref_ids()
+                                .iter()
                                 .filter(|t| !targets.contains(t))
+                                .copied()
                                 .collect();
                             Value::ref_set(ids)
                         } else if is_single_ref {

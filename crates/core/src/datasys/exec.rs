@@ -68,6 +68,7 @@ use prima_mad::mql::{Operand, Predicate};
 use prima_mad::value::{AtomId, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -312,7 +313,7 @@ pub(crate) struct AssemblyCtx {
     requests: Vec<FetchRequest>,
     /// The current molecule's decoded atoms by id (`None`: invisible or
     /// dangling), shared by every position that references them.
-    table: HashMap<AtomId, Option<Arc<Atom>>>,
+    table: HashMap<AtomId, Option<Arc<Atom>>, BuildHasherDefault<IdHasher>>,
     need: Vec<AtomId>,
     resolved: Vec<Option<Atom>>,
 }
@@ -326,10 +327,32 @@ impl AssemblyCtx {
             frontier: Vec::new(),
             next_frontier: Vec::new(),
             requests: Vec::new(),
-            table: HashMap::new(),
+            table: HashMap::default(),
             need: Vec::new(),
             resolved: Vec::new(),
         }
+    }
+}
+
+/// Multiplicative hashing for the molecule's `AtomId` table (FxHash's
+/// step: rotate, xor, multiply by an odd constant). An id is two
+/// integers the kernel hands out, not attacker-chosen input, so SipHash's
+/// flooding resistance buys nothing there.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -429,17 +452,11 @@ fn assemble_frontier(
         // order (edge order x reference order per parent).
         ctx.requests.clear();
         for &pi in &ctx.frontier {
-            let node_idx = ctx.arena[pi].node_idx;
-            let level = ctx.arena[pi].level;
-            for &(child_idx, assoc, recursive) in &ctx.edge_table[node_idx] {
-                let ids = ctx.arena[pi]
-                    .atom
-                    .values
-                    .get(assoc.from.attr)
-                    .map(prima_mad::Value::referenced_ids)
-                    .unwrap_or_default();
-                for id in ids {
-                    if recursive && chain_contains(&ctx.arena[pi].ancestors, id) {
+            let parent = &ctx.arena[pi];
+            for &(child_idx, assoc, recursive) in &ctx.edge_table[parent.node_idx] {
+                let ids = parent.atom.values.get(assoc.from.attr).map_or(&[][..], Value::ref_ids);
+                for &id in ids {
+                    if recursive && chain_contains(&parent.ancestors, id) {
                         // Cycle guard for recursive structures ("solids are
                         // constructed using previously defined solids" — a
                         // cycle would be a modelling error, but the kernel
@@ -450,7 +467,7 @@ fn assemble_frontier(
                         parent: pi,
                         child_node: child_idx,
                         recursive,
-                        level: if recursive { level + 1 } else { level },
+                        level: if recursive { parent.level + 1 } else { parent.level },
                         id,
                     });
                 }
@@ -675,8 +692,12 @@ fn exists_atom(
 }
 
 /// Applies per-node projections to one molecule. Returns `None` when a
-/// qualified projection on the *root* rejects the whole molecule.
+/// qualified projection on the *root* rejects the whole molecule. A
+/// `SELECT ALL` molecule is returned as assembled.
 fn apply_projection(sys: &AccessSystem, q: &ResolvedQuery, m: Molecule) -> Option<Molecule> {
+    if q.select.per_node.iter().all(|p| matches!(p, NodeProjection::All)) {
+        return Some(m);
+    }
     #[allow(clippy::unwrap_used, clippy::expect_used)]
     fn project_node(
         sys: &AccessSystem,

@@ -124,23 +124,11 @@ impl PrimaBuilder {
 
     /// Enables the durability subsystem: a write-ahead log on the
     /// device's log area, WAL-before-data in the buffer, force-on-commit
-    /// and an initial checkpoint at build time. Requires a DDL-built
-    /// schema (the checkpoint snapshot stores the DDL source).
+    /// and an initial checkpoint at build time (the checkpoint snapshot
+    /// stores the DDL source).
     pub fn durable(mut self) -> Self {
         self.durable = true;
         self
-    }
-
-    /// Builds a kernel over an already-constructed schema. Durable
-    /// kernels must be built from DDL ([`PrimaBuilder::build_with_ddl`]):
-    /// the checkpoint snapshot persists the schema as its DDL source.
-    pub fn build_with_schema(self, schema: Schema) -> PrimaResult<Prima> {
-        if self.durable {
-            return Err(PrimaError::Recovery(
-                "a durable kernel needs the schema's DDL source; use build_with_ddl".into(),
-            ));
-        }
-        self.assemble(schema, None)
     }
 
     /// Builds a kernel from a MAD-DDL script.
@@ -151,7 +139,7 @@ impl PrimaBuilder {
             ddl::DdlError::Schema(s) => PrimaError::Schema(s),
         })?;
         let durable = self.durable;
-        let db = self.assemble(schema, Some(ddl_src.to_string()))?;
+        let db = self.assemble(schema, ddl_src.to_string())?;
         if durable {
             // Initial checkpoint: the catalog snapshot (with the freshly
             // created type segments) becomes the recovery base, so a
@@ -161,7 +149,7 @@ impl PrimaBuilder {
         Ok(db)
     }
 
-    fn assemble(self, schema: Schema, ddl_src: Option<String>) -> PrimaResult<Prima> {
+    fn assemble(self, schema: Schema, ddl_src: String) -> PrimaResult<Prima> {
         let device: Arc<dyn BlockDevice> = match self.device {
             Some(d) => d,
             None => Arc::new(SimDisk::new()),
@@ -202,9 +190,8 @@ pub struct Prima {
     txn: Arc<TxnManager>,
     stats: Arc<ApiStats>,
     obs: Arc<Obs>,
-    /// DDL source of the schema, kept for the checkpoint snapshot
-    /// (`None` on schema-built, necessarily volatile kernels).
-    ddl: Option<String>,
+    /// DDL source of the schema, kept for the checkpoint snapshot.
+    ddl: String,
     buffer_bytes: usize,
 }
 
@@ -299,7 +286,7 @@ impl Prima {
             txn,
             stats,
             obs,
-            ddl: Some(meta.ddl),
+            ddl: meta.ddl,
             buffer_bytes: meta.buffer_bytes as usize,
         };
         db.checkpoint()?;
@@ -327,16 +314,11 @@ impl Prima {
                 "checkpoint on a volatile kernel (build with .path()/.durable())".into(),
             ));
         }
-        let Some(ddl) = &self.ddl else {
-            return Err(PrimaError::Recovery(
-                "durable checkpoint requires a DDL-built schema".into(),
-            ));
-        };
         self.txn.quiesced(|| {
             let (next_segment, segments) = self.storage.segments_snapshot();
             let meta = KernelMeta {
                 buffer_bytes: self.buffer_bytes as u64,
-                ddl: ddl.clone(),
+                ddl: self.ddl.clone(),
                 next_segment,
                 segments,
                 type_segments: self.access.type_segments(),

@@ -356,7 +356,7 @@ impl TxnManager {
         // Referenced atoms receive implicit back-reference updates: lock
         // them exclusively first.
         for v in &values {
-            for target in v.referenced_ids() {
+            for &target in v.ref_ids() {
                 self.lock_atom_exclusive(t, target)?;
             }
         }
@@ -389,10 +389,10 @@ impl TxnManager {
         };
         for (i, v) in updates {
             let old = before.as_ref().and_then(|b| b.values.get(*i));
-            for target in old.map(Value::referenced_ids).unwrap_or_default() {
+            for &target in old.map_or(&[][..], Value::ref_ids) {
                 self.lock_atom_exclusive(t, target)?;
             }
-            for target in v.referenced_ids() {
+            for &target in v.ref_ids() {
                 self.lock_atom_exclusive(t, target)?;
             }
         }
@@ -403,7 +403,7 @@ impl TxnManager {
         self.lock_atom_exclusive(t, id)?;
         let before = self.sys.read_atom(id, None)?;
         for v in &before.values {
-            for target in v.referenced_ids() {
+            for &target in v.ref_ids() {
                 self.lock_atom_exclusive(t, target)?;
             }
         }

@@ -109,11 +109,11 @@ impl Value {
     }
 
     /// All atom ids this value refers to (empty for non-reference values).
-    pub fn referenced_ids(&self) -> Vec<AtomId> {
+    pub fn ref_ids(&self) -> &[AtomId] {
         match self {
-            Value::Ref(Some(id)) => vec![*id],
-            Value::RefSet(ids) => ids.clone(),
-            _ => Vec::new(),
+            Value::Ref(Some(id)) => std::slice::from_ref(id),
+            Value::RefSet(ids) => ids,
+            _ => &[],
         }
     }
 
@@ -288,10 +288,10 @@ mod tests {
     #[test]
     fn referenced_ids_cover_ref_kinds() {
         let a = AtomId::new(2, 7);
-        assert_eq!(Value::Ref(Some(a)).referenced_ids(), vec![a]);
-        assert_eq!(Value::Ref(None).referenced_ids(), Vec::<AtomId>::new());
-        assert_eq!(Value::ref_set(vec![a]).referenced_ids(), vec![a]);
-        assert!(Value::Int(3).referenced_ids().is_empty());
+        assert_eq!(Value::Ref(Some(a)).ref_ids(), [a]);
+        assert!(Value::Ref(None).ref_ids().is_empty());
+        assert_eq!(Value::ref_set(vec![a]).ref_ids(), [a]);
+        assert!(Value::Int(3).ref_ids().is_empty());
     }
 
     #[test]

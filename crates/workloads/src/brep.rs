@@ -274,13 +274,13 @@ mod tests {
         let schema = db.schema();
         let bt = schema.type_by_name("brep").unwrap();
         let faces = &brep.values[bt.attribute_index("faces").unwrap()];
-        assert_eq!(faces.referenced_ids().len(), 6);
+        assert_eq!(faces.ref_ids().len(), 6);
         assert_eq!(
-            brep.values[bt.attribute_index("edges").unwrap()].referenced_ids().len(),
+            brep.values[bt.attribute_index("edges").unwrap()].ref_ids().len(),
             12
         );
         assert_eq!(
-            brep.values[bt.attribute_index("points").unwrap()].referenced_ids().len(),
+            brep.values[bt.attribute_index("points").unwrap()].ref_ids().len(),
             8
         );
     }

@@ -16,7 +16,7 @@
 #[path = "common/reference.rs"]
 mod reference;
 
-use prima::{Molecule, Prima, QueryOptions, Value};
+use prima::{MolAtom, Molecule, Prima, QueryOptions, Value};
 use prima_access::{AccessError, Atom};
 use prima_mad::value::AtomId;
 use prima_workloads::brep::{self, BrepConfig};
@@ -278,6 +278,78 @@ fn shared_atoms_are_decoded_once() {
     });
     levels.sort_unstable();
     assert_eq!(levels, [1, 2], "one atom, two recursion levels");
+}
+
+/// `m` with every position mapped through `f`; a position `f` rejects
+/// drops with its subtree, as a qualified projection drops it.
+fn project_tree(ma: &MolAtom, f: &dyn Fn(&MolAtom) -> Option<Atom>) -> Option<MolAtom> {
+    let mut out = MolAtom::new(ma.node, ma.level, f(ma)?);
+    out.children = ma.children.iter().filter_map(|c| project_tree(c, f)).collect();
+    Some(out)
+}
+
+/// `SELECT ALL` delivers the molecule as assembled, so two positions
+/// share one decoded atom exactly when they hold the same id. Attribute
+/// projections, qualified projections and excluded nodes still project
+/// every position of that molecule.
+#[test]
+fn select_all_keeps_sharing_and_projections_still_project() {
+    let db = brep::open_db(16 << 20).unwrap();
+    brep::populate(&db, &BrepConfig::with_assembly(4, 2, 2)).unwrap();
+    let from = "FROM brep-face-edge-point WHERE brep_no = 2";
+    let all = exec::query(&db, &format!("SELECT ALL {from}")).unwrap();
+    assert_eq!(all.molecules.len(), 1);
+    let m = &all.molecules[0];
+    let mut positions = Vec::new();
+    m.for_each(|ma| positions.push(Arc::clone(&ma.atom)));
+    for a in &positions {
+        for b in &positions {
+            assert_eq!(Arc::ptr_eq(a, b), a.id == b.id, "{} / {}", a.id, b.id);
+        }
+    }
+
+    let node = |label: &str| all.node_id(label).unwrap();
+    let (face, point) = (node("face"), node("point"));
+    // brep_no, square_dim: attribute 1 of brep and of face; 0 is the id.
+    let expect = |f: &dyn Fn(&MolAtom) -> Option<Atom>| {
+        let root = project_tree(&m.root, f).unwrap();
+        vec![Molecule::new(root)]
+    };
+    let query = |select: &str| exec::query(&db, &format!("SELECT {select} {from}")).unwrap();
+
+    // An attribute projection on the root.
+    let got = query("brep_no, face, edge, point");
+    let want = expect(&|ma| {
+        Some(if ma.node == 0 { ma.atom.project(&[0, 1]) } else { (*ma.atom).clone() })
+    });
+    assert_eq!(got.molecules, want, "attribute projection");
+
+    // A qualified projection on the faces, with a threshold between the
+    // smallest and the largest face.
+    let mut areas: Vec<f64> =
+        m.atoms_of_node(face).iter().map(|a| a.values[1].as_real().unwrap()).collect();
+    areas.sort_by(f64::total_cmp);
+    let threshold = format!("{:.3}", (areas[0] + areas[areas.len() - 1]) / 2.0);
+    let t: f64 = threshold.parse().unwrap();
+    assert!(areas[0] <= t && t < areas[areas.len() - 1], "faces differ in area: {areas:?}");
+    let got = query(&format!(
+        "brep, (face := SELECT face_id, square_dim FROM face WHERE square_dim > {threshold}), \
+         edge, point"
+    ));
+    let want = expect(&|ma| match ma.node {
+        n if n == face => {
+            (ma.atom.values[1].as_real().unwrap() > t).then(|| ma.atom.project(&[0, 1]))
+        }
+        _ => Some((*ma.atom).clone()),
+    });
+    assert_eq!(got.molecules, want, "qualified projection");
+
+    // An excluded node keeps its identifier only.
+    let got = query("brep, face, edge");
+    let want = expect(&|ma| {
+        Some(if ma.node == point { ma.atom.project(&[0]) } else { (*ma.atom).clone() })
+    });
+    assert_eq!(got.molecules, want, "excluded node");
 }
 
 #[test]

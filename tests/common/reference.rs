@@ -6,7 +6,7 @@
 //! predicate is decidable on the root atom.
 
 use prima::datasys::{validate, NodeProjection, ResolvedQuery};
-use prima::{AccessSystem, Atom, AtomId, MolAtom, Molecule, Prima};
+use prima::{AccessSystem, Atom, AtomId, MolAtom, Molecule, Prima, Value};
 use prima_mad::mql::parse_query;
 use std::collections::HashSet;
 
@@ -47,7 +47,7 @@ fn expand(
     let mut out = MolAtom::new(node, level, atom);
     for (child, recursive) in edges {
         let attr = q.nodes[child].via.unwrap().from.attr;
-        let ids = out.atom.values.get(attr).map(|v| v.referenced_ids()).unwrap_or_default();
+        let ids = out.atom.values.get(attr).map_or(&[][..], Value::ref_ids).to_vec();
         for id in ids {
             if recursive && !ancestors.insert(id) {
                 continue;

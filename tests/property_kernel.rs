@@ -111,17 +111,17 @@ fn assert_symmetric(db: &Prima) {
     let ids = db.access().all_ids(t).unwrap();
     for id in &ids {
         let atom = db.read(*id).unwrap();
-        for target in atom.values[2].referenced_ids() {
+        for &target in atom.values[2].ref_ids() {
             let back = db.read(target).unwrap();
             assert!(
-                back.values[3].referenced_ids().contains(id),
+                back.values[3].ref_ids().contains(id),
                 "{id} -> {target} lacks back-reference"
             );
         }
-        for source in atom.values[3].referenced_ids() {
+        for &source in atom.values[3].ref_ids() {
             let fwd = db.read(source).unwrap();
             assert!(
-                fwd.values[2].referenced_ids().contains(id),
+                fwd.values[2].ref_ids().contains(id),
                 "{id} <- {source} lacks forward reference"
             );
         }
@@ -154,7 +154,7 @@ proptest! {
                         let from = live[a % live.len()];
                         let to = live[b % live.len()];
                         let atom = db.read(from).unwrap();
-                        let mut next = atom.values[2].referenced_ids();
+                        let mut next = atom.values[2].ref_ids().to_vec();
                         if !next.contains(&to) {
                             next.push(to);
                             db.modify(from, &[("next", Value::ref_set(next))]).unwrap();
@@ -167,8 +167,9 @@ proptest! {
                         let to = live[b % live.len()];
                         let atom = db.read(from).unwrap();
                         let next: Vec<AtomId> = atom.values[2]
-                            .referenced_ids()
-                            .into_iter()
+                            .ref_ids()
+                            .iter()
+                            .copied()
                             .filter(|x| *x != to)
                             .collect();
                         db.modify(from, &[("next", Value::ref_set(next))]).unwrap();
@@ -181,8 +182,8 @@ proptest! {
         let t = db.schema().type_id("node").unwrap();
         for id in db.access().all_ids(t).unwrap() {
             let atom = db.read(id).unwrap();
-            for r in atom.values[2].referenced_ids().into_iter()
-                .chain(atom.values[3].referenced_ids()) {
+            for &r in atom.values[2].ref_ids().iter()
+                .chain(atom.values[3].ref_ids()) {
                 prop_assert!(db.access().exists(r), "dangling {r}");
             }
         }
@@ -231,7 +232,7 @@ fn apply_in(txn: &Transaction, ty: AtomTypeId, live: &mut Vec<AtomId>, n: &mut i
         Op::Link(a, b) | Op::Unlink(a, b) => {
             if live.len() >= 2 {
                 let (from, to) = (live[a % live.len()], live[b % live.len()]);
-                let mut next = txn.read_atom(from).unwrap().values[2].referenced_ids();
+                let mut next = txn.read_atom(from).unwrap().values[2].ref_ids().to_vec();
                 next.retain(|x| *x != to);
                 if matches!(op, Op::Link(..)) {
                     next.push(to);

@@ -178,10 +178,10 @@ fn snapshot_sees_a_dirty_writers_back_reference_partners_as_committed() {
     let reader = db.session();
     let query = |mql: &str| reader.query(mql, &QueryOptions::default()).unwrap().set;
     let part = query("SELECT ALL FROM part WHERE part_no = 1");
-    assert_eq!(part.molecules[0].root.atom.values[5].referenced_ids(), vec![c1]);
+    assert_eq!(part.molecules[0].root.atom.values[5].ref_ids(), [c1]);
     let pt = query("SELECT ALL FROM pt WHERE n = 2");
     assert!(
-        pt.molecules[0].root.atom.values[3].referenced_ids().is_empty(),
+        pt.molecules[0].root.atom.values[3].ref_ids().is_empty(),
         "the partner's back-reference is as uncommitted as the reference"
     );
     let mol = query("SELECT ALL FROM pt-part WHERE n = 2");

@@ -84,14 +84,14 @@ fn delete_rollback_restores_references() {
     // access-layer read: `db.read` would rightly conflict with t's
     // exclusive lock — this inspects t's own uncommitted state.)
     let p = db.access().read_atom(parent, None).unwrap();
-    assert!(p.values[3].referenced_ids().is_empty());
+    assert!(p.values[3].ref_ids().is_empty());
     t.abort().unwrap();
     // Restored, including the association (both directions).
     assert!(db.access().exists(child));
     let p = db.read(parent).unwrap();
-    assert_eq!(p.values[3].referenced_ids(), vec![child]);
+    assert_eq!(p.values[3].ref_ids(), [child]);
     let c = db.read(child).unwrap();
-    assert_eq!(c.values[4].referenced_ids(), vec![parent]);
+    assert_eq!(c.values[4].ref_ids(), [parent]);
 }
 
 #[test]
