@@ -296,7 +296,7 @@ impl AccessSystem {
     /// recovery). Behaves like insert (integrity, keys, structures) but
     /// does not generate a fresh surrogate.
     pub fn restore_atom(&self, atom: Atom) -> AccessResult<()> {
-        self.insert_body(atom.id.atom_type, Some(atom.id), atom.values, None).map(drop)
+        self.insert_body(atom.id.atom_type, Some(atom.id), atom.values.into_vec(), None).map(drop)
     }
 
     /// The one insert body: under a fresh surrogate (`given` is `None`)
@@ -572,6 +572,7 @@ impl AccessSystem {
         // Positions whose slot was freed or reused since the address
         // table was read: re-read one by one, as `read_primary` decides.
         let mut reread = Vec::new();
+        let mut primary_hits = 0;
         for ((atom_type, page), entries) in groups {
             let store = self.store_of(atom_type)?;
             let slots: Vec<u16> = entries.iter().map(|(_, s)| *s).collect();
@@ -584,7 +585,7 @@ impl AccessSystem {
                 fail_pos = i;
                 match bytes.map(Atom::decode).transpose()? {
                     Some(atom) if atom.id == ids[i] => {
-                        self.stats.primary_reads.fetch_add(1, Ordering::Relaxed);
+                        primary_hits += 1;
                         out[i] = Some(match projection {
                             Some(proj) => atom.project(proj),
                             None => atom,
@@ -598,6 +599,7 @@ impl AccessSystem {
                 record_err(&mut first_err, fail_pos, e);
             }
         }
+        self.stats.primary_reads.fetch_add(primary_hits, Ordering::Relaxed);
         for i in reread {
             match self.read_atom(ids[i], projection) {
                 Ok(atom) => out[i] = Some(atom),
@@ -636,7 +638,7 @@ impl AccessSystem {
         let mut ptr = self.addresses.primary(id).ok_or(AccessError::NoSuchAtom(id))?;
         let store = self.store_of(id.atom_type)?;
         loop {
-            let read = store.file.read(ptr).and_then(|bytes| Atom::decode(&bytes));
+            let read = store.file.read_with(ptr, Atom::decode);
             if read.as_ref().is_ok_and(|atom| atom.id == id) {
                 return read;
             }
@@ -690,7 +692,7 @@ impl AccessSystem {
             return Err(AccessError::IdentifierImmutable(id));
         }
         let old = self.read_primary(id)?;
-        let mut new_values = old.values.clone();
+        let mut new_values = old.values.to_vec();
         for (i, v) in updates {
             if *i >= new_values.len() {
                 return Err(AccessError::BadAttribute { atom_type: id.atom_type, attr: *i });

@@ -235,7 +235,7 @@ mod tests {
             for source in [me, a, b] {
                 for add in [true, false] {
                     let op = BackRefOp { target: me, attr, add, source };
-                    let mut values = atom.values.clone();
+                    let mut values = atom.values.to_vec();
                     apply_backref(&mut values, &op);
                     let want = Atom::new(me, values).encode();
                     let got = splice_backref(&atom.encode(), &op).unwrap();

@@ -52,6 +52,6 @@ pub mod structures;
 
 pub use access_system::{AccessStats, AccessStatsSnapshot, AccessSystem, OnPreWrite, PreWrite, StructureId};
 pub use structures::{Structure, UpdatePolicy};
-pub use atom::Atom;
+pub use atom::{Atom, AtomRefs, Values};
 pub use error::{AccessError, AccessResult};
 pub use ssa::{CmpOp, Ssa};

@@ -80,7 +80,7 @@ impl Partition {
 
     /// Reads the projected atom stored at `ptr`.
     pub fn read(&self, ptr: RecordPtr) -> AccessResult<Atom> {
-        Atom::decode(&self.file.read(ptr)?)
+        self.file.read_with(ptr, Atom::decode)
     }
 
     /// The partition's record file (read by the partition scan).

@@ -271,8 +271,18 @@ impl RecordFile {
     /// Reads a record. A deleted or never-allocated slot reports as a
     /// missing record of this file's segment.
     pub fn read(&self, ptr: RecordPtr) -> AccessResult<Vec<u8>> {
+        self.read_with(ptr, |bytes| Ok(bytes.to_vec()))
+    }
+
+    /// [`RecordFile::read`], handing the record's bytes to `f` under the
+    /// page fix instead of copying them out.
+    pub fn read_with<T>(
+        &self,
+        ptr: RecordPtr,
+        f: impl FnOnce(&[u8]) -> AccessResult<T>,
+    ) -> AccessResult<T> {
         let g = self.storage.fix(PageId::new(self.segment, ptr.page))?;
-        page_read(g.payload_area(), ptr.slot).map(<[u8]>::to_vec).ok_or(self.missing(ptr))
+        f(page_read(g.payload_area(), ptr.slot).ok_or(self.missing(ptr))?)
     }
 
     fn missing(&self, ptr: RecordPtr) -> AccessError {

@@ -163,7 +163,7 @@ impl SortOrder {
 
     /// Reads the materialised copy at `ptr`.
     pub fn read_copy(&self, ptr: RecordPtr) -> AccessResult<Atom> {
-        Atom::decode(&self.file.read(ptr)?)
+        self.file.read_with(ptr, Atom::decode)
     }
 }
 

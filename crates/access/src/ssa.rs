@@ -84,28 +84,21 @@ pub enum Ssa {
 }
 
 impl Ssa {
-    /// Evaluates against an atom's value vector. Attributes projected away
-    /// (Null) behave like SQL: comparisons against them are false.
+    /// Evaluates against an atom's attribute values. Attributes projected
+    /// away (Null) behave like SQL: comparisons against them are false.
+    /// Only the attributes the SSA touches are read, so an atom still in
+    /// its record image decodes just those.
     pub fn eval(&self, atom: &Atom) -> bool {
-        self.eval_values(&atom.values)
-    }
-
-    /// Evaluates against a raw value vector.
-    pub fn eval_values(&self, values: &[Value]) -> bool {
         match self {
             Ssa::True => true,
-            Ssa::Cmp { attr, op, value } => match values.get(*attr) {
+            Ssa::Cmp { attr, op, value } => match atom.value(*attr).as_deref() {
                 None | Some(Value::Null) => false,
                 Some(v) => op.eval(v.total_cmp(value)),
             },
             Ssa::CmpParam { .. } => false,
-            Ssa::IsEmpty { attr } => {
-                values.get(*attr).is_some_and(prima_mad::Value::is_empty_like)
-            }
-            Ssa::NotEmpty { attr } => {
-                values.get(*attr).is_some_and(|v| !v.is_empty_like())
-            }
-            Ssa::Contains { attr, value } => match values.get(*attr) {
+            Ssa::IsEmpty { attr } => atom.value(*attr).is_some_and(|v| v.is_empty_like()),
+            Ssa::NotEmpty { attr } => atom.value(*attr).is_some_and(|v| !v.is_empty_like()),
+            Ssa::Contains { attr, value } => match atom.value(*attr).as_deref() {
                 Some(Value::RefSet(ids)) => match value {
                     Value::Ref(Some(id)) | Value::Id(id) => ids.contains(id),
                     _ => false,
@@ -115,9 +108,9 @@ impl Ssa {
                 }
                 _ => false,
             },
-            Ssa::And(ts) => ts.iter().all(|t| t.eval_values(values)),
-            Ssa::Or(ts) => ts.iter().any(|t| t.eval_values(values)),
-            Ssa::Not(t) => !t.eval_values(values),
+            Ssa::And(ts) => ts.iter().all(|t| t.eval(atom)),
+            Ssa::Or(ts) => ts.iter().any(|t| t.eval(atom)),
+            Ssa::Not(t) => !t.eval(atom),
         }
     }
 
@@ -201,8 +194,10 @@ mod tests {
     use super::*;
     use prima_mad::value::AtomId;
 
+    /// An atom read back from its record, so an SSA reads its
+    /// attributes from the image one by one.
     fn atom(values: Vec<Value>) -> Atom {
-        Atom::new(AtomId::new(0, 1), values)
+        Atom::decode(&Atom::new(AtomId::new(0, 1), values).encode()).unwrap()
     }
 
     #[test]

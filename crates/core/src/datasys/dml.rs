@@ -22,7 +22,7 @@
 //! lock what they will mutate, so the only guard here is the
 //! transaction's own `read_guard()`.
 
-use super::exec::execute;
+use super::exec::{execute, AssemblyPool};
 use super::validate::{resolve_ref, validate};
 use crate::error::{PrimaError, PrimaResult};
 use crate::txn::Transaction;
@@ -96,7 +96,7 @@ fn insert(sys: &AccessSystem, txn: &Transaction, stmt: &Insert) -> PrimaResult<D
 
 fn delete(sys: &AccessSystem, txn: &Transaction, stmt: &Delete) -> PrimaResult<DmlResult> {
     let resolved = validate(sys.schema(), &qualification(&stmt.from, stmt.predicate.as_ref()))?;
-    let set = execute(sys, &resolved, 1, txn.read_guard())?;
+    let set = execute(sys, &resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
     // Which structure nodes are deleted?
     let victim_nodes: Vec<usize> = match &stmt.only_components {
         None => (0..resolved.nodes.len()).collect(),
@@ -132,7 +132,7 @@ fn delete(sys: &AccessSystem, txn: &Transaction, stmt: &Delete) -> PrimaResult<D
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<DmlResult> {
     let resolved = validate(sys.schema(), &qualification(&stmt.from, stmt.predicate.as_ref()))?;
-    let set = execute(sys, &resolved, 1, txn.read_guard())?;
+    let set = execute(sys, &resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
     let mut modified = 0usize;
     for m in &set.molecules {
         for (target, expr) in &stmt.assignments {
@@ -205,6 +205,6 @@ fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<D
 /// Runs a sub-query and returns its molecules' root atom ids (the atoms a
 /// CONNECT/DISCONNECT refers to).
 fn root_ids(sys: &AccessSystem, q: &Query, txn: &Transaction) -> PrimaResult<Vec<AtomId>> {
-    let set = execute(sys, &validate(sys.schema(), q)?, 1, txn.read_guard())?;
+    let set = execute(sys, &validate(sys.schema(), q)?, 1, txn.read_guard(), &AssemblyPool::default())?;
     Ok(set.molecules.iter().map(|m| m.root.atom.id).collect())
 }

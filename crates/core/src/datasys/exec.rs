@@ -37,12 +37,18 @@
 //! of `k`.
 //!
 //! Molecules share sub-objects (Fig. 2.3: a point lies on three edges,
-//! an edge on two faces), so each molecule keeps a table of its decoded
-//! atoms by id. A level fetches only the ids not yet in the table — each
-//! distinct atom is locked, read, snapshot-resolved and decoded once per
-//! molecule — and every position referencing it holds the same
-//! `Arc<Atom>`. Positions keep their own structure node, recursion level
-//! and ancestor chain.
+//! an edge on two faces), so each molecule keeps a table of its atoms by
+//! id. A level fetches only the ids not yet in the table — each distinct
+//! atom is locked, read and snapshot-resolved once per molecule — and
+//! every position referencing it holds the same `Arc<Atom>`. Positions
+//! keep their own structure node, recursion level and ancestor chain.
+//!
+//! Assembly decodes nothing: an atom arrives as its checked record image
+//! ([`prima_access::Values`]), and the frontier's references are read
+//! from the bytes ([`Atom::ref_ids`]). A value is decoded when someone
+//! reads it — a residual predicate, a projection, the caller. The
+//! table, arena and frontier buffers come from the session's
+//! [`AssemblyPool`], so repeated statements stop regrowing them.
 //!
 //! Cycle safety for recursive edges uses per-path ancestor chains
 //! (immutable linked lists shared across siblings), which reproduce the
@@ -65,6 +71,7 @@ use prima_access::scan::Scan;
 use prima_access::ssa::Ssa;
 use prima_access::{AccessSystem, Atom, CmpOp, Structure};
 use prima_mad::mql::{Operand, Predicate};
+use prima_mad::schema::AtomType;
 use prima_mad::value::{AtomId, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -85,28 +92,22 @@ pub fn execute(
     q: &ResolvedQuery,
     threads: usize,
     guard: ReadGuard<'_>,
+    pool: &AssemblyPool,
 ) -> PrimaResult<MoleculeSet> {
     let (roots, clusters) = find_roots(sys, q, guard)?;
     let mut molecules = Vec::new();
     if threads <= 1 {
-        let mut ctx = AssemblyCtx::new(q);
-        for root in roots {
-            if let Some(m) = process_root(sys, q, root, &clusters, &mut ctx, guard)? {
-                molecules.push(m);
+        pool.with(|ctx| {
+            for root in roots {
+                if let Some(m) = process_root(sys, q, root, &clusters, ctx, guard)? {
+                    molecules.push(m);
+                }
             }
-        }
+            PrimaResult::Ok(())
+        })?;
     } else {
-        // Assembly scratch is recycled across DUs through a small pool,
-        // so the parallel path amortises per-molecule allocations like
-        // the serial one.
-        // lockrank: obs.3 — assembly-scratch recycling pool; popped/pushed
-        // transiently around each DU, never held while one runs.
-        let pool: Mutex<Vec<AssemblyCtx>> = Mutex::new_ranked(Vec::new(), rank::OBS + 3);
         let results = run_parallel(roots, threads, |root| {
-            let mut ctx = pool.lock().pop().unwrap_or_else(|| AssemblyCtx::new(q));
-            let r = process_root(sys, q, root, &clusters, &mut ctx, guard);
-            pool.lock().push(ctx);
-            r
+            pool.with(|ctx| process_root(sys, q, root, &clusters, ctx, guard))
         })?;
         molecules.extend(results.into_iter().flatten());
     }
@@ -153,7 +154,7 @@ pub(crate) fn process_root(
             ctx.table.entry(a.id).or_insert(Some(a));
         }
     }
-    let molecule = assemble_frontier(sys, root, ctx, guard)?;
+    let molecule = assemble_frontier(sys, q, root, ctx, guard)?;
     if let Some(res) = &q.residual {
         if !eval_residual(sys, q, &molecule, res)? {
             return Ok(None);
@@ -210,11 +211,9 @@ pub(crate) fn find_roots(
 /// type offers, which is recorded as the `path` attribute:
 /// `key_lookup(<attr>)`, `access_path(<index>)`,
 /// `partition_scan(<partition>)` or `type_scan`.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 fn root_candidates(sys: &AccessSystem, q: &ResolvedQuery) -> PrimaResult<Vec<Atom>> {
     let root_type = q.nodes[0].atom_type;
-    // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-    let at = sys.schema().atom_type(root_type).expect("resolved");
+    let at = node_type(sys, q, 0);
     let bounds = root_bounds(&q.root_ssa);
     // 1. KEYS_ARE equality -> direct lookup: a one-candidate access path.
     for b in &bounds {
@@ -299,38 +298,47 @@ fn covering_partition<'s>(
     })
 }
 
-/// Per-query assembly state: the expansion-edge table plus scratch
-/// buffers reused across all molecules of one query (fan-out-1 molecules
-/// are dominated by allocation churn otherwise).
+/// Assembly scratch: the buffers one molecule's assembly fills, kept
+/// across molecules (fan-out-1 molecules are dominated by allocation
+/// churn otherwise) and, through an [`AssemblyPool`], across statements.
+#[derive(Default)]
 pub(crate) struct AssemblyCtx {
-    /// Expansion edges per structure node.
-    edge_table: Vec<Vec<(usize, prima_mad::schema::Association, bool)>>,
-    /// Whether any node recurses (ancestor chains are skipped otherwise).
-    recursive_query: bool,
     arena: Vec<PendingAtom>,
     frontier: Vec<usize>,
     next_frontier: Vec<usize>,
     requests: Vec<FetchRequest>,
-    /// The current molecule's decoded atoms by id (`None`: invisible or
+    /// The current molecule's atoms by id (`None`: invisible or
     /// dangling), shared by every position that references them.
     table: HashMap<AtomId, Option<Arc<Atom>>, BuildHasherDefault<IdHasher>>,
     need: Vec<AtomId>,
     resolved: Vec<Option<Atom>>,
 }
 
-impl AssemblyCtx {
-    pub(crate) fn new(q: &ResolvedQuery) -> Self {
-        AssemblyCtx {
-            edge_table: (0..q.nodes.len()).map(|n| edges_of(q, n)).collect(),
-            recursive_query: q.nodes.iter().any(|n| n.recursive),
-            arena: Vec::new(),
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
-            requests: Vec::new(),
-            table: HashMap::default(),
-            need: Vec::new(),
-            resolved: Vec::new(),
-        }
+/// The assembly scratch of one session: taken by a statement (by each
+/// DU of a parallel one) and given back when it is done, so a prepared
+/// statement stops regrowing its buffers on every execution.
+pub struct AssemblyPool {
+    // lockrank: obs.3 — assembly-scratch pool; popped and pushed
+    // transiently around each use, never held while one runs.
+    free: Mutex<Vec<AssemblyCtx>>,
+}
+
+impl Default for AssemblyPool {
+    fn default() -> Self {
+        AssemblyPool { free: Mutex::new_ranked(Vec::new(), rank::OBS + 3) }
+    }
+}
+
+impl AssemblyPool {
+    /// Runs `f` on a scratch from the pool and gives it back, emptied
+    /// (it must not keep the last molecule's atoms alive).
+    fn with<R>(&self, f: impl FnOnce(&mut AssemblyCtx) -> R) -> R {
+        let mut ctx = self.free.lock().pop().unwrap_or_default();
+        let out = f(&mut ctx);
+        ctx.arena.clear();
+        ctx.table.clear();
+        self.free.lock().push(ctx);
+        out
     }
 }
 
@@ -354,27 +362,6 @@ impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
         self.0
     }
-}
-
-/// Expansion edges of one structure node: the node's children, plus — for
-/// a recursive node — its own incoming edge re-applied.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-fn edges_of(
-    q: &ResolvedQuery,
-    node_idx: usize,
-) -> Vec<(usize, prima_mad::schema::Association, bool)> {
-    let mut edges: Vec<(usize, prima_mad::schema::Association, bool)> = Vec::new();
-    for &c in &q.nodes[node_idx].children {
-        // lint: allow(error-hygiene, validation rejects non-root nodes without an association)
-        let assoc = q.nodes[c].via.expect("non-root nodes have via");
-        edges.push((c, assoc, q.nodes[c].recursive));
-    }
-    if q.nodes[node_idx].recursive {
-        // lint: allow(error-hygiene, validation rejects recursive nodes at the root)
-        let assoc = q.nodes[node_idx].via.expect("recursive nodes are non-root");
-        edges.push((node_idx, assoc, true));
-    }
-    edges
 }
 
 /// Immutable per-path ancestor chain: reproduces the depth-first ancestor
@@ -424,14 +411,14 @@ struct FetchRequest {
 /// children and advances.
 fn assemble_frontier(
     sys: &AccessSystem,
+    q: &ResolvedQuery,
     root: Arc<Atom>,
     ctx: &mut AssemblyCtx,
     guard: ReadGuard<'_>,
 ) -> PrimaResult<Molecule> {
     // Ancestor chains are only needed when the structure recurses.
-    let root_chain = ctx
-        .recursive_query
-        .then(|| Arc::new(AncestorChain { id: root.id, parent: None }));
+    let root_chain =
+        q.is_recursive().then(|| Arc::new(AncestorChain { id: root.id, parent: None }));
     ctx.arena.clear();
     ctx.arena.push(PendingAtom {
         node_idx: 0,
@@ -453,9 +440,15 @@ fn assemble_frontier(
         ctx.requests.clear();
         for &pi in &ctx.frontier {
             let parent = &ctx.arena[pi];
-            for &(child_idx, assoc, recursive) in &ctx.edge_table[parent.node_idx] {
-                let ids = parent.atom.values.get(assoc.from.attr).map_or(&[][..], Value::ref_ids);
-                for &id in ids {
+            // Expansion edges: the node's children, plus its own incoming
+            // edge re-applied when it recurses.
+            let node = &q.nodes[parent.node_idx];
+            let again = node.recursive.then_some(parent.node_idx);
+            for child_idx in node.children.iter().copied().chain(again) {
+                let child = &q.nodes[child_idx];
+                // Validation gives every non-root node an association.
+                let (Some(assoc), recursive) = (child.via, child.recursive) else { continue };
+                for id in parent.atom.ref_ids(assoc.from.attr) {
                     if recursive && chain_contains(&parent.ancestors, id) {
                         // Cycle guard for recursive structures ("solids are
                         // constructed using previously defined solids" — a
@@ -496,8 +489,9 @@ fn assemble_frontier(
         // base outcome (including a base miss: under a snapshot the
         // component may be concurrently deleted).
         sys.read_atoms_batch_into(&ctx.need, None, &mut ctx.resolved)?;
-        for (&id, base) in ctx.need.iter().zip(ctx.resolved.iter_mut()) {
-            ctx.table.insert(id, guard.resolve(id, base.take()).map(Arc::new));
+        guard.resolve_all(&ctx.need, &mut ctx.resolved);
+        for (&id, atom) in ctx.need.iter().zip(ctx.resolved.drain(..)) {
+            ctx.table.insert(id, atom.map(Arc::new));
         }
         ctx.next_frontier.clear();
         for r in ctx.requests.drain(..) {
@@ -637,15 +631,13 @@ fn count_matching(
     Ok(m.atoms_of_node(node).iter().filter(|a| ssa.eval(a)).count())
 }
 
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 fn quantifier_ssa(
     sys: &AccessSystem,
     q: &ResolvedQuery,
     node: usize,
     inner: &Predicate,
 ) -> PrimaResult<Ssa> {
-    // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-    let at = sys.schema().atom_type(q.nodes[node].atom_type).expect("resolved");
+    let at = node_type(sys, q, node);
     predicate_to_atom_ssa(inner, |attr| at.attribute_index(attr)).ok_or_else(|| {
         PrimaError::BadStatement(
             "quantifier body must be decidable on the quantified component".into(),
@@ -698,45 +690,28 @@ fn apply_projection(sys: &AccessSystem, q: &ResolvedQuery, m: Molecule) -> Optio
     if q.select.per_node.iter().all(|p| matches!(p, NodeProjection::All)) {
         return Some(m);
     }
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
     fn project_node(
         sys: &AccessSystem,
         q: &ResolvedQuery,
         mut ma: MolAtom,
     ) -> Option<MolAtom> {
-        let proj = q
-            .select
-            .per_node
-            .get(ma.node)
-            .cloned()
-            .unwrap_or(NodeProjection::All);
-        match proj {
-            NodeProjection::All => {}
-            NodeProjection::Attrs(attrs) => {
-                // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-                let at = sys.schema().atom_type(q.nodes[ma.node].atom_type).expect("resolved");
-                let mut keep = attrs.clone();
-                keep.push(at.identifier_index());
-                ma.atom = Arc::new(ma.atom.project(&keep));
-            }
-            NodeProjection::Qualified { attrs, ssa } => {
+        let keep = |attrs: &[usize]| {
+            let id = node_type(sys, q, ma.node).identifier_index();
+            attrs.iter().copied().chain([id]).collect::<Vec<_>>()
+        };
+        let kept = match q.select.per_node.get(ma.node) {
+            None | Some(NodeProjection::All) => None,
+            Some(NodeProjection::Attrs(attrs)) => Some(keep(attrs)),
+            Some(NodeProjection::Qualified { attrs, ssa }) => {
                 if !ssa.eval(&ma.atom) {
                     return None;
                 }
-                if let Some(attrs) = attrs {
-                    let at =
-                        // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-                        sys.schema().atom_type(q.nodes[ma.node].atom_type).expect("resolved");
-                    let mut keep = attrs.clone();
-                    keep.push(at.identifier_index());
-                    ma.atom = Arc::new(ma.atom.project(&keep));
-                }
+                attrs.as_deref().map(keep)
             }
-            NodeProjection::Exclude => {
-                // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-                let at = sys.schema().atom_type(q.nodes[ma.node].atom_type).expect("resolved");
-                ma.atom = Arc::new(ma.atom.project(&[at.identifier_index()]));
-            }
+            Some(NodeProjection::Exclude) => Some(keep(&[])),
+        };
+        if let Some(kept) = kept {
+            ma.atom = Arc::new(ma.atom.project(&kept));
         }
         ma.children = ma
             .children
@@ -746,4 +721,11 @@ fn apply_projection(sys: &AccessSystem, q: &ResolvedQuery, m: Molecule) -> Optio
         Some(ma)
     }
     project_node(sys, q, m.root).map(Molecule::new)
+}
+
+/// The atom type of plan node `node`.
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+fn node_type<'s>(sys: &'s AccessSystem, q: &ResolvedQuery, node: usize) -> &'s AtomType {
+    // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
+    sys.schema().atom_type(q.nodes[node].atom_type).expect("resolved")
 }

@@ -27,7 +27,7 @@ pub mod plan;
 pub mod validate;
 
 pub use dml::DmlResult;
-pub use exec::execute;
+pub use exec::{execute, AssemblyPool};
 pub use molecule::{MolAtom, Molecule, MoleculeSet, NodeInfo};
 pub use plan::{NodeProjection, ResolvedQuery};
 pub use validate::validate;

@@ -80,7 +80,7 @@
 //! never retry either (a stream's already-delivered prefix cannot be
 //! rolled back transparently).
 
-use crate::datasys::exec::{find_roots, node_infos, process_root, AssemblyCtx};
+use crate::datasys::exec::{find_roots, node_infos, process_root, AssemblyCtx, AssemblyPool};
 use crate::datasys::{self, DmlResult, Molecule, MoleculeSet, NodeInfo};
 use crate::datasys::plan::ResolvedQuery;
 use crate::datasys::validate::resolve_ref;
@@ -314,6 +314,8 @@ pub struct Session {
     profiling: AtomicBool,
     // lockrank: api.1
     last_profile: Mutex<Option<StatementProfile>>,
+    /// Molecule-assembly scratch, reused by the session's statements.
+    assembly: AssemblyPool,
 }
 
 impl Session {
@@ -332,6 +334,7 @@ impl Session {
             retry: RetryPolicy::default(),
             profiling: AtomicBool::new(false),
             last_profile: Mutex::new_ranked(None, rank::API + 1),
+            assembly: AssemblyPool::default(),
         }
     }
 
@@ -623,7 +626,7 @@ impl Session {
     fn run_select(&self, plan: &ResolvedQuery, opts: &QueryOptions) -> PrimaResult<QueryResult> {
         let snapshot = self.pin_read_snapshot();
         let set = self.with_read_guard(snapshot.as_ref(), |g| {
-            datasys::execute(&self.access, plan, opts.threads, g)
+            datasys::execute(&self.access, plan, opts.threads, g, &self.assembly)
         })?;
         Ok(QueryResult { set })
     }
@@ -1083,7 +1086,7 @@ impl<'s> MoleculeCursor<'s> {
         let (roots, clusters) = found?;
         Ok(MoleculeCursor {
             session,
-            ctx: AssemblyCtx::new(plan),
+            ctx: AssemblyCtx::default(),
             nodes: node_infos(plan),
             plan: plan.clone(),
             clusters,

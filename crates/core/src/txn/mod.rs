@@ -679,10 +679,17 @@ impl<'a> ReadGuard<'a> {
     /// One base read outcome (`None` = not in base) as this guard sees
     /// it: unchanged under a lock, resolved to the snapshot's version
     /// otherwise. `None` means the atom is not visible.
-    pub(crate) fn resolve(&self, id: AtomId, base: Option<Atom>) -> Option<Atom> {
-        match self.inner {
-            GuardInner::Locking { .. } => base,
-            GuardInner::Snapshot(s) => s.visible(id, base),
+    pub(crate) fn resolve(&self, id: AtomId, mut base: Option<Atom>) -> Option<Atom> {
+        self.resolve_all(&[id], std::slice::from_mut(&mut base));
+        base
+    }
+
+    /// [`ReadGuard::resolve`] of a batch, in place: `bases[i]` is the
+    /// base outcome for `ids[i]` (counted as one batch of snapshot
+    /// reads).
+    pub(crate) fn resolve_all(&self, ids: &[AtomId], bases: &mut [Option<Atom>]) {
+        if let GuardInner::Snapshot(s) = self.inner {
+            s.visible_all(ids, bases);
         }
     }
 

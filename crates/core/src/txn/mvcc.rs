@@ -345,15 +345,24 @@ impl VersionStore {
         self.gc_locked(&mut inner, 0);
     }
 
-    /// Resolves one base read for snapshot `seq` (module docs:
-    /// oldest entry with `end > seq`, else base).
-    pub fn resolve(&self, seq: u64, id: AtomId) -> Resolution {
-        self.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+    /// Resolves base reads for snapshot `seq` in place (module docs:
+    /// oldest entry with `end > seq`, else base): `bases[i]` is the base
+    /// outcome for `ids[i]` (`None` = not in base) and becomes what the
+    /// snapshot sees (`None` = not visible). One batch is one count of
+    /// `ids.len()` reads and at most one hold of the store's mutex.
+    pub fn resolve_all(&self, seq: u64, ids: &[AtomId], bases: &mut [Option<Atom>]) {
+        self.stats.snapshot_reads.fetch_add(ids.len() as u64, Ordering::Relaxed);
         if self.live_chains.load(Ordering::Acquire) == 0 {
-            return Resolution::Unchanged;
+            return;
         }
         let inner = self.inner.lock();
-        Self::resolve_locked(&inner, seq, id)
+        for (&id, base) in ids.iter().zip(bases) {
+            match Self::resolve_locked(&inner, seq, id) {
+                Resolution::Unchanged => {}
+                Resolution::Image(atom) => *base = Some(atom),
+                Resolution::Invisible => *base = None,
+            }
+        }
     }
 
     fn resolve_locked(inner: &Inner, seq: u64, id: AtomId) -> Resolution {
@@ -464,12 +473,15 @@ impl Snapshot {
     /// The version of `id` this snapshot sees, given the base read
     /// outcome (`None` = not in base). `None` means the atom is not
     /// visible at all.
-    pub fn visible(&self, id: AtomId, base: Option<Atom>) -> Option<Atom> {
-        match self.store.resolve(self.seq, id) {
-            Resolution::Unchanged => base,
-            Resolution::Image(atom) => Some(atom),
-            Resolution::Invisible => None,
-        }
+    pub fn visible(&self, id: AtomId, mut base: Option<Atom>) -> Option<Atom> {
+        self.visible_all(&[id], std::slice::from_mut(&mut base));
+        base
+    }
+
+    /// [`Snapshot::visible`] of a batch, in place: `bases[i]` is the base
+    /// outcome for `ids[i]`.
+    pub fn visible_all(&self, ids: &[AtomId], bases: &mut [Option<Atom>]) {
+        self.store.resolve_all(self.seq, ids, bases);
     }
 
     /// Visible atoms of `ty` a base scan cannot have delivered (see

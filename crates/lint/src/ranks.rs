@@ -17,7 +17,7 @@
 //! | `walgroup`  |  70  | storage system (WAL)  | group-commit coordinator (.0) |
 //! | `walio`     |  80  | storage system (WAL)  | device-append serialisation (.0), append buffer (.1) |
 //! | `storage`   |  90  | storage system        | segment-id allocator (.0), segment catalog (.1) |
-//! | `obs`       | 100  | (cross-cutting)       | slow log (.0), parallel queue/results/ctx pool (.1–.3) |
+//! | `obs`       | 100  | (cross-cutting)       | slow log (.0), parallel queue/results (.1–.2), assembly-scratch pool (.3) |
 //! | `device`    | 110  | devices               | block-device internals (exempt from the lock-across-I/O rule) |
 //!
 //! The runtime half of the checker lives in the vendored `parking_lot`

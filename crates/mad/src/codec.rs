@@ -6,12 +6,25 @@
 //!   used for physical records (atoms, partitions, cluster members). The
 //!   access system treats physical records as "byte strings of variable
 //!   length" (Section 3.2); this codec is how atoms become such strings.
-//!   [`skip_value`] steps over one value without building it, and
-//!   [`splice_backref`] edits one reference value of a record image in
-//!   place of a decode, change and encode: back-reference maintenance
-//!   adds or removes one id in the partner's bytes. Every length read
-//!   from a record is checked against the bytes left, so a corrupt image
-//!   is an error, never an allocation of what its bytes claim.
+//!   The format is also read without decoding it:
+//!   - [`check_values`] is the *checking walk*: it steps over a whole
+//!     record image, allocating nothing, and fails exactly where
+//!     [`decode_values`] fails, with the same error. An atom read from a
+//!     record is checked once and decoded only when a value is read, so
+//!     damage is an error at the read, never at a later value access.
+//!   - [`ref_ids`] is the *ref walk*: it steps over the values before a
+//!     reference attribute and yields that attribute's ids from the
+//!     bytes. Molecule assembly follows references this way.
+//!   - [`decode_values_where`] decodes only the values a projection
+//!     keeps, [`decode_value_at`] only the one a search argument reads;
+//!     [`skip_value`] steps over one value without building it.
+//!   - [`splice_backref`] edits one reference value of a record image in
+//!     place of a decode, change and encode: back-reference maintenance
+//!     adds or removes one id in the partner's bytes.
+//!
+//!   Every length read from a record is checked against the bytes left,
+//!   so a corrupt image is an error, never an allocation of what its
+//!   bytes claim.
 //! * [`encode_key`] — a *memcomparable* encoding: byte-wise lexicographic
 //!   comparison of encoded keys equals [`Value::total_cmp`] on the values.
 //!   B*-tree access paths and sort orders store these.
@@ -181,47 +194,127 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
 
 /// Decodes a record image produced by [`encode_values_into`].
 pub fn decode_values(buf: &[u8]) -> Result<Vec<Value>, CodecError> {
-    let mut pos = 0;
-    let n = get_len(buf, &mut pos)?;
-    let mut out = Vec::with_capacity(n.min(left(buf, pos)));
-    for _ in 0..n {
-        out.push(decode_value(buf, &mut pos)?);
-    }
-    Ok(out)
+    decode_values_where(buf, |_| true)
 }
 
 /// Advances `*pos` past one encoded value without building it: exactly
-/// the bytes [`decode_value`] would consume.
+/// the bytes [`decode_value`] would consume. Text is not checked for
+/// UTF-8 (see [`check_values`]).
 pub fn skip_value(buf: &[u8], pos: &mut usize) -> Result<(), CodecError> {
+    walk_value(buf, pos, false)
+}
+
+/// Checks a record image without building it: `Ok` exactly when
+/// [`decode_values`] decodes it, and otherwise the error that decode
+/// returns. Allocates nothing.
+pub fn check_values(buf: &[u8]) -> Result<(), CodecError> {
+    let mut pos = 0;
+    for _ in 0..get_len(buf, &mut pos)? {
+        walk_value(buf, &mut pos, true)?;
+    }
+    Ok(())
+}
+
+/// Steps over one value the way [`decode_value`] reads it, failing where
+/// it fails; text is checked for UTF-8 only when `utf8` is set.
+fn walk_value(buf: &[u8], pos: &mut usize, utf8: bool) -> Result<(), CodecError> {
+    let text = |buf: &[u8], pos: &mut usize| {
+        let n = get_len(buf, pos)?;
+        let bytes = take_slice(buf, pos, n)?;
+        if utf8 && std::str::from_utf8(bytes).is_err() {
+            return Err(CodecError::BadUtf8);
+        }
+        Ok(())
+    };
     let t = *buf.get(*pos).ok_or(CodecError::Truncated)?;
     *pos += 1;
     match t {
         tag::NULL | tag::BOOL_FALSE | tag::BOOL_TRUE | tag::REF_NONE => Ok(()),
         tag::ID | tag::REF_SOME => advance(buf, pos, ID_LEN),
         tag::INT | tag::REAL => advance(buf, pos, 8),
-        tag::STR => {
-            let n = get_len(buf, pos)?;
-            advance(buf, pos, n)
-        }
+        tag::STR => text(buf, pos),
         tag::REF_SET => {
             let n = get_len(buf, pos)?;
             advance(buf, pos, n.checked_mul(ID_LEN).ok_or(CodecError::Truncated)?)
         }
         tag::RECORD => {
             for _ in 0..get_len(buf, pos)? {
-                let ln = get_len(buf, pos)?;
-                advance(buf, pos, ln)?;
-                skip_value(buf, pos)?;
+                text(buf, pos)?;
+                walk_value(buf, pos, utf8)?;
             }
             Ok(())
         }
         tag::ARRAY | tag::SET | tag::LIST => {
             for _ in 0..get_len(buf, pos)? {
-                skip_value(buf, pos)?;
+                walk_value(buf, pos, utf8)?;
             }
             Ok(())
         }
         other => Err(CodecError::BadTag(other, *pos - 1)),
+    }
+}
+
+/// [`decode_values`] of only the values whose position `keep` accepts;
+/// the others decode as `Null` (their bytes are stepped over, unbuilt).
+pub fn decode_values_where(
+    buf: &[u8],
+    mut keep: impl FnMut(usize) -> bool,
+) -> Result<Vec<Value>, CodecError> {
+    let mut pos = 0;
+    let n = get_len(buf, &mut pos)?;
+    let mut out = Vec::with_capacity(n.min(left(buf, pos)));
+    for i in 0..n {
+        out.push(if keep(i) {
+            decode_value(buf, &mut pos)?
+        } else {
+            walk_value(buf, &mut pos, true)?;
+            Value::Null
+        });
+    }
+    Ok(out)
+}
+
+/// Decodes value `attr` of a record image alone, stepping over the
+/// values before it unbuilt; `None` if the image has no value `attr`.
+pub fn decode_value_at(buf: &[u8], attr: usize) -> Result<Option<Value>, CodecError> {
+    let Some(mut pos) = seek(buf, 0, attr)? else { return Ok(None) };
+    decode_value(buf, &mut pos).map(Some)
+}
+
+/// The ids value `attr` of a record image references: the ids
+/// [`Value::ref_ids`] gives for the decoded value, read from the bytes.
+/// Values before `attr` are stepped over, unbuilt; a value that is not a
+/// reference, or an `attr` out of range, references nothing.
+pub fn ref_ids(buf: &[u8], attr: usize) -> Result<RefIds<'_>, CodecError> {
+    let Some(mut pos) = seek(buf, 0, attr)? else { return Ok(RefIds::default()) };
+    let (n, mut at) = match *buf.get(pos).ok_or(CodecError::Truncated)? {
+        tag::REF_SOME => (1, pos + 1),
+        tag::REF_SET => {
+            pos += 1;
+            let n = get_len(buf, &mut pos)?;
+            (n, pos)
+        }
+        _ => (0, pos),
+    };
+    let len = n.checked_mul(ID_LEN).ok_or(CodecError::Truncated)?;
+    let (ids, _) = take_slice(buf, &mut at, len)?.as_chunks::<ID_LEN>();
+    Ok(RefIds(ids.iter()))
+}
+
+/// The ids of one reference value, decoded from its bytes one at a time
+/// ([`ref_ids`]).
+#[derive(Clone, Default)]
+pub struct RefIds<'a>(std::slice::Iter<'a, [u8; ID_LEN]>);
+
+impl Iterator for RefIds<'_> {
+    type Item = AtomId;
+
+    fn next(&mut self) -> Option<AtomId> {
+        self.0.next().map(atom_id_of)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
     }
 }
 
@@ -254,19 +347,12 @@ pub fn splice_backref_at(
     source: AtomId,
     add: bool,
 ) -> Result<Option<Vec<u8>>, CodecError> {
-    let mut pos = start;
-    if attr >= get_len(record, &mut pos)? {
-        return Ok(None);
-    }
-    for _ in 0..attr {
-        skip_value(record, &mut pos)?;
-    }
-    let at = pos;
+    let Some(at) = seek(record, start, attr)? else { return Ok(None) };
     let t = *record.get(at).ok_or(CodecError::Truncated)?;
     let id = atom_id_bytes(&source);
     let spliced = match (t, add) {
         (tag::REF_SET, _) => {
-            pos += 1;
+            let mut pos = at + 1;
             let n = get_len(record, &mut pos)?;
             let ids_at = pos;
             let len = n.checked_mul(ID_LEN).ok_or(CodecError::Truncated)?;
@@ -302,6 +388,20 @@ pub fn splice_backref_at(
         _ => return Ok(None),
     };
     Ok(Some(spliced))
+}
+
+/// Where value `attr` of the value-vector image at `buf[start..]`
+/// starts, stepping over the values before it; `None` if the image has
+/// no value `attr`.
+fn seek(buf: &[u8], start: usize, attr: usize) -> Result<Option<usize>, CodecError> {
+    let mut pos = start;
+    if attr >= get_len(buf, &mut pos)? {
+        return Ok(None);
+    }
+    for _ in 0..attr {
+        skip_value(buf, &mut pos)?;
+    }
+    Ok(Some(pos))
 }
 
 /// `record` with the bytes in `cut` replaced by `with`, concatenated.
@@ -791,6 +891,9 @@ mod tests {
                 add in any::<bool>(),
             ) {
                 let _ = decode_values(&bytes);
+                let _ = check_values(&bytes);
+                let _ = ref_ids(&bytes, attr);
+                let _ = decode_value_at(&bytes, attr);
                 let _ = skip_value(&bytes, &mut 0);
                 let _ = splice_backref(&bytes, attr, source, add);
             }
@@ -812,6 +915,54 @@ mod tests {
                     let _ = skip_value(damaged, &mut 4);
                     let _ = splice_backref(damaged, attr, source, true);
                     let _ = splice_backref(damaged, attr, source, false);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // The checking walk accepts exactly the images the decoder
+            // decodes, failing with the decoder's error, on images with
+            // bits flipped, cut short or extended. On an image it
+            // accepts, the projecting decode and the reference walk read
+            // what the full decode does.
+            #[test]
+            fn check_accepts_exactly_what_decode_decodes(
+                vs in arb_values(0..5),
+                flips in prop::collection::vec((any::<prop::sample::Index>(), 0u8..8), 0..3),
+                cut in (any::<bool>(), any::<prop::sample::Index>()),
+                tail in prop::collection::vec(any::<u8>(), 0..3),
+                kept in any::<u8>(),
+            ) {
+                let mut bytes = image(&vs);
+                for (at, bit) in flips {
+                    let i = at.index(bytes.len());
+                    bytes[i] ^= 1 << bit;
+                }
+                if let (true, at) = cut {
+                    bytes.truncate(at.index(bytes.len() + 1));
+                }
+                bytes.extend(tail);
+                let decoded = decode_values(&bytes);
+                prop_assert_eq!(check_values(&bytes), decoded.clone().map(drop));
+                if let Ok(all) = decoded {
+                    // Compared as images: `Real(NaN)` is unequal to itself.
+                    let keep = |i: usize| i < 8 && kept & (1 << i) != 0;
+                    let want: Vec<Value> = all
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| if keep(i) { v.clone() } else { Value::Null })
+                        .collect();
+                    let got = decode_values_where(&bytes, keep).unwrap();
+                    prop_assert_eq!(image(&got), image(&want));
+                    for attr in 0..=all.len() {
+                        let ids: Vec<AtomId> = ref_ids(&bytes, attr).unwrap().collect();
+                        prop_assert_eq!(&ids[..], all.get(attr).map_or(&[][..], Value::ref_ids));
+                        let one = decode_value_at(&bytes, attr).unwrap();
+                        let want = all.get(attr).map(|v| image(std::slice::from_ref(v)));
+                        prop_assert_eq!(one.map(|v| image(&[v])), want);
+                    }
                 }
             }
         }

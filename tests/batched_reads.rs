@@ -11,17 +11,27 @@
 //!   every position referencing it shares that one `Arc<Atom>`;
 //! * the batched path issues measurably fewer buffer fix calls at
 //!   fan-out >= 10 than the reference (counter-verified via
-//!   `Prima::metrics` deltas).
+//!   `Prima::metrics` deltas);
+//! * an atom that stays record bytes until a value is read is
+//!   transparent: every read path returns atoms equal to an eager decode
+//!   of their record, and an unchanged atom encodes back to its record
+//!   byte for byte.
 
 #[path = "common/reference.rs"]
 mod reference;
 
-use prima::{MolAtom, Molecule, Prima, QueryOptions, Value};
-use prima_access::{AccessError, Atom};
+use prima::{MolAtom, Molecule, Prima, QueryOptions, Structure, Value};
+use prima_access::multidim::DimRange;
+use prima_access::record_file::RecordFile;
+use prima_access::scan::Scan;
+use prima_access::{AccessError, Atom, Ssa};
+use prima_mad::codec;
 use prima_mad::value::AtomId;
 use prima_workloads::brep::{self, BrepConfig};
 use prima_workloads::exec;
+use prima_workloads::map::{self, MapConfig};
 use std::collections::{HashMap, HashSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 const DDL: &str = "
@@ -381,4 +391,146 @@ fn batched_assembly_issues_fewer_fix_calls_at_fanout_10() {
         batched * 2 <= per_atom,
         "batched path must at least halve fix calls at fan-out 10: {batched} vs {per_atom}"
     );
+}
+
+// ---------------------------------------------------------------------
+// The lazy atom is transparent
+// ---------------------------------------------------------------------
+
+/// Every primary record by atom id, read from the base files through a
+/// second handle on their segments: bytes no atom has touched.
+fn primary_records(db: &Prima) -> HashMap<AtomId, Vec<u8>> {
+    let mut out = HashMap::new();
+    for segment in db.access().type_segments() {
+        let file = RecordFile::attach(Arc::clone(db.access().storage()), segment).unwrap();
+        file.for_each(|_, bytes| {
+            out.insert(eager(bytes).id, bytes.to_vec());
+            Ok(())
+        })
+        .unwrap();
+    }
+    out
+}
+
+/// The atom a record holds, decoded eagerly: the id header, then
+/// `decode_values` of the rest.
+fn eager(record: &[u8]) -> Atom {
+    let (header, values) = record.split_at(10);
+    let seq = u64::from_le_bytes(header[2..].try_into().unwrap());
+    let id = AtomId::new(u16::from_le_bytes([header[0], header[1]]), seq);
+    Atom::new(id, codec::decode_values(values).unwrap())
+}
+
+/// `atom` equals the eager decode of its record (projected onto `proj`
+/// when given: a projection or a partition copy).
+fn assert_eager(records: &HashMap<AtomId, Vec<u8>>, atom: &Atom, proj: Option<&[usize]>, at: &str) {
+    let want = eager(&records[&atom.id]);
+    let want = match proj {
+        Some(proj) => want.project(proj),
+        None => want,
+    };
+    assert_eq!(*atom, want, "{at}: {}", atom.id);
+}
+
+#[test]
+fn lazy_atoms_equal_eager_decodes_on_every_read_path() {
+    let db = brep::open_db(16 << 20).unwrap();
+    brep::populate(&db, &BrepConfig::with_solids(4)).unwrap();
+    let records = primary_records(&db);
+    let ids: Vec<AtomId> = records.keys().copied().collect();
+    let sys = db.access();
+
+    // Direct and batched reads; an unchanged atom encodes to its record,
+    // before and after its values are read.
+    for (i, &id) in ids.iter().enumerate() {
+        let atom = sys.read_atom(id, None).unwrap();
+        if i % 2 == 0 {
+            assert_eq!(atom.encode(), records[&id], "unread {id}");
+        }
+        assert_eager(&records, &atom, None, "read_atom");
+        assert_eq!(atom.encode(), records[&id], "read {id}");
+        let proj = [1, 2];
+        assert_eager(&records, &sys.read_atom(id, Some(&proj)).unwrap(), Some(&proj), "projected");
+    }
+    for atom in read_batch(&db, &ids, None).iter().flatten() {
+        assert_eq!(atom.encode(), records[&atom.id], "batch {}", atom.id);
+        assert_eager(&records, atom, None, "batch");
+    }
+    let proj = [0, 1];
+    for atom in read_batch(&db, &ids, Some(&proj)).iter().flatten() {
+        assert_eager(&records, atom, Some(&proj), "projected batch");
+    }
+
+    // Cluster prefetch: every position of every molecule.
+    db.ldl("CREATE ATOM_CLUSTER cl_brep ON brep (faces, edges, points) PAGESIZE 1K").unwrap();
+    let q = "SELECT ALL FROM brep-face-edge-point WHERE brep_no > 0";
+    let (set, profile) = exec::query_profiled(&db, q).unwrap();
+    assert_eq!(profile.access("cluster"), Some("cl_brep"));
+    assert_eq!(set.molecules.len(), 4);
+    for m in &set.molecules {
+        m.for_each(|ma| assert_eager(&records, &ma.atom, None, "cluster prefetch"));
+    }
+
+    // A covering partition's copy.
+    let point = db.schema().type_id("point").unwrap();
+    sys.create_partition("p_point", point, vec![0, 1]).unwrap();
+    let before = db.metrics();
+    let proj = [1];
+    for &id in ids.iter().filter(|id| id.atom_type == point) {
+        assert_eager(&records, &sys.read_atom(id, Some(&proj)).unwrap(), Some(&proj), "partition");
+    }
+    assert!(db.metrics().delta(&before).access.partition_reads > 0, "the partition served");
+
+    // A snapshot's version image: a reader outside any transaction sees
+    // the before-image of an uncommitted modify.
+    let writer = db.session();
+    writer.begin().unwrap();
+    let solid = db.schema().type_id("solid").unwrap();
+    let victim = ids.iter().copied().find(|id| id.atom_type == solid).unwrap();
+    writer.modify_atom_named(victim, &[("description", Value::Str("dirty".into()))]).unwrap();
+    let seen = db.session().read_atom(victim).unwrap();
+    assert_eager(&records, &seen, None, "version image");
+    writer.rollback().unwrap();
+}
+
+#[test]
+fn lazy_atoms_equal_eager_decodes_through_every_scan() {
+    let db = map::open_db(32 << 20).unwrap();
+    map::populate(&db, &MapConfig { sheets: 2, grid: 4, seed: 21 }).unwrap();
+    db.ldl(
+        "CREATE PARTITION p_land ON region (region_no, land_use); \
+         CREATE SORT ORDER sox ON node (x); \
+         CREATE ACCESS PATH ap_no ON border (border_no); \
+         CREATE MULTIDIM ACCESS PATH g_xy ON node (x, y); \
+         CREATE ATOM_CLUSTER cl_sheet ON sheet (regions) PAGESIZE 1K",
+    )
+    .unwrap();
+    let records = primary_records(&db);
+    let sys = db.access();
+    let region = db.schema().type_id("region").unwrap();
+    let node = db.schema().type_id("node").unwrap();
+    let x = db.schema().atom_type(node).unwrap().attribute_index("x").unwrap();
+    let Some(Structure::Partition(part)) = sys.structure("p_land") else { panic!("no partition") };
+    let Some(Structure::BTree(ix)) = sys.structure("ap_no") else { panic!("no B*-tree") };
+    let Some(Structure::Grid(gx)) = sys.structure("g_xy") else { panic!("no grid") };
+    let Some(Structure::Cluster(ct)) = sys.structure("cl_sheet") else { panic!("no cluster") };
+    let ch = ct.characteristic_atoms()[0];
+    let (unbounded, all) = (Bound::Unbounded, [DimRange::all(), DimRange::all()]);
+    let scans: Vec<(&str, Scan, Option<&[usize]>)> = vec![
+        ("atom_type", Scan::atom_type(sys, region, Ssa::True).unwrap(), None),
+        ("partition", Scan::partition(sys, part.clone(), Ssa::True).unwrap(), Some(&[0, 1, 2])),
+        ("sort", Scan::sort(sys, node, &[x], Ssa::True, unbounded.clone(), unbounded.clone()).unwrap(), None),
+        ("access_path", Scan::access_path(sys, &ix, Ssa::True, unbounded.clone(), unbounded, false).unwrap(), None),
+        ("multidim", Scan::multidim(sys, &gx, Ssa::True, &all).unwrap(), None),
+        ("cluster_type", Scan::cluster_type(sys, ct.clone(), Ssa::True).unwrap(), None),
+        ("cluster", Scan::cluster(sys, &ct, ch, region, Ssa::True).unwrap(), None),
+        ("projected", Scan::atom_type(sys, node, Ssa::True).unwrap().project(vec![0, 2]), Some(&[0, 2])),
+    ];
+    for (kind, mut scan, proj) in scans {
+        let atoms = scan.collect_remaining().unwrap();
+        assert!(atoms.len() >= 2, "{kind}: {} atoms", atoms.len());
+        for atom in &atoms {
+            assert_eager(&records, atom, proj, kind);
+        }
+    }
 }
