@@ -73,9 +73,9 @@ use prima_access::{AccessSystem, Atom, CmpOp, Structure};
 use prima_mad::mql::{Operand, Predicate};
 use prima_mad::schema::AtomType;
 use prima_mad::value::{AtomId, Value};
+use prima_storage::IdBuildHasher;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -309,7 +309,7 @@ pub(crate) struct AssemblyCtx {
     requests: Vec<FetchRequest>,
     /// The current molecule's atoms by id (`None`: invisible or
     /// dangling), shared by every position that references them.
-    table: HashMap<AtomId, Option<Arc<Atom>>, BuildHasherDefault<IdHasher>>,
+    table: HashMap<AtomId, Option<Arc<Atom>>, IdBuildHasher>,
     need: Vec<AtomId>,
     resolved: Vec<Option<Atom>>,
 }
@@ -339,28 +339,6 @@ impl AssemblyPool {
         ctx.table.clear();
         self.free.lock().push(ctx);
         out
-    }
-}
-
-/// Multiplicative hashing for the molecule's `AtomId` table (FxHash's
-/// step: rotate, xor, multiply by an odd constant). An id is two
-/// integers the kernel hands out, not attacker-chosen input, so SipHash's
-/// flooding resistance buys nothing there.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-    fn write_u16(&mut self, n: u16) {
-        self.write_u64(u64::from(n));
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -96,12 +96,19 @@
 //! | `locktable` |  30  | data system           | granular lock table + wait queues |
 //! | `mvcc`      |  40  | data system           | version store |
 //! | `access`    |  50  | access system         | structure directory, registries, tree roots, grid files |
-//! | `buffer`    |  60  | storage system        | shard latches, frame locks, record-file maps |
+//! | `buffer`    |  60  | storage system        | shard latches, frame locks (one per buffer frame), record-file maps |
 //! | `walgroup`  |  70  | storage system (WAL)  | group-commit coordinator |
 //! | `walio`     |  80  | storage system (WAL)  | device-append serialisation, append buffer |
 //! | `storage`   |  90  | storage system        | segment-id allocator, segment catalog |
 //! | `obs`       | 100  | (cross-cutting)       | slow log, parallel work queues |
 //! | `device`    | 110  | devices               | block-device internals |
+//!
+//! A buffer frame's fix count and recovery LSN are atomics, not latched
+//! state. A fix increments the count under its shard latch; an unfix
+//! decrements it with no latch (an update guard first raises the
+//! recovery LSN with `fetch_max`). Only a fix takes a count from 0 to 1,
+//! so victim selection, which reads the counts under the latch, never
+//! evicts a page a guard holds.
 //!
 //! Two enforcers keep the table honest:
 //!

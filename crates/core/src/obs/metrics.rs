@@ -118,6 +118,14 @@ impl MetricsSnapshot {
                 self.buffer.pages_loaded, self.buffer.misses
             ),
         );
+        // A reused frame is an evicted one installed again.
+        check(
+            self.buffer.frames_reused <= self.buffer.evictions,
+            format!(
+                "buffer: frames_reused {} > evictions {}",
+                self.buffer.frames_reused, self.buffer.evictions
+            ),
+        );
         // I/O: chained blocks are double-counted into block_reads; a WAL
         // force always carries at least one appended byte.
         check(

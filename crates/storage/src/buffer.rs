@@ -33,6 +33,38 @@
 //! atom-read path in `prima-access` exists to drive the first number down
 //! toward the second.
 //!
+//! ## Frames: reusable slots
+//!
+//! A frame is one page's slot: the page behind its lock, the number of
+//! guards on it and the LSN of its newest log record. The kernel, not the
+//! allocator, decides how page memory moves:
+//!
+//! * **Fix** (under the shard latch): a hit increments the frame's fix
+//!   count and touches the LRU list. A miss takes a *spare* frame of its
+//!   page size, if the shard has one, reads the page into that frame's
+//!   block outside the latch (the device read overwrites every byte, and
+//!   [`Page::from_bytes`] verifies it), then installs the frame under the
+//!   latch again. A miss allocates only when there is no spare.
+//! * **Unfix** (no latch): a guard releases the page lock and decrements
+//!   the fix count — an update guard first raises the frame's recovery
+//!   LSN to its record's (`fetch_max`). Only a fix takes a count from 0
+//!   to 1, and it holds the latch, so a frame that victim selection reads
+//!   as unfixed under the latch stays unfixed until the latch is released.
+//! * **Eviction** (`make_room`, under the latch): the victim is written
+//!   back if it is dirty, then kept as a spare if nothing else holds it
+//!   (its `Arc` is unique: no guard between its decrement and its drop,
+//!   no flush writing it back). The spare list holds at most
+//!   `SPARE_FRAMES` (4) frames per shard, outside the byte budget; a full
+//!   list frees its oldest frame. A frame is reset when it is installed
+//!   again: fix count 1, recovery LSN 0, and the dirty bit lives in the
+//!   table, never in the frame.
+//! * [`BufferManager::fix_new`] takes a spare too and reformats it
+//!   (zero-filled, then a fresh header). Frames that leave through
+//!   [`BufferManager::discard`] or [`BufferManager::evict_all`] are freed.
+//!
+//! `frames_reused` counts installs of a spare, so it never exceeds
+//! `evictions`.
+//!
 //! ## Redo logging: an image first, then deltas
 //!
 //! On a WAL-attached pool an update guard logs its change when it is
@@ -46,20 +78,29 @@
 
 use crate::bytes::le_u64;
 use crate::error::{StorageError, StorageResult};
+use crate::hash::IdBuildHasher;
 use crate::page::{Page, PageId, PageSize, PageType};
 use crate::probe::{self, ProbeEvent};
 use crate::wal::{DeltaRange, Lsn, Wal, WalPayload, DELTA_RANGE_HEADER};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{rank, Mutex, RawRwLock, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where the buffer loads and stores pages. Implemented by the storage
 /// system over the (simulated) block device.
 pub trait PageStore: Send + Sync {
-    /// Reads the page image from external storage.
-    fn load(&self, id: PageId) -> StorageResult<Page>;
+    /// Reads page `id` into `block`, a block of the segment's page size
+    /// `size` that the device read overwrites whole, and verifies it
+    /// ([`Page::from_bytes`]). The buffer passes a recycled frame's block
+    /// here, so a miss allocates nothing.
+    fn load_into(&self, id: PageId, size: PageSize, block: Box<[u8]>) -> StorageResult<Page>;
+    /// Reads the page image from external storage into a fresh block.
+    fn load(&self, id: PageId) -> StorageResult<Page> {
+        let size = self.page_size_of(id.segment)?;
+        self.load_into(id, size, vec![0u8; size.bytes()].into_boxed_slice())
+    }
     /// Writes the page image back (the implementation re-checksums).
     fn store(&self, page: &mut Page) -> StorageResult<()>;
     /// Page size of the given segment.
@@ -92,24 +133,59 @@ crate::counter_family! {
         /// first — so `pages_loaded == misses` minus loads that failed
         /// with an error.
         counter pages_loaded,
+        /// Evicted frames installed again for another page (a miss or a
+        /// `fix_new` that allocated no frame): at most `evictions`.
+        counter frames_reused,
     }
 }
 
-// lockrank: buffer.0 — per-page frame locks, same rank as the shard
-// latches: the two interleave in *both* orders. Eviction write-locks an
-// unfixed victim frame while holding the shard latch (shard → frame), and
-// a caller holding a fixed page's guard may fix another page (frame →
-// shard). The cycle cannot close because a fixed frame (`fix_count > 0`)
-// is never chosen as a victim, so the frame locks taken under a shard
-// latch are disjoint from guards held by fixers — the pair is modelled as
-// one rank level, and peer frame guards (one batch read-holds several)
-// are likewise data-dependent.
-// lockrank-name: frame = buffer.0
-type FrameRef = Arc<RwLock<Page>>;
+/// Spare frames a shard keeps for its next misses (see the module docs).
+const SPARE_FRAMES: usize = 4;
+
+/// One page's slot; see the module docs for its lifecycle.
+struct Frame {
+    // lockrank: buffer.0 — per-page frame locks, same rank as the shard
+    // latches: the two interleave in *both* orders. Eviction write-locks an
+    // unfixed victim frame while holding the shard latch (shard → frame), and
+    // a caller holding a fixed page's guard may fix another page (frame →
+    // shard). The cycle cannot close because a fixed frame (`fix_count > 0`)
+    // is never chosen as a victim, and a spare is held by no one else, so
+    // the frame locks taken under a shard latch are disjoint from guards held
+    // by fixers — the pair is modelled as one rank level, and peer frame
+    // guards (one batch read-holds several) are likewise data-dependent.
+    // lockrank-name: frame = buffer.0
+    page: RwLock<Page>,
+    /// Guards alive on the frame: a fix increments it under the shard
+    /// latch, an unfix decrements it without (release, so a victim walk
+    /// that reads 0 sees the guard's `recovery_lsn`).
+    fix_count: AtomicU32,
+    /// LSN of the newest WAL page record of this frame. The write-ahead
+    /// invariant: the frame must not be stored while
+    /// `recovery_lsn > wal.flushed_lsn()`.
+    recovery_lsn: AtomicU64,
+}
+
+type FrameRef = Arc<Frame>;
 
 /// Every frame lock is built here so the rank rides along.
 fn new_frame(page: Page) -> FrameRef {
-    Arc::new(RwLock::new_ranked(page, rank::BUFFER))
+    Arc::new(Frame {
+        page: RwLock::new_ranked(page, rank::BUFFER),
+        fix_count: AtomicU32::new(0),
+        recovery_lsn: AtomicU64::new(0),
+    })
+}
+
+impl Frame {
+    fn is_fixed(&self) -> bool {
+        self.fix_count.load(Ordering::Acquire) > 0
+    }
+
+    /// Drops one fix; the guard's page lock is already released.
+    fn unfix(&self) {
+        let before = self.fix_count.fetch_sub(1, Ordering::Release);
+        debug_assert!(before > 0, "unfix without fix");
+    }
 }
 
 /// Sentinel for "no link" in the intrusive LRU list.
@@ -121,13 +197,8 @@ const RECENT_REMOVALS: usize = 64;
 struct FrameMeta {
     id: PageId,
     frame: FrameRef,
-    fix_count: u32,
     dirty: bool,
     size: PageSize,
-    /// LSN of the newest WAL page record of this frame. The write-ahead
-    /// invariant: the frame must not be stored while
-    /// `recovery_lsn > wal.flushed_lsn()`.
-    recovery_lsn: Lsn,
     /// Intrusive LRU links: arena indices of the neighbouring frames
     /// (towards LRU / towards MRU); `NIL` at the list ends.
     lru_prev: usize,
@@ -142,7 +213,7 @@ struct PoolInner {
     arena: Vec<Option<FrameMeta>>,
     free_slots: Vec<usize>,
     /// Page -> arena slot.
-    index: HashMap<PageId, usize>,
+    index: HashMap<PageId, usize, IdBuildHasher>,
     /// Head = least recently used, tail = most recently used.
     lru_head: usize,
     lru_tail: usize,
@@ -154,6 +225,12 @@ struct PoolInner {
     /// [`RECENT_REMOVALS`] of those removals, oldest first.
     removals: u64,
     recent_removals: VecDeque<PageId>,
+    /// Evicted frames waiting for a miss of their size, oldest first.
+    spares: Vec<(PageSize, FrameRef)>,
+    /// Evicted frames freed instead of kept or reused: held elsewhere, or
+    /// pushed out of a full spare list. While no load fails, `evictions`
+    /// is `frames_reused + dropped + spares.len()`.
+    dropped: u64,
 }
 
 impl PoolInner {
@@ -161,13 +238,15 @@ impl PoolInner {
         PoolInner {
             arena: Vec::new(),
             free_slots: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             lru_head: NIL,
             lru_tail: NIL,
             used_bytes: 0,
             dirty_count: 0,
             removals: 0,
             recent_removals: VecDeque::with_capacity(RECENT_REMOVALS),
+            spares: Vec::with_capacity(SPARE_FRAMES),
+            dropped: 0,
         }
     }
 
@@ -184,13 +263,26 @@ impl PoolInner {
         self.arena[slot].as_ref()
     }
 
-    fn get_mut(&mut self, id: PageId) -> Option<&mut FrameMeta> {
-        let slot = *self.index.get(&id)?;
-        self.arena[slot].as_mut()
-    }
-
     fn resident(&self) -> usize {
         self.index.len()
+    }
+
+    /// Fixes `id` if it is resident: one more fix, dirty if `for_update`,
+    /// moved to the MRU end.
+    fn fix_resident(&mut self, id: PageId, for_update: bool) -> Option<FrameRef> {
+        let slot = *self.index.get(&id)?;
+        let m = self.arena[slot].as_mut()?;
+        m.frame.fix_count.fetch_add(1, Ordering::Relaxed);
+        let frame = Arc::clone(&m.frame);
+        if for_update && !m.dirty {
+            m.dirty = true;
+            self.dirty_count += 1;
+        }
+        if self.lru_tail != slot {
+            self.lru_unlink(slot);
+            self.lru_push_tail(slot);
+        }
+        Some(frame)
     }
 
     /// Detaches `slot` from the LRU list (it must be linked).
@@ -235,27 +327,12 @@ impl PoolInner {
         self.lru_tail = slot;
     }
 
-    /// Moves the page to the MRU end — O(1).
-    fn touch(&mut self, id: PageId) {
-        if let Some(&slot) = self.index.get(&id) {
-            if self.lru_tail != slot {
-                self.lru_unlink(slot);
-                self.lru_push_tail(slot);
-            }
-        }
-    }
-
+    /// Installs `frame` as page `id`, fixed once: a recycled frame starts
+    /// over with no log record.
     fn insert_frame(&mut self, id: PageId, frame: FrameRef, dirty: bool, size: PageSize) {
-        let meta = FrameMeta {
-            id,
-            frame,
-            fix_count: 1,
-            dirty,
-            size,
-            recovery_lsn: 0,
-            lru_prev: NIL,
-            lru_next: NIL,
-        };
+        frame.fix_count.store(1, Ordering::Relaxed);
+        frame.recovery_lsn.store(0, Ordering::Relaxed);
+        let meta = FrameMeta { id, frame, dirty, size, lru_prev: NIL, lru_next: NIL };
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.arena[s] = Some(meta);
@@ -294,6 +371,26 @@ impl PoolInner {
         Some(meta)
     }
 
+    /// Keeps an evicted, clean frame of `size` for the next miss — if
+    /// nothing else holds it.
+    fn keep_spare(&mut self, size: PageSize, mut frame: FrameRef) {
+        if Arc::get_mut(&mut frame).is_none() {
+            self.dropped += 1;
+            return;
+        }
+        if self.spares.len() == SPARE_FRAMES {
+            self.spares.remove(0);
+            self.dropped += 1;
+        }
+        self.spares.push((size, frame));
+    }
+
+    /// The newest spare frame of `size`, if any.
+    fn take_spare(&mut self, size: PageSize) -> Option<FrameRef> {
+        let i = self.spares.iter().rposition(|(s, _)| *s == size)?;
+        Some(self.spares.remove(i).1)
+    }
+
     /// Least-recently-used page with no fixes, if any (the modified-LRU
     /// victim walk: skip fixed frames, oldest first).
     #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -302,7 +399,7 @@ impl PoolInner {
         while slot != NIL {
             // lint: allow(error-hygiene, intrusive LRU invariant: linked slots are occupied)
             let m = self.arena[slot].as_ref().expect("linked slot");
-            if m.fix_count == 0 {
+            if !m.frame.is_fixed() {
                 return Some(m.id);
             }
             slot = m.lru_next;
@@ -317,15 +414,6 @@ impl PoolInner {
 
     fn frames(&self) -> impl Iterator<Item = &FrameMeta> {
         self.arena.iter().flatten()
-    }
-
-    fn mark_dirty(&mut self, id: PageId) {
-        if let Some(m) = self.get_mut(id) {
-            if !m.dirty {
-                m.dirty = true;
-                self.dirty_count += 1;
-            }
-        }
     }
 
     /// Pages from LRU to MRU (test/diagnostic use).
@@ -355,7 +443,7 @@ pub struct BufferManager {
     capacity_bytes: usize,
     // lockrank: buffer.0 — shard latches.
     // lockrank-name: shard = buffer.0
-    shards: Vec<Arc<Mutex<PoolInner>>>,
+    shards: Vec<Mutex<PoolInner>>,
     shard_capacity: usize,
     stats: Arc<BufferStats>,
     /// When present, updates are WAL-logged: every unfix of an update
@@ -386,7 +474,7 @@ impl BufferManager {
             store,
             capacity_bytes,
             shards: (0..shards)
-                .map(|_| Arc::new(Mutex::new_ranked(PoolInner::new(), rank::BUFFER)))
+                .map(|_| Mutex::new_ranked(PoolInner::new(), rank::BUFFER))
                 .collect(),
             shard_capacity,
             stats: Arc::new(BufferStats::default()),
@@ -402,7 +490,7 @@ impl BufferManager {
         self
     }
 
-    fn shard(&self, id: PageId) -> &Arc<Mutex<PoolInner>> {
+    fn shard(&self, id: PageId) -> &Mutex<PoolInner> {
         if self.shards.len() == 1 {
             return &self.shards[0];
         }
@@ -436,7 +524,7 @@ impl BufferManager {
     pub fn fixed_frames(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().frames().filter(|m| m.fix_count > 0).count())
+            .map(|s| s.lock().frames().filter(|m| m.frame.is_fixed()).count())
             .sum()
     }
 
@@ -451,8 +539,8 @@ impl BufferManager {
         probe::observed(ProbeEvent::BufferFix, || {
             self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
             let frame = self.fix_frame(id, false)?;
-            let lock = frame.read_arc();
-            Ok(PageGuard { lock: Some(lock), pool: Arc::clone(self.shard(id)), id })
+            let lock = frame.page.read_arc();
+            Ok(PageGuard { lock: Some(lock), frame, id })
         })
     }
 
@@ -461,14 +549,14 @@ impl BufferManager {
         probe::observed(ProbeEvent::BufferFix, || {
             self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
             let frame = self.fix_frame(id, true)?;
-            let lock = frame.write_arc();
+            let lock = frame.page.write_arc();
             // A page with a record in the log changes by delta: keep its
             // pre-image to diff against at unfix.
             let log = self.guard_wal(id).map(|wal| {
                 let before = (lock.lsn() >= wal.reset_lsn()).then(|| lock.as_bytes().into());
                 RedoLog { wal, before }
             });
-            Ok(PageGuardMut { lock: Some(lock), pool: Arc::clone(self.shard(id)), id, log })
+            Ok(PageGuardMut { lock: Some(lock), frame, id, log })
         })
     }
 
@@ -483,30 +571,35 @@ impl BufferManager {
         let probe_t = probe::timer();
         self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
         let size = self.store.page_size_of(id.segment)?;
-        let page = Page::new(id, size, ptype);
-        let frame = {
+        let (frame, resident) = {
             let mut inner = self.shard(id).lock();
-            if let Some(m) = inner.get_mut(id) {
-                // Re-use of a freed page number: overwrite in place.
-                m.fix_count += 1;
-                let f = Arc::clone(&m.frame);
-                inner.mark_dirty(id);
-                inner.touch(id);
-                drop(inner);
-                *f.write() = page;
-                f
-            } else {
-                self.make_room(&mut inner, size.bytes())?;
-                let f: FrameRef = new_frame(page);
-                inner.insert_frame(id, Arc::clone(&f), true, size);
-                f
+            match inner.fix_resident(id, true) {
+                Some(frame) => (frame, true),
+                None => {
+                    self.make_room(&mut inner, size.bytes())?;
+                    let frame = match inner.take_spare(size) {
+                        Some(spare) => {
+                            // A spare is held by no one else: its lock is free.
+                            spare.page.write().reformat(id, ptype);
+                            self.stats.frames_reused.fetch_add(1, Ordering::Relaxed);
+                            spare
+                        }
+                        None => new_frame(Page::new(id, size, ptype)),
+                    };
+                    inner.insert_frame(id, Arc::clone(&frame), true, size);
+                    (frame, false)
+                }
             }
         };
-        let lock = frame.write_arc();
+        let mut lock = frame.page.write_arc();
+        if resident {
+            // Re-use of a freed page number: overwrite in place.
+            lock.reformat(id, ptype);
+        }
         probe::emit_elapsed(probe_t, ProbeEvent::BufferFix, 0);
         // A new page is always a first change: it logs a full image.
         let log = self.guard_wal(id).map(|wal| RedoLog { wal, before: None });
-        Ok(PageGuardMut { lock: Some(lock), pool: Arc::clone(self.shard(id)), id, log })
+        Ok(PageGuardMut { lock: Some(lock), frame, id, log })
     }
 
     /// Drops a page from the buffer without write-back (used when the page
@@ -514,7 +607,7 @@ impl BufferManager {
     pub fn discard(&self, id: PageId) -> StorageResult<()> {
         let mut inner = self.shard(id).lock();
         if let Some(m) = inner.get(id) {
-            if m.fix_count > 0 {
+            if m.frame.is_fixed() {
                 return Err(StorageError::FixConflict(id.desc()));
             }
             inner.remove_frame(id);
@@ -542,7 +635,7 @@ impl BufferManager {
                 v
             };
             for frame in &dirty {
-                let mut page = frame.write();
+                let mut page = frame.page.write();
                 // WAL before data, checked *under* the frame's write
                 // lock: a concurrent updater either finished before we
                 // acquired it (its page image is already appended, the
@@ -567,7 +660,7 @@ impl BufferManager {
         for shard in &self.shards {
             let mut inner = shard.lock();
             let victims: Vec<PageId> =
-                inner.frames().filter(|m| m.fix_count == 0).map(|m| m.id).collect();
+                inner.frames().filter(|m| !m.frame.is_fixed()).map(|m| m.id).collect();
             for id in victims {
                 inner.remove_frame(id);
             }
@@ -576,36 +669,38 @@ impl BufferManager {
     }
 
     fn fix_frame(&self, id: PageId, for_update: bool) -> StorageResult<FrameRef> {
-        let mut since = {
-            let mut inner = self.shard(id).lock();
-            if let Some(m) = inner.get_mut(id) {
-                m.fix_count += 1;
-                let f = Arc::clone(&m.frame);
-                if for_update {
-                    inner.mark_dirty(id);
-                }
-                inner.touch(id);
+        let shard = self.shard(id);
+        let (mut since, size, spare) = {
+            let mut inner = shard.lock();
+            if let Some(frame) = inner.fix_resident(id, for_update) {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(f);
+                return Ok(frame);
             }
-            inner.removals
+            let size = self.store.page_size_of(id.segment)?;
+            (inner.removals, size, inner.take_spare(size))
         };
+        let reused = spare.is_some();
+        let frame = spare.unwrap_or_else(|| new_frame(Page::new(id, size, PageType::Free)));
         loop {
-            // Miss: load from device outside the pool lock, then install.
+            // Miss: load from device outside the pool latch, then install.
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            let page = probe::observed(ProbeEvent::PageLoad, || self.store.load(id))?;
+            {
+                // Until it is installed the frame is this thread's alone,
+                // so its lock blocks no one while the device reads.
+                let mut page = frame.page.write();
+                let block = page.take_block();
+                *page = probe::observed(ProbeEvent::PageLoad, || {
+                    self.store.load_into(id, size, block)
+                })?;
+            }
             self.stats.pages_loaded.fetch_add(1, Ordering::Relaxed);
-            let size = page.size();
-            let mut inner = self.shard(id).lock();
-            if let Some(m) = inner.get_mut(id) {
+            let mut inner = shard.lock();
+            if let Some(installed) = inner.fix_resident(id, for_update) {
                 // Someone installed it while we were loading.
-                m.fix_count += 1;
-                let f = Arc::clone(&m.frame);
-                if for_update {
-                    inner.mark_dirty(id);
+                if reused {
+                    inner.keep_spare(size, frame);
                 }
-                inner.touch(id);
-                return Ok(f);
+                return Ok(installed);
             }
             if inner.removed_since(id, since) {
                 // Another thread installed, changed and wrote back the
@@ -614,21 +709,24 @@ impl BufferManager {
                 continue;
             }
             self.make_room(&mut inner, size.bytes())?;
-            let f: FrameRef = new_frame(page);
-            inner.insert_frame(id, Arc::clone(&f), for_update, size);
-            return Ok(f);
+            if reused {
+                self.stats.frames_reused.fetch_add(1, Ordering::Relaxed);
+            }
+            inner.insert_frame(id, Arc::clone(&frame), for_update, size);
+            return Ok(frame);
         }
     }
 
     /// The modified-LRU core: evict least-recently-used *unfixed* pages
-    /// until `need` more bytes fit within the (shard's) byte budget.
+    /// until `need` more bytes fit within the (shard's) byte budget. Each
+    /// victim, written back if dirty, becomes a spare frame.
     #[allow(clippy::unwrap_used, clippy::expect_used)]
     fn make_room(&self, inner: &mut PoolInner, need: usize) -> StorageResult<()> {
         while inner.used_bytes + need > self.shard_capacity {
             let Some(vid) = inner.lru_victim() else {
                 let unfixable: usize = inner
                     .frames()
-                    .filter(|m| m.fix_count == 0)
+                    .filter(|m| !m.frame.is_fixed())
                     .map(|m| m.size.bytes())
                     .sum();
                 return Err(StorageError::BufferExhausted { needed: need, unfixable });
@@ -640,14 +738,15 @@ impl BufferManager {
                 // WAL before data (steal policy: uncommitted changes may
                 // be evicted, their undo records are already logged).
                 if let Some(wal) = &self.wal {
-                    if meta.recovery_lsn > wal.flushed_lsn() {
+                    if meta.frame.recovery_lsn.load(Ordering::Relaxed) > wal.flushed_lsn() {
                         wal.force()?;
                     }
                 }
-                let mut page = meta.frame.write();
+                let mut page = meta.frame.page.write();
                 self.store.store(&mut page)?;
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
+            inner.keep_spare(meta.size, meta.frame);
         }
         Ok(())
     }
@@ -660,18 +759,16 @@ impl BufferManager {
 /// Shared read access to a fixed page. Dropping the guard unfixes the page.
 pub struct PageGuard {
     lock: Option<ArcRwLockReadGuard<RawRwLock, Page>>,
-    // lockrank: buffer.0 — handle to the owning shard (`shards`), relocked on drop.
-    pool: Arc<Mutex<PoolInner>>,
+    frame: FrameRef,
     id: PageId,
 }
 
 /// Exclusive write access to a fixed page. Dropping the guard unfixes it;
 /// on a WAL-attached pool the drop also logs the change (see the module
-/// docs) and stamps the frame's `recovery_lsn`.
+/// docs) and raises the frame's `recovery_lsn`.
 pub struct PageGuardMut {
     lock: Option<ArcRwLockWriteGuard<RawRwLock, Page>>,
-    // lockrank: buffer.0 — handle to the owning shard (`shards`), relocked on drop.
-    pool: Arc<Mutex<PoolInner>>,
+    frame: FrameRef,
     id: PageId,
     /// `None` on a volatile pool or an unlogged segment.
     log: Option<RedoLog>,
@@ -809,36 +906,25 @@ impl PageGuardMut {
     }
 }
 
-fn unfix(pool: &Mutex<PoolInner>, id: PageId, recovery_lsn: Lsn) {
-    let mut inner = pool.lock();
-    if let Some(m) = inner.get_mut(id) {
-        debug_assert!(m.fix_count > 0, "unfix without fix on {id}");
-        m.fix_count = m.fix_count.saturating_sub(1);
-        if recovery_lsn > m.recovery_lsn {
-            m.recovery_lsn = recovery_lsn;
-        }
-    }
-}
-
 impl Drop for PageGuard {
     fn drop(&mut self) {
         self.lock.take();
-        unfix(&self.pool, self.id, 0);
+        self.frame.unfix();
     }
 }
 
 impl Drop for PageGuardMut {
     fn drop(&mut self) {
         // Physical redo: log the change while we still hold the frame
-        // exclusively, then record the LSN on the frame so flush/eviction
-        // can enforce write-ahead. The checksum is left stale: write-back
-        // and redo recompute it.
-        let mut lsn: Lsn = 0;
+        // exclusively, then raise the frame's recovery LSN so
+        // flush/eviction can enforce write-ahead. The checksum is left
+        // stale: write-back and redo recompute it.
         if let (Some(log), Some(page)) = (&self.log, self.lock.as_deref_mut()) {
-            lsn = log.append(self.id, page);
+            let lsn = log.append(self.id, page);
+            self.frame.recovery_lsn.fetch_max(lsn, Ordering::Relaxed);
         }
         self.lock.take();
-        unfix(&self.pool, self.id, lsn);
+        self.frame.unfix();
     }
 }
 
@@ -867,11 +953,14 @@ mod tests {
     }
 
     impl PageStore for TestStore {
-        fn load(&self, id: PageId) -> StorageResult<Page> {
-            let size = self.page_size_of(id.segment)?;
-            let mut buf = vec![0u8; size.bytes()].into_boxed_slice();
-            self.disk.read_block(BlockAddr::new(id.segment, id.page), &mut buf)?;
-            Page::from_bytes(id, size, buf)
+        fn load_into(
+            &self,
+            id: PageId,
+            size: PageSize,
+            mut block: Box<[u8]>,
+        ) -> StorageResult<Page> {
+            self.disk.read_block(BlockAddr::new(id.segment, id.page), &mut block)?;
+            Page::from_bytes(id, size, block)
         }
 
         fn store(&self, page: &mut Page) -> StorageResult<()> {
@@ -1253,8 +1342,8 @@ mod tests {
     }
 
     impl PageStore for SlowStore {
-        fn load(&self, id: PageId) -> StorageResult<Page> {
-            let page = self.inner.load(id)?;
+        fn load_into(&self, id: PageId, size: PageSize, block: Box<[u8]>) -> StorageResult<Page> {
+            let page = self.inner.load_into(id, size, block)?;
             if id == self.held {
                 let hold = self.hold.lock().unwrap().take();
                 if let Some((loaded, release)) = hold {
@@ -1305,6 +1394,157 @@ mod tests {
         });
         let d = buf.stats().snapshot();
         assert!(d.pages_loaded <= d.misses, "a re-read counts as a miss");
+    }
+
+    /// What a pool of [`TestStore`] pages must show: each page's payload
+    /// in the pool (`current`) and on the device, and, for resident
+    /// pages, the dirty bit and whether a logged change hit the page
+    /// since it was loaded (then its recovery LSN is its header LSN, else
+    /// 0).
+    #[derive(Default)]
+    struct FrameModel {
+        current: HashMap<PageId, Vec<u8>>,
+        device: HashMap<PageId, Vec<u8>>,
+        dirty: HashMap<PageId, bool>,
+        logged: HashMap<PageId, bool>,
+    }
+
+    /// Resident pages and their dirty bits, read from the pool.
+    fn residents(buf: &BufferManager) -> HashMap<PageId, bool> {
+        buf.shards[0].lock().frames().map(|m| (m.id, m.dirty)).collect()
+    }
+
+    /// Checks every resident frame (and every frame the test holds a
+    /// handle to) against the model, plus the pool's fix and frame
+    /// accounting.
+    fn check_frames(
+        buf: &BufferManager,
+        model: &FrameModel,
+        held: &[(PageId, FrameRef, usize)],
+        step: usize,
+    ) {
+        let inner = buf.shards[0].lock();
+        for m in inner.frames() {
+            let page = m.frame.page.read();
+            assert_eq!(page.id(), m.id, "step {step}: frame of {} holds page {}", m.id, page.id());
+            assert_eq!(page.size(), m.size, "step {step}: size of {}", m.id);
+            let want = model.current.get(&m.id).map_or(&[][..], Vec::as_slice);
+            assert_eq!(page.payload(), want, "step {step}: bytes of {}", m.id);
+            assert_eq!(m.dirty, model.dirty[&m.id], "step {step}: dirty bit of {}", m.id);
+            let lsn = if model.logged[&m.id] { page.lsn() } else { 0 };
+            assert_ne!(lsn, Lsn::MAX);
+            assert_eq!(
+                m.frame.recovery_lsn.load(Ordering::Relaxed),
+                lsn,
+                "step {step}: recovery LSN of {}",
+                m.id
+            );
+        }
+        for (id, frame, _) in held {
+            let now = frame.page.read().id();
+            assert_eq!(now, *id, "step {step}: a held frame was handed to another page");
+        }
+        let d = buf.stats().snapshot();
+        assert!(d.frames_reused <= d.evictions);
+        assert_eq!(
+            d.evictions,
+            d.frames_reused + inner.dropped + inner.spares.len() as u64,
+            "step {step}: evictions are reused, dropped or spare frames"
+        );
+        drop(inner);
+        assert_eq!(buf.fixed_frames(), 0, "step {step}: a fix outlived its guard");
+    }
+
+    /// Frames are recycled across pages of two sizes in a pool of a few
+    /// pages: random fixes, updates, new pages, discards, flushes and
+    /// evictions, while the test now and then holds a frame handle the
+    /// way a flush in flight does. After every step no page shows
+    /// another page's bytes, dirty bit or recovery LSN.
+    #[test]
+    fn recycled_frames_never_leak_state() {
+        let sizes = [PageSize::Half, PageSize::K1];
+        let pages_per_segment = [7u32, 4];
+        for seed in 1..=24u64 {
+            let log: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
+            let wal = Wal::new(Arc::clone(&log));
+            let buf = BufferManager::new(TestStore::new(&sizes), 3 * 1024).attach_wal(wal);
+            let mut model = FrameModel::default();
+            let mut held: Vec<(PageId, FrameRef, usize)> = Vec::new();
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ seed.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for step in 0..400 {
+                let r = next();
+                let seg = (r % 2) as u32;
+                let page = id(seg, ((r >> 8) % u64::from(pages_per_segment[seg as usize])) as u32);
+                let before = residents(&buf);
+                let op = (r >> 16) % 16;
+                match op {
+                    0..=5 => {
+                        let g = buf.fix(page).unwrap();
+                        let want = model.current.get(&page).map_or(&[][..], Vec::as_slice);
+                        assert_eq!(g.payload(), want, "step {step}: fix of {page}");
+                    }
+                    6..=9 => {
+                        let bytes = format!("{page} at step {step} of seed {seed}").into_bytes();
+                        buf.fix_mut(page).unwrap().write_payload(&bytes).unwrap();
+                        model.current.insert(page, bytes);
+                        model.dirty.insert(page, true);
+                        model.logged.insert(page, true);
+                    }
+                    10 | 11 => {
+                        drop(buf.fix_new(page, PageType::Data).unwrap());
+                        model.current.insert(page, Vec::new());
+                        model.dirty.insert(page, true);
+                        model.logged.insert(page, true);
+                    }
+                    12 => {
+                        buf.discard(page).unwrap();
+                        let on_device = model.device.get(&page).cloned().unwrap_or_default();
+                        model.current.insert(page, on_device);
+                    }
+                    13 => buf.flush_all().unwrap(),
+                    14 => buf.evict_all().unwrap(),
+                    _ => {
+                        let frame = buf.shards[0].lock().get(page).map(|m| Arc::clone(&m.frame));
+                        if let Some(frame) = frame {
+                            held.push((page, frame, step + 1 + (r >> 24) as usize % 6));
+                        }
+                    }
+                }
+                // Dirty pages that left the pool other than by a discard,
+                // and every page a flush wrote, are on the device now.
+                let after = residents(&buf);
+                for (&p, &was_dirty) in &before {
+                    let written = match op {
+                        12 => false,
+                        13 => was_dirty,
+                        _ => was_dirty && !after.contains_key(&p),
+                    };
+                    if written {
+                        model.device.insert(p, model.current[&p].clone());
+                    }
+                }
+                // Pages loaded by this step start clean and unlogged.
+                for &p in after.keys() {
+                    if !before.contains_key(&p) && !matches!(op, 6..=11) {
+                        model.dirty.insert(p, false);
+                        model.logged.insert(p, false);
+                    }
+                }
+                if op == 13 {
+                    model.dirty.values_mut().for_each(|d| *d = false);
+                }
+                held.retain(|&(_, _, until)| until > step);
+                check_frames(&buf, &model, &held, step);
+            }
+            let d = buf.stats().snapshot();
+            assert!(d.frames_reused > 0, "seed {seed}: no frame was reused");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use crate::error::{StorageError, StorageResult};
 use crate::stats::IoStats;
 use parking_lot::{rank, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Address of one block within one file of the device.
@@ -86,16 +87,20 @@ pub trait BlockDevice: Send + Sync {
     /// Block length of `file`.
     fn block_len(&self, file: u32) -> StorageResult<usize>;
 
-    /// Reads one block into `buf` (`buf.len()` must equal the block length).
+    /// Reads one block into `buf` (`buf.len()` must equal the block length),
+    /// overwriting every byte of it: a never-written block reads as
+    /// zeroes. The buffer reads into recycled page blocks, which still hold
+    /// the previous page's bytes.
     fn read_block(&self, addr: BlockAddr, buf: &mut [u8]) -> StorageResult<()>;
 
     /// Writes one block from `buf` (`buf.len()` must equal the block length).
     fn write_block(&self, addr: BlockAddr, buf: &[u8]) -> StorageResult<()>;
 
     /// Chained I/O: reads `count` blocks starting at `addr` in one run.
-    /// `buf.len()` must equal `count * block_len`. This is the cluster
-    /// mechanism of \[Ne87\] the paper relies on for page sequences: one
-    /// positioning operation, then streaming transfer.
+    /// `buf.len()` must equal `count * block_len`; like
+    /// [`BlockDevice::read_block`] it overwrites every byte of `buf`. This
+    /// is the cluster mechanism of \[Ne87\] the paper relies on for page
+    /// sequences: one positioning operation, then streaming transfer.
     fn read_chained(&self, addr: BlockAddr, count: u32, buf: &mut [u8]) -> StorageResult<()>;
 
     /// Chained write of `count` contiguous blocks.
@@ -153,9 +158,10 @@ pub trait BlockDevice: Send + Sync {
 /// a transfer seeks, the cost model that prices the transfer, and the
 /// statistics it lands in.
 pub(crate) struct Accounting {
-    /// Position after the last transfer; `None` after a log append.
-    // lockrank: device.2 — arm position; leaf.
-    arm: Mutex<Option<BlockAddr>>,
+    /// Where a transfer must start not to seek: file in the high half,
+    /// the block after the last one transferred in the low half;
+    /// [`NO_ARM`] after a log append. One swap per transfer, no lock.
+    arm: AtomicU64,
     pub(crate) cost: CostModel,
     pub(crate) stats: Arc<IoStats>,
 }
@@ -163,7 +169,7 @@ pub(crate) struct Accounting {
 impl Accounting {
     pub(crate) fn new() -> Self {
         Accounting {
-            arm: Mutex::new_ranked(None, rank::DEVICE + 2),
+            arm: AtomicU64::new(NO_ARM),
             cost: CostModel::default(),
             stats: IoStats::new_shared(),
         }
@@ -179,13 +185,8 @@ impl Accounting {
         write: bool,
         chained: bool,
     ) {
-        let seek = {
-            let mut arm = self.arm.lock();
-            let seek =
-                arm.is_none_or(|prev| prev.file != addr.file || prev.block + 1 != addr.block);
-            *arm = Some(BlockAddr::new(addr.file, addr.block + blocks as u32 - 1));
-            seek
-        };
+        let next = arm_at(addr.file, addr.block.wrapping_add(blocks as u32));
+        let seek = self.arm.swap(next, Ordering::Relaxed) != arm_at(addr.file, addr.block);
         let s = &self.stats;
         if seek {
             s.add(&s.seeks, 1);
@@ -217,8 +218,16 @@ impl Accounting {
         s.add(&s.wal_bytes, len as u64);
         s.add(&s.bytes_written, len as u64);
         s.add(&s.sim_time_ns, self.cost.transfer_ns(true, 1, len as u64));
-        *self.arm.lock() = None;
+        self.arm.store(NO_ARM, Ordering::Relaxed);
     }
+}
+
+/// The arm position "at the log area": no data transfer starts there.
+const NO_ARM: u64 = u64::MAX;
+
+/// The arm position just before `block` of `file`.
+fn arm_at(file: u32, block: u32) -> u64 {
+    (u64::from(file) << 32) | u64::from(block)
 }
 
 /// File state inside the simulator.
@@ -498,6 +507,50 @@ mod tests {
         let chained = m.transfer_ns(true, 8, 1024);
         let scattered: u64 = (0..8).map(|_| m.transfer_ns(true, 1, 1024)).sum();
         assert!(chained < scattered / 3, "chained {chained} vs scattered {scattered}");
+    }
+
+    /// What a device must return for blocks `0..want.len()` of file 0,
+    /// whatever `buf` held before: every read fills its buffer with 0xA5
+    /// first, the way a recycled page block still holds another page.
+    fn assert_reads_overwrite(dev: &dyn BlockDevice, want: &[[u8; 512]], what: &str) {
+        const STALE: u8 = 0xA5;
+        for (block, want) in (0u32..).zip(want) {
+            let mut buf = [STALE; 512];
+            dev.read_block(BlockAddr::new(0, block), &mut buf).unwrap();
+            assert_eq!(&buf, want, "{what}: read_block of block {block}");
+        }
+        let mut buf = vec![STALE; want.len() * 512];
+        dev.read_chained(BlockAddr::new(0, 0), want.len() as u32, &mut buf).unwrap();
+        assert_eq!(buf, want.concat(), "{what}: read_chained");
+    }
+
+    #[test]
+    fn reads_overwrite_every_byte_of_the_buffer() {
+        let zero = [0u8; 512];
+        // SimDisk: a written block, and a never-written one.
+        let sim = SimDisk::new();
+        sim.create_file(0, 512).unwrap();
+        sim.write_block(BlockAddr::new(0, 0), &[7; 512]).unwrap();
+        assert_reads_overwrite(&sim, &[[7; 512], zero], "SimDisk");
+
+        // FileDisk: a written block, and blocks past the end of the file.
+        let dir = std::env::temp_dir().join(format!("prima-read-contract-{}", std::process::id()));
+        let file = crate::FileDisk::create(&dir).unwrap();
+        file.create_file(0, 512).unwrap();
+        file.write_block(BlockAddr::new(0, 0), &[7; 512]).unwrap();
+        assert_reads_overwrite(&file, &[[7; 512], zero, zero], "FileDisk");
+        drop(file);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // FaultDisk: a persisted block, a cache hit, and a block on
+        // neither.
+        let inner = Arc::new(SimDisk::new());
+        inner.create_file(0, 512).unwrap();
+        let fault = crate::FaultDisk::new(inner, crate::FaultSchedule::manual(1));
+        fault.write_block(BlockAddr::new(0, 0), &[7; 512]).unwrap();
+        fault.sync().unwrap();
+        fault.write_block(BlockAddr::new(0, 1), &[9; 512]).unwrap();
+        assert_reads_overwrite(&*fault, &[[7; 512], [9; 512], zero], "FaultDisk");
     }
 
     #[test]

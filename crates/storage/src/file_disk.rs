@@ -24,6 +24,7 @@
 
 use crate::disk::{Accounting, BlockAddr, BlockDevice};
 use crate::error::{StorageError, StorageResult};
+use crate::hash::IdBuildHasher;
 use crate::stats::IoStats;
 use parking_lot::{rank, Mutex, RwLock};
 use std::collections::HashMap;
@@ -42,9 +43,10 @@ struct DiskFile {
 /// File-backed block device rooted at one directory. See module docs.
 pub struct FileDisk {
     dir: PathBuf,
-    // lockrank: device.0 — file directory; guards are released before
-    // block I/O (the Arc<DiskFile> is cloned out).
-    files: RwLock<HashMap<u32, Arc<DiskFile>>>,
+    // lockrank: device.0 — file directory; block I/O runs under its read
+    // guard (only file creation writes it), so a transfer copies no
+    // handle out.
+    files: RwLock<HashMap<u32, DiskFile, IdBuildHasher>>,
     // lockrank: device.1 — log-file handle; held across the OS write by
     // design (this lock *is* the device-side append serialisation).
     wal: Mutex<File>,
@@ -190,10 +192,7 @@ impl FileDisk {
                     .write(true)
                     .open(entry.path())
                     .map_err(|e| io_err("open segment file", e))?;
-                files.insert(
-                    file,
-                    Arc::new(DiskFile { file: f, block_len, path: entry.path() }),
-                );
+                files.insert(file, DiskFile { file: f, block_len, path: entry.path() });
             }
         }
         drop(files);
@@ -209,7 +208,7 @@ impl FileDisk {
             .map_err(|e| io_err("open wal.log", e))?;
         Ok(FileDisk {
             dir,
-            files: RwLock::new_ranked(HashMap::new(), rank::DEVICE),
+            files: RwLock::new_ranked(HashMap::default(), rank::DEVICE),
             wal: Mutex::new_ranked(wal, rank::DEVICE + 1),
             io: Accounting::new(),
         })
@@ -220,8 +219,14 @@ impl FileDisk {
         &self.dir
     }
 
-    fn file(&self, file: u32) -> StorageResult<Arc<DiskFile>> {
-        self.files.read().get(&file).cloned().ok_or(StorageError::UnknownSegment(file))
+    /// Runs `op` on `file` under the directory's read guard.
+    fn with_file<R>(
+        &self,
+        file: u32,
+        op: impl FnOnce(&DiskFile) -> StorageResult<R>,
+    ) -> StorageResult<R> {
+        let files = self.files.read();
+        op(files.get(&file).ok_or(StorageError::UnknownSegment(file))?)
     }
 
     fn read_at(&self, f: &DiskFile, addr: BlockAddr, count: u32, buf: &mut [u8]) -> StorageResult<()> {
@@ -264,46 +269,50 @@ impl BlockDevice for FileDisk {
             .truncate(true)
             .open(&path)
             .map_err(|e| io_err("create segment file", e))?;
-        files.insert(file, Arc::new(DiskFile { file: f, block_len, path }));
+        files.insert(file, DiskFile { file: f, block_len, path });
         Ok(())
     }
 
     fn block_len(&self, file: u32) -> StorageResult<usize> {
-        Ok(self.file(file)?.block_len)
+        self.with_file(file, |f| Ok(f.block_len))
     }
 
     fn read_block(&self, addr: BlockAddr, buf: &mut [u8]) -> StorageResult<()> {
-        let f = self.file(addr.file)?;
-        self.read_at(&f, addr, 1, buf)?;
-        self.io.transfer(addr, 1, f.block_len, false, false);
-        Ok(())
+        self.with_file(addr.file, |f| {
+            self.read_at(f, addr, 1, buf)?;
+            self.io.transfer(addr, 1, f.block_len, false, false);
+            Ok(())
+        })
     }
 
     fn write_block(&self, addr: BlockAddr, buf: &[u8]) -> StorageResult<()> {
-        let f = self.file(addr.file)?;
-        debug_assert_eq!(buf.len(), f.block_len);
-        f.file
-            .write_all_at(buf, addr.block as u64 * f.block_len as u64)
-            .map_err(|e| io_err("pwrite", e))?;
-        self.io.transfer(addr, 1, f.block_len, true, false);
-        Ok(())
+        self.with_file(addr.file, |f| {
+            debug_assert_eq!(buf.len(), f.block_len);
+            f.file
+                .write_all_at(buf, addr.block as u64 * f.block_len as u64)
+                .map_err(|e| io_err("pwrite", e))?;
+            self.io.transfer(addr, 1, f.block_len, true, false);
+            Ok(())
+        })
     }
 
     fn read_chained(&self, addr: BlockAddr, count: u32, buf: &mut [u8]) -> StorageResult<()> {
-        let f = self.file(addr.file)?;
-        self.read_at(&f, addr, count, buf)?;
-        self.io.transfer(addr, count as u64, f.block_len, false, true);
-        Ok(())
+        self.with_file(addr.file, |f| {
+            self.read_at(f, addr, count, buf)?;
+            self.io.transfer(addr, count as u64, f.block_len, false, true);
+            Ok(())
+        })
     }
 
     fn write_chained(&self, addr: BlockAddr, count: u32, buf: &[u8]) -> StorageResult<()> {
-        let f = self.file(addr.file)?;
-        debug_assert_eq!(buf.len(), count as usize * f.block_len);
-        f.file
-            .write_all_at(buf, addr.block as u64 * f.block_len as u64)
-            .map_err(|e| io_err("pwrite chained", e))?;
-        self.io.transfer(addr, count as u64, f.block_len, true, true);
-        Ok(())
+        self.with_file(addr.file, |f| {
+            debug_assert_eq!(buf.len(), count as usize * f.block_len);
+            f.file
+                .write_all_at(buf, addr.block as u64 * f.block_len as u64)
+                .map_err(|e| io_err("pwrite chained", e))?;
+            self.io.transfer(addr, count as u64, f.block_len, true, true);
+            Ok(())
+        })
     }
 
     fn stats(&self) -> Arc<IoStats> {
@@ -311,8 +320,7 @@ impl BlockDevice for FileDisk {
     }
 
     fn sync(&self) -> StorageResult<()> {
-        let files: Vec<Arc<DiskFile>> = self.files.read().values().cloned().collect();
-        for f in files {
+        for f in self.files.read().values() {
             f.file.sync_data().map_err(|e| io_err("fsync segment", e))?;
         }
         self.wal.lock().sync_data().map_err(|e| io_err("fsync wal", e))?;

@@ -116,6 +116,7 @@ pub mod disk;
 pub mod error;
 pub mod fault_disk;
 pub mod file_disk;
+pub mod hash;
 pub mod page;
 pub mod page_seq;
 pub mod probe;
@@ -128,6 +129,7 @@ pub use disk::{BlockAddr, BlockDevice, CostModel, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use fault_disk::{CrashPoint, FaultDisk, FaultSchedule};
 pub use file_disk::FileDisk;
+pub use hash::{IdBuildHasher, IdHasher};
 pub use page::{Page, PageId, PageSize, PageType, PAGE_HEADER_LEN};
 pub use page_seq::{PageSeqHandle, PageSequence};
 pub use segment::{Segment, SegmentId, SegmentMeta, StorageSystem};

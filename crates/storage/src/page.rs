@@ -187,13 +187,32 @@ impl Page {
     /// Writes a fresh header into the zeroed block `buf`.
     fn format(buf: Box<[u8]>, id: PageId, size: PageSize, ptype: PageType) -> Page {
         let mut p = Page { size, buf };
-        p.buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        p.buf[2] = ptype as u8;
-        p.buf[4..8].copy_from_slice(&id.segment.to_le_bytes());
-        p.buf[8..12].copy_from_slice(&id.page.to_le_bytes());
-        p.set_seq_link(None, 0);
-        p.update_checksum();
+        p.write_header(id, ptype);
         p
+    }
+
+    /// Turns this page into a fresh page `id` in place: its block is
+    /// zero-filled, then formatted as by [`Page::new`]. The buffer
+    /// reformats a recycled frame this way instead of allocating a block.
+    pub(crate) fn reformat(&mut self, id: PageId, ptype: PageType) {
+        self.buf.fill(0);
+        self.write_header(id, ptype);
+    }
+
+    fn write_header(&mut self, id: PageId, ptype: PageType) {
+        self.buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
+        self.buf[2] = ptype as u8;
+        self.buf[4..8].copy_from_slice(&id.segment.to_le_bytes());
+        self.buf[8..12].copy_from_slice(&id.page.to_le_bytes());
+        self.set_seq_link(None, 0);
+        self.update_checksum();
+    }
+
+    /// Takes the page's block out, leaving the page empty: a buffer frame
+    /// hands its block to the next device read ([`Page::from_bytes`]
+    /// makes a page of it again). An empty page must not be read.
+    pub(crate) fn take_block(&mut self) -> Box<[u8]> {
+        std::mem::take(&mut self.buf)
     }
 
     /// Reconstructs a page from the raw block `buf` read from the device,

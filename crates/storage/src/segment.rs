@@ -84,12 +84,16 @@ pub(crate) struct DiskStore {
 }
 
 impl PageStore for DiskStore {
-    fn load(&self, id: PageId) -> StorageResult<Page> {
-        let size = self.page_size_of(id.segment)?;
-        // One allocation, read into directly and owned by the page.
-        let mut buf = vec![0u8; size.bytes()].into_boxed_slice();
-        self.device.read_block(BlockAddr::new(id.segment, id.page), &mut buf)?;
-        Page::from_bytes(id, size, buf)
+    fn load_into(&self, id: PageId, size: PageSize, mut block: Box<[u8]>) -> StorageResult<Page> {
+        if block.len() != size.bytes() {
+            return Err(StorageError::DeviceError(format!(
+                "block for page {id} has {} bytes, page size is {}",
+                block.len(),
+                size.bytes()
+            )));
+        }
+        self.device.read_block(BlockAddr::new(id.segment, id.page), &mut block)?;
+        Page::from_bytes(id, size, block)
     }
 
     fn store(&self, page: &mut Page) -> StorageResult<()> {

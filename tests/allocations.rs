@@ -14,22 +14,35 @@
 //! were set: 138 for `SELECT ALL`, 376 for the `brep_no` projection and
 //! 63 for the ad-hoc point query. A kernel that decodes every atom it
 //! reads in full takes 260, 422 and 71.
+//!
+//! Allocations of at least one page size are counted apart as well: on a
+//! kernel whose buffer holds an eighth of the mesh, a buffer miss must
+//! read into the block of a frame an eviction freed, not a new one.
 
 use prima::{Prima, QueryOptions, Value};
+use prima_storage::PageSize;
 use prima_workloads::brep::{self, BrepConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 struct CountingAlloc;
 
+/// The smallest page size: an allocation this large or larger may be a
+/// page block.
+const PAGE_BYTES: usize = PageSize::Half.bytes();
+
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static PAGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // try_with: the TLS slot itself may be mid-teardown.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        if layout.size() >= PAGE_BYTES {
+            let _ = PAGE_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -43,6 +56,10 @@ static COUNTING: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+fn page_allocations() -> u64 {
+    PAGE_ALLOCS.with(|c| c.get())
 }
 
 const SOLIDS: usize = 50;
@@ -96,4 +113,41 @@ fn statement_allocations() {
     assert!(select_all <= 145, "SELECT ALL: {select_all} allocations");
     assert!(select_brep_no <= 385, "SELECT brep_no: {select_brep_no} allocations");
     assert!(adhoc <= 66, "ad-hoc point query: {adhoc} allocations");
+}
+
+
+/// A buffer miss reads into the block of the frame its eviction freed:
+/// on a kernel whose buffer holds an eighth of the mesh, a warmed
+/// `SELECT ALL` loads pages on every few statements and allocates no
+/// page-sized block for them. A buffer that allocates a block per miss
+/// makes one such allocation per page load.
+#[test]
+fn buffer_misses_allocate_no_page_blocks() {
+    let mesh_bytes = mesh().storage().buffer().used_bytes();
+    let db = brep::open_db(mesh_bytes / 8).unwrap();
+    brep::populate(&db, &BrepConfig::with_solids(SOLIDS)).unwrap();
+    let session = db.session();
+    let opts = QueryOptions::new();
+    let mut all = session.prepare("SELECT ALL FROM brep-face-edge-point WHERE brep_no = ?").unwrap();
+    let mut run = |key: i64| {
+        all.bind(&[Value::Int(key)]).unwrap();
+        let r = all.query(&opts).unwrap();
+        assert_eq!(r.set.molecules[0].atom_count(), 79);
+    };
+    for key in 1..=SOLIDS as i64 {
+        run(key);
+    }
+    let before = db.metrics();
+    let worst = (1..=SOLIDS as i64)
+        .map(|key| {
+            let page_allocs = page_allocations();
+            run(key);
+            page_allocations() - page_allocs
+        })
+        .max()
+        .unwrap_or(0);
+    let loads = db.metrics().delta(&before).buffer.pages_loaded;
+    eprintln!("page-sized allocations: {worst} per statement at most, over {loads} page loads");
+    assert!(loads >= SOLIDS as u64, "the buffer must miss: {loads} page loads");
+    assert_eq!(worst, 0, "a miss allocated a page-sized block");
 }

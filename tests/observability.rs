@@ -238,6 +238,7 @@ fn render_text_family_lines_are_pinned() {
         "prima_buffer_writebacks",
         "prima_buffer_fix_calls",
         "prima_buffer_pages_loaded",
+        "prima_buffer_frames_reused",
         "prima_io_block_reads",
         "prima_io_block_writes",
         "prima_io_bytes_read",
