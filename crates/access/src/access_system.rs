@@ -20,6 +20,7 @@ use parking_lot::{rank, RwLock};
 use prima_mad::codec::encode_composite_key;
 use prima_mad::schema::Schema;
 use prima_mad::value::{AtomId, AtomTypeId, Value};
+use prima_storage::probe::{self, SpanKind};
 use prima_storage::{PageSize, StorageSystem};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -511,7 +512,7 @@ impl AccessSystem {
             }
             return Ok(());
         }
-        let probe_t = prima_storage::probe::timer();
+        let leaf = probe::leaf(SpanKind::BatchRead);
         out.resize_with(ids.len(), || None);
         // Lowest-position failure seen so far; reported once the whole
         // batch has been walked (matching sequential error order).
@@ -607,11 +608,7 @@ impl AccessSystem {
                 Err(e) => record_err(&mut first_err, i, e),
             }
         }
-        prima_storage::probe::emit_elapsed(
-            probe_t,
-            prima_storage::probe::ProbeEvent::BatchRead,
-            ids.len() as u64,
-        );
+        leaf.finish(ids.len() as u64);
         match first_err {
             Some((_, e)) => Err(e),
             None => Ok(()),

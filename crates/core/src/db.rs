@@ -429,13 +429,12 @@ impl Prima {
         Ok(id)
     }
 
-    /// Reads one atom (under a momentary `Shared` lock: an atom a
-    /// concurrent transaction has uncommitted changes on conflicts).
+    /// Reads one atom's committed state. The read runs on a fresh
+    /// session with no transaction open, so it is a lock-free snapshot
+    /// read: a concurrent transaction's uncommitted changes to the atom
+    /// neither conflict nor show.
     pub fn read(&self, id: AtomId) -> PrimaResult<Atom> {
-        let s = self.session();
-        let atom = s.read_atom(id)?;
-        s.commit()?;
-        Ok(atom)
+        self.session().read_atom(id)
     }
 
     /// Modifies named attributes of an atom.

@@ -56,8 +56,10 @@
 //! The [`obs`] module is the kernel's unified instrumentation layer —
 //! one vocabulary across all three Fig. 3.1 layers:
 //!
-//! * **Statement profiler** — [`Session::set_profiling`] turns on a
-//!   thread-local span recorder; every statement then yields a
+//! * **Statement profiler** — [`Session::set_profiling`] turns on the
+//!   thread-local span recorder (`prima_storage::probe`, re-exported as
+//!   [`obs`]; it lives in the bottom crate so the buffer, WAL and access
+//!   system record into it directly); every statement then yields a
 //!   [`StatementProfile`] ([`Session::last_profile`]): a tree of timed
 //!   spans (parse → plan → lock acquisition → snapshot pin → per-level
 //!   molecule assembly → buffer fixes / page loads / WAL appends &

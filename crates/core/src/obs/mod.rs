@@ -9,8 +9,9 @@
 //! them:
 //!
 //! * **Statement profiler** ([`profile`]): hierarchical timed spans
-//!   threaded through the statement path via a thread-local recorder
-//!   plus the storage crate's probe hook, producing a
+//!   threaded through the statement path via one thread-local recorder
+//!   (`prima_storage::probe`, re-exported here) that every layer from
+//!   the buffer up records into, producing a
 //!   [`StatementProfile`] (span tree + per-layer counter deltas)
 //!   retrievable as `Session::last_profile()` and pretty-printable in
 //!   EXPLAIN-ANALYZE style. The profile is also the one place that
@@ -38,10 +39,10 @@ pub mod slowlog;
 
 pub use histogram::{bucket_bounds, bucket_index, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use metrics::MetricsSnapshot;
-pub use profile::{
-    attr, event, observed, span, span_guard, Probe, Span, SpanGuard, SpanKind, StatementKind,
-    StatementProfile,
+pub use prima_storage::probe::{
+    attr, event, observed, span, span_guard, Probe, Span, SpanGuard, SpanKind,
 };
+pub use profile::{StatementKind, StatementProfile};
 pub use slowlog::{SlowLog, DEFAULT_SLOW_LOG_CAPACITY};
 
 use crate::session::ApiStats;

@@ -867,22 +867,3 @@ impl Drop for Transaction {
         }
     }
 }
-
-/// Convenience: run `f` in a child transaction, committing on `Ok` and
-/// aborting on `Err`.
-pub fn with_child<R>(
-    parent: &Transaction,
-    f: impl FnOnce(&Transaction) -> PrimaResult<R>,
-) -> PrimaResult<R> {
-    let child = parent.begin_child()?;
-    match f(&child) {
-        Ok(r) => {
-            child.commit()?;
-            Ok(r)
-        }
-        Err(e) => {
-            child.abort()?;
-            Err(e)
-        }
-    }
-}

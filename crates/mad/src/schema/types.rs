@@ -10,7 +10,7 @@
 //! n:m relationship types, with cardinality restrictions "allowing for
 //! refined structural integrity enforced by the system" (Fig. 2.3).
 
-use crate::value::{Value, ValueKind};
+use crate::value::Value;
 use std::fmt;
 
 /// Cardinality restriction of a repeating group: `(min, max)` where
@@ -132,20 +132,6 @@ impl AttrType {
         matches!(self, AttrType::RefSet(..))
     }
 
-    /// Whether values of this type can be compared/ordered as scalar sort
-    /// or index keys.
-    pub fn is_scalar_key(&self) -> bool {
-        matches!(
-            self,
-            AttrType::Integer
-                | AttrType::Real
-                | AttrType::Boolean
-                | AttrType::CharVar
-                | AttrType::Char(_)
-                | AttrType::Identifier
-        )
-    }
-
     /// `(declared cardinality, actual length)` if this attribute is a
     /// repeating group and the value is present.
     pub fn cardinality_of(&self, v: &Value) -> Option<(Cardinality, usize)> {
@@ -218,23 +204,6 @@ impl AttrType {
             AttrType::SetOf(..) => Value::Set(Vec::new()),
             AttrType::ListOf(..) => Value::List(Vec::new()),
             _ => Value::Null,
-        }
-    }
-
-    /// Kind a (non-null) value of this type will have.
-    pub fn value_kind(&self) -> ValueKind {
-        match self {
-            AttrType::Identifier => ValueKind::Id,
-            AttrType::Integer => ValueKind::Int,
-            AttrType::Real => ValueKind::Real,
-            AttrType::Boolean => ValueKind::Bool,
-            AttrType::CharVar | AttrType::Char(_) => ValueKind::Str,
-            AttrType::Ref(_) => ValueKind::Ref,
-            AttrType::RefSet(..) => ValueKind::RefSet,
-            AttrType::Record(_) => ValueKind::Record,
-            AttrType::Array(..) => ValueKind::Array,
-            AttrType::SetOf(..) => ValueKind::Set,
-            AttrType::ListOf(..) => ValueKind::List,
         }
     }
 }

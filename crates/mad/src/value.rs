@@ -148,14 +148,6 @@ impl Value {
         }
     }
 
-    pub fn as_atom_id(&self) -> Option<AtomId> {
-        match self {
-            Value::Id(id) => Some(*id),
-            Value::Ref(Some(id)) => Some(*id),
-            _ => None,
-        }
-    }
-
     /// Total order used by sort orders and access paths. Cross-kind
     /// comparisons order by kind tag; `Null` sorts first; `Real`/`Int`
     /// compare numerically; NaN sorts after all numbers (total order).

@@ -80,7 +80,7 @@ use crate::bytes::le_u64;
 use crate::error::{StorageError, StorageResult};
 use crate::hash::IdBuildHasher;
 use crate::page::{Page, PageId, PageSize, PageType};
-use crate::probe::{self, ProbeEvent};
+use crate::probe::{self, SpanKind};
 use crate::wal::{DeltaRange, Lsn, Wal, WalPayload, DELTA_RANGE_HEADER};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{rank, Mutex, RawRwLock, RwLock};
@@ -536,7 +536,7 @@ impl BufferManager {
     /// Fixes a page for reading. The returned guard keeps the page in the
     /// buffer and allows shared access.
     pub fn fix(&self, id: PageId) -> StorageResult<PageGuard> {
-        probe::observed(ProbeEvent::BufferFix, || {
+        probe::observed(SpanKind::BufferFix, || {
             self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
             let frame = self.fix_frame(id, false)?;
             let lock = frame.page.read_arc();
@@ -546,7 +546,7 @@ impl BufferManager {
 
     /// Fixes a page for update. Exclusive; the frame is marked dirty.
     pub fn fix_mut(&self, id: PageId) -> StorageResult<PageGuardMut> {
-        probe::observed(ProbeEvent::BufferFix, || {
+        probe::observed(SpanKind::BufferFix, || {
             self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
             let frame = self.fix_frame(id, true)?;
             let lock = frame.page.write_arc();
@@ -568,7 +568,7 @@ impl BufferManager {
     /// Installs a brand-new page (after allocation) without reading the
     /// device, and returns it fixed for update.
     pub fn fix_new(&self, id: PageId, ptype: PageType) -> StorageResult<PageGuardMut> {
-        let probe_t = probe::timer();
+        let leaf = probe::leaf(SpanKind::BufferFix);
         self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
         let size = self.store.page_size_of(id.segment)?;
         let (frame, resident) = {
@@ -596,7 +596,7 @@ impl BufferManager {
             // Re-use of a freed page number: overwrite in place.
             lock.reformat(id, ptype);
         }
-        probe::emit_elapsed(probe_t, ProbeEvent::BufferFix, 0);
+        leaf.finish(0);
         // A new page is always a first change: it logs a full image.
         let log = self.guard_wal(id).map(|wal| RedoLog { wal, before: None });
         Ok(PageGuardMut { lock: Some(lock), frame, id, log })
@@ -689,7 +689,7 @@ impl BufferManager {
                 // so its lock blocks no one while the device reads.
                 let mut page = frame.page.write();
                 let block = page.take_block();
-                *page = probe::observed(ProbeEvent::PageLoad, || {
+                *page = probe::observed(SpanKind::PageLoad, || {
                     self.store.load_into(id, size, block)
                 })?;
             }

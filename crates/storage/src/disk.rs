@@ -246,7 +246,7 @@ struct SimFile {
 pub struct SimDisk {
     // lockrank: device.0 — file directory (outer); per-file locks nest
     // inside it.
-    files: RwLock<Vec<Option<Arc<RwLock<SimFile>>>>>,
+    files: RwLock<Vec<Option<RwLock<SimFile>>>>,
     io: Accounting,
     /// Durable metadata blob (checkpoint snapshot) — in-memory stand-in.
     // lockrank: device.3
@@ -274,12 +274,15 @@ impl SimDisk {
         }
     }
 
-    fn file(&self, file: u32) -> StorageResult<Arc<RwLock<SimFile>>> {
-        self.files
-            .read()
-            .get(file as usize)
-            .and_then(std::clone::Clone::clone)
-            .ok_or(StorageError::UnknownSegment(file))
+    /// Runs `op` on `file`'s lock under the directory's read guard.
+    fn with_handle<R>(
+        &self,
+        file: u32,
+        op: impl FnOnce(&RwLock<SimFile>) -> StorageResult<R>,
+    ) -> StorageResult<R> {
+        let files = self.files.read();
+        let handle = files.get(file as usize).and_then(Option::as_ref);
+        op(handle.ok_or(StorageError::UnknownSegment(file))?)
     }
 
     fn with_file<R>(
@@ -287,9 +290,7 @@ impl SimDisk {
         file: u32,
         f: impl FnOnce(&mut SimFile) -> StorageResult<R>,
     ) -> StorageResult<R> {
-        let handle = self.file(file)?;
-        let mut guard = handle.write();
-        f(&mut guard)
+        self.with_handle(file, |handle| f(&mut handle.write()))
     }
 
     fn with_file_read<R>(
@@ -297,9 +298,7 @@ impl SimDisk {
         file: u32,
         f: impl FnOnce(&SimFile) -> StorageResult<R>,
     ) -> StorageResult<R> {
-        let handle = self.file(file)?;
-        let guard = handle.read();
-        f(&guard)
+        self.with_handle(file, |handle| f(&handle.read()))
     }
 }
 
@@ -317,7 +316,7 @@ impl BlockDevice for SimDisk {
         }
         // lockrank: device.1 — per-file content lock, inside the directory.
         files[file as usize] =
-            Some(Arc::new(RwLock::new_ranked(SimFile { block_len, blocks: Vec::new() }, rank::DEVICE + 1)));
+            Some(RwLock::new_ranked(SimFile { block_len, blocks: Vec::new() }, rank::DEVICE + 1));
         Ok(())
     }
 

@@ -12,7 +12,7 @@
 //! allocate/free pages, fix/unfix them through the buffer, create and read
 //! page sequences, and observe I/O.
 
-use crate::buffer::{BufferManager, BufferStats, PageGuard, PageGuardMut, PageStore};
+use crate::buffer::{BufferManager, PageGuard, PageGuardMut, PageStore};
 use crate::disk::{BlockAddr, BlockDevice};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PageSize, PageType};
@@ -55,11 +55,6 @@ impl Segment {
     /// High-water mark: pages ever handed out.
     pub fn extent(&self) -> u32 {
         self.next_page
-    }
-
-    /// Whether this segment participates in WAL logging.
-    pub fn is_logged(&self) -> bool {
-        self.logged
     }
 }
 
@@ -451,11 +446,6 @@ impl StorageSystem {
     /// Device-level I/O statistics.
     pub fn io_stats(&self) -> Arc<IoStats> {
         self.store.device.stats()
-    }
-
-    /// Buffer statistics.
-    pub fn buffer_stats(&self) -> Arc<BufferStats> {
-        self.buffer.stats()
     }
 
     /// Access to the buffer (used by page sequences and tests).

@@ -59,6 +59,7 @@ use crate::bytes::{le_u16, le_u32, le_u64};
 use crate::disk::BlockDevice;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
+use crate::probe::{self, SpanKind};
 use parking_lot::{rank, Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -351,7 +352,7 @@ impl Wal {
     /// slot is reserved, the body written after it, and the slot filled
     /// in once the body's length and CRC are known.
     pub fn append(&self, payload: WalPayload<'_>) -> StorageResult<Lsn> {
-        let probe_t = crate::probe::timer();
+        let leaf = probe::leaf(SpanKind::WalAppend);
         let is_commit = matches!(payload, WalPayload::TxnCommit { .. });
         let mut inner = self.inner.lock();
         self.check_poison()?;
@@ -407,7 +408,7 @@ impl Wal {
             inner.pending_commits += 1;
         }
         drop(inner);
-        crate::probe::emit_elapsed(probe_t, crate::probe::ProbeEvent::WalAppend, record_len as u64);
+        leaf.finish(record_len as u64);
         if is_commit {
             // A leader may be lingering for exactly this record.
             self.group_cv.notify_all();
@@ -423,14 +424,14 @@ impl Wal {
     /// carries; batches carrying at least one feed the group-commit
     /// counters (`group_commit_batches` / `group_commit_commits`).
     fn append_batch(&self, batch: &[u8], commits: u64) -> StorageResult<()> {
-        let probe_t = crate::probe::timer();
+        let leaf = probe::leaf(SpanKind::WalForce);
         self.device.wal_append(batch)?;
         if commits > 0 {
             let stats = self.device.stats();
             stats.add(&stats.group_commit_batches, 1);
             stats.add(&stats.group_commit_commits, commits);
         }
-        crate::probe::emit_elapsed(probe_t, crate::probe::ProbeEvent::WalForce, batch.len() as u64);
+        leaf.finish(batch.len() as u64);
         Ok(())
     }
 
@@ -721,8 +722,7 @@ mod tests {
     use super::*;
     use crate::disk::SimDisk;
     use crate::fault_disk::{FaultDisk, FaultSchedule};
-    use crate::probe::{self, ProbeEvent};
-    use std::sync::atomic::AtomicUsize;
+    use crate::probe::Probe;
 
     fn device() -> Arc<dyn BlockDevice> {
         Arc::new(SimDisk::new())
@@ -1052,17 +1052,10 @@ mod tests {
         assert!(wal.flushed_lsn() >= COMMITTERS * 2, "all brackets durable");
     }
 
-    static RESET_FORCE_EVENTS: AtomicUsize = AtomicUsize::new(0);
-    fn count_force_events(event: ProbeEvent, _ns: u64, _bytes: u64) {
-        if matches!(event, ProbeEvent::WalForce) {
-            RESET_FORCE_EVENTS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Satellite 3: `reset`'s re-append of checkpoint-racing pending
-    /// records flows through the shared accounting funnel — it emits a
-    /// `WalForce` probe event and lands in the device's force counters
-    /// instead of bypassing both.
+    /// `reset`'s re-append of checkpoint-racing pending records flows
+    /// through the shared accounting funnel — it records a `WalForce`
+    /// leaf and lands in the device's force counters instead of
+    /// bypassing both.
     #[test]
     fn reset_reappend_is_accounted() {
         let dev = Arc::new(SimDisk::new());
@@ -1070,18 +1063,15 @@ mod tests {
         wal.append(WalPayload::TxnBegin { txn: 1 }).unwrap();
         wal.append(WalPayload::TxnCommit { txn: 1 }).unwrap(); // never forced
 
-        RESET_FORCE_EVENTS.store(0, Ordering::Relaxed);
-        probe::set_thread_hook(Some(count_force_events));
+        let recording = Probe::start();
         let before = dev.stats().snapshot();
         wal.reset().unwrap();
-        probe::set_thread_hook(None);
         let d = dev.stats().snapshot().since(&before);
+        let root = recording.finish(Duration::ZERO);
 
-        assert_eq!(
-            RESET_FORCE_EVENTS.load(Ordering::Relaxed),
-            1,
-            "reset's re-append emits the WalForce probe event"
-        );
+        let (forces, _, bytes) = root.totals(SpanKind::WalForce);
+        assert_eq!(forces, 1, "reset's re-append records a WalForce leaf");
+        assert_eq!(bytes, d.wal_bytes, "the leaf carries the re-appended batch");
         assert_eq!(d.wal_forces, 1, "device force counter sees the re-append");
         assert!(d.wal_bytes > 0);
         assert_eq!(d.group_commit_commits, 1, "the re-appended commit record is accounted");

@@ -465,6 +465,36 @@ fn read_only_commits_skip_the_wal_force() {
     assert_eq!(d.wal_forces, 1, "a writing commit is the group-commit force point");
 }
 
+/// A profiled durable `COMMIT` records its log traffic as leaves of its
+/// span tree: the commit record's `WalAppend` and the group-commit
+/// `WalForce`, whose totals are the profile's own I/O counter deltas.
+#[test]
+fn profiled_durable_commit_carries_its_wal_leaves() {
+    use prima::{SpanKind, StatementKind};
+    use prima_storage::{BlockDevice, SimDisk};
+    use std::sync::Arc;
+    let db = Prima::builder()
+        .buffer_bytes(1 << 20)
+        .device(Arc::new(SimDisk::new()) as Arc<dyn BlockDevice>)
+        .durable()
+        .build_with_ddl(DDL)
+        .unwrap();
+    let s = db.session();
+    s.execute("INSERT part (part_no: 1, name: 'w')").unwrap();
+    s.set_profiling(true);
+    s.commit().unwrap();
+
+    let profile = s.last_profile().expect("profiled commit");
+    assert_eq!(profile.kind, StatementKind::Commit);
+    profile.validate().unwrap();
+    let (appends, _, append_bytes) = profile.root.totals(SpanKind::WalAppend);
+    assert!(appends >= 1 && append_bytes > 0, "commit record appended:\n{}", profile.render());
+    let (forces, _, force_bytes) = profile.root.totals(SpanKind::WalForce);
+    assert!(forces >= 1, "a writing commit forces the log:\n{}", profile.render());
+    assert_eq!(forces, profile.counters.io.wal_forces, "one leaf per device force");
+    assert_eq!(force_bytes, profile.counters.io.wal_bytes, "leaf bytes are the forced bytes");
+}
+
 // ---------------------------------------------------------------------
 // Exact lock traffic of the locking read path
 // ---------------------------------------------------------------------

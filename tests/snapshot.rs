@@ -131,6 +131,27 @@ fn snapshot_reader_ignores_dirty_writer_with_zero_lock_traffic() {
     );
 }
 
+/// `Prima::read` runs on a fresh session with no transaction open: a
+/// snapshot read that returns the committed value of an atom another
+/// session has modified but not committed, without touching the lock
+/// table.
+#[test]
+fn prima_read_is_a_lock_free_snapshot_read() {
+    let db = db();
+    let id = db
+        .insert("part", &[("part_no", Value::Int(1)), ("name", Value::Str("clean".into()))])
+        .unwrap();
+    let writer = db.session();
+    writer.execute("MODIFY part SET name = 'dirty' WHERE part_no = 1").unwrap();
+
+    let before = db.metrics().lock;
+    let atom = db.read(id).unwrap();
+    assert_eq!(atom.values[2], Value::Str("clean".into()));
+    let d = db.metrics().lock.since(&before);
+    assert_eq!(d.acquisitions, 0, "Prima::read must not acquire locks:\n{d:?}");
+    writer.rollback().unwrap();
+}
+
 #[test]
 fn snapshot_reader_ignores_dirty_component_writer_during_assembly() {
     let db = db();
