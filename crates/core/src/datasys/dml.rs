@@ -12,8 +12,9 @@
 //! maintenance; this module translates statement semantics into atom
 //! operations.
 //!
-//! Every statement runs on a [`Transaction`] — undo-logged,
-//! lock-protected, rolled back by [`crate::session::Session::rollback`];
+//! Every statement runs on the session's transaction — undo-logged,
+//! lock-protected, undone alone when it fails and wholly by
+//! [`crate::session::Session::rollback`];
 //! there is deliberately no direct-to-access-system writer (the recovery
 //! subsystem assumes every manipulation is bracketed by the transaction
 //! layer). Its reads run on the *locking* read path even though
@@ -50,7 +51,7 @@ pub enum DmlResult {
 /// (qualification sub-queries, current-value reads for
 /// CONNECT/DISCONNECT) take `Shared` locks under the same transaction,
 /// completing the two-phase bracket.
-pub fn execute_statement(
+pub(crate) fn execute_statement(
     sys: &AccessSystem,
     txn: &Transaction,
     stmt: &Statement,

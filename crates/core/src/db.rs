@@ -20,9 +20,13 @@
 //!        commit-forced like statement DML)
 //! ```
 //!
-//! * [`Session`] owns the transaction context: manipulation statements
-//!   run under one [`Transaction`] with explicit [`Session::commit`] /
-//!   [`Session::rollback`] (dropping the session rolls back).
+//! * [`Session`] owns the transaction context and is the only way to
+//!   open one: manipulation statements run under the session's
+//!   transaction with explicit [`Session::commit`] /
+//!   [`Session::rollback`] (dropping the session rolls back). A failed
+//!   statement leaves nothing behind — its writes are rolled back to the
+//!   savepoint taken when it started — and the transaction stays open
+//!   with its earlier statements intact.
 //! * [`crate::session::Prepared`] parses and plans once; `?` / `:name` placeholders are
 //!   bound per execution with type-checked values — the classic
 //!   parse-once / execute-many server shape.
@@ -41,7 +45,7 @@ use crate::ldl_exec;
 use crate::obs::{MetricsSnapshot, Obs, StatementProfile, DEFAULT_SLOW_LOG_CAPACITY};
 use crate::recovery::{self, KernelMeta};
 use crate::session::{ApiStats, MoleculeCursor, QueryOptions, Session};
-use crate::txn::{LockConfig, Transaction, TxnManager};
+use crate::txn::{LockConfig, TxnManager};
 use prima_access::{AccessSystem, Atom, UpdatePolicy};
 use prima_mad::ddl;
 use prima_mad::value::{AtomId, Value};
@@ -449,21 +453,6 @@ impl Prima {
         let s = self.session();
         s.delete_atom(id)?;
         s.commit()
-    }
-
-    // -----------------------------------------------------------------
-    // Transactions
-    // -----------------------------------------------------------------
-
-    /// Begins a top-level transaction (atom-level interface; MQL-level
-    /// work units are better served by [`Prima::session`]).
-    pub fn begin(&self) -> PrimaResult<Transaction> {
-        Ok(self.txn.begin(None)?)
-    }
-
-    /// The transaction manager (for advanced nesting scenarios).
-    pub fn txn_manager(&self) -> &Arc<TxnManager> {
-        &self.txn
     }
 }
 

@@ -45,11 +45,19 @@
 //! assert_eq!(result.set.molecules.len(), 1);
 //! ```
 //!
-//! Beyond the query path, the crate provides the PRIMA processing model:
-//! nested transactions ([`txn`], refining \[Mo81\] as announced in Section
-//! 4) and *semantic parallelism* — decomposition of single user
-//! operations into concurrently executable units of work ([`parallel`]),
-//! selected per query via [`QueryOptions::threads`].
+//! Beyond the query path, the crate provides the PRIMA processing model.
+//! Section 4 asks nested transactions \[Mo81\] for two jobs, and each has
+//! one smaller mechanism here:
+//!
+//! * *fine grained intra-transaction parallelism* — semantic
+//!   parallelism decomposes one user operation into concurrently
+//!   executable units of work ([`parallel`], selected per query via
+//!   [`QueryOptions::threads`]); they are read-only and share the
+//!   statement's one read guard, so they need no subtransactions;
+//! * *selective in-transaction recovery* — every write statement runs
+//!   behind a savepoint of its session's transaction ([`txn`]): a
+//!   statement that fails is undone alone, and the transaction stays
+//!   open with its earlier statements intact.
 //!
 //! # Observability
 //!

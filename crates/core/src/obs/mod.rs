@@ -130,7 +130,7 @@ impl Obs {
             buffer: self.storage.buffer().stats().snapshot(),
             io: self.storage.io_stats().snapshot(),
             access: self.access.stats().snapshot(),
-            lock: self.txn.lock_table().stats().snapshot(),
+            lock: self.txn.lock_stats(),
             version: self.txn.versions().stats(),
             api: self.api.snapshot(),
             statements,

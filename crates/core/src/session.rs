@@ -46,10 +46,10 @@
 //! * **Locking reads (transaction open).** A query — one-shot, prepared
 //!   or cursor — issued inside a transaction (opened by
 //!   [`Session::begin`] or lazily by an earlier DML) is bracketed by the
-//!   same Moss lock table as manipulation (see [`crate::txn`]): it takes
-//!   a `Shared` lock on the root type's extension before root access and
-//!   a `Shared` lock on every atom that flows into a result, all held to
-//!   the top-level commit/rollback (strict two-phase). Writers hold
+//!   same lock table as manipulation (see [`crate::txn`]): it takes a
+//!   `Shared` lock on the root type's extension before root access and a
+//!   `Shared` lock on every atom that flows into a result, all held to
+//!   commit/rollback (strict two-phase). Writers hold
 //!   their atoms `Exclusive` and announce `IntentExclusive` on the
 //!   written types' extensions, so a concurrent session's uncommitted
 //!   INSERT/MODIFY/DELETE is **never observable**: the reader waits in
@@ -57,8 +57,18 @@
 //!   waiting is disabled), sees a retryable error. A session still reads
 //!   its own uncommitted writes (which is why transactions keep the
 //!   locking path — a snapshot cannot see the session's own dirty
-//!   atoms), and nested subtransactions tolerate their ancestors' locks
-//!   (Moss's rule).
+//!   atoms).
+//!
+//! ## Statement atomicity
+//!
+//! Every write — MQL DML, prepared DML and the atom-level calls — runs
+//! through one funnel that takes a savepoint before the statement. A
+//! statement that fails leaves nothing behind: its writes are undone
+//! newest-first back to the savepoint, and the transaction stays open
+//! with its earlier statements (and all its locks) intact, so a later
+//! [`Session::commit`] makes exactly the statements that succeeded
+//! durable. Should that rollback itself fail, the whole transaction is
+//! aborted.
 //!
 //! ## Retry
 //!
@@ -70,7 +80,8 @@
 //! There is nothing else in such a transaction, so rolling it back via
 //! the undo machinery and re-running the statement after an exponential
 //! backoff is invisible to the caller. A statement issued inside an
-//! explicit multi-statement transaction propagates the error instead:
+//! explicit multi-statement transaction is rolled back to its savepoint
+//! and propagates the error instead:
 //! the kernel cannot know whether earlier statements' results still
 //! justify the retry, so that decision belongs to the application.
 //! Reads never consult the policy at all: the lock-free snapshot path has
@@ -86,7 +97,7 @@ use crate::datasys::plan::ResolvedQuery;
 use crate::datasys::validate::resolve_ref;
 use crate::error::{PrimaError, PrimaResult};
 use crate::obs::{self, MetricsSnapshot, Obs, Probe, StatementKind, StatementProfile};
-use crate::txn::{ReadGuard, Snapshot, Transaction, TxnId, TxnManager};
+use crate::txn::{ReadGuard, Snapshot, Transaction, TxnManager};
 use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
 use prima_access::{AccessSystem, Atom};
@@ -299,7 +310,9 @@ impl ApiStats {
 /// docs). [`Session::commit`] / [`Session::rollback`] end the current
 /// transaction; the next DML begins a fresh one, so a session chains
 /// units of work like a classic server connection. Dropping the session
-/// aborts whatever was not committed.
+/// aborts whatever was not committed. A statement that fails leaves
+/// nothing behind, and the transaction stays open (module docs,
+/// *Statement atomicity*).
 pub struct Session {
     access: Arc<AccessSystem>,
     txn_mgr: Arc<TxnManager>,
@@ -389,12 +402,6 @@ impl Session {
         }
     }
 
-    /// The session's transparent-retry policy (default: on, 5 attempts,
-    /// 1 ms exponential backoff with jitter).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Replaces the session's retry policy ([`RetryPolicy::off`] to
     /// disable transparent retry entirely).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
@@ -404,11 +411,6 @@ impl Session {
     /// The schema (for application-side introspection).
     pub fn schema(&self) -> &Schema {
         self.access.schema()
-    }
-
-    /// Id of the transaction currently underway, if any.
-    pub fn txn_id(&self) -> Option<TxnId> {
-        self.txn.lock().as_ref().map(super::txn::Transaction::id)
     }
 
     /// Explicitly opens the session's transaction now (it otherwise
@@ -422,21 +424,12 @@ impl Session {
     /// 2PL, and see the session's own uncommitted writes. Call `begin()`
     /// when a read-then-write unit of work needs the latter.
     pub fn begin(&self) -> PrimaResult<()> {
-        let mut guard = self.txn.lock();
-        if guard.is_none() {
-            *guard = Some(self.txn_mgr.begin(None)?);
-        }
-        Ok(())
+        self.with_txn(|_| Ok(()))
     }
 
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
+    /// Runs `f` on the session's transaction, begun if none is open.
     fn with_txn<R>(&self, f: impl FnOnce(&Transaction) -> PrimaResult<R>) -> PrimaResult<R> {
-        let mut guard = self.txn.lock();
-        if guard.is_none() {
-            *guard = Some(self.txn_mgr.begin(None)?);
-        }
-        // lint: allow(error-hygiene, ensure_txn on the preceding line just filled the slot and the session lock is still held)
-        f(guard.as_ref().expect("txn just ensured"))
+        f(self.txn.lock().get_or_insert_with(|| self.txn_mgr.begin()))
     }
 
     /// The one place a read chooses its visibility: with no transaction
@@ -468,31 +461,43 @@ impl Session {
         }
     }
 
-    /// [`Session::with_txn`] plus transparent retry under the session's
-    /// [`RetryPolicy`]: when the statement itself opened the transaction
+    /// The one funnel for every write: runs `f` on the session's
+    /// transaction behind a savepoint (module docs, *Statement
+    /// atomicity*), with transparent retry under the session's
+    /// [`RetryPolicy`]. When the statement itself opened the transaction
     /// (auto-commit — nothing else is in it) and `f` fails with a
-    /// retryable contention error, the transaction is rolled back through
-    /// the undo machinery and `f` re-runs after the policy's backoff.
-    /// Inside an explicit transaction the error propagates untouched; on
-    /// the final attempt the failed transaction is left open for the
-    /// caller to roll back, exactly as `with_txn` would.
+    /// retryable contention error, the transaction is rolled back and `f`
+    /// re-runs after the policy's backoff. Any other failure — inside an
+    /// explicit transaction, or on the final attempt — rolls back to the
+    /// savepoint and leaves the transaction open for the caller.
     fn with_txn_retry<R>(&self, f: impl Fn(&Transaction) -> PrimaResult<R>) -> PrimaResult<R> {
         let policy = self.retry;
         let mut attempt = 0u32;
         loop {
-            let auto_commit = self.txn.lock().is_none();
-            match self.with_txn(&f) {
-                Err(e)
-                    if auto_commit
-                        && e.is_retryable()
-                        && attempt + 1 < policy.max_attempts.max(1) =>
-                {
-                    self.rollback()?;
-                    std::thread::sleep(policy.delay(attempt));
-                    attempt += 1;
+            let mut slot = self.txn.lock();
+            let auto_commit = slot.is_none();
+            let t = slot.get_or_insert_with(|| self.txn_mgr.begin());
+            let savepoint = t.savepoint();
+            let err = match f(t) {
+                Ok(r) => return Ok(r),
+                Err(e) => e,
+            };
+            let retry =
+                auto_commit && err.is_retryable() && attempt + 1 < policy.max_attempts.max(1);
+            // A retried statement's transaction goes whole (nothing else
+            // is in it); any other failed statement goes back to its
+            // savepoint, and the transaction only if that fails.
+            if retry || t.rollback_to(savepoint).is_err() {
+                if let Some(t) = slot.take() {
+                    t.abort()?;
                 }
-                other => return other,
             }
+            if !retry {
+                return Err(err);
+            }
+            drop(slot);
+            std::thread::sleep(policy.delay(attempt));
+            attempt += 1;
         }
     }
 

@@ -1,5 +1,4 @@
-//! Granular lock table with Moss's nested-transaction rules and bounded
-//! waiting.
+//! Granular lock table with bounded waiting.
 //!
 //! Two granules exist (Gray-style hierarchical locking, cut down to what
 //! the kernel needs):
@@ -17,7 +16,7 @@
 //! A transaction may hold several modes on the same target (scan then
 //! insert ⇒ `Shared` + `IntentExclusive`, the classic SIX combination);
 //! holders therefore carry a mode *set*, and a request conflicts when it
-//! is incompatible with any mode a non-ancestor holds.
+//! is incompatible with any mode another transaction holds.
 //!
 //! # Waiting, timeouts, deadlocks
 //!
@@ -38,8 +37,8 @@
 //! * **Deadlock detection** — run at enqueue time (a new cycle needs a new
 //!   wait-for edge, and edges only appear when someone enqueues). The
 //!   wait-for graph is computed on demand under the table mutex: a waiter
-//!   points at every conflicting non-ancestor holder and every
-//!   incompatible non-ancestor waiter queued ahead of it. On a cycle the
+//!   points at every other conflicting holder and every other
+//!   incompatible waiter queued ahead of it. On a cycle the
 //!   victim is the member holding the fewest locks (cheapest to roll
 //!   back), ties broken youngest-first; the victim's `acquire` returns
 //!   `Deadlock`, its caller aborts through the normal undo path, and
@@ -53,19 +52,13 @@
 //!   `LockConflict`); single-threaded interleaving tests and fuzz
 //!   schedules rely on it.
 //!
-//! Moss interaction: ancestors are never conflicts, as holders *or* as
-//! waiters — a child never waits on (or deadlocks with) its own ancestor,
-//! and `transfer` at subcommit re-checks waiters because merging a
-//! child's modes into the parent can change who is grantable.
-//!
-//! Bookkeeping is indexed per transaction: `transfer` (subtransaction
-//! commit) and `release_all` (top-level commit/abort) walk only the
-//! transaction's own lock list — O(own locks), not O(table) — and entries
-//! with no holders and no waiters are removed from the table, so the map
-//! does not grow with every atom ever locked. [`LockTable::maintenance_visits`]
-//! counts the entries those walks touch; a regression test pins the
-//! O(own locks) behavior with it. [`LockStats`] counts acquisitions,
-//! waits, wait time, timeouts and deadlocks.
+//! Bookkeeping is indexed per transaction: `release_all` (commit/abort)
+//! walks only the transaction's own lock list — O(own locks), not
+//! O(table) — and entries with no holders and no waiters are removed from
+//! the table, so the map does not grow with every atom ever locked.
+//! [`LockStats`] counts acquisitions, waits, wait time, timeouts,
+//! deadlocks and the entries `release_all` visits (`maintenance_visits`,
+//! which a regression test uses to pin the O(own locks) behavior).
 
 use super::{TxnError, TxnId};
 use parking_lot::{rank, Condvar, Mutex};
@@ -205,6 +198,16 @@ prima_storage::counter_family! {
         gauge waiting_now,
         /// Deepest per-target queue ever observed.
         gauge max_queue_depth,
+        /// Lock-table entries visited by `release_all` — the maintenance
+        /// cost, which scales with the finishing transaction's own lock
+        /// count, never with the table size.
+        counter maintenance_visits,
+    } sampled {
+        /// Targets with at least one lock or waiter. Returns to zero once
+        /// every transaction has finished: drained entries are reaped.
+        locked_targets,
+        /// Transactions begun and not yet committed or aborted.
+        active_txns,
     }
 }
 
@@ -228,9 +231,6 @@ impl LockStats {
 struct Waiter {
     txn: TxnId,
     mode: LockMode,
-    /// The waiter's ancestor set (includes itself), captured at enqueue —
-    /// used for conflict and wait-for-edge computation while parked.
-    ancestors: Vec<TxnId>,
     /// Set when this waiter was chosen as a deadlock victim; it wakes,
     /// dequeues itself and returns [`TxnError::Deadlock`].
     doomed: bool,
@@ -250,12 +250,11 @@ impl Entry {
         self.holders.iter().any(|(h, _)| *h == t)
     }
 
-    /// First holder whose mode set conflicts with `mode` and who is not in
-    /// `ancestors` (Moss's rule: "all conflicting holders are ancestors").
-    fn conflicting_holder(&self, ancestors: &[TxnId], mode: LockMode) -> Option<TxnId> {
+    /// First holder other than `t` whose mode set conflicts with `mode`.
+    fn conflicting_holder(&self, t: TxnId, mode: LockMode) -> Option<TxnId> {
         self.holders
             .iter()
-            .find(|(h, held)| !compatible(*held, mode) && !ancestors.contains(h))
+            .find(|(h, held)| !compatible(*held, mode) && *h != t)
             .map(|(h, _)| *h)
     }
 
@@ -266,26 +265,28 @@ impl Entry {
     /// transaction already holding modes on the target never queues
     /// behind strangers (cycles between upgraders are broken by victim
     /// selection instead).
-    fn grantable(&self, t: TxnId, ancestors: &[TxnId], mode: LockMode, queue_pos: Option<usize>) -> bool {
-        if self.conflicting_holder(ancestors, mode).is_some() {
+    fn grantable(&self, t: TxnId, mode: LockMode, queue_pos: Option<usize>) -> bool {
+        if self.conflicting_holder(t, mode).is_some() {
             return false;
         }
         if self.holds(t) {
             return true;
         }
         let ahead = queue_pos.unwrap_or(self.waiters.len());
-        !self.waiters.iter().take(ahead).any(|w| {
-            !w.doomed && !ancestors.contains(&w.txn) && modes_conflict(w.mode, mode)
-        })
+        !self
+            .waiters
+            .iter()
+            .take(ahead)
+            .any(|w| !w.doomed && w.txn != t && modes_conflict(w.mode, mode))
     }
 
     /// First queued stranger whose requested mode conflicts with `mode`
     /// (reported as the `holder` of a fast-fail conflict when nobody
     /// *holds* a conflicting mode but the queue blocks the request).
-    fn blocking_waiter(&self, ancestors: &[TxnId], mode: LockMode) -> Option<TxnId> {
+    fn blocking_waiter(&self, t: TxnId, mode: LockMode) -> Option<TxnId> {
         self.waiters
             .iter()
-            .find(|w| !w.doomed && !ancestors.contains(&w.txn) && modes_conflict(w.mode, mode))
+            .find(|w| !w.doomed && w.txn != t && modes_conflict(w.mode, mode))
             .map(|w| w.txn)
     }
 }
@@ -294,13 +295,10 @@ impl Entry {
 struct Inner {
     entries: HashMap<LockTarget, Entry>,
     /// Per-transaction list of targets the transaction holds locks on —
-    /// the index `transfer`/`release_all` walk instead of the whole
-    /// table. A target appears at most once per transaction (guarded by
-    /// the holder-slot check in `acquire`).
+    /// the index `release_all` walks instead of the whole table. A target
+    /// appears at most once per transaction (guarded by the holder-slot
+    /// check in `acquire`).
     by_txn: HashMap<TxnId, Vec<LockTarget>>,
-    /// Entries visited by `transfer` + `release_all` since construction
-    /// (diagnostics; pins the O(own locks) maintenance cost).
-    maintenance_visits: u64,
 }
 
 impl Inner {
@@ -331,15 +329,15 @@ impl Inner {
     }
 
     /// Wait-for edges of the waiter at `pos` in `target`'s queue: every
-    /// conflicting non-ancestor holder, plus (for non-upgraders) every
-    /// incompatible non-ancestor, non-doomed waiter queued ahead.
+    /// other conflicting holder, plus (for non-upgraders) every other
+    /// incompatible, non-doomed waiter queued ahead.
     fn blockers(&self, target: LockTarget, pos: usize) -> Vec<TxnId> {
         let e = &self.entries[&target];
         let w = &e.waiters[pos];
         let mut out: Vec<TxnId> = e
             .holders
             .iter()
-            .filter(|(h, held)| !compatible(*held, w.mode) && !w.ancestors.contains(h))
+            .filter(|(h, held)| !compatible(*held, w.mode) && *h != w.txn)
             .map(|(h, _)| *h)
             .collect();
         if !e.holds(w.txn) {
@@ -347,9 +345,7 @@ impl Inner {
                 e.waiters
                     .iter()
                     .take(pos)
-                    .filter(|a| {
-                        !a.doomed && !w.ancestors.contains(&a.txn) && modes_conflict(a.mode, w.mode)
-                    })
+                    .filter(|a| !a.doomed && a.txn != w.txn && modes_conflict(a.mode, w.mode))
                     .map(|a| a.txn),
             );
         }
@@ -440,7 +436,7 @@ pub struct LockTable {
     // lockrank: locktable.0 — entry map + wait queues; held across grant
     // bookkeeping and condvar parks, never across I/O or access descent.
     inner: Mutex<Inner>,
-    /// Single condvar for all waiters: releases/transfers/grants are rare
+    /// Single condvar for all waiters: releases and grants are rare
     /// relative to parked time and wake everyone to re-check eligibility.
     cv: Condvar,
     config: LockConfig,
@@ -468,17 +464,15 @@ impl LockTable {
         LockTable { config, ..Self::default() }
     }
 
-    pub fn config(&self) -> LockConfig {
-        self.config
+    /// The table's counters, with the sampled table size and the
+    /// caller's count of active transactions.
+    pub fn snapshot(&self, active_txns: u64) -> LockStatsSnapshot {
+        let locked_targets = self.inner.lock().entries.len() as u64;
+        self.stats.snapshot(locked_targets, active_txns)
     }
 
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    /// Acquires `mode` on `target` for `t`. `ancestors` must contain `t`
-    /// itself plus all its ancestors; a conflicting holder is tolerated
-    /// iff it is in that set (Moss's rule: "all holders are ancestors").
+    /// Acquires `mode` on `target` for `t`; `t`'s own holds never
+    /// conflict with the request.
     ///
     /// A conflicting request waits (bounded by
     /// [`LockConfig::wait_timeout`]) in the target's FIFO queue; it fails
@@ -486,18 +480,12 @@ impl LockTable {
     /// queue is full, [`TxnError::LockTimeout`] when the wait expires, and
     /// [`TxnError::Deadlock`] when it is chosen to break a wait-for cycle.
     #[allow(clippy::unwrap_used, clippy::expect_used)]
-    pub fn acquire(
-        &self,
-        t: TxnId,
-        ancestors: &[TxnId],
-        target: LockTarget,
-        mode: LockMode,
-    ) -> Result<(), TxnError> {
+    pub fn acquire(&self, t: TxnId, target: LockTarget, mode: LockMode) -> Result<(), TxnError> {
         self.stats.acquisitions.fetch_add(1, Relaxed);
         let mut inner = self.inner.lock();
         let can = match inner.entries.get(&target) {
             None => true,
-            Some(e) => e.grantable(t, ancestors, mode, None),
+            Some(e) => e.grantable(t, mode, None),
         };
         if can {
             inner.grant(t, target, mode);
@@ -508,8 +496,8 @@ impl LockTable {
         // holder if one exists, else the queued stranger we would wait on.
         let e = &inner.entries[&target];
         let holder = e
-            .conflicting_holder(ancestors, mode)
-            .or_else(|| e.blocking_waiter(ancestors, mode))
+            .conflicting_holder(t, mode)
+            .or_else(|| e.blocking_waiter(t, mode))
             // lint: allow(error-hygiene, a non-grantable request always has a holder or queued stranger blocking it)
             .expect("not grantable implies a blocker");
         if self.config.wait_timeout.is_zero() {
@@ -536,13 +524,7 @@ impl LockTable {
         };
         e.waiters.insert(
             pos,
-            Waiter {
-                txn: t,
-                mode,
-                ancestors: ancestors.to_vec(),
-                doomed: false,
-                enqueued: Instant::now(),
-            },
+            Waiter { txn: t, mode, doomed: false, enqueued: Instant::now() },
         );
         let depth = e.waiters.len() as u64;
         self.stats.waits.fetch_add(1, Relaxed);
@@ -584,7 +566,7 @@ impl LockTable {
                 self.cv.notify_all();
                 return Err(TxnError::Deadlock { victim: t, target });
             }
-            if e.grantable(t, &e.waiters[pos].ancestors, mode, Some(pos)) {
+            if e.grantable(t, mode, Some(pos)) {
                 let w = inner.dequeue(target, t);
                 self.stats.record_parked(w.enqueued.elapsed());
                 inner.grant(t, target, mode);
@@ -603,49 +585,15 @@ impl LockTable {
         }
     }
 
-    /// Transfers all of `from`'s locks to `to` (subtransaction commit —
-    /// "anti-inheritance"). Walks only `from`'s own lock list. Waiters on
-    /// the touched targets are woken: merging modes into the parent can
-    /// change who is grantable (e.g. the parent was the only other
-    /// conflicting holder).
-    pub fn transfer(&self, from: TxnId, to: TxnId) {
-        let mut inner = self.inner.lock();
-        let Some(targets) = inner.by_txn.remove(&from) else { return };
-        let mut woke = false;
-        for target in targets {
-            inner.maintenance_visits += 1;
-            let Some(e) = inner.entries.get_mut(&target) else { continue };
-            let Some(pos) = e.holders.iter().position(|(h, _)| *h == from) else { continue };
-            let (_, modes) = e.holders.swap_remove(pos);
-            let new_holder = match e.holders.iter_mut().find(|(h, _)| *h == to) {
-                Some(slot) => {
-                    slot.1 |= modes;
-                    false
-                }
-                None => {
-                    e.holders.push((to, modes));
-                    true
-                }
-            };
-            woke |= !e.waiters.is_empty();
-            if new_holder {
-                inner.by_txn.entry(to).or_default().push(target);
-            }
-        }
-        if woke {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Releases all locks of `t` (top-level commit or abort), reaping
+    /// Releases all locks of `t` (commit or abort), reaping
     /// entries with no holders and no waiters, and waking waiters on every
     /// target that still has some. Walks only `t`'s own lock list.
     pub fn release_all(&self, t: TxnId) {
         let mut inner = self.inner.lock();
         let Some(targets) = inner.by_txn.remove(&t) else { return };
+        self.stats.maintenance_visits.fetch_add(targets.len() as u64, Relaxed);
         let mut woke = false;
         for target in targets {
-            inner.maintenance_visits += 1;
             let Some(e) = inner.entries.get_mut(&target) else { continue };
             e.holders.retain(|(h, _)| *h != t);
             woke |= !e.waiters.is_empty();
@@ -656,37 +604,6 @@ impl LockTable {
         if woke {
             self.cv.notify_all();
         }
-    }
-
-    /// Number of targets with at least one lock or waiter (diagnostics).
-    /// Returns to zero once every transaction has committed or aborted —
-    /// drained entries are reaped, the table does not grow monotonically.
-    pub fn locked_targets(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Number of locks `t` currently holds (diagnostics).
-    pub fn held_by(&self, t: TxnId) -> usize {
-        self.inner.lock().by_txn.get(&t).map_or(0, std::vec::Vec::len)
-    }
-
-    /// Targets that currently have waiters, with their queue depths
-    /// (diagnostics; the live complement of the [`LockStats`] counters).
-    pub fn queue_depths(&self) -> Vec<(LockTarget, usize)> {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.waiters.is_empty())
-            .map(|(t, e)| (*t, e.waiters.len()))
-            .collect()
-    }
-
-    /// Entries visited by `transfer`/`release_all` so far — the
-    /// maintenance cost, which must scale with the finishing
-    /// transaction's own lock count, never with the table size.
-    pub fn maintenance_visits(&self) -> u64 {
-        self.inner.lock().maintenance_visits
     }
 }
 
@@ -714,18 +631,18 @@ mod tests {
     #[test]
     fn shared_locks_coexist() {
         let lt = no_wait();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Shared).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared).unwrap();
-        assert_eq!(lt.locked_targets(), 1);
+        lt.acquire(TxnId(1), atom(1), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(2), atom(1), LockMode::Shared).unwrap();
+        assert_eq!(lt.snapshot(0).locked_targets, 1);
     }
 
     #[test]
     fn exclusive_conflicts_with_stranger() {
         let lt = no_wait();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        let err = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared).unwrap_err();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
+        let err = lt.acquire(TxnId(2), atom(1), LockMode::Shared).unwrap_err();
         assert!(matches!(err, TxnError::LockConflict { holder: TxnId(1), .. }));
-        let err = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive).unwrap_err();
+        let err = lt.acquire(TxnId(2), atom(1), LockMode::Exclusive).unwrap_err();
         assert!(matches!(err, TxnError::LockConflict { .. }));
     }
 
@@ -733,14 +650,14 @@ mod tests {
     fn intent_exclusive_coexists_with_itself_but_not_shared() {
         let lt = no_wait();
         // Two writers of different atoms announce intent on the same type.
-        lt.acquire(TxnId(1), &[TxnId(1)], ext(7), LockMode::IntentExclusive).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2)], ext(7), LockMode::IntentExclusive).unwrap();
+        lt.acquire(TxnId(1), ext(7), LockMode::IntentExclusive).unwrap();
+        lt.acquire(TxnId(2), ext(7), LockMode::IntentExclusive).unwrap();
         // A scanning reader conflicts with both.
-        let err = lt.acquire(TxnId(3), &[TxnId(3)], ext(7), LockMode::Shared);
+        let err = lt.acquire(TxnId(3), ext(7), LockMode::Shared);
         assert!(err.is_err());
         // And a reader-held extension blocks a new writer.
-        lt.acquire(TxnId(3), &[TxnId(3)], ext(8), LockMode::Shared).unwrap();
-        let err = lt.acquire(TxnId(1), &[TxnId(1)], ext(8), LockMode::IntentExclusive);
+        lt.acquire(TxnId(3), ext(8), LockMode::Shared).unwrap();
+        let err = lt.acquire(TxnId(1), ext(8), LockMode::IntentExclusive);
         assert!(err.is_err());
     }
 
@@ -748,52 +665,26 @@ mod tests {
     fn scan_then_write_combines_modes_six_style() {
         let lt = no_wait();
         // One transaction scans (S) then inserts (IX) into the same type.
-        lt.acquire(TxnId(1), &[TxnId(1)], ext(7), LockMode::Shared).unwrap();
-        lt.acquire(TxnId(1), &[TxnId(1)], ext(7), LockMode::IntentExclusive).unwrap();
+        lt.acquire(TxnId(1), ext(7), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(1), ext(7), LockMode::IntentExclusive).unwrap();
         // The combined hold blocks both readers and writers.
-        assert!(lt.acquire(TxnId(2), &[TxnId(2)], ext(7), LockMode::Shared).is_err());
+        assert!(lt.acquire(TxnId(2), ext(7), LockMode::Shared).is_err());
         assert!(lt
-            .acquire(TxnId(2), &[TxnId(2)], ext(7), LockMode::IntentExclusive)
+            .acquire(TxnId(2), ext(7), LockMode::IntentExclusive)
             .is_err());
         // Exactly one index entry despite two modes.
-        assert_eq!(lt.held_by(TxnId(1)), 1);
-    }
-
-    #[test]
-    fn ancestor_holding_lock_is_not_a_conflict() {
-        let lt = no_wait();
-        // parent 1 holds X; child 2 (ancestors [2,1]) may acquire.
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2), TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        // sibling 3 (ancestors [3,1]) conflicts with 2's X.
-        let err = lt.acquire(TxnId(3), &[TxnId(3), TxnId(1)], atom(1), LockMode::Shared);
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn transfer_on_subcommit() {
-        let lt = no_wait();
-        lt.acquire(TxnId(2), &[TxnId(2), TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        lt.transfer(TxnId(2), TxnId(1));
-        // A stranger still conflicts — now with txn 1.
-        let err = lt.acquire(TxnId(9), &[TxnId(9)], atom(1), LockMode::Shared).unwrap_err();
-        assert!(matches!(err, TxnError::LockConflict { holder: TxnId(1), .. }));
-        // Another child of 1 may acquire (holder is its ancestor).
-        lt.acquire(TxnId(3), &[TxnId(3), TxnId(1)], atom(1), LockMode::Shared).unwrap();
-        // The transferred lock is indexed under the parent now.
-        assert_eq!(lt.held_by(TxnId(2)), 0);
-        assert_eq!(lt.held_by(TxnId(1)), 1);
+        assert_eq!(lt.inner.lock().by_txn[&TxnId(1)].len(), 1);
     }
 
     #[test]
     fn release_all_clears_and_reaps_entries() {
         let lt = no_wait();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(2), LockMode::Shared).unwrap();
-        lt.acquire(TxnId(1), &[TxnId(1)], ext(0), LockMode::IntentExclusive).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(1), atom(2), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(1), ext(0), LockMode::IntentExclusive).unwrap();
         lt.release_all(TxnId(1));
-        assert_eq!(lt.locked_targets(), 0, "empty entries must be reaped");
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive).unwrap();
+        assert_eq!(lt.snapshot(0).locked_targets, 0, "empty entries must be reaped");
+        lt.acquire(TxnId(2), atom(1), LockMode::Exclusive).unwrap();
     }
 
     #[test]
@@ -802,10 +693,10 @@ mod tests {
         for round in 0..50u64 {
             let t = TxnId(round + 1);
             for n in 0..100 {
-                lt.acquire(t, &[t], atom(round * 100 + n), LockMode::Exclusive).unwrap();
+                lt.acquire(t, atom(round * 100 + n), LockMode::Exclusive).unwrap();
             }
             lt.release_all(t);
-            assert_eq!(lt.locked_targets(), 0, "round {round} left entries behind");
+            assert_eq!(lt.snapshot(0).locked_targets, 0, "round {round} left entries behind");
         }
     }
 
@@ -814,31 +705,26 @@ mod tests {
         let lt = no_wait();
         // A long-lived transaction holds 1000 locks.
         for n in 0..1000 {
-            lt.acquire(TxnId(1), &[TxnId(1)], atom(n), LockMode::Shared).unwrap();
+            lt.acquire(TxnId(1), atom(n), LockMode::Shared).unwrap();
         }
         // A small transaction holds 2.
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(5000), LockMode::Exclusive).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(5001), LockMode::Exclusive).unwrap();
-        let before = lt.maintenance_visits();
+        lt.acquire(TxnId(2), atom(5000), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(2), atom(5001), LockMode::Exclusive).unwrap();
+        let before = lt.snapshot(0).maintenance_visits;
         lt.release_all(TxnId(2));
         assert_eq!(
-            lt.maintenance_visits() - before,
+            lt.snapshot(0).maintenance_visits - before,
             2,
             "releasing a 2-lock txn must visit 2 entries, not the 1000-entry table"
         );
-        // Same for subtransaction transfer.
-        lt.acquire(TxnId(3), &[TxnId(3), TxnId(1)], atom(6000), LockMode::Exclusive).unwrap();
-        let before = lt.maintenance_visits();
-        lt.transfer(TxnId(3), TxnId(1));
-        assert_eq!(lt.maintenance_visits() - before, 1);
     }
 
     #[test]
     fn shared_then_upgrade_by_same_txn() {
         let lt = no_wait();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Shared).unwrap();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        let err = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared);
+        lt.acquire(TxnId(1), atom(1), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
+        let err = lt.acquire(TxnId(2), atom(1), LockMode::Shared);
         assert!(err.is_err());
     }
 
@@ -852,18 +738,18 @@ mod tests {
     #[test]
     fn waiter_is_granted_after_release() {
         let lt = waiting(5000);
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
         let lt2 = Arc::clone(&lt);
         let h = thread::spawn(move || {
-            lt2.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive)
+            lt2.acquire(TxnId(2), atom(1), LockMode::Exclusive)
         });
         // Give the waiter time to park, then release.
-        while lt.queue_depths().is_empty() {
+        while lt.snapshot(0).waiting_now == 0 {
             thread::yield_now();
         }
         lt.release_all(TxnId(1));
         h.join().unwrap().expect("waiter granted after release");
-        let s = lt.stats().snapshot();
+        let s = lt.snapshot(0);
         assert_eq!(s.waits, 1);
         assert_eq!(s.timeouts, 0);
         assert_eq!(s.waiting_now, 0);
@@ -873,14 +759,14 @@ mod tests {
     #[test]
     fn bounded_wait_times_out() {
         let lt = waiting(30);
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        let err = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared).unwrap_err();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
+        let err = lt.acquire(TxnId(2), atom(1), LockMode::Shared).unwrap_err();
         assert!(matches!(err, TxnError::LockTimeout { .. }));
-        let s = lt.stats().snapshot();
+        let s = lt.snapshot(0);
         assert_eq!(s.timeouts, 1);
         assert!(s.wait_us_total > 0, "timed-out wait must be accounted");
         // The queue drained; the entry still has its holder.
-        assert!(lt.queue_depths().is_empty());
+        assert_eq!(lt.snapshot(0).waiting_now, 0);
     }
 
     #[test]
@@ -889,18 +775,18 @@ mod tests {
             Duration::from_millis(5000),
             1,
         )));
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
         let lt2 = Arc::clone(&lt);
         let h = thread::spawn(move || {
-            lt2.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive)
+            lt2.acquire(TxnId(2), atom(1), LockMode::Exclusive)
         });
-        while lt.queue_depths().is_empty() {
+        while lt.snapshot(0).waiting_now == 0 {
             thread::yield_now();
         }
         // Queue is at the cap: the third request bounces immediately.
-        let err = lt.acquire(TxnId(3), &[TxnId(3)], atom(1), LockMode::Shared).unwrap_err();
+        let err = lt.acquire(TxnId(3), atom(1), LockMode::Shared).unwrap_err();
         assert!(matches!(err, TxnError::LockConflict { .. }));
-        assert_eq!(lt.stats().snapshot().overflow_fastfails, 1);
+        assert_eq!(lt.snapshot(0).overflow_fastfails, 1);
         lt.release_all(TxnId(1));
         h.join().unwrap().unwrap();
     }
@@ -908,24 +794,24 @@ mod tests {
     #[test]
     fn two_txn_deadlock_picks_exactly_one_victim() {
         let lt = waiting(5000);
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(2), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(2), atom(2), LockMode::Exclusive).unwrap();
         let lt2 = Arc::clone(&lt);
         let h = thread::spawn(move || {
             // 1 waits for 2's atom.
-            lt2.acquire(TxnId(1), &[TxnId(1)], atom(2), LockMode::Exclusive)
+            lt2.acquire(TxnId(1), atom(2), LockMode::Exclusive)
         });
-        while lt.queue_depths().is_empty() {
+        while lt.snapshot(0).waiting_now == 0 {
             thread::yield_now();
         }
         // 2 requests 1's atom: cycle {1, 2}. Both hold the same number of
         // locks, so the younger (2, the requester) dies immediately.
-        let err = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive).unwrap_err();
+        let err = lt.acquire(TxnId(2), atom(1), LockMode::Exclusive).unwrap_err();
         assert!(matches!(err, TxnError::Deadlock { victim: TxnId(2), .. }));
         // The survivor is granted once the victim rolls back.
         lt.release_all(TxnId(2));
         h.join().unwrap().expect("survivor granted after victim released");
-        let s = lt.stats().snapshot();
+        let s = lt.snapshot(0);
         assert_eq!(s.deadlocks_detected, 1);
     }
 
@@ -934,23 +820,23 @@ mod tests {
         let lt = waiting(5000);
         // 1 holds two locks, 2 holds one: 2 is the cheaper victim even
         // though 1 is the requester closing the cycle.
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(3), LockMode::Exclusive).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(2), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(1), atom(3), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(2), atom(2), LockMode::Exclusive).unwrap();
         let lt2 = Arc::clone(&lt);
         let h = thread::spawn(move || {
-            let r = lt2.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive);
+            let r = lt2.acquire(TxnId(2), atom(1), LockMode::Exclusive);
             if r.is_err() {
                 // The victim's caller aborts, releasing its locks.
                 lt2.release_all(TxnId(2));
             }
             r
         });
-        while lt.queue_depths().is_empty() {
+        while lt.snapshot(0).waiting_now == 0 {
             thread::yield_now();
         }
         // 1 requests 2's atom, closing the cycle; parked 2 is doomed.
-        let err = lt.acquire(TxnId(1), &[TxnId(1)], atom(2), LockMode::Exclusive);
+        let err = lt.acquire(TxnId(1), atom(2), LockMode::Exclusive);
         let parked = h.join().unwrap();
         assert!(
             matches!(parked, Err(TxnError::Deadlock { victim: TxnId(2), .. })),
@@ -963,24 +849,24 @@ mod tests {
     #[test]
     fn fifo_reader_does_not_overtake_queued_writer() {
         let lt = waiting(5000);
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Shared).unwrap();
         let lt2 = Arc::clone(&lt);
         let (tx, rx) = mpsc::channel();
         let writer = thread::spawn(move || {
-            let r = lt2.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive);
+            let r = lt2.acquire(TxnId(2), atom(1), LockMode::Exclusive);
             tx.send(()).unwrap();
             r
         });
-        while lt.queue_depths().is_empty() {
+        while lt.snapshot(0).waiting_now == 0 {
             thread::yield_now();
         }
         // A fresh reader is compatible with the S holder but must queue
         // behind the waiting writer.
         let lt3 = Arc::clone(&lt);
         let reader = thread::spawn(move || {
-            lt3.acquire(TxnId(3), &[TxnId(3)], atom(1), LockMode::Shared)
+            lt3.acquire(TxnId(3), atom(1), LockMode::Shared)
         });
-        while lt.queue_depths().first().map_or(0, |(_, d)| *d) < 2 {
+        while lt.snapshot(0).waiting_now < 2 {
             thread::yield_now();
         }
         assert!(
@@ -994,20 +880,20 @@ mod tests {
         lt.release_all(TxnId(2));
         reader.join().unwrap().expect("reader granted after writer");
         lt.release_all(TxnId(3));
-        assert_eq!(lt.locked_targets(), 0);
+        assert_eq!(lt.snapshot(0).locked_targets, 0);
     }
 
     #[test]
     fn upgrade_waits_for_other_reader_not_for_queued_strangers() {
         let lt = waiting(5000);
         // 1 and 2 both hold S; 1 wants X (upgrade), blocked only by 2.
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Shared).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(2), atom(1), LockMode::Shared).unwrap();
         let lt2 = Arc::clone(&lt);
         let h = thread::spawn(move || {
-            lt2.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive)
+            lt2.acquire(TxnId(1), atom(1), LockMode::Exclusive)
         });
-        while lt.queue_depths().is_empty() {
+        while lt.snapshot(0).waiting_now == 0 {
             thread::yield_now();
         }
         // 2 releases: the upgrade proceeds without self-blocking on 1's
@@ -1020,22 +906,22 @@ mod tests {
     #[test]
     fn upgrade_deadlock_between_two_readers_dooms_one() {
         let lt = waiting(5000);
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Shared).unwrap();
-        lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Shared).unwrap();
+        lt.acquire(TxnId(2), atom(1), LockMode::Shared).unwrap();
         let lt2 = Arc::clone(&lt);
         let h = thread::spawn(move || {
-            let r = lt2.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive);
+            let r = lt2.acquire(TxnId(1), atom(1), LockMode::Exclusive);
             if r.is_err() {
                 lt2.release_all(TxnId(1));
             }
             r
         });
-        while lt.queue_depths().is_empty() {
+        while lt.snapshot(0).waiting_now == 0 {
             thread::yield_now();
         }
         // 2 also upgrades: each waits for the other's S — a cycle no
         // release will ever break. Exactly one dies.
-        let r2 = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Exclusive);
+        let r2 = lt.acquire(TxnId(2), atom(1), LockMode::Exclusive);
         if r2.is_err() {
             lt.release_all(TxnId(2));
         }
@@ -1045,29 +931,29 @@ mod tests {
             .filter(|r| matches!(r, Err(TxnError::Deadlock { .. })))
             .count();
         assert_eq!(deadlocks, 1, "exactly one upgrader dies: r1={r1:?} r2={r2:?}");
-        assert_eq!(lt.stats().snapshot().deadlocks_detected, 1);
+        assert_eq!(lt.snapshot(0).deadlocks_detected, 1);
     }
 
     #[test]
     fn no_wait_config_keeps_queues_empty() {
         let lt = no_wait();
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
         for _ in 0..10 {
-            assert!(lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared).is_err());
+            assert!(lt.acquire(TxnId(2), atom(1), LockMode::Shared).is_err());
         }
-        let s = lt.stats().snapshot();
+        let s = lt.snapshot(0);
         assert_eq!(s.waits, 0);
         assert_eq!(s.max_queue_depth, 0);
-        assert!(lt.queue_depths().is_empty());
+        assert_eq!(lt.snapshot(0).waiting_now, 0);
     }
 
     #[test]
     fn stats_rendering_reports_a_timed_out_wait() {
         let lt = waiting(10);
-        lt.acquire(TxnId(1), &[TxnId(1)], atom(1), LockMode::Exclusive).unwrap();
-        let _ = lt.acquire(TxnId(2), &[TxnId(2)], atom(1), LockMode::Shared);
+        lt.acquire(TxnId(1), atom(1), LockMode::Exclusive).unwrap();
+        let _ = lt.acquire(TxnId(2), atom(1), LockMode::Shared);
         let mut text = String::new();
-        lt.stats().snapshot().render_into(&mut text);
+        lt.snapshot(0).render_into(&mut text);
         for line in [
             "prima_lock_acquisitions 2",
             "prima_lock_waits 1",

@@ -1,28 +1,34 @@
-//! Nested transactions.
+//! Transactions: strict two-phase locking, statement savepoints, and
+//! the version chain as the one in-memory undo.
 //!
-//! "We have decided to refine the concept of nested transactions \[Mo81\]
-//! as a generic mechanism for all proposed uses of PRIMA" (Section 4):
-//! fine-grained intra-transaction parallelism needs units of work that
-//! can fail and retry independently — exactly what subtransactions give.
+//! PRIMA's Section 4 adopts nested transactions \[Mo81\] for two jobs:
+//! "fine grained intra-transaction parallelism and selective
+//! in-transaction recovery". Each job has one smaller mechanism here:
 //!
-//! The implementation follows Moss's rules on an atom-granularity lock
-//! table:
-//!
-//! * a subtransaction may acquire a lock if every conflicting holder is
-//!   an *ancestor*;
-//! * on **commit**, a subtransaction's locks and version entries are
-//!   inherited by its parent (they only become permanent when the
-//!   top-level transaction commits);
-//! * on **abort**, its writes are reversed newest-first from their
-//!   before-images — *selective in-transaction recovery*: sibling work
-//!   is untouched.
+//! * **parallelism** — the units of work a query decomposes into are
+//!   read-only and share the statement's one [`ReadGuard`]
+//!   ([`crate::parallel`]); they need no transaction of their own;
+//! * **selective recovery** — a statement that fails is rolled back to
+//!   the *savepoint* taken when it started, and only it: the
+//!   transaction stays open and its earlier statements stand.
 //!
 //! There is no separate undo list: the [`mvcc`] version chain is the one
 //! in-memory before-image. The access system shows every write's
 //! before-image to one pre-write callback ([`PreWrite`]) before it
 //! changes the record; the manager turns the written atom's into its WAL
 //! undo record and a version entry, and each back-reference partner's
-//! into a visibility-only version entry.
+//! into a visibility-only version entry. A savepoint is the length of the
+//! transaction's entry list. Rolling back to it replays the entries past
+//! it newest-first and stamps them as rolled back; abort is the rollback
+//! to savepoint 0, so the two are one mechanism. Locks are held to the
+//! end of the transaction (strict 2PL), which is why a savepoint needs
+//! nothing from the lock table.
+//!
+//! A statement rollback appends no log record of its own: its undo
+//! writes reach the log as page changes like any other. After a crash a
+//! committed transaction is redone with the statement already undone,
+//! and an uncommitted one replays all its undo records newest-first,
+//! each statement's restoring the state that statement started from.
 //!
 //! # Waiting, deadlocks, victims
 //!
@@ -33,37 +39,25 @@
 //! aborted with [`TxnError::Deadlock`], and its rollback wakes the
 //! survivors. The queue is capped per target — at the cap, requests
 //! degrade to an immediate [`TxnError::LockConflict`] — and
-//! [`LockConfig::no_wait`] restores pure fail-fast behavior, which the
-//! parallel executor's "retry later" DU scheduling and single-threaded
-//! interleaving tests rely on.
+//! [`LockConfig::no_wait`] restores pure fail-fast behavior, which
+//! single-threaded interleaving tests rely on.
 //!
-//! The Moss interaction: ancestors never conflict, neither as holders nor
-//! as waiters, so a subtransaction cannot wait on — or deadlock with —
-//! its own ancestor chain; subcommit's lock transfer re-checks waiters
-//! because merging a child's modes into the parent can make a parked
-//! stranger grantable. Deadlock victims surface to whoever issued the
-//! statement: `Session` retries auto-commit statements transparently
-//! (rollback, exponential backoff), explicit
-//! transactions see the retryable error and decide.
+//! Deadlock victims surface to whoever issued the statement: `Session`
+//! retries auto-commit statements transparently (rollback, exponential
+//! backoff); in an explicit transaction the statement is rolled back and
+//! the caller sees the retryable error and decides.
 //!
 //! # Who locks, who doesn't: the version store
 //!
-//! The locking story above grew in three steps. PR 5 extended Moss
-//! locking to retrieval — strict 2PL over every read, the airtight but
-//! reader-hostile baseline. PR 6 made conflicts *civilised* (bounded
-//! waits, deadlock victims, transparent retry) without making them
-//! rarer. The [`mvcc`] version store removes the read-side conflicts
-//! altogether: PRIMA's engineering workload is checkout → analyze →
-//! checkin, and the long analyze phase is pure retrieval that must not
-//! stall behind a concurrent checkin. Writers still run full Moss 2PL
-//! against each other (a checkin is exactly as serialised as before,
-//! and subtransaction version entries are inherited on subcommit just
-//! like locks), but a read-only statement now registers a [`Snapshot`]
-//! instead of taking locks: every base read resolves through the
-//! version chains to the newest version committed before the snapshot —
-//! the stable, committed state of the design the analysis started from.
-//! Combined with PR 5's lazy WAL bracket (read-only transactions never
-//! touch the log), a snapshot read is zero-log *and* zero-lock.
+//! PRIMA's engineering workload is checkout → analyze → checkin, and the
+//! long analyze phase is pure retrieval that must not stall behind a
+//! concurrent checkin. Writers run strict 2PL against each other, but a
+//! read-only statement registers a [`Snapshot`] instead of taking locks:
+//! every base read resolves through the version chains to the newest
+//! version committed before the snapshot — the stable, committed state
+//! of the design the analysis started from. Read-only transactions never
+//! touch the log either (the WAL bracket opens with the first undo
+//! record), so a snapshot read is zero-log *and* zero-lock.
 //!
 //! [`ReadGuard`] carries that choice through the query path: a session
 //! picks the mode once per statement (or once per cursor), and every read
@@ -107,7 +101,7 @@ impl fmt::Display for TxnId {
 /// Transaction-level errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TxnError {
-    /// Another (non-ancestor) transaction holds a conflicting lock and
+    /// Another transaction holds a conflicting lock and
     /// waiting is disabled (or the target's wait queue is full); the
     /// caller decides between rollback and retry.
     LockConflict { target: LockTarget, holder: TxnId },
@@ -118,8 +112,6 @@ pub enum TxnError {
     Deadlock { victim: TxnId, target: LockTarget },
     /// Unknown or already finished transaction.
     NotActive(TxnId),
-    /// A parent cannot commit while children are active.
-    ChildrenActive(TxnId),
     /// Access-system failure while applying or undoing work.
     Access(String),
 }
@@ -137,7 +129,6 @@ impl fmt::Display for TxnError {
                 write!(f, "deadlock detected on {target}; {victim} chosen as victim")
             }
             TxnError::NotActive(t) => write!(f, "{t} is not active"),
-            TxnError::ChildrenActive(t) => write!(f, "{t} has active children"),
             TxnError::Access(e) => write!(f, "access error in transaction: {e}"),
         }
     }
@@ -151,27 +142,16 @@ impl From<AccessError> for TxnError {
     }
 }
 
-struct TxnState {
-    parent: Option<TxnId>,
-    children: Vec<TxnId>,
-    /// Whether this (top-level) transaction's WAL bracket is open, i.e.
-    /// its `TxnBegin` has been appended. Written lazily with the first
-    /// undo record: read-only transactions (every query-path txn) leave
-    /// no trace in the log and skip the commit record *and its force*
-    /// entirely — a reader session's commit costs no device I/O.
-    wal_open: bool,
-}
-
-/// The transaction manager: lock table plus transaction tree.
+/// The transaction manager: lock table plus active-transaction set.
 ///
 /// On a durable kernel (storage with a [`Wal`]) the manager additionally
-/// write-ahead-logs transaction brackets and undo records: a top-level
-/// begin/commit/abort appends the matching record, commit *forces* the
-/// log (that is the durability point of `Session::commit`), and every
-/// manipulation appends its serialised [`UndoOp`] **before** the
-/// operation touches a page — so a forced log prefix never contains a
-/// page image without the undo that can reverse it. In memory, a
-/// transaction's before-images live only in the version store: abort
+/// write-ahead-logs transaction brackets and undo records: commit and
+/// abort append the matching record, commit *forces* the log (that is
+/// the durability point of `Session::commit`), and every manipulation
+/// appends its serialised [`UndoOp`] **before** the operation touches a
+/// page — so a forced log prefix never contains a page image without the
+/// undo that can reverse it. In memory, a transaction's before-images
+/// live only in the version store: a savepoint rollback or an abort
 /// replays them from there.
 pub struct TxnManager {
     sys: Arc<AccessSystem>,
@@ -181,9 +161,15 @@ pub struct TxnManager {
     /// uncommitted versions from base storage, so recovery owes the
     /// store nothing.
     versions: Arc<VersionStore>,
+    /// Active transactions, each with whether its WAL bracket is open,
+    /// i.e. its `TxnBegin` has been appended. The bracket opens lazily
+    /// with the first undo record: read-only transactions (every
+    /// query-path txn) leave no trace in the log and skip the commit
+    /// record *and its force* entirely — a reader session's commit costs
+    /// no device I/O.
     // lockrank: txn.1 — active-transaction table; taken inside the gate
     // by begin, and held across WAL undo appends (txn < walio).
-    active: Mutex<HashMap<TxnId, TxnState>>,
+    active: Mutex<HashMap<TxnId, bool>>,
     next: AtomicU64,
     wal: Option<Arc<Wal>>,
     /// Checkpoint gate: [`TxnManager::begin`] holds it shared,
@@ -212,75 +198,39 @@ impl TxnManager {
         })
     }
 
-    /// Starts a (sub)transaction.
-    pub fn begin(self: &Arc<Self>, parent: Option<TxnId>) -> Result<Transaction, TxnError> {
+    /// Starts a transaction.
+    pub(crate) fn begin(self: &Arc<Self>) -> Transaction {
         // Blocks while a checkpoint holds the gate exclusively.
         let _gate = self.gate.read();
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        let mut active = self.active.lock();
-        if let Some(p) = parent {
-            let pstate = active.get_mut(&p).ok_or(TxnError::NotActive(p))?;
-            pstate.children.push(id);
-        }
-        active.insert(
-            id,
-            TxnState { parent, children: Vec::new(), wal_open: false },
-        );
-        drop(active);
         // No WAL bracket yet: `TxnBegin` is appended lazily with the
         // first undo record (see [`TxnManager::log_undo`]), so read-only
         // transactions never touch the log.
-        Ok(Transaction { id, mgr: Arc::clone(self), finished: false })
+        self.active.lock().insert(id, false);
+        Transaction { id, mgr: Arc::clone(self), finished: false }
     }
 
-    /// Ancestor chain of `t` (inclusive).
-    fn ancestors(&self, t: TxnId) -> Vec<TxnId> {
-        let active = self.active.lock();
-        let mut out = vec![t];
-        let mut cur = t;
-        while let Some(state) = active.get(&cur) {
-            match state.parent {
-                Some(p) => {
-                    out.push(p);
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Appends `op` to the WAL, tagged with `t`'s *top-level* ancestor
-    /// (restart recovery knows only top-level winners and losers). Must
-    /// run before the operation dirties any page — see the struct docs.
-    /// The first undo record of a top-level transaction opens its WAL
-    /// bracket (`TxnBegin`) on the way. Fails when the log refuses the
-    /// append (poisoned after a device error): the write must not
-    /// proceed, since its undo could never become durable.
+    /// Appends `op` to the WAL under `t`. Must run before the operation
+    /// dirties any page — see the struct docs. The first undo record of
+    /// a transaction opens its WAL bracket (`TxnBegin`) on the way.
+    /// Fails when the log refuses the append (poisoned after a device
+    /// error): the write must not proceed, since its undo could never
+    /// become durable.
     fn log_undo(&self, t: TxnId, op: &UndoOp) -> prima_storage::StorageResult<()> {
-        if let Some(wal) = &self.wal {
-            let top = self.ancestors(t).last().copied().unwrap_or(t);
-            {
-                let mut active = self.active.lock();
-                if let Some(state) = active.get_mut(&top) {
-                    if !state.wal_open {
-                        // Appended under the active-set lock so the
-                        // bracket is opened exactly once even when
-                        // parallel subtransactions log concurrently.
-                        wal.append(WalPayload::TxnBegin { txn: top.0 })?;
-                        state.wal_open = true;
-                    }
-                }
+        let Some(wal) = &self.wal else { return Ok(()) };
+        if let Some(wal_open) = self.active.lock().get_mut(&t) {
+            if !*wal_open {
+                wal.append(WalPayload::TxnBegin { txn: t.0 })?;
+                *wal_open = true;
             }
-            wal.append(WalPayload::Undo { txn: top.0, payload: &op.encode() })?;
         }
+        wal.append(WalPayload::Undo { txn: t.0, payload: &op.encode() })?;
         Ok(())
     }
 
     /// Shared atom lock — the read-path granule.
     fn lock_atom_shared(&self, t: TxnId, atom: AtomId) -> Result<(), TxnError> {
-        let ancestors = self.ancestors(t);
-        self.locks.acquire(t, &ancestors, LockTarget::Atom(atom), LockMode::Shared)
+        self.locks.acquire(t, LockTarget::Atom(atom), LockMode::Shared)
     }
 
     /// Exclusive atom lock. Every atom-exclusive acquisition first
@@ -290,26 +240,22 @@ impl TxnManager {
     /// an uncommitted write is *never* observable, not even as a changed
     /// qualification outcome or a missing scan row.
     fn lock_atom_exclusive(&self, t: TxnId, atom: AtomId) -> Result<(), TxnError> {
-        let ancestors = self.ancestors(t);
-        self.locks.acquire(
-            t,
-            &ancestors,
-            LockTarget::Extension(atom.atom_type),
-            LockMode::IntentExclusive,
-        )?;
-        self.locks.acquire(t, &ancestors, LockTarget::Atom(atom), LockMode::Exclusive)
+        self.locks.acquire(t, LockTarget::Extension(atom.atom_type), LockMode::IntentExclusive)?;
+        self.locks.acquire(t, LockTarget::Atom(atom), LockMode::Exclusive)
     }
 
     /// Shared extension lock — taken by root access (scan, key lookup,
     /// access path, partition) before it inspects the type's atoms.
     fn lock_extension_shared(&self, t: TxnId, ty: AtomTypeId) -> Result<(), TxnError> {
-        let ancestors = self.ancestors(t);
-        self.locks.acquire(t, &ancestors, LockTarget::Extension(ty), LockMode::Shared)
+        self.locks.acquire(t, LockTarget::Extension(ty), LockMode::Shared)
     }
 
-    /// The lock table (diagnostics: table size, maintenance cost).
-    pub fn lock_table(&self) -> &LockTable {
-        &self.locks
+    /// The lock family of the metrics registry: the table's counters,
+    /// plus the table size and the active-transaction count, each read
+    /// under its own latch.
+    pub fn lock_stats(&self) -> LockStatsSnapshot {
+        let active_txns = self.active.lock().len() as u64;
+        self.locks.snapshot(active_txns)
     }
 
     /// The version store — snapshot registration for readers,
@@ -330,11 +276,6 @@ impl TxnManager {
     // Transactional atom operations
     // -----------------------------------------------------------------
 
-    fn read_atom(&self, t: TxnId, id: AtomId) -> Result<Atom, TxnError> {
-        self.lock_atom_shared(t, id)?;
-        Ok(self.sys.read_atom(id, None)?)
-    }
-
     fn insert_atom(
         &self,
         t: TxnId,
@@ -344,15 +285,7 @@ impl TxnManager {
         // The insert changes the type's extension: announce it before any
         // page is touched so concurrent scans conflict instead of missing
         // (or seeing) the uncommitted atom.
-        {
-            let ancestors = self.ancestors(t);
-            self.locks.acquire(
-                t,
-                &ancestors,
-                LockTarget::Extension(atom_type),
-                LockMode::IntentExclusive,
-            )?;
-        }
+        self.locks.acquire(t, LockTarget::Extension(atom_type), LockMode::IntentExclusive)?;
         // Referenced atoms receive implicit back-reference updates: lock
         // them exclusively first.
         for v in &values {
@@ -467,21 +400,32 @@ impl TxnManager {
     }
 
     // -----------------------------------------------------------------
-    // Commit / abort
+    // Savepoints, commit, abort
     // -----------------------------------------------------------------
 
+    /// Rolls `t` back to savepoint `mark`: its writes since then are
+    /// reversed newest-first and their version entries stamped as rolled
+    /// back. `t` stays active and keeps its locks. Abort is the rollback
+    /// to savepoint 0.
+    fn rollback_to(&self, t: TxnId, mark: usize) -> Result<(), TxnError> {
+        for (id, image) in self.versions.undo_images(t, mark) {
+            self.undo_write(id, image)?;
+        }
+        // The store stamps rather than deletes the entries: a snapshot
+        // reader that caught a dirty base value mid-rollback still
+        // resolves to the correct before-image.
+        self.versions.rollback(t, mark);
+        Ok(())
+    }
+
+    fn wal_open(&self, t: TxnId) -> Result<bool, TxnError> {
+        self.active.lock().get(&t).copied().ok_or(TxnError::NotActive(t))
+    }
+
     fn commit(&self, t: TxnId) -> Result<(), TxnError> {
-        let (parent, wal_open) = {
-            let active = self.active.lock();
-            let state = active.get(&t).ok_or(TxnError::NotActive(t))?;
-            if !state.children.is_empty() {
-                return Err(TxnError::ChildrenActive(t));
-            }
-            (state.parent, state.wal_open)
-        };
-        if parent.is_none() && wal_open {
-            // Top-level durability point, reached while the transaction
-            // still counts as active (a quiescing checkpoint cannot slip
+        if self.wal_open(t)? {
+            // The durability point, reached while the transaction still
+            // counts as active (a quiescing checkpoint cannot slip
             // between the force and the bookkeeping below). On a durable
             // kernel `Wal::commit` appends the commit record and returns
             // only once a device force covers it — the cross-session
@@ -489,105 +433,47 @@ impl TxnManager {
             // force, possibly several sessions' records, goes to the
             // device in one sequential append, and concurrent committers
             // share that one force (leader/follower coordination inside
-            // the WAL). Read-only transactions (`wal_open` false — no
-            // bracket, no undo, no page image) have nothing to make
-            // durable and skip both the record and the force.
+            // the WAL). Read-only transactions (no bracket, no undo, no
+            // page image) have nothing to make durable and skip both the
+            // record and the force.
             if let Some(wal) = &self.wal {
                 wal.commit(t.0).map_err(|e| TxnError::Access(e.to_string()))?;
             }
         }
-        {
-            let mut active = self.active.lock();
-            // Validated under this same lock at function entry; if it
-            // vanished since (it cannot — only the owner removes it),
-            // surface the error rather than panicking.
-            let state = active.remove(&t).ok_or(TxnError::NotActive(t))?;
-            if let Some(p) = state.parent {
-                if let Some(ps) = active.get_mut(&p) {
-                    ps.children.retain(|c| *c != t);
-                }
-            }
-        }
-        match parent {
-            Some(p) => {
-                // Moss: locks and version entries — the before-images —
-                // are inherited by the parent.
-                self.locks.transfer(t, p);
-                self.versions.transfer(t, p);
-            }
-            None => {
-                // Stamp the version entries with this commit's position
-                // (after the durability point: a failed force leaves the
-                // transaction active and its versions uncommitted), then
-                // release the locks.
-                self.versions.commit_stamp(t);
-                self.locks.release_all(t);
-            }
-        }
-        Ok(())
-    }
-
-    fn abort(&self, t: TxnId) -> Result<(), TxnError> {
-        // Abort children first (deepest-first).
-        let children: Vec<TxnId> = {
-            let active = self.active.lock();
-            match active.get(&t) {
-                Some(s) => s.children.clone(),
-                None => return Err(TxnError::NotActive(t)),
-            }
-        };
-        for c in children {
-            self.abort(c)?;
-        }
-        // Selective in-transaction recovery: reverse this transaction's
-        // writes newest-first, *before* it leaves the active set — a
-        // quiescing checkpoint must never observe a half-rolled-back
-        // kernel as idle (it would flush the partial state and truncate
-        // the undo records that could finish the job after a crash).
-        let (parent, wal_open) = {
-            let active = self.active.lock();
-            let state = active.get(&t).ok_or(TxnError::NotActive(t))?;
-            (state.parent, state.wal_open)
-        };
-        for (id, image) in self.versions.undo_images(t) {
-            self.undo_write(id, image)?;
-        }
-        // Retire this transaction's version entries now that base storage
-        // is restored. The store stamps rather than deletes them: a
-        // snapshot reader that caught a dirty base value mid-rollback
-        // still resolves to the correct before-image.
-        self.versions.rollback(t);
-        // A durable top-level abort records that its undo has been
-        // applied. Unforced and best-effort: if the record is lost in a
-        // crash — or refused by a poisoned log — restart simply replays
-        // the (idempotent) undo again. A transaction that never opened
-        // its bracket left nothing to record.
-        if parent.is_none() && wal_open {
-            if let Some(wal) = &self.wal {
-                let _ = wal.append(WalPayload::TxnAbort { txn: t.0 });
-            }
-        }
-        {
-            let mut active = self.active.lock();
-            if let Some(state) = active.remove(&t) {
-                if let Some(p) = state.parent {
-                    if let Some(ps) = active.get_mut(&p) {
-                        ps.children.retain(|c| *c != t);
-                    }
-                }
-            }
-        }
+        self.active.lock().remove(&t);
+        // Stamp the version entries with this commit's position (after
+        // the durability point: a failed force leaves the transaction
+        // active and its versions uncommitted), then release the locks.
+        self.versions.commit_stamp(t);
         self.locks.release_all(t);
         Ok(())
     }
 
-    /// Number of active transactions (diagnostics).
-    pub fn active_count(&self) -> usize {
-        self.active.lock().len()
+    fn abort(&self, t: TxnId) -> Result<(), TxnError> {
+        let wal_open = self.wal_open(t)?;
+        // Reverse every write *before* the transaction leaves the active
+        // set — a quiescing checkpoint must never observe a
+        // half-rolled-back kernel as idle (it would flush the partial
+        // state and truncate the undo records that could finish the job
+        // after a crash).
+        self.rollback_to(t, 0)?;
+        // A durable abort records that its undo has been applied.
+        // Unforced and best-effort: if the record is lost in a crash — or
+        // refused by a poisoned log — restart simply replays the
+        // (idempotent) undo again. A transaction that never opened its
+        // bracket left nothing to record.
+        if wal_open {
+            if let Some(wal) = &self.wal {
+                let _ = wal.append(WalPayload::TxnAbort { txn: t.0 });
+            }
+        }
+        self.active.lock().remove(&t);
+        self.locks.release_all(t);
+        Ok(())
     }
 
     /// Runs `f` with the kernel transactionally quiesced: the checkpoint
-    /// gate is held exclusively (new [`TxnManager::begin`]s block) and
+    /// gate is held exclusively (new transactions cannot begin) and
     /// the active set is verified empty under it, so `f` observes no
     /// in-flight transactional work. Errors with the active count when
     /// transactions are open.
@@ -612,14 +498,12 @@ impl TxnManager {
 /// * **Locking** (explicit transactions, DML qualification): acquires
 ///   `Shared` locks on behalf of one transaction for every atom that can
 ///   flow into a result and for every type extension it scans, so
-///   retrieval is bracketed by the same Moss lock table as manipulation —
-///   strict two-phase: everything acquired here is released at the
-///   top-level commit/rollback, never earlier. Conflicts wait (bounded)
-///   in the lock table's queue and surface as [`TxnError::LockConflict`]
-///   / [`TxnError::LockTimeout`] / [`TxnError::Deadlock`] per its
-///   [`LockConfig`]; the holder set is checked against the transaction's
-///   ancestor chain, so nested readers tolerate parent writers (Moss's
-///   rule).
+///   retrieval is bracketed by the same lock table as manipulation —
+///   strict two-phase: everything acquired here is released at
+///   commit/rollback, never earlier. Conflicts wait (bounded) in the lock
+///   table's queue and surface as [`TxnError::LockConflict`] /
+///   [`TxnError::LockTimeout`] / [`TxnError::Deadlock`] per its
+///   [`LockConfig`]; the transaction's own locks never conflict with it.
 ///
 /// * **Snapshot** (auto-commit reads): the lock operations are no-ops —
 ///   never reaching the lock table at all — and every base read is
@@ -801,60 +685,63 @@ impl<'a> ReadGuard<'a> {
     }
 }
 
-/// Handle to one (sub)transaction. Dropping an unfinished transaction
-/// aborts it.
-pub struct Transaction {
+/// Handle to one transaction, owned by a `Session`. Dropping an
+/// unfinished transaction aborts it.
+pub(crate) struct Transaction {
     id: TxnId,
     mgr: Arc<TxnManager>,
     finished: bool,
 }
 
 impl Transaction {
-    pub fn id(&self) -> TxnId {
-        self.id
-    }
-
-    /// Starts a subtransaction.
-    pub fn begin_child(&self) -> Result<Transaction, TxnError> {
-        self.mgr.begin(Some(self.id))
-    }
-
-    /// Transactional read (shared lock).
-    pub fn read_atom(&self, id: AtomId) -> Result<Atom, TxnError> {
-        self.mgr.read_atom(self.id, id)
-    }
-
     /// A [`ReadGuard`] charging read locks to this transaction.
-    pub fn read_guard(&self) -> ReadGuard<'_> {
+    pub(crate) fn read_guard(&self) -> ReadGuard<'_> {
         self.mgr.read_guard(self.id)
     }
 
     /// Transactional insert (exclusive locks on the new atom and on all
     /// referenced atoms — their back-references change).
-    pub fn insert_atom(&self, t: AtomTypeId, values: Vec<Value>) -> Result<AtomId, TxnError> {
+    pub(crate) fn insert_atom(
+        &self,
+        t: AtomTypeId,
+        values: Vec<Value>,
+    ) -> Result<AtomId, TxnError> {
         self.mgr.insert_atom(self.id, t, values)
     }
 
     /// Transactional modify.
-    pub fn modify_atom(&self, id: AtomId, updates: &[(usize, Value)]) -> Result<(), TxnError> {
+    pub(crate) fn modify_atom(
+        &self,
+        id: AtomId,
+        updates: &[(usize, Value)],
+    ) -> Result<(), TxnError> {
         self.mgr.modify_atom(self.id, id, updates)
     }
 
     /// Transactional delete.
-    pub fn delete_atom(&self, id: AtomId) -> Result<(), TxnError> {
+    pub(crate) fn delete_atom(&self, id: AtomId) -> Result<(), TxnError> {
         self.mgr.delete_atom(self.id, id)
     }
 
-    /// Commits; for subtransactions the effects (and locks) pass to the
-    /// parent.
-    pub fn commit(mut self) -> Result<(), TxnError> {
+    /// A savepoint: the transaction's version-entry count now.
+    pub(crate) fn savepoint(&self) -> usize {
+        self.mgr.versions.mark(self.id)
+    }
+
+    /// Undoes every write since `savepoint`; the transaction stays open
+    /// and keeps its locks.
+    pub(crate) fn rollback_to(&self, savepoint: usize) -> Result<(), TxnError> {
+        self.mgr.rollback_to(self.id, savepoint)
+    }
+
+    /// Commits: the durability point, then the locks go.
+    pub(crate) fn commit(mut self) -> Result<(), TxnError> {
         self.finished = true;
         self.mgr.commit(self.id)
     }
 
-    /// Aborts, rolling back this transaction's (and its children's)
-    /// effects only.
-    pub fn abort(mut self) -> Result<(), TxnError> {
+    /// Aborts, rolling back every write of the transaction.
+    pub(crate) fn abort(mut self) -> Result<(), TxnError> {
         self.finished = true;
         self.mgr.abort(self.id)
     }
@@ -864,6 +751,157 @@ impl Drop for Transaction {
     fn drop(&mut self) {
         if !self.finished {
             let _ = self.mgr.abort(self.id);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prima_mad::{ddl, Schema};
+    use prima_storage::{SimDisk, StorageSystem};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    const DDL: &str = "
+    CREATE ATOM_TYPE node
+      ( id : IDENTIFIER, n : INTEGER,
+        next : SET_OF (REF_TO (node.prev)),
+        prev : SET_OF (REF_TO (node.next)) );
+    ";
+
+    fn manager() -> Arc<TxnManager> {
+        let mut schema = Schema::new();
+        ddl::load_script(&mut schema, DDL).unwrap();
+        let storage = Arc::new(StorageSystem::new(Arc::new(SimDisk::new()), 4 << 20));
+        TxnManager::new(Arc::new(AccessSystem::new(storage, schema).unwrap()))
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert,
+        Delete(usize),
+        Link(usize, usize),
+        Unlink(usize, usize),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                3 => Just(Op::Insert),
+                1 => (any::<prop::sample::Index>()).prop_map(|i| Op::Delete(i.index(64))),
+                4 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
+                    .prop_map(|(a, b)| Op::Link(a.index(64), b.index(64))),
+                2 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
+                    .prop_map(|(a, b)| Op::Unlink(a.index(64), b.index(64))),
+            ],
+            1..60,
+        )
+    }
+
+    /// Applies `op` inside `txn`, tracking the live atoms.
+    fn apply(txn: &Transaction, ty: AtomTypeId, live: &mut Vec<AtomId>, n: &mut i64, op: &Op) {
+        match *op {
+            Op::Insert => {
+                *n += 1;
+                live.push(txn.insert_atom(ty, vec![Value::Null, Value::Int(*n)]).unwrap());
+            }
+            Op::Delete(i) => {
+                if !live.is_empty() {
+                    txn.delete_atom(live.remove(i % live.len())).unwrap();
+                }
+            }
+            Op::Link(a, b) | Op::Unlink(a, b) => {
+                if live.len() >= 2 {
+                    let (from, to) = (live[a % live.len()], live[b % live.len()]);
+                    let atom = txn.read_guard().read_atom(&txn.mgr.sys, from).unwrap().unwrap();
+                    let mut next = atom.values[2].ref_ids().to_vec();
+                    next.retain(|x| *x != to);
+                    if matches!(op, Op::Link(..)) {
+                        next.push(to);
+                    }
+                    txn.modify_atom(from, &[(2, Value::ref_set(next))]).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Every atom of type `ty` in base storage.
+    fn base_state(sys: &AccessSystem, ty: AtomTypeId) -> BTreeMap<AtomId, Atom> {
+        let ids = sys.all_ids(ty).unwrap();
+        ids.into_iter().map(|id| (id, sys.read_atom(id, None).unwrap())).collect()
+    }
+
+    /// `snap` sees exactly `before`: every atom it held, at its value
+    /// then, and none of the atoms created since.
+    fn assert_snapshot_sees(
+        sys: &AccessSystem,
+        ty: AtomTypeId,
+        snap: &Snapshot,
+        before: &BTreeMap<AtomId, Atom>,
+    ) {
+        let now = base_state(sys, ty);
+        for id in before.keys().chain(now.keys()) {
+            let seen = snap.visible(*id, now.get(id).cloned());
+            assert_eq!(seen.as_ref(), before.get(id), "snapshot view of {id}");
+        }
+    }
+
+    /// Global symmetry: a ∈ b.prev ⇔ b ∈ a.next.
+    fn assert_symmetric(sys: &AccessSystem, ty: AtomTypeId) {
+        let state = base_state(sys, ty);
+        for (id, atom) in &state {
+            for target in atom.values[2].ref_ids() {
+                assert!(state[target].values[3].ref_ids().contains(id), "{id} -> {target}");
+            }
+            for source in atom.values[3].ref_ids() {
+                assert!(state[source].values[2].ref_ids().contains(id), "{id} <- {source}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn abort_restores_and_snapshots_never_see_a_transaction(
+            setup in arb_ops(),
+            work in arb_ops(),
+            modes in prop::collection::vec(0u8..3, 1..8),
+        ) {
+            let mgr = manager();
+            let sys = Arc::clone(&mgr.sys);
+            let ty = sys.schema().type_id("node").unwrap();
+            let (mut live, mut n) = (Vec::new(), 0i64);
+            let t = mgr.begin();
+            for op in &setup {
+                apply(&t, ty, &mut live, &mut n, op);
+            }
+            t.commit().unwrap();
+            let before = base_state(&sys, ty);
+            let snap = mgr.versions().begin_snapshot();
+
+            // Chunks of the work run in the transaction itself (mode 0),
+            // or behind a savepoint that is kept (1) or rolled back to (2).
+            let top = mgr.begin();
+            let chunk = work.len().div_ceil(modes.len());
+            for (ops, mode) in work.chunks(chunk).zip(modes.iter().cycle()) {
+                let savepoint = top.savepoint();
+                let (saved, at_savepoint) = (live.clone(), base_state(&sys, ty));
+                for op in ops {
+                    apply(&top, ty, &mut live, &mut n, op);
+                    assert_snapshot_sees(&sys, ty, &snap, &before);
+                }
+                if *mode == 2 {
+                    top.rollback_to(savepoint).unwrap();
+                    live = saved;
+                    prop_assert_eq!(base_state(&sys, ty), at_savepoint);
+                }
+                assert_snapshot_sees(&sys, ty, &snap, &before);
+            }
+            top.abort().unwrap();
+            prop_assert_eq!(base_state(&sys, ty), before);
+            assert_symmetric(&sys, ty);
         }
     }
 }

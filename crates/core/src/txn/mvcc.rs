@@ -39,7 +39,10 @@
 //! stamps (with a bumped position) rather than deleting: a reader that
 //! caught the dirty base value just before rollback restored it must
 //! still resolve to the before-image — stamped entries age out through
-//! the same GC as committed ones.
+//! the same GC as committed ones. A savepoint rollback is the same
+//! stamp on the entries past the savepoint only; from then on those
+//! entries belong to no later commit stamp, undo or rollback of their
+//! transaction, which only ever touch its *unstamped* entries.
 //!
 //! # The race discipline
 //!
@@ -198,8 +201,8 @@ impl VersionStore {
     /// `None` for an insert) under `txn`. Must run **before** the base
     /// mutation it shadows. A visibility-only entry (`undo` false) is
     /// skipped when the chain already holds an unstamped entry — one of
-    /// `txn` or an ancestor, as the exclusive lock on `id` guarantees:
-    /// readers resolve to the oldest entry, so a later one is never read.
+    /// `txn`, as the exclusive lock on `id` guarantees: readers resolve
+    /// to the oldest entry, so a later one is never read.
     pub fn install(&self, txn: TxnId, id: AtomId, image: Option<&Atom>, undo: bool) {
         let installed = self.install_with(txn, id, undo, || Ok::<_, Infallible>(image.cloned()));
         installed.unwrap_or_else(|never| match never {});
@@ -239,34 +242,27 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Moss subcommit: the child's entries are inherited by the parent
-    /// (they become permanent — or vanish — with the top level).
-    pub fn transfer(&self, from: TxnId, to: TxnId) {
-        let mut inner = self.inner.lock();
-        let Some(ids) = inner.by_txn.remove(&from) else { return };
-        for id in &ids {
-            if let Some(chain) = inner.chains.get_mut(id) {
-                for e in chain.iter_mut().filter(|e| e.owner == from) {
-                    e.owner = to;
-                }
-            }
-        }
-        inner.by_txn.entry(to).or_default().extend(ids);
+    /// `txn`'s savepoint: the number of entries it has installed and not
+    /// rolled back. [`VersionStore::undo_images`] and
+    /// [`VersionStore::rollback`] take it as `from`.
+    pub fn mark(&self, txn: TxnId) -> usize {
+        self.inner.lock().by_txn.get(&txn).map_or(0, Vec::len)
     }
 
-    /// `txn`'s undo entries, newest first: for each of its writes, the
-    /// written atom's value before it (`None`: the write inserted it).
-    /// `by_txn` lists the atom once per entry in install order, so the
-    /// `n`-th last listing of an atom is its `n`-th last entry of `txn`.
-    pub fn undo_images(&self, txn: TxnId) -> Vec<(AtomId, Option<Atom>)> {
+    /// `txn`'s undo entries past savepoint `from`, newest first: for each
+    /// of its writes since, the written atom's value before it (`None`:
+    /// the write inserted it). `by_txn` lists the atom once per unstamped
+    /// entry in install order, so the `n`-th last listing of an atom is
+    /// its `n`-th last unstamped entry of `txn`.
+    pub fn undo_images(&self, txn: TxnId, from: usize) -> Vec<(AtomId, Option<Atom>)> {
         let inner = self.inner.lock();
         let Some(ids) = inner.by_txn.get(&txn) else { return Vec::new() };
         let mut seen: HashMap<AtomId, usize> = HashMap::new();
         let mut out = Vec::new();
-        for &id in ids.iter().rev() {
+        for &id in ids.iter().skip(from).rev() {
             let n = seen.entry(id).or_default();
             let chain = inner.chains.get(&id).into_iter().flatten();
-            let entry = chain.rev().filter(|e| e.owner == txn).nth(*n);
+            let entry = chain.rev().filter(|e| e.owner == txn && e.end.is_none()).nth(*n);
             *n += 1;
             if let Some(e) = entry.filter(|e| e.undo) {
                 out.push((id, e.image.clone()));
@@ -293,7 +289,7 @@ impl VersionStore {
             let Some(chain) = inner.chains.get_mut(&id) else { continue };
             let mut kept = false;
             chain.retain_mut(|e| {
-                if e.owner != txn {
+                if e.owner != txn || e.end.is_some() {
                     return true;
                 }
                 if kept {
@@ -314,34 +310,35 @@ impl VersionStore {
         self.gc_locked(&mut inner, dropped);
     }
 
-    /// Drops `txn`'s version bookkeeping on rollback. Entries are
+    /// Retires `txn`'s entries past savepoint `from` once their writes
+    /// are undone (`from` 0: all of them, on abort). Entries are
     /// *stamped* (at a bumped position), not deleted: a reader whose
     /// base read caught the dirty value resolves to the before-image
-    /// until every snapshot from before the abort has closed; after
+    /// until every snapshot from before the rollback has closed; after
     /// that the image equals the restored base value and GC drops it.
-    pub fn rollback(&self, txn: TxnId) {
+    pub fn rollback(&self, txn: TxnId, from: usize) {
         let mut inner = self.inner.lock();
-        let Some(ids) = inner.by_txn.remove(&txn) else { return };
+        let mut ids = match inner.by_txn.get_mut(&txn) {
+            None => return,
+            Some(ids) if from > 0 => ids.split_off(from.min(ids.len())),
+            Some(_) => inner.by_txn.remove(&txn).unwrap_or_default(),
+        };
+        if ids.is_empty() {
+            return;
+        }
         let c = inner.commit_seq + 1;
         inner.commit_seq = c;
-        let mut stamped: Vec<AtomId> = Vec::with_capacity(ids.len());
-        for id in ids {
-            if stamped.contains(&id) {
-                continue;
-            }
-            let Some(chain) = inner.chains.get_mut(&id) else { continue };
-            let mut any = false;
-            for e in chain.iter_mut().filter(|e| e.owner == txn) {
+        // Each listing past `from` is one of the atom's newest unstamped
+        // entries of `txn`.
+        for id in &ids {
+            let chain = inner.chains.get_mut(id).into_iter().flatten();
+            if let Some(e) = chain.rev().find(|e| e.owner == txn && e.end.is_none()) {
                 e.end = Some(c);
-                any = true;
-            }
-            if any {
-                stamped.push(id);
             }
         }
-        if !stamped.is_empty() {
-            inner.reclaim.push_back((c, stamped));
-        }
+        ids.sort_unstable();
+        ids.dedup();
+        inner.reclaim.push_back((c, ids));
         self.gc_locked(&mut inner, 0);
     }
 
@@ -566,7 +563,7 @@ mod tests {
         let id = AtomId::new(1, 1);
         let snap = store.begin_snapshot();
         store.install(TxnId(7), id, Some(&atom(id, 1)), true);
-        store.rollback(TxnId(7));
+        store.rollback(TxnId(7), 0);
         // Even if this reader's base read caught the dirty value, the
         // stamped entry corrects it.
         assert_eq!(snap.visible(id, Some(atom(id, 99))).unwrap().values[1], Value::Int(1));
@@ -592,16 +589,26 @@ mod tests {
     }
 
     #[test]
-    fn child_entries_transfer_to_the_parent() {
+    fn a_rolled_back_first_touch_stays_out_of_the_commit() {
         let store = VersionStore::new();
-        let id = AtomId::new(1, 1);
-        let snap = store.begin_snapshot();
-        store.install(TxnId(1), id, Some(&atom(id, 1)), true);
-        store.install(TxnId(2), id, Some(&atom(id, 5)), true); // child's image: dirty
-        store.transfer(TxnId(2), TxnId(1));
-        store.commit_stamp(TxnId(1));
-        // Deepest entry wins: the pre-transaction value.
-        assert_eq!(snap.visible(id, Some(atom(id, 9))).unwrap().values[1], Value::Int(1));
+        let (t, id) = (TxnId(7), AtomId::new(1, 1));
+        let before = store.begin_snapshot();
+        // Statement 1 makes the transaction's first touch (1 → 2) and
+        // rolls back to its savepoint.
+        let savepoint = store.mark(t);
+        store.install(t, id, Some(&atom(id, 1)), true);
+        assert_eq!(store.undo_images(t, savepoint).len(), 1);
+        store.rollback(t, savepoint);
+        assert_eq!(store.mark(t), savepoint);
+        // Statement 2 writes the restored atom again (1 → 3).
+        store.install(t, id, Some(&atom(id, 1)), true);
+        assert_eq!(store.undo_images(t, 0).len(), 1, "the rolled-back entry is not replayed");
+        store.commit_stamp(t);
+        let after = store.begin_snapshot();
+        assert_eq!(before.visible(id, Some(atom(id, 3))).unwrap().values[1], Value::Int(1));
+        assert_eq!(after.visible(id, Some(atom(id, 3))).unwrap().values[1], Value::Int(3));
+        drop((before, after));
+        assert_eq!(store.stats().live_versions, 0);
     }
 
     #[test]
@@ -618,7 +625,7 @@ mod tests {
         assert_eq!(seen.values[1], Value::Int(10), "the first touch's image");
         // Abort replays the written atom's images only, newest first.
         let undo: Vec<(AtomId, Value)> = store
-            .undo_images(TxnId(7))
+            .undo_images(TxnId(7), 0)
             .into_iter()
             .map(|(id, image)| (id, image.unwrap().values[1].clone()))
             .collect();

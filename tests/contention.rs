@@ -39,15 +39,39 @@ fn is_deadlock(e: &TxnError) -> bool {
 }
 
 /// Blocks until at least `want` waiters are parked in the lock table.
-fn wait_for_queue(db: &Prima, want: usize) {
-    let table = db.txn_manager().lock_table();
+fn wait_for_queue(db: &Prima, want: u64) {
     for _ in 0..4000 {
-        if table.queue_depths().iter().map(|(_, d)| *d).sum::<usize>() >= want {
+        if db.metrics().lock.waiting_now >= want {
             return;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    panic!("expected {want} parked waiters, queues stayed at {:?}", table.queue_depths());
+    panic!("expected {want} parked waiters, lock stats stayed at {:?}", db.metrics().lock);
+}
+
+fn txn_error(e: PrimaError) -> TxnError {
+    match e {
+        PrimaError::Txn(e) => e,
+        other => panic!("expected a transaction error, got {other}"),
+    }
+}
+
+fn name(tag: &str) -> [(&'static str, Value); 1] {
+    [("name", Value::Str(tag.into()))]
+}
+
+/// Commits `s` when `outcome` is a success, rolls it back otherwise.
+fn finish(s: &prima::Session, outcome: prima::PrimaResult<()>) -> Result<(), TxnError> {
+    match outcome {
+        Ok(()) => {
+            s.commit().unwrap();
+            Ok(())
+        }
+        Err(e) => {
+            s.rollback().unwrap();
+            Err(txn_error(e))
+        }
+    }
 }
 
 fn names(db: &Prima) -> Vec<(i64, String)> {
@@ -75,7 +99,7 @@ fn names(db: &Prima) -> Vec<(i64, String)> {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic deadlocks (kernel transactions)
+// Deterministic deadlocks (atom-level session calls)
 // ---------------------------------------------------------------------
 
 /// Locks `first`, rendezvouses, then tries `second` — the AB/BA shape.
@@ -87,19 +111,14 @@ fn ab_ba(
     second: prima::AtomId,
     tag: &str,
 ) -> Result<(), TxnError> {
-    let t = db.begin().unwrap();
-    t.modify_atom(first, &[(2, Value::Str(tag.into()))]).unwrap();
+    // Explicit transaction: in-transaction statements are never retried,
+    // so the victim's Deadlock surfaces raw.
+    let s = db.session();
+    s.begin().unwrap();
+    s.modify_atom_named(first, &name(tag)).unwrap();
     barrier.wait();
-    match t.modify_atom(second, &[(2, Value::Str(tag.into()))]) {
-        Ok(()) => {
-            t.commit().unwrap();
-            Ok(())
-        }
-        Err(e) => {
-            t.abort().unwrap();
-            Err(e)
-        }
-    }
+    let outcome = s.modify_atom_named(second, &name(tag));
+    finish(&s, outcome)
 }
 
 #[test]
@@ -141,41 +160,25 @@ fn victim_is_the_txn_with_fewest_locks_and_its_undo_is_applied() {
     let results = std::thread::scope(|s| {
         // t1 carries extra inserted atoms — strictly more locks held.
         let h1 = s.spawn(|| {
-            let t = db.begin().unwrap();
+            let t = db.session();
             for k in 101..104i64 {
-                t.insert_atom(0, vec![Value::Null, Value::Int(k), Value::Str("bulk".into())])
-                    .unwrap();
+                let attrs = [("part_no", Value::Int(k)), ("name", Value::Str("bulk".into()))];
+                t.insert_atom_named("part", &attrs).unwrap();
             }
-            t.modify_atom(a, &[(2, Value::Str("t1".into()))]).unwrap();
+            t.modify_atom_named(a, &name("t1")).unwrap();
             barrier.wait();
-            match t.modify_atom(b, &[(2, Value::Str("t1".into()))]) {
-                Ok(()) => {
-                    t.commit().unwrap();
-                    Ok(())
-                }
-                Err(e) => {
-                    t.abort().unwrap();
-                    Err(e)
-                }
-            }
+            let outcome = t.modify_atom_named(b, &name("t1"));
+            finish(&t, outcome)
         });
         // t2 holds only its marker insert and one atom.
         let h2 = s.spawn(|| {
-            let t = db.begin().unwrap();
-            t.insert_atom(0, vec![Value::Null, Value::Int(201), Value::Str("loser".into())])
-                .unwrap();
-            t.modify_atom(b, &[(2, Value::Str("t2".into()))]).unwrap();
+            let t = db.session();
+            let attrs = [("part_no", Value::Int(201)), ("name", Value::Str("loser".into()))];
+            t.insert_atom_named("part", &attrs).unwrap();
+            t.modify_atom_named(b, &name("t2")).unwrap();
             barrier.wait();
-            match t.modify_atom(a, &[(2, Value::Str("t2".into()))]) {
-                Ok(()) => {
-                    t.commit().unwrap();
-                    Ok(())
-                }
-                Err(e) => {
-                    t.abort().unwrap();
-                    Err(e)
-                }
-            }
+            let outcome = t.modify_atom_named(a, &name("t2"));
+            finish(&t, outcome)
         });
         [h1.join().unwrap(), h2.join().unwrap()]
     });
@@ -231,7 +234,7 @@ fn three_txn_cycle_is_broken_by_a_single_victim() {
     let stats = db.metrics().lock;
     assert_eq!(stats.deadlocks_detected, 1, "{stats:?}");
     assert_eq!(stats.timeouts, 0, "{stats:?}");
-    assert_eq!(db.txn_manager().lock_table().locked_targets(), 0, "all locks drained");
+    assert_eq!(stats.locked_targets, 0, "all locks drained");
 }
 
 // ---------------------------------------------------------------------
@@ -373,19 +376,22 @@ fn queued_writer_is_not_overtaken_by_a_later_reader() {
     // reader arrives later. FIFO: when the holder commits, the writer
     // must get the atom first, so the reader observes the writer's value
     // — overtaking would hand it the holder's.
-    let t_hold = db.begin().unwrap();
-    t_hold.modify_atom(id, &[(2, Value::Str("hold".into()))]).unwrap();
+    let t_hold = db.session();
+    t_hold.modify_atom_named(id, &name("hold")).unwrap();
 
     let read_value = std::thread::scope(|s| {
         let db = &db;
         let w = s.spawn(move || {
-            let t = db.begin().unwrap();
-            t.modify_atom(id, &[(2, Value::Str("w".into()))]).unwrap();
+            let t = db.session();
+            t.modify_atom_named(id, &name("w")).unwrap();
             t.commit().unwrap();
         });
         wait_for_queue(db, 1);
         let r = s.spawn(move || {
-            let t = db.begin().unwrap();
+            // In-transaction read: outside one it would snapshot past the
+            // holder without queueing.
+            let t = db.session();
+            t.begin().unwrap();
             let atom = t.read_atom(id).unwrap();
             t.commit().unwrap();
             atom.values[2].clone()
@@ -456,7 +462,7 @@ fn conflict_heavy_sessions_see_zero_conflict_errors_under_default_retry() {
     let stats = db.metrics().lock;
     assert!(stats.waits > 0, "no lock ever waited; workload was not contended: {stats:?}");
     assert_eq!(stats.waiting_now, 0, "workload done, nobody should still be parked");
-    assert_eq!(db.txn_manager().lock_table().locked_targets(), 0, "table fully drained");
+    assert_eq!(stats.locked_targets, 0, "table fully drained");
 
     // Last committed value is one of the workload's writes.
     let final_names = names(&db);

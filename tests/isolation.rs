@@ -1,5 +1,5 @@
 //! Query-path isolation: shared atom/extension locks on molecule
-//! retrieval (strict two-phase, Moss nested-transaction rules).
+//! retrieval (strict two-phase).
 //!
 //! Two-session scenarios over one kernel: a reader must never observe a
 //! concurrent session's uncommitted INSERT / MODIFY / DELETE. These
@@ -12,10 +12,9 @@
 //! read path, and a read issued outside a transaction now takes the
 //! lock-free snapshot path instead (covered by `tests/snapshot.rs`). Queueing, timeouts and deadlock
 //! victims are covered by `tests/contention.rs`. Read-your-own-writes
-//! holds within a session, nested subtransactions tolerate their
-//! ancestors' locks, and everything a query locked is released at
-//! top-level commit/rollback (with the lock table reaping emptied
-//! entries — it must not grow with every atom ever locked).
+//! holds within a session, and everything a query locked is released at
+//! commit/rollback (with the lock table reaping emptied entries — it
+//! must not grow with every atom ever locked).
 
 use prima::{LockConfig, Prima, QueryOptions, Value};
 
@@ -206,7 +205,7 @@ fn cursor_fetch_never_streams_dirty_atoms() {
 }
 
 // ---------------------------------------------------------------------
-// Lock release, read-your-own-writes, nesting
+// Lock release, read-your-own-writes
 // ---------------------------------------------------------------------
 
 #[test]
@@ -216,14 +215,14 @@ fn query_locks_are_released_at_commit_and_rollback_and_table_reaped() {
         db.insert("part", &[("part_no", Value::Int(i)), ("name", Value::Str("v".into()))])
             .unwrap();
     }
-    let table = db.txn_manager().lock_table();
-    assert_eq!(table.locked_targets(), 0, "auto-commit loads leave no locks behind");
+    let locked = || db.metrics().lock.locked_targets;
+    assert_eq!(locked(), 0, "auto-commit loads leave no locks behind");
 
     // A query holds its shared locks (strict 2PL) ...
     let reader = db.session();
     reader.begin().unwrap();
     reader.query("SELECT ALL FROM part", &QueryOptions::default()).unwrap();
-    assert!(table.locked_targets() > 10, "extension + one lock per retrieved atom");
+    assert!(locked() > 10, "extension + one lock per retrieved atom");
     let writer = db.session();
     let err = writer.execute("INSERT part (part_no: 99, name: 'w')").unwrap_err();
     assert!(err.is_lock_conflict(), "{err}");
@@ -231,16 +230,16 @@ fn query_locks_are_released_at_commit_and_rollback_and_table_reaped() {
 
     // ... until commit releases them and the table reaps emptied entries.
     reader.commit().unwrap();
-    assert_eq!(table.locked_targets(), 0, "commit must drain and reap the table");
+    assert_eq!(locked(), 0, "commit must drain and reap the table");
     writer.execute("INSERT part (part_no: 99, name: 'w')").unwrap();
     writer.commit().unwrap();
 
     // Rollback releases read locks the same way.
     reader.begin().unwrap();
     reader.query("SELECT ALL FROM part", &QueryOptions::default()).unwrap();
-    assert!(table.locked_targets() > 0);
+    assert!(locked() > 0);
     reader.rollback().unwrap();
-    assert_eq!(table.locked_targets(), 0, "rollback must drain and reap the table");
+    assert_eq!(locked(), 0, "rollback must drain and reap the table");
 }
 
 #[test]
@@ -269,39 +268,6 @@ fn read_your_own_writes_still_holds() {
     drop(cursor);
     session.rollback().unwrap();
     assert!(names(&db, "SELECT ALL FROM part").is_empty());
-}
-
-#[test]
-fn moss_parent_tolerance_on_the_read_path() {
-    let db = db();
-    let id = db
-        .insert("part", &[("part_no", Value::Int(1)), ("name", Value::Str("base".into()))])
-        .unwrap();
-
-    // Parent transaction writes the atom (exclusive).
-    let parent = db.begin().unwrap();
-    parent.modify_atom(id, &[(2, Value::Str("parent".into()))]).unwrap();
-
-    // A child's shared read tolerates the parent's exclusive lock —
-    // Moss's rule on the read path.
-    let child = parent.begin_child().unwrap();
-    let atom = child.read_atom(id).unwrap();
-    assert_eq!(atom.values[2], Value::Str("parent".into()));
-    // The child's read guard (what the query path uses) tolerates it too.
-    child.read_guard().lock_atom(id).unwrap();
-    child.commit().unwrap();
-
-    // A stranger top-level session conflicts on the same atom.
-    let outsider = db.session();
-    outsider.begin().unwrap();
-    let err = outsider
-        .query("SELECT ALL FROM part WHERE part_no = 1", &QueryOptions::default())
-        .unwrap_err();
-    assert!(err.is_lock_conflict(), "{err}");
-    outsider.rollback().unwrap();
-
-    parent.abort().unwrap();
-    assert_eq!(names(&db, "SELECT ALL FROM part"), vec!["base".to_string()]);
 }
 
 #[test]
@@ -358,7 +324,7 @@ fn concurrent_readers_share_locks() {
     assert_eq!(r2.query("SELECT ALL FROM part", &QueryOptions::default()).unwrap().set.len(), 5);
     r1.commit().unwrap();
     r2.commit().unwrap();
-    assert_eq!(db.txn_manager().lock_table().locked_targets(), 0);
+    assert_eq!(db.metrics().lock.locked_targets, 0);
 }
 
 #[test]
@@ -368,13 +334,13 @@ fn lock_maintenance_cost_tracks_own_locks_not_table_size() {
         db.insert("part", &[("part_no", Value::Int(i)), ("name", Value::Str("v".into()))])
             .unwrap();
     }
-    let table = db.txn_manager().lock_table();
+    let lock = || db.metrics().lock;
 
     // A long-lived reader pins the whole extension (65+ locks).
     let big = db.session();
     big.begin().unwrap();
     big.query("SELECT ALL FROM part", &QueryOptions::default()).unwrap();
-    let big_held = table.locked_targets();
+    let big_held = lock().locked_targets;
     assert!(big_held >= 65);
 
     // A second session reads one atom (key lookup: extension + atom). Its
@@ -382,15 +348,15 @@ fn lock_maintenance_cost_tracks_own_locks_not_table_size() {
     let small = db.session();
     small.begin().unwrap();
     small.query("SELECT ALL FROM part WHERE part_no = 3", &QueryOptions::default()).unwrap();
-    let before = table.maintenance_visits();
+    let before = lock().maintenance_visits;
     small.commit().unwrap();
-    let visited = table.maintenance_visits() - before;
+    let visited = lock().maintenance_visits - before;
     assert!(
         visited <= 2,
         "releasing a 2-lock reader visited {visited} entries (table held {big_held})"
     );
     big.commit().unwrap();
-    assert_eq!(table.locked_targets(), 0);
+    assert_eq!(lock().locked_targets, 0);
 }
 
 #[test]

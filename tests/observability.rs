@@ -262,6 +262,9 @@ fn render_text_family_lines_are_pinned() {
         "prima_lock_overflow_fastfails",
         "prima_lock_waiting_now",
         "prima_lock_max_queue_depth",
+        "prima_lock_maintenance_visits",
+        "prima_lock_locked_targets",
+        "prima_lock_active_txns",
         "prima_version_versions_installed",
         "prima_version_versions_reclaimed",
         "prima_version_snapshots_opened",

@@ -5,18 +5,16 @@
 //! * back-reference symmetry under arbitrary mutation sequences (the
 //!   core invariant of the MAD model: "an association is symmetric in
 //!   that the referenced record must contain a back-reference");
-//! * the same mutations inside one transaction with child
-//!   subtransactions: a snapshot from before it never sees any of it,
-//!   back-reference partners included, and its abort restores every atom
-//!   exactly;
 //! * sort-order scans equal explicit sorts.
+//!
+//! The same mutations inside one transaction, with savepoints kept and
+//! rolled back, are a unit test of the transaction manager
+//! (`prima::txn`'s `abort_restores_and_snapshots_never_see_a_transaction`).
 
-use prima::txn::{Snapshot, Transaction};
-use prima::{Atom, AtomTypeId, Prima, Value};
+use prima::{Prima, Value};
 use prima_mad::codec;
 use prima_mad::value::AtomId;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 fn arb_scalar() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -210,103 +208,5 @@ proptest! {
         let mut expected = values.clone();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rollback and snapshot visibility under random nested transactions
-// ---------------------------------------------------------------------
-
-/// Applies `op` inside `txn`, tracking the live atoms.
-fn apply_in(txn: &Transaction, ty: AtomTypeId, live: &mut Vec<AtomId>, n: &mut i64, op: &Op) {
-    match *op {
-        Op::Insert => {
-            *n += 1;
-            live.push(txn.insert_atom(ty, vec![Value::Null, Value::Int(*n)]).unwrap());
-        }
-        Op::Delete(i) => {
-            if !live.is_empty() {
-                txn.delete_atom(live.remove(i % live.len())).unwrap();
-            }
-        }
-        Op::Link(a, b) | Op::Unlink(a, b) => {
-            if live.len() >= 2 {
-                let (from, to) = (live[a % live.len()], live[b % live.len()]);
-                let mut next = txn.read_atom(from).unwrap().values[2].ref_ids().to_vec();
-                next.retain(|x| *x != to);
-                if matches!(op, Op::Link(..)) {
-                    next.push(to);
-                }
-                txn.modify_atom(from, &[(2, Value::ref_set(next))]).unwrap();
-            }
-        }
-    }
-}
-
-/// Every atom of type `ty` in base storage.
-fn base_state(db: &Prima, ty: AtomTypeId) -> BTreeMap<AtomId, Atom> {
-    let ids = db.access().all_ids(ty).unwrap();
-    ids.into_iter().map(|id| (id, db.access().read_atom(id, None).unwrap())).collect()
-}
-
-/// `snap` sees exactly `before`: every atom it held, at its value then,
-/// and none of the atoms created since.
-fn assert_snapshot_sees(
-    db: &Prima,
-    ty: AtomTypeId,
-    snap: &Snapshot,
-    before: &BTreeMap<AtomId, Atom>,
-) {
-    let now = base_state(db, ty);
-    for id in before.keys().chain(now.keys()) {
-        let seen = snap.visible(*id, now.get(id).cloned());
-        assert_eq!(seen.as_ref(), before.get(id), "snapshot view of {id}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn abort_restores_and_snapshots_never_see_a_transaction(
-        setup in arb_ops(),
-        work in arb_ops(),
-        modes in prop::collection::vec(0u8..3, 1..8),
-    ) {
-        let db = Prima::builder().buffer_bytes(4 << 20).build_with_ddl(DDL).unwrap();
-        let ty = db.schema().type_id("node").unwrap();
-        let (mut live, mut n) = (Vec::new(), 0i64);
-        let t = db.begin().unwrap();
-        for op in &setup {
-            apply_in(&t, ty, &mut live, &mut n, op);
-        }
-        t.commit().unwrap();
-        let before = base_state(&db, ty);
-        let snap = db.txn_manager().versions().begin_snapshot();
-
-        // Chunks of the work run in the top-level transaction itself
-        // (mode 0) or in a child that commits (1) or aborts (2).
-        let top = db.begin().unwrap();
-        let chunk = work.len().div_ceil(modes.len());
-        for (ops, mode) in work.chunks(chunk).zip(modes.iter().cycle()) {
-            let child = if *mode == 0 { None } else { Some(top.begin_child().unwrap()) };
-            let saved = live.clone();
-            for op in ops {
-                apply_in(child.as_ref().unwrap_or(&top), ty, &mut live, &mut n, op);
-                assert_snapshot_sees(&db, ty, &snap, &before);
-            }
-            match child {
-                Some(c) if *mode == 2 => {
-                    c.abort().unwrap();
-                    live = saved;
-                }
-                Some(c) => c.commit().unwrap(),
-                None => {}
-            }
-            assert_snapshot_sees(&db, ty, &snap, &before);
-        }
-        top.abort().unwrap();
-        prop_assert_eq!(base_state(&db, ty), before);
-        assert_symmetric(&db);
     }
 }

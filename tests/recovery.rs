@@ -12,6 +12,8 @@
 //!   * mid-transaction (loser rolled back),
 //!   * post-commit-pre-flush (redo makes the commit win),
 //!   * after in-process rollback (no resurrection),
+//!   * after a failed statement was undone alone, with and without the
+//!     transaction's commit,
 //!   * after checkpoint + more commits (bounded redo),
 //!   * a proptest-style randomized interleaving of INSERT / MODIFY /
 //!     DELETE with commits at random positions;
@@ -290,6 +292,53 @@ fn file_disk_database_survives_process_style_crash() {
     assert_eq!(part_nos(&db), (0..45).collect::<Vec<_>>());
     drop(db);
     drop(guard);
+}
+
+// ---------------------------------------------------------------------
+// A failed statement inside a transaction, then a crash
+// ---------------------------------------------------------------------
+
+/// Parts 0..3 committed; then, in one transaction, statement 1 renames
+/// part 0, and statement 2 renames part 0 again and moves it to key 50
+/// before failing on part 1's duplicate key, so it is undone alone. The
+/// transaction commits or not, every page is flushed (steal), the kernel
+/// crashes; returns what recovery shows next to the committed-prefix
+/// model.
+fn failed_statement_then_crash(commit: bool) -> (BTreeMap<i64, String>, BTreeMap<i64, String>) {
+    let device: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
+    let db = build_on(Arc::clone(&device));
+    insert_parts(&db, 0..3);
+    let mut committed: BTreeMap<i64, String> = (0..3).map(|n| (n, format!("p{n}"))).collect();
+    let s = db.session();
+    s.execute("MODIFY part SET name = 's1' WHERE part_no = 0").unwrap();
+    let before = db.metrics();
+    let err = s
+        .execute("MODIFY part SET name = 's2', part_no = 50 WHERE part_no < 3")
+        .unwrap_err();
+    assert!(err.to_string().contains("duplicate"), "{err}");
+    assert!(db.metrics().delta(&before).access.records_written > 0, "statement 2 wrote first");
+    if commit {
+        s.commit().unwrap();
+        committed.insert(0, "s1".into());
+    }
+    db.storage().flush().unwrap();
+    std::mem::forget(s);
+    crash(db);
+    let db = Prima::open_device(device).unwrap();
+    (names_by_no(&db), committed)
+}
+
+#[test]
+fn crash_before_commit_recovers_neither_statement() {
+    let (recovered, committed) = failed_statement_then_crash(false);
+    assert_eq!(recovered, committed);
+}
+
+#[test]
+fn commit_then_crash_recovers_exactly_the_statement_that_succeeded() {
+    let (recovered, committed) = failed_statement_then_crash(true);
+    assert_eq!(committed[&0], "s1");
+    assert_eq!(recovered, committed);
 }
 
 // ---------------------------------------------------------------------

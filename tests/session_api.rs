@@ -243,7 +243,7 @@ fn session_commit_chains_transactions() {
     session.rollback().unwrap();
     assert_eq!(exec::query(&db, "SELECT ALL FROM solid WHERE solid_no = 100").unwrap().len(), 1);
     assert!(exec::query(&db, "SELECT ALL FROM solid WHERE solid_no = 101").unwrap().is_empty());
-    assert_eq!(db.txn_manager().active_count(), 0, "commit/rollback leave nothing behind");
+    assert_eq!(db.metrics().lock.active_txns, 0, "commit/rollback leave nothing behind");
 }
 
 #[test]
@@ -254,7 +254,7 @@ fn dropping_an_uncommitted_session_rolls_back() {
         session.execute("INSERT solid (solid_no: 4242, description: 'ghost')").unwrap();
     } // dropped without commit
     assert!(exec::query(&db, "SELECT ALL FROM solid WHERE solid_no = 4242").unwrap().is_empty());
-    assert_eq!(db.txn_manager().active_count(), 0);
+    assert_eq!(db.metrics().lock.active_txns, 0);
 }
 
 // ---------------------------------------------------------------------

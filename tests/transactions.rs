@@ -1,7 +1,9 @@
-//! Nested transactions (Section 4): Moss-style locking, commit
-//! inheritance, selective in-transaction recovery.
+//! Transactions (Section 4) through the session: strict two-phase
+//! locking, commit and rollback, and selective in-transaction recovery —
+//! a failed statement is undone alone, and the transaction's earlier
+//! statements survive commit.
 
-use prima::{LockConfig, Prima, Value};
+use prima::{LockConfig, Prima, QueryOptions, Value};
 
 const DDL: &str = "
 CREATE ATOM_TYPE part
@@ -19,12 +21,21 @@ fn db() -> Prima {
     Prima::builder().lock_config(LockConfig::no_wait()).build_with_ddl(DDL).unwrap()
 }
 
+fn part(no: i64) -> [(&'static str, Value); 1] {
+    [("part_no", Value::Int(no))]
+}
+
+fn name(s: &str) -> [(&'static str, Value); 1] {
+    [("name", Value::Str(s.into()))]
+}
+
 #[test]
 fn top_level_commit_makes_work_durable() {
     let db = db();
-    let t = db.begin().unwrap();
-    let id = t.insert_atom(0, vec![Value::Null, Value::Int(1), Value::Str("axle".into())]).unwrap();
-    t.commit().unwrap();
+    let s = db.session();
+    let attrs = [("part_no", Value::Int(1)), ("name", Value::Str("axle".into()))];
+    let id = s.insert_atom_named("part", &attrs).unwrap();
+    s.commit().unwrap();
     assert!(db.access().exists(id));
     assert_eq!(db.read(id).unwrap().values[2], Value::Str("axle".into()));
 }
@@ -32,60 +43,110 @@ fn top_level_commit_makes_work_durable() {
 #[test]
 fn top_level_abort_undoes_everything() {
     let db = db();
-    let t = db.begin().unwrap();
-    let a = t.insert_atom(0, vec![Value::Null, Value::Int(1)]).unwrap();
-    let b = t.insert_atom(0, vec![Value::Null, Value::Int(2)]).unwrap();
-    t.modify_atom(a, &[(2, Value::Str("renamed".into()))]).unwrap();
-    t.abort().unwrap();
+    let s = db.session();
+    let a = s.insert_atom_named("part", &part(1)).unwrap();
+    let b = s.insert_atom_named("part", &part(2)).unwrap();
+    s.modify_atom_named(a, &name("renamed")).unwrap();
+    s.rollback().unwrap();
     assert!(!db.access().exists(a));
     assert!(!db.access().exists(b));
 }
 
+/// A statement that fails after some of its writes is undone alone: the
+/// MODIFY moves part 1 to key 5, then fails on part 2's duplicate key;
+/// part 1's move is rolled back, the insert before it stays.
 #[test]
 fn subtransaction_abort_is_selective() {
     let db = db();
-    let t = db.begin().unwrap();
-    let keep = t.insert_atom(0, vec![Value::Null, Value::Int(1)]).unwrap();
-    // Child does work and fails.
-    let c = t.begin_child().unwrap();
-    let gone = c.insert_atom(0, vec![Value::Null, Value::Int(2)]).unwrap();
-    c.abort().unwrap();
-    assert!(!db.access().exists(gone), "child's work rolled back");
-    assert!(db.access().exists(keep), "parent's work untouched");
-    t.commit().unwrap();
+    let p1 = db.insert("part", &part(1)).unwrap();
+    db.insert("part", &part(2)).unwrap();
+    let s = db.session();
+    let keep = s.insert_atom_named("part", &part(3)).unwrap();
+    let before = db.metrics();
+    let err = s.execute("MODIFY part SET part_no = 5 WHERE part_no < 3").unwrap_err();
+    assert!(err.to_string().contains("duplicate"), "{err}");
+    assert!(db.metrics().delta(&before).access.records_written > 0, "the statement wrote first");
+    // Lock-free inspection: the session still holds part 1 exclusively.
+    let mid = db.access().read_atom(p1, None).unwrap();
+    assert_eq!(mid.values[1], Value::Int(1), "the failed statement's work rolled back");
+    assert!(db.access().exists(keep), "the earlier statement's work untouched");
+    s.commit().unwrap();
     assert!(db.access().exists(keep));
+    assert_eq!(db.read(p1).unwrap().values[1], Value::Int(1));
 }
 
+/// The failed statement's partial effects never become durable: with a
+/// `(0,2)` cardinality on `pair.items`, connecting a third item fails on
+/// the pair that already holds two, after it was connected to the pair
+/// holding one. Commit keeps the transaction's earlier insert only.
+#[test]
+fn a_failed_statement_leaves_nothing_behind_at_commit() {
+    let db = Prima::builder()
+        .lock_config(LockConfig::no_wait())
+        .build_with_ddl(
+            "
+            CREATE ATOM_TYPE pair
+              ( id : IDENTIFIER, p : INTEGER,
+                items : SET_OF (REF_TO (item.owner)) (0,2) )
+            KEYS_ARE (p);
+            CREATE ATOM_TYPE item
+              ( id : IDENTIFIER, k : INTEGER,
+                owner : SET_OF (REF_TO (pair.items)) )
+            KEYS_ARE (k);
+            ",
+        )
+        .unwrap();
+    let item = |k: i64| db.insert("item", &[("k", Value::Int(k))]).unwrap();
+    let (i1, i2, i3, i4) = (item(1), item(2), item(3), item(4));
+    let pair = |p: i64, items: Vec<prima::AtomId>| {
+        db.insert("pair", &[("p", Value::Int(p)), ("items", Value::ref_set(items))]).unwrap()
+    };
+    let (p1, p2) = (pair(1, vec![i1]), pair(2, vec![i2, i4]));
+
+    let s = db.session();
+    s.begin().unwrap();
+    s.execute("INSERT item (k: 5)").unwrap();
+    let err = s
+        .execute("MODIFY pair SET items = CONNECT (SELECT ALL FROM item WHERE k = 3)")
+        .unwrap_err();
+    assert!(err.to_string().contains("cardinality violation"), "{err}");
+    s.commit().unwrap();
+
+    assert_eq!(db.read(p1).unwrap().values[2].ref_ids(), [i1], "pair 1 lost the third item");
+    assert_eq!(db.read(p2).unwrap().values[2].ref_ids().len(), 2);
+    assert!(db.read(i3).unwrap().values[2].ref_ids().is_empty(), "item 3 has no owner");
+    let fifth = db.session().query("SELECT ALL FROM item WHERE k = 5", &QueryOptions::default());
+    assert_eq!(fifth.unwrap().set.len(), 1, "the earlier statement committed");
+}
+
+/// A transaction's successful statements die with its rollback.
 #[test]
 fn child_commit_inherits_into_parent_abort() {
     let db = db();
-    let t = db.begin().unwrap();
-    let c = t.begin_child().unwrap();
-    let id = c.insert_atom(0, vec![Value::Null, Value::Int(7)]).unwrap();
-    c.commit().unwrap();
-    assert!(db.access().exists(id), "visible after subcommit");
-    // Parent aborts: the inherited work must disappear too.
-    t.abort().unwrap();
-    assert!(!db.access().exists(id), "subcommitted work dies with the parent");
+    let s = db.session();
+    let id = s.insert_atom_named("part", &part(7)).unwrap();
+    assert!(db.access().exists(id), "visible in base after the statement");
+    s.rollback().unwrap();
+    assert!(!db.access().exists(id), "the statement's work dies with the transaction");
 }
 
 #[test]
 fn delete_rollback_restores_references() {
     let db = db();
     // committed base data: parent part with one sub part.
-    let child = db.insert("part", &[("part_no", Value::Int(2))]).unwrap();
+    let child = db.insert("part", &part(2)).unwrap();
     let parent = db
         .insert("part", &[("part_no", Value::Int(1)), ("sub", Value::ref_set(vec![child]))])
         .unwrap();
-    // Transactionally delete the child, then abort.
-    let t = db.begin().unwrap();
-    t.delete_atom(child).unwrap();
+    // Transactionally delete the child, then roll back.
+    let s = db.session();
+    s.delete_atom(child).unwrap();
     // Back-reference maintenance removed child from parent.sub. (Lock-free
-    // access-layer read: `db.read` would rightly conflict with t's
-    // exclusive lock — this inspects t's own uncommitted state.)
+    // access-layer read: this inspects the session's own uncommitted
+    // state.)
     let p = db.access().read_atom(parent, None).unwrap();
     assert!(p.values[3].ref_ids().is_empty());
-    t.abort().unwrap();
+    s.rollback().unwrap();
     // Restored, including the association (both directions).
     assert!(db.access().exists(child));
     let p = db.read(parent).unwrap();
@@ -97,52 +158,40 @@ fn delete_rollback_restores_references() {
 #[test]
 fn lock_conflicts_between_top_level_transactions() {
     let db = db();
-    let id = db.insert("part", &[("part_no", Value::Int(1))]).unwrap();
-    let t1 = db.begin().unwrap();
-    let t2 = db.begin().unwrap();
-    t1.modify_atom(id, &[(2, Value::Str("t1".into()))]).unwrap();
-    let err = t2.modify_atom(id, &[(2, Value::Str("t2".into()))]).unwrap_err();
+    let id = db.insert("part", &part(1)).unwrap();
+    let t1 = db.session();
+    let t2 = db.session();
+    t1.modify_atom_named(id, &name("t1")).unwrap();
+    t2.begin().unwrap();
+    let err = t2.modify_atom_named(id, &name("t2")).unwrap_err();
     assert!(err.to_string().contains("lock conflict"), "{err}");
     // Readers conflict with the exclusive lock too.
     assert!(t2.read_atom(id).is_err());
     t1.commit().unwrap();
     // After commit the lock is gone.
-    t2.modify_atom(id, &[(2, Value::Str("t2".into()))]).unwrap();
+    t2.modify_atom_named(id, &name("t2")).unwrap();
     t2.commit().unwrap();
     assert_eq!(db.read(id).unwrap().values[2], Value::Str("t2".into()));
 }
 
+/// A later statement may touch what the transaction's earlier one holds;
+/// another session conflicts until the transaction commits.
 #[test]
 fn siblings_conflict_but_parent_child_do_not() {
     let db = db();
-    let id = db.insert("part", &[("part_no", Value::Int(1))]).unwrap();
-    let t = db.begin().unwrap();
-    t.modify_atom(id, &[(2, Value::Str("parent".into()))]).unwrap();
-    // Child may touch what the parent holds.
-    let c1 = t.begin_child().unwrap();
-    c1.modify_atom(id, &[(2, Value::Str("child".into()))]).unwrap();
-    // A sibling conflicts with c1's lock.
-    let c2 = t.begin_child().unwrap();
-    let err = c2.modify_atom(id, &[(2, Value::Str("sibling".into()))]);
+    let id = db.insert("part", &part(1)).unwrap();
+    let t = db.session();
+    t.modify_atom_named(id, &name("parent")).unwrap();
+    t.modify_atom_named(id, &name("child")).unwrap();
+    let other = db.session();
+    other.begin().unwrap();
+    let err = other.modify_atom_named(id, &name("sibling"));
     assert!(err.is_err());
-    // After c1 commits (locks pass to parent), the sibling may proceed.
-    c1.commit().unwrap();
-    c2.modify_atom(id, &[(2, Value::Str("sibling".into()))]).unwrap();
-    c2.commit().unwrap();
+    // After t commits (its locks go), the other session may proceed.
     t.commit().unwrap();
+    other.modify_atom_named(id, &name("sibling")).unwrap();
+    other.commit().unwrap();
     assert_eq!(db.read(id).unwrap().values[2], Value::Str("sibling".into()));
-}
-
-#[test]
-fn parent_cannot_commit_with_open_children() {
-    let db = db();
-    let t = db.begin().unwrap();
-    let _c = t.begin_child().unwrap();
-    // Cannot consume t while a child handle is live; use the manager API
-    // directly by trying to commit: the Transaction::commit consumes, so
-    // structure the test around the error.
-    let result = t.commit();
-    assert!(result.is_err(), "parent with active child must not commit");
 }
 
 #[test]
@@ -150,29 +199,30 @@ fn drop_without_commit_aborts() {
     let db = db();
     let id;
     {
-        let t = db.begin().unwrap();
-        id = t.insert_atom(0, vec![Value::Null, Value::Int(9)]).unwrap();
+        let s = db.session();
+        id = s.insert_atom_named("part", &part(9)).unwrap();
         // dropped here
     }
     assert!(!db.access().exists(id), "dropped transaction aborted");
 }
 
+/// Statements modify one atom v0 → v1 → v2, then a statement writing v3
+/// fails and is undone alone; rollback restores v0.
 #[test]
 fn nested_rollback_with_modify_chain() {
     let db = db();
     let id = db.insert("part", &[("part_no", Value::Int(1)), ("name", Value::Str("v0".into()))]).unwrap();
-    let t = db.begin().unwrap();
-    t.modify_atom(id, &[(2, Value::Str("v1".into()))]).unwrap();
-    let c = t.begin_child().unwrap();
-    c.modify_atom(id, &[(2, Value::Str("v2".into()))]).unwrap();
-    c.commit().unwrap();
-    let c2 = t.begin_child().unwrap();
-    c2.modify_atom(id, &[(2, Value::Str("v3".into()))]).unwrap();
-    c2.abort().unwrap();
+    db.insert("part", &part(2)).unwrap();
+    let t = db.session();
+    t.modify_atom_named(id, &name("v1")).unwrap();
+    t.modify_atom_named(id, &name("v2")).unwrap();
+    // v3 lands on part 1, then part 2's move to key 1 fails.
+    let err = t.execute("MODIFY part SET name = 'v3', part_no = 1 WHERE part_no > 0").unwrap_err();
+    assert!(err.to_string().contains("duplicate"), "{err}");
     // Lock-free inspection: t still holds the atom exclusively.
     let mid = db.access().read_atom(id, None).unwrap();
-    assert_eq!(mid.values[2], Value::Str("v2".into()), "c2 undone only");
-    t.abort().unwrap();
+    assert_eq!(mid.values[2], Value::Str("v2".into()), "the failed statement undone only");
+    t.rollback().unwrap();
     assert_eq!(db.read(id).unwrap().values[2], Value::Str("v0".into()), "all undone");
 }
 
@@ -182,10 +232,11 @@ fn nested_rollback_with_modify_chain() {
 #[test]
 fn non_reference_modify_reads_the_atom_once() {
     let db = db();
-    let id = db.insert("part", &[("part_no", Value::Int(1))]).unwrap();
-    let t = db.begin().unwrap();
+    let id = db.insert("part", &part(1)).unwrap();
+    let s = db.session();
+    s.begin().unwrap();
     let before = db.metrics();
-    t.modify_atom(id, &[(2, Value::Str("axle".into()))]).unwrap();
+    s.modify_atom_named(id, &name("axle")).unwrap();
     assert_eq!(db.metrics().delta(&before).buffer.fix_calls, 2);
-    t.commit().unwrap();
+    s.commit().unwrap();
 }
