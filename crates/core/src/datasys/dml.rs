@@ -22,16 +22,19 @@
 //! sub-reads must see the transaction's own uncommitted writes and must
 //! lock what they will mutate, so the only guard here is the
 //! transaction's own `read_guard()`.
+//!
+//! A statement arrives compiled ([`StatementPlan`]): its qualification
+//! and CONNECT / DISCONNECT sub-queries were validated once, and an
+//! execution only binds their parameters. Their *results* range over the
+//! current data and are computed per execution; their plans are not.
 
 use super::exec::{execute, AssemblyPool};
-use super::validate::{resolve_ref, validate};
+use super::plan::{Assignment, ResolvedQuery, StatementPlan};
+use super::validate::resolve_ref;
 use crate::error::{PrimaError, PrimaResult};
 use crate::txn::Transaction;
 use prima_access::AccessSystem;
-use prima_mad::mql::{
-    Delete, FromClause, Insert, Modify, Predicate, Query, SelectList, SetExpr, Statement,
-    ValueExpr,
-};
+use prima_mad::mql::{CompRef, Insert, ValueExpr};
 use prima_mad::value::{AtomId, Value};
 use prima_mad::AttrType;
 
@@ -46,60 +49,69 @@ pub enum DmlResult {
     Modified(usize),
 }
 
-/// Executes a non-SELECT statement in `txn`: writes are the
-/// transaction's atom operations, and the statement's *reads*
-/// (qualification sub-queries, current-value reads for
-/// CONNECT/DISCONNECT) take `Shared` locks under the same transaction,
-/// completing the two-phase bracket.
+/// Executes a compiled non-SELECT statement in `txn` with `params`
+/// bound: writes are the transaction's atom operations, and the
+/// statement's *reads* (qualification sub-queries, current-value reads
+/// for CONNECT/DISCONNECT) take `Shared` locks under the same
+/// transaction, completing the two-phase bracket.
 pub(crate) fn execute_statement(
     sys: &AccessSystem,
     txn: &Transaction,
-    stmt: &Statement,
+    plan: &StatementPlan,
+    params: &[Value],
 ) -> PrimaResult<DmlResult> {
-    match stmt {
-        Statement::Select(_) => Err(PrimaError::BadStatement(
+    match plan {
+        StatementPlan::Select(_) => Err(PrimaError::BadStatement(
             "SELECT must go through the query interface".into(),
         )),
-        Statement::Insert(i) => insert(sys, txn, i),
-        Statement::Delete(d) => delete(sys, txn, d),
-        Statement::Modify(m) => modify(sys, txn, m),
+        StatementPlan::Insert(i) => insert(sys, txn, i, params),
+        StatementPlan::Delete { qualification, only_components } => {
+            delete(sys, txn, &qualification.bind(params), only_components.as_deref())
+        }
+        StatementPlan::Modify { qualification, assignments } => {
+            modify(sys, txn, &qualification.bind(params), assignments, params)
+        }
     }
 }
 
-/// The qualification of a DELETE or MODIFY: `SELECT ALL` over its FROM
-/// and WHERE, whose molecules the statement changes.
-pub(crate) fn qualification(from: &FromClause, predicate: Option<&Predicate>) -> Query {
-    Query { select: SelectList::All, from: from.clone(), predicate: predicate.cloned() }
-}
-
-/// Concrete value of a DML value expression; placeholders must have been
-/// substituted by the prepared-statement layer before execution.
-fn lit(ve: &ValueExpr) -> PrimaResult<&Value> {
+/// Concrete value of a DML value expression with `params` bound.
+fn value(ve: &ValueExpr, params: &[Value]) -> PrimaResult<Value> {
     match ve {
-        ValueExpr::Lit(v) => Ok(v),
-        ValueExpr::Param(slot) => Err(PrimaError::UnboundParameter {
-            slot: *slot,
-            detail: "prepare the statement and bind values before executing".into(),
+        ValueExpr::Lit(v) => Ok(v.clone()),
+        ValueExpr::Param(slot) => params.get(usize::from(*slot)).cloned().ok_or_else(|| {
+            PrimaError::UnboundParameter {
+                slot: *slot,
+                detail: "prepare the statement and bind values before executing".into(),
+            }
         }),
     }
 }
 
-fn insert(sys: &AccessSystem, txn: &Transaction, stmt: &Insert) -> PrimaResult<DmlResult> {
+fn insert(
+    sys: &AccessSystem,
+    txn: &Transaction,
+    stmt: &Insert,
+    params: &[Value],
+) -> PrimaResult<DmlResult> {
     let pairs: Vec<(&str, Value)> = stmt
         .assignments
         .iter()
-        .map(|(n, ve)| Ok((n.as_str(), lit(ve)?.clone())))
+        .map(|(n, ve)| Ok((n.as_str(), value(ve, params)?)))
         .collect::<PrimaResult<_>>()?;
     let (t, values) = sys.resolve_named_values(&stmt.atom_type, &pairs)?;
     let id = txn.insert_atom(t, values)?;
     Ok(DmlResult::Inserted(id))
 }
 
-fn delete(sys: &AccessSystem, txn: &Transaction, stmt: &Delete) -> PrimaResult<DmlResult> {
-    let resolved = validate(sys.schema(), &qualification(&stmt.from, stmt.predicate.as_ref()))?;
-    let set = execute(sys, &resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
+fn delete(
+    sys: &AccessSystem,
+    txn: &Transaction,
+    resolved: &ResolvedQuery,
+    only_components: Option<&[String]>,
+) -> PrimaResult<DmlResult> {
+    let set = execute(sys, resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
     // Which structure nodes are deleted?
-    let victim_nodes: Vec<usize> = match &stmt.only_components {
+    let victim_nodes: Vec<usize> = match only_components {
         None => (0..resolved.nodes.len()).collect(),
         Some(names) => {
             let mut out = Vec::new();
@@ -131,13 +143,18 @@ fn delete(sys: &AccessSystem, txn: &Transaction, stmt: &Delete) -> PrimaResult<D
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<DmlResult> {
-    let resolved = validate(sys.schema(), &qualification(&stmt.from, stmt.predicate.as_ref()))?;
-    let set = execute(sys, &resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
+fn modify(
+    sys: &AccessSystem,
+    txn: &Transaction,
+    resolved: &ResolvedQuery,
+    assignments: &[(CompRef, Assignment)],
+    params: &[Value],
+) -> PrimaResult<DmlResult> {
+    let set = execute(sys, resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
     let mut modified = 0usize;
     for m in &set.molecules {
-        for (target, expr) in &stmt.assignments {
-            let (node, attr) = resolve_ref(&resolved, target, sys.schema())?;
+        for (target, assignment) in assignments {
+            let (node, attr) = resolve_ref(resolved, target, sys.schema())?;
             // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
             let at = sys.schema().atom_type(resolved.nodes[node].atom_type).expect("resolved");
             let is_set = matches!(at.attributes[attr].ty, AttrType::RefSet(..));
@@ -148,13 +165,13 @@ fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<D
                 if !sys.exists(id) {
                     continue;
                 }
-                match expr {
-                    SetExpr::Value(v) => {
-                        txn.modify_atom(id, &[(attr, lit(v)?.clone())])?;
+                match assignment {
+                    Assignment::Value(v) => {
+                        txn.modify_atom(id, &[(attr, value(v, params)?)])?;
                         modified += 1;
                     }
-                    SetExpr::Connect(sub) => {
-                        let targets = root_ids(sys, sub, txn)?;
+                    Assignment::Connect(sub) => {
+                        let targets = root_ids(sys, sub, params, txn)?;
                         let current = sys.read_atom(id, None)?;
                         let new_value = if is_set {
                             let mut ids = current.values[attr].ref_ids().to_vec();
@@ -171,8 +188,8 @@ fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<D
                         txn.modify_atom(id, &[(attr, new_value)])?;
                         modified += 1;
                     }
-                    SetExpr::Disconnect(sub) => {
-                        let targets = root_ids(sys, sub, txn)?;
+                    Assignment::Disconnect(sub) => {
+                        let targets = root_ids(sys, sub, params, txn)?;
                         let current = sys.read_atom(id, None)?;
                         let new_value = if is_set {
                             let ids: Vec<AtomId> = current.values[attr]
@@ -203,9 +220,14 @@ fn modify(sys: &AccessSystem, txn: &Transaction, stmt: &Modify) -> PrimaResult<D
     Ok(DmlResult::Modified(modified))
 }
 
-/// Runs a sub-query and returns its molecules' root atom ids (the atoms a
-/// CONNECT/DISCONNECT refers to).
-fn root_ids(sys: &AccessSystem, q: &Query, txn: &Transaction) -> PrimaResult<Vec<AtomId>> {
-    let set = execute(sys, &validate(sys.schema(), q)?, 1, txn.read_guard(), &AssemblyPool::default())?;
+/// Runs a sub-query with `params` bound and returns its molecules' root
+/// atom ids (the atoms a CONNECT/DISCONNECT refers to).
+fn root_ids(
+    sys: &AccessSystem,
+    q: &ResolvedQuery,
+    params: &[Value],
+    txn: &Transaction,
+) -> PrimaResult<Vec<AtomId>> {
+    let set = execute(sys, &q.bind(params), 1, txn.read_guard(), &AssemblyPool::default())?;
     Ok(set.molecules.iter().map(|m| m.root.atom.id).collect())
 }

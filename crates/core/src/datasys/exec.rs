@@ -57,7 +57,7 @@
 //! Every read goes through the statement's [`ReadGuard`]: this module
 //! never asks which visibility mode it runs under.
 
-use super::molecule::{MolAtom, Molecule, MoleculeSet, NodeInfo};
+use super::molecule::{MolAtom, Molecule, MoleculeSet};
 use super::plan::{root_bounds, NodeProjection, ResolvedQuery};
 use super::validate::{convert_op, predicate_to_atom_ssa, resolve_ref};
 use crate::error::{PrimaError, PrimaResult};
@@ -111,21 +111,7 @@ pub fn execute(
         })?;
         molecules.extend(results.into_iter().flatten());
     }
-    Ok(MoleculeSet { nodes: node_infos(q), molecules })
-}
-
-/// Node descriptions for result sets.
-pub(crate) fn node_infos(q: &ResolvedQuery) -> Vec<NodeInfo> {
-    q.nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| NodeInfo {
-            label: n.label.clone(),
-            atom_type: n.atom_type,
-            recursive: n.recursive,
-            selected: !matches!(q.select.per_node.get(i), Some(NodeProjection::Exclude)),
-        })
-        .collect()
+    Ok(MoleculeSet { nodes: Arc::clone(&q.node_infos), molecules })
 }
 
 /// Assembles, qualifies and projects a single root's molecule — the unit

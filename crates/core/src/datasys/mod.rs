@@ -10,9 +10,11 @@
 //! "modular data system" \[Fr86\]:
 //!
 //! * [`validate`](validate()) — query validation & modification (molecule-type
-//!   resolution, structure resolution, predicate pushdown);
+//!   resolution, structure resolution, predicate pushdown), applied to a
+//!   whole statement once when it is compiled
+//!   ([`plan_statement`](validate::plan_statement));
 //! * [`plan`] — the internal representation (processing plan with
-//!   functional descriptors);
+//!   functional descriptors), shared by every execution;
 //! * [`exec`] — molecule management: root access selection, vertical
 //!   assembly, cluster management, recursion, residual qualification,
 //!   (qualified) projection;
@@ -29,5 +31,5 @@ pub mod validate;
 pub use dml::DmlResult;
 pub use exec::{execute, AssemblyPool};
 pub use molecule::{MolAtom, Molecule, MoleculeSet, NodeInfo};
-pub use plan::{NodeProjection, ResolvedQuery};
+pub use plan::{NodeProjection, PlanShape, ResolvedQuery, StatementPlan};
 pub use validate::validate;

@@ -124,8 +124,9 @@ pub struct NodeInfo {
 /// A set of molecules: the result of an MQL query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MoleculeSet {
-    /// Structure description (index = node id used in [`MolAtom::node`]).
-    pub nodes: Vec<NodeInfo>,
+    /// Structure description (index = node id used in [`MolAtom::node`]),
+    /// shared with the plan that produced the set.
+    pub nodes: Arc<[NodeInfo]>,
     pub molecules: Vec<Molecule>,
 }
 
@@ -215,7 +216,8 @@ mod tests {
             nodes: vec![
                 NodeInfo { label: "solid".into(), atom_type: 0, recursive: false, selected: true },
                 NodeInfo { label: "part".into(), atom_type: 1, recursive: true, selected: true },
-            ],
+            ]
+            .into(),
             molecules: vec![Molecule::new(root)],
         }
     }

@@ -4,19 +4,30 @@
 //! functional descriptors for sorting, duplicate elimination, evaluation
 //! of qualified projection, molecule join as well as recursion."
 //!
-//! [`ResolvedQuery`] is that internal form: the resolved hierarchical
-//! structure with per-edge associations, the pushed-down root SSA, the
-//! residual molecule predicate, and per-node projection descriptors.
+//! A statement is compiled into its plan once and run many times: a
+//! prepared statement keeps its [`StatementPlan`], and a session's plan
+//! cache keeps the plans of ad-hoc texts. [`ResolvedQuery`] is the plan
+//! of a SELECT (and of the queries a DELETE or MODIFY runs). Its
+//! [`PlanShape`] — the resolved hierarchical structure with per-edge
+//! associations, the per-node projection descriptors and the result's
+//! node table — is shared through an `Arc` by every execution; the
+//! pushed-down root SSA and the residual molecule predicate are the only
+//! parts binding parameters changes ([`ResolvedQuery::bind`]).
+//!
 //! The molecule-type-specific access decision ("a molecule-type-specific
 //! optimization has to be aware of access methods, sort orders,
 //! partitions of atom types, and physical clusters") is taken per
 //! execution by `exec::find_roots`, which reports it as attributes of the
-//! statement profile's root-access span (`path`, `roots`, `cluster`).
+//! statement profile's root-access span (`path`, `roots`, `cluster`). A
+//! cached plan therefore never goes stale when LDL adds a structure.
 
+use super::molecule::NodeInfo;
 use prima_access::ssa::Ssa;
-use prima_mad::mql::Predicate;
+use prima_mad::mql::{CompRef, Insert, Predicate, ValueExpr};
 use prima_mad::schema::Association;
 use prima_mad::value::{AtomTypeId, Value};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// One resolved structure node.
 #[derive(Debug, Clone)]
@@ -54,35 +65,29 @@ pub struct ResolvedSelect {
     pub per_node: Vec<NodeProjection>,
 }
 
-/// The validated, resolved internal query form.
-#[derive(Debug, Clone)]
-pub struct ResolvedQuery {
+/// The parts of a plan no parameter changes, shared by every execution.
+#[derive(Debug)]
+pub struct PlanShape {
     /// Pre-order node list; node 0 is the root.
     pub nodes: Vec<ResolvedNode>,
     /// Molecule-type aliases from inlining: `(name, node index)`.
     pub aliases: Vec<(String, usize)>,
     pub select: ResolvedSelect,
-    /// Conjuncts decidable on the root atom, pushed down to the root
-    /// access.
-    pub root_ssa: Ssa,
-    /// Remaining predicate, evaluated per assembled molecule.
-    pub residual: Option<Predicate>,
     /// Attribute names of the root atom type (for cheap lookup without a
     /// schema reference).
     pub root_attrs: Vec<String>,
+    /// The result's node table ([`super::MoleculeSet::nodes`]), built
+    /// once and shared by every result.
+    pub node_infos: Arc<[NodeInfo]>,
 }
 
-impl ResolvedQuery {
+impl PlanShape {
     /// First node with the given label.
     pub fn node_by_label(&self, label: &str) -> Option<usize> {
         self.nodes.iter().position(|n| n.label == label)
     }
 
-    /// Attribute index on the root type, via the schema-resolved label.
-    /// (The schema is not stored here; validation pre-resolves attribute
-    /// existence, and execution carries the schema. This helper is backed
-    /// by the root SSA conversion, which resolves through the query's
-    /// side schema view set during validation.)
+    /// Attribute index on the root type.
     pub fn root_attr_index(&self, attr: &str) -> Option<usize> {
         self.root_attrs.iter().position(|a| a == attr)
     }
@@ -91,26 +96,65 @@ impl ResolvedQuery {
     pub fn is_recursive(&self) -> bool {
         self.nodes.iter().any(|n| n.recursive)
     }
+}
 
-    /// A copy of the plan with every parameter placeholder replaced by
-    /// its bound value — the cheap per-execution step of a prepared
-    /// statement (structure resolution, pushdown split and projection
-    /// descriptors are reused verbatim; only predicate values change).
-    pub fn bind_params(&self, params: &[prima_mad::value::Value]) -> ResolvedQuery {
-        let mut bound = self.clone();
-        bound.root_ssa = self.root_ssa.bind(params);
-        bound.residual = self.residual.as_ref().map(|p| p.bind_params(params));
-        bound
-    }
+/// The validated, resolved internal query form: a shared [`PlanShape`]
+/// (reached through `Deref`) plus the predicates.
+#[derive(Debug, Clone)]
+pub struct ResolvedQuery {
+    pub shape: Arc<PlanShape>,
+    /// Conjuncts decidable on the root atom, pushed down to the root
+    /// access.
+    pub root_ssa: Ssa,
+    /// Remaining predicate, evaluated per assembled molecule.
+    pub residual: Option<Predicate>,
+}
 
-    /// Whether the plan still contains unbound parameter placeholders.
-    pub fn has_params(&self) -> bool {
-        self.root_ssa.has_params()
-            || self
-                .residual
-                .as_ref()
-                .is_some_and(|p| !p.param_slots().is_empty())
+impl Deref for ResolvedQuery {
+    type Target = PlanShape;
+
+    fn deref(&self) -> &PlanShape {
+        &self.shape
     }
+}
+
+impl ResolvedQuery {
+    /// The plan with every parameter placeholder replaced by its bound
+    /// value — the per-execution step of a compiled statement. The shape
+    /// is shared, not copied; only the predicates are.
+    pub fn bind(&self, params: &[Value]) -> ResolvedQuery {
+        ResolvedQuery {
+            shape: Arc::clone(&self.shape),
+            root_ssa: self.root_ssa.bind(params),
+            residual: self.residual.as_ref().map(|p| p.bind_params(params)),
+        }
+    }
+}
+
+/// A compiled statement: a SELECT's plan, or a manipulation statement
+/// with the validated plans of the queries it runs. Parameters are bound
+/// per execution — into the plans by [`ResolvedQuery::bind`], into DML
+/// values by slot — and the plan itself is never rebuilt.
+#[derive(Debug)]
+pub enum StatementPlan {
+    Select(ResolvedQuery),
+    /// An INSERT runs no query; its values are resolved per execution.
+    Insert(Insert),
+    /// `qualification` selects the molecules the DELETE removes (only
+    /// the named components with `DELETE ONLY`).
+    Delete { qualification: ResolvedQuery, only_components: Option<Vec<String>> },
+    /// `qualification` selects the molecules the MODIFY changes.
+    Modify { qualification: ResolvedQuery, assignments: Vec<(CompRef, Assignment)> },
+}
+
+/// The right-hand side of a compiled MODIFY assignment.
+#[derive(Debug)]
+pub enum Assignment {
+    Value(ValueExpr),
+    /// Adds references to the roots of the sub-query's molecules.
+    Connect(ResolvedQuery),
+    /// Removes references to the roots of the sub-query's molecules.
+    Disconnect(ResolvedQuery),
 }
 
 /// A literal bound extracted from the root SSA (used to route to access

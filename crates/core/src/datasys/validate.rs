@@ -23,14 +23,24 @@
 //!    pushed the same way. The rest stays as a residual predicate.
 //! 4. **Select resolution** — the SELECT list is mapped onto per-node
 //!    projections, including qualified projections (nested SELECTs).
+//!
+//! [`plan_statement`] applies this to every query a statement runs —
+//! a SELECT, a DELETE's or MODIFY's qualification, a CONNECT /
+//! DISCONNECT sub-query — once, when the statement is compiled.
 
 use crate::error::{PrimaError, PrimaResult};
-use crate::datasys::plan::{NodeProjection, ResolvedNode, ResolvedQuery, ResolvedSelect};
+use crate::datasys::molecule::NodeInfo;
+use crate::datasys::plan::{
+    Assignment, NodeProjection, PlanShape, ResolvedNode, ResolvedQuery, ResolvedSelect,
+    StatementPlan,
+};
 use prima_access::ssa::{CmpOp, Ssa};
 use prima_mad::mql::{
-    CompRef, CompareOp, Operand, Predicate, Query, SelectItem, SelectList,
+    CompRef, CompareOp, FromClause, Operand, Predicate, Query, SelectItem, SelectList, SetExpr,
+    Statement,
 };
 use prima_mad::schema::{MoleculeGraph, MoleculeNode, Schema};
+use std::sync::Arc;
 
 /// Maximum molecule-type inlining depth (cycle guard).
 const MAX_INLINE_DEPTH: usize = 16;
@@ -142,37 +152,84 @@ pub fn validate(schema: &Schema, query: &Query) -> PrimaResult<ResolvedQuery> {
         .iter()
         .map(|a| a.name.clone())
         .collect();
-    let mut resolved = ResolvedQuery {
+    let mut shape = PlanShape {
         nodes,
         aliases,
         select: ResolvedSelect::default(),
-        residual: None,
-        root_ssa: Ssa::True,
         root_attrs,
+        node_infos: Arc::new([]),
     };
     // Predicate split.
+    let (mut root_ssa, mut residual) = (Ssa::True, None);
     if let Some(pred) = &query.predicate {
-        let (root_terms, residual) = split_predicate(&resolved, pred)?;
-        resolved.root_ssa = Ssa::and(root_terms);
-        resolved.residual = residual;
+        let (root_terms, rest) = split_predicate(&shape, pred)?;
+        root_ssa = Ssa::and(root_terms);
+        residual = rest;
         // Every referenced component must resolve.
-        if let Some(res) = &resolved.residual {
+        if let Some(res) = &residual {
             for r in res.comp_refs() {
-                resolve_ref(&resolved, r, schema)?;
+                resolve_ref(&shape, r, schema)?;
             }
         }
     }
     // Recursive structures need a root restriction (seed) — otherwise the
     // level-wise evaluation has no anchors.
-    if resolved.nodes.iter().any(|n| n.recursive) && matches!(resolved.root_ssa, Ssa::True) {
-        let name = resolved
-            .aliases
-            .first().map_or_else(|| resolved.nodes[0].label.clone(), |(n, _)| n.clone());
+    if shape.is_recursive() && matches!(root_ssa, Ssa::True) {
+        let name =
+            shape.aliases.first().map_or_else(|| shape.nodes[0].label.clone(), |(n, _)| n.clone());
         return Err(PrimaError::MissingSeed(name));
     }
     // Select resolution.
-    resolved.select = resolve_select(schema, &resolved, &query.select)?;
-    Ok(resolved)
+    shape.select = resolve_select(schema, &shape, &query.select)?;
+    shape.node_infos = shape
+        .nodes
+        .iter()
+        .zip(&shape.select.per_node)
+        .map(|(n, p)| NodeInfo {
+            label: n.label.clone(),
+            atom_type: n.atom_type,
+            recursive: n.recursive,
+            selected: !matches!(p, NodeProjection::Exclude),
+        })
+        .collect();
+    Ok(ResolvedQuery { shape: Arc::new(shape), root_ssa, residual })
+}
+
+/// Compiles a parsed statement into its plan: a SELECT into its
+/// processing plan; a DELETE or MODIFY into the plan of its
+/// qualification and of every CONNECT / DISCONNECT sub-query. An INSERT
+/// runs no query and is kept as parsed.
+pub fn plan_statement(schema: &Schema, stmt: &Statement) -> PrimaResult<StatementPlan> {
+    // The qualification of a DELETE or MODIFY: `SELECT ALL` over its FROM
+    // and WHERE, whose molecules the statement changes.
+    let qualification = |from: &FromClause, predicate: Option<&Predicate>| Query {
+        select: SelectList::All,
+        from: from.clone(),
+        predicate: predicate.cloned(),
+    };
+    Ok(match stmt {
+        Statement::Select(q) => StatementPlan::Select(validate(schema, q)?),
+        Statement::Insert(i) => StatementPlan::Insert(i.clone()),
+        Statement::Delete(d) => StatementPlan::Delete {
+            qualification: validate(schema, &qualification(&d.from, d.predicate.as_ref()))?,
+            only_components: d.only_components.clone(),
+        },
+        Statement::Modify(m) => StatementPlan::Modify {
+            qualification: validate(schema, &qualification(&m.from, m.predicate.as_ref()))?,
+            assignments: m
+                .assignments
+                .iter()
+                .map(|(target, e)| {
+                    let assignment = match e {
+                        SetExpr::Value(v) => Assignment::Value(v.clone()),
+                        SetExpr::Connect(q) => Assignment::Connect(validate(schema, q)?),
+                        SetExpr::Disconnect(q) => Assignment::Disconnect(validate(schema, q)?),
+                    };
+                    Ok((target.clone(), assignment))
+                })
+                .collect::<PrimaResult<_>>()?,
+        },
+    })
 }
 
 fn flatten(
@@ -220,7 +277,7 @@ fn flatten(
 /// Resolves a component reference to `(node index, attribute index)`.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 pub fn resolve_ref(
-    q: &ResolvedQuery,
+    q: &PlanShape,
     r: &CompRef,
     schema: &Schema,
 ) -> PrimaResult<(usize, usize)> {
@@ -246,7 +303,7 @@ pub fn resolve_ref(
 /// Splits a WHERE predicate into root-decidable SSA conjuncts and a
 /// residual molecule predicate.
 fn split_predicate(
-    q: &ResolvedQuery,
+    q: &PlanShape,
     pred: &Predicate,
 ) -> PrimaResult<(Vec<Ssa>, Option<Predicate>)> {
     let conjuncts: Vec<Predicate> = match pred {
@@ -268,7 +325,7 @@ fn split_predicate(
 /// Attempts to express a predicate as an SSA over the root atom: bare
 /// attribute references, explicit references to the root component, and
 /// level-0 references of a recursive molecule all qualify.
-fn to_root_ssa(q: &ResolvedQuery, pred: &Predicate) -> Option<Ssa> {
+fn to_root_ssa(q: &PlanShape, pred: &Predicate) -> Option<Ssa> {
     let is_root_ref = |r: &CompRef| -> bool {
         let comp_ok = match &r.component {
             None => true,
@@ -331,7 +388,7 @@ pub(crate) fn convert_op(op: CompareOp) -> CmpOp {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 fn resolve_select(
     schema: &Schema,
-    q: &ResolvedQuery,
+    q: &PlanShape,
     select: &SelectList,
 ) -> PrimaResult<ResolvedSelect> {
     let mut per_node: Vec<NodeProjection> = match select {
@@ -443,7 +500,7 @@ fn resolve_select(
     Ok(ResolvedSelect { per_node })
 }
 
-fn alias_node(q: &ResolvedQuery, name: &str) -> Option<usize> {
+fn alias_node(q: &PlanShape, name: &str) -> Option<usize> {
     q.aliases.iter().find(|(n, _)| n == name).map(|(_, i)| *i)
 }
 

@@ -197,13 +197,14 @@ impl MetricsSnapshot {
                 self.version.versions_reclaimed
             ),
         );
-        // API: every facade plan build follows a parse; the non-commit
-        // histograms account for exactly the executed statements.
+        // API: a parsed text is compiled or served by the plan cache, at
+        // most one of the two; the non-commit histograms account for
+        // exactly the executed statements.
         check(
-            self.api.plans_built <= self.api.statements_parsed,
+            self.api.plans_built + self.api.plan_cache_hits <= self.api.statements_parsed,
             format!(
-                "api: plans_built {} > statements_parsed {}",
-                self.api.plans_built, self.api.statements_parsed
+                "api: plans_built {} + plan_cache_hits {} > statements_parsed {}",
+                self.api.plans_built, self.api.plan_cache_hits, self.api.statements_parsed
             ),
         );
         let histogram_statements: u64 = [

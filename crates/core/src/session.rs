@@ -10,11 +10,12 @@
 //!   [`Session::execute`] is undo-logged and lock-protected; explicit
 //!   [`Session::commit`] / [`Session::rollback`] end the unit of work
 //!   (dropping the session rolls uncommitted work back).
-//! * [`Prepared`] — parse / validate / plan **once**, then
+//! * [`Prepared`] — compile (parse / validate / plan) **once**, then
 //!   [`Prepared::bind`] + [`Prepared::execute`] many times. MQL carries
 //!   `?` (positional) and `:name` (named) placeholders; binding is
 //!   type-checked against the attribute each parameter is compared with
-//!   or assigned to.
+//!   or assigned to, and an execution binds the values into the plan's
+//!   predicates without copying the rest of the plan.
 //! * [`MoleculeCursor`] — a pull-based iterator over result molecules.
 //!   Root atoms are located up front (they are the cheap part); component
 //!   assembly runs lazily per fetched chunk through the level-batched
@@ -27,6 +28,27 @@
 //! [`Session::last_profile`]), whose root-access span carries the access
 //! choice. Statements, commits, cursor opens and cursor fetches are each
 //! one profiled scope.
+//!
+//! ## Plan cache
+//!
+//! Every statement is compiled once. One-shot text — [`Session::query`],
+//! [`Session::query_cursor`], [`Session::into_cursor`],
+//! [`Session::execute`] — is looked up in the session's plan cache
+//! ([`PLAN_CACHE_ENTRIES`] statements) before it is compiled. The key is
+//! the text's token stream with each literal reduced to its kind
+//! (integer, real or string). A statement is cached compiled with each
+//! literal that stands where a parameter could — a comparison operand or
+//! a DML value, outside a qualified projection, not sign-folded — lifted
+//! into a slot; every other literal is kept, and a hit must repeat it
+//! exactly. A hit costs one tokenising pass, one probe and one bind: no
+//! parse, no validation, and no `Plan` span in the statement's profile,
+//! whose root carries `plan_cache = hit` (`miss` when the text was
+//! compiled). A literal that does not fit its slot's type, a text that
+//! does not tokenise, and a statement whose lifted form does not compile
+//! are compiled as written and not cached, so their outcome — error
+//! included — is the uncached one. The access path is chosen per
+//! execution, so a structure built by LDL later serves cached statements
+//! too.
 //!
 //! ## Isolation
 //!
@@ -91,23 +113,24 @@
 //! never retry either (a stream's already-delivered prefix cannot be
 //! rolled back transparently).
 
-use crate::datasys::exec::{find_roots, node_infos, process_root, AssemblyCtx, AssemblyPool};
+use crate::datasys::exec::{find_roots, process_root, AssemblyCtx, AssemblyPool};
+use crate::datasys::plan::{ResolvedQuery, StatementPlan};
+use crate::datasys::validate::{plan_statement, resolve_ref};
 use crate::datasys::{self, DmlResult, Molecule, MoleculeSet, NodeInfo};
-use crate::datasys::plan::ResolvedQuery;
-use crate::datasys::validate::resolve_ref;
 use crate::error::{PrimaError, PrimaResult};
-use crate::obs::{self, MetricsSnapshot, Obs, Probe, StatementKind, StatementProfile};
+use crate::obs::{self, MetricsSnapshot, Obs, Probe, SpanKind, StatementKind, StatementProfile};
 use crate::txn::{ReadGuard, Snapshot, Transaction, TxnManager};
 use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
 use prima_access::{AccessSystem, Atom};
 use prima_mad::mql::{
-    parse_statement_params, CompRef, Delete, Modify, Operand, Predicate, SetExpr, Statement,
-    ValueExpr,
+    parse_statement_lifted, parse_statement_params, unescape, CompRef, Operand, ParamSlots,
+    ParseError, Predicate, SetExpr, Statement, TokenKind, Tokens, ValueExpr,
 };
 use prima_mad::value::{AtomId, Value};
 use prima_mad::{AttrType, Schema};
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -249,23 +272,29 @@ impl StatementOutcome {
 // ---------------------------------------------------------------------
 
 prima_storage::counter_family! {
-    /// Counters proving the prepare-once/execute-many contract: a prepared
-    /// statement increments `statements_parsed` and `plans_built` once at
-    /// [`Session::prepare`] time and `plan_reuses` on every subsequent
-    /// SELECT execution. (Prepared DML skips re-parsing but re-validates
-    /// its qualification sub-query per execution, so it counts towards
-    /// neither; internal sub-query validations inside DELETE/MODIFY and
-    /// `CONNECT`/`DISCONNECT` are likewise not facade-level plans and are
-    /// not counted.)
+    /// Counters proving the compile-once contract (module docs, *Plan
+    /// cache*). Every MQL text handed to the facade counts
+    /// `statements_parsed` and is then either compiled (`plans_built`) or
+    /// served by the session's plan cache (`plan_cache_hits`), so
+    /// `plans_built + plan_cache_hits <= statements_parsed`. A prepared
+    /// statement's executions count `plan_reuses`.
     pub struct ApiStats => ApiStatsSnapshot as "api" {
-        /// MQL texts run through the lexer+parser at the facade.
+        /// MQL texts handed to the facade: one per [`Session::prepare`]
+        /// and one per one-shot `query`, `query_cursor`, `into_cursor` or
+        /// `execute` — each is at least tokenised, a plan-cache hit too.
         counter statements_parsed,
-        /// Facade-level query validations / plan constructions
-        /// ([`datasys::validate()`]).
+        /// Statements compiled at the facade — parsed, validated and
+        /// planned ([`plan_statement`]), a DML statement's qualification
+        /// and sub-queries included: every prepared statement, and every
+        /// one-shot text the plan cache did not serve (once, even when
+        /// its lifted form was compiled before the text as written).
         counter plans_built,
-        /// SELECT executions that reused an already-built plan (prepared
-        /// re-runs, including cursors).
+        /// Executions of a prepared statement — SELECT, cursor or DML —
+        /// each reusing the plan compiled at prepare time.
         counter plan_reuses,
+        /// One-shot texts the session's plan cache served: tokenised,
+        /// looked up and bound, not parsed or planned.
+        counter plan_cache_hits,
         /// Statements actually executed through a session — SELECT (one-shot
         /// and prepared, snapshot or locking path) and DML alike. Commits
         /// and cursor fetches are not statements and count elsewhere.
@@ -286,6 +315,10 @@ impl ApiStats {
 
     fn reused(&self) {
         self.plan_reuses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn cache_hit(&self) {
+        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     fn executed(&self) {
@@ -327,6 +360,9 @@ pub struct Session {
     profiling: AtomicBool,
     // lockrank: api.1
     last_profile: Mutex<Option<StatementProfile>>,
+    // lockrank: api.2 — the plan cache; held only to look up or insert
+    // an entry, never while a statement compiles or runs.
+    plan_cache: Mutex<PlanCache>,
     /// Molecule-assembly scratch, reused by the session's statements.
     assembly: AssemblyPool,
 }
@@ -347,6 +383,7 @@ impl Session {
             retry: RetryPolicy::default(),
             profiling: AtomicBool::new(false),
             last_profile: Mutex::new_ranked(None, rank::API + 1),
+            plan_cache: Mutex::new_ranked(PlanCache::default(), rank::API + 2),
             assembly: AssemblyPool::default(),
         }
     }
@@ -526,17 +563,17 @@ impl Session {
     // One-shot statements
     // -----------------------------------------------------------------
 
-    /// Parses, plans and runs one `SELECT`, materialising the full
-    /// molecule set. Outside a transaction it runs lock-free against a
-    /// snapshot of the committed state; inside one it runs under the
-    /// session's transaction and the retrieved atoms stay
+    /// Compiles (or finds in the plan cache) and runs one `SELECT`,
+    /// materialising the full molecule set. Outside a transaction it runs
+    /// lock-free against a snapshot of the committed state; inside one it
+    /// runs under the session's transaction and the retrieved atoms stay
     /// `Shared`-locked until [`Session::commit`] /
     /// [`Session::rollback`]. Parameterised statements must go through
     /// [`Session::prepare`].
     pub fn query(&self, mql: &str, opts: &QueryOptions) -> PrimaResult<QueryResult> {
         opts.validate()?;
         let scope = self.begin_scope();
-        let out = self.plan_select(mql).and_then(|plan| self.run_select(&plan, opts));
+        let out = self.one_shot_select(mql).and_then(|plan| self.run_select(&plan, opts));
         self.end_scope(scope, StatementKind::Select, mql, true);
         out
     }
@@ -558,8 +595,8 @@ impl Session {
         opts: &QueryOptions,
     ) -> PrimaResult<MoleculeCursor<'_>> {
         opts.validate()?;
-        let resolved = self.plan_select(mql)?;
-        MoleculeCursor::open(SessionRef::Borrowed(self), &resolved, mql, opts)
+        let plan = self.one_shot_select(mql)?;
+        MoleculeCursor::open(SessionRef::Borrowed(self), plan, mql, opts)
     }
 
     /// [`Session::query_cursor`] consuming the session: the cursor owns
@@ -572,58 +609,119 @@ impl Session {
         opts: &QueryOptions,
     ) -> PrimaResult<MoleculeCursor<'static>> {
         opts.validate()?;
-        let resolved = self.plan_select(mql)?;
-        MoleculeCursor::open(SessionRef::Owned(Box::new(self)), &resolved, mql, opts)
+        let plan = self.one_shot_select(mql)?;
+        MoleculeCursor::open(SessionRef::Owned(Box::new(self)), plan, mql, opts)
     }
 
     /// Executes one manipulation statement (`INSERT`/`DELETE`/`MODIFY`)
     /// under the session's transaction.
     pub fn execute(&self, mql: &str) -> PrimaResult<DmlResult> {
-        self.stats.parsed();
-        let (stmt, slots) = parse_statement_params(mql)?;
-        if !slots.is_empty() {
-            return Err(PrimaError::UnboundParameter {
-                slot: 0,
-                detail: "one-shot execute cannot run parameterized statements — prepare it"
-                    .into(),
-            });
-        }
-        if matches!(stmt, Statement::Select(_)) {
-            return Err(PrimaError::BadStatement("use query() for SELECT".into()));
-        }
-        // The kind is only known after the parse, so the parse itself
-        // stays outside the scope on this one-shot path.
+        // The kind is only known once the statement is compiled, so the
+        // compile stays outside the scope on this one-shot path.
+        let (compiled, params) = self.compile_one_shot(mql, false)?;
         let scope = self.begin_scope();
-        let out = self.run_dml(&stmt);
-        self.end_scope(scope, dml_kind(&stmt), mql, true);
+        let out = self.run_dml(&compiled.plan, &params);
+        self.end_scope(scope, compiled.kind(), mql, true);
         out
     }
 
-    /// Prepares a statement: parse + validate + plan now, bind and
-    /// execute as often as needed.
+    /// Prepares a statement: compiles it now — always afresh, past the
+    /// plan cache — to bind and execute as often as needed.
     pub fn prepare(&self, mql: &str) -> PrimaResult<Prepared<'_>> {
         Prepared::new(self, mql)
     }
 
     // -----------------------------------------------------------------
-    // Shared execution plumbing (also used by Prepared)
+    // Compilation and shared execution plumbing (also used by Prepared)
     // -----------------------------------------------------------------
 
-    fn plan_select(&self, mql: &str) -> PrimaResult<ResolvedQuery> {
-        self.stats.parsed();
-        let (stmt, slots) = obs::span(obs::SpanKind::Parse, || parse_statement_params(mql))?;
-        if !slots.is_empty() {
-            return Err(PrimaError::UnboundParameter {
-                slot: 0,
-                detail: "one-shot query cannot run parameterized statements — prepare it"
-                    .into(),
-            });
-        }
-        let Statement::Select(q) = stmt else {
+    /// The bound plan of one-shot SELECT text.
+    fn one_shot_select(&self, mql: &str) -> PrimaResult<ResolvedQuery> {
+        let (compiled, params) = self.compile_one_shot(mql, true)?;
+        let StatementPlan::Select(plan) = &compiled.plan else {
             return Err(PrimaError::BadStatement("use execute() for manipulation".into()));
         };
+        Ok(plan.bind(&params))
+    }
+
+    /// The compiled statement of one-shot `text` — a SELECT when `select`,
+    /// a manipulation otherwise — and the values its slots bind: served
+    /// by the plan cache, or compiled now (module docs, *Plan cache*).
+    fn compile_one_shot(
+        &self,
+        text: &str,
+        select: bool,
+    ) -> PrimaResult<(Arc<Compiled>, Vec<Value>)> {
+        self.stats.parsed();
+        let wrong_kind = |is_select: bool| {
+            let hint =
+                if select { "use execute() for manipulation" } else { "use query() for SELECT" };
+            (is_select != select).then(|| PrimaError::BadStatement(hint.into()))
+        };
+        if let Ok(key) = obs::span(SpanKind::Parse, || StatementKey::of(text)) {
+            let hit = self.plan_cache.lock().get(&key);
+            let found = match hit {
+                Some(cached) => Some((cached, true)),
+                None => self.cache_statement(text, &key).map(|cached| (cached, false)),
+            };
+            if let Some((cached, hit)) = found {
+                if let Some(e) = wrong_kind(cached.compiled.kind() == StatementKind::Select) {
+                    return Err(e);
+                }
+                let params = cached.slot_values(key.literals);
+                if cached.compiled.check(&params).is_ok() {
+                    if hit {
+                        self.stats.cache_hit();
+                    } else {
+                        self.stats.planned();
+                    }
+                    obs::attr("plan_cache", || (if hit { "hit" } else { "miss" }).to_string());
+                    return Ok((Arc::clone(&cached.compiled), params));
+                }
+            }
+        }
+        // Compiled as written, uncached.
         self.stats.planned();
-        obs::span(obs::SpanKind::Plan, || datasys::validate(self.access.schema(), &q))
+        let (stmt, names) = obs::span(SpanKind::Parse, || parse_statement_params(text))?;
+        if !names.is_empty() {
+            let entry = if select { "query" } else { "execute" };
+            return Err(PrimaError::UnboundParameter {
+                slot: 0,
+                detail: format!(
+                    "one-shot {entry} cannot run parameterized statements — prepare it"
+                ),
+            });
+        }
+        if let Some(e) = wrong_kind(matches!(stmt, Statement::Select(_))) {
+            return Err(e);
+        }
+        Ok((Arc::new(compile_parsed(self.access.schema(), &stmt, names)?), Vec::new()))
+    }
+
+    /// Compiles the lifted form of `text` ([`parse_statement_lifted`]) and
+    /// caches it under `key`. `None` — nothing cached — when it does not
+    /// compile or the text has placeholders of its own.
+    fn cache_statement(&self, text: &str, key: &StatementKey) -> Option<Arc<CacheEntry>> {
+        let lifted = obs::span(SpanKind::Parse, || parse_statement_lifted(text)).ok()?;
+        if lifted.params.len() != lifted.literal_slots.iter().flatten().count() {
+            return None;
+        }
+        let compiled =
+            compile_parsed(self.access.schema(), &lifted.statement, lifted.params).ok()?;
+        let literals = lifted
+            .literal_slots
+            .iter()
+            .zip(&key.literals)
+            .map(|(slot, v)| slot.map_or_else(|| Some(v.clone()), |_| None))
+            .collect();
+        let cached = Arc::new(CacheEntry {
+            hash: key.hash,
+            skeleton: key.skeleton.as_str().into(),
+            literals,
+            compiled: Arc::new(compiled),
+        });
+        self.plan_cache.lock().insert(Arc::clone(&cached));
+        Some(cached)
     }
 
     /// Runs a planned SELECT under the read guard the session's state
@@ -636,10 +734,10 @@ impl Session {
         Ok(QueryResult { set })
     }
 
-    fn run_dml(&self, stmt: &Statement) -> PrimaResult<DmlResult> {
+    fn run_dml(&self, plan: &StatementPlan, params: &[Value]) -> PrimaResult<DmlResult> {
         self.with_txn_retry(|t| {
-            obs::span(obs::SpanKind::DmlApply, || {
-                datasys::dml::execute_statement(&self.access, t, stmt)
+            obs::span(SpanKind::DmlApply, || {
+                datasys::dml::execute_statement(&self.access, t, plan, params)
             })
         })
     }
@@ -700,96 +798,64 @@ pub struct ParamSlot {
     pub expected: Option<AttrType>,
 }
 
-/// A prepared MQL statement: parsed, validated and (for `SELECT`s)
-/// planned once at [`Session::prepare`] time. Re-executions skip the
-/// lexer, parser and validator entirely — binding parameters only
-/// substitutes values into a copy of the cached plan.
-///
-/// DML statements cache the parsed AST and parameter typing; their
-/// qualification sub-query is re-planned per execution because it ranges
-/// over current data (the cache skips parse + type resolution).
+/// A prepared MQL statement: compiled once at [`Session::prepare`] time.
+/// Executions skip the lexer, parser and validator entirely: binding
+/// checks the values against the slots' types, and an execution binds
+/// them into the plan's predicates — the rest of the plan (structure,
+/// projection descriptors, result node table) is shared, not copied. A
+/// DELETE or MODIFY keeps the plans of its qualification and
+/// CONNECT / DISCONNECT sub-queries the same way; only their results are
+/// computed per execution.
 pub struct Prepared<'s> {
     session: &'s Session,
-    stmt: Statement,
+    compiled: Compiled,
     /// The statement text, carried into profiles.
     text: String,
-    /// Cached plan (SELECT only).
-    plan: Option<ResolvedQuery>,
-    slots: Vec<ParamSlot>,
     bound: Option<Vec<Value>>,
 }
 
 impl<'s> Prepared<'s> {
     fn new(session: &'s Session, mql: &str) -> PrimaResult<Prepared<'s>> {
-        let stats = &session.stats;
-        stats.parsed();
-        let (stmt, names) = parse_statement_params(mql)?;
-        let schema = session.access.schema();
-        // Validate / plan once. DML statements validate through their
-        // SELECT-equivalent so structural errors surface at prepare time.
-        let (plan, typing_plan) = match &stmt {
-            Statement::Select(q) => {
-                stats.planned();
-                let p = datasys::validate(schema, q)?;
-                (Some(p), None)
-            }
-            Statement::Delete(Delete { from, predicate, .. })
-            | Statement::Modify(Modify { from, predicate, .. }) => {
-                stats.planned();
-                let q = datasys::dml::qualification(from, predicate.as_ref());
-                (None, Some(datasys::validate(schema, &q)?))
-            }
-            Statement::Insert(_) => (None, None),
-        };
-        let mut slots: Vec<ParamSlot> =
-            names.into_iter().map(|name| ParamSlot { name, expected: None }).collect();
-        infer_param_types(schema, &stmt, plan.as_ref().or(typing_plan.as_ref()), &mut slots)?;
-        Ok(Prepared { session, stmt, text: mql.to_string(), plan, slots, bound: None })
+        session.stats.parsed();
+        session.stats.planned();
+        let compiled = compile(session.access.schema(), mql)?;
+        Ok(Prepared { session, compiled, text: mql.to_string(), bound: None })
     }
 
     /// The statement's parameter slots, in positional order.
     pub fn params(&self) -> &[ParamSlot] {
-        &self.slots
+        &self.compiled.slots
     }
 
     /// Binds positional values: exactly one per slot, type-checked
     /// against the attribute each parameter is used with.
     pub fn bind(&mut self, values: &[Value]) -> PrimaResult<&mut Self> {
-        if values.len() != self.slots.len() {
+        let slots = self.compiled.slots.len();
+        if values.len() != slots {
             return Err(PrimaError::BadStatement(format!(
-                "bind arity mismatch: statement has {} parameter(s), got {} value(s)",
-                self.slots.len(),
+                "bind arity mismatch: statement has {slots} parameter(s), got {} value(s)",
                 values.len()
             )));
         }
-        for (i, (slot, v)) in self.slots.iter().zip(values).enumerate() {
-            if let Some(expected) = &slot.expected {
-                expected.check_value(v).map_err(|_| PrimaError::ParamTypeMismatch {
-                    slot: i as u16,
-                    expected: expected.to_string(),
-                    got: format!("{:?}", v.kind()),
-                })?;
-            }
-        }
+        self.compiled.check(values)?;
         self.bound = Some(values.to_vec());
         Ok(self)
     }
 
     /// Binds by name (`:name` parameters; positional slots are addressed
     /// as `?1`, `?2`, …).
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
     pub fn bind_named(&mut self, pairs: &[(&str, Value)]) -> PrimaResult<&mut Self> {
-        let mut values: Vec<Option<Value>> = vec![None; self.slots.len()];
+        let slots = &self.compiled.slots;
+        let mut values: Vec<Option<Value>> = vec![None; slots.len()];
         for (name, v) in pairs {
-            let idx = self
-                .slots
+            let idx = slots
                 .iter()
                 .position(|s| s.name.as_deref() == Some(*name))
                 .or_else(|| {
                     name.strip_prefix('?')
                         .and_then(|n| n.parse::<usize>().ok())
                         .and_then(|n| n.checked_sub(1))
-                        .filter(|i| *i < self.slots.len())
+                        .filter(|i| *i < slots.len())
                 })
                 .ok_or_else(|| {
                     PrimaError::BadStatement(format!("no parameter named '{name}'"))
@@ -800,19 +866,18 @@ impl<'s> Prepared<'s> {
         if let Some(i) = missing {
             return Err(PrimaError::UnboundParameter {
                 slot: i as u16,
-                detail: match &self.slots[i].name {
+                detail: match &slots[i].name {
                     Some(n) => format!("':{n}' was not supplied"),
                     None => "positional slot not supplied".into(),
                 },
             });
         }
-        // lint: allow(error-hygiene, an earlier loop returned on any None entry)
-        let values: Vec<Value> = values.into_iter().map(|v| v.expect("checked")).collect();
+        let values: Vec<Value> = values.into_iter().flatten().collect();
         self.bind(&values)
     }
 
     fn bound_values(&self) -> PrimaResult<&[Value]> {
-        if self.slots.is_empty() {
+        if self.compiled.slots.is_empty() {
             return Ok(&[]);
         }
         self.bound.as_deref().ok_or(PrimaError::UnboundParameter {
@@ -823,7 +888,8 @@ impl<'s> Prepared<'s> {
 
     /// Executes with default options. SELECTs return
     /// [`StatementOutcome::Molecules`], manipulations
-    /// [`StatementOutcome::Dml`]; re-execution reuses the cached plan.
+    /// [`StatementOutcome::Dml`]; every execution reuses the compiled
+    /// plan.
     pub fn execute(&self) -> PrimaResult<StatementOutcome> {
         self.execute_with(&QueryOptions::default())
     }
@@ -834,25 +900,17 @@ impl<'s> Prepared<'s> {
         let params = self.bound_values()?;
         let session = self.session;
         let scope = session.begin_scope();
-        let out = match &self.plan {
-            Some(plan) => {
-                session.stats.reused();
-                let bound;
-                let plan = if params.is_empty() {
-                    plan
-                } else {
-                    bound = plan.bind_params(params);
-                    &bound
-                };
+        session.stats.reused();
+        let out = match &self.compiled.plan {
+            StatementPlan::Select(plan) if params.is_empty() => {
                 session.run_select(plan, opts).map(StatementOutcome::Molecules)
             }
-            // Not counted as a plan reuse: DML re-runs its qualification
-            // sub-query validation per execution (it ranges over current
-            // data); only the parse and parameter typing are cached.
-            None if params.is_empty() => session.run_dml(&self.stmt).map(StatementOutcome::Dml),
-            None => session.run_dml(&self.stmt.bind_params(params)).map(StatementOutcome::Dml),
+            StatementPlan::Select(plan) => {
+                session.run_select(&plan.bind(params), opts).map(StatementOutcome::Molecules)
+            }
+            dml => session.run_dml(dml, params).map(StatementOutcome::Dml),
         };
-        session.end_scope(scope, dml_kind(&self.stmt), &self.text, true);
+        session.end_scope(scope, self.compiled.kind(), &self.text, true);
         out
     }
 
@@ -865,18 +923,160 @@ impl<'s> Prepared<'s> {
     pub fn cursor(&self, opts: &QueryOptions) -> PrimaResult<MoleculeCursor<'s>> {
         opts.validate()?;
         let params = self.bound_values()?;
-        let plan = self.plan.as_ref().ok_or_else(|| {
-            PrimaError::BadStatement("cursors require a SELECT statement".into())
-        })?;
-        self.session.stats.reused();
-        let bound;
-        let plan = if params.is_empty() {
-            plan
-        } else {
-            bound = plan.bind_params(params);
-            &bound
+        let StatementPlan::Select(plan) = &self.compiled.plan else {
+            return Err(PrimaError::BadStatement("cursors require a SELECT statement".into()));
         };
-        MoleculeCursor::open(SessionRef::Borrowed(self.session), plan, &self.text, opts)
+        self.session.stats.reused();
+        let session = SessionRef::Borrowed(self.session);
+        MoleculeCursor::open(session, plan.bind(params), &self.text, opts)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Compilation and the plan cache
+// ---------------------------------------------------------------------
+
+/// Statements one session's plan cache holds.
+pub const PLAN_CACHE_ENTRIES: usize = 64;
+
+/// A compiled statement and its parameter slots: what a [`Prepared`]
+/// wraps and a plan-cache entry holds.
+struct Compiled {
+    plan: StatementPlan,
+    slots: Vec<ParamSlot>,
+}
+
+impl Compiled {
+    fn kind(&self) -> StatementKind {
+        match self.plan {
+            StatementPlan::Select(_) => StatementKind::Select,
+            StatementPlan::Insert(_) => StatementKind::Insert,
+            StatementPlan::Modify { .. } => StatementKind::Modify,
+            StatementPlan::Delete { .. } => StatementKind::Delete,
+        }
+    }
+
+    /// Checks each value against the type of the attribute its slot is
+    /// used with.
+    fn check(&self, values: &[Value]) -> PrimaResult<()> {
+        for (i, (slot, v)) in self.slots.iter().zip(values).enumerate() {
+            if let Some(expected) = &slot.expected {
+                expected.check_value(v).map_err(|_| PrimaError::ParamTypeMismatch {
+                    slot: i as u16,
+                    expected: expected.to_string(),
+                    got: format!("{:?}", v.kind()),
+                })?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Compiles one statement: parse, then [`compile_parsed`].
+fn compile(schema: &Schema, text: &str) -> PrimaResult<Compiled> {
+    let (stmt, names) = obs::span(SpanKind::Parse, || parse_statement_params(text))?;
+    compile_parsed(schema, &stmt, names)
+}
+
+/// Validates and plans a parsed statement ([`plan_statement`]) and types
+/// its parameter slots.
+fn compile_parsed(schema: &Schema, stmt: &Statement, names: ParamSlots) -> PrimaResult<Compiled> {
+    obs::span(SpanKind::Plan, || {
+        let plan = plan_statement(schema, stmt)?;
+        let mut slots: Vec<ParamSlot> =
+            names.into_iter().map(|name| ParamSlot { name, expected: None }).collect();
+        infer_param_types(schema, stmt, &plan, &mut slots)?;
+        Ok(Compiled { plan, slots })
+    })
+}
+
+/// One-shot text reduced to its plan-cache key: the token stream with
+/// each literal replaced by its kind, and the literals' values in order.
+struct StatementKey {
+    hash: u64,
+    skeleton: String,
+    literals: Vec<Value>,
+}
+
+impl StatementKey {
+    fn of(text: &str) -> Result<StatementKey, ParseError> {
+        let mut skeleton = String::with_capacity(text.len() + 8);
+        let mut literals = Vec::new();
+        for token in Tokens::new(text) {
+            let kind = token?.kind;
+            // Identifiers and symbols never hold a space or a \u{1}, so
+            // the encoding is one-to-one.
+            let (text, value) = match kind {
+                TokenKind::Int(i) => ("\u{1}i", Value::Int(i)),
+                TokenKind::Real(r) => ("\u{1}r", Value::Real(r)),
+                TokenKind::Str(s) => ("\u{1}s", Value::Str(unescape(s))),
+                other => {
+                    skeleton.push_str(other.symbol().unwrap_or_default());
+                    skeleton.push(' ');
+                    continue;
+                }
+            };
+            skeleton.push_str(text);
+            skeleton.push(' ');
+            literals.push(value);
+        }
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(skeleton.as_str());
+        Ok(StatementKey { hash, skeleton, literals })
+    }
+}
+
+/// A cached statement: its key, and the compiled form of its lifted
+/// statement.
+struct CacheEntry {
+    hash: u64,
+    skeleton: Box<str>,
+    /// Per literal of the text, in order: `None` where it was lifted into
+    /// the next slot, the value it must equal where it stays verbatim.
+    literals: Box<[Option<Value>]>,
+    compiled: Arc<Compiled>,
+}
+
+impl CacheEntry {
+    /// Whether `key` is this entry's statement: the same tokens, and the
+    /// same value of every verbatim literal.
+    fn matches(&self, key: &StatementKey) -> bool {
+        self.hash == key.hash
+            && *self.skeleton == *key.skeleton
+            && self
+                .literals
+                .iter()
+                .zip(&key.literals)
+                .all(|(kept, v)| kept.as_ref().is_none_or(|k| k == v))
+    }
+
+    /// The slot values among a matching key's literals.
+    fn slot_values(&self, mut literals: Vec<Value>) -> Vec<Value> {
+        let mut kept = self.literals.iter();
+        literals.retain(|_| kept.next().is_some_and(Option::is_none));
+        literals
+    }
+}
+
+/// A session's compiled one-shot statements, at most
+/// [`PLAN_CACHE_ENTRIES`], replaced round-robin when full.
+#[derive(Default)]
+struct PlanCache {
+    entries: Vec<Arc<CacheEntry>>,
+    next: usize,
+}
+
+impl PlanCache {
+    fn get(&self, key: &StatementKey) -> Option<Arc<CacheEntry>> {
+        self.entries.iter().find(|e| e.matches(key)).cloned()
+    }
+
+    fn insert(&mut self, entry: Arc<CacheEntry>) {
+        if self.entries.len() < PLAN_CACHE_ENTRIES {
+            self.entries.push(entry);
+        } else {
+            self.entries[self.next] = entry;
+            self.next = (self.next + 1) % PLAN_CACHE_ENTRIES;
+        }
     }
 }
 
@@ -888,7 +1088,7 @@ impl<'s> Prepared<'s> {
 fn infer_param_types(
     schema: &Schema,
     stmt: &Statement,
-    plan: Option<&ResolvedQuery>,
+    plan: &StatementPlan,
     slots: &mut [ParamSlot],
 ) -> PrimaResult<()> {
     let note = |slot: u16, ty: AttrType, slots: &mut [ParamSlot]| {
@@ -897,6 +1097,12 @@ fn infer_param_types(
                 s.expected = Some(ty);
             }
         }
+    };
+    let plan = match plan {
+        StatementPlan::Select(q)
+        | StatementPlan::Delete { qualification: q, .. }
+        | StatementPlan::Modify { qualification: q, .. } => Some(q),
+        StatementPlan::Insert(_) => None,
     };
     // Comparison positions (WHERE clauses).
     if let (Some(plan), Some(pred)) = (plan, statement_predicate(stmt)) {
@@ -913,19 +1119,22 @@ fn infer_param_types(
     // Assignment positions.
     match stmt {
         Statement::Insert(i) => {
-            let at = schema.type_by_name(&i.atom_type).ok_or_else(|| {
-                PrimaError::Schema(prima_mad::SchemaError::UnknownAtomType(i.atom_type.clone()))
-            })?;
+            // Only a parameter's attribute is resolved now; the others
+            // are checked when the INSERT runs, as one-shot text always was.
             for (name, ve) in &i.assignments {
+                let ValueExpr::Param(slot) = ve else { continue };
+                let at = schema.type_by_name(&i.atom_type).ok_or_else(|| {
+                    PrimaError::Schema(prima_mad::SchemaError::UnknownAtomType(
+                        i.atom_type.clone(),
+                    ))
+                })?;
                 let idx = at.attribute_index(name).ok_or_else(|| {
                     PrimaError::Schema(prima_mad::SchemaError::UnknownAttribute {
                         atom_type: at.name.clone(),
                         attr: name.clone(),
                     })
                 })?;
-                if let ValueExpr::Param(slot) = ve {
-                    note(*slot, at.attributes[idx].ty.clone(), slots);
-                }
+                note(*slot, at.attributes[idx].ty.clone(), slots);
             }
         }
         Statement::Modify(m) => {
@@ -953,15 +1162,6 @@ fn infer_param_types(
 struct Scope {
     profile: Option<(MetricsSnapshot, Probe)>,
     started: Instant,
-}
-
-fn dml_kind(stmt: &Statement) -> StatementKind {
-    match stmt {
-        Statement::Select(_) => StatementKind::Select,
-        Statement::Insert(_) => StatementKind::Insert,
-        Statement::Modify(_) => StatementKind::Modify,
-        Statement::Delete(_) => StatementKind::Delete,
-    }
 }
 
 fn statement_predicate(stmt: &Statement) -> Option<&Predicate> {
@@ -1047,11 +1247,11 @@ impl SessionRef<'_> {
 pub struct MoleculeCursor<'s> {
     session: SessionRef<'s>,
     access: Arc<AccessSystem>,
+    /// The bound plan (its shape shared with the compiled statement).
     plan: ResolvedQuery,
     clusters: Vec<Arc<AtomClusterType>>,
     roots: VecDeque<Atom>,
     ctx: AssemblyCtx,
-    nodes: Vec<NodeInfo>,
     /// The statement text, carried into the open and fetch profiles.
     text: String,
     /// `Some` when the cursor was opened outside a transaction: the
@@ -1063,7 +1263,7 @@ pub struct MoleculeCursor<'s> {
 impl<'s> MoleculeCursor<'s> {
     fn open(
         session: SessionRef<'s>,
-        plan: &ResolvedQuery,
+        plan: ResolvedQuery,
         text: &str,
         opts: &QueryOptions,
     ) -> PrimaResult<MoleculeCursor<'s>> {
@@ -1073,12 +1273,6 @@ impl<'s> MoleculeCursor<'s> {
                     .into(),
             ));
         }
-        if plan.has_params() {
-            return Err(PrimaError::UnboundParameter {
-                slot: 0,
-                detail: "bind all parameters before opening a cursor".into(),
-            });
-        }
         let s = session.get();
         let access = Arc::clone(&s.access);
         let scope = s.begin_scope();
@@ -1086,14 +1280,13 @@ impl<'s> MoleculeCursor<'s> {
         // cursor's lifetime; otherwise open (and later fetch) under the
         // session's transaction, Shared-locking as usual.
         let snapshot = s.pin_read_snapshot();
-        let found = s.with_read_guard(snapshot.as_ref(), |g| find_roots(&access, plan, g));
+        let found = s.with_read_guard(snapshot.as_ref(), |g| find_roots(&access, &plan, g));
         s.end_scope(scope, StatementKind::Select, text, false);
         let (roots, clusters) = found?;
         Ok(MoleculeCursor {
             session,
             ctx: AssemblyCtx::default(),
-            nodes: node_infos(plan),
-            plan: plan.clone(),
+            plan,
             clusters,
             roots: roots.into(),
             access,
@@ -1105,7 +1298,7 @@ impl<'s> MoleculeCursor<'s> {
     /// Structure description of the delivered molecules (same indices as
     /// [`crate::datasys::MolAtom::node`]).
     pub fn nodes(&self) -> &[NodeInfo] {
-        &self.nodes
+        &self.plan.node_infos
     }
 
     /// Number of root candidates not yet pulled.
@@ -1143,7 +1336,7 @@ impl<'s> MoleculeCursor<'s> {
             while let Some(m) = self.next_molecule()? {
                 molecules.push(m);
             }
-            Ok(MoleculeSet { nodes: self.nodes.clone(), molecules })
+            Ok(MoleculeSet { nodes: Arc::clone(&self.plan.node_infos), molecules })
         })();
         self.end_fetch(scope);
         result

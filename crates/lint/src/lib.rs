@@ -41,7 +41,7 @@ pub const KERNEL_DIRS: &[&str] =
     &["crates/storage/src", "crates/core/src", "crates/access/src", "crates/mad/src"];
 
 /// Most `// lint: allow(…)` sites the kernel sources may carry.
-pub const ALLOW_CEILING: usize = 44;
+pub const ALLOW_CEILING: usize = 43;
 const ALLOW_CEILING_LINE: u32 = line!() - 1;
 
 /// Lock-acquisition method names on the vendored parking_lot types.

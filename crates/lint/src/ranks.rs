@@ -8,7 +8,7 @@
 //!
 //! | domain      | base | Fig. 3.1 layer        | locks |
 //! |-------------|------|-----------------------|-------|
-//! | `api`       |  10  | MAD interface         | session txn slot (.0), last-profile slot (.1) |
+//! | `api`       |  10  | MAD interface         | session txn slot (.0), last-profile slot (.1), plan cache (.2) |
 //! | `txn`       |  20  | data system           | checkpoint gate (.0), active-txn table (.1) |
 //! | `locktable` |  30  | data system           | lock table entries + wait queues (.0) |
 //! | `mvcc`      |  40  | data system           | version store (.0) |

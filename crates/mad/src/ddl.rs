@@ -19,7 +19,7 @@
 //! `(n,VAR)` / `(n,m)`, `CHAR(n)`, `ARRAY(n) OF t`, `BOOLEAN` and the
 //! domain shorthand `HULL_DIM(n)` of Fig. 2.3 (an n-vector of REALs).
 
-use crate::mql::lexer::{lex, ParseError, TokenKind};
+use crate::mql::lexer::{ParseError, TokenKind};
 use crate::mql::parser::Parser;
 use crate::schema::{AtomType, Attribute, AttrType, Cardinality, MoleculeType, RefTarget, Schema};
 
@@ -33,8 +33,7 @@ pub enum DdlStatement {
 /// Parses a single DDL statement.
 pub fn parse_ddl(src: &str) -> Result<DdlStatement, ParseError> {
     let run = || -> Result<DdlStatement, ParseError> {
-        let tokens = lex(src)?;
-        let mut p = DdlParser { p: Parser { tokens, pos: 0, params: Vec::new() } };
+        let mut p = DdlParser { p: Parser::new(src)? };
         let stmt = p.statement()?;
         p.p.expect_eof()?;
         Ok(stmt)
@@ -46,8 +45,7 @@ pub fn parse_ddl(src: &str) -> Result<DdlStatement, ParseError> {
 /// juxtaposed) and applies it to a schema.
 pub fn parse_script(src: &str) -> Result<Vec<DdlStatement>, ParseError> {
     let run = || -> Result<Vec<DdlStatement>, ParseError> {
-        let tokens = lex(src)?;
-        let mut p = DdlParser { p: Parser { tokens, pos: 0, params: Vec::new() } };
+        let mut p = DdlParser { p: Parser::new(src)? };
         let mut out = Vec::new();
         loop {
             while p.p.eat(&TokenKind::Semicolon) {}

@@ -19,7 +19,7 @@
 //! RECONCILE
 //! ```
 
-use crate::mql::lexer::{lex, ParseError, TokenKind};
+use crate::mql::lexer::{ParseError, TokenKind};
 use crate::mql::parser::Parser;
 
 /// Page-size names accepted by `PAGESIZE` (mirrors the storage system's
@@ -62,8 +62,7 @@ pub enum LdlStatement {
 /// Parses one LDL statement.
 pub fn parse_ldl(src: &str) -> Result<LdlStatement, ParseError> {
     let run = || -> Result<LdlStatement, ParseError> {
-        let tokens = lex(src)?;
-        let mut p = LdlParser { p: Parser { tokens, pos: 0, params: Vec::new() } };
+        let mut p = LdlParser { p: Parser::new(src)? };
         let s = p.statement()?;
         p.p.expect_eof()?;
         Ok(s)
@@ -74,8 +73,7 @@ pub fn parse_ldl(src: &str) -> Result<LdlStatement, ParseError> {
 /// Parses a script of LDL statements.
 pub fn parse_ldl_script(src: &str) -> Result<Vec<LdlStatement>, ParseError> {
     let run = || -> Result<Vec<LdlStatement>, ParseError> {
-        let tokens = lex(src)?;
-        let mut p = LdlParser { p: Parser { tokens, pos: 0, params: Vec::new() } };
+        let mut p = LdlParser { p: Parser::new(src)? };
         let mut out = Vec::new();
         loop {
             while p.p.eat(&TokenKind::Semicolon) {}

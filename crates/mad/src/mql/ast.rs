@@ -159,15 +159,6 @@ impl ValueExpr {
             ValueExpr::Param(slot) => params.get(*slot as usize).cloned(),
         }
     }
-
-    /// The literal value, erroring on unbound parameters (direct one-shot
-    /// execution path).
-    pub fn literal(&self) -> Option<&Value> {
-        match self {
-            ValueExpr::Lit(v) => Some(v),
-            ValueExpr::Param(_) => None,
-        }
-    }
 }
 
 impl From<Value> for ValueExpr {
@@ -328,88 +319,6 @@ impl Predicate {
             Predicate::ExistsAtLeast { inner, .. } | Predicate::ForAll { inner, .. } => {
                 inner.collect_params(out);
             }
-        }
-    }
-}
-
-impl Query {
-    /// A copy with every parameter placeholder replaced by its bound
-    /// value, recursing into qualified-projection sub-queries.
-    pub fn bind_params(&self, params: &[Value]) -> Query {
-        fn bind_item(item: &SelectItem, params: &[Value]) -> SelectItem {
-            match item {
-                SelectItem::Qualified { component, query } => SelectItem::Qualified {
-                    component: component.clone(),
-                    query: Box::new(query.bind_params(params)),
-                },
-                SelectItem::Group(items) => {
-                    SelectItem::Group(items.iter().map(|i| bind_item(i, params)).collect())
-                }
-                leaf => leaf.clone(),
-            }
-        }
-        let select = match &self.select {
-            SelectList::All => SelectList::All,
-            SelectList::Items(items) => {
-                SelectList::Items(items.iter().map(|i| bind_item(i, params)).collect())
-            }
-        };
-        Query {
-            select,
-            from: self.from.clone(),
-            predicate: self.predicate.as_ref().map(|p| p.bind_params(params)),
-        }
-    }
-}
-
-impl Statement {
-    /// A copy with every parameter placeholder replaced by its bound
-    /// value (prepared-statement execution substitutes before running the
-    /// ordinary DML path). Substitution recurses into nested queries —
-    /// qualified projections and `CONNECT`/`DISCONNECT` sub-queries.
-    pub fn bind_params(&self, params: &[Value]) -> Statement {
-        let bind_ve = |ve: &ValueExpr| match ve {
-            ValueExpr::Param(slot) => match params.get(*slot as usize) {
-                Some(v) => ValueExpr::Lit(v.clone()),
-                None => ValueExpr::Param(*slot),
-            },
-            lit => lit.clone(),
-        };
-        match self {
-            Statement::Select(q) => Statement::Select(q.bind_params(params)),
-            Statement::Insert(i) => Statement::Insert(Insert {
-                atom_type: i.atom_type.clone(),
-                assignments: i
-                    .assignments
-                    .iter()
-                    .map(|(n, v)| (n.clone(), bind_ve(v)))
-                    .collect(),
-            }),
-            Statement::Delete(d) => Statement::Delete(Delete {
-                from: d.from.clone(),
-                predicate: d.predicate.as_ref().map(|p| p.bind_params(params)),
-                only_components: d.only_components.clone(),
-            }),
-            Statement::Modify(m) => Statement::Modify(Modify {
-                from: m.from.clone(),
-                predicate: m.predicate.as_ref().map(|p| p.bind_params(params)),
-                assignments: m
-                    .assignments
-                    .iter()
-                    .map(|(t, e)| {
-                        let e = match e {
-                            SetExpr::Value(ve) => SetExpr::Value(bind_ve(ve)),
-                            SetExpr::Connect(q) => {
-                                SetExpr::Connect(Box::new(q.bind_params(params)))
-                            }
-                            SetExpr::Disconnect(q) => {
-                                SetExpr::Disconnect(Box::new(q.bind_params(params)))
-                            }
-                        };
-                        (t.clone(), e)
-                    })
-                    .collect(),
-            }),
         }
     }
 }

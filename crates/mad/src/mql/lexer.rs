@@ -10,21 +10,26 @@
 use std::fmt;
 
 /// A lexical token with its source position (byte offset) for error
-/// reporting.
+/// reporting. `S` holds the text of identifiers and strings: owned
+/// (`String`, what [`lex`] returns) or borrowed from the source (`&str`,
+/// what [`Tokens`] yields).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<S = String> {
+    pub kind: TokenKind<S>,
     pub offset: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<S = String> {
     /// Identifier or keyword (stored as written; keyword matching is
     /// case-insensitive via [`TokenKind::is_kw`]).
-    Ident(String),
+    Ident(S),
     Int(i64),
     Real(f64),
-    Str(String),
+    /// A string literal. Owned, it is the value; borrowed, it is the
+    /// source text between the quotes, `''` escapes still doubled
+    /// ([`unescape`] turns it into the value).
+    Str(S),
     LParen,
     RParen,
     Comma,
@@ -46,45 +51,95 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl<S: AsRef<str>> TokenKind<S> {
     /// Case-insensitive keyword test for identifier tokens.
     pub fn is_kw(&self, kw: &str) -> bool {
-        matches!(self, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
+        matches!(self, TokenKind::Ident(s) if s.as_ref().eq_ignore_ascii_case(kw))
     }
 
     pub fn ident(&self) -> Option<&str> {
         match self {
-            TokenKind::Ident(s) => Some(s),
+            TokenKind::Ident(s) => Some(s.as_ref()),
             _ => None,
+        }
+    }
+
+    /// Whether this is an integer, real or string literal.
+    pub fn is_literal(&self) -> bool {
+        matches!(self, TokenKind::Int(_) | TokenKind::Real(_) | TokenKind::Str(_))
+    }
+
+    /// The text of every token but a literal: an identifier as written,
+    /// a punctuation symbol, `<eof>`.
+    pub fn symbol(&self) -> Option<&str> {
+        Some(match self {
+            TokenKind::Ident(s) => s.as_ref(),
+            TokenKind::Int(_) | TokenKind::Real(_) | TokenKind::Str(_) => return None,
+            TokenKind::LParen => "(",
+            TokenKind::RParen => ")",
+            TokenKind::Comma => ",",
+            TokenKind::Colon => ":",
+            TokenKind::Semicolon => ";",
+            TokenKind::Dot => ".",
+            TokenKind::Minus => "-",
+            TokenKind::Plus => "+",
+            TokenKind::Star => "*",
+            TokenKind::Assign => ":=",
+            TokenKind::Eq => "=",
+            TokenKind::Ne => "<>",
+            TokenKind::Lt => "<",
+            TokenKind::Le => "<=",
+            TokenKind::Gt => ">",
+            TokenKind::Ge => ">=",
+            TokenKind::Question => "?",
+            TokenKind::Eof => "<eof>",
+        })
+    }
+}
+
+impl TokenKind<&str> {
+    /// The owned token: identifier text copied, string escapes resolved.
+    pub fn into_owned(self) -> TokenKind {
+        match self {
+            TokenKind::Ident(s) => TokenKind::Ident(s.to_string()),
+            TokenKind::Int(i) => TokenKind::Int(i),
+            TokenKind::Real(r) => TokenKind::Real(r),
+            TokenKind::Str(s) => TokenKind::Str(unescape(s)),
+            TokenKind::LParen => TokenKind::LParen,
+            TokenKind::RParen => TokenKind::RParen,
+            TokenKind::Comma => TokenKind::Comma,
+            TokenKind::Colon => TokenKind::Colon,
+            TokenKind::Semicolon => TokenKind::Semicolon,
+            TokenKind::Dot => TokenKind::Dot,
+            TokenKind::Minus => TokenKind::Minus,
+            TokenKind::Plus => TokenKind::Plus,
+            TokenKind::Star => TokenKind::Star,
+            TokenKind::Assign => TokenKind::Assign,
+            TokenKind::Eq => TokenKind::Eq,
+            TokenKind::Ne => TokenKind::Ne,
+            TokenKind::Lt => TokenKind::Lt,
+            TokenKind::Le => TokenKind::Le,
+            TokenKind::Gt => TokenKind::Gt,
+            TokenKind::Ge => TokenKind::Ge,
+            TokenKind::Question => TokenKind::Question,
+            TokenKind::Eof => TokenKind::Eof,
         }
     }
 }
 
-impl fmt::Display for TokenKind {
+/// The value of a string literal from its source text between the
+/// quotes: a doubled quote (`''`) stands for one.
+pub fn unescape(raw: &str) -> String {
+    raw.replace("''", "'")
+}
+
+impl<S: fmt::Display + AsRef<str>> fmt::Display for TokenKind<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TokenKind::Ident(s) => write!(f, "{s}"),
             TokenKind::Int(i) => write!(f, "{i}"),
             TokenKind::Real(r) => write!(f, "{r}"),
             TokenKind::Str(s) => write!(f, "'{s}'"),
-            TokenKind::LParen => write!(f, "("),
-            TokenKind::RParen => write!(f, ")"),
-            TokenKind::Comma => write!(f, ","),
-            TokenKind::Colon => write!(f, ":"),
-            TokenKind::Semicolon => write!(f, ";"),
-            TokenKind::Dot => write!(f, "."),
-            TokenKind::Minus => write!(f, "-"),
-            TokenKind::Plus => write!(f, "+"),
-            TokenKind::Star => write!(f, "*"),
-            TokenKind::Assign => write!(f, ":="),
-            TokenKind::Eq => write!(f, "="),
-            TokenKind::Ne => write!(f, "<>"),
-            TokenKind::Lt => write!(f, "<"),
-            TokenKind::Le => write!(f, "<="),
-            TokenKind::Gt => write!(f, ">"),
-            TokenKind::Ge => write!(f, ">="),
-            TokenKind::Question => write!(f, "?"),
-            TokenKind::Eof => write!(f, "<eof>"),
+            other => f.write_str(other.symbol().unwrap_or_default()),
         }
     }
 }
@@ -137,73 +192,89 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Tokenises `input`. Comments run from `(*` to `*)` (the paper's style)
-/// or from `--` to end of line.
+/// Tokenises `input` into owned tokens, ending with [`TokenKind::Eof`]:
+/// [`Tokens`] with the text copied out.
 pub fn lex(input: &str) -> Result<Vec<Token>, ParseError> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        // Whitespace.
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        // (* comment *)
-        if c == '(' && bytes.get(i + 1) == Some(&b'*') {
-            let start = i;
-            i += 2;
-            loop {
-                if i + 1 >= bytes.len() {
-                    return Err(ParseError::new("unterminated comment", start));
-                }
-                if bytes[i] == b'*' && bytes[i + 1] == b')' {
+    Tokens::new(input)
+        .map(|t| t.map(|t| Token { kind: t.kind.into_owned(), offset: t.offset }))
+        .collect()
+}
+
+/// The tokenizer: yields the tokens of its input, the last one
+/// [`TokenKind::Eof`] (or the first error), with identifier and string
+/// text borrowed from the input — it allocates nothing. Comments run from
+/// `(*` to `*)` (the paper's style) or from `--` to end of line.
+pub struct Tokens<'a> {
+    input: &'a str,
+    pos: usize,
+    done: bool,
+}
+
+impl<'a> Tokens<'a> {
+    pub fn new(input: &'a str) -> Tokens<'a> {
+        Tokens { input, pos: 0, done: false }
+    }
+
+    fn next_token(&mut self) -> Result<Token<&'a str>, ParseError> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let mut i = self.pos;
+        // Whitespace and comments.
+        loop {
+            match bytes.get(i) {
+                Some(b) if (*b as char).is_whitespace() => i += 1,
+                // (* comment *)
+                Some(b'(') if bytes.get(i + 1) == Some(&b'*') => {
+                    let start = i;
                     i += 2;
-                    break;
+                    loop {
+                        if i + 1 >= bytes.len() {
+                            return Err(ParseError::new("unterminated comment", start));
+                        }
+                        if bytes[i] == b'*' && bytes[i + 1] == b')' {
+                            i += 2;
+                            break;
+                        }
+                        i += 1;
+                    }
                 }
-                i += 1;
+                // -- line comment
+                Some(b'-') if bytes.get(i + 1) == Some(&b'-') => {
+                    while i < bytes.len() && bytes[i] != b'\n' {
+                        i += 1;
+                    }
+                }
+                _ => break,
             }
-            continue;
-        }
-        // -- line comment
-        if c == '-' && bytes.get(i + 1) == Some(&b'-') {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
-            }
-            continue;
         }
         let start = i;
-        // Identifiers / keywords.
-        if c.is_ascii_alphabetic() || c == '_' {
+        let Some(&b) = bytes.get(i) else {
+            self.pos = i;
+            return Ok(Token { kind: TokenKind::Eof, offset: input.len() });
+        };
+        let c = b as char;
+        let (kind, end) = if c.is_ascii_alphabetic() || c == '_' {
+            // Identifiers / keywords.
             let mut j = i + 1;
-            while j < bytes.len()
-                && ((bytes[j] as char).is_ascii_alphanumeric() || bytes[j] == b'_')
-            {
+            while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
                 j += 1;
             }
-            tokens.push(Token {
-                kind: TokenKind::Ident(input[i..j].to_string()),
-                offset: start,
-            });
-            i = j;
-            continue;
-        }
-        // Numbers: 123, 1.5, 1.9E4, 1E-2 (leading sign handled by parser).
-        if c.is_ascii_digit() {
+            (TokenKind::Ident(&input[i..j]), j)
+        } else if c.is_ascii_digit() {
+            // Numbers: 123, 1.5, 1.9E4, 1E-2 (leading sign handled by parser).
             let mut j = i;
             let mut is_real = false;
-            while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
+            while j < bytes.len() && bytes[j].is_ascii_digit() {
                 j += 1;
             }
             if j < bytes.len()
                 && bytes[j] == b'.'
                 && j + 1 < bytes.len()
-                && (bytes[j + 1] as char).is_ascii_digit()
+                && bytes[j + 1].is_ascii_digit()
             {
                 is_real = true;
                 j += 1;
-                while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
+                while j < bytes.len() && bytes[j].is_ascii_digit() {
                     j += 1;
                 }
             }
@@ -212,10 +283,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>, ParseError> {
                 if k < bytes.len() && (bytes[k] == b'+' || bytes[k] == b'-') {
                     k += 1;
                 }
-                if k < bytes.len() && (bytes[k] as char).is_ascii_digit() {
+                if k < bytes.len() && bytes[k].is_ascii_digit() {
                     is_real = true;
                     j = k;
-                    while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
+                    while j < bytes.len() && bytes[j].is_ascii_digit() {
                         j += 1;
                     }
                 }
@@ -230,75 +301,77 @@ pub fn lex(input: &str) -> Result<Vec<Token>, ParseError> {
                     ParseError::new(format!("bad integer literal '{text}'"), start)
                 })?)
             };
-            tokens.push(Token { kind, offset: start });
-            i = j;
-            continue;
-        }
-        // Strings.
-        if c == '\'' {
+            (kind, j)
+        } else if c == '\'' {
+            // Strings; '' escapes a quote.
             let mut j = i + 1;
-            let mut s = String::new();
             loop {
-                if j >= bytes.len() {
-                    return Err(ParseError::new("unterminated string", start));
+                match bytes.get(j) {
+                    None => return Err(ParseError::new("unterminated string", start)),
+                    Some(b'\'') if bytes.get(j + 1) == Some(&b'\'') => j += 2,
+                    Some(b'\'') => break,
+                    Some(_) => j += 1,
                 }
-                if bytes[j] == b'\'' {
-                    // '' escapes a quote
-                    if bytes.get(j + 1) == Some(&b'\'') {
-                        s.push('\'');
-                        j += 2;
-                        continue;
+            }
+            (TokenKind::Str(&input[i + 1..j]), j + 1)
+        } else {
+            // Operators & punctuation.
+            let (kind, len) = match c {
+                '(' => (TokenKind::LParen, 1),
+                ')' => (TokenKind::RParen, 1),
+                ',' => (TokenKind::Comma, 1),
+                ';' => (TokenKind::Semicolon, 1),
+                '.' => (TokenKind::Dot, 1),
+                '-' => (TokenKind::Minus, 1),
+                '+' => (TokenKind::Plus, 1),
+                '*' => (TokenKind::Star, 1),
+                ':' => {
+                    if bytes.get(i + 1) == Some(&b'=') {
+                        (TokenKind::Assign, 2)
+                    } else {
+                        (TokenKind::Colon, 1)
                     }
-                    j += 1;
-                    break;
                 }
-                s.push(bytes[j] as char);
-                j += 1;
-            }
-            tokens.push(Token { kind: TokenKind::Str(s), offset: start });
-            i = j;
-            continue;
-        }
-        // Operators & punctuation.
-        let (kind, len) = match c {
-            '(' => (TokenKind::LParen, 1),
-            ')' => (TokenKind::RParen, 1),
-            ',' => (TokenKind::Comma, 1),
-            ';' => (TokenKind::Semicolon, 1),
-            '.' => (TokenKind::Dot, 1),
-            '-' => (TokenKind::Minus, 1),
-            '+' => (TokenKind::Plus, 1),
-            '*' => (TokenKind::Star, 1),
-            ':' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    (TokenKind::Assign, 2)
-                } else {
-                    (TokenKind::Colon, 1)
+                '=' => (TokenKind::Eq, 1),
+                '?' => (TokenKind::Question, 1),
+                '<' => match bytes.get(i + 1) {
+                    Some(&b'>') => (TokenKind::Ne, 2),
+                    Some(&b'=') => (TokenKind::Le, 2),
+                    _ => (TokenKind::Lt, 1),
+                },
+                '>' => {
+                    if bytes.get(i + 1) == Some(&b'=') {
+                        (TokenKind::Ge, 2)
+                    } else {
+                        (TokenKind::Gt, 1)
+                    }
                 }
-            }
-            '=' => (TokenKind::Eq, 1),
-            '?' => (TokenKind::Question, 1),
-            '<' => match bytes.get(i + 1) {
-                Some(&b'>') => (TokenKind::Ne, 2),
-                Some(&b'=') => (TokenKind::Le, 2),
-                _ => (TokenKind::Lt, 1),
-            },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    (TokenKind::Ge, 2)
-                } else {
-                    (TokenKind::Gt, 1)
+                other => {
+                    return Err(ParseError::new(
+                        format!("unexpected character '{other}'"),
+                        start,
+                    ))
                 }
-            }
-            other => {
-                return Err(ParseError::new(format!("unexpected character '{other}'"), start))
-            }
+            };
+            (kind, i + len)
         };
-        tokens.push(Token { kind, offset: start });
-        i += len;
+        self.pos = end;
+        Ok(Token { kind, offset: start })
     }
-    tokens.push(Token { kind: TokenKind::Eof, offset: input.len() });
-    Ok(tokens)
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Result<Token<&'a str>, ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let token = self.next_token();
+        // The stream ends after its Eof token or its first error.
+        self.done = !matches!(&token, Ok(t) if t.kind != TokenKind::Eof);
+        Some(token)
+    }
 }
 
 #[cfg(test)]
@@ -333,7 +406,26 @@ mod tests {
     fn strings_and_escapes() {
         assert_eq!(kinds("'cube'")[0], TokenKind::Str("cube".into()));
         assert_eq!(kinds("'it''s'")[0], TokenKind::Str("it's".into()));
+        assert_eq!(kinds("''''")[0], TokenKind::Str("'".into()));
+        assert_eq!(kinds("'Grüße'")[0], TokenKind::Str("Grüße".into()), "UTF-8 kept whole");
         assert!(lex("'open").is_err());
+    }
+
+    #[test]
+    fn borrowed_tokens_are_the_lexed_ones() {
+        let src = "SELECT x FROM s WHERE name = 'it''s' AND y = 1.5E2 (* c *) -- tail";
+        let borrowed: Vec<Token<&str>> = Tokens::new(src).collect::<Result<_, _>>().unwrap();
+        assert_eq!(borrowed[7].kind, TokenKind::Str("it''s"), "source text, escapes kept");
+        let owned: Vec<Token> = borrowed
+            .into_iter()
+            .map(|t| Token { kind: t.kind.into_owned(), offset: t.offset })
+            .collect();
+        assert_eq!(owned, lex(src).unwrap());
+        // An error ends the stream.
+        let mut t = Tokens::new("a $ b");
+        assert!(t.next().unwrap().is_ok());
+        assert!(t.next().unwrap().is_err());
+        assert!(t.next().is_none());
     }
 
     #[test]

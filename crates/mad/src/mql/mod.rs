@@ -15,7 +15,8 @@ pub use ast::{
     CompRef, CompareOp, Delete, FromClause, Insert, Modify, Operand, Predicate, Query,
     SelectItem, SelectList, SetExpr, Statement, ValueExpr,
 };
-pub use lexer::{lex, ParseError, Token, TokenKind};
+pub use lexer::{lex, unescape, ParseError, Token, TokenKind, Tokens};
 pub use parser::{
-    parse_query, parse_statement, parse_statement_params, parse_structure, ParamSlots,
+    parse_query, parse_statement, parse_statement_lifted, parse_statement_params,
+    parse_structure, LiftedStatement, ParamSlots,
 };

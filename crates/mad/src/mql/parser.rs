@@ -24,11 +24,50 @@ pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
 /// `:name` unifies repeated occurrences of the same name).
 pub fn parse_statement_params(src: &str) -> Result<(Statement, ParamSlots), ParseError> {
     let run = || -> Result<(Statement, ParamSlots), ParseError> {
-        let tokens = lex(src)?;
-        let mut p = Parser { tokens, pos: 0, params: Vec::new() };
+        let mut p = Parser::new(src)?;
         let stmt = p.statement()?;
         p.expect_eof()?;
         Ok((stmt, p.params))
+    };
+    run().map_err(|e| e.locate(src))
+}
+
+/// A statement parsed with its literals lifted into parameter slots:
+/// the statement a plan cache compiles once for every text that differs
+/// from it only in those literals ([`parse_statement_lifted`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LiftedStatement {
+    pub statement: Statement,
+    /// Every slot, lifted literals and the text's own `?` / `:name`
+    /// placeholders alike, in slot order.
+    pub params: ParamSlots,
+    /// One entry per literal token of the source (integer, real or
+    /// string), in source order: the slot it was lifted into, or `None`
+    /// where it stays in the statement verbatim.
+    pub literal_slots: Vec<Option<u16>>,
+}
+
+/// Parses one MQL statement, lifting each literal that stands where the
+/// parser also takes a parameter — a comparison operand or a DML value —
+/// into a slot of its own. Three kinds of literal stay verbatim: one
+/// inside a qualified projection (validation takes no parameter there),
+/// one whose sign the parser folds (`-5`), and one in a position that
+/// takes no parameter (`EXISTS_AT_LEAST (2)`, a recursion level).
+pub fn parse_statement_lifted(src: &str) -> Result<LiftedStatement, ParseError> {
+    let run = || -> Result<LiftedStatement, ParseError> {
+        let mut p = Parser::new(src)?;
+        p.lift = true;
+        let statement = p.statement()?;
+        p.expect_eof()?;
+        let mut lifted = p.lifted.iter().copied().peekable();
+        let literal_slots = p
+            .tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.kind.is_literal())
+            .map(|(at, _)| lifted.next_if(|(pos, _)| *pos == at).map(|(_, slot)| slot))
+            .collect();
+        Ok(LiftedStatement { statement, params: p.params, literal_slots })
     };
     run().map_err(|e| e.locate(src))
 }
@@ -49,8 +88,7 @@ pub fn parse_query(src: &str) -> Result<Query, ParseError> {
 /// for `DEFINE MOLECULE TYPE … FROM …`).
 pub fn parse_structure(src: &str) -> Result<MoleculeGraph, ParseError> {
     let run = || -> Result<MoleculeGraph, ParseError> {
-        let tokens = lex(src)?;
-        let mut p = Parser { tokens, pos: 0, params: Vec::new() };
+        let mut p = Parser::new(src)?;
         let g = p.from_structure()?;
         p.expect_eof()?;
         Ok(g)
@@ -64,9 +102,19 @@ pub(crate) struct Parser {
     /// Parameter slot table: `None` = positional `?`, `Some(name)` =
     /// named `:name` (repeated names share their slot).
     pub params: ParamSlots,
+    /// Whether literals in parameter positions become slots
+    /// ([`parse_statement_lifted`]).
+    lift: bool,
+    /// `(token index, slot)` of every literal lifted so far.
+    lifted: Vec<(usize, u16)>,
 }
 
 impl Parser {
+    pub(crate) fn new(src: &str) -> Result<Parser, ParseError> {
+        let tokens = lex(src)?;
+        Ok(Parser { tokens, pos: 0, params: Vec::new(), lift: false, lifted: Vec::new() })
+    }
+
     pub(crate) fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -195,9 +243,12 @@ impl Parser {
         }
         let name = self.ident()?;
         if self.eat(&TokenKind::Assign) {
-            // qualified projection: name := SELECT …
-            let q = self.select()?;
-            return Ok(SelectItem::Qualified { component: name, query: Box::new(q) });
+            // qualified projection: name := SELECT … — validation takes
+            // no parameter here, so its literals are never lifted.
+            let lift = std::mem::replace(&mut self.lift, false);
+            let q = self.select();
+            self.lift = lift;
+            return Ok(SelectItem::Qualified { component: name, query: Box::new(q?) });
         }
         if self.eat(&TokenKind::Dot) {
             let attr = self.ident()?;
@@ -417,11 +468,30 @@ impl Parser {
         if let Some(slot) = self.try_param()? {
             return Ok(ValueExpr::Param(slot));
         }
+        if let Some(slot) = self.try_lift()? {
+            return Ok(ValueExpr::Param(slot));
+        }
         Ok(ValueExpr::Lit(self.literal()?))
+    }
+
+    /// When lifting, turns an unsigned literal in a parameter position
+    /// into a slot of its own.
+    fn try_lift(&mut self) -> Result<Option<u16>, ParseError> {
+        if !self.lift || !self.peek().is_literal() {
+            return Ok(None);
+        }
+        let at = self.pos;
+        self.bump();
+        let slot = self.param_slot(None)?;
+        self.lifted.push((at, slot));
+        Ok(Some(slot))
     }
 
     fn operand(&mut self) -> Result<Operand, ParseError> {
         if let Some(slot) = self.try_param()? {
+            return Ok(Operand::Param(slot));
+        }
+        if let Some(slot) = self.try_lift()? {
             return Ok(Operand::Param(slot));
         }
         match self.peek().clone() {
@@ -792,21 +862,41 @@ mod tests {
     }
 
     #[test]
-    fn bind_params_substitutes_everywhere() {
-        let (s, _) = parse_statement_params(
-            "MODIFY solid SET description = :d WHERE solid_no = :n",
+    fn lifting_turns_parameter_position_literals_into_slots() {
+        let l = parse_statement_lifted(
+            "MODIFY solid SET description = 'x', sub = CONNECT (SELECT ALL FROM solid WHERE solid_no = 2) WHERE solid_no = -7 OR size > 1.5",
         )
         .unwrap();
-        let bound = s.bind_params(&[Value::Str("renamed".into()), Value::Int(7)]);
-        let Statement::Modify(m) = bound else { panic!() };
-        assert_eq!(
-            m.assignments[0].1,
-            SetExpr::Value(ValueExpr::Lit(Value::Str("renamed".into())))
-        );
+        // 'x', 2 and 1.5 are lifted; the folded -7 stays.
+        assert_eq!(l.literal_slots, vec![Some(0), Some(1), None, Some(2)]);
+        assert_eq!(l.params, vec![None, None, None]);
+        let Statement::Modify(m) = &l.statement else { panic!() };
+        assert_eq!(m.assignments[0].1, SetExpr::Value(ValueExpr::Param(0)));
+        let Some(Predicate::Or(terms)) = &m.predicate else { panic!() };
         assert!(matches!(
-            m.predicate.unwrap(),
-            Predicate::Compare { right: Operand::Literal(Value::Int(7)), .. }
+            &terms[0],
+            Predicate::Compare { right: Operand::Literal(Value::Int(-7)), .. }
         ));
+        assert!(matches!(&terms[1], Predicate::Compare { right: Operand::Param(2), .. }));
+    }
+
+    #[test]
+    fn lifting_keeps_literals_where_no_parameter_goes() {
+        let l = parse_statement_lifted(
+            "SELECT edge, face := SELECT face_id FROM face WHERE square_dim > 1.9E4 FROM brep-edge-face WHERE brep_no = 1713 AND EXISTS_AT_LEAST (2) edge: edge.length > 1.0E2",
+        )
+        .unwrap();
+        // Qualified projection, quantifier count: verbatim; the WHERE
+        // comparisons (the quantifier body's too): lifted.
+        assert_eq!(l.literal_slots, vec![None, Some(0), None, Some(1)]);
+        let l = parse_statement_lifted(
+            "SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = 4711",
+        )
+        .unwrap();
+        assert_eq!(l.literal_slots, vec![None, Some(0)]);
+        // The text's own placeholders share the slot numbering.
+        let l = parse_statement_lifted("SELECT ALL FROM s WHERE a = ? AND b = 'v'").unwrap();
+        assert_eq!((l.params.len(), l.literal_slots), (2, vec![Some(1)]));
     }
 
     #[test]

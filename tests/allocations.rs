@@ -11,9 +11,12 @@
 //!
 //! `cargo test --release --test allocations -- --nocapture` prints the
 //! counts. The ceilings sit a few allocations above the counts when they
-//! were set: 138 for `SELECT ALL`, 376 for the `brep_no` projection and
-//! 63 for the ad-hoc point query. A kernel that decodes every atom it
-//! reads in full takes 260, 422 and 71.
+//! were set: 116 for `SELECT ALL`, 353 for the `brep_no` projection, 17
+//! for the ad-hoc point query and 15 for the same point query prepared.
+//! A kernel that decodes every atom it reads in full takes 260, 422 and
+//! 71 for the first three. One that copies the whole plan on every bind
+//! takes 138, 376 and 28 for the prepared statements, and one that
+//! parses and plans every ad-hoc text 63 for the ad-hoc one.
 //!
 //! Allocations of at least one page size are counted apart as well: on a
 //! kernel whose buffer holds an eighth of the mesh, a buffer miss must
@@ -109,10 +112,21 @@ fn statement_allocations() {
         let r = session.query(&text, &opts).unwrap();
         assert_eq!(r.set.molecules.len(), 1);
     });
-    eprintln!("allocations: select_all {select_all}, select_brep_no {select_brep_no}, adhoc {adhoc}");
-    assert!(select_all <= 145, "SELECT ALL: {select_all} allocations");
-    assert!(select_brep_no <= 385, "SELECT brep_no: {select_brep_no} allocations");
-    assert!(adhoc <= 66, "ad-hoc point query: {adhoc} allocations");
+    let mut point =
+        session.prepare("SELECT solid_no, description FROM solid WHERE solid_no = ?").unwrap();
+    let prepared = max_per_statement(|key| {
+        point.bind(&[Value::Int(key)]).unwrap();
+        let r = point.query(&opts).unwrap();
+        assert_eq!(r.set.molecules.len(), 1);
+    });
+    eprintln!(
+        "allocations: select_all {select_all}, select_brep_no {select_brep_no}, \
+         adhoc {adhoc}, prepared point {prepared}"
+    );
+    assert!(select_all <= 123, "SELECT ALL: {select_all} allocations");
+    assert!(select_brep_no <= 362, "SELECT brep_no: {select_brep_no} allocations");
+    assert!(adhoc <= 20, "ad-hoc point query: {adhoc} allocations");
+    assert!(prepared <= 18, "prepared point query: {prepared} allocations");
 }
 
 

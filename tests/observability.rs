@@ -276,6 +276,7 @@ fn render_text_family_lines_are_pinned() {
         "prima_api_statements_parsed",
         "prima_api_plans_built",
         "prima_api_plan_reuses",
+        "prima_api_plan_cache_hits",
         "prima_api_statements_executed",
         "prima_api_cursor_fetches",
     ];

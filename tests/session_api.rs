@@ -1,9 +1,12 @@
 //! The session-centric kernel API: prepared statements (parse/plan once,
-//! bind + execute many), streaming molecule cursors (piecewise delivery),
-//! and transactional sessions with explicit commit/rollback.
+//! bind + execute many), the per-session plan cache of one-shot text
+//! (cached statements behave exactly like uncached ones), streaming
+//! molecule cursors (piecewise delivery), and transactional sessions with
+//! explicit commit/rollback.
 
 use prima_workloads::exec;
-use prima::{Prima, PrimaError, QueryOptions, Value};
+use prima::session::PLAN_CACHE_ENTRIES;
+use prima::{Prima, PrimaError, QueryOptions, SpanKind, StatementOutcome, Value};
 use prima_workloads::brep::{self, BrepConfig};
 
 fn brep_db(n: usize) -> Prima {
@@ -188,6 +191,363 @@ fn prepared_options_collapse_the_query_variants() {
         stmt.query(&QueryOptions::new().threads(0)),
         Err(PrimaError::BadStatement(_))
     ));
+}
+
+#[test]
+fn prepared_dml_compiles_once() {
+    let db = brep_db(3);
+    let session = db.session();
+    let before = db.metrics().api;
+    let mut stmt =
+        session.prepare("MODIFY solid SET description = ? WHERE solid_no = ?").unwrap();
+    for n in 1..=5i64 {
+        stmt.bind(&[Value::Str(format!("v{n}")), Value::Int(n % 3 + 1)]).unwrap();
+        let modified = stmt.execute().unwrap().dml().unwrap();
+        assert_eq!(modified, prima::datasys::DmlResult::Modified(1));
+    }
+    session.commit().unwrap();
+    let d = db.metrics().api.since(&before);
+    assert_eq!((d.statements_parsed, d.plans_built, d.plan_reuses), (1, 1, 5));
+}
+
+// ---------------------------------------------------------------------
+// Plan cache
+// ---------------------------------------------------------------------
+
+#[test]
+fn ad_hoc_text_compiles_once_per_session() {
+    let db = brep_db(4);
+    let session = db.session();
+    let point =
+        |key: i64| format!("SELECT solid_no, description FROM solid WHERE solid_no = {key}");
+    let before = db.metrics().api;
+    for key in 0..1000 {
+        let r = session.query(&point(key), &QueryOptions::new()).unwrap();
+        assert_eq!(r.set.len(), usize::from((1..=4).contains(&key)), "key {key}");
+    }
+    let d = db.metrics().api.since(&before);
+    assert_eq!(
+        (d.statements_parsed, d.plans_built, d.plan_cache_hits, d.plan_reuses),
+        (1000, 1, 999, 0)
+    );
+    db.metrics().check_coherence().unwrap();
+
+    // A profiled hit says so on the statement and plans nothing.
+    session.set_profiling(true);
+    session.query(&point(2), &QueryOptions::new()).unwrap();
+    let hit = session.last_profile().unwrap();
+    assert_eq!(hit.root.attr("plan_cache"), Some("hit"), "{}", hit.render());
+    assert!(hit.root.find(SpanKind::Plan).is_none(), "{}", hit.render());
+    assert_eq!(hit.access("path"), Some("key_lookup(solid_no)"));
+    // Another session starts cold.
+    let other = db.session();
+    other.set_profiling(true);
+    other.query(&point(2), &QueryOptions::new()).unwrap();
+    let miss = other.last_profile().unwrap();
+    assert_eq!(miss.root.attr("plan_cache"), Some("miss"));
+    assert!(miss.root.find(SpanKind::Plan).is_some());
+}
+
+#[test]
+fn plan_cache_holds_a_bounded_number_of_statements() {
+    let db = brep_db(2);
+    let session = db.session();
+    // PLAN_CACHE_ENTRIES + 1 shapes: the first is replaced by the last.
+    let shape = |i: usize| {
+        let conjuncts = vec!["solid_no > 0"; i + 1].join(" AND ");
+        format!("SELECT ALL FROM solid WHERE {conjuncts}")
+    };
+    let hits = || db.metrics().api.plan_cache_hits;
+    for i in 0..=PLAN_CACHE_ENTRIES {
+        session.query(&shape(i), &QueryOptions::new()).unwrap();
+    }
+    let before = hits();
+    session.query(&shape(PLAN_CACHE_ENTRIES), &QueryOptions::new()).unwrap();
+    assert_eq!(hits(), before + 1, "the newest shape is cached");
+    session.query(&shape(0), &QueryOptions::new()).unwrap();
+    assert_eq!(hits(), before + 1, "the oldest shape was replaced");
+}
+
+/// How the warm session of [`cached_statements_behave_like_uncached_ones`]
+/// is expected to serve a text.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Served {
+    /// Compiled now (and cached when its lifted form compiles).
+    Compiled,
+    /// From the plan cache.
+    Hit,
+}
+
+/// `text`'s outcome through a session's one-shot entry point — `query`
+/// for a SELECT, `execute` then commit otherwise — rendered with `{:?}`,
+/// so results and errors compare byte for byte.
+fn one_shot(s: &prima::Session, text: &str) -> String {
+    if is_select(text) {
+        format!("{:?}", s.query(text, &QueryOptions::new()).map(|r| r.set))
+    } else {
+        let out = format!("{:?}", s.execute(text));
+        s.commit().unwrap();
+        out
+    }
+}
+
+/// `text`'s outcome as a prepared statement: compiled as written, never
+/// through the plan cache. Rendered like [`one_shot`].
+fn prepared_once(s: &prima::Session, text: &str) -> String {
+    let out = match s.prepare(text).and_then(|p| p.execute()) {
+        Ok(StatementOutcome::Molecules(r)) => format!("{:?}", Ok::<_, PrimaError>(r.set)),
+        Ok(StatementOutcome::Dml(d)) => format!("{:?}", Ok::<_, PrimaError>(d)),
+        Err(e) => format!("{:?}", Err::<(), _>(e)),
+    };
+    s.commit().unwrap();
+    out
+}
+
+fn is_select(text: &str) -> bool {
+    text.trim_start().get(..6).is_some_and(|k| k.eq_ignore_ascii_case("select"))
+}
+
+/// Three identical kernels: one runs every text on one warm session, one
+/// on a fresh session per text (a cold cache), one as a prepared
+/// statement (no cache at all). All three must agree on every outcome,
+/// errors byte for byte, and the warm session must serve exactly the
+/// texts marked [`Served::Hit`] from its cache.
+fn differential(kernels: [Prima; 3], corpus: &[(String, Served)]) {
+    let [warm_db, cold_db, prepared_db] = kernels;
+    let warm = warm_db.session();
+    for (text, served) in corpus {
+        let hits = warm_db.metrics().api.plan_cache_hits;
+        let cached = one_shot(&warm, text);
+        let hit = warm_db.metrics().api.plan_cache_hits > hits;
+        let got = if hit { Served::Hit } else { Served::Compiled };
+        assert_eq!(got, *served, "{text}");
+        assert_eq!(cached, one_shot(&cold_db.session(), text), "warm vs cold: {text}");
+        let prepared = prepared_once(&prepared_db.session(), text);
+        assert_eq!(cached, prepared, "cached vs prepared: {text}");
+    }
+    for db in [&warm_db, &cold_db, &prepared_db] {
+        db.metrics().check_coherence().unwrap();
+    }
+}
+
+#[test]
+fn cached_statements_behave_like_uncached_ones_on_table_2_1() {
+    use Served::{Compiled as C, Hit as H};
+    let build = || {
+        let db = brep::open_db(16 << 20).unwrap();
+        let stats = brep::populate(&db, &BrepConfig::with_assembly(4, 2, 2)).unwrap();
+        (db, stats.root_solid_nos)
+    };
+    let (a, roots) = build();
+    let (b, _) = build();
+    let (c, _) = build();
+    let t21d = |sq: &str, no: i64, n: u32, len: &str| {
+        format!(
+            "SELECT edge, (point, face := SELECT face_id, square_dim FROM face WHERE square_dim > {sq})
+             FROM brep-edge (face, point)
+             WHERE brep_no = {no} AND EXISTS_AT_LEAST ({n}) edge: edge.length > {len}"
+        )
+    };
+    let mut corpus: Vec<(String, Served)> = vec![
+        // Table 2.1a; a negative key stays verbatim, so only the same
+        // negative key hits.
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1 (* qualification *)".into(), C),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2 (* other comment *)".into(), H),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 99".into(), H),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no > -1".into(), C),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no > -1".into(), H),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no > -3".into(), C),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no > 1".into(), C),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no > 3".into(), H),
+        // A real against an INTEGER attribute does not fit the slot: it
+        // is compiled as written, cached entry or not.
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1.0".into(), C),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2.0".into(), C),
+        ("SELECT ALL FROM brep-face-edge-point WHERE brep_no = 2.5".into(), C),
+        // An integer against a REAL attribute fits it.
+        ("SELECT ALL FROM brep-face WHERE brep_no = 1 AND face.square_dim > 10".into(), C),
+        ("SELECT ALL FROM brep-face WHERE brep_no = 2 AND face.square_dim > 20".into(), H),
+        ("SELECT ALL FROM brep-face WHERE brep_no = 2 AND face.square_dim > 20.5".into(), C),
+        ("SELECT ALL FROM brep-face WHERE brep_no = 3 AND face.square_dim > 1.0E1".into(), H),
+        // Table 2.1c, strings with '' escapes.
+        ("SELECT solid_no, description FROM solid WHERE sub = EMPTY".into(), C),
+        ("SELECT solid_no, description FROM solid WHERE sub = EMPTY".into(), H),
+        ("SELECT solid_no, description FROM solid WHERE description = 'base solid 2'".into(), C),
+        ("SELECT solid_no, description FROM solid WHERE description = 'it''s'".into(), H),
+        ("SELECT solid_no, description FROM solid WHERE description <> ''''".into(), C),
+        ("SELECT solid_no, description FROM solid WHERE description <> 'assembly 6'".into(), H),
+        // Table 2.1d: the qualified projection's literal and the
+        // quantifier's count stay verbatim, the WHERE comparisons do not.
+        (t21d("10.0", 1, 2, "1.0"), C),
+        (t21d("10.0", 2, 2, "1000.0"), H),
+        (t21d("50.0", 2, 2, "1.0"), C),
+        (t21d("50.0", 3, 2, "2.5"), H),
+        (t21d("50.0", 3, 3, "2.5"), C),
+        // Errors: validation failures are never cached.
+        ("SELECT ALL FROM brep-widget WHERE brep_no = 1".into(), C),
+        ("SELECT ALL FROM brep-widget WHERE brep_no = 2".into(), C),
+        ("SELECT ALL FROM piece_list".into(), C),
+        ("SELECT ALL FROM brep WHERE colour = 1".into(), C),
+        // Manipulation through `execute`, checked by the queries after it.
+        ("INSERT solid (solid_no: 5001, description: 'it''s')".into(), C),
+        ("INSERT solid (solid_no: 5002, description: 'o''clock')".into(), H),
+        ("INSERT solid (solid_no: 5003)".into(), C),
+        ("INSERT solid (solid_no: 5004)".into(), H),
+        ("INSERT solid (solid_no: 'abc')".into(), C),
+        ("INSERT solid (solid_no: 'xyz')".into(), C),
+        ("INSERT solid (colour: 1)".into(), C),
+        ("MODIFY solid SET description = 'renamed' WHERE solid_no = 5001".into(), C),
+        ("MODIFY solid SET description = 'again' WHERE solid_no = 5002".into(), H),
+        ("MODIFY solid SET solid_no = 'x' WHERE solid_no = 5002".into(), C),
+        ("MODIFY solid SET sub = CONNECT (SELECT ALL FROM solid WHERE solid_no = 5002) WHERE solid_no = 5001".into(), C),
+        ("MODIFY solid SET sub = CONNECT (SELECT ALL FROM solid WHERE solid_no = 5004) WHERE solid_no = 5003".into(), H),
+        ("DELETE FROM solid WHERE solid_no = 5004".into(), C),
+        ("DELETE FROM solid WHERE solid_no = 5003".into(), H),
+        ("SELECT solid_no, description FROM solid WHERE solid_no > 5000".into(), C),
+        ("SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = 5001".into(), C),
+    ];
+    // Table 2.1b: recursion seeded by each root solid.
+    for root in &roots {
+        let text = format!("SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = {root}");
+        corpus.push((text, H));
+    }
+    differential([a, b, c], &corpus);
+}
+
+const TEAM_DDL: &str = "
+CREATE ATOM_TYPE team
+  ( id : IDENTIFIER, team_no : INTEGER, city : CHAR_VAR,
+    members : SET_OF (REF_TO (person.teams)) )
+KEYS_ARE (team_no);
+CREATE ATOM_TYPE person
+  ( id : IDENTIFIER, p_no : INTEGER, age : INTEGER, name : CHAR_VAR,
+    teams : SET_OF (REF_TO (team.members)) )
+KEYS_ARE (p_no);
+";
+
+/// The kernel of `tests/queries_semantics.rs`: 12 people in 4
+/// overlapping teams.
+fn team_db() -> Prima {
+    let db = Prima::builder().build_with_ddl(TEAM_DDL).unwrap();
+    let people: Vec<_> = (0..12i64)
+        .map(|p| {
+            let attrs = [
+                ("p_no", Value::Int(p)),
+                ("age", Value::Int(20 + p * 3)),
+                ("name", Value::Str(format!("person {p}"))),
+            ];
+            db.insert("person", &attrs).unwrap()
+        })
+        .collect();
+    for t in 0..4i64 {
+        let members =
+            (0..12).filter(|p| p % 4 == t || p % 3 == t).map(|p| people[p as usize]).collect();
+        let attrs = [
+            ("team_no", Value::Int(t)),
+            ("city", Value::Str(["kaiserslautern", "brighton"][t as usize % 2].into())),
+            ("members", Value::ref_set(members)),
+        ];
+        db.insert("team", &attrs).unwrap();
+    }
+    db
+}
+
+#[test]
+fn cached_statements_behave_like_uncached_ones_on_the_semantics_corpus() {
+    use Served::{Compiled as C, Hit as H};
+    let corpus: Vec<(String, Served)> = [
+        ("SELECT ALL FROM team WHERE team_no = 0 OR team_no = 3", C),
+        ("SELECT ALL FROM team WHERE team_no = 1 OR team_no = 2", H),
+        ("SELECT ALL FROM team WHERE NOT city = 'brighton'", C),
+        ("SELECT ALL FROM team WHERE NOT city = 'kaiserslautern'", H),
+        ("SELECT ALL FROM team WHERE city = 'brighton' AND NOT team_no = 1", C),
+        ("SELECT ALL FROM team WHERE city = 'brighton' AND NOT team_no = 3", H),
+        ("SELECT ALL FROM team-person WHERE person.age > 45", C),
+        ("SELECT ALL FROM team-person WHERE person.age > 30", H),
+        ("SELECT ALL FROM team-person WHERE ALL person: person.age >= 20", C),
+        ("SELECT ALL FROM team-person WHERE ALL person: person.age >= 40", H),
+        ("SELECT ALL FROM team-person WHERE ALL person: person.age >= -5", C),
+        ("SELECT ALL FROM team-person WHERE EXISTS_AT_LEAST (4) person: person.age >= 20", C),
+        ("SELECT ALL FROM team-person WHERE EXISTS_AT_LEAST (4) person: person.age >= 50", H),
+        ("SELECT ALL FROM team-person WHERE EXISTS_AT_LEAST (2) person: person.age >= 50", C),
+        ("SELECT ALL FROM team-person WHERE person.age > person.p_no", C),
+        ("SELECT ALL FROM team-person WHERE person.age > person.p_no", H),
+        ("SELECT team_no, person.name FROM team-person WHERE team_no = 1", C),
+        ("SELECT team_no, person.name FROM team-person WHERE team_no = 2", H),
+        ("SELECT ALL FROM team WHERE team_no = 999", C),
+        ("SELECT ALL FROM team-person WHERE EXISTS_AT_LEAST (99) person: person.age > 0", C),
+        ("SELECT ALL FROM team WHERE 1 = 1", C),
+        ("SELECT ALL FROM team WHERE 2 = 1", H),
+        ("SELECT ALL FROM team WHERE 'a' = 1", C),
+        ("SELECT ALL FROM team-person WHERE person.age > 45 AND team_no < 3 OR city = 'x'", C),
+        ("SELECT ALL FROM team-person WHERE person.age > 50 AND team_no < 2 OR city = 'brighton'", H),
+        ("SELECT ALL FROM team-widget", C),
+        ("SELECT ALL FROM team WHERE colour = 1", C),
+        ("SELECT ALL FROM team-person WHERE EXISTS_AT_LEAST (1) nosuch: nosuch.age > 1", C),
+        ("SELECT ALL FROM team-person WHERE EXISTS_AT_LEAST (1) nosuch: nosuch.age > 2", C),
+        ("INSERT person (p_no: 100, age: 33, name: 'new''comer')", C),
+        ("INSERT person (p_no: 101, age: 34, name: 'x')", H),
+        ("SELECT ALL FROM person WHERE name = 'new''comer'", C),
+        ("MODIFY team SET members = CONNECT (SELECT ALL FROM person WHERE p_no = 100) WHERE team_no = 0", C),
+        ("MODIFY team SET members = DISCONNECT (SELECT ALL FROM person WHERE p_no = 0) WHERE team_no = 0", C),
+        ("MODIFY team SET members = DISCONNECT (SELECT ALL FROM person WHERE p_no = 4) WHERE team_no = 0", H),
+        ("SELECT ALL FROM team-person WHERE team_no = 0", C),
+    ]
+    .into_iter()
+    .map(|(text, served)| (text.to_string(), served))
+    .collect();
+    differential([team_db(), team_db(), team_db()], &corpus);
+}
+
+#[test]
+fn one_shot_placeholders_and_wrong_entry_points_are_rejected_warm_or_cold() {
+    let db = brep_db(2);
+    let opts = QueryOptions::new();
+    let warm = db.session();
+    // The cache holds the same shapes written with literals.
+    warm.query("SELECT ALL FROM solid WHERE solid_no = 1", &opts).unwrap();
+    warm.execute("INSERT solid (solid_no: 77)").unwrap();
+    warm.commit().unwrap();
+    for s in [&warm, &db.session()] {
+        assert!(matches!(
+            s.query("SELECT ALL FROM solid WHERE solid_no = ?", &opts),
+            Err(PrimaError::UnboundParameter { .. })
+        ));
+        assert!(matches!(
+            s.execute("INSERT solid (solid_no: :v)"),
+            Err(PrimaError::UnboundParameter { .. })
+        ));
+        assert!(matches!(
+            s.execute("SELECT ALL FROM solid WHERE solid_no = 2"),
+            Err(PrimaError::BadStatement(m)) if m.contains("query()")
+        ));
+        assert!(matches!(
+            s.query("INSERT solid (solid_no: 78)", &opts),
+            Err(PrimaError::BadStatement(m)) if m.contains("execute()")
+        ));
+    }
+}
+
+#[test]
+fn a_cached_statement_uses_a_structure_built_after_it() {
+    let db = brep_db(4);
+    let s = db.session();
+    s.set_profiling(true);
+    let faces = |bound: &str| {
+        let text = format!("SELECT ALL FROM face WHERE square_dim > {bound}");
+        let set = s.query(&text, &QueryOptions::new()).unwrap().set;
+        let mut ids: Vec<_> = set.molecules.iter().map(|m| m.root.atom.id).collect();
+        ids.sort();
+        (ids, s.last_profile().unwrap())
+    };
+    let (scanned, profile) = faces("20.0");
+    assert_eq!(profile.access("path"), Some("type_scan"));
+    db.ldl("CREATE ACCESS PATH ap_square ON face (square_dim)").unwrap();
+    let (indexed, profile) = faces("20.0");
+    assert_eq!(profile.root.attr("plan_cache"), Some("hit"));
+    assert_eq!(profile.access("path"), Some("access_path(ap_square)"), "{}", profile.render());
+    assert_eq!(indexed, scanned);
+    assert!(!indexed.is_empty());
 }
 
 // ---------------------------------------------------------------------
