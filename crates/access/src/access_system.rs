@@ -1,13 +1,12 @@
 //! The access-system facade: the atom-oriented interface of PRIMA.
 //!
 //! Section 3.2's atom interface meets here: surrogate generation, direct
-//! access by logical address, automatic back-reference maintenance,
-//! `KEYS_ARE` uniqueness, and the cost-based choice among redundant
-//! copies on read. This module keeps the per-type base record files and
-//! the reads and writes over them; every write hands the changed atom to
-//! the tuning structures ([`crate::structures`]: partitions, sort orders,
-//! B*-trees, grid files, atom clusters), which keep themselves up to date
-//! immediately or by deferred update.
+//! access by logical address, automatic back-reference maintenance and
+//! `KEYS_ARE` uniqueness. This module keeps the per-type base record
+//! files and the reads and writes over them; every write hands the
+//! changed atom to the tuning structures ([`crate::structures`]:
+//! partitions, sort orders, B*-trees, grid files, atom clusters), which
+//! keep themselves up to date immediately or by deferred update.
 
 use crate::addressing::AddressTable;
 pub use crate::addressing::StructureId;
@@ -36,8 +35,6 @@ prima_storage::counter_family! {
         /// Implicit back-reference updates performed (system-enforced
         /// integrity).
         counter backref_updates,
-        /// Reads satisfied from a partition instead of the primary record.
-        counter partition_reads,
         /// Reads satisfied from the primary record.
         counter primary_reads,
         /// Page-grouped batched reads executed (the non-degenerate
@@ -460,15 +457,9 @@ impl AccessSystem {
     // Read
     // -----------------------------------------------------------------
 
-    /// Reads an atom, optionally projecting onto selected attributes.
-    /// With a projection, the cheapest *fresh* redundant copy covering it
-    /// is chosen (paper: "the one with minimum access cost should be
-    /// selected"); partitions beat the primary because their records are
-    /// denser.
+    /// Reads an atom's primary record, optionally projected onto selected
+    /// attributes.
     pub fn read_atom(&self, id: AtomId, projection: Option<&[usize]>) -> AccessResult<Atom> {
-        if let Some(copy) = projection.and_then(|proj| self.covering_copy(id, proj)) {
-            return copy;
-        }
         let atom = self.read_primary(id)?;
         self.stats.primary_reads.fetch_add(1, Ordering::Relaxed);
         Ok(match projection {
@@ -480,8 +471,8 @@ impl AccessSystem {
     /// Batched read into a caller-owned buffer (cleared first, so
     /// per-level callers can recycle it): semantically identical to
     /// `ids.iter().map(|id| read_atom(id, projection))`, including result
-    /// order and projection choice, except that an unknown atom yields
-    /// `None` instead of failing the whole batch (molecule assembly skips
+    /// order and projection, except that an unknown atom yields `None`
+    /// instead of failing the whole batch (molecule assembly skips
     /// dangling ids defensively). Of the other failures, the error of the
     /// lowest-position failing id wins, as it would sequentially. Primary
     /// record fetches are **grouped by owning page**, so each data page is
@@ -489,9 +480,6 @@ impl AccessSystem {
     /// shard-lock traffic and LRU touches across all atoms resident on the
     /// page (the vertical molecule-assembly fast path; see Section 3.3 on
     /// fix/unfix cost).
-    ///
-    /// Atoms whose projection is served by a fresh covering partition fall
-    /// back to the per-atom partition read, exactly as `read_atom` would.
     pub fn read_atoms_batch_into(
         &self,
         ids: &[AtomId],
@@ -522,21 +510,6 @@ impl AccessSystem {
                 *err_slot = Some((i, e));
             }
         };
-        // Covering copies first: reading one fixes a page, which must not
-        // happen under the address-table latch the grouping loop holds.
-        let mut covered = Vec::new();
-        if let Some(proj) = projection {
-            covered.resize(ids.len(), false);
-            for (i, &id) in ids.iter().enumerate() {
-                if let Some(copy) = self.covering_copy(id, proj) {
-                    covered[i] = true;
-                    match copy {
-                        Ok(a) => out[i] = Some(a),
-                        Err(e) => record_err(&mut first_err, i, e),
-                    }
-                }
-            }
-        }
         // (atom type, page) -> positions in `ids` + their slots, built in
         // input order so per-page decode order is deterministic. Typical
         // batches touch few distinct pages (linear probe); large scattered
@@ -546,9 +519,6 @@ impl AccessSystem {
             (ids.len() > 64).then(HashMap::new);
         let primaries = self.addresses.primaries();
         for (i, &id) in ids.iter().enumerate() {
-            if covered.get(i) == Some(&true) {
-                continue;
-            }
             // Unknown atom: a hole.
             let Some(ptr) = primaries.get(id) else { continue };
             let key = (id.atom_type, ptr.page);
@@ -613,14 +583,6 @@ impl AccessSystem {
             Some((_, e)) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// The projected read of `id` from the cheapest fresh copy covering
-    /// `proj`, if one exists (counted as a partition read).
-    fn covering_copy(&self, id: AtomId, proj: &[usize]) -> Option<AccessResult<Atom>> {
-        let copy = self.structures.read_covering_copy(&self.addresses, id, proj)?;
-        self.stats.partition_reads.fetch_add(1, Ordering::Relaxed);
-        Some(copy)
     }
 
     /// Reads the primary record directly.

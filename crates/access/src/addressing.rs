@@ -201,13 +201,13 @@ impl AddressTable {
     }
 
     /// All placements of an atom (primary excluded).
+    #[cfg(test)]
     pub fn placements(&self, id: AtomId) -> Vec<Placement> {
         self.latch.read().redundant.get(&id).cloned().unwrap_or_default()
     }
 
-    /// Number of *fresh* (non-stale) redundant copies — the candidates the
-    /// paper says any read may pick from ("any physical record can be
-    /// used. The one with minimum access cost should be selected").
+    /// Number of *fresh* (non-stale) redundant copies.
+    #[cfg(test)]
     pub fn fresh_copies(&self, id: AtomId) -> usize {
         self.latch
             .read()

@@ -161,6 +161,7 @@ impl GridFile {
     }
 
     /// Number of buckets (diagnostic: grows with the data).
+    #[cfg(test)]
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
     }

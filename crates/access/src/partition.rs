@@ -79,6 +79,7 @@ impl Partition {
     }
 
     /// Reads the projected atom stored at `ptr`.
+    #[cfg(test)]
     pub fn read(&self, ptr: RecordPtr) -> AccessResult<Atom> {
         self.file.read_with(ptr, Atom::decode)
     }

@@ -170,7 +170,7 @@ impl RecordFile {
         page_size: prima_storage::PageSize,
         logged: bool,
     ) -> AccessResult<Self> {
-        let segment = storage.create_segment_with(page_size, logged)?;
+        let segment = storage.create_segment(page_size, logged)?;
         let payload_cap = page_size.payload();
         Ok(RecordFile {
             storage,
@@ -390,6 +390,7 @@ impl RecordFile {
     }
 
     /// Number of live records (full scan; for stats and tests).
+    #[cfg(test)]
     pub fn record_count(&self) -> AccessResult<usize> {
         let mut n = 0;
         self.for_each(|_, _| {

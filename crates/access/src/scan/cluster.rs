@@ -50,6 +50,7 @@ impl<'a> Scan<'a> {
     /// Direct access to all member atoms of the cluster of the
     /// characteristic atom an atom-cluster-type scan stands on (one
     /// chained read); empty off a row or on another scan.
+    // lint: allow(dead-surface, section 3.2's access to a cluster-type scan's current cluster, pinned by tests/scans_navigation.rs)
     pub fn current_cluster_atoms(&self) -> AccessResult<Vec<Atom>> {
         let row = usize::try_from(self.pos).ok().and_then(|i| self.rows.get(i));
         match (&self.cluster, row) {

@@ -115,6 +115,7 @@ impl Ssa {
     }
 
     /// Convenience: equality SSA.
+    #[cfg(test)]
     pub fn eq(attr: usize, value: Value) -> Ssa {
         Ssa::Cmp { attr, op: CmpOp::Eq, value }
     }

@@ -14,7 +14,7 @@
 //! so they are always maintained immediately.
 
 use crate::access_system::AccessSystem;
-use crate::addressing::{AddressTable, StructureId};
+use crate::addressing::StructureId;
 use crate::atom::Atom;
 use crate::btree::BTree;
 use crate::cluster::AtomClusterType;
@@ -288,26 +288,6 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Reads `id` from a fresh partition copy covering `proj`, the
-    /// cheapest copy (paper: "the one with minimum access cost should be
-    /// selected"); `None` if there is none and the primary must serve.
-    pub(crate) fn read_covering_copy(
-        &self,
-        addresses: &AddressTable,
-        id: AtomId,
-        proj: &[usize],
-    ) -> Option<AccessResult<Atom>> {
-        let directory = self.directory.read();
-        addresses.placements(id).into_iter().filter(|pl| !pl.stale).find_map(|pl| {
-            match directory.by_id.get(&pl.structure) {
-                Some(Structure::Partition(p)) if p.covers(proj) => {
-                    Some(p.read(pl.ptr).map(|a| a.project(proj)))
-                }
-                _ => None,
-            }
-        })
-    }
-
     /// Records `members` as the members of the cluster of `ch` in `sid`,
     /// replacing what was recorded.
     fn set_members(&self, sid: StructureId, ch: AtomId, members: &[Atom]) {
@@ -477,11 +457,6 @@ impl AccessSystem {
         }
         self.addresses.drop_structure(sid);
         self.structures.deferred.purge_structure(sid);
-    }
-
-    /// Looks up a structure id by name.
-    pub fn structure_id(&self, name: &str) -> Option<StructureId> {
-        self.structures.directory.read().by_name.get(name).copied()
     }
 
     /// The structure registered under `name`.

@@ -77,17 +77,6 @@ impl Molecule {
         out
     }
 
-    /// All atoms of a node at a given recursion level.
-    pub fn atoms_of_node_at(&self, node: usize, level: u32) -> Vec<&Atom> {
-        let mut out = Vec::new();
-        self.root.visit(&mut |m| {
-            if m.node == node && m.level == level {
-                out.push(&*m.atom);
-            }
-        });
-        out
-    }
-
     /// The atom id of every position, in pre-order: an atom shared by
     /// several positions appears once per position.
     pub fn atom_ids(&self) -> Vec<AtomId> {
@@ -231,7 +220,9 @@ mod tests {
         assert_eq!(s.atoms_of("part").len(), 3);
         assert_eq!(s.atoms_of("solid").len(), 1);
         assert_eq!(s.atoms_of("nothing").len(), 0);
-        assert_eq!(s.molecules[0].atoms_of_node_at(1, 2).len(), 1);
+        let mut node_1_at_level_2 = 0;
+        s.molecules[0].for_each(|m| node_1_at_level_2 += usize::from(m.node == 1 && m.level == 2));
+        assert_eq!(node_1_at_level_2, 1);
     }
 
     #[test]

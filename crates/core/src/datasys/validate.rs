@@ -564,7 +564,14 @@ pub fn predicate_to_atom_ssa(
 mod tests {
     use super::*;
     use prima_mad::ddl::{load_script, FIG_2_3_DDL};
-    use prima_mad::mql::parse_query;
+    use prima_mad::mql::ParseError;
+
+    fn parse_query(src: &str) -> Result<Query, ParseError> {
+        match prima_mad::mql::parse_statement(src)? {
+            Statement::Select(q) => Ok(q),
+            other => panic!("not a SELECT: {other:?}"),
+        }
+    }
 
     fn schema() -> Schema {
         let mut s = Schema::new();

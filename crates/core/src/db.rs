@@ -14,7 +14,8 @@
 //!     │                    │  └─ execute(DML)     │ execute()/query()
 //!     │                    │     commit/rollback  │ cursor()
 //!     │                    └─ query(mql, &QueryOptions)
-//!     │                       query_cursor(…) ──▶ MoleculeCursor (streaming)
+//!     │                       query_cursor(…) ──▶ MoleculeCursor (streaming,
+//!     │                                           borrows its session)
 //!     └─ direct atom interface (insert/read/modify/delete — each call
 //!        an internal auto-commit Session, so it is undo-logged and
 //!        commit-forced like statement DML)
@@ -30,10 +31,10 @@
 //! * [`crate::session::Prepared`] parses and plans once; `?` / `:name` placeholders are
 //!   bound per execution with type-checked values — the classic
 //!   parse-once / execute-many server shape.
-//! * [`MoleculeCursor`] streams result molecules piecewise instead of
+//! * [`crate::session::MoleculeCursor`] streams result molecules piecewise instead of
 //!   materialising the whole set, assembling each chunk lazily through
 //!   the level-batched read path.
-//! * [`QueryOptions`] selects semantic parallelism (`threads ≥ 1`; `0`
+//! * [`crate::session::QueryOptions`] selects semantic parallelism (`threads ≥ 1`; `0`
 //!   is rejected, not clamped) and tracing for any of these entry points.
 //!
 //! [`Prima::session`] is the single query/manipulation path. Auto-commit
@@ -42,9 +43,9 @@
 
 use crate::error::{PrimaError, PrimaResult};
 use crate::ldl_exec;
-use crate::obs::{MetricsSnapshot, Obs, StatementProfile, DEFAULT_SLOW_LOG_CAPACITY};
+use crate::obs::{MetricsSnapshot, Obs, StatementProfile};
 use crate::recovery::{self, KernelMeta};
-use crate::session::{ApiStats, MoleculeCursor, QueryOptions, Session};
+use crate::session::{ApiStats, Session};
 use crate::txn::{LockConfig, TxnManager};
 use prima_access::{AccessSystem, Atom, UpdatePolicy};
 use prima_mad::ddl;
@@ -62,7 +63,6 @@ pub struct PrimaBuilder {
     durable: bool,
     lock_config: LockConfig,
     slow_statement_threshold: Option<Duration>,
-    slow_log_capacity: usize,
 }
 
 impl Default for PrimaBuilder {
@@ -73,7 +73,6 @@ impl Default for PrimaBuilder {
             durable: false,
             lock_config: LockConfig::default(),
             slow_statement_threshold: None,
-            slow_log_capacity: DEFAULT_SLOW_LOG_CAPACITY,
         }
     }
 }
@@ -101,13 +100,6 @@ impl PrimaBuilder {
     /// every statement. Default: off.
     pub fn slow_statement_threshold(mut self, threshold: Duration) -> Self {
         self.slow_statement_threshold = Some(threshold);
-        self
-    }
-
-    /// Capacity of the slow-statement ring (default
-    /// [`DEFAULT_SLOW_LOG_CAPACITY`]; oldest entries are evicted).
-    pub fn slow_log_capacity(mut self, capacity: usize) -> Self {
-        self.slow_log_capacity = capacity;
         self
     }
 
@@ -165,25 +157,14 @@ impl PrimaBuilder {
             Arc::new(StorageSystem::new(device, self.buffer_bytes))
         };
         let access = Arc::new(AccessSystem::new(Arc::clone(&storage), schema)?);
-        let txn = TxnManager::with_config(Arc::clone(&access), self.lock_config);
-        let stats = Arc::new(ApiStats::default());
-        let obs = Obs::new(
-            Arc::clone(&storage),
-            Arc::clone(&access),
-            Arc::clone(&txn),
-            Arc::clone(&stats),
-            self.slow_statement_threshold,
-            self.slow_log_capacity,
-        );
-        Ok(Prima {
+        Ok(Prima::wire(
             storage,
             access,
-            txn,
-            stats,
-            obs,
-            ddl: ddl_src,
-            buffer_bytes: self.buffer_bytes,
-        })
+            self.lock_config,
+            self.slow_statement_threshold,
+            ddl_src,
+            self.buffer_bytes,
+        ))
     }
 }
 
@@ -274,32 +255,33 @@ impl Prima {
 
         // Pass 4: checkpoint the recovered state (truncates the log; a
         // crash in the middle of recovery just recovers again).
-        let txn = TxnManager::new(Arc::clone(&access));
+        let buffer_bytes = meta.buffer_bytes as usize;
+        let db = Prima::wire(storage, access, LockConfig::default(), None, meta.ddl, buffer_bytes);
+        db.checkpoint()?;
+        Ok(db)
+    }
+
+    /// The layers above the access system, wired the one way every kernel
+    /// is: the transaction manager, the API counters and the
+    /// observability hub over them.
+    fn wire(
+        storage: Arc<StorageSystem>,
+        access: Arc<AccessSystem>,
+        lock_config: LockConfig,
+        slow_statement_threshold: Option<Duration>,
+        ddl: String,
+        buffer_bytes: usize,
+    ) -> Prima {
+        let txn = TxnManager::with_config(Arc::clone(&access), lock_config);
         let stats = Arc::new(ApiStats::default());
         let obs = Obs::new(
             Arc::clone(&storage),
             Arc::clone(&access),
             Arc::clone(&txn),
             Arc::clone(&stats),
-            None,
-            DEFAULT_SLOW_LOG_CAPACITY,
+            slow_statement_threshold,
         );
-        let db = Prima {
-            storage,
-            access,
-            txn,
-            stats,
-            obs,
-            ddl: meta.ddl,
-            buffer_bytes: meta.buffer_bytes as usize,
-        };
-        db.checkpoint()?;
-        Ok(db)
-    }
-
-    /// Whether this kernel runs the durability subsystem.
-    pub fn is_durable(&self) -> bool {
-        self.storage.wal().is_some()
+        Prima { storage, access, txn, stats, obs, ddl, buffer_bytes }
     }
 
     /// Checkpoint: flushes every dirty page (WAL forced first), snapshots
@@ -386,13 +368,6 @@ impl Prima {
         )
     }
 
-    /// Opens a streaming [`MoleculeCursor`] over a `SELECT` without an
-    /// explicit session: the cursor owns a private session whose
-    /// transaction (and read locks) live exactly as long as the cursor.
-    pub fn query_cursor(&self, mql: &str) -> PrimaResult<MoleculeCursor<'static>> {
-        self.session().into_cursor(mql, &QueryOptions::default())
-    }
-
     // -----------------------------------------------------------------
     // LDL
     // -----------------------------------------------------------------
@@ -460,6 +435,7 @@ impl Prima {
 mod tests {
     use super::*;
     use crate::datasys::DmlResult;
+    use crate::session::QueryOptions;
 
     const DDL: &str = "
         CREATE ATOM_TYPE thing (id: IDENTIFIER, n: INTEGER, s: CHAR_VAR)

@@ -123,7 +123,7 @@
 //! Two enforcers keep the table honest:
 //!
 //! * **Static** — `cargo run -p prima-lint` (a required CI gate) walks
-//!   the kernel sources and checks five rules:
+//!   the kernel sources and checks six rules:
 //!   1. *lock-rank* — every `Mutex`/`RwLock` declaration carries a
 //!      `// lockrank: <domain>.<n>` annotation resolving against the
 //!      table, and no function's nested acquisitions violate the order;
@@ -133,7 +133,9 @@
 //!      kernel code;
 //!   4. *ignored-result* — no `StorageResult`/`TxnResult`-returning
 //!      call used as a bare statement;
-//!   5. *allow-without-reason* — every
+//!   5. *dead-surface* — every kernel `pub fn` has a caller outside
+//!      tests, or an allow saying why it stays;
+//!   6. *allow-without-reason* — every
 //!      `// lint: allow(<rule>, <reason>)` escape hatch must state a
 //!      non-empty reason.
 //! * **Dynamic** — the vendored `parking_lot` shim's

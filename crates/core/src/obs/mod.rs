@@ -43,7 +43,7 @@ pub use prima_storage::probe::{
     attr, event, observed, span, span_guard, Probe, Span, SpanGuard, SpanKind,
 };
 pub use profile::{StatementKind, StatementProfile};
-pub use slowlog::{SlowLog, DEFAULT_SLOW_LOG_CAPACITY};
+pub use slowlog::{SlowLog, SLOW_LOG_CAPACITY};
 
 use crate::session::ApiStats;
 use crate::txn::TxnManager;
@@ -73,7 +73,6 @@ impl Obs {
         txn: Arc<TxnManager>,
         api: Arc<ApiStats>,
         slow_threshold: Option<Duration>,
-        slow_log_capacity: usize,
     ) -> Arc<Obs> {
         Arc::new(Obs {
             storage,
@@ -81,7 +80,7 @@ impl Obs {
             txn,
             api,
             statements: Default::default(),
-            slow: SlowLog::new(slow_log_capacity),
+            slow: SlowLog::default(),
             slow_threshold,
         })
     }

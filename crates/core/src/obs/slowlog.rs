@@ -4,28 +4,29 @@ use super::profile::StatementProfile;
 use parking_lot::{rank, Mutex};
 use std::collections::VecDeque;
 
-/// Default ring capacity (overridable via
-/// `PrimaBuilder::slow_log_capacity`).
-pub const DEFAULT_SLOW_LOG_CAPACITY: usize = 64;
+/// Profiles the ring keeps.
+pub const SLOW_LOG_CAPACITY: usize = 64;
 
 /// Bounded ring buffer of the most recent statements that exceeded the
-/// configured threshold: pushing past capacity evicts the oldest entry.
+/// configured threshold: pushing past [`SLOW_LOG_CAPACITY`] evicts the
+/// oldest entry.
 #[derive(Debug)]
 pub struct SlowLog {
     // lockrank: obs.0 — bounded profile ring; pushed after the statement
     // has released every kernel lock.
     ring: Mutex<VecDeque<StatementProfile>>,
-    capacity: usize,
+}
+
+impl Default for SlowLog {
+    fn default() -> SlowLog {
+        SlowLog { ring: Mutex::new_ranked(VecDeque::new(), rank::OBS) }
+    }
 }
 
 impl SlowLog {
-    pub fn new(capacity: usize) -> SlowLog {
-        SlowLog { ring: Mutex::new_ranked(VecDeque::new(), rank::OBS), capacity: capacity.max(1) }
-    }
-
     pub fn push(&self, profile: StatementProfile) {
         let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
+        if ring.len() == SLOW_LOG_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(profile);
@@ -34,18 +35,6 @@ impl SlowLog {
     /// The retained profiles, oldest first.
     pub fn entries(&self) -> Vec<StatementProfile> {
         self.ring.lock().iter().cloned().collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -74,12 +63,14 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest() {
-        let log = SlowLog::new(3);
-        for n in 0..5 {
+        let log = SlowLog::default();
+        let pushed = SLOW_LOG_CAPACITY as u64 + 2;
+        for n in 0..pushed {
             log.push(profile(n));
         }
         let kept: Vec<String> = log.entries().into_iter().map(|p| p.statement).collect();
-        assert_eq!(kept, ["q2", "q3", "q4"]);
-        assert_eq!(log.len(), 3);
+        assert_eq!(kept.len(), SLOW_LOG_CAPACITY);
+        assert_eq!(kept[0], "q2");
+        assert_eq!(kept[SLOW_LOG_CAPACITY - 1], format!("q{}", pushed - 1));
     }
 }

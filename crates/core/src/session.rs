@@ -16,10 +16,11 @@
 //!   type-checked against the attribute each parameter is compared with
 //!   or assigned to, and an execution binds the values into the plan's
 //!   predicates without copying the rest of the plan.
-//! * [`MoleculeCursor`] — a pull-based iterator over result molecules.
-//!   Root atoms are located up front (they are the cheap part); component
-//!   assembly runs lazily per fetched chunk through the level-batched
-//!   read path, so a large result never materialises in full.
+//! * [`MoleculeCursor`] — a pull-based iterator over result molecules
+//!   that borrows its session. Root atoms are located up front (they are
+//!   the cheap part); component assembly runs lazily per fetched chunk
+//!   through the level-batched read path, so a large result never
+//!   materialises in full.
 //!
 //! [`QueryOptions`] is the one execution descriptor (degree of semantic
 //! parallelism) accepted by both [`Session::query`] and [`Prepared`]. A
@@ -32,9 +33,9 @@
 //! ## Plan cache
 //!
 //! Every statement is compiled once. One-shot text — [`Session::query`],
-//! [`Session::query_cursor`], [`Session::into_cursor`],
-//! [`Session::execute`] — is looked up in the session's plan cache
-//! ([`PLAN_CACHE_ENTRIES`] statements) before it is compiled. The key is
+//! [`Session::query_cursor`], [`Session::execute`] — is looked up in the
+//! session's plan cache ([`PLAN_CACHE_ENTRIES`] statements) before it is
+//! compiled, inside the statement's profiled scope. The key is
 //! the text's token stream with each literal reduced to its kind
 //! (integer, real or string). A statement is cached compiled with each
 //! literal that stands where a parameter could — a comparison operand or
@@ -182,43 +183,39 @@ impl QueryOptions {
     }
 }
 
+/// Executions of a retried statement, the first try included.
+const RETRY_MAX_ATTEMPTS: u32 = 5;
+/// Backoff before the first retry, doubled per further retry.
+const RETRY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(1);
+
 /// Transparent-retry policy for statements killed by transient contention
-/// ([`PrimaError::is_retryable`]): the statement's (auto-commit)
-/// transaction is rolled back through the undo machinery, the session
-/// sleeps `backoff · 2^attempt` (optionally jittered up to +50% so
-/// colliding sessions decorrelate), and the statement re-runs — up to
-/// `max_attempts` total executions.
+/// ([`PrimaError::is_retryable`]). By default the statement's
+/// (auto-commit) transaction is rolled back through the undo machinery,
+/// the session sleeps a backoff that doubles per retry, jittered up to
+/// +50% so colliding sessions decorrelate, and the statement re-runs — up
+/// to five executions in all. [`RetryPolicy::off`] hands the first
+/// retryable error to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total executions (first try included); at least 1. `1` disables
-    /// retrying.
-    pub max_attempts: u32,
-    /// Base backoff, doubled per retry.
-    pub backoff: std::time::Duration,
-    /// Adds a random fraction (0–50%) of the delay on top, so sessions
-    /// that deadlocked together do not collide again in lockstep.
-    pub jitter: bool,
+    max_attempts: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_attempts: 5, backoff: std::time::Duration::from_millis(1), jitter: true }
+        RetryPolicy { max_attempts: RETRY_MAX_ATTEMPTS }
     }
 }
 
 impl RetryPolicy {
     /// No retrying: the first retryable error propagates to the caller.
     pub fn off() -> Self {
-        RetryPolicy { max_attempts: 1, backoff: std::time::Duration::ZERO, jitter: false }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// Backoff before retry number `attempt` (0-based: the delay after
     /// the first failure is `delay(0)`).
-    pub fn delay(&self, attempt: u32) -> std::time::Duration {
-        let base = self.backoff.saturating_mul(1u32 << attempt.min(10));
-        if !self.jitter || base.is_zero() {
-            return base;
-        }
+    fn delay(attempt: u32) -> std::time::Duration {
+        let base = RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(10));
         // splitmix64 over a process-global counter: cheap, dependency-free
         // decorrelation; cryptographic quality is irrelevant here.
         static SEED: AtomicU64 = AtomicU64::new(0x243F_6A88_85A3_08D3);
@@ -280,8 +277,8 @@ prima_storage::counter_family! {
     /// statement's executions count `plan_reuses`.
     pub struct ApiStats => ApiStatsSnapshot as "api" {
         /// MQL texts handed to the facade: one per [`Session::prepare`]
-        /// and one per one-shot `query`, `query_cursor`, `into_cursor` or
-        /// `execute` — each is at least tokenised, a plan-cache hit too.
+        /// and one per one-shot `query`, `query_cursor` or `execute` —
+        /// each is at least tokenised, a plan-cache hit too.
         counter statements_parsed,
         /// Statements compiled at the facade — parsed, validated and
         /// planned ([`plan_statement`]), a DML statement's qualification
@@ -519,8 +516,7 @@ impl Session {
                 Ok(r) => return Ok(r),
                 Err(e) => e,
             };
-            let retry =
-                auto_commit && err.is_retryable() && attempt + 1 < policy.max_attempts.max(1);
+            let retry = auto_commit && err.is_retryable() && attempt + 1 < policy.max_attempts;
             // A retried statement's transaction goes whole (nothing else
             // is in it); any other failed statement goes back to its
             // savepoint, and the transaction only if that fails.
@@ -533,7 +529,7 @@ impl Session {
                 return Err(err);
             }
             drop(slot);
-            std::thread::sleep(policy.delay(attempt));
+            std::thread::sleep(RetryPolicy::delay(attempt));
             attempt += 1;
         }
     }
@@ -595,31 +591,22 @@ impl Session {
         opts: &QueryOptions,
     ) -> PrimaResult<MoleculeCursor<'_>> {
         opts.validate()?;
-        let plan = self.one_shot_select(mql)?;
-        MoleculeCursor::open(SessionRef::Borrowed(self), plan, mql, opts)
-    }
-
-    /// [`Session::query_cursor`] consuming the session: the cursor owns
-    /// it and keeps its transaction (and therefore its locks) alive for
-    /// the cursor's lifetime — dropping the cursor rolls the read
-    /// transaction back. Backs `Prima::query_cursor`.
-    pub fn into_cursor(
-        self,
-        mql: &str,
-        opts: &QueryOptions,
-    ) -> PrimaResult<MoleculeCursor<'static>> {
-        opts.validate()?;
-        let plan = self.one_shot_select(mql)?;
-        MoleculeCursor::open(SessionRef::Owned(Box::new(self)), plan, mql, opts)
+        MoleculeCursor::open(self, mql, opts, || self.one_shot_select(mql))
     }
 
     /// Executes one manipulation statement (`INSERT`/`DELETE`/`MODIFY`)
     /// under the session's transaction.
     pub fn execute(&self, mql: &str) -> PrimaResult<DmlResult> {
-        // The kind is only known once the statement is compiled, so the
-        // compile stays outside the scope on this one-shot path.
-        let (compiled, params) = self.compile_one_shot(mql, false)?;
         let scope = self.begin_scope();
+        // The statement's kind labels the scope, so a text that does not
+        // compile leaves no record.
+        let (compiled, params) = match self.compile_one_shot(mql, false) {
+            Ok(compiled) => compiled,
+            Err(e) => {
+                scope.abandon();
+                return Err(e);
+            }
+        };
         let out = self.run_dml(&compiled.plan, &params);
         self.end_scope(scope, compiled.kind(), mql, true);
         out
@@ -927,8 +914,7 @@ impl<'s> Prepared<'s> {
             return Err(PrimaError::BadStatement("cursors require a SELECT statement".into()));
         };
         self.session.stats.reused();
-        let session = SessionRef::Borrowed(self.session);
-        MoleculeCursor::open(session, plan.bind(params), &self.text, opts)
+        MoleculeCursor::open(self.session, &self.text, opts, || Ok(plan.bind(params)))
     }
 }
 
@@ -1164,6 +1150,15 @@ struct Scope {
     started: Instant,
 }
 
+impl Scope {
+    /// Closes the scope unrecorded.
+    fn abandon(self) {
+        if let Some((_, probe)) = self.profile {
+            probe.finish(std::time::Duration::ZERO);
+        }
+    }
+}
+
 fn statement_predicate(stmt: &Statement) -> Option<&Predicate> {
     match stmt {
         Statement::Select(q) => q.predicate.as_ref(),
@@ -1198,25 +1193,10 @@ fn collect_param_comparisons<'p>(pred: &'p Predicate, out: &mut Vec<(&'p CompRef
 // Streaming molecule cursor
 // ---------------------------------------------------------------------
 
-/// The session a cursor streams through: borrowed from the caller
-/// (`Session::query_cursor`, `Prepared::cursor`) or owned outright
-/// (`Session::into_cursor`, backing `Prima::query_cursor`).
-enum SessionRef<'s> {
-    Borrowed(&'s Session),
-    Owned(Box<Session>),
-}
-
-impl SessionRef<'_> {
-    fn get(&self) -> &Session {
-        match self {
-            SessionRef::Borrowed(s) => s,
-            SessionRef::Owned(s) => s,
-        }
-    }
-}
-
 /// A pull-based cursor over the molecules of one query — the paper's
-/// "one-molecule-at-a-time interface" surfaced at the facade.
+/// "one-molecule-at-a-time interface" surfaced at the facade. It borrows
+/// the session it streams through ([`Session::query_cursor`],
+/// [`Prepared::cursor`]).
 ///
 /// Opening the cursor performs root access only (key lookup / access
 /// path / scan, reported on the open's profile); the component atoms of
@@ -1245,7 +1225,7 @@ impl SessionRef<'_> {
 /// The open and every fetch are profiled scopes of the session, labelled
 /// with the cursor's statement text.
 pub struct MoleculeCursor<'s> {
-    session: SessionRef<'s>,
+    session: &'s Session,
     access: Arc<AccessSystem>,
     /// The bound plan (its shape shared with the compiled statement).
     plan: ResolvedQuery,
@@ -1261,11 +1241,14 @@ pub struct MoleculeCursor<'s> {
 }
 
 impl<'s> MoleculeCursor<'s> {
+    /// Opens a cursor on the plan `plan` yields — compiled or bound inside
+    /// the open's scope, so its profile shows the compile. A plan that
+    /// fails leaves no record.
     fn open(
-        session: SessionRef<'s>,
-        plan: ResolvedQuery,
+        session: &'s Session,
         text: &str,
         opts: &QueryOptions,
+        plan: impl FnOnce() -> PrimaResult<ResolvedQuery>,
     ) -> PrimaResult<MoleculeCursor<'s>> {
         if opts.threads > 1 {
             return Err(PrimaError::BadStatement(
@@ -1273,15 +1256,21 @@ impl<'s> MoleculeCursor<'s> {
                     .into(),
             ));
         }
-        let s = session.get();
-        let access = Arc::clone(&s.access);
-        let scope = s.begin_scope();
+        let access = Arc::clone(&session.access);
+        let scope = session.begin_scope();
+        let plan = match plan() {
+            Ok(plan) => plan,
+            Err(e) => {
+                scope.abandon();
+                return Err(e);
+            }
+        };
         // No transaction open → the snapshot stays pinned for the
         // cursor's lifetime; otherwise open (and later fetch) under the
         // session's transaction, Shared-locking as usual.
-        let snapshot = s.pin_read_snapshot();
-        let found = s.with_read_guard(snapshot.as_ref(), |g| find_roots(&access, &plan, g));
-        s.end_scope(scope, StatementKind::Select, text, false);
+        let snapshot = session.pin_read_snapshot();
+        let found = session.with_read_guard(snapshot.as_ref(), |g| find_roots(&access, &plan, g));
+        session.end_scope(scope, StatementKind::Select, text, false);
         let (roots, clusters) = found?;
         Ok(MoleculeCursor {
             session,
@@ -1345,18 +1334,17 @@ impl<'s> MoleculeCursor<'s> {
     /// Opens a fetch's scope: a fetch is a slice of the cursor's
     /// statement, so it counts `cursor_fetches`, not the histograms.
     fn begin_fetch(&self) -> Scope {
-        let session = self.session.get();
-        session.stats.cursor_fetched();
-        session.begin_scope()
+        self.session.stats.cursor_fetched();
+        self.session.begin_scope()
     }
 
     fn end_fetch(&self, scope: Scope) {
-        self.session.get().end_scope(scope, StatementKind::Select, &self.text, false);
+        self.session.end_scope(scope, StatementKind::Select, &self.text, false);
     }
 
     fn next_molecule(&mut self) -> PrimaResult<Option<Molecule>> {
         let Self { session, access, plan, clusters, roots, ctx, snapshot, .. } = self;
-        session.get().with_read_guard(snapshot.as_ref(), |guard| {
+        session.with_read_guard(snapshot.as_ref(), |guard| {
             // Idempotent within one transaction; after a mid-stream
             // commit/rollback this pins the extension under the fresh
             // transaction before any root is revalidated.

@@ -180,11 +180,6 @@ pub struct TxnManager {
 }
 
 impl TxnManager {
-    /// Manager with the default bounded-wait [`LockConfig`].
-    pub fn new(sys: Arc<AccessSystem>) -> Arc<TxnManager> {
-        Self::with_config(sys, LockConfig::default())
-    }
-
     pub fn with_config(sys: Arc<AccessSystem>, config: LockConfig) -> Arc<TxnManager> {
         let wal = sys.storage().wal().cloned();
         Arc::new(TxnManager {
@@ -774,7 +769,10 @@ mod tests {
         let mut schema = Schema::new();
         ddl::load_script(&mut schema, DDL).unwrap();
         let storage = Arc::new(StorageSystem::new(Arc::new(SimDisk::new()), 4 << 20));
-        TxnManager::new(Arc::new(AccessSystem::new(storage, schema).unwrap()))
+        TxnManager::with_config(
+            Arc::new(AccessSystem::new(storage, schema).unwrap()),
+            LockConfig::default(),
+        )
     }
 
     #[derive(Debug, Clone)]

@@ -1,6 +1,6 @@
 //! prima-lint: repo-specific static analysis for the PRIMA kernel.
 //!
-//! Four rules, none expressible in clippy:
+//! Five rules, none expressible in clippy:
 //!
 //! * **`lockrank`** — every `Mutex`/`RwLock` declaration in the kernel
 //!   carries a `// lockrank: <domain>.<n>` annotation naming its place in
@@ -15,13 +15,19 @@
 //!   kernel code.
 //! * **`ignored-result`** — a bare statement discarding a
 //!   `StorageResult`/`TxnResult` returned by a kernel function.
+//! * **`dead-surface`** — a kernel `pub fn` whose name no non-test code
+//!   under [`KERNEL_DIRS`] or [`CALLER_DIRS`] mentions: each layer offers
+//!   what the layers above call, and nothing else. Dead code is deleted
+//!   or made `#[cfg(test)]`; what stays carries an allow with its reason.
 //!
 //! Escape hatch: `// lint: allow(<rule>, <reason>)` on the offending line
 //! or the line directly above. The reason is mandatory; an empty one is
 //! its own finding (`allow-without-reason`). The number of allow sites
 //! under [`KERNEL_DIRS`] may not exceed [`ALLOW_CEILING`]
 //! (`allow-ceiling`): a new allow raises the ceiling in the same change,
-//! where review sees it.
+//! where review sees it. `dead-surface` allows have their own bound: the
+//! kernel's uncalled `pub fn`s, allowed or not, may not exceed
+//! [`DEAD_SURFACE_CEILING`] (`dead-surface-ceiling`).
 //!
 //! The analysis is token-based (see [`lexer`]) — a deliberate lint, not a
 //! compiler: it resolves lock receivers by *name* against the per-file
@@ -40,9 +46,20 @@ use std::path::{Path, PathBuf};
 pub const KERNEL_DIRS: &[&str] =
     &["crates/storage/src", "crates/core/src", "crates/access/src", "crates/mad/src"];
 
-/// Most `// lint: allow(…)` sites the kernel sources may carry.
+/// Source roots, relative to the repo root, whose non-test code counts as
+/// a caller for `dead-surface` besides the kernel's own: the workloads
+/// crate, the examples, the root package and the benchmark harness (a
+/// separate package; its calls are read, never linted).
+pub const CALLER_DIRS: &[&str] = &["crates/workloads/src", "examples", "src", "prima-bench/src"];
+
+/// Most `// lint: allow(…)` sites the kernel sources may carry, not
+/// counting `dead-surface` allows.
 pub const ALLOW_CEILING: usize = 43;
 const ALLOW_CEILING_LINE: u32 = line!() - 1;
+
+/// Most kernel `pub fn`s without a non-test caller, allowed or not.
+pub const DEAD_SURFACE_CEILING: usize = 11;
+const DEAD_SURFACE_CEILING_LINE: u32 = line!() - 1;
 
 /// Lock-acquisition method names on the vendored parking_lot types.
 const ACQUIRE_FNS: &[&str] = &["lock", "try_lock", "read", "write", "read_arc", "write_arc"];
@@ -70,8 +87,10 @@ pub enum Rule {
     LockAcrossIo,
     ErrorHygiene,
     IgnoredResult,
+    DeadSurface,
     AllowWithoutReason,
     AllowCeiling,
+    DeadSurfaceCeiling,
 }
 
 impl Rule {
@@ -81,8 +100,10 @@ impl Rule {
             Rule::LockAcrossIo => "lock-across-io",
             Rule::ErrorHygiene => "error-hygiene",
             Rule::IgnoredResult => "ignored-result",
+            Rule::DeadSurface => "dead-surface",
             Rule::AllowWithoutReason => "allow-without-reason",
             Rule::AllowCeiling => "allow-ceiling",
+            Rule::DeadSurfaceCeiling => "dead-surface-ceiling",
         }
     }
 
@@ -92,6 +113,7 @@ impl Rule {
             "lock-across-io" => Rule::LockAcrossIo,
             "error-hygiene" => Rule::ErrorHygiene,
             "ignored-result" => Rule::IgnoredResult,
+            "dead-surface" => Rule::DeadSurface,
             _ => return None,
         })
     }
@@ -236,7 +258,7 @@ fn parse_annotations(file: &Path, lexed: &lexer::Lexed) -> Annotations {
 // ---------------------------------------------------------------------------
 
 /// Token-index spans (`[start, end)`) of items under `#[test]`-like or
-/// `#[cfg(test)]` attributes.
+/// `#[cfg(test)]` attributes, from the attribute to the item's end.
 fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
@@ -244,8 +266,8 @@ fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
         if tokens[i].tok.is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.tok.is_punct('[')) {
             let (attr_end, is_test) = scan_attr(tokens, i + 1);
             if is_test {
-                if let Some((start, end)) = item_body_after(tokens, attr_end) {
-                    spans.push((start, end));
+                if let Some((_, end)) = item_body_after(tokens, attr_end) {
+                    spans.push((i, end));
                     i = end;
                     continue;
                 }
@@ -809,7 +831,34 @@ pub fn collect_result_fns(sources: &[(PathBuf, String)]) -> HashSet<String> {
     out
 }
 
-/// Pass B: all findings for one file.
+/// The names `dead-surface` counts as called: every identifier the
+/// non-test code in `sources` mentions, except a function's own name
+/// where it is defined and the paths of `use` items (a re-export calls
+/// nothing).
+pub fn used_names(sources: &[(PathBuf, String)]) -> HashSet<String> {
+    let mut used = HashSet::new();
+    for (_, src) in sources {
+        let tokens = lex(src).tokens;
+        let tests = test_spans(&tokens);
+        let mut in_use = false;
+        for (i, t) in tokens.iter().enumerate() {
+            match &t.tok {
+                Tok::Ident(id) if id == "use" => in_use = true,
+                Tok::Punct(';') => in_use = false,
+                Tok::Ident(id) => {
+                    let defined = i > 0 && tokens[i - 1].tok.is_ident("fn");
+                    if !(in_use || defined || in_spans(&tests, i)) {
+                        used.insert(id.clone());
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    used
+}
+
+/// Pass B: all findings of rules 1–4 for one file.
 pub fn analyze_file(file: &Path, src: &str, result_fns: &HashSet<String>) -> Vec<Finding> {
     let lexed = lex(src);
     let ann = parse_annotations(file, &lexed);
@@ -835,16 +884,7 @@ pub fn analyze_file(file: &Path, src: &str, result_fns: &HashSet<String>) -> Vec
     // Apply allows: a valid allow suppresses matching findings on its
     // target line; an allow without a reason (or with an unknown rule
     // name) still suppresses but is reported itself.
-    let mut out = Vec::new();
-    for f in findings {
-        let allowed = ann
-            .allows
-            .iter()
-            .any(|a| a.target_line == f.line && a.rule == Some(f.rule));
-        if !allowed {
-            out.push(f);
-        }
-    }
+    let mut out: Vec<Finding> = findings.into_iter().filter(|f| !allowed(&ann.allows, f)).collect();
     for a in &ann.allows {
         if a.rule.is_none() {
             out.push(Finding {
@@ -867,9 +907,55 @@ pub fn analyze_file(file: &Path, src: &str, result_fns: &HashSet<String>) -> Vec
     out
 }
 
-/// The `// lint: allow(…)` sites in one file.
+/// The `// lint: allow(…)` sites in one file, `dead-surface` allows
+/// excepted.
 pub fn allow_sites_in(src: &str) -> usize {
-    parse_annotations(Path::new(""), &lex(src)).allows.len()
+    let ann = parse_annotations(Path::new(""), &lex(src));
+    ann.allows.iter().filter(|a| a.rule != Some(Rule::DeadSurface)).count()
+}
+
+/// Whether an allow naming `f`'s rule covers `f`'s line.
+fn allowed(allows: &[Allow], f: &Finding) -> bool {
+    allows.iter().any(|a| a.target_line == f.line && a.rule == Some(f.rule))
+}
+
+/// Rule 5 over one file: the findings for its `pub fn`s outside test code
+/// whose name is not in `used` ([`used_names`] over the kernel and
+/// [`CALLER_DIRS`]) and no allow keeps, and how many such functions there
+/// are, allowed or not.
+pub fn dead_surface_in(file: &Path, src: &str, used: &HashSet<String>) -> (Vec<Finding>, usize) {
+    const QUALIFIERS: &[&str] = &["const", "unsafe", "async"];
+    let lexed = lex(src);
+    let tokens = &lexed.tokens;
+    let tests = test_spans(tokens);
+    let mut dead = Vec::new();
+    for i in 0..tokens.len() {
+        if !tokens[i].tok.is_ident("pub") || in_spans(&tests, i) {
+            continue;
+        }
+        let mut j = i + 1;
+        while tokens.get(j).and_then(|t| t.tok.ident()).is_some_and(|q| QUALIFIERS.contains(&q)) {
+            j += 1;
+        }
+        if !tokens.get(j).is_some_and(|t| t.tok.is_ident("fn")) {
+            continue;
+        }
+        let Some(name) = tokens.get(j + 1).and_then(|t| t.tok.ident()) else { continue };
+        if !used.contains(name) {
+            dead.push(Finding {
+                file: file.to_path_buf(),
+                line: tokens[i].line,
+                rule: Rule::DeadSurface,
+                message: format!(
+                    "`pub fn {name}` has no caller outside tests — delete it, make it \
+                     `#[cfg(test)]`, or keep it with `// lint: allow(dead-surface, <why>)`"
+                ),
+            });
+        }
+    }
+    let count = dead.len();
+    let allows = parse_annotations(file, &lexed).allows;
+    (dead.into_iter().filter(|f| !allowed(&allows, f)).collect(), count)
 }
 
 /// The `allow-ceiling` finding, if `sites` allows exceed `ceiling`.
@@ -885,10 +971,24 @@ pub fn check_allow_ceiling(sites: usize, ceiling: usize) -> Option<Finding> {
     })
 }
 
-/// Collects the kernel sources under `repo_root`.
-pub fn kernel_sources(repo_root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+/// The `dead-surface-ceiling` finding, if `count` uncalled `pub fn`s
+/// exceed `ceiling`.
+pub fn check_dead_surface_ceiling(count: usize, ceiling: usize) -> Option<Finding> {
+    (count > ceiling).then(|| Finding {
+        file: PathBuf::from(file!()),
+        line: DEAD_SURFACE_CEILING_LINE,
+        rule: Rule::DeadSurfaceCeiling,
+        message: format!(
+            "{count} kernel `pub fn`s without a non-test caller exceed the ceiling of \
+             {ceiling}: delete one, or raise DEAD_SURFACE_CEILING for review"
+        ),
+    })
+}
+
+/// Collects the sources under `dirs`, relative to `repo_root`.
+pub fn sources_under(repo_root: &Path, dirs: &[&str]) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
-    for dir in KERNEL_DIRS {
+    for dir in dirs {
         walk(&repo_root.join(dir), &mut files)?;
     }
     files.sort();
@@ -912,23 +1012,33 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// What a full run found.
 pub struct Report {
-    /// Every finding in every kernel file, and the allow ceiling's.
+    /// Every finding in every kernel file, and the ceilings'.
     pub findings: Vec<Finding>,
-    /// The `// lint: allow(…)` sites in the kernel files.
+    /// The `// lint: allow(…)` sites in the kernel files, `dead-surface`
+    /// allows excepted.
     pub allow_sites: usize,
+    /// The kernel `pub fn`s without a non-test caller, allowed or not.
+    pub dead_surface: usize,
 }
 
 /// Full run over a repo checkout.
 pub fn run(repo_root: &Path) -> std::io::Result<Report> {
-    let sources = kernel_sources(repo_root)?;
+    let sources = sources_under(repo_root, KERNEL_DIRS)?;
+    let mut callers = sources_under(repo_root, CALLER_DIRS)?;
+    callers.extend(sources.iter().cloned());
     let result_fns = collect_result_fns(&sources);
+    let used = used_names(&callers);
     let mut findings = Vec::new();
-    let mut allow_sites = 0;
+    let (mut allow_sites, mut dead_surface) = (0, 0);
     for (path, src) in &sources {
         let rel = path.strip_prefix(repo_root).unwrap_or(path);
         findings.extend(analyze_file(rel, src, &result_fns));
         allow_sites += allow_sites_in(src);
+        let (dead, count) = dead_surface_in(rel, src, &used);
+        findings.extend(dead);
+        dead_surface += count;
     }
     findings.extend(check_allow_ceiling(allow_sites, ALLOW_CEILING));
-    Ok(Report { findings, allow_sites })
+    findings.extend(check_dead_surface_ceiling(dead_surface, DEAD_SURFACE_CEILING));
+    Ok(Report { findings, allow_sites, dead_surface })
 }

@@ -46,8 +46,13 @@ fn main() -> ExitCode {
         report.allow_sites,
         prima_lint::ALLOW_CEILING
     );
+    eprintln!(
+        "prima-lint: {} kernel `pub fn`s without a non-test caller (ceiling {})",
+        report.dead_surface,
+        prima_lint::DEAD_SURFACE_CEILING
+    );
     if findings.is_empty() {
-        eprintln!("prima-lint: clean ({} rules over {:?})", 6, prima_lint::KERNEL_DIRS);
+        eprintln!("prima-lint: clean ({} rules over {:?})", 8, prima_lint::KERNEL_DIRS);
         ExitCode::SUCCESS
     } else {
         eprintln!("prima-lint: {} finding(s)", findings.len());

@@ -1,12 +1,15 @@
 //! End-to-end rule coverage: every fixture under `tests/fixtures/` seeds
 //! exactly one violation of one rule, and the real kernel tree must be
-//! clean.
+//! clean. A fixture file is both the kernel and its only caller.
 
 // Integration-test harness: panicking on a broken fixture is the point
 // (clippy's allow-*-in-tests only covers `#[cfg(test)]` items).
 #![allow(clippy::expect_used)]
 
-use prima_lint::{allow_sites_in, analyze_file, check_allow_ceiling, collect_result_fns, Rule};
+use prima_lint::{
+    allow_sites_in, analyze_file, check_allow_ceiling, check_dead_surface_ceiling,
+    collect_result_fns, dead_surface_in, used_names, Rule,
+};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> (PathBuf, String) {
@@ -18,8 +21,7 @@ fn fixture(name: &str) -> (PathBuf, String) {
 fn analyze_fixture(name: &str) -> Vec<prima_lint::Finding> {
     let (path, src) = fixture(name);
     let sources = vec![(path.clone(), src.clone())];
-    let result_fns = collect_result_fns(&sources);
-    analyze_file(&path, &src, &result_fns)
+    analyze_file(&path, &src, &collect_result_fns(&sources))
 }
 
 fn check(name: &str, rule: Rule) {
@@ -63,14 +65,42 @@ fn allow_ceiling_fires_once_above_the_ceiling() {
     assert_eq!(over.rule, Rule::AllowCeiling);
 }
 
+#[test]
+fn dead_surface_fires_once_for_a_test_only_caller() {
+    assert!(analyze_fixture("dead_surface.rs").is_empty(), "no other rule fires");
+    let (path, src) = fixture("dead_surface.rs");
+    let used = used_names(&[(path.clone(), src.clone())]);
+    let (findings, count) = dead_surface_in(&path, &src, &used);
+    assert_eq!(findings.len(), 1, "dead_surface.rs must fire exactly once, got: {findings:#?}");
+    assert_eq!(findings[0].rule, Rule::DeadSurface);
+    assert!(findings[0].message.contains("`pub fn called_only_from_tests`"), "{findings:#?}");
+    // The allowed `pub fn` still counts towards the dead-surface ceiling,
+    // and its allow not towards the allow ceiling.
+    assert_eq!(count, 2);
+    assert_eq!(allow_sites_in(&src), 0);
+    // Without its allow, the uncalled `pub fn` fires as well.
+    let bare = src.replace("// lint: allow(dead-surface, the fixture's kept entry point)\n", "");
+    let (findings, _) = dead_surface_in(&path, &bare, &used);
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+    assert!(findings[1].message.contains("`pub fn kept`"), "{findings:#?}");
+}
+
+#[test]
+fn dead_surface_ceiling_fires_above_the_ceiling() {
+    assert!(check_dead_surface_ceiling(2, 2).is_none(), "at the ceiling is fine");
+    let over = check_dead_surface_ceiling(3, 2).expect("one over the ceiling");
+    assert_eq!(over.rule, Rule::DeadSurfaceCeiling);
+}
+
 /// The self-check the CI `lint` job re-runs via the binary: the real
-/// kernel tree has zero unexplained findings, and no more allows than
-/// the ceiling.
+/// kernel tree has zero unexplained findings, no more allows than the
+/// allow ceiling and no more uncalled `pub fn`s than theirs.
 #[test]
 fn real_tree_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = prima_lint::run(&root).expect("kernel sources readable");
     assert!(report.allow_sites <= prima_lint::ALLOW_CEILING);
+    assert!(report.dead_surface <= prima_lint::DEAD_SURFACE_CEILING);
     let findings = report.findings;
     assert!(
         findings.is_empty(),

@@ -8,8 +8,8 @@
 //!   length" (Section 3.2); this codec is how atoms become such strings.
 //!   The format is also read without decoding it:
 //!   - [`check_values`] is the *checking walk*: it steps over a whole
-//!     record image, allocating nothing, and fails exactly where
-//!     [`decode_values`] fails, with the same error. An atom read from a
+//!     record image, allocating nothing, and fails exactly where a full
+//!     decode fails, with the same error. An atom read from a
 //!     record is checked once and decoded only when a value is read, so
 //!     damage is an error at the read, never at a later value access.
 //!   - [`ref_ids`] is the *ref walk*: it steps over the values before a
@@ -192,11 +192,6 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
     })
 }
 
-/// Decodes a record image produced by [`encode_values_into`].
-pub fn decode_values(buf: &[u8]) -> Result<Vec<Value>, CodecError> {
-    decode_values_where(buf, |_| true)
-}
-
 /// Advances `*pos` past one encoded value without building it: exactly
 /// the bytes [`decode_value`] would consume. Text is not checked for
 /// UTF-8 (see [`check_values`]).
@@ -204,9 +199,9 @@ pub fn skip_value(buf: &[u8], pos: &mut usize) -> Result<(), CodecError> {
     walk_value(buf, pos, false)
 }
 
-/// Checks a record image without building it: `Ok` exactly when
-/// [`decode_values`] decodes it, and otherwise the error that decode
-/// returns. Allocates nothing.
+/// Checks a record image without building it: `Ok` exactly when a full
+/// decode ([`decode_values_where`] keeping every value) succeeds, and
+/// otherwise the error that decode returns. Allocates nothing.
 pub fn check_values(buf: &[u8]) -> Result<(), CodecError> {
     let mut pos = 0;
     for _ in 0..get_len(buf, &mut pos)? {
@@ -254,8 +249,9 @@ fn walk_value(buf: &[u8], pos: &mut usize, utf8: bool) -> Result<(), CodecError>
     }
 }
 
-/// [`decode_values`] of only the values whose position `keep` accepts;
-/// the others decode as `Null` (their bytes are stepped over, unbuilt).
+/// Decodes a record image produced by [`encode_values_into`], building
+/// only the values whose position `keep` accepts; the others decode as
+/// `Null` (their bytes are stepped over, unbuilt).
 pub fn decode_values_where(
     buf: &[u8],
     mut keep: impl FnMut(usize) -> bool,
@@ -613,6 +609,11 @@ fn put_atom_id_key(id: &AtomId, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes every value of a record image: the tests' full decode.
+    fn decode_values(buf: &[u8]) -> Result<Vec<Value>, CodecError> {
+        decode_values_where(buf, |_| true)
+    }
 
     fn round_trip(v: &Value) {
         let mut buf = Vec::new();

@@ -30,17 +30,6 @@ pub enum DdlStatement {
     DefineMoleculeType(MoleculeType),
 }
 
-/// Parses a single DDL statement.
-pub fn parse_ddl(src: &str) -> Result<DdlStatement, ParseError> {
-    let run = || -> Result<DdlStatement, ParseError> {
-        let mut p = DdlParser { p: Parser::new(src)? };
-        let stmt = p.statement()?;
-        p.p.expect_eof()?;
-        Ok(stmt)
-    };
-    run().map_err(|e| e.locate(src))
-}
-
 /// Parses a whole DDL script (statements separated by semicolons or just
 /// juxtaposed) and applies it to a schema.
 pub fn parse_script(src: &str) -> Result<Vec<DdlStatement>, ParseError> {
@@ -337,6 +326,17 @@ DEFINE MOLECULE TYPE piece_list FROM solid.sub - solid (recursive);
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses a single DDL statement.
+    fn parse_ddl(src: &str) -> Result<DdlStatement, ParseError> {
+        let run = || -> Result<DdlStatement, ParseError> {
+            let mut p = DdlParser { p: Parser::new(src)? };
+            let stmt = p.statement()?;
+            p.p.expect_eof()?;
+            Ok(stmt)
+        };
+        run().map_err(|e| e.locate(src))
+    }
 
     #[test]
     fn parse_simple_atom_type() {

@@ -59,17 +59,6 @@ pub enum LdlStatement {
     Reconcile,
 }
 
-/// Parses one LDL statement.
-pub fn parse_ldl(src: &str) -> Result<LdlStatement, ParseError> {
-    let run = || -> Result<LdlStatement, ParseError> {
-        let mut p = LdlParser { p: Parser::new(src)? };
-        let s = p.statement()?;
-        p.p.expect_eof()?;
-        Ok(s)
-    };
-    run().map_err(|e| e.locate(src))
-}
-
 /// Parses a script of LDL statements.
 pub fn parse_ldl_script(src: &str) -> Result<Vec<LdlStatement>, ParseError> {
     let run = || -> Result<Vec<LdlStatement>, ParseError> {
@@ -205,6 +194,17 @@ impl LdlParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses one LDL statement.
+    fn parse_ldl(src: &str) -> Result<LdlStatement, ParseError> {
+        let run = || -> Result<LdlStatement, ParseError> {
+            let mut p = LdlParser { p: Parser::new(src)? };
+            let s = p.statement()?;
+            p.p.expect_eof()?;
+            Ok(s)
+        };
+        run().map_err(|e| e.locate(src))
+    }
 
     #[test]
     fn access_path() {

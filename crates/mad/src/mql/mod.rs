@@ -17,6 +17,5 @@ pub use ast::{
 };
 pub use lexer::{lex, unescape, ParseError, Token, TokenKind, Tokens};
 pub use parser::{
-    parse_query, parse_statement, parse_statement_lifted, parse_statement_params,
-    parse_structure, LiftedStatement, ParamSlots,
+    parse_statement, parse_statement_lifted, parse_statement_params, LiftedStatement, ParamSlots,
 };

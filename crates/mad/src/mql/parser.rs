@@ -72,30 +72,6 @@ pub fn parse_statement_lifted(src: &str) -> Result<LiftedStatement, ParseError> 
     run().map_err(|e| e.locate(src))
 }
 
-/// Parses a SELECT query.
-pub fn parse_query(src: &str) -> Result<Query, ParseError> {
-    match parse_statement(src)? {
-        Statement::Select(q) => Ok(q),
-        other => Err(ParseError::new(
-            format!("expected a SELECT query, found {other:?}"),
-            0,
-        )
-        .locate(src)),
-    }
-}
-
-/// Parses a FROM-clause structure expression on its own (used by the DDL
-/// for `DEFINE MOLECULE TYPE … FROM …`).
-pub fn parse_structure(src: &str) -> Result<MoleculeGraph, ParseError> {
-    let run = || -> Result<MoleculeGraph, ParseError> {
-        let mut p = Parser::new(src)?;
-        let g = p.from_structure()?;
-        p.expect_eof()?;
-        Ok(g)
-    };
-    run().map_err(|e| e.locate(src))
-}
-
 pub(crate) struct Parser {
     pub tokens: Vec<Token>,
     pub pos: usize,
@@ -634,6 +610,29 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses a FROM-clause structure expression on its own.
+    fn parse_structure(src: &str) -> Result<MoleculeGraph, ParseError> {
+        let run = || -> Result<MoleculeGraph, ParseError> {
+            let mut p = Parser::new(src)?;
+            let g = p.from_structure()?;
+            p.expect_eof()?;
+            Ok(g)
+        };
+        run().map_err(|e| e.locate(src))
+    }
+
+    /// Parses a SELECT query.
+    fn parse_query(src: &str) -> Result<Query, ParseError> {
+        match parse_statement(src)? {
+            Statement::Select(q) => Ok(q),
+            other => Err(ParseError::new(
+                format!("expected a SELECT query, found {other:?}"),
+                0,
+            )
+            .locate(src)),
+        }
+    }
 
     // -----------------------------------------------------------------
     // The four queries of Table 2.1, verbatim from the paper.

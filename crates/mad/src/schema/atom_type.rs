@@ -59,6 +59,7 @@ impl AtomType {
     }
 
     /// Indices of all reference attributes (association endpoints).
+    #[cfg(test)]
     pub fn reference_indices(&self) -> Vec<usize> {
         self.attributes
             .iter()

@@ -128,6 +128,7 @@ impl AttrType {
     }
 
     /// True if the n-side (set-valued) of an association.
+    #[cfg(test)]
     pub fn is_ref_set(&self) -> bool {
         matches!(self, AttrType::RefSet(..))
     }

@@ -521,6 +521,7 @@ impl BufferManager {
     /// Number of frames currently fixed (guard alive). Zero whenever no
     /// guards are held — tests use this to prove fix/unfix balance (e.g.
     /// that a dropped cursor leaks no fixes).
+    // lint: allow(dead-surface, the pin-leak check of the cursor tests in tests/session_api.rs)
     pub fn fixed_frames(&self) -> usize {
         self.shards
             .iter()
@@ -529,6 +530,7 @@ impl BufferManager {
     }
 
     /// True if the page is currently buffered (for tests/benches).
+    #[cfg(test)]
     pub fn is_resident(&self, id: PageId) -> bool {
         self.shard(id).lock().get(id).is_some()
     }
@@ -891,18 +893,6 @@ impl std::ops::DerefMut for PageGuardMut {
     fn deref_mut(&mut self) -> &mut Page {
         // lint: allow(error-hygiene, the Option is only None after drop has run)
         self.lock.as_mut().expect("guard alive")
-    }
-}
-
-impl PageGuard {
-    pub fn page_id(&self) -> PageId {
-        self.id
-    }
-}
-
-impl PageGuardMut {
-    pub fn page_id(&self) -> PageId {
-        self.id
     }
 }
 

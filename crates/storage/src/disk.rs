@@ -10,7 +10,7 @@
 //!
 //! * full I/O accounting ([`crate::IoStats`]): block reads/writes, bytes,
 //!   *seeks* (non-contiguous transfers), chained-run statistics, and
-//! * a [`CostModel`] translating each transfer into simulated service time
+//! * a cost model translating each transfer into simulated service time
 //!   (seek + rotational + per-byte transfer), so benchmarks can report a
 //!   device-time axis that rewards contiguity exactly the way a disk arm
 //!   does — the property the paper's clustering design banks on.
@@ -36,40 +36,23 @@ impl BlockAddr {
     }
 }
 
-/// Cost model for the simulated device.
-///
-/// Defaults approximate a late-1980s disk (the paper's era): 16 ms average
-/// seek, 8 ms rotational delay, ~1 MB/s transfer. Absolute values do not
-/// matter for the reproduction — only that contiguous multi-block transfer
-/// is much cheaper than scattered single-block access, which is the ratio
-/// the cost model preserves.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Cost of moving the arm to a non-adjacent block (ns).
-    pub seek_ns: u64,
-    /// Average rotational latency paid once per transfer start (ns).
-    pub rotation_ns: u64,
-    /// Transfer cost per byte (ns).
-    pub per_byte_ns: u64,
-}
+// The cost model of the simulated device approximates a late-1980s disk
+// (the paper's era). Absolute values do not matter for the reproduction —
+// only that contiguous multi-block transfer is much cheaper than
+// scattered single-block access, which is the ratio the model preserves.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            seek_ns: 16_000_000,
-            rotation_ns: 8_000_000,
-            per_byte_ns: 1_000, // 1 MB/s
-        }
-    }
-}
+/// Cost of moving the arm to a non-adjacent block: 16 ms.
+const SEEK_NS: u64 = 16_000_000;
+/// Average rotational latency paid once per transfer start: 8 ms.
+const ROTATION_NS: u64 = 8_000_000;
+/// Transfer cost per byte: ~1 MB/s.
+const PER_BYTE_NS: u64 = 1_000;
 
-impl CostModel {
-    /// Service time of a transfer of `blocks` contiguous blocks of
-    /// `block_len` bytes each; `seek` says whether the arm had to move.
-    pub fn transfer_ns(&self, seek: bool, blocks: u64, block_len: u64) -> u64 {
-        let positioning = if seek { self.seek_ns } else { 0 } + self.rotation_ns;
-        positioning + blocks * block_len * self.per_byte_ns
-    }
+/// Service time of a transfer of `blocks` contiguous blocks of
+/// `block_len` bytes each; `seek` says whether the arm had to move.
+fn transfer_ns(seek: bool, blocks: u64, block_len: u64) -> u64 {
+    let positioning = if seek { SEEK_NS } else { 0 } + ROTATION_NS;
+    positioning + blocks * block_len * PER_BYTE_NS
 }
 
 /// Abstract block device: what the PRIMA storage system requires of the
@@ -155,24 +138,19 @@ pub trait BlockDevice: Send + Sync {
 /// The I/O accounting every block device shares, so the benchmark axes
 /// stay comparable across backends: one arm — the classical
 /// single-spindle assumption of the era — whose position decides whether
-/// a transfer seeks, the cost model that prices the transfer, and the
-/// statistics it lands in.
+/// a transfer seeks, and the statistics the transfer lands in, its
+/// simulated service time priced by [`transfer_ns`].
 pub(crate) struct Accounting {
     /// Where a transfer must start not to seek: file in the high half,
     /// the block after the last one transferred in the low half;
     /// [`NO_ARM`] after a log append. One swap per transfer, no lock.
     arm: AtomicU64,
-    pub(crate) cost: CostModel,
     pub(crate) stats: Arc<IoStats>,
 }
 
 impl Accounting {
     pub(crate) fn new() -> Self {
-        Accounting {
-            arm: AtomicU64::new(NO_ARM),
-            cost: CostModel::default(),
-            stats: IoStats::new_shared(),
-        }
+        Accounting { arm: AtomicU64::new(NO_ARM), stats: IoStats::new_shared() }
     }
 
     /// Accounts a transfer of `blocks` contiguous blocks from `addr` on:
@@ -203,7 +181,7 @@ impl Accounting {
             s.add(&s.chained_runs, 1);
             s.add(&s.chained_blocks, blocks);
         }
-        s.add(&s.sim_time_ns, self.cost.transfer_ns(seek, blocks, block_len as u64));
+        s.add(&s.sim_time_ns, transfer_ns(seek, blocks, block_len as u64));
     }
 
     /// Accounts one WAL group append as a single sequential transfer to
@@ -217,7 +195,7 @@ impl Accounting {
         s.add(&s.wal_forces, 1);
         s.add(&s.wal_bytes, len as u64);
         s.add(&s.bytes_written, len as u64);
-        s.add(&s.sim_time_ns, self.cost.transfer_ns(true, 1, len as u64));
+        s.add(&s.sim_time_ns, transfer_ns(true, 1, len as u64));
         self.arm.store(NO_ARM, Ordering::Relaxed);
     }
 }
@@ -259,7 +237,7 @@ pub struct SimDisk {
 
 impl std::fmt::Debug for SimDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimDisk").field("cost", &self.io.cost).finish_non_exhaustive()
+        f.debug_struct("SimDisk").finish_non_exhaustive()
     }
 }
 
@@ -502,9 +480,8 @@ mod tests {
 
     #[test]
     fn cost_model_rewards_contiguity() {
-        let m = CostModel::default();
-        let chained = m.transfer_ns(true, 8, 1024);
-        let scattered: u64 = (0..8).map(|_| m.transfer_ns(true, 1, 1024)).sum();
+        let chained = transfer_ns(true, 8, 1024);
+        let scattered: u64 = (0..8).map(|_| transfer_ns(true, 1, 1024)).sum();
         assert!(chained < scattered / 3, "chained {chained} vs scattered {scattered}");
     }
 

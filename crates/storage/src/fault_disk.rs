@@ -116,6 +116,7 @@ impl FaultSchedule {
 
     /// A schedule that never crashes by itself ([`CrashPoint::Manual`]);
     /// the harness decides when to pull the plug.
+    // lint: allow(dead-surface, fault injection that the contention and recovery suites schedule by hand)
     pub fn manual(seed: u64) -> FaultSchedule {
         FaultSchedule {
             seed,
@@ -226,11 +227,13 @@ impl FaultDisk {
     /// top of the call (before any fault bookkeeping) until
     /// [`FaultDisk::release_wal_appends`] — a stalled fsync. Counters
     /// and [`FaultDisk::crash_now`] stay reachable while callers park.
+    // lint: allow(dead-surface, fault injection that the contention suite stalls group commit with)
     pub fn hold_wal_appends(&self) {
         self.gate.lock().hold = true;
     }
 
     /// Releases callers parked by [`FaultDisk::hold_wal_appends`].
+    // lint: allow(dead-surface, fault injection that the contention suite stalls group commit with)
     pub fn release_wal_appends(&self) {
         self.gate.lock().hold = false;
         self.gate_cv.notify_all();
@@ -238,6 +241,7 @@ impl FaultDisk {
 
     /// How many threads are currently parked inside `wal_append` —
     /// lets a test wait until a force is provably in flight.
+    // lint: allow(dead-surface, fault injection that the contention suite stalls group commit with)
     pub fn stalled_wal_appends(&self) -> usize {
         self.gate.lock().stalled
     }
@@ -246,6 +250,7 @@ impl FaultDisk {
     /// *without* crashing the medium — exercises the WAL's poison path
     /// (the log tail is suspect, later truncation heals it) in a world
     /// where the device keeps living.
+    #[cfg(test)]
     pub fn fail_wal_appends(&self, n: u32) {
         self.state.lock().fail_appends = n;
     }

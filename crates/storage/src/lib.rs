@@ -55,8 +55,8 @@
 //!   commit**: a committer appends its `TxnCommit` record and either
 //!   *leads* — performs one device force covering every in-flight
 //!   committer's records, lingering up to
-//!   [`GroupCommitConfig::max_wait`] for commits already en route
-//!   (capped at [`GroupCommitConfig::max_batch`]) — or *follows*, parked
+//!   [`wal::GROUP_COMMIT_MAX_WAIT`] for commits already en route
+//!   (capped at [`wal::GROUP_COMMIT_MAX_BATCH`]) — or *follows*, parked
 //!   on a condvar until the published `flushed_lsn` covers its commit
 //!   LSN. Either way `commit` returns `Ok` only after a device append
 //!   covering the caller's record returned `Ok`, so N concurrent
@@ -125,7 +125,7 @@ pub mod stats;
 pub mod wal;
 
 pub use buffer::{BufferManager, BufferStats, BufferStatsSnapshot, PageGuard};
-pub use disk::{BlockAddr, BlockDevice, CostModel, SimDisk};
+pub use disk::{BlockAddr, BlockDevice, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use fault_disk::{CrashPoint, FaultDisk, FaultSchedule};
 pub use file_disk::FileDisk;
@@ -134,4 +134,4 @@ pub use page::{Page, PageId, PageSize, PageType, PAGE_HEADER_LEN};
 pub use page_seq::{PageSeqHandle, PageSequence};
 pub use segment::{Segment, SegmentId, SegmentMeta, StorageSystem};
 pub use stats::{IoSnapshot, IoStats};
-pub use wal::{GroupCommitConfig, Lsn, Wal, WalPayload, WalRecord};
+pub use wal::{Lsn, Wal, WalPayload, WalRecord};

@@ -61,6 +61,7 @@ impl PageSize {
 
     /// The smallest supported size that can hold `payload_len` payload
     /// bytes in one page, if any.
+    #[cfg(test)]
     pub fn fitting(payload_len: usize) -> Option<PageSize> {
         PageSize::ALL.into_iter().find(|s| s.payload() >= payload_len)
     }
@@ -303,6 +304,7 @@ impl Page {
 
     /// Page-sequence linkage: header page number this page belongs to
     /// (None if not in a sequence) and position within the sequence.
+    #[cfg(test)]
     pub fn seq_link(&self) -> (Option<u32>, u32) {
         let hdr = le_u32(&self.buf[16..20]);
         let pos = le_u16(&self.buf[14..16]) as u32;

@@ -122,6 +122,7 @@ impl PageSequence {
     }
 
     /// Number of component pages.
+    #[cfg(test)]
     pub fn component_count(storage: &StorageSystem, handle: PageSeqHandle) -> StorageResult<usize> {
         Ok(Self::read_header(storage, handle)?.1.len())
     }
@@ -264,7 +265,7 @@ mod tests {
     #[test]
     fn round_trip_small() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let d = data(100);
         let h = PageSequence::create(&s, seg, &d).unwrap();
         assert_eq!(PageSequence::read_all(&s, h).unwrap(), d);
@@ -275,7 +276,7 @@ mod tests {
     #[test]
     fn round_trip_multi_page() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let d = data(5000); // ~11 half-K pages
         let h = PageSequence::create(&s, seg, &d).unwrap();
         assert_eq!(PageSequence::read_all(&s, h).unwrap(), d);
@@ -286,7 +287,7 @@ mod tests {
     #[test]
     fn whole_sequence_read_is_one_chained_run() {
         let s = sys();
-        let seg = s.create_segment(PageSize::K1).unwrap();
+        let seg = s.create_segment(PageSize::K1, true).unwrap();
         let d = data(10_000);
         let h = PageSequence::create(&s, seg, &d).unwrap();
         s.flush().unwrap();
@@ -300,7 +301,7 @@ mod tests {
     #[test]
     fn relative_addressing_touches_few_pages() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let d = data(20_000);
         let h = PageSequence::create(&s, seg, &d).unwrap();
         s.flush().unwrap();
@@ -315,7 +316,7 @@ mod tests {
     #[test]
     fn relative_read_across_page_boundary() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let per = PageSize::Half.payload();
         let d = data(3 * per);
         let h = PageSequence::create(&s, seg, &d).unwrap();
@@ -326,7 +327,7 @@ mod tests {
     #[test]
     fn relative_read_clamps_at_end() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let d = data(100);
         let h = PageSequence::create(&s, seg, &d).unwrap();
         let slice = PageSequence::read_relative(&s, h, 90, 50).unwrap();
@@ -337,7 +338,7 @@ mod tests {
     #[test]
     fn overwrite_grow_and_shrink() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let h = PageSequence::create(&s, seg, &data(100)).unwrap();
         let big = data(4000);
         PageSequence::overwrite(&s, h, &big).unwrap();
@@ -351,7 +352,7 @@ mod tests {
     #[test]
     fn delete_frees_pages() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let h = PageSequence::create(&s, seg, &data(2000)).unwrap();
         let before = s.with_segment(seg, super::super::segment::Segment::allocated_pages).unwrap();
         PageSequence::delete(&s, h).unwrap();
@@ -365,7 +366,7 @@ mod tests {
     #[test]
     fn empty_sequence_is_valid() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let h = PageSequence::create(&s, seg, &[]).unwrap();
         assert_eq!(PageSequence::read_all(&s, h).unwrap(), Vec::<u8>::new());
         assert_eq!(PageSequence::component_count(&s, h).unwrap(), 1);
@@ -374,7 +375,7 @@ mod tests {
     #[test]
     fn oversized_sequence_rejected() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let max = PageSequence::max_components(&s, seg).unwrap();
         let too_big = vec![0u8; (max + 1) * PageSize::Half.payload()];
         assert!(matches!(
@@ -386,7 +387,7 @@ mod tests {
     #[test]
     fn wrong_page_type_detected() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let id = s.allocate_page(seg).unwrap();
         let _ = s.fix_new(id, PageType::Data).unwrap();
         let err = PageSequence::read_all(&s, PageSeqHandle { header: id }).unwrap_err();

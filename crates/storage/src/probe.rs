@@ -380,6 +380,7 @@ impl Probe {
     }
 
     /// Whether this handle owns the thread's recording session.
+    #[cfg(test)]
     pub fn is_active(&self) -> bool {
         self.active
     }

@@ -151,26 +151,18 @@ impl StorageSystem {
     }
 
     /// Convenience: storage system over a fresh simulated disk.
+    // lint: allow(dead-surface, the storage stack that other crates' unit tests and the property suite build on)
     pub fn in_memory(buffer_bytes: usize) -> Self {
         Self::new(Arc::new(crate::disk::SimDisk::new()), buffer_bytes)
     }
 
     /// Creates a segment with the chosen page size; its file is created on
-    /// the device with the matching block length.
-    pub fn create_segment(&self, page_size: PageSize) -> StorageResult<SegmentId> {
-        self.create_segment_with(page_size, true)
-    }
-
-    /// Creates a segment, choosing whether its page updates are
-    /// WAL-logged. Transient structures (partitions, sort orders,
-    /// clusters, access paths) pass `logged = false`: they are redundant
-    /// by definition and are regenerated after restart, so logging their
-    /// pages would only bloat the log.
-    pub fn create_segment_with(
-        &self,
-        page_size: PageSize,
-        logged: bool,
-    ) -> StorageResult<SegmentId> {
+    /// the device with the matching block length. `logged` says whether
+    /// its page updates are WAL-logged. Transient structures (partitions,
+    /// sort orders, clusters, access paths) pass `logged = false`: they
+    /// are redundant by definition and are regenerated after restart, so
+    /// logging their pages would only bloat the log.
+    pub fn create_segment(&self, page_size: PageSize, logged: bool) -> StorageResult<SegmentId> {
         let mut next = self.next_segment.write();
         let id = *next;
         *next += 1;
@@ -473,7 +465,7 @@ mod tests {
     fn create_segments_with_all_page_sizes() {
         let s = sys();
         for size in PageSize::ALL {
-            let seg = s.create_segment(size).unwrap();
+            let seg = s.create_segment(size, true).unwrap();
             assert_eq!(s.page_size(seg).unwrap(), size);
         }
     }
@@ -481,7 +473,7 @@ mod tests {
     #[test]
     fn allocate_write_read() {
         let s = sys();
-        let seg = s.create_segment(PageSize::K1).unwrap();
+        let seg = s.create_segment(PageSize::K1, true).unwrap();
         let id = s.allocate_page(seg).unwrap();
         {
             let mut g = s.fix_new(id, PageType::Data).unwrap();
@@ -495,7 +487,7 @@ mod tests {
     #[test]
     fn freed_pages_are_reused() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let a = s.allocate_page(seg).unwrap();
         let b = s.allocate_page(seg).unwrap();
         assert_ne!(a, b);
@@ -508,7 +500,7 @@ mod tests {
     #[test]
     fn allocate_run_is_contiguous() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let _ = s.allocate_page(seg).unwrap();
         let first = s.allocate_run(seg, 5).unwrap();
         for i in 0..5 {
@@ -523,7 +515,7 @@ mod tests {
     #[test]
     fn chained_run_read_returns_current_contents() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         let first = s.allocate_run(seg, 3).unwrap();
         for i in 0..3u32 {
             let id = PageId::new(seg, first.page + i);
@@ -548,7 +540,7 @@ mod tests {
     #[test]
     fn free_page_out_of_range_errors() {
         let s = sys();
-        let seg = s.create_segment(PageSize::Half).unwrap();
+        let seg = s.create_segment(PageSize::Half, true).unwrap();
         assert!(matches!(
             s.free_page(PageId::new(seg, 10)),
             Err(StorageError::PageOutOfRange { .. })

@@ -26,8 +26,8 @@
 //! * **cross-session group commit** — [`Wal::commit`] is the commit
 //!   durability point. A committer appends its `TxnCommit` record and
 //!   then either *leads* (performs the device force itself, lingering up
-//!   to [`GroupCommitConfig::max_wait`] for other in-flight committers'
-//!   records, up to [`GroupCommitConfig::max_batch`] commits) or
+//!   to [`GROUP_COMMIT_MAX_WAIT`] for other in-flight committers'
+//!   records, up to [`GROUP_COMMIT_MAX_BATCH`] commits) or
 //!   *follows* (parks on a condvar until `flushed_lsn` covers its commit
 //!   LSN). Either way the ack invariant holds: `commit` returns `Ok`
 //!   only after a device append covering the caller's `TxnCommit` record
@@ -85,31 +85,21 @@ pub const DELTA_RANGE_HEADER: usize = 4;
 /// the page's bytes.
 pub type DeltaRange = (u16, u16);
 
-/// Tuning knobs for cross-session group commit (see [`Wal::commit`]).
-///
-/// Both knobs bound how long a commit leader lingers for company before
-/// forcing: it writes as soon as every transaction currently inside
-/// `commit` has its record in the batch, `max_batch` commits are
-/// buffered, or `max_wait` elapses — whichever comes first. A lone
-/// committer never lingers at all, so it pays exactly one force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Longest a leader waits for further committers' records before
-    /// forcing, and the bound on one follower park (followers re-check
-    /// `flushed_lsn` and the leader flag on every wakeup, so a missed
-    /// notify costs at most one `max_wait`).
-    pub max_wait: Duration,
-    /// Buffered commit records at which a lingering leader stops
-    /// waiting and forces.
-    pub max_batch: usize,
-}
+// Cross-session group commit (see [`Wal::commit`]): both bound how long
+// a commit leader lingers for company before forcing. It writes as soon
+// as every transaction currently inside `commit` has its record in the
+// batch, `GROUP_COMMIT_MAX_BATCH` commits are buffered, or
+// `GROUP_COMMIT_MAX_WAIT` elapses — whichever comes first. A lone
+// committer never lingers at all, so it pays exactly one force.
 
-impl Default for GroupCommitConfig {
-    /// Up to 64 commits per force, 500 µs leader linger.
-    fn default() -> Self {
-        GroupCommitConfig { max_wait: Duration::from_micros(500), max_batch: 64 }
-    }
-}
+/// Longest a leader waits for further committers' records before
+/// forcing, and the bound on one follower park (followers re-check
+/// `flushed_lsn` and the leader flag on every wakeup, so a missed notify
+/// costs at most one wait).
+pub const GROUP_COMMIT_MAX_WAIT: Duration = Duration::from_micros(500);
+/// Buffered commit records at which a lingering leader stops waiting and
+/// forces.
+pub const GROUP_COMMIT_MAX_BATCH: u64 = 64;
 
 /// A record as appended (borrowed payloads; the LSN is assigned by
 /// [`Wal::append`]).
@@ -200,7 +190,6 @@ pub struct Wal {
     /// Transactions currently inside [`Wal::commit`]; a lingering leader
     /// stops waiting as soon as the batch covers all of them.
     committing: AtomicU64,
-    config: GroupCommitConfig,
     next_lsn: AtomicU64,
     flushed: AtomicU64,
     /// First LSN assigned after the last truncation: a page whose LSN is
@@ -222,7 +211,6 @@ impl std::fmt::Debug for Wal {
         f.debug_struct("Wal")
             .field("flushed", &self.flushed.load(Ordering::Relaxed))
             .field("next_lsn", &self.next_lsn.load(Ordering::Relaxed))
-            .field("config", &self.config)
             .finish()
     }
 }
@@ -302,18 +290,7 @@ impl Wal {
 
     /// A log resuming after replay: `first_lsn` must exceed every LSN
     /// already on the device so recovery-time appends stay monotone.
-    /// Uses the default [`GroupCommitConfig`].
     pub fn starting_at(device: Arc<dyn BlockDevice>, first_lsn: Lsn) -> Arc<Wal> {
-        Self::with_config(device, first_lsn, GroupCommitConfig::default())
-    }
-
-    /// A log with explicit group-commit tuning (the unit tests use it
-    /// for a deterministic linger).
-    pub fn with_config(
-        device: Arc<dyn BlockDevice>,
-        first_lsn: Lsn,
-        config: GroupCommitConfig,
-    ) -> Arc<Wal> {
         Arc::new(Wal {
             device,
             inner: Mutex::new_ranked(
@@ -324,7 +301,6 @@ impl Wal {
             group: Mutex::new_ranked(GroupState { leader_active: false }, rank::WAL_GROUP),
             group_cv: Condvar::new(),
             committing: AtomicU64::new(0),
-            config,
             next_lsn: AtomicU64::new(first_lsn),
             flushed: AtomicU64::new(first_lsn - 1),
             reset_lsn: AtomicU64::new(first_lsn),
@@ -489,7 +465,8 @@ impl Wal {
     ///
     /// This is the cross-session group commit: the first committer to
     /// find no force in flight becomes *leader*, lingers briefly for
-    /// other in-flight committers (bounded by [`GroupCommitConfig`]),
+    /// other in-flight committers (bounded by [`GROUP_COMMIT_MAX_WAIT`]
+    /// and [`GROUP_COMMIT_MAX_BATCH`]),
     /// and performs one [`force`](Self::force) covering every batched
     /// record; the rest park on a condvar until `flushed_lsn` passes
     /// their commit LSN. A lone committer leads immediately without
@@ -523,18 +500,18 @@ impl Wal {
                 // wait, then re-check — a timeout is not an error, just
                 // another trip around the loop (and a chance to take
                 // over leadership if the force failed).
-                let _ = self.group_cv.wait_for(&mut g, self.config.max_wait.max(Duration::from_micros(50)));
+                let _ = self.group_cv.wait_for(&mut g, GROUP_COMMIT_MAX_WAIT);
                 continue;
             }
             // Leader: linger until every transaction currently inside
             // commit() has its record batched, the batch is full, or
             // max_wait elapses. A lone committer exits immediately.
             g.leader_active = true;
-            let deadline = Instant::now() + self.config.max_wait;
+            let deadline = Instant::now() + GROUP_COMMIT_MAX_WAIT;
             loop {
                 let en_route = self.committing.load(Ordering::SeqCst);
                 let batched = self.inner.lock().pending_commits;
-                if batched >= en_route.min(self.config.max_batch as u64) {
+                if batched >= en_route.min(GROUP_COMMIT_MAX_BATCH) {
                     break;
                 }
                 let now = Instant::now();
@@ -1010,11 +987,7 @@ mod tests {
         const COMMITTERS: u64 = 8;
         let fault = FaultDisk::new(Arc::new(SimDisk::new()), FaultSchedule::manual(14));
         let dev: Arc<dyn BlockDevice> = Arc::clone(&fault) as Arc<dyn BlockDevice>;
-        let wal = Wal::with_config(
-            dev,
-            1,
-            GroupCommitConfig { max_wait: Duration::from_millis(100), max_batch: 64 },
-        );
+        let wal = Wal::new(dev);
 
         fault.hold_wal_appends();
         let handles: Vec<_> = (0..COMMITTERS)

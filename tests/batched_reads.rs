@@ -3,7 +3,7 @@
 //! * `read_atoms_batch_into` returns byte-identical atoms — same order,
 //!   same projections — as N calls to `read_atom`, and a hole exactly
 //!   where `read_atom` finds no atom, including mixed-page and mixed-type
-//!   batches and partition-covered projections;
+//!   batches, and projects like the partition a query scans instead;
 //! * the kernel's level-batched molecule assembly returns exactly the
 //!   molecules of the naive per-atom reference in `common/reference.rs`
 //!   (flat, deep, recursive and cluster-prefetched structures);
@@ -108,12 +108,17 @@ fn batch_uses_fresh_partitions_like_read_atom() {
     let (db, ids) = parts_db(80);
     let t = db.schema().type_id("part").unwrap();
     db.access().create_partition("p_n", t, vec![0, 1]).unwrap();
-    let before = db.metrics();
-    let proj = [1usize];
+    // MQL reaches a partition through root access only: a scan of it.
+    let (set, profile) = exec::query_profiled(&db, "SELECT n FROM part").unwrap();
+    assert_eq!(profile.access("path"), Some("partition_scan(p_n)"));
+    let mut scanned: Vec<Atom> = set.molecules.iter().map(|m| Atom::clone(&m.root.atom)).collect();
+    scanned.sort_by_key(|a| a.id);
+    // The batch projects the primary records onto the partition's
+    // attributes: the same atoms the partition copies hold.
+    let proj = [0usize, 1];
     let batched = read_batch(&db, &ids, Some(&proj));
-    let part_reads = db.metrics().delta(&before).access.partition_reads;
-    assert_eq!(part_reads as usize, ids.len(), "covered projection reads the partition");
     assert_eq!(batched, read_each(&db, &ids, Some(&proj)));
+    assert_eq!(scanned, batched.into_iter().flatten().collect::<Vec<_>>());
 }
 
 #[test]
@@ -412,13 +417,13 @@ fn primary_records(db: &Prima) -> HashMap<AtomId, Vec<u8>> {
     out
 }
 
-/// The atom a record holds, decoded eagerly: the id header, then
-/// `decode_values` of the rest.
+/// The atom a record holds, decoded eagerly: the id header, then every
+/// value of the rest.
 fn eager(record: &[u8]) -> Atom {
     let (header, values) = record.split_at(10);
     let seq = u64::from_le_bytes(header[2..].try_into().unwrap());
     let id = AtomId::new(u16::from_le_bytes([header[0], header[1]]), seq);
-    Atom::new(id, codec::decode_values(values).unwrap())
+    Atom::new(id, codec::decode_values_where(values, |_| true).unwrap())
 }
 
 /// `atom` equals the eager decode of its record (projected onto `proj`
@@ -471,15 +476,15 @@ fn lazy_atoms_equal_eager_decodes_on_every_read_path() {
         m.for_each(|ma| assert_eager(&records, &ma.atom, None, "cluster prefetch"));
     }
 
-    // A covering partition's copy.
+    // A covering partition's copy, read by the query's partition scan.
     let point = db.schema().type_id("point").unwrap();
     sys.create_partition("p_point", point, vec![0, 1]).unwrap();
-    let before = db.metrics();
-    let proj = [1];
-    for &id in ids.iter().filter(|id| id.atom_type == point) {
-        assert_eager(&records, &sys.read_atom(id, Some(&proj)).unwrap(), Some(&proj), "partition");
+    let (set, profile) = exec::query_profiled(&db, "SELECT placement FROM point").unwrap();
+    assert_eq!(profile.access("path"), Some("partition_scan(p_point)"));
+    assert_eq!(set.molecules.len(), ids.iter().filter(|id| id.atom_type == point).count());
+    for m in &set.molecules {
+        assert_eager(&records, &m.root.atom, Some(&[0, 1]), "partition");
     }
-    assert!(db.metrics().delta(&before).access.partition_reads > 0, "the partition served");
 
     // A snapshot's version image: a reader outside any transaction sees
     // the before-image of an uncommitted modify.

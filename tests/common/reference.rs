@@ -7,13 +7,13 @@
 
 use prima::datasys::{validate, NodeProjection, ResolvedQuery};
 use prima::{AccessSystem, Atom, AtomId, MolAtom, Molecule, Prima, Value};
-use prima_mad::mql::parse_query;
+use prima_mad::mql::{parse_statement, Query, Statement};
 use std::collections::HashSet;
 
 /// The molecules of `mql`, ordered by root atom id.
 pub fn molecules(db: &Prima, mql: &str) -> Vec<Molecule> {
     let sys = db.access();
-    let q = validate(sys.schema(), &parse_query(mql).unwrap()).unwrap();
+    let q = validate(sys.schema(), &parse_query(mql)).unwrap();
     assert!(q.residual.is_none(), "reference: root-decidable predicates only");
     let select_all = q.select.per_node.iter().all(|p| *p == NodeProjection::All);
     assert!(select_all, "reference: SELECT ALL only");
@@ -61,4 +61,11 @@ fn expand(
         }
     }
     out
+}
+
+fn parse_query(mql: &str) -> Query {
+    match parse_statement(mql).unwrap() {
+        Statement::Select(q) => q,
+        other => panic!("not a SELECT: {other:?}"),
+    }
 }

@@ -80,8 +80,8 @@ fn controlled_redundancy_two_sort_orders() {
     let t = db.schema().type_id("region").unwrap();
     let some = db.access().all_ids(t).unwrap()[0];
     // both copies fresh
-    let s1 = db.access().structure_id("so_area").unwrap();
-    let s2 = db.access().structure_id("so_no").unwrap();
+    let s1 = db.access().structure("so_area").unwrap().id();
+    let s2 = db.access().structure("so_no").unwrap().id();
     assert!(!db.access().deferred_stale(some, s1));
     assert!(!db.access().deferred_stale(some, s2));
 }
@@ -145,7 +145,7 @@ fn failed_create_leaves_no_structure() {
         .unwrap();
     // A partition uses 1 KiB pages: the 2 000-byte body does not fit.
     assert!(db.ldl("CREATE PARTITION p ON doc (body)").is_err());
-    assert!(db.access().structure_id("p").is_none(), "the failed name stays free");
+    assert!(db.access().structure("p").is_none(), "the failed name stays free");
     // The failed partition was the first structure: id 0.
     for id in db.access().all_ids(big.atom_type).unwrap() {
         assert!(db.access().deferred_stale(id, 0), "no placement left behind");

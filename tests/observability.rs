@@ -2,7 +2,7 @@
 //! metrics registry (histograms + coherence), slow-statement log, and
 //! the zero-cost-when-off guarantee pinned by a counting allocator.
 
-use prima::obs;
+use prima::obs::{self, SLOW_LOG_CAPACITY};
 use prima::{Prima, QueryOptions, SpanKind, StatementKind};
 use prima_workloads::brep::{self, BrepConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -248,7 +248,6 @@ fn render_text_family_lines_are_pinned() {
         "prima_io_sim_time_ns",
         "prima_access_records_written",
         "prima_access_backref_updates",
-        "prima_access_partition_reads",
         "prima_access_primary_reads",
         "prima_access_batch_reads",
         "prima_access_batch_pages",
@@ -312,9 +311,9 @@ fn api_counters_track_statements_and_cursor_fetches() {
     s.commit().expect("commit");
     s.query("SELECT ALL FROM solid WHERE solid_no = 901", &QueryOptions::default())
         .expect("select");
-    drop(s);
 
-    let mut cursor = db.query_cursor("SELECT ALL FROM solid").expect("cursor");
+    let mut cursor =
+        s.query_cursor("SELECT ALL FROM solid", &QueryOptions::default()).expect("cursor");
     cursor.fetch(2).expect("fetch");
     cursor.fetch_all().expect("fetch_all");
     drop(cursor);
@@ -390,7 +389,6 @@ fn cursor_profiles_carry_the_cursor_statement() {
 fn zero_threshold_captures_every_statement() {
     let db = Prima::builder()
         .slow_statement_threshold(Duration::ZERO)
-        .slow_log_capacity(16)
         .build_with_ddl(DDL)
         .expect("build");
 
@@ -422,19 +420,19 @@ fn zero_threshold_captures_every_statement() {
 fn slow_log_ring_evicts_oldest() {
     let db = Prima::builder()
         .slow_statement_threshold(Duration::ZERO)
-        .slow_log_capacity(3)
         .build_with_ddl(DDL)
         .expect("build");
     let s = db.session();
-    for n in 0..5 {
+    // Capacity + 1 INSERTs and a COMMIT: capacity + 2 statements.
+    for n in 0..=SLOW_LOG_CAPACITY {
         s.execute(&format!("INSERT thing (n: {n}, s: 'x')")).expect("insert");
     }
     s.commit().expect("commit");
     let slow = db.slow_statements();
-    assert_eq!(slow.len(), 3);
-    // Oldest evicted: the survivors are INSERT n=3, n=4, COMMIT.
-    assert_eq!(slow[0].statement, "INSERT thing (n: 3, s: 'x')");
-    assert_eq!(slow[2].kind, StatementKind::Commit);
+    assert_eq!(slow.len(), SLOW_LOG_CAPACITY);
+    // The two oldest evicted: the survivors are INSERT n=2 … COMMIT.
+    assert_eq!(slow[0].statement, "INSERT thing (n: 2, s: 'x')");
+    assert_eq!(slow[SLOW_LOG_CAPACITY - 1].kind, StatementKind::Commit);
 }
 
 #[test]

@@ -53,11 +53,16 @@ fn t2_1b_recursive_molecule_with_seed() {
     assert_eq!(m.atom_count(), 7);
     assert_eq!(m.depth(), 2);
     // Level-wise structure: 1 atom at level 0, 2 at level 1, 4 at level 2.
+    let at = |node: usize, level: u32| {
+        let mut n = 0;
+        m.for_each(|a| n += usize::from(a.node == node && a.level == level));
+        n
+    };
     let node = m.root.node;
-    assert_eq!(m.atoms_of_node_at(node, 0).len(), 1);
+    assert_eq!(at(node, 0), 1);
     let child_node = m.root.children[0].node;
-    assert_eq!(m.atoms_of_node_at(child_node, 1).len(), 2);
-    assert_eq!(m.atoms_of_node_at(child_node, 2).len(), 4);
+    assert_eq!(at(child_node, 1), 2);
+    assert_eq!(at(child_node, 2), 4);
 }
 
 #[test]

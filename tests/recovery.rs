@@ -199,7 +199,7 @@ fn checkpoint_requires_quiesced_kernel() {
 #[test]
 fn volatile_kernel_rejects_checkpoint() {
     let db = Prima::builder().build_with_ddl(DDL).unwrap();
-    assert!(!db.is_durable());
+    assert!(db.storage().wal().is_none(), "no log without durability");
     assert!(db.checkpoint().is_err());
 }
 
@@ -275,7 +275,7 @@ fn file_disk_database_survives_process_style_crash() {
         .unwrap()
         .build_with_ddl(DDL)
         .unwrap();
-    assert!(db.is_durable());
+    assert!(db.storage().wal().is_some(), "a path turns durability on");
     insert_parts(&db, 0..40);
     let s = db.session();
     s.execute("INSERT part (part_no: 777, name: 'loser')").unwrap();
@@ -654,7 +654,7 @@ fn delta_reappended_by_a_log_reset_applies_onto_the_flushed_page() {
     let device: Arc<dyn BlockDevice> = Arc::new(SimDisk::new());
     let wal = Wal::new(Arc::clone(&device));
     let storage = StorageSystem::with_wal(Arc::clone(&device), 1 << 16, Arc::clone(&wal));
-    let seg = storage.create_segment(PageSize::Half).unwrap();
+    let seg = storage.create_segment(PageSize::Half, true).unwrap();
     let id = storage.allocate_page(seg).unwrap();
     storage.fix_new(id, PageType::Data).unwrap().write_payload(b"base").unwrap();
     // The image is forced and the page flushed, then a delta is appended

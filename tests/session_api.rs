@@ -249,6 +249,32 @@ fn ad_hoc_text_compiles_once_per_session() {
 }
 
 #[test]
+fn profiled_execute_and_cursor_open_record_their_compile() {
+    let db = brep_db(2);
+    let session = db.session();
+    session.set_profiling(true);
+    // The first text of its shape is compiled inside the statement's
+    // profile; the same text with another literal is a cache hit.
+    session.execute("INSERT solid (solid_no: 901)").unwrap();
+    let miss = session.last_profile().unwrap();
+    assert_eq!(miss.root.attr("plan_cache"), Some("miss"), "{}", miss.render());
+    assert!(miss.root.find(SpanKind::Plan).is_some(), "{}", miss.render());
+    session.execute("INSERT solid (solid_no: 902)").unwrap();
+    let hit = session.last_profile().unwrap();
+    assert_eq!(hit.root.attr("plan_cache"), Some("hit"), "{}", hit.render());
+    assert!(hit.root.find(SpanKind::Plan).is_none(), "{}", hit.render());
+    // A cursor open is profiled the same way.
+    let point = |key: i64| format!("SELECT ALL FROM solid WHERE solid_no = {key}");
+    for (key, cache) in [(1, "miss"), (2, "hit")] {
+        drop(session.query_cursor(&point(key), &QueryOptions::default()).unwrap());
+        let open = session.last_profile().unwrap();
+        assert_eq!(open.root.attr("plan_cache"), Some(cache), "{}", open.render());
+        assert_eq!(open.root.find(SpanKind::Plan).is_some(), cache == "miss", "{}", open.render());
+    }
+    session.rollback().unwrap();
+}
+
+#[test]
 fn plan_cache_holds_a_bounded_number_of_statements() {
     let db = brep_db(2);
     let session = db.session();
@@ -667,7 +693,8 @@ fn cursor_streams_piecewise_and_matches_materialized_query() {
     let materialized = exec::query(&db, STREAM_Q).unwrap();
     assert_eq!(materialized.len(), 1000);
 
-    let mut cursor = db.query_cursor(STREAM_Q).unwrap();
+    let session = db.session();
+    let mut cursor = session.query_cursor(STREAM_Q, &QueryOptions::default()).unwrap();
     assert_eq!(cursor.remaining_roots(), 1000, "roots located up front");
     assert_eq!(cursor.nodes().len(), 3);
     let mut streamed = Vec::new();
@@ -697,7 +724,8 @@ fn cursor_assembles_lazily_and_drop_releases_the_tail() {
     // One chunk of 64 out of 1000 roots: component assembly for the
     // unread tail must not have happened.
     let before = fix_calls();
-    let mut cursor = db.query_cursor(STREAM_Q).unwrap();
+    let session = db.session();
+    let mut cursor = session.query_cursor(STREAM_Q, &QueryOptions::default()).unwrap();
     let chunk = cursor.fetch(64).unwrap();
     assert_eq!(chunk.len(), 64);
     let chunk_fixes = fix_calls() - before;
@@ -738,7 +766,8 @@ fn prepared_cursor_streams_per_binding() {
 #[test]
 fn cursor_iterator_interface() {
     let db = stream_db(10);
-    let cursor = db.query_cursor(STREAM_Q).unwrap();
+    let session = db.session();
+    let cursor = session.query_cursor(STREAM_Q, &QueryOptions::default()).unwrap();
     let molecules: Result<Vec<_>, _> = cursor.collect();
     assert_eq!(molecules.unwrap().len(), 10);
 }
@@ -747,7 +776,8 @@ fn cursor_iterator_interface() {
 fn cursor_drop_mid_iteration_leaks_no_buffer_fixes() {
     let db = stream_db(200);
     let buffer = db.storage().buffer();
-    let mut cursor = db.query_cursor(STREAM_Q).unwrap();
+    let session = db.session();
+    let mut cursor = session.query_cursor(STREAM_Q, &QueryOptions::default()).unwrap();
     let chunk = cursor.fetch(10).unwrap();
     assert_eq!(chunk.len(), 10);
     // Between fetches the cursor holds materialised atoms, never guards.
@@ -838,7 +868,8 @@ fn cursor_respects_residual_qualification() {
     let db = stream_db(30);
     let q = "SELECT ALL FROM assembly-part-pt WHERE part.n > 40";
     let materialized = exec::query(&db, q).unwrap();
-    let mut cursor = db.query_cursor(q).unwrap();
+    let session = db.session();
+    let mut cursor = session.query_cursor(q, &QueryOptions::default()).unwrap();
     let streamed = cursor.fetch_all().unwrap();
     assert_eq!(streamed.molecules, materialized.molecules);
     assert!(streamed.len() < 30, "some molecules filtered");

@@ -18,7 +18,7 @@ proptest! {
         size_idx in 0usize..5,
     ) {
         let storage = StorageSystem::in_memory(1 << 20);
-        let seg = storage.create_segment(PageSize::ALL[size_idx]).unwrap();
+        let seg = storage.create_segment(PageSize::ALL[size_idx], true).unwrap();
         let h = PageSequence::create(&storage, seg, &data).unwrap();
         prop_assert_eq!(PageSequence::read_all(&storage, h).unwrap(), data.clone());
         // Relative reads agree with slices.
@@ -35,7 +35,7 @@ proptest! {
         contents in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..4000), 1..6)
     ) {
         let storage = StorageSystem::in_memory(1 << 20);
-        let seg = storage.create_segment(PageSize::Half).unwrap();
+        let seg = storage.create_segment(PageSize::Half, true).unwrap();
         let h = PageSequence::create(&storage, seg, &contents[0]).unwrap();
         for c in &contents[1..] {
             PageSequence::overwrite(&storage, h, c).unwrap();
@@ -108,7 +108,7 @@ proptest! {
     ) {
         use prima_storage::PageType;
         let storage = StorageSystem::in_memory(capacity_pages * 512);
-        let seg = storage.create_segment(PageSize::Half).unwrap();
+        let seg = storage.create_segment(PageSize::Half, true).unwrap();
         let mut model: BTreeMap<u32, u8> = BTreeMap::new();
         for (page, byte) in writes {
             let id = prima_storage::PageId::new(seg, page);
