@@ -15,12 +15,13 @@ use crate::error::{AccessError, AccessResult};
 use crate::integrity::{backref_ops, splice_backref, BackRefOp};
 use crate::record_file::RecordFile;
 use crate::structures::Registry;
-use parking_lot::{rank, RwLock};
-use prima_mad::codec::encode_composite_key;
+use parking_lot::{rank, ShardedLock};
+use prima_mad::codec::{encode_composite_key, encode_key};
 use prima_mad::schema::Schema;
 use prima_mad::value::{AtomId, AtomTypeId, Value};
 use prima_storage::probe::{self, SpanKind};
 use prima_storage::{PageSize, StorageSystem};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +49,9 @@ prima_storage::counter_family! {
 }
 
 /// Uniqueness map of one `KEYS_ARE` attribute: encoded key -> atom.
-type KeyMap = RwLock<HashMap<Vec<u8>, AtomId>>;
+/// Read by every key lookup, written only by inserts and key changes,
+/// so it is reader-striped.
+type KeyMap = ShardedLock<HashMap<Vec<u8>, AtomId>>;
 
 /// A primary record a write is about to change, as shown to the write's
 /// pre-write callback: after validation, **before** any page or key map
@@ -141,7 +144,7 @@ impl AccessSystem {
                     .keys
                     .iter()
                     .filter_map(|k| at.attribute_index(k))
-                    .map(|i| (i, RwLock::new_ranked(HashMap::new(), rank::BUFFER + 1)))
+                    .map(|i| (i, ShardedLock::new_ranked(HashMap::new(), rank::BUFFER + 1)))
                     .collect(),
                 count: AtomicU64::new(0),
             })
@@ -329,7 +332,7 @@ impl AccessSystem {
         let atom = Atom::new(id, values);
         // Primary record.
         let ptr = store.file.insert(&atom.encode())?;
-        self.stats.records_written.fetch_add(1, Ordering::Relaxed);
+        self.stats.records_written.add(1);
         self.addresses.set_primary(id, ptr);
         store.count.fetch_add(1, Ordering::Relaxed);
         // Implicit back-reference maintenance.
@@ -461,7 +464,7 @@ impl AccessSystem {
     /// attributes.
     pub fn read_atom(&self, id: AtomId, projection: Option<&[usize]>) -> AccessResult<Atom> {
         let atom = self.read_primary(id)?;
-        self.stats.primary_reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.primary_reads.add(1);
         Ok(match projection {
             Some(proj) => atom.project(proj),
             None => atom,
@@ -537,9 +540,9 @@ impl AccessSystem {
             }
         }
         drop(primaries);
-        self.stats.batch_reads.fetch_add(1, Ordering::Relaxed);
-        self.stats.batch_atoms.fetch_add(ids.len() as u64, Ordering::Relaxed);
-        self.stats.batch_pages.fetch_add(groups.len() as u64, Ordering::Relaxed);
+        self.stats.batch_reads.add(1);
+        self.stats.batch_atoms.add(ids.len() as u64);
+        self.stats.batch_pages.add(groups.len() as u64);
         // Positions whose slot was freed or reused since the address
         // table was read: re-read one by one, as `read_primary` decides.
         let mut reread = Vec::new();
@@ -570,7 +573,7 @@ impl AccessSystem {
                 record_err(&mut first_err, fail_pos, e);
             }
         }
-        self.stats.primary_reads.fetch_add(primary_hits, Ordering::Relaxed);
+        self.stats.primary_reads.add(primary_hits);
         for i in reread {
             match self.read_atom(ids[i], projection) {
                 Ok(atom) => out[i] = Some(atom),
@@ -625,8 +628,15 @@ impl AccessSystem {
         let Some((_, map)) = store.key_maps.iter().find(|(a, _)| *a == attr) else {
             return Ok(None);
         };
-        let key = encode_composite_key(std::slice::from_ref(value));
-        Ok(map.read().get(&key).copied())
+        thread_local! {
+            /// The encoded key of this thread's last lookup, reused.
+            static KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
+        Ok(KEY.with_borrow_mut(|key| {
+            key.clear();
+            encode_key(value, key);
+            map.read().get(key.as_slice()).copied()
+        }))
     }
 
     // -----------------------------------------------------------------
@@ -705,7 +715,7 @@ impl AccessSystem {
         let store = self.store_of(atom.id.atom_type)?;
         let ptr = self.addresses.primary(atom.id).ok_or(AccessError::NoSuchAtom(atom.id))?;
         let new_ptr = store.file.update(ptr, &atom.encode())?;
-        self.stats.records_written.fetch_add(1, Ordering::Relaxed);
+        self.stats.records_written.add(1);
         if new_ptr != ptr {
             self.addresses.set_primary(atom.id, new_ptr);
         }
@@ -738,8 +748,8 @@ impl AccessSystem {
             if new_ptr != ptr {
                 self.addresses.set_primary(id, new_ptr);
             }
-            self.stats.records_written.fetch_add(u64::from(written), Ordering::Relaxed);
-            self.stats.backref_updates.fetch_add(1, Ordering::Relaxed);
+            self.stats.records_written.add(u64::from(written));
+            self.stats.backref_updates.add(1);
             if let Some((old, new)) = images {
                 self.maintain(Some(&old), Some(&new))?;
             }

@@ -31,7 +31,7 @@
 //! structure exists.
 
 use crate::record_file::RecordPtr;
-use parking_lot::{rank, RwLock, RwLockReadGuard};
+use parking_lot::{rank, ShardedLock, ShardedLockReadGuard};
 use prima_mad::value::AtomId;
 use std::collections::HashMap;
 
@@ -87,19 +87,20 @@ impl Addresses {
 /// system's components.
 #[derive(Debug)]
 pub struct AddressTable {
-    // lockrank: buffer.1 — atom → location arrays and map. Transient holds
-    // only, but callers update it from inside `RecordFile::for_each`
+    // lockrank: buffer.1 — atom → location arrays and map, reader-striped
+    // (a read locks its thread's stripe, a write every stripe, as one
+    // rank acquisition). Transient holds only, but callers update it from inside `RecordFile::for_each`
     // page-guard callbacks (frame → this), so it sits just above the
     // buffer peer group and below the WAL ranks. Nothing fixes a page
     // while holding it (a batch read resolves its ids under one read
     // hold, then fixes pages after releasing it).
-    latch: RwLock<Addresses>,
+    latch: ShardedLock<Addresses>,
 }
 
 /// One read hold of the table's primary pointers, for resolving a batch
 /// of ids under one latch acquisition. Fixing a page while it is held
 /// breaks the lock order.
-pub(crate) struct Primaries<'a>(RwLockReadGuard<'a, Addresses>);
+pub(crate) struct Primaries<'a>(ShardedLockReadGuard<'a, Addresses>);
 
 impl Primaries<'_> {
     /// Primary record pointer, if the atom exists.
@@ -110,7 +111,7 @@ impl Primaries<'_> {
 
 impl Default for AddressTable {
     fn default() -> Self {
-        AddressTable { latch: RwLock::new_ranked(Addresses::default(), rank::BUFFER + 1) }
+        AddressTable { latch: ShardedLock::new_ranked(Addresses::default(), rank::BUFFER + 1) }
     }
 }
 

@@ -23,12 +23,11 @@ use crate::error::{AccessError, AccessResult};
 use crate::multidim::GridFile;
 use crate::partition::Partition;
 use crate::sort_order::SortOrder;
-use parking_lot::{rank, RwLock};
+use parking_lot::{rank, RwLock, ShardedLock};
 use prima_mad::codec::{encode_composite_key, encode_key};
 use prima_mad::value::{AtomId, AtomTypeId, Value};
 use prima_storage::PageSize;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// When redundant copies (partitions, sort orders, clusters) are brought
@@ -144,7 +143,7 @@ impl Structure {
             }
             Structure::Cluster(ct) => sys.materialize_cluster(ct, atom)?,
         }
-        sys.stats.records_written.fetch_add(1, Ordering::Relaxed);
+        sys.stats.records_written.add(1);
         Ok(())
     }
 
@@ -235,7 +234,7 @@ impl Structure {
     fn copy_changed(&self, sys: &AccessSystem, atom: AtomId) -> AccessResult<()> {
         if sys.update_policy() == UpdatePolicy::Immediate {
             if self.refresh(sys, atom)? {
-                sys.stats.records_written.fetch_add(1, Ordering::Relaxed);
+                sys.stats.records_written.add(1);
             }
             return Ok(());
         }
@@ -262,10 +261,10 @@ struct Structures {
 /// maintenance needs beside it: cluster membership, the deferred queue and
 /// the update policy.
 pub(crate) struct Registry {
-    // lockrank: access.0 — tuning-structure directory; read-held while a
-    // write maintains the structures over its atom type and while
+    // lockrank: access.0 — tuning-structure directory, reader-striped;
+    // read-held while a write maintains the structures over its atom type and while
     // reconciliation refreshes a copy.
-    directory: RwLock<Structures>,
+    directory: ShardedLock<Structures>,
     /// member atom -> clusters containing it: (cluster structure,
     /// characteristic atom).
     // lockrank: access.1 — registry peers (membership, policy, key maps):
@@ -279,7 +278,7 @@ pub(crate) struct Registry {
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            directory: RwLock::new_ranked(Structures::default(), rank::ACCESS),
+            directory: ShardedLock::new_ranked(Structures::default(), rank::ACCESS),
             membership: RwLock::new_ranked(HashMap::new(), rank::ACCESS + 1),
             deferred: DeferredQueue::new(),
             policy: RwLock::new_ranked(UpdatePolicy::Deferred, rank::ACCESS + 1),

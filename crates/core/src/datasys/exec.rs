@@ -58,7 +58,7 @@
 //! never asks which visibility mode it runs under.
 
 use super::molecule::{MolAtom, Molecule, MoleculeSet};
-use super::plan::{root_bounds, NodeProjection, ResolvedQuery};
+use super::plan::{find_root_bound, NodeProjection, ResolvedQuery};
 use super::validate::{convert_op, predicate_to_atom_ssa, resolve_ref};
 use crate::error::{PrimaError, PrimaResult};
 use crate::obs::{self, SpanKind};
@@ -146,7 +146,7 @@ pub(crate) fn process_root(
             return Ok(None);
         }
     }
-    Ok(apply_projection(sys, q, molecule))
+    Ok(apply_projection(q, molecule))
 }
 
 /// Root access selection ("molecule-type-specific optimization"): the
@@ -200,28 +200,27 @@ pub(crate) fn find_roots(
 fn root_candidates(sys: &AccessSystem, q: &ResolvedQuery) -> PrimaResult<Vec<Atom>> {
     let root_type = q.nodes[0].atom_type;
     let at = node_type(sys, q, 0);
-    let bounds = root_bounds(&q.root_ssa);
     // 1. KEYS_ARE equality -> direct lookup: a one-candidate access path.
-    for b in &bounds {
-        let name = &at.attributes[b.attr].name;
-        if b.op == CmpOp::Eq && at.is_key(name) {
-            obs::attr("path", || format!("key_lookup({name})"));
-            let Some(id) = sys.lookup_by_key(root_type, b.attr, &b.value)? else {
-                return Ok(Vec::new());
-            };
-            // Without a lock (snapshot) the atom may vanish from base
-            // between lookup and read; its visible version, if any, comes
-            // back through the guard's extras.
-            return match sys.read_atom(id, None) {
-                Ok(atom) => Ok(vec![atom]),
-                Err(prima_access::AccessError::NoSuchAtom(_)) => Ok(Vec::new()),
-                Err(e) => Err(e.into()),
-            };
-        }
+    let key = find_root_bound(&q.root_ssa, &mut |b| {
+        (b.op == CmpOp::Eq && at.is_key(&at.attributes[b.attr].name)).then_some(b)
+    });
+    if let Some(b) = key {
+        obs::attr("path", || format!("key_lookup({})", at.attributes[b.attr].name));
+        let Some(id) = sys.lookup_by_key(root_type, b.attr, b.value)? else {
+            return Ok(Vec::new());
+        };
+        // Without a lock (snapshot) the atom may vanish from base
+        // between lookup and read; its visible version, if any, comes
+        // back through the guard's extras.
+        return match sys.read_atom(id, None) {
+            Ok(atom) => Ok(vec![atom]),
+            Err(prima_access::AccessError::NoSuchAtom(_)) => Ok(Vec::new()),
+            Err(e) => Err(e.into()),
+        };
     }
     // 2. A B*-tree over a bounded attribute.
     let structures = sys.structures_of(root_type);
-    let index = bounds.iter().find_map(|b| {
+    let index = find_root_bound(&q.root_ssa, &mut |b| {
         structures.iter().find_map(|s| match s {
             Structure::BTree(ix) if ix.key_attrs == [b.attr] => Some((b, ix)),
             _ => None,
@@ -650,41 +649,23 @@ fn exists_atom(
 /// Applies per-node projections to one molecule. Returns `None` when a
 /// qualified projection on the *root* rejects the whole molecule. A
 /// `SELECT ALL` molecule is returned as assembled.
-fn apply_projection(sys: &AccessSystem, q: &ResolvedQuery, m: Molecule) -> Option<Molecule> {
+fn apply_projection(q: &ResolvedQuery, m: Molecule) -> Option<Molecule> {
     if q.select.per_node.iter().all(|p| matches!(p, NodeProjection::All)) {
         return Some(m);
     }
-    fn project_node(
-        sys: &AccessSystem,
-        q: &ResolvedQuery,
-        mut ma: MolAtom,
-    ) -> Option<MolAtom> {
-        let keep = |attrs: &[usize]| {
-            let id = node_type(sys, q, ma.node).identifier_index();
-            attrs.iter().copied().chain([id]).collect::<Vec<_>>()
-        };
-        let kept = match q.select.per_node.get(ma.node) {
-            None | Some(NodeProjection::All) => None,
-            Some(NodeProjection::Attrs(attrs)) => Some(keep(attrs)),
-            Some(NodeProjection::Qualified { attrs, ssa }) => {
-                if !ssa.eval(&ma.atom) {
-                    return None;
-                }
-                attrs.as_deref().map(keep)
+    fn project_node(q: &ResolvedQuery, mut ma: MolAtom) -> Option<MolAtom> {
+        if let Some(NodeProjection::Qualified { ssa, .. }) = q.select.per_node.get(ma.node) {
+            if !ssa.eval(&ma.atom) {
+                return None;
             }
-            Some(NodeProjection::Exclude) => Some(keep(&[])),
-        };
-        if let Some(kept) = kept {
-            ma.atom = Arc::new(ma.atom.project(&kept));
         }
-        ma.children = ma
-            .children
-            .into_iter()
-            .filter_map(|c| project_node(sys, q, c))
-            .collect();
+        if let Some(kept) = q.kept.get(ma.node).and_then(Option::as_deref) {
+            ma.atom = Arc::new(ma.atom.project(kept));
+        }
+        ma.children = ma.children.into_iter().filter_map(|c| project_node(q, c)).collect();
         Some(ma)
     }
-    project_node(sys, q, m.root).map(Molecule::new)
+    project_node(q, m.root).map(Molecule::new)
 }
 
 /// The atom type of plan node `node`.

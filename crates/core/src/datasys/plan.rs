@@ -79,6 +79,10 @@ pub struct PlanShape {
     /// The result's node table ([`super::MoleculeSet::nodes`]), built
     /// once and shared by every result.
     pub node_infos: Arc<[NodeInfo]>,
+    /// Per node, the attributes its projection keeps: the selected ones
+    /// plus the identifier (`None`: the whole atom). Built once from
+    /// `select`, so projecting a molecule builds no attribute list.
+    pub kept: Vec<Option<Vec<usize>>>,
 }
 
 impl PlanShape {
@@ -157,29 +161,25 @@ pub enum Assignment {
     Disconnect(ResolvedQuery),
 }
 
-/// A literal bound extracted from the root SSA (used to route to access
-/// paths): `attr op value`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RootBound {
+/// A literal bound of the root SSA (used to route to access paths):
+/// `attr op value`, borrowed from the SSA.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RootBound<'a> {
     pub attr: usize,
     pub op: prima_access::CmpOp,
-    pub value: Value,
+    pub value: &'a Value,
 }
 
-/// Extracts simple comparison conjuncts from an SSA (helper for root
-/// access planning).
-pub fn root_bounds(ssa: &Ssa) -> Vec<RootBound> {
-    let mut out = Vec::new();
-    collect_bounds(ssa, &mut out);
-    out
-}
-
-fn collect_bounds(ssa: &Ssa, out: &mut Vec<RootBound>) {
+/// The first simple comparison conjunct of `ssa`, in conjunct order,
+/// that `f` maps to `Some` (helper for root access planning). The
+/// bounds are visited where they stand: nothing is collected or copied.
+pub fn find_root_bound<'a, T>(
+    ssa: &'a Ssa,
+    f: &mut impl FnMut(RootBound<'a>) -> Option<T>,
+) -> Option<T> {
     match ssa {
-        Ssa::Cmp { attr, op, value } => {
-            out.push(RootBound { attr: *attr, op: *op, value: value.clone() });
-        }
-        Ssa::And(ts) => ts.iter().for_each(|t| collect_bounds(t, out)),
-        _ => {}
+        Ssa::Cmp { attr, op, value } => f(RootBound { attr: *attr, op: *op, value }),
+        Ssa::And(ts) => ts.iter().find_map(|t| find_root_bound(t, f)),
+        _ => None,
     }
 }

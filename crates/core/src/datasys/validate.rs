@@ -158,6 +158,7 @@ pub fn validate(schema: &Schema, query: &Query) -> PrimaResult<ResolvedQuery> {
         select: ResolvedSelect::default(),
         root_attrs,
         node_infos: Arc::new([]),
+        kept: Vec::new(),
     };
     // Predicate split.
     let (mut root_ssa, mut residual) = (Ssa::True, None);
@@ -192,7 +193,26 @@ pub fn validate(schema: &Schema, query: &Query) -> PrimaResult<ResolvedQuery> {
             selected: !matches!(p, NodeProjection::Exclude),
         })
         .collect();
+    shape.kept =
+        (0..shape.nodes.len()).map(|i| kept_attrs(schema, &shape, i)).collect::<PrimaResult<_>>()?;
     Ok(ResolvedQuery { shape: Arc::new(shape), root_ssa, residual })
+}
+
+/// The attributes node `i`'s projection keeps ([`PlanShape::kept`]).
+fn kept_attrs(schema: &Schema, shape: &PlanShape, i: usize) -> PrimaResult<Option<Vec<usize>>> {
+    let attrs: &[usize] = match shape.select.per_node.get(i) {
+        None | Some(NodeProjection::All) | Some(NodeProjection::Qualified { attrs: None, .. }) => {
+            return Ok(None)
+        }
+        Some(NodeProjection::Attrs(attrs))
+        | Some(NodeProjection::Qualified { attrs: Some(attrs), .. }) => attrs,
+        Some(NodeProjection::Exclude) => &[],
+    };
+    let node = &shape.nodes[i];
+    let at = schema
+        .atom_type(node.atom_type)
+        .ok_or_else(|| PrimaError::UnknownComponent(node.label.clone()))?;
+    Ok(Some(attrs.iter().copied().chain([at.identifier_index()]).collect()))
 }
 
 /// Compiles a parsed statement into its plan: a SELECT into its

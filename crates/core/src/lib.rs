@@ -104,9 +104,9 @@
 //! | `api`       |  10  | MAD interface         | session txn slot, last-profile slot |
 //! | `txn`       |  20  | data system           | checkpoint gate, active-txn table |
 //! | `locktable` |  30  | data system           | granular lock table + wait queues |
-//! | `mvcc`      |  40  | data system           | version store |
-//! | `access`    |  50  | access system         | structure directory, registries, tree roots, grid files |
-//! | `buffer`    |  60  | storage system        | shard latches, frame locks (one per buffer frame), record-file maps |
+//! | `mvcc`      |  40  | data system           | version store, then snapshot-registry slots (one per thread stripe) |
+//! | `access`    |  50  | access system         | structure directory (reader-striped), registries, tree roots, grid files |
+//! | `buffer`    |  60  | storage system        | shard latches, frame locks (one per buffer frame), record-file maps, then address table and key maps (reader-striped) |
 //! | `walgroup`  |  70  | storage system (WAL)  | group-commit coordinator |
 //! | `walio`     |  80  | storage system (WAL)  | device-append serialisation, append buffer |
 //! | `storage`   |  90  | storage system        | segment-id allocator, segment catalog |
@@ -120,11 +120,22 @@
 //! so victim selection, which reads the counts under the latch, never
 //! evicts a page a guard holds.
 //!
+//! The read-mostly catalog structures — the structure directory, the
+//! address table and the key maps — are *reader-striped*
+//! (`parking_lot::ShardedLock`): a reader locks only its own thread
+//! stripe, a writer every stripe in order, which is one acquisition of
+//! the lock's rank. Snapshot readers register in their stripe's slot of
+//! the version store's registry, not under its mutex, and the counters
+//! and latency histograms are striped the same way, so a snapshot read
+//! writes no cache line another session's read writes, save the buffer
+//! shard latch with its LRU touch and the version store's reference
+//! count.
+//!
 //! Two enforcers keep the table honest:
 //!
 //! * **Static** — `cargo run -p prima-lint` (a required CI gate) walks
 //!   the kernel sources and checks six rules:
-//!   1. *lock-rank* — every `Mutex`/`RwLock` declaration carries a
+//!   1. *lock-rank* — every `Mutex`/`RwLock`/`ShardedLock` declaration carries a
 //!      `// lockrank: <domain>.<n>` annotation resolving against the
 //!      table, and no function's nested acquisitions violate the order;
 //!   2. *lock-across-io* — no guard (below the `device` domain) is live
@@ -139,7 +150,7 @@
 //!      `// lint: allow(<rule>, <reason>)` escape hatch must state a
 //!      non-empty reason.
 //! * **Dynamic** — the vendored `parking_lot` shim's
-//!   `Mutex::new_ranked`/`RwLock::new_ranked` maintain a thread-local
+//!   `new_ranked` locks maintain a thread-local
 //!   acquisition stack under `debug_assertions` (or the root `lockrank`
 //!   feature, which the contention and crash-fuzz CI jobs enable in
 //!   release) and panic on rank inversion, so every randomized fault

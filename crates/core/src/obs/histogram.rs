@@ -3,11 +3,16 @@
 //! One [`LatencyHistogram`] per statement kind lives in the kernel's
 //! observability hub and is fed on *every* statement — profiling on or
 //! off — because recording is one clock read plus a handful of relaxed
-//! atomic adds: no allocation, no lock. Buckets are powers of two in
+//! atomic adds: no allocation, no lock. Like a counter family's counters
+//! (`prima_storage::stats`), a histogram is striped: each thread stripe
+//! records into its own 128-byte-aligned set of cells, and a snapshot
+//! sums the stripes, so concurrent sessions write no common cache line.
+//! Buckets are powers of two in
 //! nanoseconds (bucket `i` covers `[2^i, 2^{i+1})`, bucket 0 also
 //! absorbs 0–1 ns), which makes bucket boundaries deterministic and the
 //! index computation a single `leading_zeros`.
 
+use parking_lot::{stripe, CachePadded, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two buckets. Bucket 39 starts at `2^39` ns
@@ -34,18 +39,18 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     (low, high)
 }
 
-/// Thread-safe log₂-bucketed histogram of statement latencies.
+/// One stripe's cells.
 #[derive(Debug)]
-pub struct LatencyHistogram {
+struct Cells {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
-impl Default for LatencyHistogram {
+impl Default for Cells {
     fn default() -> Self {
-        LatencyHistogram {
+        Cells {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
@@ -54,27 +59,40 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// Thread-safe log₂-bucketed histogram of statement latencies, striped
+/// per thread (module docs).
+#[derive(Debug, Default)]
+pub struct LatencyHistogram {
+    stripes: [CachePadded<Cells>; STRIPES],
+}
+
 impl LatencyHistogram {
-    /// Records one latency. Allocation-free.
+    /// Records one latency into the calling thread's stripe.
+    /// Allocation-free.
     pub fn record(&self, nanos: u64) {
-        self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(nanos, Ordering::Relaxed);
-        self.max_ns.fetch_max(nanos, Ordering::Relaxed);
+        let cells = &self.stripes[stripe()];
+        cells.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        cells.count.fetch_add(1, Ordering::Relaxed);
+        cells.sum_ns.fetch_add(nanos, Ordering::Relaxed);
+        // The maximum rarely moves: a load, and a write only when it does.
+        if nanos > cells.max_ns.load(Ordering::Relaxed) {
+            cells.max_ns.fetch_max(nanos, Ordering::Relaxed);
+        }
     }
 
-    /// An owned point-in-time copy.
+    /// An owned point-in-time copy: the stripes summed (the maximum is
+    /// the largest stripe maximum).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (b, a) in buckets.iter_mut().zip(&self.buckets) {
-            *b = a.load(Ordering::Relaxed);
+        let mut out = HistogramSnapshot::default();
+        for cells in &self.stripes {
+            for (b, a) in out.buckets.iter_mut().zip(&cells.buckets) {
+                *b += a.load(Ordering::Relaxed);
+            }
+            out.count += cells.count.load(Ordering::Relaxed);
+            out.sum_ns += cells.sum_ns.load(Ordering::Relaxed);
+            out.max_ns = out.max_ns.max(cells.max_ns.load(Ordering::Relaxed));
         }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-        }
+        out
     }
 }
 
@@ -205,6 +223,36 @@ mod tests {
         let s = LatencyHistogram::default().snapshot();
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.mean_ns(), 0);
+    }
+
+    /// Four threads record into one histogram: count, sum, buckets and
+    /// maximum are exact once they are done.
+    #[test]
+    fn striped_recording_sums_every_thread_exactly() {
+        let h = std::sync::Arc::new(LatencyHistogram::default());
+        h.record(5);
+        let before = h.snapshot();
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let h = std::sync::Arc::clone(&h);
+                std::thread::spawn(move || {
+                    for _ in 0..100_000 {
+                        h.record(100);
+                    }
+                    h.record(1000 + t);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let s = h.snapshot();
+        assert_eq!(s.count, 400_005);
+        assert_eq!(s.sum_ns, 5 + 400_000 * 100 + 4000 + 6);
+        assert_eq!(s.buckets[bucket_index(100)], 400_000);
+        assert_eq!(s.max_ns, 1003);
+        let d = s.delta(&before);
+        assert_eq!((d.count, d.sum_ns), (400_004, 400_000 * 100 + 4006));
     }
 
     #[test]

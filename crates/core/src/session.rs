@@ -303,27 +303,27 @@ prima_storage::counter_family! {
 
 impl ApiStats {
     fn parsed(&self) {
-        self.statements_parsed.fetch_add(1, Ordering::Relaxed);
+        self.statements_parsed.add(1);
     }
 
     fn planned(&self) {
-        self.plans_built.fetch_add(1, Ordering::Relaxed);
+        self.plans_built.add(1);
     }
 
     fn reused(&self) {
-        self.plan_reuses.fetch_add(1, Ordering::Relaxed);
+        self.plan_reuses.add(1);
     }
 
     fn cache_hit(&self) {
-        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.plan_cache_hits.add(1);
     }
 
     fn executed(&self) {
-        self.statements_executed.fetch_add(1, Ordering::Relaxed);
+        self.statements_executed.add(1);
     }
 
     fn cursor_fetched(&self) {
-        self.cursor_fetches.fetch_add(1, Ordering::Relaxed);
+        self.cursor_fetches.add(1);
     }
 }
 

@@ -214,7 +214,7 @@ prima_storage::counter_family! {
 impl LockStats {
     fn record_parked(&self, waited: Duration) {
         let us = waited.as_micros() as u64;
-        self.wait_us_total.fetch_add(us, Relaxed);
+        self.wait_us_total.add(us);
         self.wait_us_max.fetch_max(us, Relaxed);
         self.waiting_now.fetch_sub(1, Relaxed);
         // The waiter parks on the statement's own thread, so the time
@@ -481,7 +481,7 @@ impl LockTable {
     /// [`TxnError::Deadlock`] when it is chosen to break a wait-for cycle.
     #[allow(clippy::unwrap_used, clippy::expect_used)]
     pub fn acquire(&self, t: TxnId, target: LockTarget, mode: LockMode) -> Result<(), TxnError> {
-        self.stats.acquisitions.fetch_add(1, Relaxed);
+        self.stats.acquisitions.add(1);
         let mut inner = self.inner.lock();
         let can = match inner.entries.get(&target) {
             None => true,
@@ -504,7 +504,7 @@ impl LockTable {
             return Err(TxnError::LockConflict { target, holder });
         }
         if e.waiters.len() >= self.config.max_waiters_per_target {
-            self.stats.overflow_fastfails.fetch_add(1, Relaxed);
+            self.stats.overflow_fastfails.add(1);
             return Err(TxnError::LockConflict { target, holder });
         }
 
@@ -527,7 +527,7 @@ impl LockTable {
             Waiter { txn: t, mode, doomed: false, enqueued: Instant::now() },
         );
         let depth = e.waiters.len() as u64;
-        self.stats.waits.fetch_add(1, Relaxed);
+        self.stats.waits.add(1);
         self.stats.waiting_now.fetch_add(1, Relaxed);
         self.stats.max_queue_depth.fetch_max(depth, Relaxed);
 
@@ -536,7 +536,7 @@ impl LockTable {
         // through `t` remains (each doomed waiter loses its edges).
         let mut doomed_any = false;
         while let Some(cycle) = inner.find_cycle(t) {
-            self.stats.deadlocks_detected.fetch_add(1, Relaxed);
+            self.stats.deadlocks_detected.add(1);
             let victim = inner.pick_victim(&cycle);
             if victim == t {
                 let w = inner.dequeue(target, t);
@@ -577,7 +577,7 @@ impl LockTable {
             if now >= deadline {
                 let w = inner.dequeue(target, t);
                 self.stats.record_parked(w.enqueued.elapsed());
-                self.stats.timeouts.fetch_add(1, Relaxed);
+                self.stats.timeouts.add(1);
                 self.cv.notify_all();
                 return Err(TxnError::LockTimeout { target, waited: self.config.wait_timeout });
             }
@@ -591,7 +591,7 @@ impl LockTable {
     pub fn release_all(&self, t: TxnId) {
         let mut inner = self.inner.lock();
         let Some(targets) = inner.by_txn.remove(&t) else { return };
-        self.stats.maintenance_visits.fetch_add(targets.len() as u64, Relaxed);
+        self.stats.maintenance_visits.add(targets.len() as u64);
         let mut woke = false;
         for target in targets {
             let Some(e) = inner.entries.get_mut(&target) else { continue };

@@ -82,7 +82,7 @@ use prima_access::cluster::AtomClusterType;
 use prima_access::ssa::Ssa;
 use prima_access::{AccessError, AccessSystem, Atom, PreWrite};
 use prima_mad::value::{AtomId, AtomTypeId, Value};
-use prima_storage::{Wal, WalPayload};
+use prima_storage::{IdBuildHasher, Wal, WalPayload};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -609,21 +609,17 @@ impl<'a> ReadGuard<'a> {
             }
             GuardInner::Snapshot(s) => s,
         };
-        let mut seen = HashSet::with_capacity(roots.len());
-        let mut out = Vec::with_capacity(roots.len());
-        for atom in roots {
-            let id = atom.id;
+        let mut seen: HashSet<AtomId, IdBuildHasher> =
+            HashSet::with_capacity_and_hasher(roots.len(), IdBuildHasher::default());
+        // Filtered in place: the collect reuses `roots`' buffer.
+        let mut out: Vec<Atom> = roots
+            .into_iter()
             // A scan meets an atom twice when a concurrent writer moved
             // its record to a page the scan had not read yet.
-            if !seen.insert(id) {
-                continue;
-            }
-            if let Some(vis) = snap.visible(id, Some(atom)) {
-                if ssa.eval(&vis) {
-                    out.push(vis);
-                }
-            }
-        }
+            .filter(|atom| seen.insert(atom.id))
+            .filter_map(|atom| snap.visible(atom.id, Some(atom)))
+            .filter(|vis| ssa.eval(vis))
+            .collect();
         out.extend(snap.extras(ty, &seen).into_iter().filter(|a| ssa.eval(a)));
         Ok(out)
     }

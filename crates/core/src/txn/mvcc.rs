@@ -68,18 +68,44 @@
 //! reclaims, snapshot reads and chain shape for observability
 //! (`Prima::metrics().version`).
 //!
+//! Readers register without the store's mutex, so that pinning and
+//! releasing a snapshot writes nothing another session writes:
+//!
+//! * the commit position is **published** in an atomic, stored under
+//!   the store's mutex by every stamping commit or abort;
+//! * the registry is one **slot per thread stripe**
+//!   (`parking_lot::stripe`): a latch over a short list of
+//!   `(position, readers)` pairs. A reader locks its own slot, reads
+//!   the published position *inside* that latch, and registers it
+//!   there; a [`Snapshot`] remembers its slot, because a cursor may drop
+//!   it on another thread;
+//! * GC runs under the store's mutex, after the new position is
+//!   published, and takes the watermark as the minimum over every slot,
+//!   locking each in turn.
+//!
+//! The race argument is the slot latch's total order. A reader that
+//! registers in slot `i` before GC scans slot `i` is counted in the
+//! watermark. One that registers after GC scanned slot `i` locked the
+//! slot after GC released it, so its read of the position happens after
+//! the publication: its position is at least the new one, and an entry
+//! stamped at or below its position resolves to the base value, never to
+//! the reclaimed image. Releasing a snapshot takes the store's mutex
+//! (to run GC) only while version chains exist; with none there is
+//! nothing its release could free.
+//!
 //! The store is volatile by design: restart recovery rebuilds the
 //! kernel with an empty store (`Prima::open`), because the WAL undo
 //! path already erases every uncommitted version from base storage —
 //! crash semantics need no MVCC persistence.
 
 use super::TxnId;
-use parking_lot::{rank, Mutex};
+use parking_lot::{rank, stripe, CachePadded, Mutex, STRIPES};
 use prima_access::Atom;
 use prima_mad::value::{AtomId, AtomTypeId};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use prima_storage::IdBuildHasher;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One link in an atom's version chain (see module docs for the
@@ -108,11 +134,6 @@ struct Inner {
     /// (deleted in base, or filtered out by a pushed-down predicate on
     /// the dirty value).
     by_type: HashMap<AtomTypeId, HashSet<AtomId>>,
-    /// Position in commit order; bumped by every stamping commit or
-    /// abort. A snapshot is just a sampled value of this counter.
-    commit_seq: u64,
-    /// Active snapshots: position → number of registered readers.
-    snapshots: BTreeMap<u64, usize>,
     /// Stamped entry groups awaiting reclaim, in commit order.
     reclaim: VecDeque<(u64, Vec<AtomId>)>,
 }
@@ -155,12 +176,25 @@ pub enum Resolution {
     Invisible,
 }
 
+/// One registry slot's readers: `(position, reader count)` pairs.
+type Readers = Vec<(u64, u32)>;
+
 /// The version store. One per kernel, shared by the transaction
 /// manager (writer hooks) and every snapshot reader.
 pub struct VersionStore {
-    // lockrank: mvcc.0 — chain table + snapshot registry; every hold is
-    // transient (no I/O, no nested locks).
+    // lockrank: mvcc.0 — chain table; every hold is transient (no I/O;
+    // GC takes the registry slots inside it).
     inner: Mutex<Inner>,
+    /// The snapshot registry, one slot per thread stripe: the positions
+    /// its readers pinned, with their reader counts. A slot holds a few
+    /// pairs at most and keeps its capacity, so a warm registration
+    /// allocates nothing.
+    // lockrank: mvcc.1 — registry slots; a reader holds only its own,
+    // GC each in turn inside `inner`.
+    readers: [CachePadded<Mutex<Readers>>; STRIPES],
+    /// Position in commit order, bumped under `inner` by every stamping
+    /// commit or abort. A snapshot is a sampled value of it.
+    published: AtomicU64,
     stats: VersionStats,
     /// Lock-free fast path: number of live chains. While 0, resolves
     /// return [`Resolution::Unchanged`] without touching the mutex —
@@ -177,24 +211,46 @@ impl VersionStore {
                 chains: HashMap::new(),
                 by_txn: HashMap::new(),
                 by_type: HashMap::new(),
-                commit_seq: 0,
-                snapshots: BTreeMap::new(),
                 reclaim: VecDeque::new(),
             }, rank::MVCC),
+            readers: std::array::from_fn(|_| {
+                CachePadded(Mutex::new_ranked(Vec::with_capacity(4), rank::MVCC + 1))
+            }),
+            published: AtomicU64::new(0),
             stats: VersionStats::default(),
             live_chains: AtomicUsize::new(0),
         })
     }
 
-    /// Registers a reader at the current commit position. The snapshot
-    /// holds back GC until dropped.
+    /// Registers a reader at the current commit position, in the
+    /// calling thread's registry slot (module docs, *Garbage
+    /// collection*). The snapshot holds back GC until dropped.
     pub fn begin_snapshot(self: &Arc<Self>) -> Snapshot {
-        let mut inner = self.inner.lock();
-        let seq = inner.commit_seq;
-        *inner.snapshots.entry(seq).or_insert(0) += 1;
-        drop(inner);
-        self.stats.snapshots_opened.fetch_add(1, Ordering::Relaxed);
-        Snapshot { store: Arc::clone(self), seq }
+        let slot = stripe();
+        let mut readers = self.readers[slot].lock();
+        // Read inside the slot latch: the race argument depends on it.
+        let seq = self.published.load(Ordering::Acquire);
+        match readers.iter_mut().find(|(pos, _)| *pos == seq) {
+            Some((_, n)) => *n += 1,
+            None => readers.push((seq, 1)),
+        }
+        drop(readers);
+        self.stats.snapshots_opened.add(1);
+        Snapshot { store: Arc::clone(self), seq, slot }
+    }
+
+    /// Bumps the commit position under `inner` (the caller's guard) and
+    /// publishes it; returns the new position.
+    fn publish_next(&self, _inner: &mut Inner) -> u64 {
+        let c = self.published.load(Ordering::Relaxed) + 1;
+        self.published.store(c, Ordering::Release);
+        c
+    }
+
+    /// The oldest registered snapshot position, if any reader is open.
+    fn oldest_snapshot(&self) -> Option<u64> {
+        let oldest = |slot: &Mutex<Readers>| slot.lock().iter().map(|&(p, _)| p).min();
+        self.readers.iter().filter_map(|slot| oldest(slot)).min()
     }
 
     /// Chains `image` (the atom's value before `txn`'s overwrite;
@@ -237,7 +293,7 @@ impl VersionStore {
         }
         inner.by_txn.entry(txn).or_default().push(id);
         drop(inner);
-        self.stats.versions_installed.fetch_add(1, Ordering::Relaxed);
+        self.stats.versions_installed.add(1);
         self.stats.max_chain_len.fetch_max(len, Ordering::Relaxed);
         Ok(())
     }
@@ -278,12 +334,15 @@ impl VersionStore {
     pub fn commit_stamp(&self, txn: TxnId) {
         let mut inner = self.inner.lock();
         let Some(ids) = inner.by_txn.remove(&txn) else { return };
-        let c = inner.commit_seq + 1;
-        inner.commit_seq = c;
+        let c = self.publish_next(&mut inner);
+        // `by_txn` lists an atom once per entry; stamp each atom once,
+        // in first-listing order.
+        let mut seen: HashSet<AtomId, IdBuildHasher> =
+            HashSet::with_capacity_and_hasher(ids.len(), IdBuildHasher::default());
         let mut stamped: Vec<AtomId> = Vec::with_capacity(ids.len());
         let mut dropped = 0u64;
         for id in ids {
-            if stamped.contains(&id) {
+            if !seen.insert(id) {
                 continue;
             }
             let Some(chain) = inner.chains.get_mut(&id) else { continue };
@@ -326,8 +385,7 @@ impl VersionStore {
         if ids.is_empty() {
             return;
         }
-        let c = inner.commit_seq + 1;
-        inner.commit_seq = c;
+        let c = self.publish_next(&mut inner);
         // Each listing past `from` is one of the atom's newest unstamped
         // entries of `txn`.
         for id in &ids {
@@ -348,7 +406,7 @@ impl VersionStore {
     /// snapshot sees (`None` = not visible). One batch is one count of
     /// `ids.len()` reads and at most one hold of the store's mutex.
     pub fn resolve_all(&self, seq: u64, ids: &[AtomId], bases: &mut [Option<Atom>]) {
-        self.stats.snapshot_reads.fetch_add(ids.len() as u64, Ordering::Relaxed);
+        self.stats.snapshot_reads.add(ids.len() as u64);
         if self.live_chains.load(Ordering::Acquire) == 0 {
             return;
         }
@@ -380,7 +438,12 @@ impl VersionStore {
     /// filtered out): every chained atom of the type not in `seen`
     /// whose visible version exists. The caller re-qualifies the
     /// returned images against the full root predicate.
-    pub fn visible_extras(&self, seq: u64, ty: AtomTypeId, seen: &HashSet<AtomId>) -> Vec<Atom> {
+    pub fn visible_extras(
+        &self,
+        seq: u64,
+        ty: AtomTypeId,
+        seen: &HashSet<AtomId, IdBuildHasher>,
+    ) -> Vec<Atom> {
         if self.live_chains.load(Ordering::Acquire) == 0 {
             return Vec::new();
         }
@@ -398,23 +461,29 @@ impl VersionStore {
         out
     }
 
-    fn end_snapshot(&self, seq: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(n) = inner.snapshots.get_mut(&seq) {
-            *n -= 1;
-            if *n == 0 {
-                inner.snapshots.remove(&seq);
+    fn end_snapshot(&self, seq: u64, slot: usize) {
+        let mut readers = self.readers[slot].lock();
+        if let Some(i) = readers.iter().position(|(pos, _)| *pos == seq) {
+            readers[i].1 -= 1;
+            if readers[i].1 == 0 {
+                readers.swap_remove(i);
             }
         }
-        self.gc_locked(&mut inner, 0);
+        drop(readers);
+        // With no chain alive there is nothing for GC to free.
+        if self.live_chains.load(Ordering::Acquire) > 0 {
+            let mut inner = self.inner.lock();
+            self.gc_locked(&mut inner, 0);
+        }
     }
 
     /// Reclaims every stamped group at or below the watermark (oldest
     /// active snapshot, else the current commit position): no present
-    /// or future snapshot can resolve to those entries any more.
+    /// or future snapshot can resolve to those entries any more. Runs
+    /// under `inner`, so after the latest position was published.
     fn gc_locked(&self, inner: &mut Inner, mut reclaimed: u64) {
-        let watermark =
-            inner.snapshots.keys().next().copied().unwrap_or(inner.commit_seq);
+        let now = self.published.load(Ordering::Relaxed);
+        let watermark = self.oldest_snapshot().map_or(now, |oldest| oldest.min(now));
         while let Some((c, ids)) = inner.reclaim.pop_front() {
             if c > watermark {
                 // Not yet reclaimable: put it back and stop (the deque is
@@ -440,7 +509,7 @@ impl VersionStore {
             }
         }
         if reclaimed > 0 {
-            self.stats.versions_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
+            self.stats.versions_reclaimed.add(reclaimed);
         }
     }
 
@@ -448,11 +517,8 @@ impl VersionStore {
     pub fn stats(&self) -> VersionStatsSnapshot {
         let inner = self.inner.lock();
         let live_versions = inner.chains.values().map(|c| c.len() as u64).sum();
-        let oldest_snapshot_lag = inner
-            .snapshots
-            .keys()
-            .next()
-            .map_or(0, |oldest| inner.commit_seq - oldest);
+        let now = self.published.load(Ordering::Relaxed);
+        let oldest_snapshot_lag = self.oldest_snapshot().map_or(0, |oldest| now - oldest);
         self.stats.snapshot(live_versions, inner.chains.len() as u64, oldest_snapshot_lag)
     }
 }
@@ -464,6 +530,9 @@ impl VersionStore {
 pub struct Snapshot {
     store: Arc<VersionStore>,
     seq: u64,
+    /// The registry slot it is registered in: its opening thread's
+    /// stripe, not necessarily the dropping thread's.
+    slot: usize,
 }
 
 impl Snapshot {
@@ -483,14 +552,14 @@ impl Snapshot {
 
     /// Visible atoms of `ty` a base scan cannot have delivered (see
     /// [`VersionStore::visible_extras`]).
-    pub fn extras(&self, ty: AtomTypeId, seen: &HashSet<AtomId>) -> Vec<Atom> {
+    pub fn extras(&self, ty: AtomTypeId, seen: &HashSet<AtomId, IdBuildHasher>) -> Vec<Atom> {
         self.store.visible_extras(self.seq, ty, seen)
     }
 }
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        self.store.end_snapshot(self.seq);
+        self.store.end_snapshot(self.seq, self.slot);
     }
 }
 
@@ -539,7 +608,7 @@ mod tests {
         // Deleted atom gone from base but visible via its image.
         assert_eq!(snap.visible(deleted, None).unwrap().values[1], Value::Int(5));
         // The extras index surfaces both; only the visible one returns.
-        let extras = snap.extras(1, &HashSet::new());
+        let extras = snap.extras(1, &HashSet::default());
         assert_eq!(extras.len(), 1);
         assert_eq!(extras[0].id, deleted);
     }

@@ -2,7 +2,7 @@
 //!
 //! Five rules, none expressible in clippy:
 //!
-//! * **`lockrank`** — every `Mutex`/`RwLock` declaration in the kernel
+//! * **`lockrank`** — every lock declaration in the kernel ([`LOCK_TYPES`])
 //!   carries a `// lockrank: <domain>.<n>` annotation naming its place in
 //!   the canonical hierarchy ([`ranks`]); within a function, nested
 //!   `.lock()`/`.read()`/`.write()` acquisitions must be rank-ascending
@@ -60,6 +60,11 @@ const ALLOW_CEILING_LINE: u32 = line!() - 1;
 /// Most kernel `pub fn`s without a non-test caller, allowed or not.
 pub const DEAD_SURFACE_CEILING: usize = 11;
 const DEAD_SURFACE_CEILING_LINE: u32 = line!() - 1;
+
+/// The vendored parking_lot lock types whose declarations need a rank.
+/// A `ShardedLock` write locks every stripe, but is one acquisition of
+/// its one rank, like a read of one stripe.
+pub const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "ShardedLock"];
 
 /// Lock-acquisition method names on the vendored parking_lot types.
 const ACQUIRE_FNS: &[&str] = &["lock", "try_lock", "read", "write", "read_arc", "write_arc"];
@@ -698,8 +703,9 @@ fn skip_call(tokens: &[Token], open: usize) -> usize {
 // Unannotated-declaration check
 // ---------------------------------------------------------------------------
 
-/// Every `name: …Mutex<…>`/`RwLock<…>` declaration (struct field or typed
-/// `let`) outside tests must carry a `lockrank:` annotation — the
+/// Every `name: …Mutex<…>` declaration, or of another of the
+/// [`LOCK_TYPES`] (struct field or typed `let`), outside tests must
+/// carry a `lockrank:` annotation — the
 /// annotation discipline rule 1's receiver resolution relies on.
 fn check_declarations(
     file: &Path,
@@ -710,7 +716,7 @@ fn check_declarations(
 ) {
     for i in 0..tokens.len() {
         let Tok::Ident(id) = &tokens[i].tok else { continue };
-        if id != "Mutex" && id != "RwLock" {
+        if !LOCK_TYPES.contains(&id.as_str()) {
             continue;
         }
         if !tokens.get(i + 1).is_some_and(|t| t.tok.is_punct('<')) {

@@ -6,14 +6,18 @@
 //! mutual safety is argued at the declaration site). The domain order is
 //! the PRIMA Fig. 3.1 layer order, top of the kernel first:
 //!
+//! A *reader-striped* lock (`parking_lot::ShardedLock`) has one reader
+//! lock per thread stripe: a read takes its thread's stripe, a write
+//! every stripe in index order. Either is one acquisition of its rank.
+//!
 //! | domain      | base | Fig. 3.1 layer        | locks |
 //! |-------------|------|-----------------------|-------|
 //! | `api`       |  10  | MAD interface         | session txn slot (.0), last-profile slot (.1), plan cache (.2) |
 //! | `txn`       |  20  | data system           | checkpoint gate (.0), active-txn table (.1) |
 //! | `locktable` |  30  | data system           | lock table entries + wait queues (.0) |
-//! | `mvcc`      |  40  | data system           | version store (.0) |
-//! | `access`    |  50  | access system         | structure directory (.0), registries (.1), tree roots (.2), grid files (.3) |
-//! | `buffer`    |  60  | storage system        | shard latches / frame locks / record-file maps (.0), address + key maps (.1) |
+//! | `mvcc`      |  40  | data system           | version store (.0), snapshot-registry slots, one per thread stripe (.1) |
+//! | `access`    |  50  | access system         | structure directory, reader-striped (.0), registries (.1), tree roots (.2), grid files (.3) |
+//! | `buffer`    |  60  | storage system        | shard latches / frame locks / record-file maps (.0), address + key maps, reader-striped (.1) |
 //! | `walgroup`  |  70  | storage system (WAL)  | group-commit coordinator (.0) |
 //! | `walio`     |  80  | storage system (WAL)  | device-append serialisation (.0), append buffer (.1) |
 //! | `storage`   |  90  | storage system        | segment-id allocator (.0), segment catalog (.1) |

@@ -36,6 +36,24 @@ fn rank_inversion_fires_once() {
 }
 
 #[test]
+fn unannotated_sharded_lock_fires_once() {
+    check("sharded_lock.rs", Rule::LockRank);
+    let findings = analyze_fixture("sharded_lock.rs");
+    assert!(findings[0].message.contains("`keys`"), "{findings:#?}");
+    // Its acquisitions are ranked like any lock's: taking the directory
+    // (access) while holding the address table (buffer) inverts.
+    let (path, src) = fixture("sharded_lock.rs");
+    let inverted = src.replace(
+        "let d = self.directory.read();\n        // access (50) then buffer (61): ascending.\n        let mut a = self.addresses.write();",
+        "let mut a = self.addresses.write();\n        let d = self.directory.read();",
+    );
+    assert_ne!(inverted, src, "the fixture's acquisition order changed");
+    let findings = analyze_file(&path, &inverted, &collect_result_fns(&[]));
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+    assert!(findings.iter().any(|f| f.message.contains("directory")), "{findings:#?}");
+}
+
+#[test]
 fn lock_across_io_fires_once() {
     check("lock_across_io.rs", Rule::LockAcrossIo);
 }

@@ -51,13 +51,16 @@
 //!   to 1, and it holds the latch, so a frame that victim selection reads
 //!   as unfixed under the latch stays unfixed until the latch is released.
 //! * **Eviction** (`make_room`, under the latch): the victim is written
-//!   back if it is dirty, then kept as a spare if nothing else holds it
-//!   (its `Arc` is unique: no guard between its decrement and its drop,
-//!   no flush writing it back). The spare list holds at most
-//!   `SPARE_FRAMES` (4) frames per shard, outside the byte budget; a full
-//!   list frees its oldest frame. A frame is reset when it is installed
-//!   again: fix count 1, recovery LSN 0, and the dirty bit lives in the
-//!   table, never in the frame.
+//!   back if it is dirty — or if a running flush marked it clean and has
+//!   not written it yet (evicted unwritten, the page would be read back
+//!   stale from the device; that flush then skips the frame, whose copy
+//!   may by then be older than the device's) — then kept as a spare if
+//!   nothing else holds it (its `Arc` is unique: no guard between its
+//!   decrement and its drop, no flush writing it back). The spare list
+//!   holds at most `SPARE_FRAMES` (4) frames per shard, outside the byte
+//!   budget; a full list frees its oldest frame. A frame is reset when it
+//!   is installed again: fix count 1, recovery LSN 0, resident, and the
+//!   dirty bit lives in the table, never in the frame.
 //! * [`BufferManager::fix_new`] takes a spare too and reformats it
 //!   (zero-filled, then a fresh header). Frames that leave through
 //!   [`BufferManager::discard`] or [`BufferManager::evict_all`] are freed.
@@ -85,7 +88,7 @@ use crate::wal::{DeltaRange, Lsn, Wal, WalPayload, DELTA_RANGE_HEADER};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::{rank, Mutex, RawRwLock, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where the buffer loads and stores pages. Implemented by the storage
@@ -163,6 +166,11 @@ struct Frame {
     /// invariant: the frame must not be stored while
     /// `recovery_lsn > wal.flushed_lsn()`.
     recovery_lsn: AtomicU64,
+    /// Whether the frame is in its shard's table; set and cleared under
+    /// the shard latch. A flush skips a frame that has left: its page
+    /// was written back by the eviction (or freed), and may since have
+    /// been read into another frame, changed and written again.
+    resident: AtomicBool,
 }
 
 type FrameRef = Arc<Frame>;
@@ -173,6 +181,7 @@ fn new_frame(page: Page) -> FrameRef {
         page: RwLock::new_ranked(page, rank::BUFFER),
         fix_count: AtomicU32::new(0),
         recovery_lsn: AtomicU64::new(0),
+        resident: AtomicBool::new(false),
     })
 }
 
@@ -198,6 +207,9 @@ struct FrameMeta {
     id: PageId,
     frame: FrameRef,
     dirty: bool,
+    /// Marked clean by a running [`BufferManager::flush_all`] that has
+    /// not written it back yet: clean to a fixer, dirty to an eviction.
+    flushing: bool,
     size: PageSize,
     /// Intrusive LRU links: arena indices of the neighbouring frames
     /// (towards LRU / towards MRU); `NIL` at the list ends.
@@ -261,6 +273,11 @@ impl PoolInner {
     fn get(&self, id: PageId) -> Option<&FrameMeta> {
         let slot = *self.index.get(&id)?;
         self.arena[slot].as_ref()
+    }
+
+    fn get_mut(&mut self, id: PageId) -> Option<&mut FrameMeta> {
+        let slot = *self.index.get(&id)?;
+        self.arena[slot].as_mut()
     }
 
     fn resident(&self) -> usize {
@@ -332,7 +349,9 @@ impl PoolInner {
     fn insert_frame(&mut self, id: PageId, frame: FrameRef, dirty: bool, size: PageSize) {
         frame.fix_count.store(1, Ordering::Relaxed);
         frame.recovery_lsn.store(0, Ordering::Relaxed);
-        let meta = FrameMeta { id, frame, dirty, size, lru_prev: NIL, lru_next: NIL };
+        frame.resident.store(true, Ordering::Relaxed);
+        let meta =
+            FrameMeta { id, frame, dirty, flushing: false, size, lru_prev: NIL, lru_next: NIL };
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.arena[s] = Some(meta);
@@ -358,6 +377,7 @@ impl PoolInner {
         self.lru_unlink(slot);
         // lint: allow(error-hygiene, callers pass slots they just found in the page index)
         let meta = self.arena[slot].take().expect("indexed slot occupied");
+        meta.frame.resident.store(false, Ordering::Relaxed);
         self.free_slots.push(slot);
         self.used_bytes -= meta.size.bytes();
         if meta.dirty {
@@ -539,7 +559,7 @@ impl BufferManager {
     /// buffer and allows shared access.
     pub fn fix(&self, id: PageId) -> StorageResult<PageGuard> {
         probe::observed(SpanKind::BufferFix, || {
-            self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
+            self.stats.fix_calls.add(1);
             let frame = self.fix_frame(id, false)?;
             let lock = frame.page.read_arc();
             Ok(PageGuard { lock: Some(lock), frame, id })
@@ -549,7 +569,7 @@ impl BufferManager {
     /// Fixes a page for update. Exclusive; the frame is marked dirty.
     pub fn fix_mut(&self, id: PageId) -> StorageResult<PageGuardMut> {
         probe::observed(SpanKind::BufferFix, || {
-            self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
+            self.stats.fix_calls.add(1);
             let frame = self.fix_frame(id, true)?;
             let lock = frame.page.write_arc();
             // A page with a record in the log changes by delta: keep its
@@ -571,7 +591,7 @@ impl BufferManager {
     /// device, and returns it fixed for update.
     pub fn fix_new(&self, id: PageId, ptype: PageType) -> StorageResult<PageGuardMut> {
         let leaf = probe::leaf(SpanKind::BufferFix);
-        self.stats.fix_calls.fetch_add(1, Ordering::Relaxed);
+        self.stats.fix_calls.add(1);
         let size = self.store.page_size_of(id.segment)?;
         let (frame, resident) = {
             let mut inner = self.shard(id).lock();
@@ -583,7 +603,7 @@ impl BufferManager {
                         Some(spare) => {
                             // A spare is held by no one else: its lock is free.
                             spare.page.write().reformat(id, ptype);
-                            self.stats.frames_reused.fetch_add(1, Ordering::Relaxed);
+                            self.stats.frames_reused.add(1);
                             spare
                         }
                         None => new_frame(Page::new(id, size, ptype)),
@@ -619,25 +639,47 @@ impl BufferManager {
 
     /// Writes every dirty page back to the store; the pool keeps its
     /// contents (a checkpoint, not a shutdown).
+    ///
+    /// An unfixed page is marked clean when it is collected, so a change
+    /// made while the flush runs marks it dirty again; a fixed one stays
+    /// dirty. Either stays `flushing` until written: an eviction in
+    /// between writes it back itself rather than dropping the only
+    /// current copy, and the flush then skips it.
     pub fn flush_all(&self) -> StorageResult<()> {
         for shard in &self.shards {
-            let dirty: Vec<FrameRef> = {
+            let dirty: Vec<(PageId, FrameRef)> = {
                 let mut inner = shard.lock();
                 if inner.dirty_count == 0 {
                     continue;
                 }
                 let mut v = Vec::new();
+                let mut still_dirty = 0;
                 for m in inner.frames_mut() {
                     if m.dirty {
-                        m.dirty = false;
-                        v.push(Arc::clone(&m.frame));
+                        // A fixed page may have an update guard between
+                        // its fix, which set the bit, and its change,
+                        // which can land after this flush's write.
+                        if m.frame.is_fixed() {
+                            still_dirty += 1;
+                        } else {
+                            m.dirty = false;
+                        }
+                        m.flushing = true;
+                        v.push((m.id, Arc::clone(&m.frame)));
                     }
                 }
-                inner.dirty_count = 0;
+                inner.dirty_count = still_dirty;
                 v
             };
-            for frame in &dirty {
+            let mut done = 0;
+            let outcome = dirty.iter().try_for_each(|(_, frame)| {
                 let mut page = frame.page.write();
+                // Evicted meanwhile: written back then, and this copy may
+                // be older than what the device holds now.
+                if !frame.resident.load(Ordering::Relaxed) {
+                    done += 1;
+                    return Ok(());
+                }
                 // WAL before data, checked *under* the frame's write
                 // lock: a concurrent updater either finished before we
                 // acquired it (its page image is already appended, the
@@ -649,8 +691,20 @@ impl BufferManager {
                     wal.force()?;
                 }
                 self.store.store(&mut page)?;
-                self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                self.stats.writebacks.add(1);
+                done += 1;
+                Ok(())
+            });
+            // A frame the flush failed to write stays `flushing`, so an
+            // eviction still writes it back.
+            let mut inner = shard.lock();
+            for (id, frame) in &dirty[..done] {
+                if let Some(m) = inner.get_mut(*id).filter(|m| Arc::ptr_eq(&m.frame, frame)) {
+                    m.flushing = false;
+                }
             }
+            drop(inner);
+            outcome?;
         }
         Ok(())
     }
@@ -675,7 +729,7 @@ impl BufferManager {
         let (mut since, size, spare) = {
             let mut inner = shard.lock();
             if let Some(frame) = inner.fix_resident(id, for_update) {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits.add(1);
                 return Ok(frame);
             }
             let size = self.store.page_size_of(id.segment)?;
@@ -685,7 +739,7 @@ impl BufferManager {
         let frame = spare.unwrap_or_else(|| new_frame(Page::new(id, size, PageType::Free)));
         loop {
             // Miss: load from device outside the pool latch, then install.
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            self.stats.misses.add(1);
             {
                 // Until it is installed the frame is this thread's alone,
                 // so its lock blocks no one while the device reads.
@@ -695,7 +749,7 @@ impl BufferManager {
                     self.store.load_into(id, size, block)
                 })?;
             }
-            self.stats.pages_loaded.fetch_add(1, Ordering::Relaxed);
+            self.stats.pages_loaded.add(1);
             let mut inner = shard.lock();
             if let Some(installed) = inner.fix_resident(id, for_update) {
                 // Someone installed it while we were loading.
@@ -712,7 +766,7 @@ impl BufferManager {
             }
             self.make_room(&mut inner, size.bytes())?;
             if reused {
-                self.stats.frames_reused.fetch_add(1, Ordering::Relaxed);
+                self.stats.frames_reused.add(1);
             }
             inner.insert_frame(id, Arc::clone(&frame), for_update, size);
             return Ok(frame);
@@ -735,8 +789,8 @@ impl BufferManager {
             };
             // lint: allow(error-hygiene, the victim id was read from the resident map under this same shard latch)
             let meta = inner.remove_frame(vid).expect("victim resident");
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            if meta.dirty {
+            self.stats.evictions.add(1);
+            if meta.dirty || meta.flushing {
                 // WAL before data (steal policy: uncommitted changes may
                 // be evicted, their undo records are already logged).
                 if let Some(wal) = &self.wal {
@@ -746,7 +800,7 @@ impl BufferManager {
                 }
                 let mut page = meta.frame.page.write();
                 self.store.store(&mut page)?;
-                self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                self.stats.writebacks.add(1);
             }
             inner.keep_spare(meta.size, meta.frame);
         }
@@ -1100,6 +1154,90 @@ mod tests {
         assert!(buf.is_resident(id(0, 0)));
         let p = (Arc::clone(&store) as Arc<dyn PageStore>).load(id(0, 0)).unwrap();
         assert_eq!(p.payload(), b"checkpointed");
+    }
+
+    /// A flush marks the pages it collected clean before it writes them.
+    /// An eviction in that window must still write such a page back:
+    /// evicted unwritten, the page is read back stale from the device by
+    /// the next miss (here: never written at all, so it fails its check).
+    #[test]
+    fn eviction_during_a_flush_writes_the_collected_page_back() {
+        let store = TestStore::new(&[PageSize::Half]);
+        let buf = BufferManager::new(store, 2 * 512);
+        for (p, text) in [(0, &b"zero"[..]), (1, &b"one"[..])] {
+            buf.fix_new(id(0, p), PageType::Data).unwrap().write_payload(text).unwrap();
+        }
+        drop(buf.fix(id(0, 0)).unwrap()); // page 1 becomes the LRU victim
+        // The flush writes page 0 first and waits for its lock, held here.
+        let held = buf.fix(id(0, 0)).unwrap();
+        std::thread::scope(|s| {
+            let flush = s.spawn(|| buf.flush_all());
+            let collected = || buf.shard(id(0, 1)).lock().get(id(0, 1)).is_some_and(|m| !m.dirty);
+            while !collected() {
+                std::thread::yield_now();
+            }
+            // Page 1 is collected but not yet written: evict it, read it back.
+            drop(buf.fix_new(id(0, 2), PageType::Data).unwrap());
+            assert!(!buf.is_resident(id(0, 1)));
+            assert_eq!(buf.fix(id(0, 1)).unwrap().payload(), b"one");
+            drop(held);
+            flush.join().unwrap().unwrap();
+        });
+        assert_eq!(buf.fix(id(0, 0)).unwrap().payload(), b"zero");
+    }
+
+    /// A flush that reaches a collected page only after it was evicted,
+    /// read back, changed and written again must not store its older
+    /// copy over the device's newer one.
+    #[test]
+    fn a_flush_skips_a_page_evicted_since_it_was_collected() {
+        let store = TestStore::new(&[PageSize::Half]);
+        let buf = BufferManager::new(store, 2 * 512);
+        for (p, text) in [(0, &b"zero"[..]), (1, &b"one v1"[..])] {
+            buf.fix_new(id(0, p), PageType::Data).unwrap().write_payload(text).unwrap();
+        }
+        drop(buf.fix(id(0, 0)).unwrap()); // page 1 becomes the LRU victim
+        let held = buf.fix(id(0, 0)).unwrap(); // the flush waits here first
+        std::thread::scope(|s| {
+            let flush = s.spawn(|| buf.flush_all());
+            let collected = || buf.shard(id(0, 1)).lock().get(id(0, 1)).is_some_and(|m| !m.dirty);
+            while !collected() {
+                std::thread::yield_now();
+            }
+            // Page 1 leaves, comes back, changes and leaves again.
+            drop(buf.fix_new(id(0, 2), PageType::Data).unwrap());
+            buf.fix_mut(id(0, 1)).unwrap().write_payload(b"one v2").unwrap();
+            drop(buf.fix_new(id(0, 3), PageType::Data).unwrap());
+            assert!(!buf.is_resident(id(0, 1)));
+            drop(held);
+            flush.join().unwrap().unwrap();
+        });
+        assert_eq!(buf.fix(id(0, 1)).unwrap().payload(), b"one v2");
+    }
+
+    /// A page fixed while a flush collects it stays dirty: the guard may
+    /// be an update guard whose change lands after the flush's write,
+    /// and an eviction must then write that change back.
+    #[test]
+    fn a_page_fixed_during_a_flush_stays_dirty() {
+        let store = TestStore::new(&[PageSize::Half]);
+        let buf = BufferManager::new(store, 2 * 512);
+        buf.fix_new(id(0, 0), PageType::Data).unwrap().write_payload(b"v1").unwrap();
+        let meta = |f: fn(&FrameMeta) -> bool| buf.shard(id(0, 0)).lock().get(id(0, 0)).is_some_and(f);
+        let held = buf.fix(id(0, 0)).unwrap(); // the flush waits for its lock
+        std::thread::scope(|s| {
+            let flush = s.spawn(|| buf.flush_all());
+            while !meta(|m| m.flushing) {
+                std::thread::yield_now();
+            }
+            assert!(meta(|m| m.dirty), "collected while fixed, still dirty");
+            drop(held);
+            flush.join().unwrap().unwrap();
+        });
+        assert!(meta(|m| m.dirty && !m.flushing), "written, and still dirty");
+        drop(buf.fix(id(0, 0)).unwrap()); // unfixed now: the next flush cleans it
+        buf.flush_all().unwrap();
+        assert!(meta(|m| !m.dirty));
     }
 
     #[test]

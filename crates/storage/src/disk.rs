@@ -167,21 +167,21 @@ impl Accounting {
         let seek = self.arm.swap(next, Ordering::Relaxed) != arm_at(addr.file, addr.block);
         let s = &self.stats;
         if seek {
-            s.add(&s.seeks, 1);
+            s.seeks.add(1);
         }
         let bytes = blocks * block_len as u64;
         if write {
-            s.add(&s.block_writes, blocks);
-            s.add(&s.bytes_written, bytes);
+            s.block_writes.add(blocks);
+            s.bytes_written.add(bytes);
         } else {
-            s.add(&s.block_reads, blocks);
-            s.add(&s.bytes_read, bytes);
+            s.block_reads.add(blocks);
+            s.bytes_read.add(bytes);
         }
         if chained {
-            s.add(&s.chained_runs, 1);
-            s.add(&s.chained_blocks, blocks);
+            s.chained_runs.add(1);
+            s.chained_blocks.add(blocks);
         }
-        s.add(&s.sim_time_ns, transfer_ns(seek, blocks, block_len as u64));
+        s.sim_time_ns.add(transfer_ns(seek, blocks, block_len as u64));
     }
 
     /// Accounts one WAL group append as a single sequential transfer to
@@ -191,11 +191,11 @@ impl Accounting {
     /// area, so the next data transfer seeks.
     pub(crate) fn log_append(&self, len: usize) {
         let s = &self.stats;
-        s.add(&s.seeks, 1);
-        s.add(&s.wal_forces, 1);
-        s.add(&s.wal_bytes, len as u64);
-        s.add(&s.bytes_written, len as u64);
-        s.add(&s.sim_time_ns, transfer_ns(true, 1, len as u64));
+        s.seeks.add(1);
+        s.wal_forces.add(1);
+        s.wal_bytes.add(len as u64);
+        s.bytes_written.add(len as u64);
+        s.sim_time_ns.add(transfer_ns(true, 1, len as u64));
         self.arm.store(NO_ARM, Ordering::Relaxed);
     }
 }

@@ -360,7 +360,9 @@ impl Drop for SpanGuard {
 /// thread-local recorder on [`Probe::start`], uninstalls it and yields
 /// the finished span tree on [`Probe::finish`]. Starting while another
 /// probe is active on the thread yields an inert handle (re-entrancy
-/// guard), so nested scopes attribute to the outermost statement.
+/// guard), so nested scopes attribute to the outermost statement. A
+/// probe dropped unfinished (an early return, a panic) uninstalls the
+/// recorder and discards its spans, so the thread's next probe records.
 pub struct Probe {
     active: bool,
 }
@@ -387,10 +389,12 @@ impl Probe {
 
     /// Ends recording and returns the root span (duration = `total`).
     /// An inert probe returns an empty root.
-    pub fn finish(self, total: Duration) -> Span {
+    pub fn finish(mut self, total: Duration) -> Span {
         if !self.active {
             return Span::new(SpanKind::Statement);
         }
+        // Disarm the drop: this call uninstalls the recorder itself.
+        self.active = false;
         ACTIVE.with(|a| a.set(false));
         let mut stack = STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
         // Close any frames a panic-free caller should already have
@@ -402,6 +406,15 @@ impl Probe {
         let mut root = stack.pop().map_or_else(|| Span::new(SpanKind::Statement), |f| f.span);
         root.nanos = total.as_nanos() as u64;
         root
+    }
+}
+
+impl Drop for Probe {
+    fn drop(&mut self) {
+        if self.active {
+            ACTIVE.with(|a| a.set(false));
+            STACK.with(|s| s.borrow_mut().clear());
+        }
     }
 }
 
@@ -453,6 +466,25 @@ mod tests {
         assert!(empty.children.is_empty());
         assert!(active(), "inner finish must not tear down the outer session");
         outer.finish(Duration::ZERO);
+        assert!(!active());
+    }
+
+    /// A probe dropped without `finish` must not leave the recorder
+    /// installed: the thread's next probe records its spans.
+    #[test]
+    fn dropped_probe_does_not_silence_the_next_one() {
+        drop(Probe::start());
+        assert!(!active(), "the drop uninstalled the recorder");
+        let probe = Probe::start();
+        assert!(probe.is_active());
+        span(SpanKind::Parse, || {});
+        let root = probe.finish(Duration::ZERO);
+        assert_eq!(root.children.len(), 1, "{root}");
+        // An inert (nested) probe's drop leaves the outer one alone.
+        let outer = Probe::start();
+        drop(Probe::start());
+        assert!(active());
+        drop(outer);
         assert!(!active());
     }
 

@@ -1,25 +1,72 @@
 //! Counter families, and I/O accounting.
 //!
 //! Every layer of the Fig. 3.1 stack reports through one *counter
-//! family*: a set of relaxed `AtomicU64`s bumped on its own hot paths
-//! (buffer and I/O here, access in `prima-access`, lock, version and API
-//! in `prima`). [`crate::counter_family!`] declares a family once and
+//! family*: a set of counters bumped on its own hot paths (buffer and
+//! I/O here, access in `prima-access`, lock, version and API in
+//! `prima`). [`crate::counter_family!`] declares a family once and
 //! generates the rest from that declaration; the kernel-wide metrics
 //! registry (`prima::MetricsSnapshot`) composes the six families.
 //! Counters only grow: a measurement is a `snapshot()` before, a
 //! `snapshot()` after and `since()` between them.
+//!
+//! # Striping
+//!
+//! A `counter` field is a [`Counter`]: [`STRIPES`] relaxed `AtomicU64`
+//! cells, one per thread stripe (`parking_lot::stripe`), each alone in a
+//! 128-byte [`CachePadded`] block. A bump writes only the calling
+//! thread's cell, so sessions on different cores bumping the same
+//! counter write no common cache line; reading a counter sums its cells.
+//! The block is 128 bytes, not 64, because adjacent-line prefetching
+//! moves lines in pairs: two cells sharing a 128-byte pair still bounce
+//! between cores. A `gauge` field (a current level or a running maximum)
+//! stays one `AtomicU64` — it is not a sum — and is off the read path.
+//! Summing the cells of a counter that other threads are bumping gives
+//! a value between the counts before and after those bumps, as one
+//! relaxed load did; on a quiesced kernel it is exact.
 //!
 //! The PRIMA paper's storage-system arguments (page sizes, page sequences,
 //! chained I/O, clustering) are all arguments about *how many* and *which*
 //! block transfers a given operation causes. [`IoStats`] is the measuring
 //! instrument: threaded through the block devices.
 
+use parking_lot::{stripe, CachePadded, STRIPES};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Declares one counter family: the atomic struct, its `Copy` snapshot
+/// A monotone count striped over per-thread cells (module docs,
+/// *Striping*): [`Counter::add`] writes the calling thread's cell,
+/// [`Counter::get`] sums them.
+#[derive(Default)]
+pub struct Counter {
+    cells: [CachePadded<AtomicU64>; STRIPES],
+}
+
+impl Counter {
+    /// Adds `n` to the calling thread's cell.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.cells[stripe()].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The count: the sum of every thread's cell.
+    pub fn get(&self) -> u64 {
+        self.cells.iter().fold(0u64, |sum, c| sum.wrapping_add(c.load(Ordering::Relaxed)))
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// Declares one counter family: the counter struct, its `Copy` snapshot
 /// struct, and from the one field list
 ///
-/// * `snapshot()` — relaxed loads into the snapshot struct;
+/// * the fields — a `counter` field is a striped [`Counter`], a `gauge`
+///   field one `AtomicU64`;
+/// * `snapshot()` — each counter's sum and each gauge's relaxed load,
+///   into the snapshot struct;
 /// * `since(&earlier)` — the delta: a `counter` field subtracts
 ///   (saturating at zero), a `gauge` field (a current level or a running
 ///   maximum) keeps its current value;
@@ -53,7 +100,7 @@ macro_rules! counter_family {
         $(#[$meta])*
         #[derive(Debug, Default)]
         $vis struct $stats {
-            $( $(#[$fmeta])* pub $field: ::std::sync::atomic::AtomicU64, )*
+            $( $(#[$fmeta])* pub $field: $crate::counter_family!(@type $kind), )*
         }
 
         #[doc = concat!("Point-in-time copy of [`", stringify!($stats), "`].")]
@@ -68,7 +115,7 @@ macro_rules! counter_family {
             /// operation under measurement.
             pub fn snapshot(&self $($(, $sfield: u64)*)?) -> $snap {
                 $snap {
-                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
+                    $( $field: $crate::counter_family!(@load $kind self.$field), )*
                     $($( $sfield, )*)?
                 }
             }
@@ -102,6 +149,10 @@ macro_rules! counter_family {
             }
         }
     };
+    (@type counter) => { $crate::stats::Counter };
+    (@type gauge) => { ::std::sync::atomic::AtomicU64 };
+    (@load counter $cell:expr) => { $cell.get() };
+    (@load gauge $cell:expr) => { $cell.load(::std::sync::atomic::Ordering::Relaxed) };
     (@since counter $now:expr, $then:expr) => { $now.saturating_sub($then) };
     (@since gauge $now:expr, $then:expr) => { $now };
 }
@@ -150,10 +201,6 @@ impl IoStats {
     pub fn new_shared() -> Arc<Self> {
         Arc::new(Self::default())
     }
-
-    pub(crate) fn add(&self, field: &std::sync::atomic::AtomicU64, n: u64) {
-        field.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -175,16 +222,43 @@ mod tests {
     #[test]
     fn snapshot_diff() {
         let s = IoStats::default();
-        s.add(&s.block_reads, 5);
-        s.add(&s.bytes_read, 5 * 4096);
+        s.block_reads.add(5);
+        s.bytes_read.add(5 * 4096);
         let a = s.snapshot();
-        s.add(&s.block_reads, 3);
-        s.add(&s.seeks, 1);
+        s.block_reads.add(3);
+        s.seeks.add(1);
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.block_reads, 3);
         assert_eq!(d.seeks, 1);
         assert_eq!(d.bytes_read, 0);
+    }
+
+    /// Four threads bump one counter, each on its own stripe (or a
+    /// shared one): the sum and the delta are exact once they are done.
+    #[test]
+    fn striped_counter_sums_every_thread_exactly() {
+        let s = Arc::new(TestStats::default());
+        s.done.add(7);
+        let before = s.snapshot(0);
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for _ in 0..100_000 {
+                        s.done.add(1);
+                    }
+                    s.level.fetch_max(9, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let after = s.snapshot(0);
+        assert_eq!(after.done, 400_007);
+        assert_eq!(after.since(&before).done, 400_000);
+        assert_eq!(after.level, 9, "a gauge is one atomic, not a sum");
     }
 
     #[test]
@@ -208,7 +282,7 @@ mod tests {
     #[test]
     fn field_list_and_rendering_follow_declaration_order() {
         let s = TestStats::default();
-        s.done.fetch_add(4, std::sync::atomic::Ordering::Relaxed);
+        s.done.add(4);
         let snap = s.snapshot(6);
         let fields: Vec<_> = snap.fields().collect();
         assert_eq!(fields, [("done", 4), ("level", 0), ("bytes", 0), ("computed", 6)]);

@@ -404,8 +404,8 @@ impl Wal {
         self.device.wal_append(batch)?;
         if commits > 0 {
             let stats = self.device.stats();
-            stats.add(&stats.group_commit_batches, 1);
-            stats.add(&stats.group_commit_commits, commits);
+            stats.group_commit_batches.add(1);
+            stats.group_commit_commits.add(commits);
         }
         leaf.finish(batch.len() as u64);
         Ok(())

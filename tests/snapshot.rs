@@ -17,7 +17,8 @@
 //! * a long-running cursor keeps one stable snapshot across concurrent
 //!   commits;
 //! * version GC never reclaims a version still visible to an open
-//!   snapshot, and reclaims promptly once the snapshot closes.
+//!   snapshot, and reclaims promptly once the snapshot closes — also
+//!   while many threads register snapshots concurrently with commits.
 //!
 //! The locking counterparts (readers *inside* transactions conflicting
 //! with writers) live in `tests/isolation.rs` / `tests/contention.rs`.
@@ -432,4 +433,67 @@ fn snapshot_root_access_races_a_delete_rollback_writer() {
         drop(reader_done);
         assert!(writer.join().unwrap() > 0, "the writer ran");
     });
+}
+
+/// Snapshot registration is per-thread (a slot per thread stripe, not
+/// the store's mutex), so it races GC from every side at once: a writer
+/// keeps rewriting two atoms in one transaction — each commit publishes
+/// a new position and reclaims — while three readers pin and release
+/// snapshots as fast as they can. The two atoms are a molecule's root
+/// and its component, read at different times by one snapshot; both
+/// must show one commit's version (a reader registered too late for GC
+/// to count it would meet a reclaimed entry and read the component's
+/// newer base). Once every snapshot has closed, no version survives.
+#[test]
+fn concurrent_snapshot_registration_never_sees_a_torn_commit() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let db = db();
+    let pt = db.insert("pt", &[("n", Value::Int(1)), ("label", Value::Str("v0".into()))]).unwrap();
+    let part = db
+        .insert(
+            "part",
+            &[
+                ("part_no", Value::Int(1)),
+                ("name", Value::Str("v0".into())),
+                ("pts", Value::ref_set(vec![pt])),
+            ],
+        )
+        .unwrap();
+    let done = AtomicBool::new(false);
+    let reads = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    let session = db.session();
+                    let mut reads = 0u64;
+                    while !done.load(Ordering::Relaxed) || reads == 0 {
+                        let got = session
+                            .query("SELECT ALL FROM part-pt WHERE part_no = 1", &QueryOptions::new())
+                            .unwrap();
+                        let root = &got.set.molecules[0].root;
+                        assert_eq!(root.children.len(), 1, "the component is visible");
+                        let (name, label) = (&root.atom.values[2], &root.children[0].atom.values[2]);
+                        assert_eq!(name, label, "one commit, one version");
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+        let writer = db.session();
+        for round in 1..=300 {
+            let v = Value::Str(format!("v{round}"));
+            writer.begin().unwrap();
+            writer.modify_atom_named(part, &[("name", v.clone())]).unwrap();
+            writer.modify_atom_named(pt, &[("label", v)]).unwrap();
+            writer.commit().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        readers.into_iter().map(|r| r.join().unwrap()).sum::<u64>()
+    });
+    assert!(reads >= 3, "every reader ran");
+    let version = db.metrics().version;
+    assert_eq!(version.live_versions, 0, "all snapshots closed: {version:?}");
+    assert_eq!(version.live_chains, 0);
+    assert_eq!(version.oldest_snapshot_lag, 0);
 }
