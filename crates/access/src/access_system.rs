@@ -85,9 +85,29 @@ fn before(pre: OnPreWrite<'_>, w: PreWrite<'_>) -> AccessResult<()> {
     pre.map_or(Ok(()), |f| f(w))
 }
 
-/// Primary-read requests of one batch that share a data page:
-/// `((atom type, page), [(position in the batch, slot)])`.
-type PageGroup = ((AtomTypeId, u32), Vec<(usize, u16)>);
+/// The grouping scratch of [`AccessSystem::read_atoms_batch_into`]: one
+/// per thread, taken for a batch and given back, so a batch allocates
+/// nothing once its thread's scratch has grown to the batch's size.
+#[derive(Default)]
+struct BatchScratch {
+    /// The batch's distinct `(atom type, page)` keys, in order of first
+    /// request: a page group is an index into it.
+    pages: Vec<(AtomTypeId, u32)>,
+    /// `pages` by key, for batches too large to probe linearly.
+    page_index: HashMap<(AtomTypeId, u32), u32>,
+    /// `(page group, position in the batch, slot)` per request with an
+    /// address, sorted by group and position.
+    entries: Vec<(u32, u32, u16)>,
+    /// The slots of the page group being read.
+    slots: Vec<u16>,
+    /// Positions whose slot was freed or reused since the address table
+    /// was read.
+    reread: Vec<usize>,
+}
+
+thread_local! {
+    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
+}
 
 /// Per-atom-type base storage.
 struct TypeStore {
@@ -513,49 +533,53 @@ impl AccessSystem {
                 *err_slot = Some((i, e));
             }
         };
-        // (atom type, page) -> positions in `ids` + their slots, built in
-        // input order so per-page decode order is deterministic. Typical
-        // batches touch few distinct pages (linear probe); large scattered
-        // batches switch to a hashed index to stay linear overall.
-        let mut groups: Vec<PageGroup> = Vec::new();
-        let mut group_index: Option<HashMap<(AtomTypeId, u32), usize>> =
-            (ids.len() > 64).then(HashMap::new);
+        // Taken, not borrowed, so that no path can borrow it twice.
+        let mut scratch = BATCH_SCRATCH.with_borrow_mut(std::mem::take);
+        let BatchScratch { pages, page_index, entries, slots, reread } = &mut scratch;
+        // Every request with an address joins the group of its (atom
+        // type, page). Typical batches touch few distinct pages (linear
+        // probe); large scattered batches switch to a hashed index to
+        // stay linear overall.
+        let hashed = ids.len() > 64;
         let primaries = self.addresses.primaries();
         for (i, &id) in ids.iter().enumerate() {
             // Unknown atom: a hole.
             let Some(ptr) = primaries.get(id) else { continue };
             let key = (id.atom_type, ptr.page);
-            let slot = match &mut group_index {
-                Some(index) => index.get(&key).copied(),
-                None => groups.iter().position(|(k, _)| *k == key),
+            let found = if hashed {
+                page_index.get(&key).copied()
+            } else {
+                pages.iter().position(|k| *k == key).map(|g| g as u32)
             };
-            match slot {
-                Some(g) => groups[g].1.push((i, ptr.slot)),
-                None => {
-                    if let Some(index) = &mut group_index {
-                        index.insert(key, groups.len());
-                    }
-                    groups.push((key, vec![(i, ptr.slot)]));
+            let group = found.unwrap_or_else(|| {
+                pages.push(key);
+                let g = pages.len() as u32 - 1;
+                if hashed {
+                    page_index.insert(key, g);
                 }
-            }
+                g
+            });
+            entries.push((group, i as u32, ptr.slot));
         }
         drop(primaries);
+        // By page in order of first request, then by position: per-page
+        // decode order is deterministic, and the first failure within a
+        // group is its lowest position.
+        entries.sort_unstable();
         self.stats.batch_reads.add(1);
         self.stats.batch_atoms.add(ids.len() as u64);
-        self.stats.batch_pages.add(groups.len() as u64);
-        // Positions whose slot was freed or reused since the address
-        // table was read: re-read one by one, as `read_primary` decides.
-        let mut reread = Vec::new();
+        self.stats.batch_pages.add(pages.len() as u64);
         let mut primary_hits = 0;
-        for ((atom_type, page), entries) in groups {
+        for group in entries.chunk_by(|a, b| a.0 == b.0) {
+            let (atom_type, page) = pages[group[0].0 as usize];
             let store = self.store_of(atom_type)?;
-            let slots: Vec<u16> = entries.iter().map(|(_, s)| *s).collect();
-            // Decode in place under the (single) page fix — no per-record
-            // byte-vector copy. Entries are position-ordered within the
-            // group, so the first failure here is the group's lowest.
-            let mut fail_pos = entries[0].0;
-            let read = store.file.read_batch_on_page_with(page, &slots, |k, bytes| {
-                let i = entries[k].0;
+            slots.clear();
+            slots.extend(group.iter().map(|&(_, _, slot)| slot));
+            // Decode in place under the (single) page fix: each record is
+            // copied once, into its atom's image.
+            let mut fail_pos = group[0].1 as usize;
+            let read = store.file.read_batch_on_page_with(page, slots, |k, bytes| {
+                let i = group[k].1 as usize;
                 fail_pos = i;
                 match bytes.map(Atom::decode).transpose()? {
                     Some(atom) if atom.id == ids[i] => {
@@ -574,13 +598,18 @@ impl AccessSystem {
             }
         }
         self.stats.primary_reads.add(primary_hits);
-        for i in reread {
+        for &i in reread.iter() {
             match self.read_atom(ids[i], projection) {
                 Ok(atom) => out[i] = Some(atom),
                 Err(AccessError::NoSuchAtom(_)) => {}
                 Err(e) => record_err(&mut first_err, i, e),
             }
         }
+        pages.clear();
+        page_index.clear();
+        entries.clear();
+        reread.clear();
+        BATCH_SCRATCH.with_borrow_mut(|kept| *kept = scratch);
         leaf.finish(ids.len() as u64);
         match first_err {
             Some((_, e)) => Err(e),

@@ -40,15 +40,22 @@
 //! an edge on two faces), so each molecule keeps a table of its atoms by
 //! id. A level fetches only the ids not yet in the table — each distinct
 //! atom is locked, read and snapshot-resolved once per molecule — and
-//! every position referencing it holds the same `Arc<Atom>`. Positions
-//! keep their own structure node, recursion level and ancestor chain.
+//! every position referencing it holds the same `Arc<Atom>`.
+//!
+//! The molecule is built in place: each level appends its positions to
+//! the [`Molecule`]'s flat position vector, parent by parent, so every
+//! position's children are one contiguous range of it
+//! ([`Molecule::children`]). What assembly returns is that vector; there
+//! is no second representation to fold it into. A position's recursion
+//! ancestors live beside it in the scratch, not in the molecule.
 //!
 //! Assembly decodes nothing: an atom arrives as its checked record image
 //! ([`prima_access::Values`]), and the frontier's references are read
 //! from the bytes ([`Atom::ref_ids`]). A value is decoded when someone
-//! reads it — a residual predicate, a projection, the caller. The
-//! table, arena and frontier buffers come from the session's
-//! [`AssemblyPool`], so repeated statements stop regrowing them.
+//! reads it — a residual predicate, a projection, the caller. The table,
+//! ancestor and frontier buffers come from the session's
+//! [`AssemblyPool`], so repeated statements stop regrowing them; the
+//! batch read groups its requests in scratch of its own.
 //!
 //! Cycle safety for recursive edges uses per-path ancestor chains
 //! (immutable linked lists shared across siblings), which reproduce the
@@ -136,8 +143,9 @@ pub(crate) fn process_root(
     // Cluster management: prefetch the whole cluster in one chained read
     // if one materialises this root's molecule.
     if let Some(ct) = clusters.iter().find(|ct| ct.contains(root.id)) {
-        for a in guard.prefetch_cluster(ct, root.id)? {
-            ctx.table.entry(a.id).or_insert(Some(a));
+        guard.prefetch_cluster(ct, root.id, &mut ctx.need, &mut ctx.resolved)?;
+        for a in ctx.resolved.drain(..).flatten() {
+            ctx.table.entry(a.id).or_insert_with(|| Some(Arc::new(a)));
         }
     }
     let molecule = assemble_frontier(sys, q, root, ctx, guard)?;
@@ -286,9 +294,12 @@ fn covering_partition<'s>(
 /// Assembly scratch: the buffers one molecule's assembly fills, kept
 /// across molecules (fan-out-1 molecules are dominated by allocation
 /// churn otherwise) and, through an [`AssemblyPool`], across statements.
+/// The molecule's positions are not among them: they are the result.
 #[derive(Default)]
 pub(crate) struct AssemblyCtx {
-    arena: Vec<PendingAtom>,
+    /// Each position's ancestor chain, by position (recursive
+    /// structures only).
+    ancestors: Vec<Option<Arc<AncestorChain>>>,
     frontier: Vec<usize>,
     next_frontier: Vec<usize>,
     requests: Vec<FetchRequest>,
@@ -320,7 +331,7 @@ impl AssemblyPool {
     fn with<R>(&self, f: impl FnOnce(&mut AssemblyCtx) -> R) -> R {
         let mut ctx = self.free.lock().pop().unwrap_or_default();
         let out = f(&mut ctx);
-        ctx.arena.clear();
+        ctx.ancestors.clear();
         ctx.table.clear();
         self.free.lock().push(ctx);
         out
@@ -346,21 +357,9 @@ fn chain_contains(chain: &Option<Arc<AncestorChain>>, id: AtomId) -> bool {
     false
 }
 
-/// A node of the in-progress molecule arena. Children of one parent are
-/// materialised consecutively (requests are gathered parent by parent),
-/// so they form the contiguous arena range
-/// `child_start..child_start + child_count` — in depth-first child order.
-struct PendingAtom {
-    node_idx: usize,
-    level: u32,
-    atom: Arc<Atom>,
-    child_start: usize,
-    child_count: usize,
-    ancestors: Option<Arc<AncestorChain>>,
-}
-
 /// One component fetch requested by the current frontier.
 struct FetchRequest {
+    /// The requesting position.
     parent: usize,
     child_node: usize,
     recursive: bool,
@@ -370,8 +369,10 @@ struct FetchRequest {
 
 /// Level-by-level vertical assembly: each round gathers every dependent
 /// `AtomId` referenced by the current frontier, resolves the ones not yet
-/// in `ctx.table` with one page-grouped batch read, then materialises the
-/// children and advances.
+/// in `ctx.table` with one page-grouped batch read, then appends the
+/// children to the molecule and advances. Requests are gathered parent by
+/// parent, so the children of one position are appended one after the
+/// other, as [`Molecule::push_child`] requires.
 fn assemble_frontier(
     sys: &AccessSystem,
     q: &ResolvedQuery,
@@ -380,17 +381,12 @@ fn assemble_frontier(
     guard: ReadGuard<'_>,
 ) -> PrimaResult<Molecule> {
     // Ancestor chains are only needed when the structure recurses.
-    let root_chain =
-        q.is_recursive().then(|| Arc::new(AncestorChain { id: root.id, parent: None }));
-    ctx.arena.clear();
-    ctx.arena.push(PendingAtom {
-        node_idx: 0,
-        level: 0,
-        atom: root,
-        child_start: 0,
-        child_count: 0,
-        ancestors: root_chain,
-    });
+    let recursive_structure = q.is_recursive();
+    ctx.ancestors.clear();
+    if recursive_structure {
+        ctx.ancestors.push(Some(Arc::new(AncestorChain { id: root.id, parent: None })));
+    }
+    let mut molecule = Molecule::new(MolAtom::new(0, 0, root));
     ctx.frontier.clear();
     ctx.frontier.push(0);
     let mut level_no = 0u32;
@@ -402,17 +398,17 @@ fn assemble_frontier(
         // order (edge order x reference order per parent).
         ctx.requests.clear();
         for &pi in &ctx.frontier {
-            let parent = &ctx.arena[pi];
+            let parent = molecule.position(pi);
             // Expansion edges: the node's children, plus its own incoming
             // edge re-applied when it recurses.
-            let node = &q.nodes[parent.node_idx];
-            let again = node.recursive.then_some(parent.node_idx);
+            let node = &q.nodes[parent.node];
+            let again = node.recursive.then_some(parent.node);
             for child_idx in node.children.iter().copied().chain(again) {
                 let child = &q.nodes[child_idx];
                 // Validation gives every non-root node an association.
                 let (Some(assoc), recursive) = (child.via, child.recursive) else { continue };
                 for id in parent.atom.ref_ids(assoc.from.attr) {
-                    if recursive && chain_contains(&parent.ancestors, id) {
+                    if recursive && chain_contains(&ctx.ancestors[pi], id) {
                         // Cycle guard for recursive structures ("solids are
                         // constructed using previously defined solids" — a
                         // cycle would be a modelling error, but the kernel
@@ -457,6 +453,7 @@ fn assemble_frontier(
             ctx.table.insert(id, atom.map(Arc::new));
         }
         ctx.next_frontier.clear();
+        molecule.reserve(ctx.requests.len());
         for r in ctx.requests.drain(..) {
             let atom = match ctx.table.get(&r.id) {
                 Some(Some(a)) => Arc::clone(a),
@@ -465,44 +462,20 @@ fn assemble_frontier(
                 // simply not part of the snapshot's molecule); skip.
                 _ => continue,
             };
-            let ancestors = if r.recursive {
-                Some(Arc::new(AncestorChain {
-                    id: r.id,
-                    parent: ctx.arena[r.parent].ancestors.clone(),
-                }))
-            } else {
-                ctx.arena[r.parent].ancestors.clone()
-            };
-            let child = ctx.arena.len();
-            ctx.arena.push(PendingAtom {
-                node_idx: r.child_node,
-                level: r.level,
-                atom,
-                child_start: 0,
-                child_count: 0,
-                ancestors,
-            });
-            let parent = &mut ctx.arena[r.parent];
-            if parent.child_count == 0 {
-                parent.child_start = child;
+            let child = molecule.push_child(r.parent, MolAtom::new(r.child_node, r.level, atom));
+            if recursive_structure {
+                let inherited = ctx.ancestors[r.parent].clone();
+                ctx.ancestors.push(if r.recursive {
+                    Some(Arc::new(AncestorChain { id: r.id, parent: inherited }))
+                } else {
+                    inherited
+                });
             }
-            debug_assert_eq!(parent.child_start + parent.child_count, child);
-            parent.child_count += 1;
             ctx.next_frontier.push(child);
         }
         std::mem::swap(&mut ctx.frontier, &mut ctx.next_frontier);
     }
-    Ok(Molecule::new(fold_arena(&ctx.arena, 0)))
-}
-
-/// Folds the assembly arena into the molecule tree (each parent's children
-/// occupy a contiguous arena range in depth-first child order).
-fn fold_arena(arena: &[PendingAtom], i: usize) -> MolAtom {
-    let a = &arena[i];
-    let mut out = MolAtom::new(a.node_idx, a.level, Arc::clone(&a.atom));
-    let (start, count) = (a.child_start, a.child_count);
-    out.children = (start..start + count).map(|c| fold_arena(arena, c)).collect();
-    out
+    Ok(molecule)
 }
 
 /// Residual predicate evaluation on one molecule. Non-root component
@@ -648,24 +621,29 @@ fn exists_atom(
 
 /// Applies per-node projections to one molecule. Returns `None` when a
 /// qualified projection on the *root* rejects the whole molecule. A
-/// `SELECT ALL` molecule is returned as assembled.
-fn apply_projection(q: &ResolvedQuery, m: Molecule) -> Option<Molecule> {
-    if q.select.per_node.iter().all(|p| matches!(p, NodeProjection::All)) {
+/// `SELECT ALL` molecule is returned as assembled. A qualified
+/// projection that rejects a component drops it with its subtree; the
+/// qualification sees the component as assembled, before any projection.
+fn apply_projection(q: &ResolvedQuery, mut m: Molecule) -> Option<Molecule> {
+    let per_node = &q.select.per_node;
+    if per_node.iter().all(|p| matches!(p, NodeProjection::All)) {
         return Some(m);
     }
-    fn project_node(q: &ResolvedQuery, mut ma: MolAtom) -> Option<MolAtom> {
-        if let Some(NodeProjection::Qualified { ssa, .. }) = q.select.per_node.get(ma.node) {
-            if !ssa.eval(&ma.atom) {
-                return None;
-            }
+    if per_node.iter().any(|p| matches!(p, NodeProjection::Qualified { .. })) {
+        let qualifies = |ma: &MolAtom| match per_node.get(ma.node) {
+            Some(NodeProjection::Qualified { ssa, .. }) => ssa.eval(&ma.atom),
+            _ => true,
+        };
+        if !m.retain(qualifies) {
+            return None;
         }
+    }
+    m.for_each_mut(|ma| {
         if let Some(kept) = q.kept.get(ma.node).and_then(Option::as_deref) {
             ma.atom = Arc::new(ma.atom.project(kept));
         }
-        ma.children = ma.children.into_iter().filter_map(|c| project_node(q, c)).collect();
-        Some(ma)
-    }
-    project_node(q, m.root).map(Molecule::new)
+    });
+    Some(m)
 }
 
 /// The atom type of plan node `node`.

@@ -625,8 +625,8 @@ impl<'a> ReadGuard<'a> {
     }
 
     /// Prefetches the atom cluster `ct` materialising `root`'s molecule
-    /// in one chained read: the visible members, each decoded once and
-    /// shared, ready to seed the molecule's decoded-atom table.
+    /// in one chained read: the visible members, ready to seed the
+    /// molecule's decoded-atom table.
     ///
     /// Locking: the first read discovers the membership but may see a
     /// concurrent writer's in-flight values. Every member is locked,
@@ -639,20 +639,30 @@ impl<'a> ReadGuard<'a> {
     /// members drop out). The chained read races concurrent writers
     /// without protection, so a failed read is a missed optimisation,
     /// not an error: assembly then fetches and resolves every component
-    /// itself.
+    /// itself. The members resolve as one batch ([`ReadGuard::resolve_all`]).
+    ///
+    /// `ids` and `members` are the caller's scratch: `members` ends up
+    /// with one entry per member, `None` where it is not visible.
     pub(crate) fn prefetch_cluster(
         &self,
         ct: &AtomClusterType,
         root: AtomId,
-    ) -> PrimaResult<Vec<Arc<Atom>>> {
-        let members = match self.inner {
+        ids: &mut Vec<AtomId>,
+        members: &mut Vec<Option<Atom>>,
+    ) -> PrimaResult<()> {
+        let read = match self.inner {
             GuardInner::Locking { .. } => {
                 self.lock_atoms(ct.read_all(root)?.iter().map(|a| a.id))?;
                 ct.read_all(root)?
             }
             GuardInner::Snapshot(_) => ct.read_all(root).unwrap_or_default(),
         };
-        Ok(members.into_iter().filter_map(|a| self.resolve(a.id, Some(a)).map(Arc::new)).collect())
+        ids.clear();
+        ids.extend(read.iter().map(|a| a.id));
+        members.clear();
+        members.extend(read.into_iter().map(Some));
+        self.resolve_all(ids, members);
+        Ok(())
     }
 
     /// Re-checks a root delivered earlier (a cursor's queued root) before

@@ -634,6 +634,10 @@ impl BufferManager {
             }
             inner.remove_frame(id);
         }
+        drop(inner);
+        if let Some(wal) = self.guard_wal(id) {
+            wal.forget_page(id);
+        }
         Ok(())
     }
 
@@ -869,7 +873,11 @@ impl RedoLog {
                 page.set_lsn(lsn);
                 lsn
             }
-            Err(_) => {
+            Err(e) => {
+                // Only builds that check lock ranks see this one: a change
+                // made on a stale frame is a kernel defect, stopped here,
+                // with the stack that made it, rather than at redo.
+                assert!(!matches!(e, StorageError::StaleDeltaBase { .. }), "{e}");
                 page.set_lsn(0);
                 Lsn::MAX
             }

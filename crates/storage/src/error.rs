@@ -44,6 +44,11 @@ pub enum StorageError {
     /// (its LSN is below the delta's): a record the page depends on is
     /// missing from the log.
     RedoBaseMismatch { page: PageRefDesc, lsn: u64, base_lsn: u64, page_lsn: u64 },
+    /// A page delta was appended on a base other than the LSN of the
+    /// page's last logged record: the change was made on a stale image
+    /// of the page. Checked at the append in builds that check lock
+    /// ranks (`parking_lot::RANK_CHECKS`).
+    StaleDeltaBase { page: PageRefDesc, base_lsn: u64, logged_lsn: u64 },
 }
 
 /// A plain (segment, page) pair for error reporting, avoiding a dependency
@@ -93,6 +98,11 @@ impl fmt::Display for StorageError {
                 f,
                 "redo: delta {lsn} on page {page} is based on LSN {base_lsn}, \
                  but the page is at LSN {page_lsn}"
+            ),
+            StorageError::StaleDeltaBase { page, base_lsn, logged_lsn } => write!(
+                f,
+                "wal: a delta on page {page} is based on LSN {base_lsn}, but the page's \
+                 last logged record is LSN {logged_lsn}: a change made on a stale frame"
             ),
         }
     }

@@ -61,6 +61,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::probe::{self, SpanKind};
 use parking_lot::{rank, Condvar, Mutex};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -162,6 +163,10 @@ struct WalBuf {
     /// `TxnCommit` records among `pending` — the group-commit batch size
     /// a lingering leader watches.
     pending_commits: u64,
+    /// The LSN of each live page's last record since the last
+    /// truncation, kept only in builds that check lock ranks: there a
+    /// delta must be based on it ([`StorageError::StaleDeltaBase`]).
+    page_lsns: HashMap<PageId, Lsn>,
 }
 
 /// Group-commit coordinator state, guarded by [`Wal::group`]. The
@@ -294,7 +299,12 @@ impl Wal {
         Arc::new(Wal {
             device,
             inner: Mutex::new_ranked(
-                WalBuf { pending: Vec::new(), buffered: first_lsn - 1, pending_commits: 0 },
+                WalBuf {
+                    pending: Vec::new(),
+                    buffered: first_lsn - 1,
+                    pending_commits: 0,
+                    page_lsns: HashMap::new(),
+                },
                 rank::WAL_IO + 1,
             ),
             io_lock: Mutex::new_ranked((), rank::WAL_IO),
@@ -322,7 +332,10 @@ impl Wal {
     /// Appends one record to the in-process group buffer and returns its
     /// LSN. Not durable until a force covers it. Fails fast on a
     /// poisoned log — buffering records that can never become durable
-    /// would only defer the error to commit time.
+    /// would only defer the error to commit time. In builds that check
+    /// lock ranks a page delta must also be based on its page's last
+    /// logged record, or it fails with [`StorageError::StaleDeltaBase`]
+    /// before it takes an LSN.
     ///
     /// The record is encoded straight into the buffer: the `[len][crc]`
     /// slot is reserved, the body written after it, and the slot filled
@@ -330,8 +343,17 @@ impl Wal {
     pub fn append(&self, payload: WalPayload<'_>) -> StorageResult<Lsn> {
         let leaf = probe::leaf(SpanKind::WalAppend);
         let is_commit = matches!(payload, WalPayload::TxnCommit { .. });
+        let logged_page = match payload {
+            WalPayload::PageImage { page, .. } | WalPayload::PageDelta { page, .. } => Some(page),
+            _ => None,
+        };
         let mut inner = self.inner.lock();
         self.check_poison()?;
+        if parking_lot::RANK_CHECKS {
+            if let WalPayload::PageDelta { page, base_lsn, .. } = payload {
+                Self::check_delta_base(&inner, page, base_lsn)?;
+            }
+        }
         // LSN assignment under the buffer lock: file order == LSN order.
         let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
         let buf = &mut inner.pending;
@@ -383,6 +405,9 @@ impl Wal {
         if is_commit {
             inner.pending_commits += 1;
         }
+        if let Some(page) = logged_page.filter(|_| parking_lot::RANK_CHECKS) {
+            inner.page_lsns.insert(page, lsn);
+        }
         drop(inner);
         leaf.finish(record_len as u64);
         if is_commit {
@@ -390,6 +415,27 @@ impl Wal {
             self.group_cv.notify_all();
         }
         Ok(lsn)
+    }
+
+    /// A delta on a page with a record since the last truncation must be
+    /// based on the page's last one. (A page without one, or freed since
+    /// its last one, has nothing in the log to compare with: its delta's
+    /// base is the page the checkpoint flushed.)
+    fn check_delta_base(inner: &WalBuf, page: PageId, base_lsn: Lsn) -> StorageResult<()> {
+        match inner.page_lsns.get(&page) {
+            Some(&logged_lsn) if logged_lsn != base_lsn => {
+                Err(StorageError::StaleDeltaBase { page: page.desc(), base_lsn, logged_lsn })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Ends `page`'s records for the delta-base check: the page was
+    /// freed, and a freed page comes back as a new page, logged whole.
+    pub(crate) fn forget_page(&self, page: PageId) {
+        if parking_lot::RANK_CHECKS {
+            self.inner.lock().page_lsns.remove(&page);
+        }
     }
 
     /// One device append of `batch`, with the probe/IoStats accounting
@@ -583,6 +629,7 @@ impl Wal {
             inner.pending.clear();
         }
         inner.pending_commits = 0;
+        inner.page_lsns.clear();
         self.flushed.store(inner.buffered, Ordering::Relaxed);
         self.reset_lsn.store(inner.buffered + 1, Ordering::Relaxed);
         Ok(())
@@ -808,10 +855,10 @@ mod tests {
         let dev = device();
         let wal = Wal::new(Arc::clone(&dev));
         let page = vec![7u8; 64];
-        wal.append(delta(1, &page, &[(0, 8)])).unwrap();
+        let base = wal.append(delta(1, &page, &[(0, 8)])).unwrap();
         wal.force().unwrap();
         let first = dev.wal_contents().unwrap().len();
-        wal.append(delta(2, &page, &[(8, 16), (30, 2)])).unwrap();
+        wal.append(delta(base, &page, &[(8, 16), (30, 2)])).unwrap();
         wal.force().unwrap();
         let log = dev.wal_contents().unwrap();
         for cut in first..log.len() {
@@ -824,6 +871,42 @@ mod tests {
             assert_eq!(Wal::decode(&rotted).unwrap().len(), 1, "bit flip at byte {pos}");
         }
         assert_eq!(Wal::decode(&log).unwrap().len(), 2);
+    }
+
+    /// In builds that check lock ranks, a delta on a page with a record
+    /// since the last truncation must be based on the page's last one:
+    /// a delta on an older record, made on a stale frame, is refused
+    /// before it takes an LSN. Each page has its own records, and a
+    /// truncation forgets them all.
+    #[test]
+    fn a_delta_on_a_stale_base_is_refused() {
+        if !parking_lot::RANK_CHECKS {
+            return;
+        }
+        let wal = Wal::new(device());
+        let bytes = vec![7u8; 64];
+        let page = PageId::new(1, 4);
+        let image = wal.append(WalPayload::PageImage { page, bytes: &bytes }).unwrap();
+        let first = wal.append(delta(image, &bytes, &[(0, 8)])).unwrap();
+        let refused = |base: Lsn, logged: Lsn| {
+            let got = wal.append(delta(base, &bytes, &[(8, 8)]));
+            assert!(
+                matches!(got, Err(StorageError::StaleDeltaBase { base_lsn, logged_lsn, .. })
+                    if base_lsn == base && logged_lsn == logged),
+                "{got:?}"
+            );
+        };
+        refused(image, first);
+        refused(first + 1, first);
+        assert_eq!(wal.buffered_lsn(), first, "a refused delta takes no LSN");
+        let second = wal.append(delta(first, &bytes, &[(8, 8)])).unwrap();
+        wal.append(WalPayload::PageImage { page: PageId::new(1, 5), bytes: &bytes }).unwrap();
+        refused(first, second);
+        wal.append(delta(second, &bytes, &[(0, 4)])).unwrap();
+        wal.force().unwrap();
+        wal.reset().unwrap();
+        let after = wal.append(delta(image, &bytes, &[(0, 4)])).unwrap();
+        refused(image, after);
     }
 
     #[test]

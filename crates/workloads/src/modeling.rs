@@ -387,7 +387,7 @@ mod tests {
         let some = set
             .molecules
             .iter()
-            .map(|m| m.root.children.len())
+            .map(|m| m.children(&m.root).len())
             .max()
             .unwrap_or(0);
         assert_eq!(some, 3, "a box corner joins three edges");

@@ -10,7 +10,7 @@
 //! Ceilings are per statement, the maximum over several keys.
 //!
 //! `cargo test --release --test allocations -- --nocapture` prints the
-//! counts: 112 for `SELECT ALL`, 270 for the `brep_no` projection, 12
+//! counts: 62 for `SELECT ALL`, 220 for the `brep_no` projection, 12
 //! for the ad-hoc point query and 10 for the same point query prepared.
 //! The ad-hoc ceiling is its count; the others sit a few allocations
 //! above theirs. A kernel that builds each projected atom's attribute
@@ -21,10 +21,15 @@
 //! takes 260, 422 and 71 for the first three. One that copies the whole
 //! plan on every bind takes 138, 376 and 28 for the prepared statements,
 //! and one that parses and plans every ad-hoc text 63 for the ad-hoc one.
+//! A kernel that groups each batch read in new vectors takes 84 and 242
+//! for the first two, and one that also folds each assembled molecule
+//! into a tree with a vector of children per position 112 and 270.
 //!
-//! Allocations of at least one page size are counted apart as well: on a
-//! kernel whose buffer holds an eighth of the mesh, a buffer miss must
-//! read into the block of a frame an eviction freed, not a new one.
+//! Allocations of exactly one page size (a page block is one) are
+//! counted apart as well: on a kernel whose buffer holds an eighth of
+//! the mesh, a buffer miss must read into the block of a frame an
+//! eviction freed, not a new one. Other allocations may be as large as a
+//! page: a molecule's positions and a batch's record images are.
 
 use prima::{Prima, QueryOptions, Value};
 use prima_storage::PageSize;
@@ -34,9 +39,11 @@ use std::cell::Cell;
 
 struct CountingAlloc;
 
-/// The smallest page size: an allocation this large or larger may be a
-/// page block.
-const PAGE_BYTES: usize = PageSize::Half.bytes();
+/// Whether an allocation of `bytes` may be a page block: every page
+/// block is exactly one page size.
+fn page_sized(bytes: usize) -> bool {
+    PageSize::ALL.iter().any(|s| s.bytes() == bytes)
+}
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -47,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // try_with: the TLS slot itself may be mid-teardown.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        if layout.size() >= PAGE_BYTES {
+        if page_sized(layout.size()) {
             let _ = PAGE_ALLOCS.try_with(|c| c.set(c.get() + 1));
         }
         unsafe { System.alloc(layout) }
@@ -127,8 +134,8 @@ fn statement_allocations() {
         "allocations: select_all {select_all}, select_brep_no {select_brep_no}, \
          adhoc {adhoc}, prepared point {prepared}"
     );
-    assert!(select_all <= 116, "SELECT ALL: {select_all} allocations");
-    assert!(select_brep_no <= 278, "SELECT brep_no: {select_brep_no} allocations");
+    assert!(select_all <= 66, "SELECT ALL: {select_all} allocations");
+    assert!(select_brep_no <= 228, "SELECT brep_no: {select_brep_no} allocations");
     assert!(adhoc <= 12, "ad-hoc point query: {adhoc} allocations");
     assert!(prepared <= 12, "prepared point query: {prepared} allocations");
 }

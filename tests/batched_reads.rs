@@ -296,11 +296,28 @@ fn shared_atoms_are_decoded_once() {
 }
 
 /// `m` with every position mapped through `f`; a position `f` rejects
-/// drops with its subtree, as a qualified projection drops it.
-fn project_tree(ma: &MolAtom, f: &dyn Fn(&MolAtom) -> Option<Atom>) -> Option<MolAtom> {
-    let mut out = MolAtom::new(ma.node, ma.level, f(ma)?);
-    out.children = ma.children.iter().filter_map(|c| project_tree(c, f)).collect();
-    Some(out)
+/// drops with its subtree, as a qualified projection drops it. The root
+/// must be kept.
+fn project_molecule(m: &Molecule, f: &dyn Fn(&MolAtom) -> Option<Atom>) -> Molecule {
+    fn copy(
+        m: &Molecule,
+        from: &MolAtom,
+        out: &mut Molecule,
+        at: usize,
+        f: &dyn Fn(&MolAtom) -> Option<Atom>,
+    ) {
+        let kept: Vec<(&MolAtom, usize)> = m
+            .children(from)
+            .iter()
+            .filter_map(|c| Some((c, out.push_child(at, MolAtom::new(c.node, c.level, f(c)?)))))
+            .collect();
+        for (c, pos) in kept {
+            copy(m, c, out, pos, f);
+        }
+    }
+    let mut out = Molecule::new(MolAtom::new(m.root.node, m.root.level, f(&m.root).unwrap()));
+    copy(m, &m.root, &mut out, 0, f);
+    out
 }
 
 /// `SELECT ALL` delivers the molecule as assembled, so two positions
@@ -327,8 +344,7 @@ fn select_all_keeps_sharing_and_projections_still_project() {
     let (face, point) = (node("face"), node("point"));
     // brep_no, square_dim: attribute 1 of brep and of face; 0 is the id.
     let expect = |f: &dyn Fn(&MolAtom) -> Option<Atom>| {
-        let root = project_tree(&m.root, f).unwrap();
-        vec![Molecule::new(root)]
+        vec![project_molecule(m, f)]
     };
     let query = |select: &str| exec::query(&db, &format!("SELECT {select} {from}")).unwrap();
 
@@ -365,6 +381,75 @@ fn select_all_keeps_sharing_and_projections_still_project() {
         Some(if ma.node == point { ma.atom.project(&[0]) } else { (*ma.atom).clone() })
     });
     assert_eq!(got.molecules, want, "excluded node");
+}
+
+/// The kernel appends a molecule's positions level by level, the
+/// reference depth first; the trees must still be equal where that
+/// layout differs most: a recursion over several levels, a qualified
+/// projection that drops a mid-level component with its subtree, and a
+/// point shared by many positions.
+#[test]
+fn flat_molecules_match_the_reference() {
+    let db = brep::open_db(16 << 20).unwrap();
+    let stats = brep::populate(&db, &BrepConfig::with_assembly(8, 3, 2)).unwrap();
+
+    // `piece_list` recursion, from the assembly root and from every solid.
+    let root = stats.root_solid_nos[0];
+    for q in [
+        format!("SELECT ALL FROM piece_list WHERE piece_list (0).solid_no = {root}"),
+        "SELECT ALL FROM piece_list WHERE piece_list (0).solid_no > 0".to_string(),
+    ] {
+        let (kernel, fetched) = kernel_molecules(&db, &q);
+        assert!(kernel.iter().any(|m| m.depth() >= 3), "{q}: recursion expanded");
+        assert_eq!(kernel, reference::molecules(&db, &q), "{q}");
+        assert_eq!(fetched, distinct_components(&kernel), "{q}");
+        for m in &kernel {
+            assert_shared(m);
+        }
+    }
+
+    // A shared point: every one of its positions holds the one atom.
+    let from = "FROM brep-face-edge-point WHERE brep_no = 3";
+    let all = exec::query(&db, &format!("SELECT ALL {from}")).unwrap();
+    let (edge, point) = (all.node_id("edge").unwrap(), all.node_id("point").unwrap());
+    let reference = reference::molecules(&db, &format!("SELECT ALL {from}"));
+    assert_eq!(all.molecules, reference);
+    let m = &all.molecules[0];
+    let mut by_point: HashMap<AtomId, Vec<Arc<Atom>>> = HashMap::new();
+    m.for_each(|ma| {
+        if ma.node == point {
+            by_point.entry(ma.atom.id).or_default().push(Arc::clone(&ma.atom));
+        }
+    });
+    assert_eq!(by_point.len(), 8, "a box has eight corners");
+    for (id, positions) in &by_point {
+        assert_eq!(positions.len(), 6, "{id}: three edges, each on two faces");
+        assert!(positions.iter().all(|a| Arc::ptr_eq(a, &positions[0])), "{id}");
+    }
+
+    // A qualified projection on the edges, with a threshold between the
+    // shortest and the longest: a rejected edge goes with its points.
+    let mut lengths: Vec<f64> =
+        m.atoms_of_node(edge).iter().map(|a| a.values[1].as_real().unwrap()).collect();
+    lengths.sort_by(f64::total_cmp);
+    let threshold = format!("{:.3}", (lengths[0] + lengths[lengths.len() - 1]) / 2.0);
+    let t: f64 = threshold.parse().unwrap();
+    assert!(lengths[0] <= t && t < lengths[lengths.len() - 1], "edges differ: {lengths:?}");
+    let got = exec::query(
+        &db,
+        &format!(
+            "SELECT brep, face, (edge := SELECT edge_id, length FROM edge \
+             WHERE length > {threshold}), point {from}"
+        ),
+    )
+    .unwrap();
+    let want = project_molecule(&reference[0], &|ma| match ma.node {
+        n if n == edge => (ma.atom.values[1].as_real().unwrap() > t).then(|| ma.atom.project(&[0, 1])),
+        _ => Some((*ma.atom).clone()),
+    });
+    assert!(want.atom_count() < m.atom_count(), "some edges rejected");
+    assert!(want.children(&want.root).iter().any(|f| want.children(f).len() < 4));
+    assert_eq!(got.molecules, [want], "qualified projection on a mid level");
 }
 
 #[test]

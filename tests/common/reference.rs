@@ -6,7 +6,7 @@
 //! predicate is decidable on the root atom.
 
 use prima::datasys::{validate, NodeProjection, ResolvedQuery};
-use prima::{AccessSystem, Atom, AtomId, MolAtom, Molecule, Prima, Value};
+use prima::{AccessSystem, AtomId, MolAtom, Molecule, Prima, Value};
 use prima_mad::mql::{parse_statement, Query, Statement};
 use std::collections::HashSet;
 
@@ -24,19 +24,25 @@ pub fn molecules(db: &Prima, mql: &str) -> Vec<Molecule> {
         .filter(|root| q.root_ssa.eval(root))
         .map(|root| {
             let mut ancestors = HashSet::from([root.id]);
-            Molecule::new(expand(sys, &q, 0, root, 0, &mut ancestors))
+            let mut m = Molecule::new(MolAtom::new(0, 0, root));
+            expand(sys, &q, &mut m, 0, &mut ancestors);
+            m
         })
         .collect()
 }
 
+/// Appends the subtree below position `pos` of `m`, depth first, through
+/// the constructor the kernel assembles with: a position's children
+/// first (they must be appended one after the other), then each child's
+/// subtree. `ancestors` is the set of recursion ids on the path to `pos`.
 fn expand(
     sys: &AccessSystem,
     q: &ResolvedQuery,
-    node: usize,
-    atom: Atom,
-    level: u32,
+    m: &mut Molecule,
+    pos: usize,
     ancestors: &mut HashSet<AtomId>,
-) -> MolAtom {
+) {
+    let (node, level) = (m.position(pos).node, m.position(pos).level);
     // The node's children, then — for a recursive node — its own incoming
     // edge re-applied one level deeper.
     let mut edges: Vec<(usize, bool)> =
@@ -44,23 +50,29 @@ fn expand(
     if q.nodes[node].recursive {
         edges.push((node, true));
     }
-    let mut out = MolAtom::new(node, level, atom);
+    let mut children = Vec::new();
     for (child, recursive) in edges {
         let attr = q.nodes[child].via.unwrap().from.attr;
-        let ids = out.atom.values.get(attr).map_or(&[][..], Value::ref_ids).to_vec();
+        let ids = m.position(pos).atom.values.get(attr).map_or(&[][..], Value::ref_ids).to_vec();
         for id in ids {
-            if recursive && !ancestors.insert(id) {
+            if recursive && ancestors.contains(&id) {
                 continue;
             }
             let atom = sys.read_atom(id, None).unwrap();
             let child_level = if recursive { level + 1 } else { level };
-            out.children.push(expand(sys, q, child, atom, child_level, ancestors));
-            if recursive {
-                ancestors.remove(&id);
-            }
+            let at = m.push_child(pos, MolAtom::new(child, child_level, atom));
+            children.push((at, recursive.then_some(id)));
         }
     }
-    out
+    for (at, recursion_id) in children {
+        if let Some(id) = recursion_id {
+            ancestors.insert(id);
+        }
+        expand(sys, q, m, at, ancestors);
+        if let Some(id) = recursion_id {
+            ancestors.remove(&id);
+        }
+    }
 }
 
 fn parse_query(mql: &str) -> Query {

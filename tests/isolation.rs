@@ -305,7 +305,7 @@ fn component_assembly_locks_conflict_with_component_writers() {
         .unwrap()
         .set;
     assert_eq!(set.len(), 1, "committed molecule intact");
-    assert_eq!(set.molecules[0].root.children.len(), 2, "both components assembled");
+    assert_eq!(set.molecules[0].children(&set.molecules[0].root).len(), 2, "both components assembled");
 }
 
 #[test]

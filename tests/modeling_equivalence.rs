@@ -51,12 +51,12 @@ fn only_mad_answers_the_symmetric_query() {
     let (mdb, _) = build(ModelingApproach::MadDirect, 1).unwrap();
     let set = exec::query(&mdb, "SELECT ALL FROM point-edge WHERE point_id <> EMPTY").unwrap();
     assert_eq!(set.len(), 8);
-    assert!(set.molecules.iter().all(|m| m.root.children.len() == 3));
+    assert!(set.molecules.iter().all(|m| m.children(&m.root).len() == 3));
 
     let (hdb, _) = build(ModelingApproach::HierarchicalRedundant, 1).unwrap();
     let set = exec::query(&hdb, "SELECT ALL FROM hpoint-hedge WHERE point_no = 1").unwrap();
     // The copy sees only its owning edge.
-    assert_eq!(set.molecules[0].root.children.len(), 1);
+    assert_eq!(set.molecules[0].children(&set.molecules[0].root).len(), 1);
 }
 
 #[test]

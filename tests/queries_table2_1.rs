@@ -60,7 +60,7 @@ fn t2_1b_recursive_molecule_with_seed() {
     };
     let node = m.root.node;
     assert_eq!(at(node, 0), 1);
-    let child_node = m.root.children[0].node;
+    let child_node = m.children(&m.root)[0].node;
     assert_eq!(at(child_node, 1), 2);
     assert_eq!(at(child_node, 2), 4);
 }
@@ -133,7 +133,7 @@ fn symmetric_traversal_inverse_direction() {
     let set = exec::query(&db, "SELECT ALL FROM point-edge-face WHERE point_id <> EMPTY").unwrap();
     assert_eq!(set.len(), 8, "eight corners");
     for m in &set.molecules {
-        assert_eq!(m.root.children.len(), 3, "each corner joins 3 edges");
+        assert_eq!(m.children(&m.root).len(), 3, "each corner joins 3 edges");
     }
 }
 

@@ -171,7 +171,7 @@ fn snapshot_reader_ignores_dirty_component_writer_during_assembly() {
         .unwrap();
     assert_eq!(got.set.len(), 1);
     assert_eq!(
-        got.set.molecules[0].root.children[0].atom.values[2],
+        got.set.molecules[0].children(&got.set.molecules[0].root)[0].atom.values[2],
         Value::Str("c-old".into()),
         "assembly resolves the component's committed version"
     );
@@ -207,7 +207,8 @@ fn snapshot_sees_a_dirty_writers_back_reference_partners_as_committed() {
         "the partner's back-reference is as uncommitted as the reference"
     );
     let mol = query("SELECT ALL FROM pt-part WHERE n = 2");
-    assert!(mol.molecules[0].root.children.is_empty(), "no uncommitted child in assembly");
+    let m = &mol.molecules[0];
+    assert!(m.children(&m.root).is_empty(), "no uncommitted child in assembly");
 
     // A snapshot pinned before the commit keeps the pre-commit partner
     // after it; a fresh one sees the link from both sides.
@@ -216,11 +217,13 @@ fn snapshot_sees_a_dirty_writers_back_reference_partners_as_committed() {
         .unwrap();
     writer.commit().unwrap();
     let pinned = cursor.fetch_all().unwrap();
-    assert!(pinned.molecules[0].root.children.is_empty(), "pinned snapshot after the commit");
+    let m = &pinned.molecules[0];
+    assert!(m.children(&m.root).is_empty(), "pinned snapshot after the commit");
     drop(cursor);
     let now = query("SELECT ALL FROM pt-part WHERE n = 2");
-    assert_eq!(now.molecules[0].root.children.len(), 1);
-    assert_eq!(now.molecules[0].root.children[0].atom.id, p);
+    let now = &now.molecules[0];
+    assert_eq!(now.children(&now.root).len(), 1);
+    assert_eq!(now.children(&now.root)[0].atom.id, p);
 }
 
 // ---------------------------------------------------------------------
@@ -470,9 +473,10 @@ fn concurrent_snapshot_registration_never_sees_a_torn_commit() {
                         let got = session
                             .query("SELECT ALL FROM part-pt WHERE part_no = 1", &QueryOptions::new())
                             .unwrap();
-                        let root = &got.set.molecules[0].root;
-                        assert_eq!(root.children.len(), 1, "the component is visible");
-                        let (name, label) = (&root.atom.values[2], &root.children[0].atom.values[2]);
+                        let m = &got.set.molecules[0];
+                        let children = m.children(&m.root);
+                        assert_eq!(children.len(), 1, "the component is visible");
+                        let (name, label) = (&m.root.atom.values[2], &children[0].atom.values[2]);
                         assert_eq!(name, label, "one commit, one version");
                         reads += 1;
                     }
