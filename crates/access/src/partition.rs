@@ -96,6 +96,7 @@ impl Partition {
 
     /// Pages occupied — the density advantage measured by experiment
     /// E-T2.1c.
+    #[cfg(test)]
     pub fn page_count(&self) -> usize {
         self.file.page_count()
     }

@@ -217,6 +217,7 @@ impl RecordFile {
     }
 
     /// Number of pages currently in the file.
+    #[cfg(test)]
     pub fn page_count(&self) -> usize {
         self.map.lock().pages.len()
     }

@@ -111,11 +111,6 @@ impl SortOrder {
         self.index.read().len() == 0
     }
 
-    /// Pages occupied by the copies.
-    pub fn page_count(&self) -> usize {
-        self.file.page_count()
-    }
-
     /// Walks atoms in key order within `[start, stop]` bounds over the
     /// *encoded* key, optionally reversed. The visitor gets
     /// `(key, atom id, record ptr)`; it returns `false` to stop.

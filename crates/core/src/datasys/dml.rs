@@ -24,19 +24,19 @@
 //! transaction's own `read_guard()`.
 //!
 //! A statement arrives compiled ([`StatementPlan`]): its qualification
-//! and CONNECT / DISCONNECT sub-queries were validated once, and an
-//! execution only binds their parameters. Their *results* range over the
-//! current data and are computed per execution; their plans are not.
+//! and CONNECT / DISCONNECT sub-queries were validated once, its DELETE
+//! ONLY components and MODIFY targets resolved to node and attribute
+//! indices, and an execution only binds their parameters. Their
+//! *results* range over the current data and are computed per
+//! execution; their plans are not.
 
 use super::exec::{execute, AssemblyPool};
-use super::plan::{Assignment, ResolvedQuery, StatementPlan};
-use super::validate::resolve_ref;
+use super::plan::{value, Assignment, ResolvedQuery, SetValue, StatementPlan};
 use crate::error::{PrimaError, PrimaResult};
 use crate::txn::Transaction;
 use prima_access::AccessSystem;
-use prima_mad::mql::{CompRef, Insert, ValueExpr};
+use prima_mad::mql::Insert;
 use prima_mad::value::{AtomId, Value};
-use prima_mad::AttrType;
 
 /// Result of a manipulation statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,25 +65,12 @@ pub(crate) fn execute_statement(
             "SELECT must go through the query interface".into(),
         )),
         StatementPlan::Insert(i) => insert(sys, txn, i, params),
-        StatementPlan::Delete { qualification, only_components } => {
-            delete(sys, txn, &qualification.bind(params), only_components.as_deref())
+        StatementPlan::Delete { qualification, victims } => {
+            delete(sys, txn, &qualification.bind(params), victims)
         }
         StatementPlan::Modify { qualification, assignments } => {
             modify(sys, txn, &qualification.bind(params), assignments, params)
         }
-    }
-}
-
-/// Concrete value of a DML value expression with `params` bound.
-fn value(ve: &ValueExpr, params: &[Value]) -> PrimaResult<Value> {
-    match ve {
-        ValueExpr::Lit(v) => Ok(v.clone()),
-        ValueExpr::Param(slot) => params.get(usize::from(*slot)).cloned().ok_or_else(|| {
-            PrimaError::UnboundParameter {
-                slot: *slot,
-                detail: "prepare the statement and bind values before executing".into(),
-            }
-        }),
     }
 }
 
@@ -107,28 +94,12 @@ fn delete(
     sys: &AccessSystem,
     txn: &Transaction,
     resolved: &ResolvedQuery,
-    only_components: Option<&[String]>,
+    victims: &[usize],
 ) -> PrimaResult<DmlResult> {
     let set = execute(sys, resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
-    // Which structure nodes are deleted?
-    let victim_nodes: Vec<usize> = match only_components {
-        None => (0..resolved.nodes.len()).collect(),
-        Some(names) => {
-            let mut out = Vec::new();
-            for n in names {
-                out.push(resolved.node_by_label(n).ok_or_else(|| {
-                    PrimaError::UnresolvedReference {
-                        reference: n.clone(),
-                        detail: "DELETE ONLY names unknown component".into(),
-                    }
-                })?);
-            }
-            out
-        }
-    };
     let mut deleted = 0usize;
     for m in &set.molecules {
-        for &node in &victim_nodes {
+        for &node in victims {
             for atom in m.atoms_of_node(node) {
                 // Molecules may overlap (non-disjoint); an atom can
                 // already be gone.
@@ -142,56 +113,39 @@ fn delete(
     Ok(DmlResult::Deleted(deleted))
 }
 
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 fn modify(
     sys: &AccessSystem,
     txn: &Transaction,
     resolved: &ResolvedQuery,
-    assignments: &[(CompRef, Assignment)],
+    assignments: &[Assignment],
     params: &[Value],
 ) -> PrimaResult<DmlResult> {
     let set = execute(sys, resolved, 1, txn.read_guard(), &AssemblyPool::default())?;
     let mut modified = 0usize;
     for m in &set.molecules {
-        for (target, assignment) in assignments {
-            let (node, attr) = resolve_ref(resolved, target, sys.schema())?;
-            // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-            let at = sys.schema().atom_type(resolved.nodes[node].atom_type).expect("resolved");
-            let is_set = matches!(at.attributes[attr].ty, AttrType::RefSet(..));
-            let is_single_ref = matches!(at.attributes[attr].ty, AttrType::Ref(_));
-            let atom_ids: Vec<AtomId> =
-                m.atoms_of_node(node).iter().map(|a| a.id).collect();
+        for &Assignment { node, attr, value: ref assigned } in assignments {
+            let atom_ids: Vec<AtomId> = m.atoms_of_node(node).iter().map(|a| a.id).collect();
             for id in atom_ids {
                 if !sys.exists(id) {
                     continue;
                 }
-                match assignment {
-                    Assignment::Value(v) => {
-                        txn.modify_atom(id, &[(attr, value(v, params)?)])?;
-                        modified += 1;
-                    }
-                    Assignment::Connect(sub) => {
-                        let targets = root_ids(sys, sub, params, txn)?;
-                        let current = sys.read_atom(id, None)?;
-                        let new_value = if is_set {
+                let new_value = match assigned {
+                    SetValue::Value(v) => value(v, params)?,
+                    SetValue::Connect { roots, set } => {
+                        let targets = root_ids(sys, roots, params, txn)?;
+                        if *set {
+                            let current = sys.read_atom(id, None)?;
                             let mut ids = current.values[attr].ref_ids().to_vec();
                             ids.extend(targets.iter().copied());
                             Value::ref_set(ids)
-                        } else if is_single_ref {
-                            Value::Ref(targets.first().copied())
                         } else {
-                            return Err(PrimaError::BadStatement(format!(
-                                "CONNECT target '{}' is not a reference attribute",
-                                at.attributes[attr].name
-                            )));
-                        };
-                        txn.modify_atom(id, &[(attr, new_value)])?;
-                        modified += 1;
+                            Value::Ref(targets.first().copied())
+                        }
                     }
-                    Assignment::Disconnect(sub) => {
-                        let targets = root_ids(sys, sub, params, txn)?;
+                    SetValue::Disconnect { roots, set } => {
+                        let targets = root_ids(sys, roots, params, txn)?;
                         let current = sys.read_atom(id, None)?;
-                        let new_value = if is_set {
+                        if *set {
                             let ids: Vec<AtomId> = current.values[attr]
                                 .ref_ids()
                                 .iter()
@@ -199,21 +153,16 @@ fn modify(
                                 .copied()
                                 .collect();
                             Value::ref_set(ids)
-                        } else if is_single_ref {
+                        } else {
                             match current.values[attr] {
                                 Value::Ref(Some(t)) if targets.contains(&t) => Value::Ref(None),
                                 ref other => other.clone(),
                             }
-                        } else {
-                            return Err(PrimaError::BadStatement(format!(
-                                "DISCONNECT target '{}' is not a reference attribute",
-                                at.attributes[attr].name
-                            )));
-                        };
-                        txn.modify_atom(id, &[(attr, new_value)])?;
-                        modified += 1;
+                        }
                     }
-                }
+                };
+                txn.modify_atom(id, &[(attr, new_value)])?;
+                modified += 1;
             }
         }
     }

@@ -20,8 +20,11 @@
 //!    in one chained read ("cluster management").
 //! 3. **Recursion** — recursive edges expand level by level; an ancestor
 //!    set guards against reference cycles.
-//! 4. **Residual qualification** — quantifiers and non-root predicates,
-//!    evaluated per molecule.
+//! 4. **Residual qualification** — the compiled residual predicate
+//!    ([`Residual`]), evaluated per molecule: a component comparison holds
+//!    when some atom of the component satisfies its SSA, a quantifier
+//!    counts the atoms that satisfy its body's. Every reference in it was
+//!    resolved at compile time, so nothing is looked up by name here.
 //! 5. **Projection** — per-node descriptors, including qualified
 //!    projections.
 //!
@@ -65,9 +68,8 @@
 //! never asks which visibility mode it runs under.
 
 use super::molecule::{MolAtom, Molecule, MoleculeSet};
-use super::plan::{find_root_bound, NodeProjection, ResolvedQuery};
-use super::validate::{convert_op, predicate_to_atom_ssa, resolve_ref};
-use crate::error::{PrimaError, PrimaResult};
+use super::plan::{find_root_bound, Atoms, NodeProjection, Residual, ResolvedQuery};
+use crate::error::PrimaResult;
 use crate::obs::{self, SpanKind};
 use crate::parallel::run_parallel;
 use crate::txn::ReadGuard;
@@ -75,11 +77,9 @@ use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
 use prima_access::partition::Partition;
 use prima_access::scan::Scan;
-use prima_access::ssa::Ssa;
 use prima_access::{AccessSystem, Atom, CmpOp, Structure};
-use prima_mad::mql::{Operand, Predicate};
-use prima_mad::schema::AtomType;
-use prima_mad::value::{AtomId, Value};
+use prima_mad::mql::ValueExpr;
+use prima_mad::value::AtomId;
 use prima_storage::IdBuildHasher;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -149,10 +149,8 @@ pub(crate) fn process_root(
         }
     }
     let molecule = assemble_frontier(sys, q, root, ctx, guard)?;
-    if let Some(res) = &q.residual {
-        if !eval_residual(sys, q, &molecule, res)? {
-            return Ok(None);
-        }
+    if q.residual.as_ref().is_some_and(|r| !qualifies(q, &molecule, r)) {
+        return Ok(None);
     }
     Ok(apply_projection(q, molecule))
 }
@@ -207,13 +205,13 @@ pub(crate) fn find_roots(
 /// `partition_scan(<partition>)` or `type_scan`.
 fn root_candidates(sys: &AccessSystem, q: &ResolvedQuery) -> PrimaResult<Vec<Atom>> {
     let root_type = q.nodes[0].atom_type;
-    let at = node_type(sys, q, 0);
     // 1. KEYS_ARE equality -> direct lookup: a one-candidate access path.
     let key = find_root_bound(&q.root_ssa, &mut |b| {
-        (b.op == CmpOp::Eq && at.is_key(&at.attributes[b.attr].name)).then_some(b)
+        let key = q.root_keys.iter().find(|(attr, _)| *attr == b.attr);
+        key.filter(|_| b.op == CmpOp::Eq).map(|(_, name)| (b, name))
     });
-    if let Some(b) = key {
-        obs::attr("path", || format!("key_lookup({})", at.attributes[b.attr].name));
+    if let Some((b, name)) = key {
+        obs::attr("path", || format!("key_lookup({name})"));
         let Some(id) = sys.lookup_by_key(root_type, b.attr, b.value)? else {
             return Ok(Vec::new());
         };
@@ -478,145 +476,45 @@ fn assemble_frontier(
     Ok(molecule)
 }
 
-/// Residual predicate evaluation on one molecule. Non-root component
-/// comparisons use existential semantics (a molecule qualifies when *some*
-/// component atom satisfies the term); explicit quantifiers override.
-fn eval_residual(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    m: &Molecule,
-    pred: &Predicate,
-) -> PrimaResult<bool> {
-    Ok(match pred {
-        Predicate::And(ts) => {
-            for t in ts {
-                if !eval_residual(sys, q, m, t)? {
-                    return Ok(false);
-                }
+/// Residual qualification of one molecule: whether it satisfies `r`,
+/// the compiled residual predicate. A component comparison holds when
+/// some atom of the component satisfies it; quantifiers count.
+fn qualifies(q: &ResolvedQuery, m: &Molecule, r: &Residual) -> bool {
+    match r {
+        Residual::And(ts) => ts.iter().all(|t| qualifies(q, m, t)),
+        Residual::Or(ts) => ts.iter().any(|t| qualifies(q, m, t)),
+        Residual::Not(t) => !qualifies(q, m, t),
+        Residual::AtLeast { n, atoms, ssa } => {
+            let mut hits = atoms_of(q, m, *atoms).filter(|a| ssa.eval(a));
+            *n == 0 || hits.nth(*n as usize - 1).is_some()
+        }
+        Residual::ForAll { atoms, ssa } => atoms_of(q, m, *atoms).all(|a| ssa.eval(a)),
+        Residual::Refs { left: (la, lx), op, right: (ra, rx) } => {
+            let values = |atoms, attr| atoms_of(q, m, atoms).filter_map(move |a| a.get(attr));
+            values(*la, *lx).any(|l| values(*ra, *rx).any(|r| op.eval(l.total_cmp(r))))
+        }
+        Residual::Values { left: ValueExpr::Lit(l), op, right: ValueExpr::Lit(r) } => {
+            op.eval(l.total_cmp(r))
+        }
+        Residual::Values { .. } => false,
+    }
+}
+
+/// The atoms of `m` that `atoms` ranges over, one per position.
+fn atoms_of<'m>(
+    q: &'m ResolvedQuery,
+    m: &'m Molecule,
+    atoms: Atoms,
+) -> impl Iterator<Item = &'m Atom> {
+    (0..m.atom_count()).map(|i| m.position(i)).filter_map(move |p| {
+        let hit = match atoms {
+            Atoms::Node(node) => p.node == node,
+            Atoms::Level { atom_type, level } => {
+                p.level == level && q.nodes[p.node].atom_type == atom_type
             }
-            true
-        }
-        Predicate::Or(ts) => {
-            for t in ts {
-                if eval_residual(sys, q, m, t)? {
-                    return Ok(true);
-                }
-            }
-            false
-        }
-        Predicate::Not(t) => !eval_residual(sys, q, m, t)?,
-        Predicate::Compare { left, op, right } => {
-            let op = convert_op(*op);
-            match (left, right) {
-                (Operand::Param(slot), _) | (_, Operand::Param(slot)) => {
-                    // Prepared execution substitutes bound values before
-                    // evaluation; reaching a placeholder means the
-                    // statement was run without binding.
-                    return Err(PrimaError::UnboundParameter {
-                        slot: *slot,
-                        detail: "prepare the statement and bind values before executing"
-                            .into(),
-                    });
-                }
-                (Operand::Ref(r), Operand::Literal(v)) => {
-                    exists_atom(sys, q, m, r, |val| op.eval(val.total_cmp(v)))?
-                }
-                (Operand::Literal(v), Operand::Ref(r)) => {
-                    exists_atom(sys, q, m, r, |val| op.flip().eval(val.total_cmp(v)))?
-                }
-                (Operand::Ref(l), Operand::Ref(rr)) => {
-                    // exists a pair satisfying the comparison
-                    let lv = ref_values(sys, q, m, l)?;
-                    let rv = ref_values(sys, q, m, rr)?;
-                    lv.iter().any(|a| rv.iter().any(|b| op.eval(a.total_cmp(b))))
-                }
-                (Operand::Literal(a), Operand::Literal(b)) => op.eval(a.total_cmp(b)),
-            }
-        }
-        Predicate::IsEmpty(r) => exists_atom(sys, q, m, r, prima_mad::Value::is_empty_like)?,
-        Predicate::NotEmpty(r) => exists_atom(sys, q, m, r, |v| !v.is_empty_like())?,
-        Predicate::ExistsAtLeast { n, component, inner } => {
-            count_matching(sys, q, m, component, inner)? >= *n as usize
-        }
-        Predicate::ForAll { component, inner } => {
-            let node = q.node_by_label(component).ok_or_else(|| {
-                PrimaError::UnresolvedReference {
-                    reference: component.clone(),
-                    detail: "quantifier over unknown component".into(),
-                }
-            })?;
-            let atoms = m.atoms_of_node(node);
-            let ssa = quantifier_ssa(sys, q, node, inner)?;
-            atoms.iter().all(|a| ssa.eval(a))
-        }
+        };
+        hit.then_some(&*p.atom)
     })
-}
-
-fn count_matching(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    m: &Molecule,
-    component: &str,
-    inner: &Predicate,
-) -> PrimaResult<usize> {
-    let node = q.node_by_label(component).ok_or_else(|| PrimaError::UnresolvedReference {
-        reference: component.to_string(),
-        detail: "quantifier over unknown component".into(),
-    })?;
-    let ssa = quantifier_ssa(sys, q, node, inner)?;
-    Ok(m.atoms_of_node(node).iter().filter(|a| ssa.eval(a)).count())
-}
-
-fn quantifier_ssa(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    node: usize,
-    inner: &Predicate,
-) -> PrimaResult<Ssa> {
-    let at = node_type(sys, q, node);
-    predicate_to_atom_ssa(inner, |attr| at.attribute_index(attr)).ok_or_else(|| {
-        PrimaError::BadStatement(
-            "quantifier body must be decidable on the quantified component".into(),
-        )
-    })
-}
-
-/// Values of `r` across the molecule (all atoms of the referenced node,
-/// restricted to a recursion level when given).
-fn ref_values(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    m: &Molecule,
-    r: &prima_mad::mql::CompRef,
-) -> PrimaResult<Vec<Value>> {
-    let (node, attr) = resolve_ref(q, r, sys.schema())?;
-    let atoms = match r.level {
-        // A level reference selects by recursion depth; in a recursive
-        // structure the same atom type backs several structure nodes, so
-        // match on type + level rather than the node index alone.
-        Some(l) => {
-            let t = q.nodes[node].atom_type;
-            let mut out = Vec::new();
-            m.for_each(|ma| {
-                if ma.level == l && q.nodes[ma.node].atom_type == t {
-                    out.push(ma.atom.values.get(attr).cloned());
-                }
-            });
-            return Ok(out.into_iter().flatten().collect());
-        }
-        None => m.atoms_of_node(node),
-    };
-    Ok(atoms.iter().filter_map(|a| a.values.get(attr).cloned()).collect())
-}
-
-fn exists_atom(
-    sys: &AccessSystem,
-    q: &ResolvedQuery,
-    m: &Molecule,
-    r: &prima_mad::mql::CompRef,
-    f: impl Fn(&Value) -> bool,
-) -> PrimaResult<bool> {
-    Ok(ref_values(sys, q, m, r)?.iter().any(f))
 }
 
 /// Applies per-node projections to one molecule. Returns `None` when a
@@ -644,11 +542,4 @@ fn apply_projection(q: &ResolvedQuery, mut m: Molecule) -> Option<Molecule> {
         }
     });
     Some(m)
-}
-
-/// The atom type of plan node `node`.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-fn node_type<'s>(sys: &'s AccessSystem, q: &ResolvedQuery, node: usize) -> &'s AtomType {
-    // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-    sys.schema().atom_type(q.nodes[node].atom_type).expect("resolved")
 }

@@ -14,6 +14,11 @@
 //! pushed-down root SSA and the residual molecule predicate are the only
 //! parts binding parameters changes ([`ResolvedQuery::bind`]).
 //!
+//! A plan holds no names to resolve: every reference of a WHERE clause,
+//! quantifier, DELETE ONLY list and MODIFY target was resolved to node and
+//! attribute indices when the statement was compiled, so executing it
+//! looks nothing up in the schema.
+//!
 //! The molecule-type-specific access decision ("a molecule-type-specific
 //! optimization has to be aware of access methods, sort orders,
 //! partitions of atom types, and physical clusters") is taken per
@@ -22,8 +27,9 @@
 //! cached plan therefore never goes stale when LDL adds a structure.
 
 use super::molecule::NodeInfo;
-use prima_access::ssa::Ssa;
-use prima_mad::mql::{CompRef, Insert, Predicate, ValueExpr};
+use crate::error::{PrimaError, PrimaResult};
+use prima_access::ssa::{CmpOp, Ssa};
+use prima_mad::mql::{Insert, ValueExpr};
 use prima_mad::schema::Association;
 use prima_mad::value::{AtomTypeId, Value};
 use std::ops::Deref;
@@ -73,9 +79,9 @@ pub struct PlanShape {
     /// Molecule-type aliases from inlining: `(name, node index)`.
     pub aliases: Vec<(String, usize)>,
     pub select: ResolvedSelect,
-    /// Attribute names of the root atom type (for cheap lookup without a
-    /// schema reference).
-    pub root_attrs: Vec<String>,
+    /// The root type's `KEYS_ARE` attributes, `(index, name)`: an
+    /// equality on one of them is a key lookup.
+    pub root_keys: Vec<(usize, String)>,
     /// The result's node table ([`super::MoleculeSet::nodes`]), built
     /// once and shared by every result.
     pub node_infos: Arc<[NodeInfo]>,
@@ -86,19 +92,74 @@ pub struct PlanShape {
 }
 
 impl PlanShape {
-    /// First node with the given label.
-    pub fn node_by_label(&self, label: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.label == label)
-    }
-
-    /// Attribute index on the root type.
-    pub fn root_attr_index(&self, attr: &str) -> Option<usize> {
-        self.root_attrs.iter().position(|a| a == attr)
-    }
-
     /// Whether any node is recursive.
     pub fn is_recursive(&self) -> bool {
         self.nodes.iter().any(|n| n.recursive)
+    }
+}
+
+/// The atoms of a molecule a residual term ranges over.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Atoms {
+    /// The atoms at one structure node.
+    Node(usize),
+    /// The atoms of one type at one recursion level (a level reference:
+    /// in a recursive structure one atom type backs several nodes).
+    Level { atom_type: AtomTypeId, level: u32 },
+}
+
+/// The residual molecule predicate: the WHERE terms not decidable on the
+/// root atom, compiled against the plan's nodes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Residual {
+    And(Vec<Residual>),
+    Or(Vec<Residual>),
+    Not(Box<Residual>),
+    /// At least `n` of `atoms` satisfy `ssa`. A component comparison is
+    /// `n = 1` (existential), `EXISTS_AT_LEAST (n)` counts.
+    AtLeast { n: u32, atoms: Atoms, ssa: Ssa },
+    /// Every atom of `atoms` satisfies `ssa` (`FOR_ALL`).
+    ForAll { atoms: Atoms, ssa: Ssa },
+    /// Reference-to-reference: some value of `left` and some value of
+    /// `right`, each `(atoms, attribute index)`, satisfy `op`.
+    Refs { left: (Atoms, usize), op: CmpOp, right: (Atoms, usize) },
+    /// `left op right` on two values; a slot not bound matches nothing.
+    Values { left: ValueExpr, op: CmpOp, right: ValueExpr },
+}
+
+impl Residual {
+    fn bind(&self, params: &[Value]) -> Residual {
+        let all = |ts: &[Residual]| ts.iter().map(|t| t.bind(params)).collect();
+        let bound = |v: &ValueExpr| value(v, params).map_or_else(|_| v.clone(), ValueExpr::Lit);
+        match self {
+            Residual::And(ts) => Residual::And(all(ts)),
+            Residual::Or(ts) => Residual::Or(all(ts)),
+            Residual::Not(t) => Residual::Not(Box::new(t.bind(params))),
+            Residual::AtLeast { n, atoms, ssa } => {
+                Residual::AtLeast { n: *n, atoms: *atoms, ssa: ssa.bind(params) }
+            }
+            Residual::ForAll { atoms, ssa } => {
+                Residual::ForAll { atoms: *atoms, ssa: ssa.bind(params) }
+            }
+            Residual::Refs { .. } => self.clone(),
+            Residual::Values { left, op, right } => {
+                Residual::Values { left: bound(left), op: *op, right: bound(right) }
+            }
+        }
+    }
+}
+
+/// The concrete value of a DML value expression or residual operand
+/// with `params` bound.
+pub(crate) fn value(ve: &ValueExpr, params: &[Value]) -> PrimaResult<Value> {
+    match ve {
+        ValueExpr::Lit(v) => Ok(v.clone()),
+        ValueExpr::Param(slot) => params.get(usize::from(*slot)).cloned().ok_or_else(|| {
+            PrimaError::UnboundParameter {
+                slot: *slot,
+                detail: "prepare the statement and bind values before executing".into(),
+            }
+        }),
     }
 }
 
@@ -111,7 +172,7 @@ pub struct ResolvedQuery {
     /// access.
     pub root_ssa: Ssa,
     /// Remaining predicate, evaluated per assembled molecule.
-    pub residual: Option<Predicate>,
+    pub residual: Option<Residual>,
 }
 
 impl Deref for ResolvedQuery {
@@ -123,14 +184,14 @@ impl Deref for ResolvedQuery {
 }
 
 impl ResolvedQuery {
-    /// The plan with every parameter placeholder replaced by its bound
-    /// value — the per-execution step of a compiled statement. The shape
-    /// is shared, not copied; only the predicates are.
+    /// The plan with every parameter slot replaced by its bound value —
+    /// the per-execution step of a compiled statement. The shape is
+    /// shared, not copied; only the predicates are.
     pub fn bind(&self, params: &[Value]) -> ResolvedQuery {
         ResolvedQuery {
             shape: Arc::clone(&self.shape),
             root_ssa: self.root_ssa.bind(params),
-            residual: self.residual.as_ref().map(|p| p.bind_params(params)),
+            residual: self.residual.as_ref().map(|r| r.bind(params)),
         }
     }
 }
@@ -144,21 +205,32 @@ pub enum StatementPlan {
     Select(ResolvedQuery),
     /// An INSERT runs no query; its values are resolved per execution.
     Insert(Insert),
-    /// `qualification` selects the molecules the DELETE removes (only
-    /// the named components with `DELETE ONLY`).
-    Delete { qualification: ResolvedQuery, only_components: Option<Vec<String>> },
+    /// `qualification` selects the molecules the DELETE removes: the
+    /// atoms of the `victims` nodes (every node, unless `DELETE ONLY`).
+    Delete { qualification: ResolvedQuery, victims: Vec<usize> },
     /// `qualification` selects the molecules the MODIFY changes.
-    Modify { qualification: ResolvedQuery, assignments: Vec<(CompRef, Assignment)> },
+    Modify { qualification: ResolvedQuery, assignments: Vec<Assignment> },
 }
 
-/// The right-hand side of a compiled MODIFY assignment.
+/// A compiled MODIFY assignment: attribute `attr` of the atoms of node
+/// `node` gets `value`.
 #[derive(Debug)]
-pub enum Assignment {
+pub struct Assignment {
+    pub node: usize,
+    pub attr: usize,
+    pub value: SetValue,
+}
+
+/// The right-hand side of a compiled MODIFY assignment. CONNECT and
+/// DISCONNECT target a reference attribute: a set of references when
+/// `set`, a single one otherwise.
+#[derive(Debug)]
+pub enum SetValue {
     Value(ValueExpr),
     /// Adds references to the roots of the sub-query's molecules.
-    Connect(ResolvedQuery),
+    Connect { roots: ResolvedQuery, set: bool },
     /// Removes references to the roots of the sub-query's molecules.
-    Disconnect(ResolvedQuery),
+    Disconnect { roots: ResolvedQuery, set: bool },
 }
 
 /// A literal bound of the root SSA (used to route to access paths):
@@ -166,7 +238,7 @@ pub enum Assignment {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RootBound<'a> {
     pub attr: usize,
-    pub op: prima_access::CmpOp,
+    pub op: CmpOp,
     pub value: &'a Value,
 }
 

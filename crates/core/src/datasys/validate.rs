@@ -20,26 +20,33 @@
 //! 3. **Qualification pushdown** — conjuncts decidable on the root atom
 //!    alone become a root SSA ("qualifications pushed down for
 //!    efficiency reasons"); recursion seeds (`name (0).attr = c`) are
-//!    pushed the same way. The rest stays as a residual predicate.
+//!    pushed the same way. The rest compiles into the residual molecule
+//!    predicate ([`Residual`]): every reference resolved to node and
+//!    attribute indices, every quantifier body an SSA on the quantified
+//!    component. A statement that names something it cannot resolve
+//!    fails here, whatever the data.
 //! 4. **Select resolution** — the SELECT list is mapped onto per-node
 //!    projections, including qualified projections (nested SELECTs).
 //!
 //! [`plan_statement`] applies this to every query a statement runs —
 //! a SELECT, a DELETE's or MODIFY's qualification, a CONNECT /
-//! DISCONNECT sub-query — once, when the statement is compiled.
+//! DISCONNECT sub-query — once, when the statement is compiled. A
+//! parameter slot compiles to an unbound comparison ([`Ssa::CmpParam`])
+//! and takes the type of the attribute it is first used with.
 
-use crate::error::{PrimaError, PrimaResult};
 use crate::datasys::molecule::NodeInfo;
 use crate::datasys::plan::{
-    Assignment, NodeProjection, PlanShape, ResolvedNode, ResolvedQuery, ResolvedSelect,
-    StatementPlan,
+    Assignment, Atoms, NodeProjection, PlanShape, Residual, ResolvedNode, ResolvedQuery,
+    ResolvedSelect, SetValue, StatementPlan,
 };
+use crate::error::{PrimaError, PrimaResult};
 use prima_access::ssa::{CmpOp, Ssa};
 use prima_mad::mql::{
-    CompRef, CompareOp, FromClause, Operand, Predicate, Query, SelectItem, SelectList, SetExpr,
-    Statement,
+    CompRef, CompareOp, FromClause, Insert, Operand, Predicate, Query, SelectItem, SelectList,
+    SetExpr, Statement, ValueExpr,
 };
-use prima_mad::schema::{MoleculeGraph, MoleculeNode, Schema};
+use prima_mad::schema::{AtomType, MoleculeGraph, MoleculeNode, Schema};
+use prima_mad::{AttrType, SchemaError};
 use std::sync::Arc;
 
 /// Maximum molecule-type inlining depth (cycle guard).
@@ -135,128 +142,545 @@ fn clean_name(component: &str) -> &str {
     component
 }
 
-/// Validates and resolves a parsed query against the schema.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+/// Validates and resolves a parsed query against the schema. Parameter
+/// slots compile to unbound comparisons; typing them is
+/// [`plan_statement`]'s part.
 pub fn validate(schema: &Schema, query: &Query) -> PrimaResult<ResolvedQuery> {
-    let (expanded, aliases) = resolve_molecule_types(schema, query.from.graph())?;
-    // Flatten the tree into nodes with parent/child indices (pre-order).
-    let mut nodes: Vec<ResolvedNode> = Vec::new();
-    flatten(schema, &expanded.root, None, &mut nodes)?;
-    // Label map: node labels (atom type name as written) + aliases.
-    // First occurrence wins for duplicate labels.
-    let root_attrs: Vec<String> = schema
-        .atom_type(nodes[0].atom_type)
-        // lint: allow(error-hygiene, root type was resolved a few lines up in this same pass)
-        .expect("resolved root type")
-        .attributes
-        .iter()
-        .map(|a| a.name.clone())
-        .collect();
-    let mut shape = PlanShape {
-        nodes,
-        aliases,
-        select: ResolvedSelect::default(),
-        root_attrs,
-        node_infos: Arc::new([]),
-        kept: Vec::new(),
-    };
-    // Predicate split.
-    let (mut root_ssa, mut residual) = (Ssa::True, None);
-    if let Some(pred) = &query.predicate {
-        let (root_terms, rest) = split_predicate(&shape, pred)?;
-        root_ssa = Ssa::and(root_terms);
-        residual = rest;
-        // Every referenced component must resolve.
-        if let Some(res) = &residual {
-            for r in res.comp_refs() {
-                resolve_ref(&shape, r, schema)?;
+    Compiler { schema, slot_types: Vec::new() }.query(query).map(|(q, _)| q)
+}
+
+/// Compiles a parsed statement with `slots` parameter slots into its
+/// plan: a SELECT into its processing plan; a DELETE or MODIFY into the
+/// plan of its qualification and of every CONNECT / DISCONNECT
+/// sub-query, with its DELETE ONLY components and MODIFY targets
+/// resolved. An INSERT runs no query and is kept as parsed.
+///
+/// Also returns each slot's type: the type of the attribute the slot is
+/// first compared with, in WHERE order, or else assigned to by an
+/// INSERT or MODIFY (`None` when neither).
+pub fn plan_statement(
+    schema: &Schema,
+    stmt: &Statement,
+    slots: usize,
+) -> PrimaResult<(StatementPlan, Vec<Option<AttrType>>)> {
+    let mut compiler = Compiler { schema, slot_types: vec![None; slots] };
+    let plan = compiler.statement(stmt)?;
+    Ok((plan, compiler.slot_types))
+}
+
+/// One statement's compile: the schema its names resolve against, and
+/// the type of each parameter slot as far as it is known.
+struct Compiler<'s> {
+    schema: &'s Schema,
+    slot_types: Vec<Option<AttrType>>,
+}
+
+/// What a query's names resolve against: its nodes, the atom type of
+/// each, and its molecule-type aliases.
+#[derive(Clone, Copy)]
+struct Names<'a, 's> {
+    nodes: &'a [ResolvedNode],
+    types: &'a [&'s AtomType],
+    aliases: &'a [(String, usize)],
+}
+
+impl<'a, 's> Names<'a, 's> {
+    /// The names of a compiled query whose node types are `types`.
+    fn of(q: &'a ResolvedQuery, types: &'a [&'s AtomType]) -> Self {
+        Names { nodes: &q.nodes, types, aliases: &q.aliases }
+    }
+
+    /// The node a component name denotes: the first node with that
+    /// label, else the node a molecule-type alias landed on.
+    fn node(&self, name: &str) -> Option<usize> {
+        self.nodes
+            .iter()
+            .position(|n| n.label == name)
+            .or_else(|| self.aliases.iter().find(|(n, _)| n == name).map(|(_, i)| *i))
+    }
+
+    /// The node `r` names; `bare` when it names none.
+    fn node_of(&self, r: &CompRef, bare: usize) -> PrimaResult<usize> {
+        match &r.component {
+            None => Ok(bare),
+            Some(name) => self.node(name).ok_or_else(|| PrimaError::UnresolvedReference {
+                reference: r.to_string(),
+                detail: format!("no component '{name}' in FROM"),
+            }),
+        }
+    }
+
+    /// The index of `r`'s attribute on the type of node `node`.
+    fn attr(&self, node: usize, r: &CompRef) -> PrimaResult<usize> {
+        let at = self.types[node];
+        at.attribute_index(&r.attr).ok_or_else(|| PrimaError::UnresolvedReference {
+            reference: r.to_string(),
+            detail: format!("atom type '{}' has no attribute '{}'", at.name, r.attr),
+        })
+    }
+
+    /// A reference in a molecule predicate: its node, the atoms it ranges
+    /// over (with a level, every atom of the node's type at that level)
+    /// and its attribute. A bare reference is to the root.
+    fn target(&self, r: &CompRef) -> PrimaResult<(usize, Atoms, usize)> {
+        let node = self.node_of(r, 0)?;
+        let attr = self.attr(node, r)?;
+        let atoms = match r.level {
+            Some(level) => Atoms::Level { atom_type: self.nodes[node].atom_type, level },
+            None => Atoms::Node(node),
+        };
+        Ok((node, atoms, attr))
+    }
+}
+
+/// A comparison operand: a reference, or a value or slot.
+enum Side<'p> {
+    Ref(&'p CompRef),
+    Value(ValueExpr),
+}
+
+fn side(o: &Operand) -> Side<'_> {
+    match o {
+        Operand::Ref(r) => Side::Ref(r),
+        Operand::Literal(v) => Side::Value(ValueExpr::Lit(v.clone())),
+        Operand::Param(slot) => Side::Value(ValueExpr::Param(*slot)),
+    }
+}
+
+impl<'s> Compiler<'s> {
+    fn statement(&mut self, stmt: &Statement) -> PrimaResult<StatementPlan> {
+        // The qualification of a DELETE or MODIFY: `SELECT ALL` over its
+        // FROM and WHERE, whose molecules the statement changes.
+        let qualification = |from: &FromClause, predicate: Option<&Predicate>| Query {
+            select: SelectList::All,
+            from: from.clone(),
+            predicate: predicate.cloned(),
+        };
+        Ok(match stmt {
+            Statement::Select(q) => StatementPlan::Select(self.query(q)?.0),
+            Statement::Insert(i) => {
+                self.insert_slots(i)?;
+                StatementPlan::Insert(i.clone())
+            }
+            Statement::Delete(d) => {
+                let (qualification, types) =
+                    self.query(&qualification(&d.from, d.predicate.as_ref()))?;
+                let names = Names::of(&qualification, &types);
+                let victims = match &d.only_components {
+                    None => (0..qualification.nodes.len()).collect(),
+                    Some(only) => only
+                        .iter()
+                        .map(|n| {
+                            names.node(n).ok_or_else(|| PrimaError::UnresolvedReference {
+                                reference: n.clone(),
+                                detail: "DELETE ONLY names unknown component".into(),
+                            })
+                        })
+                        .collect::<PrimaResult<_>>()?,
+                };
+                StatementPlan::Delete { qualification, victims }
+            }
+            Statement::Modify(m) => {
+                let (qualification, types) =
+                    self.query(&qualification(&m.from, m.predicate.as_ref()))?;
+                let names = Names::of(&qualification, &types);
+                let assignments = m
+                    .assignments
+                    .iter()
+                    .map(|(target, e)| self.assignment(names, target, e))
+                    .collect::<PrimaResult<_>>()?;
+                StatementPlan::Modify { qualification, assignments }
+            }
+        })
+    }
+
+    /// Compiles one query: its plan, and the atom type of each node.
+    fn query(&mut self, query: &Query) -> PrimaResult<(ResolvedQuery, Vec<&'s AtomType>)> {
+        let (expanded, aliases) = resolve_molecule_types(self.schema, query.from.graph())?;
+        // Flatten the tree into nodes with parent/child indices (pre-order).
+        let (mut nodes, mut types) = (Vec::new(), Vec::new());
+        flatten(self.schema, &expanded.root, None, &mut nodes, &mut types)?;
+        let names = Names { nodes: &nodes, types: &types, aliases: &aliases };
+        // Predicate split: single terms on a root attribute push down to
+        // the root access, every other conjunct is residual.
+        let (mut root, mut rest) = (Vec::new(), Vec::new());
+        if let Some(pred) = &query.predicate {
+            let conjuncts = match pred {
+                Predicate::And(ts) => ts.as_slice(),
+                other => std::slice::from_ref(other),
+            };
+            for c in conjuncts {
+                let term = matches!(
+                    c,
+                    Predicate::Compare { .. } | Predicate::IsEmpty(_) | Predicate::NotEmpty(_)
+                );
+                let on_root = if term { self.atom_ssa(names, 0, c)? } else { None };
+                match on_root {
+                    Some(ssa) => root.push(ssa),
+                    None => rest.push(self.residual(names, c)?),
+                }
+            }
+        }
+        let root_ssa = Ssa::and(root);
+        let residual = if rest.len() > 1 { Some(Residual::And(rest)) } else { rest.pop() };
+        // Recursive structures need a root restriction (seed) — otherwise
+        // the level-wise evaluation has no anchors.
+        if nodes.iter().any(|n| n.recursive) && matches!(root_ssa, Ssa::True) {
+            let name = aliases.first().map_or_else(|| nodes[0].label.clone(), |(n, _)| n.clone());
+            return Err(PrimaError::MissingSeed(name));
+        }
+        let select = self.select(names, &query.select)?;
+        let node_infos = nodes
+            .iter()
+            .zip(&select.per_node)
+            .map(|(n, p)| NodeInfo {
+                label: n.label.clone(),
+                atom_type: n.atom_type,
+                recursive: n.recursive,
+                selected: !matches!(p, NodeProjection::Exclude),
+            })
+            .collect();
+        let kept = (0..nodes.len()).map(|i| kept_attrs(types[i], &select.per_node[i])).collect();
+        let root_type = types[0];
+        let root_keys = (root_type.attributes.iter().enumerate())
+            .filter(|(_, a)| root_type.is_key(&a.name))
+            .map(|(i, a)| (i, a.name.clone()))
+            .collect();
+        let shape = PlanShape { nodes, aliases, select, root_keys, node_infos, kept };
+        Ok((ResolvedQuery { shape: Arc::new(shape), root_ssa, residual }, types))
+    }
+
+    /// Compiles `pred` into an SSA over the atoms of node `node`: a root
+    /// conjunct, a quantifier body or a qualified projection's predicate.
+    /// A bare reference is to `node`. `None` when `pred` is not decidable
+    /// on those atoms alone: a term compares two references or two
+    /// values, quantifies, or reads another node or a recursion level.
+    fn atom_ssa(
+        &mut self,
+        names: Names<'_, 's>,
+        node: usize,
+        pred: &Predicate,
+    ) -> PrimaResult<Option<Ssa>> {
+        let attr = |r: &CompRef| -> PrimaResult<Option<usize>> {
+            let level_ok = r.level.is_none() || (r.level == Some(0) && node == 0);
+            let on_node = names.node_of(r, node)? == node && level_ok;
+            on_node.then(|| names.attr(node, r)).transpose()
+        };
+        Ok(match pred {
+            Predicate::Compare { left, op, right } => {
+                let (r, op, v) = match (side(left), side(right)) {
+                    (Side::Ref(r), Side::Value(v)) => (r, convert_op(*op), v),
+                    (Side::Value(v), Side::Ref(r)) => (r, convert_op(*op).flip(), v),
+                    _ => return Ok(None),
+                };
+                attr(r)?.map(|a| self.compare(names.types[node], a, op, v))
+            }
+            Predicate::IsEmpty(r) => attr(r)?.map(|attr| Ssa::IsEmpty { attr }),
+            Predicate::NotEmpty(r) => attr(r)?.map(|attr| Ssa::NotEmpty { attr }),
+            Predicate::And(ts) => self.atom_ssas(names, node, ts)?.map(Ssa::and),
+            Predicate::Or(ts) => self.atom_ssas(names, node, ts)?.map(Ssa::Or),
+            Predicate::Not(t) => self.atom_ssa(names, node, t)?.map(|t| Ssa::Not(Box::new(t))),
+            Predicate::ExistsAtLeast { .. } | Predicate::ForAll { .. } => None,
+        })
+    }
+
+    fn atom_ssas(
+        &mut self,
+        names: Names<'_, 's>,
+        node: usize,
+        ts: &[Predicate],
+    ) -> PrimaResult<Option<Vec<Ssa>>> {
+        let mut out = Vec::with_capacity(ts.len());
+        for t in ts {
+            let Some(ssa) = self.atom_ssa(names, node, t)? else { return Ok(None) };
+            out.push(ssa);
+        }
+        Ok(Some(out))
+    }
+
+    /// `attr op v` on atoms of type `at`; a slot takes the attribute's
+    /// type unless an earlier use typed it.
+    fn compare(&mut self, at: &AtomType, attr: usize, op: CmpOp, v: ValueExpr) -> Ssa {
+        match v {
+            ValueExpr::Lit(value) => Ssa::Cmp { attr, op, value },
+            ValueExpr::Param(slot) => {
+                self.note(slot, &at.attributes[attr].ty);
+                Ssa::CmpParam { attr, op, slot }
             }
         }
     }
-    // Recursive structures need a root restriction (seed) — otherwise the
-    // level-wise evaluation has no anchors.
-    if shape.is_recursive() && matches!(root_ssa, Ssa::True) {
-        let name =
-            shape.aliases.first().map_or_else(|| shape.nodes[0].label.clone(), |(n, _)| n.clone());
-        return Err(PrimaError::MissingSeed(name));
-    }
-    // Select resolution.
-    shape.select = resolve_select(schema, &shape, &query.select)?;
-    shape.node_infos = shape
-        .nodes
-        .iter()
-        .zip(&shape.select.per_node)
-        .map(|(n, p)| NodeInfo {
-            label: n.label.clone(),
-            atom_type: n.atom_type,
-            recursive: n.recursive,
-            selected: !matches!(p, NodeProjection::Exclude),
-        })
-        .collect();
-    shape.kept =
-        (0..shape.nodes.len()).map(|i| kept_attrs(schema, &shape, i)).collect::<PrimaResult<_>>()?;
-    Ok(ResolvedQuery { shape: Arc::new(shape), root_ssa, residual })
-}
 
-/// The attributes node `i`'s projection keeps ([`PlanShape::kept`]).
-fn kept_attrs(schema: &Schema, shape: &PlanShape, i: usize) -> PrimaResult<Option<Vec<usize>>> {
-    let attrs: &[usize] = match shape.select.per_node.get(i) {
-        None | Some(NodeProjection::All) | Some(NodeProjection::Qualified { attrs: None, .. }) => {
-            return Ok(None)
+    fn note(&mut self, slot: u16, ty: &AttrType) {
+        if let Some(t @ None) = self.slot_types.get_mut(usize::from(slot)) {
+            *t = Some(ty.clone());
         }
-        Some(NodeProjection::Attrs(attrs))
-        | Some(NodeProjection::Qualified { attrs: Some(attrs), .. }) => attrs,
-        Some(NodeProjection::Exclude) => &[],
-    };
-    let node = &shape.nodes[i];
-    let at = schema
-        .atom_type(node.atom_type)
-        .ok_or_else(|| PrimaError::UnknownComponent(node.label.clone()))?;
-    Ok(Some(attrs.iter().copied().chain([at.identifier_index()]).collect()))
-}
+    }
 
-/// Compiles a parsed statement into its plan: a SELECT into its
-/// processing plan; a DELETE or MODIFY into the plan of its
-/// qualification and of every CONNECT / DISCONNECT sub-query. An INSERT
-/// runs no query and is kept as parsed.
-pub fn plan_statement(schema: &Schema, stmt: &Statement) -> PrimaResult<StatementPlan> {
-    // The qualification of a DELETE or MODIFY: `SELECT ALL` over its FROM
-    // and WHERE, whose molecules the statement changes.
-    let qualification = |from: &FromClause, predicate: Option<&Predicate>| Query {
-        select: SelectList::All,
-        from: from.clone(),
-        predicate: predicate.cloned(),
-    };
-    Ok(match stmt {
-        Statement::Select(q) => StatementPlan::Select(validate(schema, q)?),
-        Statement::Insert(i) => StatementPlan::Insert(i.clone()),
-        Statement::Delete(d) => StatementPlan::Delete {
-            qualification: validate(schema, &qualification(&d.from, d.predicate.as_ref()))?,
-            only_components: d.only_components.clone(),
-        },
-        Statement::Modify(m) => StatementPlan::Modify {
-            qualification: validate(schema, &qualification(&m.from, m.predicate.as_ref()))?,
-            assignments: m
-                .assignments
-                .iter()
-                .map(|(target, e)| {
-                    let assignment = match e {
-                        SetExpr::Value(v) => Assignment::Value(v.clone()),
-                        SetExpr::Connect(q) => Assignment::Connect(validate(schema, q)?),
-                        SetExpr::Disconnect(q) => Assignment::Disconnect(validate(schema, q)?),
-                    };
-                    Ok((target.clone(), assignment))
+    /// Compiles a WHERE term that is not a root conjunct.
+    fn residual(&mut self, names: Names<'_, 's>, pred: &Predicate) -> PrimaResult<Residual> {
+        Ok(match pred {
+            Predicate::And(ts) => Residual::And(self.residuals(names, ts)?),
+            Predicate::Or(ts) => Residual::Or(self.residuals(names, ts)?),
+            Predicate::Not(t) => Residual::Not(Box::new(self.residual(names, t)?)),
+            Predicate::Compare { left, op, right } => {
+                let op = convert_op(*op);
+                match (side(left), side(right)) {
+                    (Side::Ref(l), Side::Ref(r)) => {
+                        let ((_, la, lx), (_, ra, rx)) = (names.target(l)?, names.target(r)?);
+                        Residual::Refs { left: (la, lx), op, right: (ra, rx) }
+                    }
+                    (Side::Ref(r), Side::Value(v)) => {
+                        self.exists(names, r, |c, at, attr| c.compare(at, attr, op, v))?
+                    }
+                    (Side::Value(v), Side::Ref(r)) => {
+                        self.exists(names, r, |c, at, attr| c.compare(at, attr, op.flip(), v))?
+                    }
+                    (Side::Value(l), Side::Value(r)) => Residual::Values { left: l, op, right: r },
+                }
+            }
+            Predicate::IsEmpty(r) => self.exists(names, r, |_, _, attr| Ssa::IsEmpty { attr })?,
+            Predicate::NotEmpty(r) => self.exists(names, r, |_, _, attr| Ssa::NotEmpty { attr })?,
+            Predicate::ExistsAtLeast { n, component, inner } => {
+                let (atoms, ssa) = self.quantified(names, component, inner)?;
+                Residual::AtLeast { n: *n, atoms, ssa }
+            }
+            Predicate::ForAll { component, inner } => {
+                let (atoms, ssa) = self.quantified(names, component, inner)?;
+                Residual::ForAll { atoms, ssa }
+            }
+        })
+    }
+
+    fn residuals(&mut self, names: Names<'_, 's>, ts: &[Predicate]) -> PrimaResult<Vec<Residual>> {
+        ts.iter().map(|t| self.residual(names, t)).collect()
+    }
+
+    /// A term on one component attribute, `ssa` built for the attribute
+    /// `r` resolves to: some atom of the component satisfies it.
+    fn exists(
+        &mut self,
+        names: Names<'_, 's>,
+        r: &CompRef,
+        ssa: impl FnOnce(&mut Self, &AtomType, usize) -> Ssa,
+    ) -> PrimaResult<Residual> {
+        let (node, atoms, attr) = names.target(r)?;
+        Ok(Residual::AtLeast { n: 1, atoms, ssa: ssa(self, names.types[node], attr) })
+    }
+
+    /// A quantifier's range, and its body as an SSA on the atoms of the
+    /// quantified component.
+    fn quantified(
+        &mut self,
+        names: Names<'_, 's>,
+        component: &str,
+        inner: &Predicate,
+    ) -> PrimaResult<(Atoms, Ssa)> {
+        let node = names.node(component).ok_or_else(|| PrimaError::UnresolvedReference {
+            reference: component.to_string(),
+            detail: "quantifier over unknown component".into(),
+        })?;
+        let ssa = self.atom_ssa(names, node, inner)?.ok_or_else(|| {
+            PrimaError::BadStatement(
+                "quantifier body must be decidable on the quantified component".into(),
+            )
+        })?;
+        Ok((Atoms::Node(node), ssa))
+    }
+
+    /// Types the slots an INSERT assigns. Only a slot's attribute is
+    /// resolved now; the others are checked when the INSERT runs, as
+    /// one-shot text always was.
+    fn insert_slots(&mut self, i: &Insert) -> PrimaResult<()> {
+        for (name, ve) in &i.assignments {
+            let ValueExpr::Param(slot) = ve else { continue };
+            let at = self.schema.type_by_name(&i.atom_type).ok_or_else(|| {
+                PrimaError::Schema(SchemaError::UnknownAtomType(i.atom_type.clone()))
+            })?;
+            let idx = at.attribute_index(name).ok_or_else(|| {
+                PrimaError::Schema(SchemaError::UnknownAttribute {
+                    atom_type: at.name.clone(),
+                    attr: name.clone(),
                 })
-                .collect::<PrimaResult<_>>()?,
-        },
-    })
+            })?;
+            self.note(*slot, &at.attributes[idx].ty);
+        }
+        Ok(())
+    }
+
+    /// Resolves one MODIFY assignment; CONNECT and DISCONNECT need a
+    /// reference attribute.
+    fn assignment(
+        &mut self,
+        names: Names<'_, 's>,
+        target: &CompRef,
+        e: &SetExpr,
+    ) -> PrimaResult<Assignment> {
+        let node = names.node_of(target, 0)?;
+        let attr = names.attr(node, target)?;
+        let a = &names.types[node].attributes[attr];
+        let set = matches!(a.ty, AttrType::RefSet(..));
+        let reference = |verb: &str| {
+            if set || matches!(a.ty, AttrType::Ref(_)) {
+                Ok(())
+            } else {
+                Err(PrimaError::BadStatement(format!(
+                    "{verb} target '{}' is not a reference attribute",
+                    a.name
+                )))
+            }
+        };
+        let value = match e {
+            SetExpr::Value(v) => {
+                if let ValueExpr::Param(slot) = v {
+                    self.note(*slot, &a.ty);
+                }
+                SetValue::Value(v.clone())
+            }
+            SetExpr::Connect(q) => {
+                reference("CONNECT")?;
+                SetValue::Connect { roots: self.query(q)?.0, set }
+            }
+            SetExpr::Disconnect(q) => {
+                reference("DISCONNECT")?;
+                SetValue::Disconnect { roots: self.query(q)?.0, set }
+            }
+        };
+        Ok(Assignment { node, attr, value })
+    }
+
+    /// Maps the SELECT list onto per-node projections.
+    fn select(&mut self, names: Names<'_, 's>, select: &SelectList) -> PrimaResult<ResolvedSelect> {
+        let mut per_node: Vec<NodeProjection> = match select {
+            SelectList::All => vec![NodeProjection::All; names.nodes.len()],
+            SelectList::Items(_) => vec![NodeProjection::Exclude; names.nodes.len()],
+        };
+        let SelectList::Items(items) = select else { return Ok(ResolvedSelect { per_node }) };
+        let mut flat = Vec::new();
+        flatten_items(items, &mut flat);
+        for item in flat {
+            match item {
+                SelectItem::Group(_) => unreachable!("flattened"),
+                SelectItem::Component(name) => {
+                    // A whole component — or a root attribute when the
+                    // name is not a component.
+                    if let Some(idx) = names.node(&name) {
+                        per_node[idx] = NodeProjection::All;
+                    } else {
+                        let attr = names.types[0].attribute_index(&name).ok_or_else(|| {
+                            PrimaError::UnresolvedReference {
+                                reference: name.clone(),
+                                detail: "neither a component nor a root attribute".into(),
+                            }
+                        })?;
+                        add_attr(&mut per_node[0], attr);
+                    }
+                }
+                SelectItem::Attr(r) => {
+                    let node = names.node_of(&r, 0)?;
+                    let attr = names.attr(node, &r)?;
+                    add_attr(&mut per_node[node], attr);
+                }
+                SelectItem::Qualified { component, query } => {
+                    let (node, projection) = self.qualified(names, &component, &query)?;
+                    per_node[node] = projection;
+                }
+            }
+        }
+        Ok(ResolvedSelect { per_node })
+    }
+
+    /// A qualified projection (`face := SELECT … FROM face WHERE …`): its
+    /// node, and the projection its WHERE and SELECT give that node.
+    fn qualified(
+        &mut self,
+        names: Names<'_, 's>,
+        component: &str,
+        query: &Query,
+    ) -> PrimaResult<(usize, NodeProjection)> {
+        let node = names.node(component).ok_or_else(|| {
+            PrimaError::UnresolvedReference {
+                reference: component.to_string(),
+                detail: "qualified projection on unknown component".into(),
+            }
+        })?;
+        // The inner query must range over the same component type; its
+        // WHERE becomes a per-atom SSA, its SELECT a projection.
+        let inner_from = query.from.graph();
+        if inner_from.root.component != names.nodes[node].label
+            || !inner_from.root.children.is_empty()
+        {
+            return Err(PrimaError::BadStatement(format!(
+                "qualified projection for '{component}' must SELECT … FROM {component}"
+            )));
+        }
+        let at = names.types[node];
+        let ssa = match &query.predicate {
+            None => Ssa::True,
+            Some(p) => {
+                let ssa = self.atom_ssa(names, node, p)?.ok_or_else(|| {
+                    PrimaError::BadStatement(format!(
+                        "qualified projection predicate for '{component}' must be decidable on single atoms"
+                    ))
+                })?;
+                // The projection SSA is part of the shape every execution
+                // shares, which binding does not touch.
+                if ssa.has_params() {
+                    return Err(PrimaError::BadStatement(format!(
+                        "parameters are not supported in the qualified projection for '{component}' (use them in the WHERE clause instead)"
+                    )));
+                }
+                ssa
+            }
+        };
+        let attrs = match &query.select {
+            SelectList::All => None,
+            SelectList::Items(items) => {
+                let mut out = Vec::new();
+                let mut flat = Vec::new();
+                flatten_items(items, &mut flat);
+                for it in flat {
+                    match it {
+                        SelectItem::Component(a) | SelectItem::Attr(CompRef { attr: a, .. }) => {
+                            let idx = at.attribute_index(&a).ok_or_else(|| {
+                                PrimaError::UnresolvedReference {
+                                    reference: a.clone(),
+                                    detail: format!("no attribute '{a}' on '{}'", at.name),
+                                }
+                            })?;
+                            out.push(idx);
+                        }
+                        other => {
+                            return Err(PrimaError::BadStatement(format!(
+                                "unsupported nested projection item {other:?}"
+                            )))
+                        }
+                    }
+                }
+                Some(out)
+            }
+        };
+        Ok((node, NodeProjection::Qualified { attrs, ssa }))
+    }
 }
 
-fn flatten(
-    schema: &Schema,
+/// The attributes a node's projection keeps ([`PlanShape::kept`]).
+fn kept_attrs(at: &AtomType, projection: &NodeProjection) -> Option<Vec<usize>> {
+    let attrs: &[usize] = match projection {
+        NodeProjection::All | NodeProjection::Qualified { attrs: None, .. } => return None,
+        NodeProjection::Attrs(attrs) | NodeProjection::Qualified { attrs: Some(attrs), .. } => {
+            attrs
+        }
+        NodeProjection::Exclude => &[],
+    };
+    Some(attrs.iter().copied().chain([at.identifier_index()]).collect())
+}
+
+fn flatten<'s>(
+    schema: &'s Schema,
     node: &MoleculeNode,
     parent: Option<usize>,
     out: &mut Vec<ResolvedNode>,
+    types: &mut Vec<&'s AtomType>,
 ) -> PrimaResult<()> {
     let name = clean_name(&node.component).to_string();
     let at = schema
@@ -285,116 +709,17 @@ fn flatten(
         parent,
         children: Vec::new(),
     });
+    types.push(at);
     if let Some(p) = parent {
         out[p].children.push(idx);
     }
     for c in &node.children {
-        flatten(schema, c, Some(idx), out)?;
+        flatten(schema, c, Some(idx), out, types)?;
     }
     Ok(())
 }
 
-/// Resolves a component reference to `(node index, attribute index)`.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-pub fn resolve_ref(
-    q: &PlanShape,
-    r: &CompRef,
-    schema: &Schema,
-) -> PrimaResult<(usize, usize)> {
-    let node_idx = match &r.component {
-        None => 0,
-        Some(name) => q
-            .node_by_label(name)
-            .or_else(|| q.aliases.iter().find(|(n, _)| n == name).map(|(_, i)| *i))
-            .ok_or_else(|| PrimaError::UnresolvedReference {
-                reference: r.to_string(),
-                detail: format!("no component '{name}' in FROM"),
-            })?,
-    };
-    // lint: allow(error-hygiene, node type ids were interned into this schema by the resolve pass)
-    let at = schema.atom_type(q.nodes[node_idx].atom_type).expect("resolved type");
-    let attr = at.attribute_index(&r.attr).ok_or_else(|| PrimaError::UnresolvedReference {
-        reference: r.to_string(),
-        detail: format!("atom type '{}' has no attribute '{}'", at.name, r.attr),
-    })?;
-    Ok((node_idx, attr))
-}
-
-/// Splits a WHERE predicate into root-decidable SSA conjuncts and a
-/// residual molecule predicate.
-fn split_predicate(
-    q: &PlanShape,
-    pred: &Predicate,
-) -> PrimaResult<(Vec<Ssa>, Option<Predicate>)> {
-    let conjuncts: Vec<Predicate> = match pred {
-        Predicate::And(ts) => ts.clone(),
-        other => vec![other.clone()],
-    };
-    let mut root_ssas = Vec::new();
-    let mut residual = Vec::new();
-    for c in conjuncts {
-        match to_root_ssa(q, &c) {
-            Some(ssa) => root_ssas.push(ssa),
-            None => residual.push(c),
-        }
-    }
-    let residual = if residual.is_empty() { None } else { Some(Predicate::and(residual)) };
-    Ok((root_ssas, residual))
-}
-
-/// Attempts to express a predicate as an SSA over the root atom: bare
-/// attribute references, explicit references to the root component, and
-/// level-0 references of a recursive molecule all qualify.
-fn to_root_ssa(q: &PlanShape, pred: &Predicate) -> Option<Ssa> {
-    let is_root_ref = |r: &CompRef| -> bool {
-        let comp_ok = match &r.component {
-            None => true,
-            Some(name) => {
-                q.node_by_label(name) == Some(0)
-                    || q.aliases.iter().any(|(n, idx)| n == name && *idx == 0)
-            }
-        };
-        comp_ok && r.level.unwrap_or(0) == 0
-    };
-    match pred {
-        Predicate::Compare { left: Operand::Ref(r), op, right: Operand::Literal(v) }
-            if is_root_ref(r) =>
-        {
-            let attr = q.root_attr_index(&r.attr)?;
-            Some(Ssa::Cmp { attr, op: convert_op(*op), value: v.clone() })
-        }
-        Predicate::Compare { left: Operand::Literal(v), op, right: Operand::Ref(r) }
-            if is_root_ref(r) =>
-        {
-            let attr = q.root_attr_index(&r.attr)?;
-            Some(Ssa::Cmp { attr, op: convert_op(*op).flip(), value: v.clone() })
-        }
-        // Parameter placeholders push down like literals: the plan keeps
-        // an unbound comparison that `Ssa::bind` makes concrete per
-        // execution (prepare once, bind + execute many).
-        Predicate::Compare { left: Operand::Ref(r), op, right: Operand::Param(slot) }
-            if is_root_ref(r) =>
-        {
-            let attr = q.root_attr_index(&r.attr)?;
-            Some(Ssa::CmpParam { attr, op: convert_op(*op), slot: *slot })
-        }
-        Predicate::Compare { left: Operand::Param(slot), op, right: Operand::Ref(r) }
-            if is_root_ref(r) =>
-        {
-            let attr = q.root_attr_index(&r.attr)?;
-            Some(Ssa::CmpParam { attr, op: convert_op(*op).flip(), slot: *slot })
-        }
-        Predicate::IsEmpty(r) if is_root_ref(r) => {
-            Some(Ssa::IsEmpty { attr: q.root_attr_index(&r.attr)? })
-        }
-        Predicate::NotEmpty(r) if is_root_ref(r) => {
-            Some(Ssa::NotEmpty { attr: q.root_attr_index(&r.attr)? })
-        }
-        _ => None,
-    }
-}
-
-pub(crate) fn convert_op(op: CompareOp) -> CmpOp {
+fn convert_op(op: CompareOp) -> CmpOp {
     match op {
         CompareOp::Eq => CmpOp::Eq,
         CompareOp::Ne => CmpOp::Ne,
@@ -403,125 +728,6 @@ pub(crate) fn convert_op(op: CompareOp) -> CmpOp {
         CompareOp::Gt => CmpOp::Gt,
         CompareOp::Ge => CmpOp::Ge,
     }
-}
-
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-fn resolve_select(
-    schema: &Schema,
-    q: &PlanShape,
-    select: &SelectList,
-) -> PrimaResult<ResolvedSelect> {
-    let mut per_node: Vec<NodeProjection> = match select {
-        SelectList::All => vec![NodeProjection::All; q.nodes.len()],
-        SelectList::Items(_) => vec![NodeProjection::Exclude; q.nodes.len()],
-    };
-    if let SelectList::Items(items) = select {
-        let mut flat = Vec::new();
-        flatten_items(items, &mut flat);
-        for item in flat {
-            match item {
-                SelectItem::Group(_) => unreachable!("flattened"),
-                SelectItem::Component(name) => {
-                    // A whole component — or a root attribute when the
-                    // name is not a component.
-                    if let Some(idx) =
-                        q.node_by_label(&name).or_else(|| alias_node(q, &name))
-                    {
-                        per_node[idx] = NodeProjection::All;
-                    } else {
-                        let attr = q.root_attr_index(&name).ok_or_else(|| {
-                            PrimaError::UnresolvedReference {
-                                reference: name.clone(),
-                                detail: "neither a component nor a root attribute".into(),
-                            }
-                        })?;
-                        add_attr(&mut per_node[0], attr);
-                    }
-                }
-                SelectItem::Attr(r) => {
-                    let (node, attr) = resolve_ref(q, &r, schema)?;
-                    add_attr(&mut per_node[node], attr);
-                }
-                SelectItem::Qualified { component, query } => {
-                    let node = q.node_by_label(&component).ok_or_else(|| {
-                        PrimaError::UnresolvedReference {
-                            reference: component.clone(),
-                            detail: "qualified projection on unknown component".into(),
-                        }
-                    })?;
-                    // The inner query must range over the same component
-                    // type; its WHERE becomes a per-atom SSA, its SELECT a
-                    // projection.
-                    let inner_from = query.from.graph();
-                    if inner_from.root.component != q.nodes[node].label
-                        || !inner_from.root.children.is_empty()
-                    {
-                        return Err(PrimaError::BadStatement(format!(
-                            "qualified projection for '{component}' must SELECT … FROM {component}"
-                        )));
-                    }
-                    // lint: allow(error-hygiene, node type ids were interned into this schema by the resolve pass)
-                    let at = schema.atom_type(q.nodes[node].atom_type).expect("resolved");
-                    let ssa = match &query.predicate {
-                        None => Ssa::True,
-                        Some(p) => {
-                            // The projection SSA is baked into the plan at
-                            // validation time, before any binding — name
-                            // the actual limitation instead of blaming
-                            // decidability.
-                            if !p.param_slots().is_empty() {
-                                return Err(PrimaError::BadStatement(format!(
-                                    "parameters are not supported in the qualified projection for '{component}' (use them in the WHERE clause instead)"
-                                )));
-                            }
-                            predicate_to_atom_ssa(p, |attr| at.attribute_index(attr))
-                                .ok_or_else(|| {
-                                    PrimaError::BadStatement(format!(
-                                        "qualified projection predicate for '{component}' must be decidable on single atoms"
-                                    ))
-                                })?
-                        }
-                    };
-                    let attrs = match &query.select {
-                        SelectList::All => None,
-                        SelectList::Items(items) => {
-                            let mut out = Vec::new();
-                            let mut flat = Vec::new();
-                            flatten_items(items, &mut flat);
-                            for it in flat {
-                                match it {
-                                    SelectItem::Component(a) | SelectItem::Attr(CompRef { attr: a, .. }) => {
-                                        let idx = at.attribute_index(&a).ok_or_else(|| {
-                                            PrimaError::UnresolvedReference {
-                                                reference: a.clone(),
-                                                detail: format!(
-                                                    "no attribute '{a}' on '{}'",
-                                                    at.name
-                                                ),
-                                            }
-                                        })?;
-                                        out.push(idx);
-                                    }
-                                    other => {
-                                        return Err(PrimaError::BadStatement(format!(
-                                            "unsupported nested projection item {other:?}"
-                                        )))
-                                    }
-                                }
-                            }
-                            Some(out)
-                        }
-                    };
-                    per_node[node] = NodeProjection::Qualified { attrs, ssa };
-                }
-            }
-        }
-    }
-    Ok(ResolvedSelect { per_node })
-}
-
-fn alias_node(q: &PlanShape, name: &str) -> Option<usize> {
-    q.aliases.iter().find(|(n, _)| n == name).map(|(_, i)| *i)
 }
 
 fn add_attr(p: &mut NodeProjection, attr: usize) {
@@ -542,41 +748,6 @@ fn flatten_items(items: &[SelectItem], out: &mut Vec<SelectItem>) {
             SelectItem::Group(inner) => flatten_items(inner, out),
             other => out.push(other.clone()),
         }
-    }
-}
-
-/// Converts a single-component predicate into an [`Ssa`] (used by
-/// qualified projections and quantifier bodies). Returns `None` when the
-/// predicate references other components.
-pub fn predicate_to_atom_ssa(
-    pred: &Predicate,
-    attr_index: impl Fn(&str) -> Option<usize> + Copy,
-) -> Option<Ssa> {
-    match pred {
-        Predicate::Compare { left: Operand::Ref(r), op, right: Operand::Literal(v) } => {
-            Some(Ssa::Cmp { attr: attr_index(&r.attr)?, op: convert_op(*op), value: v.clone() })
-        }
-        Predicate::Compare { left: Operand::Literal(v), op, right: Operand::Ref(r) } => {
-            Some(Ssa::Cmp {
-                attr: attr_index(&r.attr)?,
-                op: convert_op(*op).flip(),
-                value: v.clone(),
-            })
-        }
-        Predicate::IsEmpty(r) => Some(Ssa::IsEmpty { attr: attr_index(&r.attr)? }),
-        Predicate::NotEmpty(r) => Some(Ssa::NotEmpty { attr: attr_index(&r.attr)? }),
-        Predicate::And(ts) => {
-            let parts: Option<Vec<Ssa>> =
-                ts.iter().map(|t| predicate_to_atom_ssa(t, attr_index)).collect();
-            Some(Ssa::and(parts?))
-        }
-        Predicate::Or(ts) => {
-            let parts: Option<Vec<Ssa>> =
-                ts.iter().map(|t| predicate_to_atom_ssa(t, attr_index)).collect();
-            Some(Ssa::Or(parts?))
-        }
-        Predicate::Not(t) => Some(Ssa::Not(Box::new(predicate_to_atom_ssa(t, attr_index)?))),
-        _ => None,
     }
 }
 
@@ -663,14 +834,17 @@ mod tests {
         .unwrap();
         let r = validate(&s, &q).unwrap();
         assert_eq!(r.nodes.len(), 4);
-        let edge_node = r.node_by_label("edge").unwrap();
-        let face_node = r.node_by_label("face").unwrap();
+        let node = |label: &str| r.nodes.iter().position(|n| n.label == label).unwrap();
+        let (edge_node, face_node) = (node("edge"), node("face"));
         assert!(matches!(r.select.per_node[edge_node], NodeProjection::All));
         assert!(matches!(r.select.per_node[face_node], NodeProjection::Qualified { .. }));
         assert!(matches!(r.select.per_node[0], NodeProjection::Exclude), "brep excluded");
         // Quantifier stays residual; brep_no pushed down.
         assert!(matches!(r.root_ssa, Ssa::Cmp { .. }));
-        assert!(matches!(r.residual, Some(Predicate::ExistsAtLeast { .. })));
+        assert!(matches!(
+            r.residual,
+            Some(Residual::AtLeast { n: 2, atoms: Atoms::Node(n), .. }) if n == edge_node
+        ));
     }
 
     #[test]
@@ -698,6 +872,21 @@ mod tests {
         let labels: Vec<&str> = r.nodes.iter().map(|n| n.label.as_str()).collect();
         assert_eq!(labels, vec!["brep", "face", "edge", "point"]);
         assert!(r.aliases.iter().any(|(n, _)| n == "brep_obj"));
+    }
+
+    #[test]
+    fn slots_take_the_type_of_their_first_use() {
+        let s = schema();
+        let (stmt, names) = prima_mad::mql::parse_statement_params(
+            "MODIFY brep-face SET face.square_dim = :k
+             WHERE brep_no = :k AND EXISTS_AT_LEAST (1) face: square_dim > ? AND ? = 1",
+        )
+        .unwrap();
+        let (_, types) = plan_statement(&s, &stmt, names.len()).unwrap();
+        // `:k` is compared with `brep_no` before it is assigned to a REAL;
+        // the body's bare `square_dim` is the face's; a slot compared
+        // with a value stays untyped.
+        assert_eq!(types, [Some(AttrType::Integer), Some(AttrType::Real), None]);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   (dropping the session rolls uncommitted work back).
 //! * [`Prepared`] — compile (parse / validate / plan) **once**, then
 //!   [`Prepared::bind`] + [`Prepared::execute`] many times. MQL carries
-//!   `?` (positional) and `:name` (named) placeholders; binding is
-//!   type-checked against the attribute each parameter is compared with
-//!   or assigned to, and an execution binds the values into the plan's
-//!   predicates without copying the rest of the plan.
+//!   `?` (positional) and `:name` (named) placeholders. The compile that
+//!   resolves the statement's names also types each slot by the attribute
+//!   it is first compared with or assigned to; binding is checked against
+//!   that type, and an execution binds the values into the plan's SSAs
+//!   (and DML values) without copying the rest of the plan.
 //! * [`MoleculeCursor`] — a pull-based iterator over result molecules
 //!   that borrows its session. Root atoms are located up front (they are
 //!   the cheap part); component assembly runs lazily per fetched chunk
@@ -116,7 +117,7 @@
 
 use crate::datasys::exec::{find_roots, process_root, AssemblyCtx, AssemblyPool};
 use crate::datasys::plan::{ResolvedQuery, StatementPlan};
-use crate::datasys::validate::{plan_statement, resolve_ref};
+use crate::datasys::validate::plan_statement;
 use crate::datasys::{self, DmlResult, Molecule, MoleculeSet, NodeInfo};
 use crate::error::{PrimaError, PrimaResult};
 use crate::obs::{self, MetricsSnapshot, Obs, Probe, SpanKind, StatementKind, StatementProfile};
@@ -125,8 +126,8 @@ use parking_lot::{rank, Mutex};
 use prima_access::cluster::AtomClusterType;
 use prima_access::{AccessSystem, Atom};
 use prima_mad::mql::{
-    parse_statement_lifted, parse_statement_params, unescape, CompRef, Operand, ParamSlots,
-    ParseError, Predicate, SetExpr, Statement, TokenKind, Tokens, ValueExpr,
+    parse_statement_lifted, parse_statement_params, unescape, ParamSlots, ParseError, Statement,
+    TokenKind, Tokens,
 };
 use prima_mad::value::{AtomId, Value};
 use prima_mad::{AttrType, Schema};
@@ -780,8 +781,9 @@ impl Session {
 pub struct ParamSlot {
     /// `Some(name)` for `:name`, `None` for positional `?`.
     pub name: Option<String>,
-    /// Declared type of the attribute this parameter is compared with or
-    /// assigned to, when inferable — bindings are checked against it.
+    /// Type of the attribute this parameter is first compared with (in
+    /// WHERE order), or else assigned to; recorded by the statement's
+    /// compile, and bindings are checked against it.
     pub expected: Option<AttrType>,
 }
 
@@ -964,14 +966,14 @@ fn compile(schema: &Schema, text: &str) -> PrimaResult<Compiled> {
     compile_parsed(schema, &stmt, names)
 }
 
-/// Validates and plans a parsed statement ([`plan_statement`]) and types
-/// its parameter slots.
+/// Validates and plans a parsed statement, typing its parameter slots on
+/// the way ([`plan_statement`]).
 fn compile_parsed(schema: &Schema, stmt: &Statement, names: ParamSlots) -> PrimaResult<Compiled> {
     obs::span(SpanKind::Plan, || {
-        let plan = plan_statement(schema, stmt)?;
-        let mut slots: Vec<ParamSlot> =
-            names.into_iter().map(|name| ParamSlot { name, expected: None }).collect();
-        infer_param_types(schema, stmt, &plan, &mut slots)?;
+        let (plan, types) = plan_statement(schema, stmt, names.len())?;
+        let slots = (names.into_iter().zip(types))
+            .map(|(name, expected)| ParamSlot { name, expected })
+            .collect();
         Ok(Compiled { plan, slots })
     })
 }
@@ -1066,83 +1068,6 @@ impl PlanCache {
     }
 }
 
-/// Infers the expected attribute type of each parameter slot from the
-/// position it occurs in: comparisons against a component attribute take
-/// that attribute's type; INSERT/MODIFY assignments take the assigned
-/// attribute's type.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-fn infer_param_types(
-    schema: &Schema,
-    stmt: &Statement,
-    plan: &StatementPlan,
-    slots: &mut [ParamSlot],
-) -> PrimaResult<()> {
-    let note = |slot: u16, ty: AttrType, slots: &mut [ParamSlot]| {
-        if let Some(s) = slots.get_mut(slot as usize) {
-            if s.expected.is_none() {
-                s.expected = Some(ty);
-            }
-        }
-    };
-    let plan = match plan {
-        StatementPlan::Select(q)
-        | StatementPlan::Delete { qualification: q, .. }
-        | StatementPlan::Modify { qualification: q, .. } => Some(q),
-        StatementPlan::Insert(_) => None,
-    };
-    // Comparison positions (WHERE clauses).
-    if let (Some(plan), Some(pred)) = (plan, statement_predicate(stmt)) {
-        let mut pairs = Vec::new();
-        collect_param_comparisons(pred, &mut pairs);
-        for (r, slot) in pairs {
-            if let Ok((node, attr)) = resolve_ref(plan, r, schema) {
-                // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-                let at = schema.atom_type(plan.nodes[node].atom_type).expect("resolved");
-                note(slot, at.attributes[attr].ty.clone(), slots);
-            }
-        }
-    }
-    // Assignment positions.
-    match stmt {
-        Statement::Insert(i) => {
-            // Only a parameter's attribute is resolved now; the others
-            // are checked when the INSERT runs, as one-shot text always was.
-            for (name, ve) in &i.assignments {
-                let ValueExpr::Param(slot) = ve else { continue };
-                let at = schema.type_by_name(&i.atom_type).ok_or_else(|| {
-                    PrimaError::Schema(prima_mad::SchemaError::UnknownAtomType(
-                        i.atom_type.clone(),
-                    ))
-                })?;
-                let idx = at.attribute_index(name).ok_or_else(|| {
-                    PrimaError::Schema(prima_mad::SchemaError::UnknownAttribute {
-                        atom_type: at.name.clone(),
-                        attr: name.clone(),
-                    })
-                })?;
-                note(*slot, at.attributes[idx].ty.clone(), slots);
-            }
-        }
-        Statement::Modify(m) => {
-            if let Some(plan) = plan {
-                for (target, expr) in &m.assignments {
-                    if let SetExpr::Value(ValueExpr::Param(slot)) = expr {
-                        if let Ok((node, attr)) = resolve_ref(plan, target, schema) {
-                            let at = schema
-                                .atom_type(plan.nodes[node].atom_type)
-                                // lint: allow(error-hygiene, plan node type ids were resolved against this same frozen schema during validation)
-                                .expect("resolved");
-                            note(*slot, at.attributes[attr].ty.clone(), slots);
-                        }
-                    }
-                }
-            }
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
 /// A scope in flight ([`Session::begin_scope`]); `profile` holds the
 /// counters at its start and the span recorder when profiling is on.
 struct Scope {
@@ -1156,36 +1081,6 @@ impl Scope {
         if let Some((_, probe)) = self.profile {
             probe.finish(std::time::Duration::ZERO);
         }
-    }
-}
-
-fn statement_predicate(stmt: &Statement) -> Option<&Predicate> {
-    match stmt {
-        Statement::Select(q) => q.predicate.as_ref(),
-        Statement::Delete(d) => d.predicate.as_ref(),
-        Statement::Modify(m) => m.predicate.as_ref(),
-        Statement::Insert(_) => None,
-    }
-}
-
-/// Collects `(attribute reference, parameter slot)` pairs from
-/// comparisons of the form `ref op ?` / `? op ref`.
-fn collect_param_comparisons<'p>(pred: &'p Predicate, out: &mut Vec<(&'p CompRef, u16)>) {
-    match pred {
-        Predicate::Compare { left, right, .. } => match (left, right) {
-            (Operand::Ref(r), Operand::Param(s)) | (Operand::Param(s), Operand::Ref(r)) => {
-                out.push((r, *s));
-            }
-            _ => {}
-        },
-        Predicate::And(ts) | Predicate::Or(ts) => {
-            ts.iter().for_each(|t| collect_param_comparisons(t, out));
-        }
-        Predicate::Not(t) => collect_param_comparisons(t, out),
-        Predicate::ExistsAtLeast { inner, .. } | Predicate::ForAll { inner, .. } => {
-            collect_param_comparisons(inner, out);
-        }
-        Predicate::IsEmpty(_) | Predicate::NotEmpty(_) => {}
     }
 }
 

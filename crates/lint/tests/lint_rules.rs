@@ -104,6 +104,39 @@ fn dead_surface_fires_once_for_a_test_only_caller() {
 }
 
 #[test]
+fn dead_surface_does_not_count_a_function_mentioning_itself() {
+    // Recursion, and delegation to a namesake, call nothing from outside.
+    let src = "\
+pub fn countdown(n: u32) -> u32 {
+    if n == 0 { 0 } else { countdown(n - 1) }
+}
+
+pub struct Outer { inner: Inner }
+pub struct Inner;
+
+impl Outer {
+    pub fn size(&self) -> usize { self.inner.size() }
+}
+
+impl Inner {
+    pub fn size(&self) -> usize { 1 }
+}
+";
+    let path = PathBuf::from("self_calls.rs");
+    let dead = |src: &str| {
+        let used = used_names(&[(path.clone(), src.to_string())]);
+        let (findings, count) = dead_surface_in(&path, src, &used);
+        assert_eq!(findings.len(), count, "no allows here");
+        findings.iter().map(|f| f.line).collect::<Vec<_>>()
+    };
+    assert_eq!(dead(src), vec![1, 9, 13]);
+    // A call from another function's body counts.
+    let caller = "fn caller(o: &Outer) -> usize { o.size() + countdown(2) as usize }";
+    let called = format!("{src}\n{caller}\n");
+    assert!(dead(&called).is_empty(), "{called}");
+}
+
+#[test]
 fn dead_surface_ceiling_fires_above_the_ceiling() {
     assert!(check_dead_surface_ceiling(2, 2).is_none(), "at the ceiling is fine");
     let over = check_dead_surface_ceiling(3, 2).expect("one over the ceiling");

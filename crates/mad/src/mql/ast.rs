@@ -150,17 +150,6 @@ pub enum ValueExpr {
     Param(u16),
 }
 
-impl ValueExpr {
-    /// The concrete value, substituting bound parameters. `None` when the
-    /// slot is out of range.
-    pub fn resolve(&self, params: &[Value]) -> Option<Value> {
-        match self {
-            ValueExpr::Lit(v) => Some(v.clone()),
-            ValueExpr::Param(slot) => params.get(*slot as usize).cloned(),
-        }
-    }
-}
-
 impl From<Value> for ValueExpr {
     fn from(v: Value) -> Self {
         ValueExpr::Lit(v)
@@ -229,98 +218,6 @@ impl Predicate {
             Predicate::And(flat)
         }
     }
-
-    /// All component references mentioned (for validation).
-    pub fn comp_refs(&self) -> Vec<&CompRef> {
-        let mut out = Vec::new();
-        self.collect_refs(&mut out);
-        out
-    }
-
-    fn collect_refs<'a>(&'a self, out: &mut Vec<&'a CompRef>) {
-        match self {
-            Predicate::Compare { left, right, .. } => {
-                if let Operand::Ref(r) = left {
-                    out.push(r);
-                }
-                if let Operand::Ref(r) = right {
-                    out.push(r);
-                }
-            }
-            Predicate::IsEmpty(r) | Predicate::NotEmpty(r) => out.push(r),
-            Predicate::And(ts) | Predicate::Or(ts) => {
-                ts.iter().for_each(|t| t.collect_refs(out));
-            }
-            Predicate::Not(t) => t.collect_refs(out),
-            Predicate::ExistsAtLeast { inner, .. } | Predicate::ForAll { inner, .. } => {
-                inner.collect_refs(out);
-            }
-        }
-    }
-
-    /// A copy with every parameter placeholder replaced by its bound
-    /// value. Slots out of range are left in place (binding arity is
-    /// checked by the prepared-statement layer before substitution).
-    pub fn bind_params(&self, params: &[Value]) -> Predicate {
-        let bind_op = |o: &Operand| match o {
-            Operand::Param(slot) => match params.get(*slot as usize) {
-                Some(v) => Operand::Literal(v.clone()),
-                None => Operand::Param(*slot),
-            },
-            other => other.clone(),
-        };
-        match self {
-            Predicate::Compare { left, op, right } => Predicate::Compare {
-                left: bind_op(left),
-                op: *op,
-                right: bind_op(right),
-            },
-            Predicate::And(ts) => {
-                Predicate::And(ts.iter().map(|t| t.bind_params(params)).collect())
-            }
-            Predicate::Or(ts) => {
-                Predicate::Or(ts.iter().map(|t| t.bind_params(params)).collect())
-            }
-            Predicate::Not(t) => Predicate::Not(Box::new(t.bind_params(params))),
-            Predicate::ExistsAtLeast { n, component, inner } => Predicate::ExistsAtLeast {
-                n: *n,
-                component: component.clone(),
-                inner: Box::new(inner.bind_params(params)),
-            },
-            Predicate::ForAll { component, inner } => Predicate::ForAll {
-                component: component.clone(),
-                inner: Box::new(inner.bind_params(params)),
-            },
-            leaf @ (Predicate::IsEmpty(_) | Predicate::NotEmpty(_)) => leaf.clone(),
-        }
-    }
-
-    /// Parameter slots referenced by this predicate.
-    pub fn param_slots(&self) -> Vec<u16> {
-        let mut out = Vec::new();
-        self.collect_params(&mut out);
-        out
-    }
-
-    fn collect_params(&self, out: &mut Vec<u16>) {
-        match self {
-            Predicate::Compare { left, right, .. } => {
-                for o in [left, right] {
-                    if let Operand::Param(slot) = o {
-                        out.push(*slot);
-                    }
-                }
-            }
-            Predicate::IsEmpty(_) | Predicate::NotEmpty(_) => {}
-            Predicate::And(ts) | Predicate::Or(ts) => {
-                ts.iter().for_each(|t| t.collect_params(out));
-            }
-            Predicate::Not(t) => t.collect_params(out),
-            Predicate::ExistsAtLeast { inner, .. } | Predicate::ForAll { inner, .. } => {
-                inner.collect_params(out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,27 +239,5 @@ mod tests {
         let p = Predicate::and(vec![a.clone(), Predicate::and(vec![b.clone()])]);
         assert_eq!(p, Predicate::And(vec![a.clone(), b]));
         assert_eq!(Predicate::and(vec![a.clone()]), a);
-    }
-
-    #[test]
-    fn comp_refs_collected() {
-        let p = Predicate::And(vec![
-            Predicate::Compare {
-                left: Operand::Ref(CompRef { component: None, level: None, attr: "x".into() }),
-                op: CompareOp::Gt,
-                right: Operand::Literal(Value::Int(1)),
-            },
-            Predicate::ExistsAtLeast {
-                n: 2,
-                component: "edge".into(),
-                inner: Box::new(Predicate::IsEmpty(CompRef {
-                    component: Some("edge".into()),
-                    level: None,
-                    attr: "face".into(),
-                })),
-            },
-        ]);
-        let refs = p.comp_refs();
-        assert_eq!(refs.len(), 2);
     }
 }

@@ -39,6 +39,7 @@ impl MoleculeNode {
         }
     }
 
+    #[cfg(test)]
     pub fn with_children(component: impl Into<String>, children: Vec<MoleculeNode>) -> Self {
         MoleculeNode { component: component.into(), via_attr: None, children, recursive: false }
     }
@@ -56,6 +57,7 @@ impl MoleculeNode {
     }
 
     /// All component names in pre-order.
+    #[cfg(test)]
     pub fn component_names(&self) -> Vec<&str> {
         let mut out = vec![self.component.as_str()];
         for c in &self.children {
@@ -65,6 +67,7 @@ impl MoleculeNode {
     }
 
     /// Number of nodes.
+    #[cfg(test)]
     pub fn node_count(&self) -> usize {
         1 + self.children.iter().map(MoleculeNode::node_count).sum::<usize>()
     }
@@ -90,10 +93,9 @@ impl MoleculeGraph {
     }
 
     /// A linear chain `a-b-c-…` (the Table 2.1a notation).
-    #[allow(clippy::unwrap_used, clippy::expect_used)]
+    #[cfg(test)]
     pub fn linear(components: &[&str]) -> Self {
         let mut iter = components.iter().rev();
-        // lint: allow(error-hygiene, component list was checked non-empty on registration)
         let last = iter.next().expect("at least one component");
         let mut node = MoleculeNode::leaf(*last);
         for c in iter {
@@ -102,6 +104,7 @@ impl MoleculeGraph {
         MoleculeGraph { root: node }
     }
 
+    #[cfg(test)]
     pub fn component_names(&self) -> Vec<&str> {
         self.root.component_names()
     }
@@ -162,6 +165,7 @@ impl MoleculeType {
     }
 
     /// Convenience: a linear chain.
+    #[cfg(test)]
     pub fn linear(name: impl Into<String>, components: &[&str]) -> Self {
         MoleculeType { name: name.into(), graph: MoleculeGraph::linear(components) }
     }

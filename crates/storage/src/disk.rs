@@ -86,9 +86,6 @@ pub trait BlockDevice: Send + Sync {
     /// sequences: one positioning operation, then streaming transfer.
     fn read_chained(&self, addr: BlockAddr, count: u32, buf: &mut [u8]) -> StorageResult<()>;
 
-    /// Chained write of `count` contiguous blocks.
-    fn write_chained(&self, addr: BlockAddr, count: u32, buf: &[u8]) -> StorageResult<()>;
-
     /// Shared I/O statistics of this device.
     fn stats(&self) -> Arc<IoStats>;
 
@@ -346,23 +343,6 @@ impl BlockDevice for SimDisk {
         Ok(())
     }
 
-    fn write_chained(&self, addr: BlockAddr, count: u32, buf: &[u8]) -> StorageResult<()> {
-        let block_len = self.with_file(addr.file, |f| {
-            debug_assert_eq!(buf.len(), count as usize * f.block_len);
-            let end = (addr.block + count) as usize;
-            if f.blocks.len() < end {
-                f.blocks.resize_with(end, || None);
-            }
-            for i in 0..count as usize {
-                let src = &buf[i * f.block_len..(i + 1) * f.block_len];
-                f.blocks[addr.block as usize + i] = Some(src.to_vec().into_boxed_slice());
-            }
-            Ok(f.block_len)
-        })?;
-        self.io.transfer(addr, count as u64, block_len, true, true);
-        Ok(())
-    }
-
     fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.io.stats)
     }
@@ -438,13 +418,15 @@ mod tests {
         for (i, b) in data.iter_mut().enumerate() {
             *b = (i % 251) as u8;
         }
-        d.write_chained(BlockAddr::new(0, 10), 4, &data).unwrap();
+        for (i, block) in data.chunks(512).enumerate() {
+            d.write_block(BlockAddr::new(0, 10 + i as u32), block).unwrap();
+        }
         let mut out = vec![0u8; 4 * 512];
         d.read_chained(BlockAddr::new(0, 10), 4, &mut out).unwrap();
         assert_eq!(out, data);
         let s = d.stats().snapshot();
-        assert_eq!(s.chained_runs, 2);
-        assert_eq!(s.chained_blocks, 8);
+        assert_eq!(s.chained_runs, 1);
+        assert_eq!(s.chained_blocks, 4);
         assert_eq!(s.block_reads, 4);
         assert_eq!(s.block_writes, 4);
     }

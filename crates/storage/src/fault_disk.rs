@@ -23,10 +23,9 @@
 //!   the Nth WAL force, during the Nth fsync, or manually
 //!   ([`FaultDisk::crash_now`]);
 //! * **torn writes** — the in-flight operation persists a *prefix*: the
-//!   first blocks of a chained transfer, the first bytes of a single
-//!   block (merged over the old contents, like a partial sector write),
-//!   or the first bytes of a WAL group append (the classic torn log
-//!   tail);
+//!   first bytes of a single block (merged over the old contents, like a
+//!   partial sector write), or the first bytes of a WAL group append (the
+//!   classic torn log tail);
 //! * **partial fsync** — at the crash, each cached-but-unsynced block
 //!   independently survives or vanishes (the cache drained in arbitrary
 //!   order), and one cached block may itself be torn;
@@ -430,41 +429,6 @@ impl BlockDevice for FaultDisk {
                 buf[i as usize * block_len..(i as usize + 1) * block_len]
                     .copy_from_slice(bytes);
             }
-        }
-        Ok(())
-    }
-
-    fn write_chained(&self, addr: BlockAddr, count: u32, buf: &[u8]) -> StorageResult<()> {
-        let mut st = self.state.lock();
-        let block_len = buf.len() / count as usize;
-        if self.note_op(&mut st, OpKind::Write)? {
-            // Torn chained transfer: a prefix of whole blocks persists,
-            // the block after the prefix may itself be torn.
-            for i in 0..count {
-                st.cache.remove(&BlockAddr::new(addr.file, addr.block + i));
-            }
-            if self.schedule.torn_in_flight {
-                let keep = (st.roll() % (count as u64 + 1)) as u32;
-                for i in 0..keep {
-                    let a = BlockAddr::new(addr.file, addr.block + i);
-                    let b = &buf[i as usize * block_len..(i as usize + 1) * block_len];
-                    let _ = self.inner.write_block(a, b);
-                }
-                if keep < count {
-                    let a = BlockAddr::new(addr.file, addr.block + keep);
-                    let b = &buf
-                        [keep as usize * block_len..(keep as usize + 1) * block_len];
-                    let cut = (st.roll() as usize) % (block_len + 1);
-                    self.persist_torn_block(a, b, cut);
-                }
-            }
-            self.apply_crash(&mut st);
-            return Err(crashed_err());
-        }
-        for i in 0..count {
-            let a = BlockAddr::new(addr.file, addr.block + i);
-            st.cache
-                .insert(a, buf[i as usize * block_len..(i as usize + 1) * block_len].to_vec());
         }
         Ok(())
     }

@@ -304,17 +304,6 @@ impl BlockDevice for FileDisk {
         })
     }
 
-    fn write_chained(&self, addr: BlockAddr, count: u32, buf: &[u8]) -> StorageResult<()> {
-        self.with_file(addr.file, |f| {
-            debug_assert_eq!(buf.len(), count as usize * f.block_len);
-            f.file
-                .write_all_at(buf, addr.block as u64 * f.block_len as u64)
-                .map_err(|e| io_err("pwrite chained", e))?;
-            self.io.transfer(addr, count as u64, f.block_len, true, true);
-            Ok(())
-        })
-    }
-
     fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.io.stats)
     }
@@ -397,8 +386,10 @@ mod tests {
             d.create_file(0, 512).unwrap();
             d.create_file(3, 4096).unwrap();
             d.write_block(BlockAddr::new(0, 2), &[0xaa; 512]).unwrap();
-            let chained: Vec<u8> = (0..2 * 4096).map(|i| (i % 251) as u8).collect();
-            d.write_chained(BlockAddr::new(3, 5), 2, &chained).unwrap();
+            let run: Vec<u8> = (0..2 * 4096).map(|i| (i % 251) as u8).collect();
+            for (i, block) in run.chunks(4096).enumerate() {
+                d.write_block(BlockAddr::new(3, 5 + i as u32), block).unwrap();
+            }
             d.sync().unwrap();
         }
         let d = FileDisk::open(&tmp.0).unwrap();

@@ -100,9 +100,9 @@
 //! A seed-replayable [`fault_disk::FaultSchedule`] picks the crash point
 //! (op count, Nth WAL force, Nth fsync) and the damage: at the crash,
 //! each cached block independently survives or vanishes, the in-flight
-//! operation persists a *prefix* (torn-write granularity: whole blocks
-//! of a chained transfer, leading bytes of a single block merged over
-//! the old contents, leading bytes of a WAL group append), and the torn
+//! operation persists a *prefix* (torn-write granularity: leading bytes
+//! of a single block merged over the old contents, leading bytes of a
+//! WAL group append), and the torn
 //! log fragment may additionally suffer bit rot (the replay-CRC path).
 //! Completed barriers are honest — a lying fsync is unrecoverable for
 //! any WAL scheme and is out of scope. The crash-consistency harness

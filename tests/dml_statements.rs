@@ -4,7 +4,7 @@
 
 use prima::datasys::DmlResult;
 use prima_workloads::exec;
-use prima::{Prima, Value};
+use prima::{Prima, PrimaError, Value};
 
 const DDL: &str = "
 CREATE ATOM_TYPE doc
@@ -183,4 +183,50 @@ fn failed_insert_leaves_every_key_map_as_it_was() {
     assert!(err.to_string().contains("duplicate key"), "{err}");
     thing(&db, 5, 2).expect("the failed insert left no k1 = 5 behind");
     assert_eq!(exec::query(&db, "SELECT ALL FROM thing WHERE k1 = 5").unwrap().len(), 1);
+}
+
+/// One `a` (`k = 1`, `v = 5`) linked to one `b` (`v = 500`).
+const TWO_TYPE_DDL: &str = "
+CREATE ATOM_TYPE a
+  ( id : IDENTIFIER, k : INTEGER, v : INTEGER, bs : SET_OF (REF_TO (b.owners)) )
+KEYS_ARE (k);
+CREATE ATOM_TYPE b
+  ( id : IDENTIFIER, v : INTEGER, owners : SET_OF (REF_TO (a.bs)) );
+";
+
+fn two_type_db() -> Prima {
+    let db = Prima::builder().build_with_ddl(TWO_TYPE_DDL).unwrap();
+    let b = db.insert("b", &[("v", Value::Int(500))]).unwrap();
+    let attrs = [("k", Value::Int(1)), ("v", Value::Int(5)), ("bs", Value::ref_set(vec![b]))];
+    db.insert("a", &attrs).unwrap();
+    db
+}
+
+#[test]
+fn modify_targets_resolve_when_compiled() {
+    let db = two_type_db();
+    // `k = 2` qualifies no molecule: the unknown target must fail anyway.
+    for k in [1, 2] {
+        let err = exec::execute(&db, &format!("MODIFY a SET nosuch = 1 WHERE k = {k}"))
+            .unwrap_err();
+        assert!(matches!(err, PrimaError::UnresolvedReference { .. }), "{err:?}");
+    }
+    let session = db.session();
+    let err = session.prepare("MODIFY a SET nosuch = ? WHERE k = ?").err().unwrap();
+    assert!(matches!(err, PrimaError::UnresolvedReference { .. }), "{err:?}");
+    // Nothing was modified.
+    let set = exec::query(&db, "SELECT ALL FROM a WHERE k = 1").unwrap();
+    assert_eq!(set.molecules[0].root.atom.values[2], Value::Int(5));
+}
+
+#[test]
+fn connect_needs_a_reference_attribute_whatever_the_data() {
+    let db = two_type_db();
+    for (verb, k) in [("CONNECT", 1), ("CONNECT", 2), ("DISCONNECT", 1), ("DISCONNECT", 2)] {
+        let text = format!("MODIFY a SET v = {verb} (SELECT ALL FROM b) WHERE k = {k}");
+        let err = exec::execute(&db, &text).unwrap_err();
+        assert!(matches!(err, PrimaError::BadStatement(_)), "{text}: {err:?}");
+        let expected = format!("{verb} target 'v' is not a reference attribute");
+        assert!(err.to_string().contains(&expected), "{text}: {err}");
+    }
 }
